@@ -102,7 +102,7 @@ fn bench_backend_tiers16(c: &mut Criterion) {
         }
         group.bench_function(format!("dispatch({})", kernel::active_backend().name()), |b| {
             b.iter(|| {
-                slice::mul_add_assign16(black_box(&mut dst), black_box(0xA57B), black_box(&src))
+                kernel::mul_add_assign16(black_box(&mut dst), black_box(0xA57B), black_box(&src))
             });
         });
         group.finish();

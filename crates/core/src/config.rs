@@ -160,7 +160,8 @@ impl ProtocolConfig {
     ///
     /// # Errors
     ///
-    /// [`CodeError::InvalidParams`] for an invalid `(k, g, h)`.
+    /// [`CodeError::InvalidParams`] for an invalid `(k, g, h)`, including one
+    /// that would leave a local group empty (`(g − 1) · ceil(k / g) ≥ k`).
     pub fn new_lrc(k: usize, g: usize, h: usize, block_size: usize) -> Result<Self, CodeError> {
         Self::with_code(CodeFamily::lrc(k, g, h)?, block_size)
     }

@@ -13,12 +13,12 @@
 //! an LRC can never be served for a Reed-Solomon stripe of the same
 //! `(k, n)` shape (their generator matrices differ).
 
-use crate::code::DecodePlan;
+use crate::code::{DecodePlan, WideDecodePlan, WideReedSolomon};
 use crate::error::CodeError;
 use crate::family::{CodeFamily, FamilyKey, RepairPlan};
-use crate::wide::{WideDecodePlan, WideReedSolomon};
 use std::collections::HashMap;
-use std::sync::{Arc, Mutex};
+use std::hash::Hash;
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 
 /// A shared, thread-safe memo of [`ReedSolomon::plan_decode`] results and
 /// of [`CodeFamily::repair_plan`] results.
@@ -46,21 +46,49 @@ use std::sync::{Arc, Mutex};
 /// ```
 #[derive(Default)]
 pub struct PlanCache {
-    plans: Mutex<HashMap<PlanKey, Arc<DecodePlan>>>,
-    /// Memoized single-block repairs: `(family, lost, available)` →
-    /// weighted share set.
-    repairs: Mutex<HashMap<RepairKey, Arc<RepairPlan>>>,
-    /// Memoized wide-code (GF(2¹⁶)) decode plans, keyed like `plans` with
-    /// [`FamilyKey::Wide`]. A separate map because [`WideDecodePlan`] is a
-    /// distinct type from [`DecodePlan`] (u16 inverse columns).
-    wide: Mutex<HashMap<PlanKey, Arc<WideDecodePlan>>>,
+    plans: Memo<FamilyKey, DecodePlan>,
+    /// Single-block repairs, per `(family, lost index)`.
+    repairs: Memo<(FamilyKey, usize), RepairPlan>,
+    /// Wide-code plans, under [`FamilyKey::Wide`]. Their own map only
+    /// because [`WideDecodePlan`] is a different type (`u16` columns).
+    wide: Memo<FamilyKey, WideDecodePlan>,
 }
 
-/// Key of a memoized decode plan: code family + survivor index pattern.
-type PlanKey = (FamilyKey, Vec<usize>);
+/// One memo table: per code (and lost index, for repairs), the values
+/// computed so far by index pattern. Two levels so that a lookup borrows
+/// the caller's `&[usize]` instead of building an owned key.
+type Memo<K, V> = Mutex<HashMap<K, HashMap<Vec<usize>, Arc<V>>>>;
 
-/// Key of a memoized repair: code family + lost index + available set.
-type RepairKey = (FamilyKey, usize, Vec<usize>);
+fn lock<T>(memo: &Mutex<T>) -> MutexGuard<'_, T> {
+    // A panic while holding the lock can only happen outside any mutation
+    // (the maps are only read and inserted into), so a poisoned cache is
+    // still structurally sound.
+    memo.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// The value memoized under `(key, indices)`, computed and inserted on
+/// first use. A hit allocates nothing. `compute` runs *outside* the lock,
+/// so a slow first computation never stalls lookups of other patterns; if
+/// two threads race on the same fresh pattern, one result wins and both
+/// callers share it. Errors are returned, not cached.
+fn get_or_compute<K: Copy + Eq + Hash, V, E>(
+    memo: &Memo<K, V>,
+    key: K,
+    indices: &[usize],
+    compute: impl FnOnce() -> Result<V, E>,
+) -> Result<Arc<V>, E> {
+    if let Some(hit) = lock(memo).get(&key).and_then(|m| m.get(indices)) {
+        return Ok(Arc::clone(hit));
+    }
+    let fresh = Arc::new(compute()?);
+    let mut guard = lock(memo);
+    let slot = guard.entry(key).or_default().entry(indices.to_vec());
+    Ok(Arc::clone(slot.or_insert(fresh)))
+}
+
+fn entries<K, V>(memo: &Memo<K, V>) -> usize {
+    lock(memo).values().map(HashMap::len).sum()
+}
 
 impl PlanCache {
     /// An empty cache.
@@ -69,12 +97,7 @@ impl PlanCache {
     }
 
     /// The plan for decoding `code` from `indices`, computing and caching
-    /// it on first use.
-    ///
-    /// The inversion runs *outside* the cache lock, so a slow first
-    /// computation never stalls concurrent lookups of other patterns; if
-    /// two threads race on the same fresh pattern, one result wins and
-    /// both callers share it.
+    /// it on first use (outside the cache lock; a hit allocates nothing).
     ///
     /// # Errors
     ///
@@ -84,16 +107,9 @@ impl PlanCache {
         code: &CodeFamily,
         indices: &[usize],
     ) -> Result<Arc<DecodePlan>, CodeError> {
-        let family = code.family_key();
-        if let Some(plan) = self.lock_plans().get(&(family, indices.to_vec())) {
-            return Ok(Arc::clone(plan));
-        }
-        let fresh = Arc::new(code.plan_decode(indices)?);
-        Ok(Arc::clone(
-            self.lock_plans()
-                .entry((family, indices.to_vec()))
-                .or_insert(fresh),
-        ))
+        get_or_compute(&self.plans, code.family_key(), indices, || {
+            code.plan_decode(indices)
+        })
     }
 
     /// The cheapest repair of stripe index `lost` from `available`
@@ -109,26 +125,15 @@ impl PlanCache {
         lost: usize,
         available: &[usize],
     ) -> Option<Arc<RepairPlan>> {
-        let family = code.family_key();
-        if let Some(plan) = self
-            .lock_repairs()
-            .get(&(family, lost, available.to_vec()))
-        {
-            return Some(Arc::clone(plan));
-        }
-        let fresh = Arc::new(code.repair_plan(lost, available)?);
-        Some(Arc::clone(
-            self.lock_repairs()
-                .entry((family, lost, available.to_vec()))
-                .or_insert(fresh),
-        ))
+        get_or_compute(&self.repairs, (code.family_key(), lost), available, || {
+            code.repair_plan(lost, available).ok_or(())
+        })
+        .ok()
     }
 
-    /// The plan for decoding wide code `code` from `indices`, computing
-    /// and caching it on first use — the GF(2¹⁶) twin of
-    /// [`PlanCache::plan`], with the same outside-the-lock computation and
-    /// race semantics. Keyed under [`FamilyKey::Wide`], so a wide plan can
-    /// never collide with a byte-code plan of the same `(k, n)` shape.
+    /// [`PlanCache::plan`] for a wide (GF(2¹⁶)) code. Keyed under
+    /// [`FamilyKey::Wide`] in a map of its own, so a wide plan can never
+    /// collide with a byte-code plan of the same `(k, n)` shape.
     ///
     /// # Errors
     ///
@@ -142,61 +147,29 @@ impl PlanCache {
             k: code.k(),
             n: code.n(),
         };
-        if let Some(plan) = self.lock_wide().get(&(family, indices.to_vec())) {
-            return Ok(Arc::clone(plan));
-        }
-        let fresh = Arc::new(code.plan_decode(indices)?);
-        Ok(Arc::clone(
-            self.lock_wide()
-                .entry((family, indices.to_vec()))
-                .or_insert(fresh),
-        ))
+        get_or_compute(&self.wide, family, indices, || code.plan_decode(indices))
     }
 
     /// Number of cached wide-code decode patterns.
     pub fn wide_len(&self) -> usize {
-        self.lock_wide().len()
+        entries(&self.wide)
     }
 
     /// Number of cached decode patterns (repair memos not included).
     pub fn len(&self) -> usize {
-        self.lock_plans().len()
+        entries(&self.plans)
     }
 
     /// Whether the cache holds no decode plans yet.
     pub fn is_empty(&self) -> bool {
-        self.lock_plans().is_empty()
+        self.len() == 0
     }
 
     /// Drops every cached plan (e.g. after reconfiguring the code).
     pub fn clear(&self) {
-        self.lock_plans().clear();
-        self.lock_repairs().clear();
-        self.lock_wide().clear();
-    }
-
-    fn lock_plans(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Arc<DecodePlan>>> {
-        // A panic while holding the lock can only happen outside any
-        // mutation (the map is only read/inserted-into), so a poisoned
-        // cache is still structurally sound.
-        match self.plans.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn lock_repairs(&self) -> std::sync::MutexGuard<'_, HashMap<RepairKey, Arc<RepairPlan>>> {
-        match self.repairs.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
-    }
-
-    fn lock_wide(&self) -> std::sync::MutexGuard<'_, HashMap<PlanKey, Arc<WideDecodePlan>>> {
-        match self.wide.lock() {
-            Ok(g) => g,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        lock(&self.plans).clear();
+        lock(&self.repairs).clear();
+        lock(&self.wide).clear();
     }
 }
 
@@ -204,7 +177,7 @@ impl std::fmt::Debug for PlanCache {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("PlanCache")
             .field("patterns", &self.len())
-            .field("repairs", &self.lock_repairs().len())
+            .field("repairs", &entries(&self.repairs))
             .field("wide", &self.wide_len())
             .finish()
     }
@@ -213,6 +186,7 @@ impl std::fmt::Debug for PlanCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ajx_gf::KernelField;
 
     #[test]
     fn caches_one_plan_per_pattern() {
@@ -297,43 +271,43 @@ mod tests {
     }
 
     #[test]
-    fn wide_plans_are_memoized_and_separate() {
-        let wide = WideReedSolomon::new(3, 6).unwrap();
+    fn equal_shapes_never_alias_across_fields_or_families() {
+        // RS(4, 8) over GF(2⁸), RS(4, 8) over GF(2¹⁶) and LRC(4, 2, 2) are
+        // all k = 4, n = 8, and all three can decode from {1, 2, 3, 4} (for
+        // the LRC, block 4 is the local parity covering missing block 0).
+        fn decode<F: KernelField>(plan: &DecodePlan<F>, stripe: &[Vec<u8>]) -> Vec<Vec<u8>> {
+            let shares: Vec<&[u8]> = plan.indices().iter().map(|&i| &stripe[i][..]).collect();
+            let mut out = vec![vec![0u8; 16]; 4];
+            let mut views: Vec<&mut [u8]> = out.iter_mut().map(|b| b.as_mut_slice()).collect();
+            plan.decode_into(&shares, &mut views).unwrap();
+            out
+        }
+        let rs = CodeFamily::rs(4, 8).unwrap();
+        let lrc = CodeFamily::lrc(4, 2, 2).unwrap();
+        let wide = WideReedSolomon::new(4, 8).unwrap();
         let cache = PlanCache::new();
-        let a = cache.plan_wide(&wide, &[0, 2, 4]).unwrap();
-        let b = cache.plan_wide(&wide, &[0, 2, 4]).unwrap();
-        assert!(Arc::ptr_eq(&a, &b), "second lookup is a cache hit");
-        assert_eq!(cache.wide_len(), 1);
-        // Wide plans live in their own map: byte-code plans of the same
-        // shape do not collide, and clear() drops both.
-        let rs = CodeFamily::rs(3, 6).unwrap();
-        cache.plan(&rs, &[0, 2, 4]).unwrap();
-        assert_eq!(cache.len(), 1);
-        assert_eq!(cache.wide_len(), 1);
-        assert!(cache.plan_wide(&wide, &[0, 0, 1]).is_err());
+        let idx = [1usize, 2, 3, 4];
+        let from_rs = cache.plan(&rs, &idx).unwrap();
+        let from_lrc = cache.plan(&lrc, &idx).unwrap();
+        let from_wide = cache.plan_wide(&wide, &idx).unwrap();
+        assert_eq!((cache.len(), cache.wide_len()), (2, 1), "three entries");
+        assert!(!Arc::ptr_eq(&from_rs, &from_lrc));
+        assert!(Arc::ptr_eq(&from_wide, &cache.plan_wide(&wide, &idx).unwrap()));
+        assert!(cache.plan_wide(&wide, &[0, 0, 1, 2]).is_err());
         assert_eq!(cache.wide_len(), 1, "errors are not cached");
-        cache.clear();
-        assert_eq!(cache.wide_len(), 0);
-    }
 
-    #[test]
-    fn cached_wide_plan_decodes_identically_to_fresh() {
-        let wide = WideReedSolomon::new(3, 6).unwrap();
-        let data: Vec<Vec<u8>> = (0..3).map(|i| vec![(7 * i + 1) as u8; 24]).collect();
-        let stripe = wide.encode_stripe(&data).unwrap();
-        let cache = PlanCache::new();
-        let idx = [1usize, 3, 5];
-        let cached = cache.plan_wide(&wide, &idx).unwrap();
-        let fresh = wide.plan_decode(&idx).unwrap();
-        let shares: Vec<&[u8]> = idx.iter().map(|&i| &stripe[i][..]).collect();
-        let mut a = vec![vec![0u8; 24]; 3];
-        let mut b = vec![vec![0u8; 24]; 3];
-        let mut va: Vec<&mut [u8]> = a.iter_mut().map(|x| x.as_mut_slice()).collect();
-        let mut vb: Vec<&mut [u8]> = b.iter_mut().map(|x| x.as_mut_slice()).collect();
-        cached.decode_into(&shares, &mut va).unwrap();
-        fresh.decode_into(&shares, &mut vb).unwrap();
-        assert_eq!(a, b);
-        assert_eq!(a, data);
+        // Each entry decodes its own family's stripe.
+        let data: Vec<Vec<u8>> = (0..4).map(|i| vec![7 * i as u8 + 1; 16]).collect();
+        assert_eq!(decode(&from_rs, &rs.encode_stripe(&data).unwrap()), data);
+        assert_eq!(decode(&from_lrc, &lrc.encode_stripe(&data).unwrap()), data);
+        assert_eq!(decode(&from_wide, &wide.encode_stripe(&data).unwrap()), data);
+
+        // clear() empties every table, the repair memos included.
+        let repair = cache.repair(&rs, 0, &idx).unwrap();
+        cache.clear();
+        assert_eq!((cache.len(), cache.wide_len()), (0, 0));
+        assert!(cache.is_empty());
+        assert!(!Arc::ptr_eq(&repair, &cache.repair(&rs, 0, &idx).unwrap()));
     }
 
     #[test]

@@ -106,7 +106,8 @@ impl CodeFamily {
     ///
     /// # Errors
     ///
-    /// Same conditions as [`Lrc::new`].
+    /// Same conditions as [`Lrc::new`], including its rejection of shapes
+    /// that would leave a local group empty.
     pub fn lrc(k: usize, g: usize, h: usize) -> Result<Self, crate::CodeError> {
         Ok(Lrc::new(k, g, h)?.into())
     }
@@ -144,19 +145,6 @@ impl CodeFamily {
         }
     }
 
-    /// The generator row of stripe index `idx`: a unit vector for data
-    /// blocks, the parity row for redundant blocks.
-    fn row_of(&self, idx: usize) -> Vec<Gf256> {
-        let k = self.k();
-        if idx < k {
-            let mut row = vec![Gf256::ZERO; k];
-            row[idx] = Gf256::ONE;
-            row
-        } else {
-            self.parity().row(idx - k).to_vec()
-        }
-    }
-
     /// Picks a decodable `k`-subset of `available` (distinct stripe
     /// indices), or `None` if the available blocks do not determine the
     /// data. For Reed-Solomon any `k` work (MDS), so the first `k` are
@@ -170,7 +158,7 @@ impl CodeFamily {
         let mut basis: Vec<(usize, Vec<Gf256>)> = Vec::with_capacity(k);
         let mut chosen = Vec::with_capacity(k);
         for &idx in available {
-            let mut row = self.row_of(idx);
+            let mut row = self.generator_row(idx);
             for (p, brow) in &basis {
                 let c = row[*p];
                 if c != Gf256::ZERO {
@@ -240,14 +228,14 @@ impl CodeFamily {
         }
         let order = self.repair_preference(lost, available);
         let m = order.len();
-        let mut target = self.row_of(lost);
+        let mut target = self.generator_row(lost);
         // target_orig = target + Σ tcomb[s] · row(order[s]) at all times.
         let mut tcomb = vec![Gf256::ZERO; m];
         // Row-echelon basis over the candidate rows; each entry remembers
         // its pivot column and its combination over the original candidates.
         let mut basis: Vec<(usize, Vec<Gf256>, Vec<Gf256>)> = Vec::new();
         for (s, &idx) in order.iter().enumerate() {
-            let mut row = self.row_of(idx);
+            let mut row = self.generator_row(idx);
             let mut comb = vec![Gf256::ZERO; m];
             comb[s] = Gf256::ONE;
             for (p, brow, bcomb) in &basis {

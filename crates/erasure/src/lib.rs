@@ -7,7 +7,15 @@
 //! * [`ReedSolomon`] — k-of-n systematic Reed-Solomon codes over GF(2⁸)
 //!   with full encode, decode from *any* k blocks, and the **delta updates**
 //!   (`α_ji · (v − w)`) that let the protocol update redundancy with
-//!   commutative adds and no locks (paper Fig. 3).
+//!   commutative adds and no locks (paper Fig. 3). It is one instantiation
+//!   of [`SystematicCode<F>`], the single byte-streaming code engine,
+//!   generic over the [`ajx_gf::KernelField`] that supplies coefficients
+//!   and block kernels.
+//! * [`WideReedSolomon`] — the other instantiation, over GF(2¹⁶), for
+//!   stripes past 256 blocks: the same methods (allocation-free
+//!   `encode_into`, reusable [`WideDecodePlan`]s memoized by
+//!   [`PlanCache::plan_wide`]) on the wide tier of the same SIMD kernels.
+//!   Blocks are little-endian `u16` words, so lengths must be even.
 //! * [`LinearCode`] — the same machinery over any field, capturing the class
 //!   of codes the protocol supports ("linear erasure codes ... where
 //!   redundant blocks are updated with commutative operations", §1);
@@ -17,10 +25,6 @@
 //!   global parities, so a single lost block is repaired from its
 //!   ~`k/g`-block group instead of `k` blocks ([`CodeFamily::repair_plan`]
 //!   picks the cheapest viable repair set for either family).
-//! * [`WideReedSolomon`] — the same systematic construction over GF(2¹⁶)
-//!   for stripes past 256 blocks, running on the same tiered SIMD kernels
-//!   as the byte code (allocation-free [`WideReedSolomon::encode_into`],
-//!   reusable [`WideDecodePlan`]s memoized by [`PlanCache::plan_wide`]).
 //! * [`StripeLayout`] — the §3.11 rotated placement of stripes over storage
 //!   nodes that spreads parity load and keeps sequential I/O on distinct
 //!   nodes.
@@ -57,14 +61,14 @@ mod layout;
 mod linear;
 mod lrc;
 mod matrix;
-mod wide;
 
 pub use cache::PlanCache;
-pub use code::{DecodePlan, ReedSolomon, MAX_N};
+pub use code::{
+    DecodePlan, ReedSolomon, SystematicCode, WideDecodePlan, WideReedSolomon, MAX_N, MAX_N_WIDE,
+};
 pub use error::CodeError;
 pub use family::{CodeFamily, FamilyKey, RepairPlan};
 pub use layout::{NodeIndex, Placement, Role, StripeLayout};
 pub use linear::{toy_2_of_4, LinearCode};
 pub use lrc::Lrc;
 pub use matrix::Matrix;
-pub use wide::{WideDecodePlan, WideReedSolomon, MAX_N_WIDE};

@@ -71,26 +71,32 @@ impl Lrc {
     /// # Errors
     ///
     /// Returns [`CodeError::InvalidParams`] unless `1 ≤ g ≤ k`, `h ≥ 1`,
-    /// and `k + g + h ≤ 256`.
+    /// `k + g + h ≤ 256`, and every group is non-empty:
+    /// `(g − 1) · ceil(k / g) < k`. (`k = 5, g = 4` fails the last test:
+    /// groups of 2 leave nothing for the fourth, whose all-zero local
+    /// parity would occupy a node and protect no data.)
     pub fn new(k: usize, g: usize, h: usize) -> Result<Self, CodeError> {
         let n = k + g + h;
         if k == 0 || g == 0 || g > k || h == 0 || n > crate::code::MAX_N {
             return Err(CodeError::InvalidParams { k, n });
         }
+        let group_size = k.div_ceil(g);
+        if (g - 1) * group_size >= k {
+            return Err(CodeError::InvalidParams { k, n });
+        }
         // Base MDS code whose first parity row is split into the locals.
         let base = ReedSolomon::new(k, k + h + 1)?;
-        let group_size = k.div_ceil(g);
         let mut rows: Vec<Vec<Gf256>> = Vec::with_capacity(g + h);
         for t in 0..g {
             let mut row = vec![Gf256::ZERO; k];
             let hi = ((t + 1) * group_size).min(k);
             for (i, cell) in row.iter_mut().enumerate().take(hi).skip(t * group_size) {
-                *cell = base.parity()[(0, i)];
+                *cell = base.coefficient(0, i);
             }
             rows.push(row);
         }
         for j in 1..=h {
-            rows.push(base.parity().row(j).to_vec());
+            rows.push(base.generator_row(k + j));
         }
         let core = ReedSolomon::from_parity(k, Matrix::from_rows(rows))?;
         Ok(Lrc {
@@ -224,6 +230,22 @@ mod tests {
         assert!(Lrc::new(250, 5, 3).is_err()); // n = 258 > 256
         assert!(Lrc::new(4, 2, 1).is_ok());
         assert!(Lrc::new(12, 3, 1).is_ok());
+    }
+
+    #[test]
+    fn rejects_shapes_with_an_empty_local_group() {
+        // Regression: (5, 4, 1) used to build groups [0,1] [2,3] [4] [] and
+        // an all-zero local parity for the empty one.
+        for (k, g, h) in [(5, 4, 1), (7, 5, 1)] {
+            assert!(
+                matches!(Lrc::new(k, g, h), Err(CodeError::InvalidParams { .. })),
+                "LRC({k},{g},{h})"
+            );
+        }
+        for (k, g, h) in [(5, 3, 1), (12, 3, 1), (10, 3, 2)] {
+            let lrc = Lrc::new(k, g, h).unwrap();
+            assert!((0..g).all(|t| !lrc.group_data(t).is_empty()), "LRC({k},{g},{h})");
+        }
     }
 
     #[test]

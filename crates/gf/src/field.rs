@@ -79,6 +79,47 @@ pub trait Field:
     fn generator() -> Self;
 }
 
+/// A binary field whose whole-block arithmetic runs on the tiered
+/// [`kernel`](crate::kernel) engine — what a byte-streaming erasure code
+/// needs beyond [`Field`], so that one code implementation serves every
+/// symbol width.
+///
+/// Blocks are plain byte slices holding little-endian symbols of
+/// [`SYMBOL_BYTES`](KernelField::SYMBOL_BYTES) bytes each, and
+/// coefficients cross into the kernels as raw [`Symbol`](KernelField::Symbol)s
+/// (no per-symbol field-element wrapping). The widest stripe such a code
+/// supports is [`Field::ORDER`] blocks: one evaluation point per block.
+///
+/// The three functions forward, statically dispatched, to the width's own
+/// `kernel::*` entry points. The kernels themselves are **not** generic:
+/// GF(2⁸) reads compile-time product tables, GF(2¹⁶) builds split-nibble
+/// tables per call — different algorithms that only share a signature.
+///
+/// # Panics
+///
+/// Every function panics on mismatched slice lengths or a length that is
+/// not a whole number of symbols; callers validate first.
+pub trait KernelField: Field {
+    /// The raw symbol: `u8` for GF(2⁸), `u16` for GF(2¹⁶).
+    type Symbol: Copy + Debug + Send + Sync + 'static;
+
+    /// Bytes per symbol; every block length must be a multiple of it.
+    const SYMBOL_BYTES: usize = core::mem::size_of::<Self::Symbol>();
+
+    /// This element as the raw symbol the kernels take.
+    fn symbol(self) -> Self::Symbol;
+
+    /// `dsts[j] ^= cs[j]·src` for every destination row `j`, streaming
+    /// `src` once — the inner step of encode and decode.
+    fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[Self::Symbol], src: &[u8]);
+
+    /// `out = c·(a ^ b)` — the client's *Delta* step `α·(v − w)`.
+    fn delta_into(out: &mut [u8], c: Self::Symbol, a: &[u8], b: &[u8]);
+
+    /// `dst = c·dst` — the node-side multiply of a broadcast difference.
+    fn mul_assign(dst: &mut [u8], c: Self::Symbol);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -6,7 +6,8 @@
 //! generated at compile time, the standard "optimized" implementation the
 //! paper contrasts with textbook shift-and-add (§6.1).
 
-use crate::field::Field;
+use crate::field::{Field, KernelField};
+use crate::kernel;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 
@@ -243,6 +244,30 @@ impl Field for Gf256 {
 
     fn generator() -> Self {
         Gf256(GENERATOR)
+    }
+}
+
+impl KernelField for Gf256 {
+    type Symbol = u8;
+
+    #[inline]
+    fn symbol(self) -> u8 {
+        self.0
+    }
+
+    #[inline]
+    fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[u8], src: &[u8]) {
+        kernel::mul_add_multi(dsts, cs, src);
+    }
+
+    #[inline]
+    fn delta_into(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
+        kernel::delta_into(out, c, a, b);
+    }
+
+    #[inline]
+    fn mul_assign(dst: &mut [u8], c: u8) {
+        kernel::mul_assign(dst, c);
     }
 }
 

@@ -11,7 +11,8 @@
 //! x¹⁶ + x¹² + x³ + x + 1 (0x1100B). The 512 KiB log/exp tables are built
 //! once at first use.
 
-use crate::field::Field;
+use crate::field::{Field, KernelField};
+use crate::kernel;
 use core::fmt;
 use core::ops::{Add, AddAssign, Div, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
@@ -179,6 +180,30 @@ impl Field for Gf65536 {
 
     fn generator() -> Self {
         Gf65536(2)
+    }
+}
+
+impl KernelField for Gf65536 {
+    type Symbol = u16;
+
+    #[inline]
+    fn symbol(self) -> u16 {
+        self.0
+    }
+
+    #[inline]
+    fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[u16], src: &[u8]) {
+        kernel::mul_add_multi16(dsts, cs, src);
+    }
+
+    #[inline]
+    fn delta_into(out: &mut [u8], c: u16, a: &[u8], b: &[u8]) {
+        kernel::delta_into16(out, c, a, b);
+    }
+
+    #[inline]
+    fn mul_assign(dst: &mut [u8], c: u16) {
+        kernel::mul_assign16(dst, c);
     }
 }
 

@@ -52,7 +52,7 @@ pub mod kernel;
 pub mod slice;
 pub mod textbook;
 
-pub use field::Field;
+pub use field::{Field, KernelField};
 pub use gf256::Gf256;
 pub use gf257::Gf257;
 pub use gf65536::Gf65536;

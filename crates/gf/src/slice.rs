@@ -18,7 +18,10 @@
 //! table and the Fig. 8(a) speedup measurements in `benches/ec_kernels.rs`.
 //!
 //! All kernels operate on plain `&[u8]`/`&mut [u8]` so callers never pay for
-//! a `Gf256` wrapper per byte.
+//! a `Gf256` wrapper per byte. [`add_assign`] is field addition in every
+//! GF(2^h); the GF(2¹⁶) multiplies have no façade here — call the
+//! `kernel::*16` entry points, or go through
+//! [`KernelField`](crate::KernelField) to stay width-generic.
 
 use crate::kernel;
 
@@ -90,58 +93,6 @@ pub fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[u8], src: &[u8]) {
 #[inline]
 pub fn delta_into(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
     kernel::delta_into(out, c, a, b);
-}
-
-// ---- GF(2¹⁶) kernels: blocks as little-endian u16 words ----
-//
-// Wide codes ([`Gf65536`](crate::Gf65536)) use the same byte-slice block
-// representation; the `*16` kernels interpret pairs of bytes as
-// little-endian `u16` words. [`add_assign`] needs no 16-bit variant — XOR
-// is field addition in every GF(2^h). All `*16` kernels require **even**
-// slice lengths and run on the same tiered backend engine (AVX2 / SSSE3 /
-// SWAR / scalar, `GF_BACKEND`-overridable) with per-call split-nibble
-// tables; see [`kernel`](crate::kernel) for the design.
-
-/// `dst = c·dst` over `u16` words — wide-code decode back-substitution.
-///
-/// # Panics
-///
-/// Panics on an odd slice length.
-#[inline]
-pub fn mul_assign16(dst: &mut [u8], c: u16) {
-    kernel::mul_assign16(dst, c);
-}
-
-/// `dst ^= c·src` over `u16` words — the wide-code multiply-accumulate.
-///
-/// # Panics
-///
-/// Panics if the slices have different lengths or an odd length.
-#[inline]
-pub fn mul_add_assign16(dst: &mut [u8], c: u16, src: &[u8]) {
-    kernel::mul_add_assign16(dst, c, src);
-}
-
-/// `dsts[j] ^= cs[j]·src` for every destination row `j` — wide-code full
-/// encode/decode fused across all rows, one split-table build per row.
-///
-/// # Panics
-///
-/// Panics if `dsts` and `cs` lengths differ, any row length differs from
-/// `src`, or the length is odd.
-#[inline]
-pub fn mul_add_multi16(dsts: &mut [&mut [u8]], cs: &[u16], src: &[u8]) {
-    kernel::mul_add_multi16(dsts, cs, src);
-}
-
-/// `out = c·(a ^ b)` over `u16` words — the wide-code *Delta* step.
-///
-/// # Panics
-///
-/// Panics if the slice lengths differ or are odd.
-#[inline]
-pub fn delta_into16(out: &mut [u8], c: u16, a: &[u8], b: &[u8]) {
-    kernel::delta_into16(out, c, a, b);
 }
 
 #[cfg(test)]

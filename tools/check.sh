@@ -7,8 +7,10 @@
 # batched data-path throughput smoke, the degraded-read/rebuild smoke
 # (asserts the >=4x rebuild speedup and zero-lock degraded reads
 # internally), the many-client scale-out smoke (asserts 1k-client IOPS
-# >= 5x the 8-client figure with zero failed ops), and the durability
-# smoke (asserts restart-with-disk beats wipe-and-rebuild).
+# >= 5x the 8-client figure with zero failed ops), the durability
+# smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
+# benchmark's contract (benchmark/ builds offline and its codec workload
+# runs correct with zero failed operations).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -107,6 +109,19 @@ cat BENCH_durability.smoke.json
 grep -q '"recovery_floor_pass": true' BENCH_durability.smoke.json \
   || { echo "durability floor violated (WAL recovery not faster than rebuild)"; exit 1; }
 echo "durability floor holds (restart-with-disk beats wipe-and-rebuild)"
+
+echo "== benchmark contract (benchmark/run.sh, codec workload) =="
+# BENCHMARK.json's driver calls benchmark/run.sh, which builds benchmark/
+# offline into .bench_build and prints the run's JSON result as the last
+# stdout line. A short codec run — the one workload that drives both
+# fields of the erasure engine end to end — must build, exit 0, decode
+# every stripe correctly and fail no operation.
+bench_result=$(bash benchmark/run.sh --workload codec --seed 1 --slices 2 --trace 0 | tail -n 1)
+echo "$bench_result"
+case "$bench_result" in
+  *'"correct": true'*'"failed": 0,'*) echo "benchmark contract holds" ;;
+  *) echo "benchmark contract violated (codec run incorrect or with failed operations)"; exit 1 ;;
+esac
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
