@@ -5,19 +5,23 @@
 //! clients" principle (§3). A [`Client`] is cheap and thread-safe: `&self`
 //! methods may be called from many threads (the paper's "multiple threads,
 //! one for each outstanding RPC call").
+//!
+//! `WRITE` exists once: every entry point — one block or many — funnels
+//! into `write_stripe_batch`, the blocking driver over the sans-IO
+//! per-block state machine in `write.rs` (DESIGN.md §7).
 
 use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
 use crate::rebuild::RebuildReport;
 use crate::recovery::{recover, RecoveryOutcome};
 use crate::rpc::{call, call_many, expect_reply};
+use crate::write::BlockWrite;
 use ajx_storage::{
-    AddStatus, CheckTidReply, ClientId, Epoch, LMode, NodeId, OpMode, Reply, Request, StripeId,
-    SwapReply, Tid,
+    ClientId, LMode, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid,
 };
-use ajx_transport::ClientEndpoint;
+use ajx_transport::{ClientEndpoint, RpcError};
 use parking_lot::Mutex;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Garbage-collection bookkeeping (Fig. 7's client-side `gc[j]`/`old[j]`
@@ -30,6 +34,39 @@ struct GcLists {
     /// Writes whose tids nodes moved to oldlist; next cycle drops them
     /// (phase 1 input).
     old: BTreeMap<(StripeId, usize), Vec<Tid>>,
+}
+
+/// A swapped block inside the write engine.
+struct Pending {
+    /// Position of the block in the engine's `items`.
+    x: usize,
+    bw: BlockWrite,
+    /// Set when an RPC of this block failed indeterminately (or answered
+    /// garbage): its write is over and this is what it reports.
+    err: Option<ProtocolError>,
+}
+
+impl Pending {
+    /// Still being driven, i.e. no RPC of this block has failed.
+    fn live(&self) -> bool {
+        self.err.is_none()
+    }
+
+    fn kill(&mut self, e: ProtocolError) {
+        self.err.get_or_insert(e);
+    }
+
+    /// Feeds redundant node `j`'s answer to this block's `add` into the
+    /// state machine.
+    fn absorb(&mut self, j: usize, res: Result<Reply, ProtocolError>, order_retry_limit: u32) {
+        match res {
+            Ok(Reply::Add(r)) => {
+                self.bw.on_add(j, &r, order_retry_limit);
+            }
+            Ok(other) => self.kill(ProtocolError::unexpected("Reply::Add", &other)),
+            Err(e) => self.kill(e),
+        }
+    }
 }
 
 /// Summary of one garbage-collection cycle.
@@ -376,119 +413,18 @@ impl Client {
         i: usize,
         value: &[u8],
     ) -> Result<(), ProtocolError> {
-        assert!(i < self.cfg.k(), "data index {i} out of range");
+        self.check_size(value)?;
+        // A one-block write is a batch of one.
+        self.write_stripe_batch(stripe, &[(i, value)])
+    }
+
+    /// Every `WRITE` entry point validates its values here, before any RPC.
+    fn check_size(&self, value: &[u8]) -> Result<(), ProtocolError> {
         if value.len() != self.cfg.block_size {
-            return Err(ProtocolError::BadBlockSize {
-                expected: self.cfg.block_size,
-                got: value.len(),
-            });
+            let (expected, got) = (self.cfg.block_size, value.len());
+            return Err(ProtocolError::BadBlockSize { expected, got });
         }
-        let k = self.cfg.k();
-        let n = self.cfg.n();
-        let full: BTreeSet<usize> = std::iter::once(i).chain(k..n).collect();
-        let mut backoff = self.backoff(stripe, 2);
-
-        // Outer `repeat` (Fig. 5 lines 1 and 22): a fresh swap each attempt.
-        for _ in 0..self.cfg.write_attempt_limit {
-            let ntid = Tid::new(self.seq.fetch_add(1, Ordering::Relaxed), i, self.id());
-            let swap = self.swap_with_recovery(stripe, i, value, ntid)?;
-            let old = swap.block.expect("swap_with_recovery returns content");
-            let epoch = swap.epoch;
-            let mut otid = swap.otid;
-
-            let mut t: BTreeSet<usize> = (k..n).collect(); // nodes to update
-            let mut d: BTreeSet<usize> = BTreeSet::from([i]); // nodes done
-            let mut order_rounds = 0u32;
-
-            while !t.is_empty() && !d.is_empty() {
-                let results =
-                    self.send_adds(stripe, i, value, &old, ntid, otid, epoch, &t)?;
-
-                let mut retry = BTreeSet::new();
-                let mut saw_order = false;
-                let mut need_recovery = false;
-                for (&j, r) in t.iter().zip(&results) {
-                    match r.status {
-                        AddStatus::Ok => {
-                            d.insert(j);
-                        }
-                        AddStatus::Order => {
-                            saw_order = true;
-                            retry.insert(j);
-                        }
-                        AddStatus::Unavail => {
-                            if !matches!(r.lmode, LMode::Unl | LMode::L0) {
-                                retry.insert(j);
-                            }
-                            // else: stale epoch or INIT node — drop from T;
-                            // the outer repeat will re-swap if needed.
-                        }
-                    }
-                    // Fig. 5 line 13: expired lock, crashed node, or
-                    // hopeless ordering ⇒ run recovery.
-                    if r.lmode == LMode::Exp
-                        || (r.opmode != OpMode::Norm && r.lmode == LMode::Unl)
-                        || (r.status == AddStatus::Order
-                            && order_rounds >= self.cfg.order_retry_limit)
-                    {
-                        need_recovery = true;
-                    }
-                }
-                if need_recovery {
-                    self.recover_stripe(stripe)?;
-                }
-                if saw_order {
-                    order_rounds += 1;
-                    // Fig. 5 lines 15-19: has the predecessor write been
-                    // GC'd (completed) or has a done node crashed?
-                    if let Some(ot) = otid {
-                        let checks: Vec<_> = d
-                            .iter()
-                            .map(|&j| {
-                                (
-                                    self.node_of(stripe, j),
-                                    Request::CheckTid {
-                                        stripe,
-                                        ntid,
-                                        otid: ot,
-                                    },
-                                )
-                            })
-                            .collect();
-                        let check_replies = call_many(&self.endpoint, &self.cfg, checks);
-                        let mut drop_from_d = Vec::new();
-                        for (&j, res) in d.iter().zip(check_replies) {
-                            match expect_reply!(res?, Reply::CheckTid) {
-                                CheckTidReply::Gc => otid = None,
-                                CheckTidReply::Init => drop_from_d.push(j),
-                                CheckTidReply::NoChange => {}
-                            }
-                        }
-                        for j in drop_from_d {
-                            d.remove(&j);
-                        }
-                    }
-                    backoff.pause(); // "p retries the add after a while" (§3.9)
-                }
-                t = retry;
-            }
-
-            let complete = d == full;
-            // The old block has served its deltas; recycle it for the next
-            // write's staging buffers.
-            crate::pool::give(old);
-            if complete {
-                let mut gc = self.gc.lock();
-                for &j in &d {
-                    gc.pending.entry((stripe, j)).or_default().push(ntid);
-                }
-                return Ok(());
-            }
-        }
-        Err(ProtocolError::RetriesExhausted {
-            what: "WRITE",
-            attempts: self.cfg.write_attempt_limit,
-        })
+        Ok(())
     }
 
     /// Scatter-gather `WRITE`: writes many logical blocks, grouping them by
@@ -510,12 +446,7 @@ impl Client {
     /// the remaining stripes have been given their chance to complete.
     pub fn write_blocks(&self, writes: &[(u64, &[u8])]) -> Result<(), ProtocolError> {
         for &(_, value) in writes {
-            if value.len() != self.cfg.block_size {
-                return Err(ProtocolError::BadBlockSize {
-                    expected: self.cfg.block_size,
-                    got: value.len(),
-                });
-            }
+            self.check_size(value)?;
         }
         let mut by_stripe: BTreeMap<u64, BTreeMap<usize, &[u8]>> = BTreeMap::new();
         for &(lb, value) in writes {
@@ -528,385 +459,243 @@ impl Client {
             .map(|(s, items)| (StripeId(s), items.into_iter().collect()))
             .collect();
         let width = self.cfg.pipeline_width.max(1).min(work.len());
-        if width <= 1 {
-            for (s, items) in &work {
-                self.write_stripe_batch(*s, items)?;
-            }
-            return Ok(());
-        }
         let next = std::sync::atomic::AtomicUsize::new(0);
         let first_err: Mutex<Option<ProtocolError>> = Mutex::new(None);
-        crossbeam::thread::scope(|scope| {
-            for _ in 0..width {
-                scope.spawn(|_| loop {
-                    let w = next.fetch_add(1, Ordering::Relaxed);
-                    let Some((s, items)) = work.get(w) else { break };
-                    // A failed stripe does not stop the others: atomicity
-                    // is per block, and finishing independent stripes
-                    // leaves the disk closer to the requested state.
-                    if let Err(e) = self.write_stripe_batch(*s, items) {
-                        first_err.lock().get_or_insert(e);
-                    }
-                });
+        let worker = || loop {
+            let w = next.fetch_add(1, Ordering::Relaxed);
+            let Some((s, items)) = work.get(w) else { break };
+            // A failed stripe does not stop the others: atomicity is per
+            // block, and finishing independent stripes leaves the disk
+            // closer to the requested state.
+            if let Err(e) = self.write_stripe_batch(*s, items) {
+                first_err.lock().get_or_insert(e);
             }
-        })
-        .expect("stripe pipeline worker panicked");
+        };
+        if width <= 1 {
+            worker(); // same closure, on the caller's thread
+        } else {
+            crossbeam::thread::scope(|scope| {
+                for _ in 0..width {
+                    scope.spawn(|_| worker());
+                }
+            })
+            .expect("stripe pipeline worker panicked");
+        }
         first_err.into_inner().map_or(Ok(()), Err)
     }
 
-    /// `WRITE` of several data blocks of *one* stripe: the vectorized form
-    /// of [`Client::write_stripe_index_from`]. The per-block state machine
-    /// of Fig. 5 is unchanged — same `swap`, same classification of `add`
-    /// replies, same `checktid` probe, same recovery triggers, same outer
-    /// re-swap attempts — but the messages are coalesced: one `swap` round
-    /// over the (distinct) data nodes, then `add` rounds where each
-    /// redundant node receives a single [`Request::Batch`] carrying every
-    /// block's increment.
+    /// The one `WRITE` engine (Fig. 5): writes data blocks `items` of *one*
+    /// stripe, each `(data index, value)`. Every block runs its own
+    /// [`BlockWrite`] state machine — same `swap`, same classification of
+    /// `add` replies, same `checktid` probe, same recovery triggers, same
+    /// outer re-swap attempts whatever the batch size — and this driver
+    /// only decides how their messages travel: one `swap` round over the
+    /// (distinct) data nodes, then `add` rounds in which each redundant
+    /// node receives a single message carrying every block's increment
+    /// ([`Request::Batch`] when there is more than one).
     ///
-    /// Under [`UpdateStrategy::Broadcast`] the increments are client-scaled
-    /// (as for the other strategies) rather than node-scaled: a batch
-    /// already amortizes the per-message cost the §3.11 multicast saves,
-    /// and per-node batches cannot share one payload anyway.
+    /// Under [`UpdateStrategy::Broadcast`] a round with one live block is
+    /// the §3.11 multicast (node-scaled `v − w`, client NIC charged once).
+    /// With several live blocks the increments are client-scaled like the
+    /// other strategies': per-node batches cannot share one payload, and a
+    /// batch already amortizes the per-message cost the multicast saves.
     fn write_stripe_batch(
         &self,
         stripe: StripeId,
         items: &[(usize, &[u8])],
     ) -> Result<(), ProtocolError> {
-        if let [(i, value)] = items[..] {
-            return self.write_stripe_index_from(stripe, i, value);
-        }
         let k = self.cfg.k();
         let n = self.cfg.n();
-        let mut backoff = self.backoff(stripe, 5);
+        for &(i, _) in items {
+            assert!(i < k, "data index {i} out of range");
+        }
+        let mut backoff = self.backoff(stripe, 2);
         let mut first_err: Option<ProtocolError> = None;
-
-        /// One logical block's write, vectorized across the stripe.
-        struct Slot<'v> {
-            i: usize,
-            value: &'v [u8],
-            done: bool,
-            failed: bool,
-        }
-        /// A slot whose `swap` succeeded and whose `add`s are in flight —
-        /// the loop state of Fig. 5 lines 7-21 for that block.
-        struct Pending {
-            x: usize,
-            ntid: Tid,
-            old: Vec<u8>,
-            epoch: Epoch,
-            otid: Option<Tid>,
-            t: BTreeSet<usize>,
-            d: BTreeSet<usize>,
-            order_rounds: u32,
-        }
-        let mut slots: Vec<Slot> = items
-            .iter()
-            .map(|&(i, value)| {
-                assert!(i < k, "data index {i} out of range");
-                Slot { i, value, done: false, failed: false }
-            })
-            .collect();
+        // Items (by position) that still need a swap; a block leaves the
+        // list when it is swapped and re-enters only by settling incomplete.
+        let mut todo: Vec<usize> = (0..items.len()).collect();
+        let mut pending: Vec<Pending> = Vec::new();
 
         // Outer `repeat` (Fig. 5 lines 1 and 22), shared across the blocks
-        // still unfinished.
-        for _ in 0..self.cfg.write_attempt_limit {
-            let active: Vec<usize> = (0..slots.len())
-                .filter(|&x| !slots[x].done && !slots[x].failed)
-                .collect();
-            if active.is_empty() {
+        // still unfinished: a fresh swap each attempt.
+        'attempts: for _ in 0..self.cfg.write_attempt_limit {
+            if todo.is_empty() {
                 break;
             }
-
             // Swap round: within one stripe, distinct data indices live on
             // distinct nodes, so this is one message per node — a single
             // `pfor` round trip for the whole run.
-            let swaps: Vec<(usize, Tid)> = active
-                .iter()
-                .map(|&x| {
-                    let ntid =
-                        Tid::new(self.seq.fetch_add(1, Ordering::Relaxed), slots[x].i, self.id());
-                    (x, ntid)
+            let swaps: Vec<(usize, Tid)> = todo
+                .drain(..)
+                .map(|x| {
+                    let seq = self.seq.fetch_add(1, Ordering::Relaxed);
+                    (x, Tid::new(seq, items[x].0, self.id()))
                 })
                 .collect();
             let calls: Vec<(NodeId, Request)> = swaps
                 .iter()
                 .map(|&(x, ntid)| {
-                    (
-                        self.node_of(stripe, slots[x].i),
-                        Request::Swap {
-                            stripe,
-                            value: self.staged_copy(slots[x].value),
-                            ntid,
-                        },
-                    )
+                    let (i, value) = items[x];
+                    let value = self.staged_copy(value);
+                    (self.node_of(stripe, i), Request::Swap { stripe, value, ntid })
                 })
                 .collect();
-            let mut pending: Vec<Pending> = Vec::with_capacity(active.len());
             for (&(x, ntid), res) in swaps.iter().zip(call_many(&self.endpoint, &self.cfg, calls))
             {
-                let swap = match res {
-                    Err(e) => {
-                        // A swap lost indeterminately may have executed;
-                        // like the sequential path, this block's write
-                        // surfaces the error rather than re-sending.
-                        slots[x].failed = true;
-                        first_err.get_or_insert(e);
-                        continue;
-                    }
-                    Ok(Reply::Swap(r)) if r.block.is_some() => r,
-                    Ok(Reply::Swap(_)) => {
-                        // Busy or INIT node: nothing was recorded, so retry
-                        // through the contended path (recovery included)
-                        // with the same tid.
-                        match self.swap_with_recovery(stripe, slots[x].i, slots[x].value, ntid) {
-                            Ok(r) => r,
-                            Err(e) => {
-                                slots[x].failed = true;
-                                first_err.get_or_insert(e);
-                                continue;
-                            }
-                        }
-                    }
-                    Ok(other) => {
-                        slots[x].failed = true;
-                        first_err
-                            .get_or_insert(ProtocolError::unexpected("Reply::Swap", &other));
-                        continue;
-                    }
-                };
-                pending.push(Pending {
-                    x,
-                    ntid,
-                    old: swap.block.expect("checked above"),
-                    epoch: swap.epoch,
-                    otid: swap.otid,
-                    t: (k..n).collect(),
-                    d: BTreeSet::from([slots[x].i]),
-                    order_rounds: 0,
+                // A swap lost indeterminately may have executed: this
+                // block's write surfaces the error rather than re-sending.
+                let swapped = res.and_then(|reply| match reply {
+                    Reply::Swap(r) => self.settle_swap(stripe, items[x], ntid, r),
+                    other => Err(ProtocolError::unexpected("Reply::Swap", &other)),
                 });
+                match swapped {
+                    Ok(bw) => pending.push(Pending { x, bw, err: None }),
+                    Err(e) => {
+                        first_err.get_or_insert(e);
+                    }
+                }
             }
 
-            // Add rounds (Fig. 5 lines 7-21, vectorized): per strategy
-            // round, each redundant node gets ONE batched message carrying
-            // every pending block's increment for it.
+            // Add rounds (Fig. 5 lines 7-21) until every swapped block has
+            // settled.
             while !pending.is_empty() {
-                let mut replies: Vec<BTreeMap<usize, ajx_storage::AddReply>> =
-                    (0..pending.len()).map(|_| BTreeMap::new()).collect();
-                let mut dead: Vec<bool> = vec![false; pending.len()];
-                for round in self.cfg.strategy.rounds(k, n) {
-                    let mut groups: Vec<(usize, Vec<usize>)> = Vec::new();
-                    for &j in &round {
-                        let want: Vec<usize> = (0..pending.len())
-                            .filter(|&px| !dead[px] && pending[px].t.contains(&j))
+                let limit = self.cfg.order_retry_limit;
+                if self.cfg.strategy == UpdateStrategy::Broadcast && pending.len() == 1 {
+                    let p = &mut pending[0];
+                    let adds = p.bw.multicast_adds(&self.cfg, stripe, items[p.x].1);
+                    for (j, res) in self.pfor(stripe, adds, true) {
+                        p.absorb(j, res, limit);
+                    }
+                } else {
+                    // The hybrid `for h / pfor j ∈ G_h ∩ T` of §4 (serial
+                    // and parallel are its degenerate cases): per strategy
+                    // round, each redundant node gets ONE message carrying
+                    // every live block's increment for it.
+                    for round in self.cfg.strategy.rounds(k, n) {
+                        // (redundant index, the live blocks that owe it an add)
+                        let groups: Vec<(usize, Vec<usize>)> = round
+                            .into_iter()
+                            .filter_map(|j| {
+                                let owes = |p: &Pending| p.live() && p.bw.wants(j);
+                                let want: Vec<usize> =
+                                    (0..pending.len()).filter(|&px| owes(&pending[px])).collect();
+                                (!want.is_empty()).then_some((j, want))
+                            })
                             .collect();
-                        if !want.is_empty() {
-                            groups.push((j, want));
-                        }
-                    }
-                    if groups.is_empty() {
-                        continue;
-                    }
-                    let calls: Vec<(NodeId, Request)> = groups
-                        .iter()
-                        .map(|(j, want)| {
-                            let mut reqs: Vec<Request> = want
-                                .iter()
-                                .map(|&px| {
+                        let adds: Vec<(usize, Request)> = groups
+                            .iter()
+                            .map(|(j, want)| {
+                                let add = |&px: &usize| {
                                     let p = &pending[px];
-                                    let value = slots[p.x].value;
-                                    let mut delta = crate::pool::take(value.len());
-                                    self.cfg
-                                        .code
-                                        .delta_into_buf(j - k, slots[p.x].i, value, &p.old, &mut delta)
-                                        .expect("block sizes validated");
-                                    Request::Add {
-                                        stripe,
-                                        delta,
-                                        ntid: p.ntid,
-                                        otid: p.otid,
-                                        epoch: p.epoch,
-                                        scale: None,
+                                    p.bw.add(&self.cfg, stripe, *j, items[p.x].1)
+                                };
+                                match &want[..] {
+                                    [px] => (*j, add(px)),
+                                    _ => (*j, Request::Batch(want.iter().map(add).collect())),
+                                }
+                            })
+                            .collect();
+                        let replies = self.pfor(stripe, adds, false);
+                        for ((j, want), (_, res)) in groups.iter().zip(replies) {
+                            match res {
+                                Ok(Reply::Batch(rs)) if rs.len() == want.len() => {
+                                    for (&px, sub) in want.iter().zip(rs) {
+                                        pending[px].absorb(*j, Ok(sub), limit);
                                     }
-                                })
-                                .collect();
-                            let req = if reqs.len() == 1 {
-                                reqs.pop().expect("one element")
-                            } else {
-                                Request::Batch(reqs)
-                            };
-                            (self.node_of(stripe, *j), req)
-                        })
-                        .collect();
-                    for ((j, want), res) in
-                        groups.iter().zip(call_many(&self.endpoint, &self.cfg, calls))
-                    {
-                        match res {
-                            Err(e) => {
+                                }
+                                Ok(reply @ Reply::Add(_)) if want.len() == 1 => {
+                                    pending[want[0]].absorb(*j, Ok(reply), limit);
+                                }
                                 // Adds are not idempotent: an indeterminate
-                                // failure fails every block in this batch.
-                                first_err.get_or_insert(e);
-                                for &px in want {
-                                    dead[px] = true;
-                                }
-                            }
-                            Ok(Reply::Add(r)) if want.len() == 1 => {
-                                replies[want[0]].insert(*j, r);
-                            }
-                            Ok(Reply::Batch(rs)) if rs.len() == want.len() => {
-                                for (&px, sub) in want.iter().zip(rs) {
-                                    if let Reply::Add(r) = sub {
-                                        replies[px].insert(*j, r);
-                                    } else {
-                                        first_err.get_or_insert(ProtocolError::unexpected(
-                                            "Reply::Add",
-                                            &sub,
-                                        ));
-                                        dead[px] = true;
+                                // failure fails every block in this message.
+                                other => {
+                                    let e = other.map_or_else(
+                                        |e| e,
+                                        |r| ProtocolError::unexpected("Reply::Add or Batch", &r),
+                                    );
+                                    for &px in want {
+                                        pending[px].kill(e.clone());
                                     }
-                                }
-                            }
-                            Ok(other) => {
-                                first_err.get_or_insert(ProtocolError::unexpected(
-                                    "Reply::Add or Reply::Batch",
-                                    &other,
-                                ));
-                                for &px in want {
-                                    dead[px] = true;
                                 }
                             }
                         }
                     }
                 }
 
-                // Classify, per block — identical to the sequential inner
-                // loop. Every j still in a live block's T got a reply above
-                // (the strategy rounds partition k..n; RPC failures marked
-                // the block dead), so `retry` is complete.
-                let mut need_recovery = false;
-                let mut any_order = false;
-                for px in 0..pending.len() {
-                    if dead[px] {
-                        continue;
-                    }
-                    let p = &mut pending[px];
-                    let mut retry = BTreeSet::new();
-                    let mut saw_order = false;
-                    for (&j, r) in &replies[px] {
-                        match r.status {
-                            AddStatus::Ok => {
-                                p.d.insert(j);
-                            }
-                            AddStatus::Order => {
-                                saw_order = true;
-                                retry.insert(j);
-                            }
-                            AddStatus::Unavail => {
-                                if !matches!(r.lmode, LMode::Unl | LMode::L0) {
-                                    retry.insert(j);
-                                }
-                            }
-                        }
-                        if r.lmode == LMode::Exp
-                            || (r.opmode != OpMode::Norm && r.lmode == LMode::Unl)
-                            || (r.status == AddStatus::Order
-                                && p.order_rounds >= self.cfg.order_retry_limit)
-                        {
-                            need_recovery = true;
-                        }
-                    }
-                    p.t = retry;
-                    if saw_order {
-                        p.order_rounds += 1;
-                        any_order = true;
-                        // Fig. 5 lines 15-19, per block.
-                        if let Some(ot) = p.otid {
-                            let checks: Vec<_> = p
-                                .d
-                                .iter()
-                                .map(|&j| {
-                                    (
-                                        self.node_of(stripe, j),
-                                        Request::CheckTid { stripe, ntid: p.ntid, otid: ot },
-                                    )
-                                })
-                                .collect();
-                            let check_replies = call_many(&self.endpoint, &self.cfg, checks);
-                            let mut drop_from_d = Vec::new();
-                            for (&j, res) in p.d.iter().zip(check_replies) {
-                                match res {
-                                    Ok(Reply::CheckTid(CheckTidReply::Gc)) => p.otid = None,
-                                    Ok(Reply::CheckTid(CheckTidReply::Init)) => {
-                                        drop_from_d.push(j);
-                                    }
-                                    Ok(Reply::CheckTid(CheckTidReply::NoChange)) => {}
-                                    Ok(other) => {
-                                        first_err.get_or_insert(ProtocolError::unexpected(
-                                            "Reply::CheckTid",
-                                            &other,
-                                        ));
-                                        dead[px] = true;
-                                        break;
-                                    }
-                                    Err(e) => {
-                                        first_err.get_or_insert(e);
-                                        dead[px] = true;
-                                        break;
-                                    }
-                                }
-                            }
-                            for j in drop_from_d {
-                                p.d.remove(&j);
-                            }
-                        }
+                // Fig. 5 line 13: expired lock, crashed node, or hopeless
+                // ordering on any live block ⇒ run recovery, once.
+                if pending.iter().any(|p| p.live() && p.bw.needs_recovery()) {
+                    if let Err(e) = self.recover_stripe(stripe) {
+                        first_err = Some(e);
+                        break 'attempts;
                     }
                 }
-                if need_recovery {
-                    self.recover_stripe(stripe)?;
+                // Fig. 5 lines 15-19, per block: has the predecessor write
+                // been GC'd (completed) or has a done node crashed?
+                let mut any_order = false;
+                for p in pending.iter_mut().filter(|p| p.live()) {
+                    if !p.bw.close_round() {
+                        continue;
+                    }
+                    any_order = true;
+                    for (j, res) in self.pfor(stripe, p.bw.checktids(stripe), false) {
+                        match res {
+                            Ok(Reply::CheckTid(r)) => p.bw.on_checktid(j, r),
+                            Ok(r) => p.kill(ProtocolError::unexpected("Reply::CheckTid", &r)),
+                            Err(e) => p.kill(e),
+                        }
+                        if !p.live() {
+                            break;
+                        }
+                    }
                 }
                 if any_order {
                     backoff.pause(); // "p retries the add after a while" (§3.9)
                 }
 
-                // Retire finished blocks: complete (d = full) blocks are
-                // recorded for GC; incomplete ones with nothing left to try
-                // fall back to the next outer attempt's re-swap.
+                // Retire settled blocks: complete ones are recorded for GC;
+                // incomplete ones with nothing left to try go back on the
+                // list for the next outer attempt's re-swap; failed ones
+                // report their error.
                 let mut rest = Vec::with_capacity(pending.len());
-                for (px, p) in pending.into_iter().enumerate() {
-                    if dead[px] {
-                        slots[p.x].failed = true;
-                        crate::pool::give(p.old);
-                        continue;
-                    }
-                    if !p.t.is_empty() && !p.d.is_empty() {
+                for p in pending {
+                    if p.live() && !p.bw.settled() {
                         rest.push(p);
                         continue;
                     }
-                    let full: BTreeSet<usize> =
-                        std::iter::once(slots[p.x].i).chain(k..n).collect();
-                    let complete = p.d == full;
-                    crate::pool::give(p.old);
-                    if complete {
+                    let complete = p.bw.complete(&self.cfg);
+                    let (ntid, d, old) = p.bw.finish();
+                    // The old block has served its deltas; recycle it for
+                    // the next write's staging buffers.
+                    crate::pool::give(old);
+                    if let Some(e) = p.err {
+                        first_err.get_or_insert(e);
+                    } else if complete {
                         let mut gc = self.gc.lock();
-                        for &j in &p.d {
-                            gc.pending.entry((stripe, j)).or_default().push(p.ntid);
+                        for j in d {
+                            gc.pending.entry((stripe, j)).or_default().push(ntid);
                         }
-                        slots[p.x].done = true;
+                    } else {
+                        todo.push(p.x);
                     }
                 }
                 pending = rest;
             }
         }
 
-        if let Some(e) = first_err {
-            return Err(e);
+        // The one exit: whatever is still swapped out (a failed recovery
+        // aborts mid-round) goes back to the pool.
+        for p in pending {
+            crate::pool::give(p.bw.finish().2);
         }
-        if slots.iter().any(|s| !s.done) {
-            return Err(ProtocolError::RetriesExhausted {
+        match first_err {
+            Some(e) => Err(e),
+            None if todo.is_empty() => Ok(()),
+            None => Err(ProtocolError::RetriesExhausted {
                 what: "WRITE",
                 attempts: self.cfg.write_attempt_limit,
-            });
+            }),
         }
-        Ok(())
     }
 
     /// Copies a borrowed value into a pool-backed owned buffer — the form a
@@ -918,143 +707,72 @@ impl Client {
         v
     }
 
-    /// The `swap` loop of Fig. 5 lines 3-6: retry until the data node
-    /// accepts, running recovery when the block is unavailable.
-    fn swap_with_recovery(
+    /// The `swap` loop of Fig. 5 lines 3-6, entered with the swap round's
+    /// reply: until the data node accepts, run recovery when the block is
+    /// unavailable (or wait out someone else's), then swap again with the
+    /// same tid.
+    fn settle_swap(
         &self,
         stripe: StripeId,
-        i: usize,
-        value: &[u8],
+        (i, value): (usize, &[u8]),
         ntid: Tid,
-    ) -> Result<SwapReply, ProtocolError> {
+        mut reply: SwapReply,
+    ) -> Result<BlockWrite, ProtocolError> {
         let node = self.node_of(stripe, i);
         let mut backoff = self.backoff(stripe, 3);
-        for _ in 0..=self.cfg.busy_retry_limit {
-            let reply = call(
-                &self.endpoint,
-                &self.cfg,
-                node,
-                Request::Swap {
-                    stripe,
-                    value: self.staged_copy(value),
-                    ntid,
-                },
-            )?;
-            let r = expect_reply!(reply, Reply::Swap);
-            if r.block.is_some() {
-                return Ok(r);
+        let mut attempts = 1;
+        loop {
+            let lmode = reply.lmode;
+            if let Some(bw) = BlockWrite::new(i, ntid, reply, self.cfg.k(), self.cfg.n()) {
+                return Ok(bw);
             }
-            if r.lmode.allows_recovery_start() {
+            if lmode.allows_recovery_start() {
                 self.recover_stripe(stripe)?;
             } else {
                 backoff.pause();
             }
+            if attempts > self.cfg.busy_retry_limit {
+                return Err(ProtocolError::RetriesExhausted { what: "swap", attempts });
+            }
+            attempts += 1;
+            let swap = Request::Swap { stripe, value: self.staged_copy(value), ntid };
+            reply = expect_reply!(call(&self.endpoint, &self.cfg, node, swap)?, Reply::Swap);
         }
-        Err(ProtocolError::RetriesExhausted {
-            what: "swap",
-            attempts: self.cfg.busy_retry_limit + 1,
-        })
     }
 
-    /// Issues the redundant-block `add`s for the nodes in `targets`,
-    /// batched per the update strategy, returning one reply per target in
-    /// `targets`'s iteration order.
-    #[allow(clippy::too_many_arguments)]
-    fn send_adds(
+    /// One `pfor` round addressed by in-stripe index: each request goes to
+    /// the node holding that index of `stripe`, and every reply comes back
+    /// paired with its index. `multicast` sends the round as the §3.11
+    /// broadcast — one payload on the client NIC, one unit of the kill
+    /// budget — with the §3.5 remap of crashed targets but none of
+    /// [`call_many`]'s re-sends.
+    fn pfor(
         &self,
         stripe: StripeId,
-        i: usize,
-        value: &[u8],
-        old: &[u8],
-        ntid: Tid,
-        otid: Option<Tid>,
-        epoch: Epoch,
-        targets: &BTreeSet<usize>,
-    ) -> Result<Vec<ajx_storage::AddReply>, ProtocolError> {
-        let k = self.cfg.k();
-        let n = self.cfg.n();
-        let mut replies: BTreeMap<usize, ajx_storage::AddReply> = BTreeMap::new();
-
-        if self.cfg.strategy == UpdateStrategy::Broadcast {
-            // §3.11: multicast v − w once; nodes multiply by their own α.
-            let diff = self.cfg.code.broadcast_delta(value, old)?;
-            let reqs: Vec<_> = targets
-                .iter()
-                .map(|&j| {
-                    (
-                        self.node_of(stripe, j),
-                        Request::Add {
-                            stripe,
-                            delta: diff.clone(),
-                            ntid,
-                            otid,
-                            epoch,
-                            scale: Some((j - k, i)),
-                        },
-                    )
-                })
-                .collect();
-            let results = self.broadcast_with_remap(reqs);
-            for (&j, res) in targets.iter().zip(results) {
-                replies.insert(j, expect_reply!(res?, Reply::Add));
-            }
-        } else {
-            // The hybrid `for h / pfor j ∈ G_h ∩ M` of §4 (serial and
-            // parallel are its degenerate cases).
-            for round in self.cfg.strategy.rounds(k, n) {
-                let members: Vec<usize> =
-                    round.into_iter().filter(|j| targets.contains(j)).collect();
-                if members.is_empty() {
-                    continue;
-                }
-                let calls: Vec<_> = members
-                    .iter()
-                    .map(|&j| {
-                        let mut delta = crate::pool::take(value.len());
-                        self.cfg
-                            .code
-                            .delta_into_buf(j - k, i, value, old, &mut delta)
-                            .expect("block sizes validated");
-                        (
-                            self.node_of(stripe, j),
-                            Request::Add {
-                                stripe,
-                                delta,
-                                ntid,
-                                otid,
-                                epoch,
-                                scale: None,
-                            },
-                        )
-                    })
-                    .collect();
-                for (&j, res) in members.iter().zip(call_many(&self.endpoint, &self.cfg, calls))
-                {
-                    replies.insert(j, expect_reply!(res?, Reply::Add));
-                }
-            }
+        reqs: Vec<(usize, Request)>,
+        multicast: bool,
+    ) -> Vec<(usize, Result<Reply, ProtocolError>)> {
+        if reqs.is_empty() {
+            return Vec::new(); // an empty round would still pay propagation delay
         }
-        Ok(targets.iter().map(|j| replies[j]).collect())
-    }
-
-    fn broadcast_with_remap(
-        &self,
-        reqs: Vec<(NodeId, Request)>,
-    ) -> Vec<Result<Reply, ProtocolError>> {
-        let retry = reqs.clone();
-        self.endpoint
-            .broadcast(reqs)
+        let (js, calls): (Vec<usize>, Vec<(NodeId, Request)>) = reqs
             .into_iter()
-            .zip(retry)
-            .map(|(res, (node, req))| match res {
-                Ok(r) => Ok(r),
-                Err(ajx_transport::RpcError::NodeDown(_)) if self.cfg.auto_remap => {
+            .map(|(j, req)| (j, (self.node_of(stripe, j), req)))
+            .unzip();
+        let replies = if multicast {
+            let retry = calls.clone();
+            let resend = |(res, (node, req))| match res {
+                Err(RpcError::NodeDown(_)) if self.cfg.auto_remap => {
                     self.endpoint.network().remap_node(node, self.cfg.remap_garbage);
                     self.endpoint.call(node, req).map_err(ProtocolError::from)
                 }
-                Err(e) => Err(ProtocolError::from(e)),
-            })
-            .collect()
+                other => other.map_err(ProtocolError::from),
+            };
+            self.endpoint.broadcast(calls).into_iter().zip(retry).map(resend).collect()
+        } else {
+            call_many(&self.endpoint, &self.cfg, calls)
+        };
+        js.into_iter().zip(replies).collect()
     }
 
     /// Runs recovery for `stripe` until it completes — either by this
@@ -1576,6 +1294,50 @@ mod tests {
         c.write_blocks(&writes).unwrap();
         let got = c.read_blocks(&(0..32u64).collect::<Vec<_>>()).unwrap();
         assert_eq!(got, blocks);
+    }
+
+    #[test]
+    fn write_blocks_gives_every_stripe_its_chance_at_any_width() {
+        for width in [1, 8] {
+            let mut cfg = ProtocolConfig::new(2, 4, 16).unwrap();
+            cfg.pipeline_width = width;
+            cfg.busy_retry_limit = 2;
+            cfg.backoff.base = std::time::Duration::ZERO;
+            let net = Network::new(NetworkConfig {
+                n_nodes: 4,
+                block_size: 16,
+                ..NetworkConfig::default()
+            });
+            let c = Client::new(net.client(ClientId(1)), cfg);
+            // Another client's recovery lock on stripe 0's data block makes
+            // the first stripe's swap fail determinately...
+            let stripe0 = StripeId(0);
+            let lock = Request::TryLock { stripe: stripe0, lm: LMode::L1, caller: ClientId(9) };
+            net.client(ClientId(9)).call(c.node_of(stripe0, 0), lock).unwrap();
+            let (a, b) = (vec![1u8; 16], vec![2u8; 16]);
+            let err = c.write_blocks(&[(0, a.as_slice()), (2, b.as_slice())]).unwrap_err();
+            assert!(
+                matches!(err, ProtocolError::RetriesExhausted { what: "swap", .. }),
+                "width {width}: {err}"
+            );
+            // ...and the second stripe is written all the same, serial
+            // loop or worker pool.
+            assert_eq!(c.read_block(2).unwrap(), b, "width {width}");
+        }
+    }
+
+    #[test]
+    fn failed_write_returns_its_swapped_out_block_to_the_pool() {
+        let (net, c) = client_on_net(2, 4, false);
+        c.write_block(0, vec![1; 16]).unwrap();
+        // A redundant node of stripe 0 is down for good: the swap lands,
+        // an add fails indeterminately, the write errors out.
+        net.crash_node(c.node_of(StripeId(0), 2));
+        while crate::pool::pooled() > 0 {
+            let _ = crate::pool::take(16);
+        }
+        assert!(c.write_block(0, vec![2; 16]).is_err());
+        assert_eq!(crate::pool::pooled(), 1, "the error exit must recycle the old block");
     }
 
     #[test]

@@ -64,6 +64,7 @@ mod rebuild;
 pub mod recovery;
 pub mod resilience;
 mod rpc;
+mod write;
 
 pub use backoff::{BackoffPolicy, BackoffSession, Jitter};
 pub use client::{Client, GcReport, MonitorReport};

@@ -3,28 +3,38 @@
 //! The paper's Fig. 9 experiments stop at 8 closed-loop clients — one
 //! blocked thread each. The `ext_many_clients` scale-out experiment pushes
 //! the same k-of-n read/write mix to 1k–10k *logical* clients, which rules
-//! out thread-per-client: this module drives every client's protocol state
-//! machine over the transport's completion-queue path
+//! out thread-per-client: this module drives every client's operations
+//! over the transport's completion-queue path
 //! ([`ajx_transport::ClientEndpoint::submit_call`] /
 //! [`poll_call`](ajx_transport::ClientEndpoint::poll_call)), so a handful
 //! of OS threads multiplex the whole fleet.
 //!
-//! Each logical client runs the failure-free protocol inline:
+//! It is the second *driver* of the one `WRITE` engine (DESIGN.md §9): the
+//! per-block state of Fig. 5 — what an `add` carries, what its reply means,
+//! when the write is complete — is the same sans-IO `BlockWrite` the
+//! blocking [`Client`](crate::Client) drives; only the I/O differs.
 //!
 //! * **READ** (Fig. 4): one RPC to the stripe's data node.
 //! * **WRITE** (Fig. 5): `swap` at the data node, then the `α_ji·(v − w)`
 //!   delta `add`s to all `n − k` redundant nodes in parallel.
 //!
-//! [`RpcError::Busy`] (a node shedding load) and `AddStatus::Order` (a
-//! concurrent-write ordering stall) park the affected RPC on a jittered
-//! backoff and resubmit — the same policy the blocking retry path applies,
-//! minus the sleeping. Clients write disjoint stripe ranges, so the
-//! paper's cross-client ordering machinery is never the bottleneck being
-//! measured.
+//! [`RpcError::Busy`] (a node shedding load) and a retryable `add` verdict
+//! (locked node, or a concurrent-write ordering stall) park the affected
+//! RPC on a jittered backoff and resubmit — the same policy the blocking
+//! retry path applies, minus the sleeping.
+//!
+//! **The mux runs no recovery and no re-swap.** Where the blocking driver
+//! would start recovery (Fig. 5 line 13: expired lock, INIT node, ordering
+//! stalled past `order_retry_limit`) or re-swap (an `add` dropped from `T`
+//! by a stale epoch), the mux abandons the operation and counts it in
+//! [`MuxReport::failed_ops`] — so a run on a degraded cluster terminates
+//! and says how much failed instead of resubmitting forever. Clients write
+//! disjoint stripe ranges, so on a healthy cluster neither case arises.
 
 use crate::backoff::BackoffSession;
 use crate::config::ProtocolConfig;
-use ajx_storage::{AddStatus, ClientId, NodeId, Reply, Request, StripeId, Tid};
+use crate::write::{AddOutcome, BlockWrite};
+use ajx_storage::{ClientId, NodeId, Reply, Request, StripeId, Tid};
 use ajx_transport::{ClientEndpoint, Network, NetStats, PendingCall, RpcError};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -93,7 +103,7 @@ impl MuxReport {
 /// One outstanding redundant-node `add` of a WRITE.
 enum AddSlot {
     Pending(PendingCall),
-    /// Parked by `Busy`/`Order`; resubmitted once `at` passes.
+    /// Parked by `Busy` or a retryable verdict; resubmitted once `at` passes.
     Parked { at: Instant },
     Done,
 }
@@ -103,17 +113,16 @@ enum Phase {
     /// Between operations.
     Idle,
     /// Waiting out a `Busy` shed before (re)issuing the current RPC.
-    Parked { at: Instant, read: bool },
-    /// READ in flight.
-    Read(PendingCall),
-    /// WRITE phase 1: `swap` at the data node.
-    Swap(PendingCall),
-    /// WRITE phase 2: parallel delta `add`s.
+    Parked { at: Instant },
+    /// The operation's first RPC in flight: the READ, or a WRITE's `swap`
+    /// at the data node.
+    First(PendingCall),
+    /// WRITE phase 2: parallel delta `add`s, one slot per redundant index
+    /// `k..n`, over the block's Fig. 5 state.
     Adds {
         slots: Vec<AddSlot>,
-        old: Vec<u8>,
-        otid: Option<Tid>,
-        epoch: ajx_storage::Epoch,
+        bw: BlockWrite,
+        stripe: StripeId,
     },
     /// All `ops_per_client` operations finished.
     Finished,
@@ -150,10 +159,10 @@ impl LogicalClient {
         // every hundred read. Spread by a stride so reads and writes mix.
         (self.op_idx as u32).wrapping_mul(37) % 100 < opts.read_pct
     }
+}
 
-    fn node_of(&self, cfg: &ProtocolConfig, stripe: StripeId, t: usize) -> NodeId {
-        NodeId(cfg.layout.node_for(stripe.0, t) as u32)
-    }
+fn node_of(cfg: &ProtocolConfig, stripe: StripeId, t: usize) -> NodeId {
+    NodeId(cfg.layout.node_for(stripe.0, t) as u32)
 }
 
 /// Outcome of driving one client one step.
@@ -269,132 +278,83 @@ fn step(
             Step::Progress
         }
 
-        Phase::Parked { at, read } => {
+        Phase::Parked { at } => {
             if now < *at {
                 return Step::Pending;
             }
-            let read = *read;
-            reissue_op(c, cfg, opts, read);
+            reissue_op(c, cfg, opts);
             Step::Progress
         }
 
-        Phase::Read(pending) => match c.ep.poll_call(pending) {
-            None => Step::Pending,
-            Some(Ok(_reply)) => {
-                finish_op(c, op_stats, completed, now);
-                Step::Progress
-            }
-            Some(Err(RpcError::Busy(_))) => {
-                busy.fetch_add(1, Ordering::Relaxed);
-                if c.busy_left == 0 {
-                    exhausted.fetch_add(1, Ordering::Relaxed);
-                    abandon_op(c, failed);
-                } else {
-                    c.busy_left -= 1;
-                    c.phase = Phase::Parked {
-                        at: now + c.backoff.next_delay(),
-                        read: true,
-                    };
+        Phase::First(call) => {
+            // A READ ends here; a WRITE's accepted swap opens its add phase.
+            match c.ep.poll_call(call) {
+                None => return Step::Pending,
+                Some(Ok(_)) if c.is_read(opts) => finish_op(c, op_stats, completed, now),
+                Some(Ok(Reply::Swap(r))) => {
+                    let (stripe, i) = (c.stripe(opts), c.data_index(cfg));
+                    let ntid = Tid::new(c.seq, i, c.ep.id());
+                    match BlockWrite::new(i, ntid, r, cfg.k(), cfg.n()) {
+                        // Fig. 5 lines 7-12: fan the delta out to every
+                        // redundant node in parallel.
+                        Some(bw) => {
+                            let slots = (cfg.k()..cfg.n())
+                                .map(|j| submit_add(&c.ep, cfg, stripe, &bw, j, &c.value))
+                                .map(AddSlot::Pending)
+                                .collect();
+                            c.phase = Phase::Adds { slots, bw, stripe };
+                        }
+                        // Swap rejected (locked or INIT data node): the
+                        // blocking driver would wait or recover; the mux
+                        // gives the op up.
+                        None => abandon_op(c, failed),
+                    }
                 }
-                Step::Progress
-            }
-            Some(Err(_)) => {
-                abandon_op(c, failed);
-                Step::Progress
-            }
-        },
-
-        Phase::Swap(pending) => match c.ep.poll_call(pending) {
-            None => Step::Pending,
-            Some(Ok(Reply::Swap(r))) if r.block.is_some() => {
-                // Fig. 5 lines 7-12: fan the delta out to every redundant
-                // node in parallel.
-                let stripe = c.stripe(opts);
-                let i = c.data_index(cfg);
-                let ntid = Tid::new(c.seq, i, c.ep.id());
-                let old = r.block.expect("checked above");
-                let slots = (cfg.k()..cfg.n())
-                    .map(|j| {
-                        let mut delta = vec![0u8; cfg.block_size];
-                        cfg.code
-                            .delta_into_buf(j - cfg.k(), i, &c.value, &old, &mut delta)
-                            .expect("block sizes validated");
-                        AddSlot::Pending(c.ep.submit_call(
-                            c.node_of(cfg, stripe, j),
-                            Request::Add {
-                                stripe,
-                                delta,
-                                ntid,
-                                otid: r.otid,
-                                epoch: r.epoch,
-                                scale: None,
-                            },
-                        ))
-                    })
-                    .collect();
-                c.phase = Phase::Adds {
-                    slots,
-                    old,
-                    otid: r.otid,
-                    epoch: r.epoch,
-                };
-                Step::Progress
-            }
-            Some(Ok(_)) => {
-                // Swap rejected (locked / non-normal mode) — impossible in
-                // this fault-free closed loop, but don't wedge if it shows.
-                abandon_op(c, failed);
-                Step::Progress
-            }
-            Some(Err(RpcError::Busy(_))) => {
-                busy.fetch_add(1, Ordering::Relaxed);
-                if c.busy_left == 0 {
-                    exhausted.fetch_add(1, Ordering::Relaxed);
-                    abandon_op(c, failed);
-                } else {
-                    c.busy_left -= 1;
-                    c.phase = Phase::Parked {
-                        at: now + c.backoff.next_delay(),
-                        read: false,
-                    };
+                Some(Err(RpcError::Busy(_))) => {
+                    busy.fetch_add(1, Ordering::Relaxed);
+                    if c.busy_left == 0 {
+                        exhausted.fetch_add(1, Ordering::Relaxed);
+                        abandon_op(c, failed);
+                    } else {
+                        c.busy_left -= 1;
+                        c.phase = Phase::Parked { at: now + c.backoff.next_delay() };
+                    }
                 }
-                Step::Progress
+                Some(Ok(_)) | Some(Err(_)) => abandon_op(c, failed),
             }
-            Some(Err(_)) => {
-                abandon_op(c, failed);
-                Step::Progress
-            }
-        },
+            Step::Progress
+        }
 
-        Phase::Adds { slots, .. } => {
+        Phase::Adds { slots, bw, stripe } => {
             let mut progressed = false;
-            let mut all_done = true;
-            let mut park: Vec<usize> = Vec::new();
             let mut fail = false;
             let mut budget_gone = false;
-            for (idx, slot) in slots.iter_mut().enumerate() {
+            for (slot, j) in slots.iter_mut().zip(cfg.k()..) {
                 match slot {
                     AddSlot::Done => {}
+                    // Same tid on the resubmission: adds are deduplicated by
+                    // tid at the node, so a retry can never double-apply.
                     AddSlot::Parked { at } => {
-                        all_done = false;
                         if now >= *at {
-                            park.push(idx);
+                            let call = submit_add(&c.ep, cfg, *stripe, bw, j, &c.value);
+                            *slot = AddSlot::Pending(call);
+                            progressed = true;
                         }
                     }
                     AddSlot::Pending(pending) => match c.ep.poll_call(pending) {
-                        None => all_done = false,
-                        Some(Ok(Reply::Add(a))) if a.status == AddStatus::Ok => {
-                            *slot = AddSlot::Done;
+                        None => {}
+                        Some(Ok(Reply::Add(a))) => {
                             progressed = true;
-                        }
-                        Some(Ok(Reply::Add(_))) => {
-                            // Order/Unavail: not applied; retry after a
-                            // pause (§3.7 ordering stall).
-                            all_done = false;
-                            progressed = true;
-                            *slot = AddSlot::Parked {
-                                at: now + c.backoff.next_delay(),
-                            };
+                            match bw.on_add(j, &a, cfg.order_retry_limit) {
+                                AddOutcome::Done => *slot = AddSlot::Done,
+                                // No re-swap here (module docs).
+                                AddOutcome::Dropped => fail = true,
+                                AddOutcome::Retry | AddOutcome::Order => {
+                                    *slot = AddSlot::Parked {
+                                        at: now + c.backoff.next_delay(),
+                                    };
+                                }
+                            }
                         }
                         Some(Err(RpcError::Busy(_))) => {
                             busy.fetch_add(1, Ordering::Relaxed);
@@ -405,19 +365,19 @@ fn step(
                                 budget_gone = true;
                             } else {
                                 c.busy_left -= 1;
-                                all_done = false;
                                 progressed = true;
                                 *slot = AddSlot::Parked {
                                     at: now + c.backoff.next_delay(),
                                 };
                             }
                         }
-                        Some(Ok(_)) | Some(Err(_)) => {
-                            fail = true;
-                        }
+                        Some(Ok(_)) | Some(Err(_)) => fail = true,
                     },
                 }
             }
+            // No recovery here either (module docs): asking for it ends the op.
+            fail |= bw.needs_recovery();
+            bw.close_round();
             if fail {
                 if budget_gone {
                     exhausted.fetch_add(1, Ordering::Relaxed);
@@ -425,12 +385,12 @@ fn step(
                 abandon_op(c, failed);
                 return Step::Progress;
             }
-            if !park.is_empty() {
-                resubmit_adds(c, cfg, opts, &park);
-                return Step::Progress;
-            }
-            if all_done {
-                finish_op(c, op_stats, completed, now);
+            if bw.settled() {
+                if bw.complete(cfg) {
+                    finish_op(c, op_stats, completed, now);
+                } else {
+                    abandon_op(c, failed);
+                }
                 return Step::Progress;
             }
             if progressed {
@@ -446,78 +406,62 @@ fn step(
 /// writes, and issues the first RPC.
 fn issue_op(c: &mut LogicalClient, cfg: &ProtocolConfig, opts: &MuxOptions) {
     c.busy_left = cfg.backoff.busy_retry_budget;
-    let read = c.is_read(opts);
-    if !read {
+    if !c.is_read(opts) {
         c.seq += 1;
         let fill = (c.op_idx as u8) ^ (c.ep.id().0 as u8).rotate_left(3);
         c.value = vec![fill; cfg.block_size];
     }
-    reissue_op(c, cfg, opts, read);
+    reissue_op(c, cfg, opts);
 }
 
 /// (Re)issues the current operation's first RPC — also the resume path
 /// after a `Busy` park, which must reuse the same tid so a retried swap
 /// stays idempotent at the node.
-fn reissue_op(c: &mut LogicalClient, cfg: &ProtocolConfig, opts: &MuxOptions, read: bool) {
+fn reissue_op(c: &mut LogicalClient, cfg: &ProtocolConfig, opts: &MuxOptions) {
     let stripe = c.stripe(opts);
     let i = c.data_index(cfg);
-    let node = c.node_of(cfg, stripe, i);
-    if read {
-        let pending = c.ep.submit_call(node, Request::Read { stripe });
-        c.phase = Phase::Read(pending);
+    let node = node_of(cfg, stripe, i);
+    let req = if c.is_read(opts) {
+        Request::Read { stripe }
     } else {
-        let pending = c.ep.submit_call(
-            node,
-            Request::Swap {
-                stripe,
-                value: c.value.clone(),
-                ntid: Tid::new(c.seq, i, c.ep.id()),
-            },
-        );
-        c.phase = Phase::Swap(pending);
-    }
+        Request::Swap {
+            stripe,
+            value: c.value.clone(),
+            ntid: Tid::new(c.seq, i, c.ep.id()),
+        }
+    };
+    c.phase = Phase::First(c.ep.submit_call(node, req));
 }
 
-/// Resubmits the parked `add`s in `indices` (same tid: adds are
-/// deduplicated by tid at the node, so a retry can never double-apply).
-fn resubmit_adds(c: &mut LogicalClient, cfg: &ProtocolConfig, opts: &MuxOptions, indices: &[usize]) {
-    let stripe = c.stripe(opts);
-    let i = c.data_index(cfg);
-    let ntid = Tid::new(c.seq, i, c.ep.id());
-    let Phase::Adds { slots, old, otid, epoch } = &mut c.phase else {
-        unreachable!("resubmit_adds outside the Adds phase");
-    };
-    for &idx in indices {
-        let j = cfg.k() + idx;
-        let mut delta = vec![0u8; cfg.block_size];
-        cfg.code
-            .delta_into_buf(j - cfg.k(), i, &c.value, old, &mut delta)
-            .expect("block sizes validated");
-        slots[idx] = AddSlot::Pending(c.ep.submit_call(
-            NodeId(cfg.layout.node_for(stripe.0, j) as u32),
-            Request::Add {
-                stripe,
-                delta,
-                ntid,
-                otid: *otid,
-                epoch: *epoch,
-                scale: None,
-            },
-        ));
+/// Submits the current WRITE's `add` for redundant index `j`.
+fn submit_add(
+    ep: &ClientEndpoint,
+    cfg: &ProtocolConfig,
+    stripe: StripeId,
+    bw: &BlockWrite,
+    j: usize,
+    value: &[u8],
+) -> PendingCall {
+    ep.submit_call(node_of(cfg, stripe, j), bw.add(cfg, stripe, j, value))
+}
+
+/// Leaves the current operation, recycling a WRITE's swapped-out block.
+fn end_op(c: &mut LogicalClient) {
+    if let Phase::Adds { bw, .. } = std::mem::replace(&mut c.phase, Phase::Idle) {
+        crate::pool::give(bw.finish().2);
     }
+    c.op_idx += 1;
 }
 
 fn finish_op(c: &mut LogicalClient, op_stats: &NetStats, completed: &AtomicU64, now: Instant) {
     op_stats.record_latency(now.saturating_duration_since(c.op_started));
     completed.fetch_add(1, Ordering::Relaxed);
-    c.op_idx += 1;
-    c.phase = Phase::Idle;
+    end_op(c);
 }
 
 fn abandon_op(c: &mut LogicalClient, failed: &AtomicU64) {
     failed.fetch_add(1, Ordering::Relaxed);
-    c.op_idx += 1;
-    c.phase = Phase::Idle;
+    end_op(c);
 }
 
 #[cfg(test)]
@@ -650,6 +594,34 @@ mod tests {
         for t in 0..cfg.n() {
             net.resume_node(NodeId(t as u32));
         }
+    }
+
+    #[test]
+    fn degraded_cluster_fails_ops_instead_of_livelocking() {
+        // Node 5 is a fresh INIT replacement for every stripe: swaps it
+        // owns are rejected and adds it owes answer `Unavail` forever. The
+        // mux runs no recovery, so those ops must end as failures — the
+        // pre-`BlockWrite` driver parked and resubmitted such an add
+        // without bound and this run never returned.
+        let cfg = cfg_4_8(32);
+        let net = net_for(&cfg, |_| {});
+        net.remap_node(NodeId(5), 0xA5);
+        let opts = MuxOptions {
+            clients: 4,
+            ops_per_client: 8,
+            read_pct: 0,
+            stripes_per_client: 2,
+            driver_threads: 1,
+        };
+        let (tx, rx) = std::sync::mpsc::channel();
+        std::thread::spawn(move || tx.send(run_mux_workload(&net, &cfg, &opts)));
+        let report = rx
+            .recv_timeout(Duration::from_secs(30))
+            .expect("a mux run on a degraded cluster must terminate");
+        assert_eq!(report.completed_ops + report.failed_ops, 4 * 8);
+        assert!(report.failed_ops > 0, "ops touching the INIT node must fail");
+        assert!(report.completed_ops > 0, "ops clear of it still complete");
+        assert_eq!(report.busy_exhausted, 0, "not a backpressure failure");
     }
 
     #[test]

@@ -64,6 +64,12 @@ pub(crate) fn give(buf: Vec<u8>) {
     });
 }
 
+/// Buffers this thread's pool currently holds.
+#[cfg(test)]
+pub(crate) fn pooled() -> usize {
+    POOL.with(|p| p.borrow().len())
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -1,0 +1,437 @@
+//! The per-block state of `WRITE` (Fig. 5 lines 7-21) as a sans-IO state
+//! machine: no endpoint, no clock, no sleeping.
+//!
+//! A [`BlockWrite`] is born from an accepted `swap` and then only builds
+//! `add` requests and absorbs replies. Whoever owns the I/O decides how the
+//! requests travel: [`Client`](crate::Client)'s batch engine sends them in
+//! blocking `pfor` rounds, [`mux`](crate::mux) submits them to a completion
+//! queue. The classification of an `add` reply — the one place
+//! [`AddStatus`] is matched — therefore exists once.
+
+use crate::config::ProtocolConfig;
+use ajx_storage::{
+    AddReply, AddStatus, CheckTidReply, Epoch, LMode, OpMode, Request, StripeId, SwapReply, Tid,
+};
+use std::collections::BTreeSet;
+
+/// What one `add` reply did to redundant index `j`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum AddOutcome {
+    /// Applied: `j` moved from `T` to `D`.
+    Done,
+    /// Stale epoch or INIT node: `j` left `T` without joining `D`, so this
+    /// attempt can no longer complete — only a fresh `swap` can.
+    Dropped,
+    /// Locked node: `j` stays in `T`; send the same `add` again.
+    Retry,
+    /// As `Retry`, because the predecessor write has not reached `j` yet
+    /// (§3.7): [`BlockWrite::close_round`] will ask for the `checktid` probe.
+    Order,
+}
+
+/// One data block's write between its `swap` and its last `add`.
+#[derive(Debug)]
+pub(crate) struct BlockWrite {
+    i: usize,
+    ntid: Tid,
+    /// The swapped-out content `w`; every increment is computed against it.
+    old: Vec<u8>,
+    epoch: Epoch,
+    otid: Option<Tid>,
+    /// Redundant indices still to update (the paper's `T`).
+    t: BTreeSet<usize>,
+    /// Indices that hold this write (the paper's `D`), data node included.
+    d: BTreeSet<usize>,
+    order_rounds: u32,
+    /// This round of replies saw an ORDER (Fig. 5 line 14).
+    saw_order: bool,
+    /// This round of replies met Fig. 5 line 13: expired lock, crashed
+    /// node, or hopeless ordering.
+    need_recovery: bool,
+}
+
+impl BlockWrite {
+    /// Starts the add phase for data index `i` of a `k`-of-`n` stripe from
+    /// an accepted `swap`; `None` if the node rejected it (`block = ⊥`).
+    pub(crate) fn new(i: usize, ntid: Tid, swap: SwapReply, k: usize, n: usize) -> Option<Self> {
+        Some(BlockWrite {
+            i,
+            ntid,
+            old: swap.block?,
+            epoch: swap.epoch,
+            otid: swap.otid,
+            t: (k..n).collect(),
+            d: BTreeSet::from([i]),
+            order_rounds: 0,
+            saw_order: false,
+            need_recovery: false,
+        })
+    }
+
+    /// Whether redundant index `j` is still owed an `add`.
+    pub(crate) fn wants(&self, j: usize) -> bool {
+        self.t.contains(&j)
+    }
+
+    fn request(&self, stripe: StripeId, delta: Vec<u8>, scale: Option<(usize, usize)>) -> Request {
+        Request::Add {
+            stripe,
+            delta,
+            ntid: self.ntid,
+            otid: self.otid,
+            epoch: self.epoch,
+            scale,
+        }
+    }
+
+    /// The `add` for redundant index `j`, carrying the client-scaled
+    /// increment `α_ji·(v − w)` in a pool-backed buffer.
+    pub(crate) fn add(
+        &self,
+        cfg: &ProtocolConfig,
+        stripe: StripeId,
+        j: usize,
+        value: &[u8],
+    ) -> Request {
+        let mut delta = crate::pool::take(value.len());
+        cfg.code
+            .delta_into_buf(j - cfg.k(), self.i, value, &self.old, &mut delta)
+            .expect("block sizes validated");
+        self.request(stripe, delta, None)
+    }
+
+    /// The §3.11 multicast form: the plain difference `v − w`, computed
+    /// once, addressed to every index still in `T`; each node multiplies by
+    /// its own `α_ji`.
+    pub(crate) fn multicast_adds(
+        &self,
+        cfg: &ProtocolConfig,
+        stripe: StripeId,
+        value: &[u8],
+    ) -> Vec<(usize, Request)> {
+        let diff = cfg
+            .code
+            .broadcast_delta(value, &self.old)
+            .expect("block sizes validated");
+        self.t
+            .iter()
+            .map(|&j| {
+                (
+                    j,
+                    self.request(stripe, diff.clone(), Some((j - cfg.k(), self.i))),
+                )
+            })
+            .collect()
+    }
+
+    /// Absorbs the reply to the `add` sent to `j` (Fig. 5 lines 9-14).
+    pub(crate) fn on_add(&mut self, j: usize, r: &AddReply, order_retry_limit: u32) -> AddOutcome {
+        self.saw_order |= r.status == AddStatus::Order;
+        self.need_recovery |= r.lmode == LMode::Exp
+            || (r.opmode != OpMode::Norm && r.lmode == LMode::Unl)
+            || (r.status == AddStatus::Order && self.order_rounds >= order_retry_limit);
+        match r.status {
+            AddStatus::Ok => {
+                self.t.remove(&j);
+                self.d.insert(j);
+                AddOutcome::Done
+            }
+            AddStatus::Order => AddOutcome::Order,
+            // Stale epoch or INIT node — drop from T; the outer repeat
+            // re-swaps if needed.
+            AddStatus::Unavail if matches!(r.lmode, LMode::Unl | LMode::L0) => {
+                self.t.remove(&j);
+                AddOutcome::Dropped
+            }
+            AddStatus::Unavail => AddOutcome::Retry,
+        }
+    }
+
+    /// Whether a reply of the current round asked for recovery (Fig. 5
+    /// line 13): the stripe needs it before this write can make progress.
+    pub(crate) fn needs_recovery(&self) -> bool {
+        self.need_recovery
+    }
+
+    /// Closes a round of replies; `true` if it contained an ORDER, i.e. the
+    /// `checktid` probe and a pause are due before the next round.
+    pub(crate) fn close_round(&mut self) -> bool {
+        self.need_recovery = false;
+        self.order_rounds += u32::from(self.saw_order);
+        std::mem::take(&mut self.saw_order)
+    }
+
+    /// Fig. 5 lines 15-16: the `checktid` probe for every index in `D`, or
+    /// nothing once the predecessor write is known to be collected.
+    pub(crate) fn checktids(&self, stripe: StripeId) -> Vec<(usize, Request)> {
+        let Some(otid) = self.otid else {
+            return Vec::new();
+        };
+        let probe = Request::CheckTid {
+            stripe,
+            ntid: self.ntid,
+            otid,
+        };
+        self.d.iter().map(|&j| (j, probe.clone())).collect()
+    }
+
+    /// Absorbs `j`'s `checktid` reply (Fig. 5 lines 17-19).
+    pub(crate) fn on_checktid(&mut self, j: usize, r: CheckTidReply) {
+        match r {
+            // The predecessor completed and was collected: stop ordering.
+            CheckTidReply::Gc => self.otid = None,
+            // `j` crashed and lost this write.
+            CheckTidReply::Init => {
+                self.d.remove(&j);
+            }
+            CheckTidReply::NoChange => {}
+        }
+    }
+
+    /// Fig. 5 line 21's loop exit: nothing left to send, or nothing left
+    /// that holds the write.
+    pub(crate) fn settled(&self) -> bool {
+        self.t.is_empty() || self.d.is_empty()
+    }
+
+    /// Whether the write reached its data node and all `n − k` redundant
+    /// nodes: `D = {i} ∪ k..n`.
+    pub(crate) fn complete(&self, cfg: &ProtocolConfig) -> bool {
+        self.d.contains(&self.i) && (cfg.k()..cfg.n()).all(|j| self.d.contains(&j))
+    }
+
+    /// Ends the write: its tid, the indices holding it (for Fig. 7's GC
+    /// lists) and the swapped-out buffer (for the pool).
+    pub(crate) fn finish(self) -> (Tid, BTreeSet<usize>, Vec<u8>) {
+        (self.ntid, self.d, self.old)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use ajx_storage::ClientId;
+    use AddOutcome::{Done, Dropped, Order, Retry};
+    use AddStatus::{Ok as AOk, Order as AOrder, Unavail};
+
+    const K: usize = 2;
+    const N: usize = 5;
+    const LIMIT: u32 = 3;
+
+    fn cfg() -> ProtocolConfig {
+        ProtocolConfig::new(K, N, 8).unwrap()
+    }
+
+    fn tid(seq: u64) -> Tid {
+        Tid::new(seq, 1, ClientId(7))
+    }
+
+    fn swapped(otid: Option<Tid>) -> BlockWrite {
+        let swap = SwapReply {
+            block: Some(vec![3; 8]),
+            epoch: Epoch::default(),
+            otid,
+            lmode: LMode::Unl,
+        };
+        BlockWrite::new(1, tid(9), swap, K, N).expect("accepted swap")
+    }
+
+    #[test]
+    fn rejected_swap_starts_no_write() {
+        let swap = SwapReply {
+            block: None,
+            epoch: Epoch::default(),
+            otid: None,
+            lmode: LMode::L1,
+        };
+        assert!(BlockWrite::new(0, tid(1), swap, K, N).is_none());
+    }
+
+    /// Fig. 5 lines 9-13 as a table: every `(status, opmode, lmode)` a node
+    /// can answer, at `order_rounds` below and at the retry limit.
+    #[test]
+    fn add_reply_classification_table() {
+        use LMode::{Exp, Unl, L0, L1};
+        use OpMode::{Init, Norm, Recons};
+        // (status, opmode, lmode, order_rounds) -> (outcome, need_recovery)
+        let table = [
+            (AOk, Norm, Unl, 0, Done, false),
+            (AOk, Norm, L0, 0, Done, false),
+            // ORDER retries quietly until the rounds run out.
+            (AOrder, Norm, Unl, 0, Order, false),
+            (AOrder, Norm, Unl, LIMIT - 1, Order, false),
+            (AOrder, Norm, Unl, LIMIT, Order, true),
+            (AOrder, Norm, L0, LIMIT + 5, Order, true),
+            // ⊥ from an unlocked or draining node: stale epoch or INIT —
+            // out of T; only a non-NORM unlocked node asks for recovery.
+            (Unavail, Norm, Unl, 0, Dropped, false),
+            (Unavail, Norm, L0, 0, Dropped, false),
+            (Unavail, Init, Unl, 0, Dropped, true),
+            (Unavail, Recons, Unl, 0, Dropped, true),
+            (Unavail, Init, L0, 0, Dropped, false),
+            // ⊥ from a fully locked node: someone is recovering; wait.
+            (Unavail, Norm, L1, 0, Retry, false),
+            (Unavail, Recons, L1, 0, Retry, false),
+            (Unavail, Init, L1, LIMIT, Retry, false),
+            // An expired lock always asks for recovery.
+            (Unavail, Norm, Exp, 0, Retry, true),
+            (Unavail, Init, Exp, 0, Retry, true),
+            (AOrder, Norm, Exp, 0, Order, true),
+        ];
+        for (status, opmode, lmode, rounds, outcome, need_recovery) in table {
+            let mut bw = swapped(None);
+            let order = AddReply {
+                status: AOrder,
+                opmode: Norm,
+                lmode: L0,
+            };
+            for _ in 0..rounds {
+                bw.on_add(2, &order, u32::MAX);
+                assert!(bw.close_round());
+            }
+            let reply = AddReply {
+                status,
+                opmode,
+                lmode,
+            };
+            let got = bw.on_add(3, &reply, LIMIT);
+            let row = format!("{status:?}/{opmode:?}/{lmode:?} at {rounds} order rounds");
+            assert_eq!(
+                (got, bw.needs_recovery()),
+                (outcome, need_recovery),
+                "{row}"
+            );
+            assert_eq!(bw.close_round(), outcome == Order, "{row}: saw-order");
+            assert!(
+                !bw.needs_recovery() && !bw.close_round(),
+                "{row}: a new round starts clean"
+            );
+            // T and D move exactly as the outcome says.
+            assert_eq!(bw.wants(3), matches!(outcome, Retry | Order), "{row}: T");
+            assert_eq!(bw.d.contains(&3), outcome == Done, "{row}: D");
+            assert!(bw.wants(2) && bw.wants(4), "{row}: other indices untouched");
+        }
+    }
+
+    #[test]
+    fn checktid_replies_move_otid_and_d() {
+        let otid = Some(tid(4));
+        let mut bw = swapped(otid);
+        let ok = AddReply {
+            status: AOk,
+            opmode: OpMode::Norm,
+            lmode: LMode::Unl,
+        };
+        bw.on_add(2, &ok, LIMIT);
+        // One probe per index in D = {i, 2}, each naming both tids.
+        let probes = bw.checktids(StripeId(6));
+        assert_eq!(probes.iter().map(|(j, _)| *j).collect::<Vec<_>>(), [1, 2]);
+        for (_, req) in &probes {
+            assert!(matches!(
+                req,
+                Request::CheckTid { stripe: StripeId(6), ntid, otid: o }
+                    if *ntid == tid(9) && Some(*o) == otid
+            ));
+        }
+        bw.on_checktid(1, CheckTidReply::NoChange);
+        assert_eq!((bw.otid, bw.d.len()), (otid, 2), "NoChange changes nothing");
+        bw.on_checktid(2, CheckTidReply::Init);
+        assert!(!bw.d.contains(&2) && bw.d.contains(&1), "Init leaves D");
+        assert_eq!(bw.otid, otid);
+        bw.on_checktid(1, CheckTidReply::Gc);
+        assert_eq!(bw.otid, None, "Gc ends the ordering wait");
+        assert!(
+            bw.checktids(StripeId(6)).is_empty(),
+            "nothing left to probe for"
+        );
+        // The next add carries no predecessor.
+        let Request::Add { otid: carried, .. } = bw.add(&cfg(), StripeId(6), 3, &[5; 8]) else {
+            panic!("add builds Request::Add");
+        };
+        assert_eq!(carried, None);
+    }
+
+    #[test]
+    fn complete_iff_d_is_the_data_index_plus_every_redundant_index() {
+        let cfg = cfg();
+        let ok = AddReply {
+            status: AOk,
+            opmode: OpMode::Norm,
+            lmode: LMode::Unl,
+        };
+        let mut bw = swapped(None);
+        assert!(!bw.settled() && !bw.complete(&cfg));
+        for j in K..N {
+            assert!(!bw.complete(&cfg), "incomplete before add {j}");
+            bw.on_add(j, &ok, LIMIT);
+        }
+        assert!(bw.settled() && bw.complete(&cfg));
+        let (ntid, d, old) = bw.finish();
+        assert_eq!((ntid, old), (tid(9), vec![3; 8]));
+        assert_eq!(d.into_iter().collect::<Vec<_>>(), [1, 2, 3, 4]);
+
+        // A dropped index settles the write incomplete.
+        let mut bw = swapped(None);
+        let stale = AddReply {
+            status: Unavail,
+            opmode: OpMode::Norm,
+            lmode: LMode::Unl,
+        };
+        bw.on_add(2, &ok, LIMIT);
+        bw.on_add(3, &stale, LIMIT);
+        bw.on_add(4, &ok, LIMIT);
+        assert!(bw.settled() && !bw.complete(&cfg));
+
+        // Losing the data node from D (checktid Init) with every redundant
+        // index done is still not complete.
+        let mut bw = swapped(Some(tid(4)));
+        for j in K..N {
+            bw.on_add(j, &ok, LIMIT);
+        }
+        bw.on_checktid(1, CheckTidReply::Init);
+        assert!(bw.settled() && !bw.complete(&cfg));
+    }
+
+    #[test]
+    fn add_and_multicast_carry_the_swap_state() {
+        let cfg = cfg();
+        let bw = swapped(Some(tid(4)));
+        let value = [0xA5u8; 8];
+        let Request::Add {
+            delta,
+            ntid,
+            otid,
+            scale,
+            ..
+        } = bw.add(&cfg, StripeId(0), 3, &value)
+        else {
+            panic!("add builds Request::Add");
+        };
+        assert_eq!((ntid, otid, scale), (tid(9), Some(tid(4)), None));
+        let mut want = vec![0u8; 8];
+        cfg.code
+            .delta_into_buf(3 - K, 1, &value, &[3; 8], &mut want)
+            .unwrap();
+        assert_eq!(
+            delta, want,
+            "client-scaled increment against the swapped-out block"
+        );
+
+        let multicast = bw.multicast_adds(&cfg, StripeId(0), &value);
+        assert_eq!(
+            multicast.iter().map(|(j, _)| *j).collect::<Vec<_>>(),
+            [2, 3, 4]
+        );
+        for (j, req) in multicast {
+            let Request::Add { delta, scale, .. } = req else {
+                panic!("multicast builds adds")
+            };
+            assert_eq!(
+                scale,
+                Some((j - K, 1)),
+                "node {j} scales by its own coefficient"
+            );
+            assert_eq!(delta, cfg.code.broadcast_delta(&value, &[3; 8]).unwrap());
+        }
+    }
+}

@@ -103,6 +103,17 @@ struct Job {
     reply_tx: Sender<Result<Reply, RpcError>>,
 }
 
+/// How a call left the client (see [`Network::dispatch`]).
+enum Dispatched {
+    /// The exchange is in flight; the node answers on this channel.
+    InFlight(Receiver<Result<Reply, RpcError>>),
+    /// The request or its reply was lost; resolves to `Timeout` once the
+    /// deadline passes.
+    Lost,
+    /// Failed before reaching the node's queue.
+    Failed(RpcError),
+}
+
 /// Pause/resume switch for one node's worker threads. A paused worker
 /// parks here right after dequeuing its next job, leaving the rest of the
 /// queue in place — which is how tests hold a node at a known queue depth
@@ -437,148 +448,51 @@ impl Network {
         }
     }
 
-    /// Delivers a batch of requests that were sent "at the same time" (one
-    /// propagation delay each way for the whole batch — the paper's
-    /// `pfor` round). Returns replies in request order.
+    /// Sends one call on its way — the one place a call's transport fate
+    /// is drawn and applied: draw, maybe duplicate, submit, maybe drop the
+    /// reply. Returns how the call left the client and the link delay the
+    /// fate injected (paid by the caller, who knows whether it sleeps it
+    /// off or folds it into a deadline).
     ///
-    /// The endpoint is threaded through so each call draws its fate from
-    /// the client's per-link fault sequence counters, keeping the injected
-    /// drop/delay/duplicate decisions deterministic per `(seed, link, seq)`.
-    fn deliver_batch(
-        &self,
-        ep: &ClientEndpoint,
-        calls: Vec<(NodeId, Request)>,
-    ) -> Vec<Result<Reply, RpcError>> {
-        enum Pending {
-            /// The exchange is in flight; wait on the reply channel.
-            InFlight(NodeId, Receiver<Result<Reply, RpcError>>),
-            /// The request or reply was lost; resolves to `Timeout` after
-            /// the shared deadline wait.
-            Lost(NodeId),
-            /// Failed before leaving the client.
-            Failed(RpcError),
-        }
-
-        let mut pending: Vec<Pending> = Vec::with_capacity(calls.len());
-        let mut injected_delay = Duration::ZERO;
-        let mut any_lost = false;
-        self.sleep_latency(); // outbound propagation (shared window)
-        for (node, req) in calls {
-            let fate = match ep.fault_seq.get(node.0 as usize) {
-                Some(ctr) => {
-                    let seq = ctr.fetch_add(1, Ordering::Relaxed);
-                    self.faults.fate(ep.id, node, seq)
-                }
-                // Unknown node: no link exists, submit rejects it below.
-                None => Fate::CLEAN,
-            };
-            injected_delay = injected_delay.max(fate.delay);
-            if !fate.deliver_req {
-                any_lost = true;
-                pending.push(Pending::Lost(node));
-                continue;
-            }
-            if fate.duplicate_req {
-                // At-least-once delivery: the node executes the request a
-                // second time; the duplicate's reply goes nowhere.
-                let _ = self.submit(node, req.clone());
-            }
-            match self.submit(node, req) {
-                Ok(rx) if fate.drop_reply => {
-                    // The node executes the request but the reply is lost:
-                    // dropping the receiver discards whatever it sends.
-                    drop(rx);
-                    any_lost = true;
-                    pending.push(Pending::Lost(node));
-                }
-                Ok(rx) => pending.push(Pending::InFlight(node, rx)),
-                Err(e) => pending.push(Pending::Failed(e)),
-            }
-        }
-        // The whole batch shares one propagation window, so injected link
-        // delay is paid once (the max across the batch), like the base
-        // latency.
-        if !injected_delay.is_zero() {
-            std::thread::sleep(injected_delay);
-        }
-        if any_lost {
-            // The client discovers a lost exchange only by waiting out its
-            // deadline; one shared wait covers every lost call in the batch
-            // (they time out in parallel). Without a configured deadline
-            // the loss still surfaces as `Timeout`, just instantly.
-            if let Some(t) = self.call_timeout {
-                std::thread::sleep(t);
-            }
-        }
-        let mut replies = Vec::with_capacity(pending.len());
-        for p in pending {
-            replies.push(match p {
-                Pending::Failed(e) => Err(e),
-                Pending::Lost(node) => Err(RpcError::Timeout(node)),
-                Pending::InFlight(node, rx) => match self.call_timeout {
-                    Some(t) => match rx.recv_timeout(t) {
-                        Ok(r) => r,
-                        Err(RecvTimeoutError::Timeout) => Err(RpcError::Timeout(node)),
-                        Err(RecvTimeoutError::Disconnected) => Err(RpcError::NetTornDown(node)),
-                    },
-                    None => match rx.recv() {
-                        Ok(r) => r,
-                        Err(_) => Err(RpcError::NetTornDown(node)),
-                    },
-                },
-            });
-        }
-        self.sleep_latency(); // inbound propagation
-        for reply in replies.iter().flatten() {
-            self.stats.record_receive(reply.wire_bytes());
-            self.stats.record_receive_payload(reply.payload_bytes());
-        }
-        replies
-    }
-
-    /// Delivers one request — the allocation-free single-call path.
-    ///
-    /// Mirrors [`Network::deliver_batch`] exactly (fate draw, delay and
-    /// lost-exchange timing, stats) for a batch of one, without building a
-    /// `Vec` per call: the hot failure-free READ path of Fig. 4 issues
-    /// millions of these.
-    fn deliver_one(&self, ep: &ClientEndpoint, node: NodeId, req: Request) -> Result<Reply, RpcError> {
-        self.sleep_latency(); // outbound propagation
+    /// The fate comes from the endpoint's per-link sequence counters,
+    /// keeping the injected drop/delay/duplicate decisions deterministic per
+    /// `(seed, link, seq)`.
+    fn dispatch(&self, ep: &ClientEndpoint, node: NodeId, req: Request) -> (Dispatched, Duration) {
         let fate = match ep.fault_seq.get(node.0 as usize) {
             Some(ctr) => {
                 let seq = ctr.fetch_add(1, Ordering::Relaxed);
                 self.faults.fate(ep.id, node, seq)
             }
+            // Unknown node: no link exists, submit rejects it below.
             None => Fate::CLEAN,
         };
-        let pending = if !fate.deliver_req {
-            Err(None)
-        } else {
-            if fate.duplicate_req {
-                let _ = self.submit(node, req.clone());
-            }
-            match self.submit(node, req) {
-                Ok(rx) if fate.drop_reply => {
-                    drop(rx);
-                    Err(None)
-                }
-                Ok(rx) => Ok(rx),
-                Err(e) => Err(Some(e)),
-            }
-        };
-        if !fate.delay.is_zero() {
-            std::thread::sleep(fate.delay);
+        if !fate.deliver_req {
+            return (Dispatched::Lost, fate.delay);
         }
-        let result = match pending {
-            Err(Some(e)) => Err(e),
-            Err(None) => {
-                // A lost exchange surfaces only after the deadline.
-                if let Some(t) = self.call_timeout {
-                    std::thread::sleep(t);
-                }
-                Err(RpcError::Timeout(node))
-            }
-            Ok(rx) => match self.call_timeout {
+        if fate.duplicate_req {
+            // At-least-once delivery: the node executes the request a
+            // second time; the duplicate's reply goes nowhere.
+            let _ = self.submit(node, req.clone());
+        }
+        let sent = match self.submit(node, req) {
+            // The node executes the request but the reply is lost:
+            // dropping the receiver discards whatever it sends.
+            Ok(_) if fate.drop_reply => Dispatched::Lost,
+            Ok(rx) => Dispatched::InFlight(rx),
+            Err(e) => Dispatched::Failed(e),
+        };
+        (sent, fate.delay)
+    }
+
+    /// Blocks for the outcome of a dispatched call, waiting for an
+    /// in-flight reply at most `call_timeout`. The deadline a *lost*
+    /// exchange costs is not paid here but by [`Network::sleep_out_loss`],
+    /// because a batch shares one such wait.
+    fn await_reply(&self, node: NodeId, sent: Dispatched) -> Result<Reply, RpcError> {
+        match sent {
+            Dispatched::Failed(e) => Err(e),
+            Dispatched::Lost => Err(RpcError::Timeout(node)),
+            Dispatched::InFlight(rx) => match self.call_timeout {
                 Some(t) => match rx.recv_timeout(t) {
                     Ok(r) => r,
                     Err(RecvTimeoutError::Timeout) => Err(RpcError::Timeout(node)),
@@ -589,12 +503,73 @@ impl Network {
                     Err(_) => Err(RpcError::NetTornDown(node)),
                 },
             },
-        };
-        self.sleep_latency(); // inbound propagation
-        if let Ok(reply) = &result {
-            self.stats.record_receive(reply.wire_bytes());
-            self.stats.record_receive_payload(reply.payload_bytes());
         }
+    }
+
+    /// The client discovers a lost exchange only by waiting out its
+    /// deadline. Without a configured deadline the loss still surfaces as
+    /// `Timeout`, just instantly.
+    fn sleep_out_loss(&self) {
+        if let Some(t) = self.call_timeout {
+            std::thread::sleep(t);
+        }
+    }
+
+    /// Delivers a batch of requests that were sent "at the same time" (one
+    /// propagation delay each way for the whole batch — the paper's
+    /// `pfor` round). Returns replies in request order.
+    fn deliver_batch(
+        &self,
+        ep: &ClientEndpoint,
+        calls: Vec<(NodeId, Request)>,
+    ) -> Vec<Result<Reply, RpcError>> {
+        self.sleep_latency(); // outbound propagation (shared window)
+        let mut injected_delay = Duration::ZERO;
+        let sent: Vec<(NodeId, Dispatched)> = calls
+            .into_iter()
+            .map(|(node, req)| {
+                let (sent, delay) = self.dispatch(ep, node, req);
+                injected_delay = injected_delay.max(delay);
+                (node, sent)
+            })
+            .collect();
+        // The whole batch shares one propagation window, so injected link
+        // delay is paid once (the max across the batch), like the base
+        // latency — and one shared wait covers every lost call in the
+        // batch (they time out in parallel).
+        if !injected_delay.is_zero() {
+            std::thread::sleep(injected_delay);
+        }
+        if sent.iter().any(|(_, s)| matches!(s, Dispatched::Lost)) {
+            self.sleep_out_loss();
+        }
+        let replies = sent
+            .into_iter()
+            .map(|(node, sent)| self.await_reply(node, sent))
+            .collect();
+        self.sleep_latency(); // inbound propagation
+        replies
+    }
+
+    /// Delivers one request — [`Network::deliver_batch`] for a batch of
+    /// one without building a `Vec` per call: the hot failure-free READ
+    /// path of Fig. 4 issues millions of these.
+    fn deliver_one(
+        &self,
+        ep: &ClientEndpoint,
+        node: NodeId,
+        req: Request,
+    ) -> Result<Reply, RpcError> {
+        self.sleep_latency(); // outbound propagation
+        let (sent, delay) = self.dispatch(ep, node, req);
+        if !delay.is_zero() {
+            std::thread::sleep(delay);
+        }
+        if matches!(sent, Dispatched::Lost) {
+            self.sleep_out_loss();
+        }
+        let result = self.await_reply(node, sent);
+        self.sleep_latency(); // inbound propagation
         result
     }
 
@@ -712,6 +687,44 @@ impl ClientEndpoint {
         Ok(())
     }
 
+    /// Admits one outgoing request: spends the kill budget, then books the
+    /// send. Returns the request's wire bytes for the caller to charge to
+    /// the client NIC its own way (sleeping, or folded into `ready_at`).
+    fn admit(&self, req: &Request) -> Result<usize, RpcError> {
+        self.consume_budget()?;
+        let bytes = req.wire_bytes();
+        self.stats.record_send(bytes);
+        self.stats.record_send_payload(req.payload_bytes());
+        Ok(bytes)
+    }
+
+    /// Serializes `bytes` through the client NIC, sleeping out the drain.
+    fn nic_drain(&self, bytes: usize) {
+        if let Some(nic) = &self.nic {
+            nic.consume(bytes);
+        }
+    }
+
+    /// Books a reply that reached the client — per-client and network-wide
+    /// receive counters plus one round trip. NIC drain is the caller's.
+    fn account_reply(&self, reply: &Reply) {
+        let (bytes, payload) = (reply.wire_bytes(), reply.payload_bytes());
+        for stats in [&self.stats, &*self.net.stats] {
+            stats.record_receive(bytes);
+            stats.record_receive_payload(payload);
+        }
+        self.stats.record_round_trip();
+    }
+
+    /// The blocking paths' receive side: NIC drain, then the books.
+    fn received(&self, result: Result<Reply, RpcError>) -> Result<Reply, RpcError> {
+        if let Ok(reply) = &result {
+            self.nic_drain(reply.wire_bytes());
+            self.account_reply(reply);
+        }
+        result
+    }
+
     /// One synchronous RPC: request out, reply back.
     ///
     /// # Errors
@@ -722,26 +735,8 @@ impl ClientEndpoint {
     /// loses the exchange; [`RpcError::NetTornDown`] when the node's
     /// workers die mid-call.
     pub fn call(&self, node: NodeId, req: Request) -> Result<Reply, RpcError> {
-        // Direct single-call path: same budget/NIC/stats handling as
-        // `call_many`, with no per-call `Vec` allocation.
-        self.consume_budget()?;
-        let bytes = req.wire_bytes();
-        if let Some(nic) = &self.nic {
-            nic.consume(bytes);
-        }
-        self.stats.record_send(bytes);
-        self.stats.record_send_payload(req.payload_bytes());
-        let result = self.net.deliver_one(self, node, req);
-        if let Ok(reply) = &result {
-            let bytes = reply.wire_bytes();
-            if let Some(nic) = &self.nic {
-                nic.consume(bytes);
-            }
-            self.stats.record_receive(bytes);
-            self.stats.record_receive_payload(reply.payload_bytes());
-            self.stats.record_round_trip();
-        }
-        result
+        self.nic_drain(self.admit(&req)?);
+        self.received(self.net.deliver_one(self, node, req))
     }
 
     /// Parallel fan-out — the paper's `pfor`: the batch is sent in one
@@ -750,45 +745,23 @@ impl ClientEndpoint {
     pub fn call_many(&self, calls: Vec<(NodeId, Request)>) -> Vec<Result<Reply, RpcError>> {
         // Budget + client NIC serialization per request.
         let mut admitted = Vec::with_capacity(calls.len());
-        let mut gate: Vec<Result<NodeId, RpcError>> = Vec::with_capacity(calls.len());
-        for (node, req) in calls {
-            match self.consume_budget() {
-                Err(e) => gate.push(Err(e)),
-                Ok(()) => {
-                    let bytes = req.wire_bytes();
-                    if let Some(nic) = &self.nic {
-                        nic.consume(bytes);
-                    }
-                    self.stats.record_send(bytes);
-                    self.stats.record_send_payload(req.payload_bytes());
-                    gate.push(Ok(node));
-                    admitted.push((node, req));
-                }
-            }
-        }
+        let gate: Vec<Result<NodeId, RpcError>> = calls
+            .into_iter()
+            .map(|(node, req)| {
+                self.nic_drain(self.admit(&req)?);
+                admitted.push((node, req));
+                Ok(node)
+            })
+            .collect();
         let mut delivered = self.net.deliver_batch(self, admitted).into_iter();
         gate.into_iter()
-            .map(|g| match g {
-                Err(e) => Err(e),
-                Ok(node) => {
-                    // `deliver_batch` answers every admitted call; if it
-                    // ever came up short, surface the torn-network error
-                    // (indeterminate, like a closed reply channel) instead
-                    // of panicking inside the client.
-                    let r = delivered
-                        .next()
-                        .unwrap_or(Err(RpcError::NetTornDown(node)));
-                    if let Ok(reply) = &r {
-                        let bytes = reply.wire_bytes();
-                        if let Some(nic) = &self.nic {
-                            nic.consume(bytes);
-                        }
-                        self.stats.record_receive(bytes);
-                        self.stats.record_receive_payload(reply.payload_bytes());
-                        self.stats.record_round_trip();
-                    }
-                    r
-                }
+            .map(|g| {
+                // `deliver_batch` answers every admitted call; if it ever
+                // came up short, surface the torn-network error
+                // (indeterminate, like a closed reply channel) instead of
+                // panicking inside the client.
+                let node = g?;
+                self.received(delivered.next().unwrap_or(Err(RpcError::NetTornDown(node))))
             })
             .collect()
     }
@@ -804,30 +777,14 @@ impl ClientEndpoint {
         let Some((_, first)) = requests.first() else {
             return Vec::new();
         };
-        if let Err(e) = self.consume_budget() {
-            return vec![Err(e); requests.len()];
+        match self.admit(first) {
+            Ok(shared_bytes) => self.nic_drain(shared_bytes),
+            Err(e) => return vec![Err(e); requests.len()],
         }
-        let shared_bytes = first.wire_bytes();
-        if let Some(nic) = &self.nic {
-            nic.consume(shared_bytes);
-        }
-        self.stats.record_send(shared_bytes);
-        self.stats.record_send_payload(first.payload_bytes());
-
         self.net
             .deliver_batch(self, requests)
             .into_iter()
-            .inspect(|r| {
-                if let Ok(reply) = r {
-                    let bytes = reply.wire_bytes();
-                    if let Some(nic) = &self.nic {
-                        nic.consume(bytes);
-                    }
-                    self.stats.record_receive(bytes);
-                    self.stats.record_receive_payload(reply.payload_bytes());
-                    self.stats.record_round_trip();
-                }
-            })
+            .map(|r| self.received(r))
             .collect()
     }
 
@@ -849,49 +806,22 @@ impl ClientEndpoint {
     /// runs keep using the blocking path.
     pub fn submit_call(&self, node: NodeId, req: Request) -> PendingCall {
         let now = Instant::now();
-        if let Err(e) = self.consume_budget() {
-            return PendingCall {
-                node,
-                sent_at: now,
-                ready_at: now,
-                state: PendingState::Failed(e),
-            };
-        }
-        let bytes = req.wire_bytes();
-        let nic_wait = self
-            .nic
-            .as_ref()
-            .map_or(Duration::ZERO, |nic| nic.consume_nonblocking(bytes));
-        self.stats.record_send(bytes);
-        self.stats.record_send_payload(req.payload_bytes());
-        let fate = match self.fault_seq.get(node.0 as usize) {
-            Some(ctr) => {
-                let seq = ctr.fetch_add(1, Ordering::Relaxed);
-                self.net.faults.fate(self.id, node, seq)
-            }
-            None => Fate::CLEAN,
-        };
-        let ready_at = now + nic_wait + self.net.latency * 2 + fate.delay;
-        let state = if !fate.deliver_req {
-            PendingState::Lost
-        } else {
-            if fate.duplicate_req {
-                let _ = self.net.submit(node, req.clone());
-            }
-            match self.net.submit(node, req) {
-                Ok(rx) if fate.drop_reply => {
-                    drop(rx);
-                    PendingState::Lost
-                }
-                Ok(rx) => PendingState::InFlight(rx),
-                Err(e) => PendingState::Failed(e),
+        let (ready_at, sent) = match self.admit(&req) {
+            Err(e) => (now, Dispatched::Failed(e)),
+            Ok(bytes) => {
+                let nic_wait = self
+                    .nic
+                    .as_ref()
+                    .map_or(Duration::ZERO, |nic| nic.consume_nonblocking(bytes));
+                let (sent, delay) = self.net.dispatch(self, node, req);
+                (now + nic_wait + self.net.latency * 2 + delay, sent)
             }
         };
         PendingCall {
             node,
             sent_at: now,
             ready_at,
-            state,
+            state: PendingState::Sent(sent),
         }
     }
 
@@ -912,9 +842,9 @@ impl ClientEndpoint {
             // LINT-ALLOW(panic-free: documented `# Panics` contract for
             // local API misuse — not reachable from remote input)
             PendingState::Done => panic!("poll_call on an already-resolved call"),
-            PendingState::Failed(e) => Some(Err(e)),
+            PendingState::Sent(Dispatched::Failed(e)) => Some(Err(e)),
             PendingState::Arrived(result) => Some(self.finish_call(call, result, now)),
-            PendingState::Lost => {
+            PendingState::Sent(Dispatched::Lost) => {
                 // A lost exchange surfaces only after the deadline (or
                 // right away when no deadline is configured — matching the
                 // blocking path's instant surfacing).
@@ -922,11 +852,11 @@ impl ClientEndpoint {
                 if now >= deadline {
                     Some(Err(RpcError::Timeout(call.node)))
                 } else {
-                    call.state = PendingState::Lost;
+                    call.state = PendingState::Sent(Dispatched::Lost);
                     None
                 }
             }
-            PendingState::InFlight(rx) => match rx.try_recv() {
+            PendingState::Sent(Dispatched::InFlight(rx)) => match rx.try_recv() {
                 Some(result) => {
                     // The reply is at the client NIC: fold its drain time
                     // into the observation instant instead of sleeping.
@@ -956,7 +886,7 @@ impl ClientEndpoint {
                             return Some(Err(RpcError::Timeout(call.node)));
                         }
                     }
-                    call.state = PendingState::InFlight(rx);
+                    call.state = PendingState::Sent(Dispatched::InFlight(rx));
                     None
                 }
             },
@@ -972,15 +902,9 @@ impl ClientEndpoint {
         now: Instant,
     ) -> Result<Reply, RpcError> {
         if let Ok(reply) = &result {
-            let bytes = reply.wire_bytes();
-            let payload = reply.payload_bytes();
-            self.stats.record_receive(bytes);
-            self.stats.record_receive_payload(payload);
-            self.stats.record_round_trip();
+            self.account_reply(reply);
             self.stats
                 .record_latency(now.saturating_duration_since(call.sent_at));
-            self.net.stats.record_receive(bytes);
-            self.net.stats.record_receive_payload(payload);
         }
         result
     }
@@ -1001,14 +925,10 @@ pub struct PendingCall {
 }
 
 enum PendingState {
-    /// Waiting on the node's reply channel.
-    InFlight(Receiver<Result<Reply, RpcError>>),
+    /// As dispatched: in flight, lost, or failed before the node's queue.
+    Sent(Dispatched),
     /// Reply received; released once `ready_at` passes.
     Arrived(Result<Reply, RpcError>),
-    /// The exchange was lost; resolves to `Timeout` at the deadline.
-    Lost,
-    /// Failed before reaching the node's queue.
-    Failed(RpcError),
     /// Resolved — polling again is a caller bug.
     Done,
 }
@@ -1023,10 +943,10 @@ impl PendingCall {
 impl std::fmt::Debug for PendingCall {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = match &self.state {
-            PendingState::InFlight(_) => "in-flight",
+            PendingState::Sent(Dispatched::InFlight(_)) => "in-flight",
             PendingState::Arrived(_) => "arrived",
-            PendingState::Lost => "lost",
-            PendingState::Failed(_) => "failed",
+            PendingState::Sent(Dispatched::Lost) => "lost",
+            PendingState::Sent(Dispatched::Failed(_)) => "failed",
             PendingState::Done => "done",
         };
         f.debug_struct("PendingCall")

@@ -1,5 +1,6 @@
 #!/usr/bin/env bash
-# Repo check entry point: release build, lint wall, full workspace test
+# Repo check entry point: line-count inventory (tools/loc.sh), release
+# build, lint wall, full workspace test
 # suite, a seeded chaos smoke run, the seeded power-loss smoke (three
 # seeds, both flush policies, byte-identical traces), the GF(2^8) +
 # GF(2^16) kernel backend matrix (per-backend test runs +
@@ -31,6 +32,9 @@ for arg in "$@"; do
     *) echo "usage: tools/check.sh [--deep]"; exit 2 ;;
   esac
 done
+
+echo "== lines of code (tools/loc.sh; ROADMAP's gates read the non-test column) =="
+sh tools/loc.sh
 
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
