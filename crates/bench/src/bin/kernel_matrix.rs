@@ -12,12 +12,19 @@
 //! split-table tier at 4 KiB blocks, else it exits nonzero.
 //! `tools/check.sh` re-asserts the same floor from the emitted artifact.
 //!
+//! A `crc32c` section reports the checksum kernel the WAL frames its
+//! records with: GB/s per tier at 4 KiB and 64 KiB against the byte-at-a-
+//! time table loop the journal used before, with its own floor — the
+//! SSE4.2 tier must run ≥ 3× the portable slicing-by-8 tier at 4 KiB.
+//!
 //! Flags:
 //!
 //! * `--list` — print the supported backend names, one per line, and exit
 //!   (used by the shell script to drive the `GF_BACKEND` test matrix).
+//! * `--list-crc32c` — the same for the checksum tiers.
 
 use ajx_gf::{kernel, Gf256, Gf65536};
+use std::sync::LazyLock;
 use std::time::Instant;
 
 /// Block sizes reported: the protocol's 1 KB block, the 4 KiB acceptance
@@ -45,6 +52,78 @@ fn word_at_a_time_mul_add16(dst: &mut [u8], c: u16, src: &[u8]) {
         let p = Gf65536::mul_raw(c, u16::from_le_bytes([s[0], s[1]]));
         d.copy_from_slice(&(p ^ u16::from_le_bytes([d[0], d[1]])).to_le_bytes());
     }
+}
+
+/// Block sizes of the `crc32c` section: a journaled 4 KiB block and one
+/// member of a batched 64 KiB write.
+const CRC_SIZES: [usize; 2] = [4 * 1024, 64 * 1024];
+
+/// The checksum floor: SSE4.2 vs the portable tier at [`FLOOR_BLOCK`].
+const CRC_FLOOR_RATIO: f64 = 3.0;
+
+/// The journal's checksum loop before the kernel existed: one dependent
+/// table load per byte.
+fn bytewise_crc32c(data: &[u8]) -> u32 {
+    static TABLE: LazyLock<[u32; 256]> = LazyLock::new(|| {
+        std::array::from_fn(|i| (0..8).fold(i as u32, |c, _| (c >> 1) ^ (0x82F6_3B78 * (c & 1))))
+    });
+    let table = &*TABLE;
+    !data.iter().fold(!0u32, |c, &b| (c >> 8) ^ table[((c ^ b as u32) & 0xFF) as usize])
+}
+
+/// The `"crc32c"` object of the artifact; asserts the SSE4.2 floor.
+fn crc32c_section() -> String {
+    let gb_per_s = |len: usize, crc: &dyn Fn(&[u8]) -> u32| {
+        let data = fill(len, 3);
+        mb_per_s(len, || {
+            std::hint::black_box(crc(std::hint::black_box(&data)));
+        }) / 1e3
+    };
+    let mut sizes = Vec::new();
+    let mut at_floor = Vec::new();
+    for len in CRC_SIZES {
+        let base = gb_per_s(len, &bytewise_crc32c);
+        assert_eq!(bytewise_crc32c(&fill(len, 3)), kernel::crc32c(&fill(len, 3)));
+        let mut tiers = Vec::new();
+        for tier in kernel::available_crc32c_tiers() {
+            let rate = gb_per_s(len, &|d| kernel::crc32c_with(tier, d));
+            if len == FLOOR_BLOCK {
+                at_floor.push(rate);
+            }
+            tiers.push(format!(
+                "{{\"name\":\"{}\",\"gb_s\":{rate:.2},\"speedup_vs_bytewise\":{:.2}}}",
+                tier.name(),
+                rate / base
+            ));
+        }
+        sizes.push(format!(
+            "      {{\"block_bytes\":{len},\"bytewise_gb_s\":{base:.2},\"tiers\":[{}]}}",
+            tiers.join(",")
+        ));
+    }
+    // `available_crc32c_tiers` lists the portable tier first and the
+    // SSE4.2 tier, where the CPU has it, second.
+    let floor_json = match at_floor[..] {
+        [portable, sse42] => {
+            let ratio = sse42 / portable;
+            let pass = ratio >= CRC_FLOOR_RATIO;
+            assert!(
+                pass,
+                "checksum floor violated: SSE4.2 crc32c is only {ratio:.2}x the portable \
+                 slicing-by-8 tier at {FLOOR_BLOCK} B (need >= {CRC_FLOOR_RATIO}x)"
+            );
+            format!(
+                "    \"sse42_floor_at_{FLOOR_BLOCK}\": {{\"required_vs_portable\":{CRC_FLOOR_RATIO:.1},\
+                 \"measured\":{ratio:.2},\"sse42_floor_pass\":{pass}}},"
+            )
+        }
+        _ => "    \"sse42_floor_skipped\": \"no sse4.2 on this host\",".to_string(),
+    };
+    format!(
+        "  \"crc32c\": {{\n    \"active_tier\": \"{}\",\n{floor_json}\n    \"sizes\": [\n{}\n    ]\n  }},",
+        kernel::active_crc32c_tier().name(),
+        sizes.join(",\n")
+    )
 }
 
 /// Mean MB/s (decimal megabytes) of `op` over enough iterations to run
@@ -104,6 +183,12 @@ fn main() {
     if std::env::args().any(|a| a == "--list") {
         for backend in kernel::available_backends() {
             println!("{}", backend.name());
+        }
+        return;
+    }
+    if std::env::args().any(|a| a == "--list-crc32c") {
+        for tier in kernel::available_crc32c_tiers() {
+            println!("{}", tier.name());
         }
         return;
     }
@@ -175,6 +260,7 @@ fn main() {
 
     println!("{{");
     println!("  \"active_backend\": \"{}\",", kernel::active_backend().name());
+    println!("{}", crc32c_section());
     println!("  \"kernels\": [");
     println!("    {{");
     println!("    \"kernel\": \"gf256_mul_add_assign\",");

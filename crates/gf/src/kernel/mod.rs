@@ -36,6 +36,15 @@
 //! ("odd") tails always fall back to the scalar 16-bit path, never to a
 //! byte-field kernel.
 //!
+//! # The CRC-32C checksum
+//!
+//! The workspace's one checksum routine lives here too, because it is the
+//! same kind of code — a GF(2) polynomial kernel with a portable tier and
+//! an instruction-backed one, chosen once per process. [`crc32c`] runs
+//! slicing-by-8 over compile-time tables ([`Crc32cTier::Portable`]) or the
+//! SSE4.2 `crc32` instruction ([`Crc32cTier::Sse42`]); the storage node's
+//! write-ahead log frames every record with it.
+//!
 //! # Backend selection
 //!
 //! [`active_backend`] picks the widest backend the CPU supports (via
@@ -44,7 +53,9 @@
 //! (`scalar`|`swar`|`ssse3`|`avx2`) overrides detection — requesting a
 //! backend the CPU cannot run panics at startup rather than faulting later.
 //! Per-backend entry points (`*_with`) bypass dispatch for differential
-//! testing and benchmarking.
+//! testing and benchmarking. The checksum follows the same choice:
+//! `GF_BACKEND=scalar|swar` pins its portable tier, anything else takes the
+//! SSE4.2 tier where the CPU has it.
 //!
 //! # Safety
 //!
@@ -55,6 +66,7 @@
 
 use std::sync::OnceLock;
 
+pub(crate) mod crc;
 pub(crate) mod scalar;
 pub(crate) mod swar;
 #[cfg(target_arch = "x86_64")]
@@ -760,6 +772,68 @@ fn small_delta(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
     }
 }
 
+// ---- CRC-32C checksum kernel ----
+
+/// One implementation tier of [`crc32c`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Crc32cTier {
+    /// Slicing-by-8 over compile-time tables; runs anywhere.
+    Portable,
+    /// The SSE4.2 `crc32` instruction, 8 bytes per step.
+    #[cfg(target_arch = "x86_64")]
+    Sse42,
+}
+
+impl Crc32cTier {
+    /// The tier's name in bench artifacts and test messages.
+    pub fn name(self) -> &'static str {
+        match self {
+            Crc32cTier::Portable => "portable",
+            #[cfg(target_arch = "x86_64")]
+            Crc32cTier::Sse42 => "sse4.2",
+        }
+    }
+}
+
+/// Every CRC-32C tier this CPU supports, fastest last.
+pub fn available_crc32c_tiers() -> Vec<Crc32cTier> {
+    let mut v = vec![Crc32cTier::Portable];
+    #[cfg(target_arch = "x86_64")]
+    if std::arch::is_x86_feature_detected!("sse4.2") {
+        v.push(Crc32cTier::Sse42);
+    }
+    v
+}
+
+/// The tier [`crc32c`] dispatches to, chosen once per process: the fastest
+/// supported one, unless `GF_BACKEND` pins a portable GF backend
+/// (`scalar`|`swar`), which pins the portable checksum with it.
+pub fn active_crc32c_tier() -> Crc32cTier {
+    static ACTIVE_CRC: OnceLock<Crc32cTier> = OnceLock::new();
+    *ACTIVE_CRC.get_or_init(|| match active_backend() {
+        Backend::Scalar | Backend::Swar => Crc32cTier::Portable,
+        #[cfg(target_arch = "x86_64")]
+        _ => *available_crc32c_tiers().last().expect("portable always present"),
+    })
+}
+
+/// CRC-32C (Castagnoli; iSCSI, RFC 3720) of `data` on the active tier —
+/// the workspace's one checksum: the WAL frames its records with it.
+#[inline]
+pub fn crc32c(data: &[u8]) -> u32 {
+    crc32c_with(active_crc32c_tier(), data)
+}
+
+/// [`crc32c`] on an explicit tier (differential tests, benches). The tier
+/// must come from [`available_crc32c_tiers`].
+pub fn crc32c_with(tier: Crc32cTier, data: &[u8]) -> u32 {
+    match tier {
+        Crc32cTier::Portable => crc::crc32c(data),
+        #[cfg(target_arch = "x86_64")]
+        Crc32cTier::Sse42 => x86::crc32c_sse42(data),
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -981,7 +1055,61 @@ mod tests {
         mul_add_multi16(&mut views, &[0xABCD], &[0u8; 5]);
     }
 
+    // ---- CRC-32C ----
+
+    #[test]
+    fn crc32c_known_answers_on_every_tier() {
+        // The check value of the CRC catalogue, then RFC 3720 B.4.
+        let vectors: [(&[u8], u32); 4] = [
+            (b"", 0),
+            (b"123456789", 0xE306_9283),
+            (&[0x00; 32], 0x8A91_36AA),
+            (&[0xFF; 32], 0x62A8_AB43),
+        ];
+        for (data, want) in vectors {
+            assert_eq!(textbook::crc32c(data), want, "oracle on {data:?}");
+            assert_eq!(crc32c(data), want, "dispatch on {data:?}");
+            for tier in available_crc32c_tiers() {
+                assert_eq!(crc32c_with(tier, data), want, "{} on {data:?}", tier.name());
+            }
+        }
+    }
+
+    #[test]
+    fn active_crc32c_tier_follows_the_gf_backend() {
+        let tier = active_crc32c_tier();
+        assert!(available_crc32c_tiers().contains(&tier));
+        if matches!(active_backend(), Backend::Scalar | Backend::Swar) {
+            assert_eq!(tier, Crc32cTier::Portable);
+        } else {
+            assert_eq!(Some(&tier), available_crc32c_tiers().last());
+        }
+    }
+
     proptest! {
+        /// Every tier equals the bit-at-a-time definition at every length
+        /// up to 1 KiB and all eight start alignments (the 8-byte step of
+        /// both tiers makes alignment and tail length the edge cases).
+        #[test]
+        fn prop_crc32c_tiers_agree_with_bitwise_reference(
+            len in 0usize..=1024,
+            seed in any::<u64>(),
+        ) {
+            let buf: Vec<u8> = (0..len + 8)
+                .map(|i| (seed >> (i % 57)) as u8 ^ (i as u8).wrapping_mul(31))
+                .collect();
+            for align in 0..8 {
+                let data = &buf[align..align + len];
+                let want = textbook::crc32c(data);
+                for tier in available_crc32c_tiers() {
+                    prop_assert_eq!(
+                        crc32c_with(tier, data), want,
+                        "tier={} len={} align={}", tier.name(), len, align
+                    );
+                }
+            }
+        }
+
         #[test]
         fn prop_all_backends_agree_with_textbook(
             c in any::<u8>(),

@@ -716,3 +716,36 @@ unsafe fn delta16_avx2_impl(out: &mut [u8], t: &Split16, a: &[u8], b: &[u8]) {
         delta_into16_ssse3(&mut out[n..], t, &a[n..], &b[n..]);
     }
 }
+
+// ---- CRC-32C: the SSE4.2 `crc32` instruction, 8 bytes per step ----
+
+pub(crate) fn crc32c_sse42(data: &[u8]) -> u32 {
+    // A checked assert, not a debug one: `Crc32cTier::Sse42` is a public
+    // value any safe caller can pass, and the check is one cached load.
+    assert!(
+        std::arch::is_x86_feature_detected!("sse4.2"),
+        "the SSE4.2 CRC-32C tier needs a CPU with SSE4.2"
+    );
+    // SAFETY: the assert above has verified SSE4.2.
+    unsafe { crc32c_sse42_impl(data) }
+}
+
+// SAFETY: caller must ensure SSE4.2 is available (the safe wrapper above
+// asserts it); no pointer is dereferenced — the bytes arrive through safe
+// slice iterators and both intrinsics are register-only.
+#[target_feature(enable = "sse4.2")]
+unsafe fn crc32c_sse42_impl(data: &[u8]) -> u32 {
+    let mut steps = data.chunks_exact(8);
+    let mut wide = u64::from(!0u32);
+    for s in &mut steps {
+        let word = u64::from_le_bytes([s[0], s[1], s[2], s[3], s[4], s[5], s[6], s[7]]);
+        wide = _mm_crc32_u64(wide, word);
+    }
+    // The instruction zero-extends its 32-bit result into the 64-bit
+    // destination, so the narrowing cast drops nothing.
+    let mut crc = wide as u32;
+    for &b in steps.remainder() {
+        crc = _mm_crc32_u8(crc, b);
+    }
+    !crc
+}

@@ -7,6 +7,9 @@
 //!    implementations" — `benches/ec_kernels.rs` measures both paths.
 //! 2. It is an independent oracle: the table-driven [`crate::Gf256`] is
 //!    verified against it exhaustively (all 65 536 products) in tests.
+//!
+//! [`crc32c`] is here for the second reason: the checksum kernel's tiers
+//! are tested against this bit-at-a-time definition.
 
 use crate::gf256::PRIMITIVE_POLY;
 
@@ -46,6 +49,21 @@ pub fn mul_add_assign(dst: &mut [u8], c: u8, src: &[u8]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d ^= mul(c, s);
     }
+}
+
+/// CRC-32C (Castagnoli) one bit at a time, straight from the definition:
+/// XOR the next byte into the low end of the state, then eight conditional
+/// shift-and-reduce steps by the reflected generator. The oracle every
+/// [`kernel::crc32c`](crate::kernel::crc32c) tier is tested against.
+pub fn crc32c(data: &[u8]) -> u32 {
+    let mut crc = !0u32;
+    for &b in data {
+        crc ^= u32::from(b);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 { (crc >> 1) ^ 0x82F6_3B78 } else { crc >> 1 };
+        }
+    }
+    !crc
 }
 
 #[cfg(test)]

@@ -38,11 +38,12 @@
 
 use crate::node::Request;
 use crate::types::{ClientId, Epoch, LMode, StripeId, Tid};
+use ajx_gf::kernel::crc32c;
 use parking_lot::Mutex;
 use std::fs::{File, OpenOptions};
 use std::io::{Read as _, Seek, SeekFrom, Write as _};
 use std::path::{Path, PathBuf};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 /// Which persistence backend a node (or a whole network of nodes) uses.
@@ -164,14 +165,29 @@ impl Persistence for InMemoryPersistence {
 }
 
 /// File-backed write-ahead log. Records are framed
-/// `[len: u32][crc32: u32][payload]`, little-endian, CRC over the
-/// payload; replay stops at the first frame that is incomplete or fails
-/// its CRC and truncates the file there (torn-tail recovery).
+/// `[len: u32][crc: u32][payload]`, little-endian, CRC-32C
+/// ([`ajx_gf::kernel::crc32c`]) over the payload; replay stops at the
+/// first frame that is incomplete or fails its CRC and truncates the file
+/// there (torn-tail recovery).
 #[derive(Debug)]
 pub struct WalBackend {
     path: PathBuf,
     inner: Mutex<WalInner>,
+    /// A power failure tripped; the node is off until `replay`. Written
+    /// only while `inner` is locked, read without it: the transport asks
+    /// after every request, reads included, and must not queue behind a
+    /// commit's fsync to be answered.
+    tripped: AtomicBool,
 }
+
+/// Bytes of frame header, `[len: u32][crc: u32]`.
+const FRAME_HEADER: usize = 8;
+
+/// Group-commit buffer capacity kept from one commit to the next. Sized
+/// for the deferred policy, whose buffer holds everything appended between
+/// two flushes: regrowing tens of megabytes after each one (doubling
+/// copies, fresh pages) costs more per append than the checksum does.
+const RETAINED_BUF_CAPACITY: usize = 64 << 20;
 
 #[derive(Debug)]
 struct WalInner {
@@ -182,8 +198,6 @@ struct WalInner {
     durable_len: u64,
     /// Armed power-failure byte offset, if any.
     armed: Option<u64>,
-    /// A power failure tripped; the node is off until `replay`.
-    tripped: bool,
     fsyncs: u64,
     records: u64,
 }
@@ -213,10 +227,10 @@ impl WalBackend {
                 buf: Vec::new(),
                 durable_len: 0,
                 armed: None,
-                tripped: false,
                 fsyncs: 0,
                 records: 0,
             }),
+            tripped: AtomicBool::new(false),
         }
     }
 
@@ -233,63 +247,74 @@ impl Persistence for WalBackend {
 
     fn append(&self, rec: WalRecordRef<'_>) {
         let mut inner = self.inner.lock();
-        if inner.tripped {
+        if self.tripped() {
             // The machine is off: nothing further reaches the journal.
             return;
         }
-        let payload = encode_record(rec);
-        let mut frame = Vec::with_capacity(8 + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
-        inner.buf.extend_from_slice(&frame);
+        // One pass: the record is encoded where it will be written from,
+        // behind a header that is filled in once the payload exists.
+        let frame_at = inner.buf.len();
+        inner.buf.extend_from_slice(&[0; FRAME_HEADER]);
+        encode_record(&mut inner.buf, rec);
+        let frame = inner.buf.get_mut(frame_at..).unwrap_or_default();
+        let Some((header, payload)) = frame.split_at_mut_checked(FRAME_HEADER) else {
+            return;
+        };
+        let (len, crc) = header.split_at_mut(4);
+        len.copy_from_slice(&(payload.len() as u32).to_le_bytes());
+        crc.copy_from_slice(&crc32c(payload).to_le_bytes());
         inner.records += 1;
     }
 
     fn commit(&self) -> bool {
-        let mut inner = self.inner.lock();
-        if inner.tripped {
+        let mut guard = self.inner.lock();
+        if self.tripped() {
             return false;
         }
+        let inner = &mut *guard;
         if inner.buf.is_empty() {
             // Nothing mutated since the last commit: no fsync charged —
             // reads are free on the write-ahead path.
             return true;
         }
-        let pending = std::mem::take(&mut inner.buf);
+        let pending = inner.buf.len() as u64;
         if let Some(offset) = inner.armed {
-            let end = inner.durable_len + pending.len() as u64;
-            if end >= offset {
+            if inner.durable_len + pending >= offset {
                 // Power dies mid-write: bytes before the armed offset
                 // land (unsynced writes often do), the rest — possibly a
                 // torn half-record — never reaches the platter, and the
                 // machine is off.
-                let keep = ((offset.saturating_sub(inner.durable_len)) as usize).min(pending.len());
-                let (landed, _torn) = pending.split_at(keep);
+                let keep = offset.saturating_sub(inner.durable_len).min(pending) as usize;
+                let landed = inner.buf.get(..keep).unwrap_or_default();
                 // A write error here changes nothing: the machine is going
                 // down either way.
                 let _ = inner.file.write_all(landed);
                 let _ = inner.file.flush();
-                inner.tripped = true;
+                inner.buf.clear();
                 inner.armed = None;
+                self.tripped.store(true, Ordering::SeqCst);
                 return false;
             }
         }
-        if inner.file.write_all(&pending).is_err() || inner.file.sync_data().is_err() {
+        let landed = inner.file.write_all(&inner.buf).is_ok() && inner.file.sync_data().is_ok();
+        // Emptied, not dropped: the next round of appends reuses it.
+        inner.buf.clear();
+        inner.buf.shrink_to(RETAINED_BUF_CAPACITY);
+        if !landed {
             // A real media error is indistinguishable from power loss at
             // the protocol level: trip the backend so the node presents as
             // off (§3.5 recovery replaces it) instead of panicking inside
             // a request.
-            inner.tripped = true;
+            self.tripped.store(true, Ordering::SeqCst);
             return false;
         }
-        inner.durable_len += pending.len() as u64;
+        inner.durable_len += pending;
         inner.fsyncs += 1;
         true
     }
 
     fn tripped(&self) -> bool {
-        self.inner.lock().tripped
+        self.tripped.load(Ordering::SeqCst)
     }
 
     fn power_fail_at(&self, offset: u64) {
@@ -309,22 +334,15 @@ impl Persistence for WalBackend {
         if inner.file.read_to_end(&mut bytes).is_err() {
             return None;
         }
-        let mut records = Vec::new();
-        let mut at = 0usize;
-        // `decode_frame` returns None on a torn tail, a CRC mismatch, or an
-        // undecodable payload: all three end the usable prefix of the log.
-        while let Some((rec, next)) = decode_frame(&bytes, at) {
-            records.push(rec);
-            at = next;
-        }
+        let (records, at) = decode_journal(&bytes);
         // Truncate the torn tail so future appends extend a clean log.
         if inner.file.set_len(at as u64).is_err() || inner.file.seek(SeekFrom::End(0)).is_err() {
             return None;
         }
         inner.durable_len = at as u64;
         inner.records = records.len() as u64;
-        inner.tripped = false;
         inner.armed = None;
+        self.tripped.store(false, Ordering::SeqCst);
         Some(records)
     }
 
@@ -336,14 +354,14 @@ impl Persistence for WalBackend {
             || inner.file.seek(SeekFrom::Start(0)).is_err()
             || inner.file.sync_data().is_err()
         {
-            inner.tripped = true;
+            self.tripped.store(true, Ordering::SeqCst);
             return;
         }
         inner.buf.clear();
         inner.durable_len = 0;
         inner.records = 0;
-        inner.tripped = false;
         inner.armed = None;
+        self.tripped.store(false, Ordering::SeqCst);
     }
 
     fn stats(&self) -> PersistStats {
@@ -390,22 +408,32 @@ fn scratch_under(base: PathBuf, tag: &str) -> PathBuf {
     dir
 }
 
+/// Decodes a journal image from its start: the records of the usable
+/// prefix and that prefix's length. `decode_frame` returns `None` on a torn
+/// tail, a CRC mismatch, or an undecodable payload; all three end it.
+fn decode_journal(bytes: &[u8]) -> (Vec<WalRecord>, usize) {
+    let mut records = Vec::new();
+    let mut at = 0usize;
+    while let Some((rec, next)) = decode_frame(bytes, at) {
+        records.push(rec);
+        at = next;
+    }
+    (records, at)
+}
+
 /// Decodes the frame starting at byte `at` of the journal image. Returns
 /// the record and the offset of the next frame, or `None` if the bytes
 /// from `at` on are not one complete, CRC-valid, decodable frame — which
 /// ends the usable prefix of the log (torn-tail recovery).
 fn decode_frame(bytes: &[u8], at: usize) -> Option<(WalRecord, usize)> {
-    let header = bytes.get(at..at.checked_add(8)?)?;
-    let (len_bytes, crc_bytes) = header.split_at(4);
-    let len = u32::from_le_bytes(len_bytes.try_into().ok()?) as usize;
-    let crc = u32::from_le_bytes(crc_bytes.try_into().ok()?);
-    let start = at.checked_add(8)?;
-    let payload = bytes.get(start..start.checked_add(len)?)?;
-    if crc32(payload) != crc {
+    let mut frame = Cursor { bytes, at };
+    let len = frame.u32()? as usize;
+    let crc = frame.u32()?;
+    let payload = frame.take(len)?;
+    if crc32c(payload) != crc {
         return None; // torn or corrupt frame
     }
-    let rec = decode_record(payload)?;
-    Some((rec, start + len))
+    Some((decode_record(payload)?, frame.at))
 }
 
 /// Wraps `mode` into a backend for node `node_id`. Returns the default
@@ -417,40 +445,6 @@ pub fn backend_for(mode: &PersistMode, node_id: u32) -> Arc<dyn Persistence> {
             Arc::new(WalBackend::create(dir.join(format!("node-{node_id}.wal"))))
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3, the zlib polynomial), table built at compile time.
-
-const fn crc_table() -> [u32; 256] {
-    let mut table = [0u32; 256];
-    let mut i = 0;
-    while i < 256 {
-        let mut c = i as u32;
-        let mut bit = 0;
-        while bit < 8 {
-            c = if c & 1 != 0 { 0xEDB8_8320 ^ (c >> 1) } else { c >> 1 };
-            bit += 1;
-        }
-        // LINT-ALLOW(panic-free: const-evaluated at compile time — an
-        // out-of-bounds index here is a compile error, not a runtime panic;
-        // the loop bound keeps i < 256)
-        table[i] = c;
-        i += 1;
-    }
-    table
-}
-
-static CRC_TABLE: [u32; 256] = crc_table();
-
-fn crc32(data: &[u8]) -> u32 {
-    let mut c = !0u32;
-    for &b in data {
-        // LINT-ALLOW(panic-free: the index is masked with 0xFF, so it is
-        // always below the table's 256 entries)
-        c = (c >> 8) ^ CRC_TABLE[((c ^ b as u32) & 0xFF) as usize];
-    }
-    !c
 }
 
 // ---------------------------------------------------------------------------
@@ -599,52 +593,76 @@ fn encode_request(out: &mut Vec<u8>, req: &Request) {
     }
 }
 
-fn encode_record(rec: WalRecordRef<'_>) -> Vec<u8> {
-    let mut out = Vec::new();
+/// Appends `rec`'s payload bytes to `out`.
+fn encode_record(out: &mut Vec<u8>, rec: WalRecordRef<'_>) {
     match rec {
         WalRecordRef::Apply(req) => {
             out.push(0);
-            encode_request(&mut out, req);
+            encode_request(out, req);
         }
         WalRecordRef::ClientFailure(c) => {
             out.push(1);
-            put_u32(&mut out, c.0);
+            put_u32(out, c.0);
         }
         WalRecordRef::FailRemap(g) => {
             out.push(2);
             out.push(g);
         }
     }
-    out
 }
 
 /// Byte cursor for decoding; every getter returns `None` past the end.
+/// What it reads came off a disk: lengths and counts are checked against
+/// the bytes that remain before anything is sized from them.
 struct Cursor<'a> {
     bytes: &'a [u8],
     at: usize,
 }
 
+/// Encoded sizes of the smallest list items, for [`Cursor::list`].
+const INDEX_BYTES: usize = 8;
+const TID_BYTES: usize = 8 + 8 + 4;
+/// The smallest request is an empty `Batch`: its tag and a zero count.
+const MIN_REQUEST_BYTES: usize = 1 + 4;
+
 impl<'a> Cursor<'a> {
-    fn u8(&mut self) -> Option<u8> {
-        let v = *self.bytes.get(self.at)?;
-        self.at += 1;
+    fn take(&mut self, len: usize) -> Option<&'a [u8]> {
+        let end = self.at.checked_add(len)?;
+        let v = self.bytes.get(self.at..end)?;
+        self.at = end;
         Some(v)
+    }
+    fn u8(&mut self) -> Option<u8> {
+        self.take(1)?.first().copied()
     }
     fn u32(&mut self) -> Option<u32> {
-        let v = u32::from_le_bytes(self.bytes.get(self.at..self.at + 4)?.try_into().ok()?);
-        self.at += 4;
-        Some(v)
+        Some(u32::from_le_bytes(self.take(4)?.try_into().ok()?))
     }
     fn u64(&mut self) -> Option<u64> {
-        let v = u64::from_le_bytes(self.bytes.get(self.at..self.at + 8)?.try_into().ok()?);
-        self.at += 8;
-        Some(v)
+        Some(u64::from_le_bytes(self.take(8)?.try_into().ok()?))
     }
     fn bytes(&mut self) -> Option<Vec<u8>> {
         let len = self.u32()? as usize;
-        let v = self.bytes.get(self.at..self.at + len)?.to_vec();
-        self.at += len;
-        Some(v)
+        Some(self.take(len)?.to_vec())
+    }
+    /// A `u32` count, then that many items of at least `min_item_bytes`
+    /// each. A count the remaining bytes cannot hold is rejected before
+    /// the vector is allocated.
+    fn list<T>(
+        &mut self,
+        min_item_bytes: usize,
+        mut item: impl FnMut(&mut Self) -> Option<T>,
+    ) -> Option<Vec<T>> {
+        let n = self.u32()? as usize;
+        let remaining = self.bytes.len().saturating_sub(self.at);
+        if n.checked_mul(min_item_bytes)? > remaining {
+            return None;
+        }
+        let mut items = Vec::with_capacity(n);
+        for _ in 0..n {
+            items.push(item(self)?);
+        }
+        Some(items)
     }
     fn tid(&mut self) -> Option<Tid> {
         let seq = self.u64()?;
@@ -711,46 +729,25 @@ fn decode_request(c: &mut Cursor<'_>) -> Option<Request> {
             lm: c.lmode()?,
             caller: ClientId(c.u32()?),
         },
-        8 => {
-            let stripe = StripeId(c.u64()?);
-            let n = c.u32()? as usize;
-            let mut cset = Vec::with_capacity(n);
-            for _ in 0..n {
-                cset.push(c.u64()? as usize);
-            }
-            Request::Reconstruct { stripe, cset, block: c.bytes()? }
-        }
+        8 => Request::Reconstruct {
+            stripe: StripeId(c.u64()?),
+            cset: c.list(INDEX_BYTES, |c| Some(c.u64()? as usize))?,
+            block: c.bytes()?,
+        },
         9 => Request::Finalize {
             stripe: StripeId(c.u64()?),
             epoch: Epoch(c.u64()?),
         },
-        10 => {
-            let stripe = StripeId(c.u64()?);
-            let n = c.u32()? as usize;
-            let mut tids = Vec::with_capacity(n);
-            for _ in 0..n {
-                tids.push(c.tid()?);
-            }
-            Request::GcOld { stripe, tids }
-        }
-        11 => {
-            let stripe = StripeId(c.u64()?);
-            let n = c.u32()? as usize;
-            let mut tids = Vec::with_capacity(n);
-            for _ in 0..n {
-                tids.push(c.tid()?);
-            }
-            Request::GcRecent { stripe, tids }
-        }
+        10 => Request::GcOld {
+            stripe: StripeId(c.u64()?),
+            tids: c.list(TID_BYTES, Cursor::tid)?,
+        },
+        11 => Request::GcRecent {
+            stripe: StripeId(c.u64()?),
+            tids: c.list(TID_BYTES, Cursor::tid)?,
+        },
         12 => Request::Probe { stripe: StripeId(c.u64()?) },
-        13 => {
-            let n = c.u32()? as usize;
-            let mut members = Vec::with_capacity(n);
-            for _ in 0..n {
-                members.push(decode_request(c)?);
-            }
-            Request::Batch(members)
-        }
+        13 => Request::Batch(c.list(MIN_REQUEST_BYTES, decode_request)?),
         14 => Request::GetMeta { stripe: StripeId(c.u64()?) },
         _ => return None,
     })
@@ -829,19 +826,33 @@ mod tests {
         ]
     }
 
+    fn encoded(rec: WalRecordRef<'_>) -> Vec<u8> {
+        let mut payload = Vec::new();
+        encode_record(&mut payload, rec);
+        payload
+    }
+
+    /// A checksum-valid frame around `payload`, as `append` lays it out.
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = (payload.len() as u32).to_le_bytes().to_vec();
+        frame.extend_from_slice(&crc32c(payload).to_le_bytes());
+        frame.extend_from_slice(payload);
+        frame
+    }
+
     #[test]
     fn codec_round_trips_every_request_shape() {
         for req in sample_requests() {
-            let payload = encode_record(WalRecordRef::Apply(&req));
+            let payload = encoded(WalRecordRef::Apply(&req));
             assert_eq!(
                 decode_record(&payload),
                 Some(WalRecord::Apply(req.clone())),
                 "round trip failed for {req:?}"
             );
         }
-        let payload = encode_record(WalRecordRef::ClientFailure(ClientId(3)));
+        let payload = encoded(WalRecordRef::ClientFailure(ClientId(3)));
         assert_eq!(decode_record(&payload), Some(WalRecord::ClientFailure(ClientId(3))));
-        let payload = encode_record(WalRecordRef::FailRemap(0xA5));
+        let payload = encoded(WalRecordRef::FailRemap(0xA5));
         assert_eq!(decode_record(&payload), Some(WalRecord::FailRemap(0xA5)));
     }
 
@@ -852,13 +863,169 @@ mod tests {
             value: vec![1, 2, 3],
             ntid: Tid::new(9, 2, ClientId(4)),
         };
-        let payload = encode_record(WalRecordRef::Apply(&req));
+        let payload = encoded(WalRecordRef::Apply(&req));
         for cut in 0..payload.len() {
             assert_eq!(decode_record(&payload[..cut]), None, "accepted a {cut}-byte prefix");
         }
         let mut padded = payload.clone();
         padded.push(0);
         assert_eq!(decode_record(&padded), None, "accepted trailing garbage");
+    }
+
+    /// The frame layout is pinned: seeded power-loss offsets are byte
+    /// offsets into the journal, so a frame that changed size would move
+    /// every tear. Lengths are header + payload for `sample_requests()`, in
+    /// order, as the pre-CRC-32C journal wrote them.
+    #[test]
+    fn frame_lengths_match_the_golden_table() {
+        const GOLDEN: [usize; 15] = [18, 45, 92, 58, 23, 23, 18, 23, 58, 26, 42, 22, 18, 18, 37];
+        let dir = scratch_dir("unit");
+        let wal = WalBackend::create(dir.join("a.wal"));
+        let mut lens = Vec::new();
+        for req in sample_requests() {
+            wal.append(WalRecordRef::Apply(&req));
+            let before = wal.stats().durable_bytes;
+            assert!(wal.commit());
+            lens.push((wal.stats().durable_bytes - before) as usize);
+            // The frame is exactly header + the codec's payload bytes.
+            assert_eq!(lens.last(), Some(&(FRAME_HEADER + encoded(WalRecordRef::Apply(&req)).len())));
+        }
+        assert_eq!(lens, GOLDEN);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A count or length read off the disk is bounded by the bytes behind
+    /// it before anything is allocated: a checksum-valid frame claiming
+    /// `u32::MAX` items is rejected, not handed to `Vec::with_capacity`.
+    #[test]
+    fn checksum_valid_frames_with_absurd_counts_are_rejected() {
+        let stripe = 7u64.to_le_bytes();
+        let max = u32::MAX.to_le_bytes();
+        // Record tag 0 (Apply), request tag, then the fields up to the
+        // count; 64 filler bytes stand in for "some items".
+        let prefixes: [(&str, Vec<u8>); 5] = [
+            ("Reconstruct.cset", [&[0, 8][..], &stripe].concat()),
+            ("GcOld.tids", [&[0, 10][..], &stripe].concat()),
+            ("GcRecent.tids", [&[0, 11][..], &stripe].concat()),
+            ("Batch.members", vec![0, 13]),
+            ("Swap.value", [&[0, 1][..], &stripe].concat()),
+        ];
+        for (what, prefix) in prefixes {
+            let payload = [&prefix[..], &max, &[0u8; 64]].concat();
+            assert_eq!(decode_frame(&framed(&payload), 0), None, "{what}");
+        }
+        // The largest count the remaining bytes could hold still has to
+        // decode item by item: 12 claimed indices, 8 present.
+        let payload = [&[0, 8][..], &stripe, &12u32.to_le_bytes(), &[0u8; 96]].concat();
+        assert_eq!(decode_frame(&framed(&payload), 0), None);
+        // Offsets near the end of the address space do not wrap.
+        assert_eq!(decode_frame(&[0u8; 16], usize::MAX - 3), None);
+    }
+
+    /// Three small records around one 64 KiB+ batch, every way a journal
+    /// can be damaged at one point: replay keeps exactly the frames that
+    /// end before the damage and truncates the file there.
+    #[test]
+    fn replay_stops_exactly_at_the_damage() {
+        let block = |tag: u8| (0..4096u32).map(|i| (i as u8).wrapping_mul(tag)).collect::<Vec<u8>>();
+        let add = |s: u64| Request::Add {
+            stripe: StripeId(s),
+            delta: block(s as u8 + 3),
+            ntid: Tid::new(s + 1, 0, ClientId(1)),
+            otid: None,
+            epoch: Epoch(1),
+            scale: None,
+        };
+        let records = [
+            WalRecord::Apply(Request::Swap {
+                stripe: StripeId(1),
+                value: vec![0xA5; 24],
+                ntid: Tid::new(1, 0, ClientId(2)),
+            }),
+            WalRecord::ClientFailure(ClientId(2)),
+            WalRecord::Apply(Request::Batch((0..17).map(add).collect())),
+            WalRecord::Apply(Request::Finalize { stripe: StripeId(1), epoch: Epoch(2) }),
+        ];
+        let dir = scratch_dir("unit");
+        let wal = WalBackend::create(dir.join("a.wal"));
+        let mut ends = Vec::new();
+        for rec in &records {
+            wal.append(match rec {
+                WalRecord::Apply(req) => WalRecordRef::Apply(req),
+                WalRecord::ClientFailure(c) => WalRecordRef::ClientFailure(*c),
+                WalRecord::FailRemap(g) => WalRecordRef::FailRemap(*g),
+            });
+            assert!(wal.commit());
+            ends.push(wal.stats().durable_bytes as usize);
+        }
+        let image = std::fs::read(wal.path()).unwrap();
+        assert_eq!(image.len(), ends[3]);
+        assert!(ends[2] - ends[1] >= 64 * 1024, "the batch frame is {} bytes", ends[2] - ends[1]);
+        // What survives damage at byte `at`: the frames that end at or
+        // before it, and the journal is clean up to the last of them.
+        let survivors = |at: usize| {
+            let n = ends.iter().take_while(|&&e| e <= at).count();
+            (n, n.checked_sub(1).map_or(0, |last| ends[last]))
+        };
+
+        // Cut at every byte.
+        for cut in 0..=image.len() {
+            let (n, clean) = survivors(cut);
+            assert_eq!(decode_journal(&image[..cut]), (records[..n].to_vec(), clean), "cut at {cut}");
+        }
+        // Flip every bit of the two frames before the batch and of the
+        // batch frame's header, and one bit in each 509 bytes of its
+        // payload (every bit would checksum 64 KiB half a million times).
+        let mut flips: Vec<usize> = (0..(ends[1] + FRAME_HEADER) * 8).collect();
+        flips.extend((ends[1] + FRAME_HEADER..ends[2]).step_by(509).map(|byte| byte * 8 + byte % 8));
+        let mut damaged = image.clone();
+        for bit in flips {
+            damaged[bit / 8] ^= 1 << (bit % 8);
+            let (n, clean) = survivors(bit / 8);
+            assert_eq!(decode_journal(&damaged), (records[..n].to_vec(), clean), "bit {bit}");
+            damaged[bit / 8] ^= 1 << (bit % 8);
+        }
+        // The same through the file: replay truncates at the damage.
+        for cut in [ends[2] + 1, ends[1] + 40_000, ends[0] - 1] {
+            let (n, clean) = survivors(cut);
+            std::fs::write(wal.path(), &image[..cut]).unwrap();
+            assert_eq!(wal.replay().unwrap(), records[..n], "file cut at {cut}");
+            assert_eq!(std::fs::metadata(wal.path()).unwrap().len(), clean as u64);
+            assert_eq!(wal.stats().durable_bytes, clean as u64);
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn commit_buffer_is_reused_and_its_retained_capacity_is_bounded() {
+        let dir = scratch_dir("unit");
+        let wal = WalBackend::create(dir.join("a.wal"));
+        let swap = |s: u64, len: usize| Request::Swap {
+            stripe: StripeId(s),
+            value: vec![s as u8; len],
+            ntid: Tid::new(s + 1, 0, ClientId(1)),
+        };
+        let buf = |wal: &WalBackend| {
+            let inner = wal.inner.lock();
+            (inner.buf.len(), inner.buf.capacity())
+        };
+        wal.append(WalRecordRef::Apply(&swap(0, 4096)));
+        assert!(wal.commit());
+        let (len, kept) = buf(&wal);
+        assert_eq!(len, 0);
+        assert!(kept >= 4096, "commit dropped the buffer (capacity {kept})");
+        // The second round fits the kept allocation and does not grow it.
+        wal.append(WalRecordRef::Apply(&swap(1, 4096)));
+        assert!(wal.commit());
+        assert_eq!(buf(&wal), (0, kept));
+        // A buffer that grew past the bound gives the excess back (grown
+        // here by reservation: untouched pages cost nothing).
+        wal.inner.lock().buf.reserve(RETAINED_BUF_CAPACITY + 4096);
+        wal.append(WalRecordRef::Apply(&swap(2, 4096)));
+        assert!(wal.commit());
+        assert_eq!(buf(&wal), (0, RETAINED_BUF_CAPACITY));
+        assert_eq!(wal.replay().unwrap(), [0, 1, 2].map(|s| WalRecord::Apply(swap(s, 4096))));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

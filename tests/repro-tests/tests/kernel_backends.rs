@@ -3,7 +3,9 @@
 //! Every backend the running CPU supports must compute exactly what the
 //! textbook shift-and-add field does, on random inputs including unaligned
 //! lengths, and the erasure code built on top must round-trip under
-//! whichever backend is active. `tools/kernel_matrix.sh` re-runs this file
+//! whichever backend is active. The CRC-32C checksum kernel that shares the
+//! engine's tier selection is held to its bit-at-a-time definition the
+//! same way. `tools/kernel_matrix.sh` re-runs this file
 //! once per backend with the `GF_BACKEND` override set, so the dispatched
 //! paths here are exercised on every tier, not just the widest one.
 
@@ -50,6 +52,22 @@ fn dispatch_equals_explicit_active_backend() {
     assert_eq!(via_dispatch, via_explicit);
 }
 
+/// The checksum's tier follows `GF_BACKEND`: a portable GF backend pins
+/// the portable checksum, so the matrix run covers both tiers through the
+/// dispatching entry point the WAL calls.
+#[test]
+fn crc32c_tier_follows_env_override_and_known_answers_hold() {
+    let tier = kernel::active_crc32c_tier();
+    assert!(kernel::available_crc32c_tiers().contains(&tier));
+    if matches!(kernel::active_backend(), kernel::Backend::Scalar | kernel::Backend::Swar) {
+        assert_eq!(tier, kernel::Crc32cTier::Portable);
+    }
+    // The CRC catalogue's check value, then RFC 3720 B.4.
+    assert_eq!(kernel::crc32c(b"123456789"), 0xE306_9283);
+    assert_eq!(kernel::crc32c(&[0x00; 32]), 0x8A91_36AA);
+    assert_eq!(kernel::crc32c(&[0xFF; 32]), 0x62A8_AB43);
+}
+
 fn oracle_mul_add(dst: &mut [u8], c: u8, src: &[u8]) {
     for (d, &s) in dst.iter_mut().zip(src) {
         *d ^= textbook::mul(c, s);
@@ -93,6 +111,28 @@ proptest! {
                 .map(|(&a, &b)| textbook::mul(c, a ^ b))
                 .collect();
             prop_assert_eq!(&delta, &expect_delta, "delta mismatch on {}", backend.name());
+        }
+    }
+
+    /// Every checksum tier, and the dispatching entry point, equal the
+    /// bit-at-a-time definition at every length up to 1 KiB and all eight
+    /// start alignments.
+    #[test]
+    fn crc32c_tiers_match_bitwise_reference(
+        len in 0usize..=1024,
+        seed in proptest::arbitrary::any::<u64>(),
+    ) {
+        let buf: Vec<u8> = (0..len + 8).map(|i| (seed >> (i % 57)) as u8 ^ (i as u8)).collect();
+        for align in 0..8 {
+            let data = &buf[align..align + len];
+            let expect = textbook::crc32c(data);
+            prop_assert_eq!(kernel::crc32c(data), expect, "dispatch, len {} align {}", len, align);
+            for tier in kernel::available_crc32c_tiers() {
+                prop_assert_eq!(
+                    kernel::crc32c_with(tier, data), expect,
+                    "{}, len {} align {}", tier.name(), len, align
+                );
+            }
         }
     }
 

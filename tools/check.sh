@@ -4,14 +4,15 @@
 # suite, a seeded chaos smoke run, the seeded power-loss smoke (three
 # seeds, both flush policies, byte-identical traces), the GF(2^8) +
 # GF(2^16) kernel backend matrix (per-backend test runs +
-# BENCH_kernels.json, re-asserting the wide-kernel AVX2 floor), the
+# BENCH_kernels.json, re-asserting the wide-kernel AVX2 floor and the
+# CRC-32C SSE4.2 floor), the
 # batched data-path throughput smoke, the degraded-read/rebuild smoke
 # (asserts the >=4x rebuild speedup and zero-lock degraded reads
 # internally), the many-client scale-out smoke (asserts 1k-client IOPS
 # >= 5x the 8-client figure with zero failed ops), the durability
 # smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
-# benchmark's contract (benchmark/ builds offline and its codec workload
-# runs correct with zero failed operations).
+# benchmark's contract (benchmark/ builds offline and its codec and
+# durable_write workloads run correct with zero failed operations).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -75,6 +76,20 @@ else
   echo "no AVX2 on this host; floor skip recorded in the artifact"
 fi
 
+echo "== CRC-32C SSE4.2 kernel floor (from BENCH_kernels.json) =="
+# Same shape as the AVX2 floor above: asserted in-process by
+# kernel_matrix, re-asserted here from the artifact, explicit skip marker
+# on hosts without the instruction.
+if ./target/release/kernel_matrix --list-crc32c | grep -q '^sse4.2$'; then
+  grep -q '"sse42_floor_pass":true' BENCH_kernels.json \
+    || { echo "CRC-32C floor violated (SSE4.2 crc32c < 3x portable slicing-by-8 at 4 KiB)"; exit 1; }
+  echo "CRC-32C kernel floor holds (SSE4.2 >= 3x portable at 4 KiB)"
+else
+  grep -q '"sse42_floor_skipped"' BENCH_kernels.json \
+    || { echo "BENCH_kernels.json missing the sse4.2 floor verdict"; exit 1; }
+  echo "no SSE4.2 on this host; floor skip recorded in the artifact"
+fi
+
 echo "== batched data path (ext_seq_throughput --smoke) =="
 cargo run --release -p ajx-bench --bin ext_seq_throughput -- --smoke \
   > BENCH_datapath.smoke.json
@@ -114,18 +129,22 @@ grep -q '"recovery_floor_pass": true' BENCH_durability.smoke.json \
   || { echo "durability floor violated (WAL recovery not faster than rebuild)"; exit 1; }
 echo "durability floor holds (restart-with-disk beats wipe-and-rebuild)"
 
-echo "== benchmark contract (benchmark/run.sh, codec workload) =="
+echo "== benchmark contract (benchmark/run.sh, codec and durable_write workloads) =="
 # BENCHMARK.json's driver calls benchmark/run.sh, which builds benchmark/
 # offline into .bench_build and prints the run's JSON result as the last
-# stdout line. A short codec run — the one workload that drives both
-# fields of the erasure engine end to end — must build, exit 0, decode
-# every stripe correctly and fail no operation.
-bench_result=$(bash benchmark/run.sh --workload codec --seed 1 --slices 2 --trace 0 | tail -n 1)
-echo "$bench_result"
-case "$bench_result" in
-  *'"correct": true'*'"failed": 0,'*) echo "benchmark contract holds" ;;
-  *) echo "benchmark contract violated (codec run incorrect or with failed operations)"; exit 1 ;;
-esac
+# stdout line. Two short runs must build, exit 0, produce correct output
+# and fail no operation: codec, the one workload that drives both fields
+# of the erasure engine end to end, and durable_write, the one that goes
+# journal -> crash -> restart_with_disk -> a rebuild that must find
+# nothing to do.
+for workload in codec durable_write; do
+  bench_result=$(bash benchmark/run.sh --workload "$workload" --seed 1 --slices 2 --trace 0 | tail -n 1)
+  echo "$bench_result"
+  case "$bench_result" in
+    *'"correct": true'*'"failed": 0,'*) echo "benchmark contract holds ($workload)" ;;
+    *) echo "benchmark contract violated ($workload run incorrect or with failed operations)"; exit 1 ;;
+  esac
+done
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then

@@ -1,12 +1,14 @@
 #!/usr/bin/env bash
 # Kernel backend matrix: run the gf + erasure test suites once per kernel
 # tier this CPU supports (selected via the GF_BACKEND override, covering
-# both the GF(2^8) and GF(2^16) kernel families), smoke the byte- and
-# wide-field criterion benches, and write per-backend throughput numbers
-# for both fields to BENCH_kernels.json at the repo root. The kernel_matrix
-# binary asserts the GF(2^16) acceptance floor (AVX2 >= 4x the scalar
-# split-table tier at 4 KiB) while producing the artifact; tools/check.sh
-# re-asserts it from the committed JSON.
+# both the GF(2^8) and GF(2^16) kernel families, and the CRC-32C checksum
+# whose tier follows the same override), smoke the byte- and wide-field
+# criterion benches, and write per-backend throughput numbers for both
+# fields and the checksum to BENCH_kernels.json at the repo root. The
+# kernel_matrix binary asserts the GF(2^16) acceptance floor (AVX2 >= 4x
+# the scalar split-table tier at 4 KiB) and the CRC-32C one (SSE4.2 >= 3x
+# the portable tier at 4 KiB) while producing the artifact; tools/check.sh
+# re-asserts both from the committed JSON.
 #
 # Usage: tools/kernel_matrix.sh [--quick]
 #   --quick   cap property-test cases and bench iterations for a fast pass
