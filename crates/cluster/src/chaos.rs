@@ -165,6 +165,11 @@ pub struct ChaosReport {
     pub writes_indeterminate: u64,
     /// Nemesis events actually applied.
     pub nemesis_events: u64,
+    /// Garbage-collection cycles run (every `gc_every` rounds).
+    pub gc_cycles: u64,
+    /// Cycles among them that returned an error: some node's entries stayed
+    /// listed for a later cycle.
+    pub gc_aborted: u64,
     /// Stripes repaired by the final recovery sweep.
     pub recovered_stripes: usize,
     /// Total operations in the checked history.
@@ -426,7 +431,8 @@ pub fn run_chaos(cfg: ProtocolConfig, opts: &ChaosOptions) -> ChaosReport {
         if opts.gc_every != 0 && (round + 1) % opts.gc_every == 0 {
             // Busy/unreachable nodes are retried next cycle; an aborted
             // cycle keeps its bookkeeping (the satellite-1 guarantee).
-            let _ = cluster.client(0).collect_garbage();
+            report.gc_cycles += 1;
+            report.gc_aborted += u64::from(cluster.client(0).collect_garbage().is_err());
         }
         if opts.monitor_every != 0 && (round + 1) % opts.monitor_every == 0 {
             let stripes: Vec<StripeId> = touched

@@ -14,7 +14,7 @@ use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
 use crate::rebuild::RebuildReport;
 use crate::recovery::{recover, RecoveryOutcome};
-use crate::rpc::{call, call_many, expect_reply};
+use crate::rpc::{call, call_grouped, call_many, expect_reply};
 use crate::write::BlockWrite;
 use ajx_storage::{
     ClientId, LMode, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid,
@@ -23,6 +23,11 @@ use ajx_transport::{ClientEndpoint, RpcError};
 use parking_lot::Mutex;
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
+
+/// Most members one batched background message (a garbage-collection
+/// phase) carries: a node applies a batch under all of its members' shard
+/// locks, and foreground reads must not wait behind an unbounded one.
+const FANOUT_CHUNK: usize = 256;
 
 /// Garbage-collection bookkeeping (Fig. 7's client-side `gc[j]`/`old[j]`
 /// lists, keyed additionally by stripe since one client writes many
@@ -76,8 +81,12 @@ pub struct GcReport {
     pub moved_to_old: usize,
     /// Tids dropped from nodes' oldlists (phase 1).
     pub dropped: usize,
-    /// RPCs that found a node busy (locked/INIT) and were skipped.
+    /// `(stripe, index)` entries that found their block busy (locked/INIT)
+    /// and were kept for the next cycle.
     pub skipped_busy: usize,
+    /// Messages this cycle sent, both phases: at most one per storage node
+    /// per `FANOUT_CHUNK` entries, whatever the number of stripes.
+    pub messages: usize,
 }
 
 /// Summary of one monitoring sweep (§3.10).
@@ -302,50 +311,22 @@ impl Client {
     /// As [`Client::read_block`].
     pub fn read_blocks(&self, lbs: &[u64]) -> Result<Vec<Vec<u8>>, ProtocolError> {
         let mut out: Vec<Option<Vec<u8>>> = (0..lbs.len()).map(|_| None).collect();
-        let mut by_node: BTreeMap<NodeId, Vec<usize>> = BTreeMap::new();
-        for (x, &lb) in lbs.iter().enumerate() {
-            let pl = self.cfg.layout.locate(lb);
-            by_node
-                .entry(self.node_of(StripeId(pl.stripe), pl.index))
-                .or_default()
-                .push(x);
-        }
-        let stripe_of = |x: usize| StripeId(self.cfg.layout.locate(lbs[x]).stripe);
-        let calls: Vec<(NodeId, Request)> = by_node
+        let reads: Vec<(NodeId, (usize, StripeId))> = lbs
             .iter()
-            .map(|(&node, xs)| {
-                let req = if let [x] = xs[..] {
-                    Request::Read { stripe: stripe_of(x) }
-                } else {
-                    Request::Batch(
-                        xs.iter()
-                            .map(|&x| Request::Read { stripe: stripe_of(x) })
-                            .collect(),
-                    )
-                };
-                (node, req)
+            .enumerate()
+            .map(|(x, &lb)| {
+                let pl = self.cfg.layout.locate(lb);
+                let stripe = StripeId(pl.stripe);
+                (self.node_of(stripe, pl.index), (x, stripe))
             })
             .collect();
-        for ((_, xs), res) in by_node.iter().zip(call_many(&self.endpoint, &self.cfg, calls)) {
+        let read = |&(_, stripe): &(usize, StripeId)| Request::Read { stripe };
+        let (replies, _) = call_grouped(&self.endpoint, &self.cfg, reads, usize::MAX, read);
+        for ((x, _), res) in replies {
             // Any miss here — transport error, malformed or short reply,
             // busy or INIT node — is healed by the slow path below.
-            let Ok(reply) = res else { continue };
-            match (xs.len(), reply) {
-                (1, Reply::Read(r)) => {
-                    if let Some(v) = r.block {
-                        out[xs[0]] = Some(v);
-                    }
-                }
-                (m, Reply::Batch(rs)) if rs.len() == m => {
-                    for (&x, sub) in xs.iter().zip(rs) {
-                        if let Reply::Read(r) = sub {
-                            if let Some(v) = r.block {
-                                out[x] = Some(v);
-                            }
-                        }
-                    }
-                }
-                _ => {}
+            if let Ok(Reply::Read(r)) = res {
+                out[x] = r.block;
             }
         }
         lbs.iter()
@@ -871,95 +852,79 @@ impl Client {
         Ok(false)
     }
 
-    /// One garbage-collection cycle (Fig. 7's `collect_garbage` task).
+    /// One garbage-collection cycle (Fig. 7's `collect_garbage` task), in
+    /// O(nodes) messages (DESIGN.md §7.2).
     ///
     /// Phase 1 drops previously-moved tids from nodes' oldlists; phase 2
     /// moves this client's completed writes from recentlists to oldlists.
-    /// Nodes that are busy (locked or INIT) are skipped and retried next
-    /// cycle, matching the paper's `repeat ... until OK` with bounded
-    /// patience.
+    /// Each phase takes the whole list and sends every node one batch of
+    /// its entries per fan-out. Blocks that are busy (locked or INIT) are
+    /// skipped and retried next cycle, matching the paper's `repeat ...
+    /// until OK` with bounded patience.
     ///
     /// # Errors
     ///
-    /// Transport failures only; a busy node is not an error. Entries whose
-    /// RPC fails (or is still queued when one fails) stay in the client's
-    /// lists for the next cycle — an aborted cycle must never leak tids,
-    /// or the nodes' recent/old lists are never collected.
+    /// Transport failures only; a busy block is not an error. The first
+    /// error is returned after both phases have run: the entries of a node
+    /// whose message failed go back on their list for the next cycle — an
+    /// aborted cycle must never leak tids, or the nodes' recent/old lists
+    /// are never collected — and every other node's progress is kept.
     pub fn collect_garbage(&self) -> Result<GcReport, ProtocolError> {
         let mut report = GcReport::default();
-
-        // Phase 1: discard from oldlists. Each entry is removed from the
-        // bookkeeping only for the duration of its own RPC and restored on
-        // any failure, so an error aborts the cycle without losing state.
-        let old_keys: Vec<(StripeId, usize)> = self.gc.lock().old.keys().copied().collect();
-        for key @ (stripe, j) in old_keys {
-            let Some(tids) = self.gc.lock().old.remove(&key) else {
-                continue; // another cycle got here first
+        let mut first_err = None;
+        // Phase 1 before phase 2: an entry's `GcOld` follows its own
+        // successful `GcRecent` by a full cycle.
+        for drop_old in [true, false] {
+            let taken = {
+                let mut gc = self.gc.lock();
+                std::mem::take(if drop_old { &mut gc.old } else { &mut gc.pending })
             };
-            let reply = call(
-                &self.endpoint,
-                &self.cfg,
-                self.node_of(stripe, j),
-                Request::GcOld {
-                    stripe,
-                    tids: tids.clone(),
-                },
-            );
-            match reply {
-                Ok(Reply::Gc(true)) => report.dropped += tids.len(),
-                Ok(Reply::Gc(false)) => {
-                    report.skipped_busy += 1;
-                    self.gc.lock().old.entry(key).or_default().extend(tids);
+            let entries = taken
+                .into_iter()
+                .map(|(key @ (stripe, j), tids)| (self.node_of(stripe, j), (key, tids)))
+                .collect();
+            let member = |((stripe, _), tids): &((StripeId, usize), Vec<Tid>)| {
+                let (stripe, tids) = (*stripe, tids.clone());
+                if drop_old {
+                    Request::GcOld { stripe, tids }
+                } else {
+                    Request::GcRecent { stripe, tids }
                 }
-                Ok(other) => {
-                    self.gc.lock().old.entry(key).or_default().extend(tids);
-                    return Err(ProtocolError::unexpected("Reply::Gc", &other));
-                }
-                Err(e) => {
-                    self.gc.lock().old.entry(key).or_default().extend(tids);
-                    return Err(e);
-                }
+            };
+            let (replies, messages) =
+                call_grouped(&self.endpoint, &self.cfg, entries, FANOUT_CHUNK, member);
+            report.messages += messages;
+            let mut gc = self.gc.lock();
+            for ((key, tids), res) in replies {
+                // Only a dropped entry leaves the bookkeeping; a moved one
+                // graduates to the phase 1 list, anything else goes back
+                // where it came from.
+                let to_old = match res {
+                    Ok(Reply::Gc(true)) if drop_old => {
+                        report.dropped += tids.len();
+                        continue;
+                    }
+                    Ok(Reply::Gc(true)) => {
+                        report.moved_to_old += tids.len();
+                        true
+                    }
+                    Ok(Reply::Gc(false)) => {
+                        report.skipped_busy += 1;
+                        drop_old
+                    }
+                    other => {
+                        first_err.get_or_insert(other.map_or_else(
+                            |e| e,
+                            |r| ProtocolError::unexpected("Reply::Gc", &r),
+                        ));
+                        drop_old
+                    }
+                };
+                let list = if to_old { &mut gc.old } else { &mut gc.pending };
+                list.entry(key).or_default().extend(tids);
             }
         }
-
-        // Phase 2: move recent → old, with the same restore-on-failure
-        // discipline; successes graduate to the phase 1 list.
-        let pending_keys: Vec<(StripeId, usize)> =
-            self.gc.lock().pending.keys().copied().collect();
-        for key @ (stripe, j) in pending_keys {
-            let Some(tids) = self.gc.lock().pending.remove(&key) else {
-                continue;
-            };
-            let reply = call(
-                &self.endpoint,
-                &self.cfg,
-                self.node_of(stripe, j),
-                Request::GcRecent {
-                    stripe,
-                    tids: tids.clone(),
-                },
-            );
-            match reply {
-                Ok(Reply::Gc(true)) => {
-                    report.moved_to_old += tids.len();
-                    self.gc.lock().old.entry(key).or_default().extend(tids);
-                }
-                Ok(Reply::Gc(false)) => {
-                    // The move did not happen; retry phase 2 next cycle.
-                    report.skipped_busy += 1;
-                    self.gc.lock().pending.entry(key).or_default().extend(tids);
-                }
-                Ok(other) => {
-                    self.gc.lock().pending.entry(key).or_default().extend(tids);
-                    return Err(ProtocolError::unexpected("Reply::Gc", &other));
-                }
-                Err(e) => {
-                    self.gc.lock().pending.entry(key).or_default().extend(tids);
-                    return Err(e);
-                }
-            }
-        }
-        Ok(report)
+        first_err.map_or(Ok(report), Err)
     }
 
     /// The monitoring sweep of §3.10: probes every node of the given
@@ -1094,6 +1059,71 @@ mod tests {
         c.read_block(1).unwrap();
         while c.gc_backlog() > 0 {
             c.collect_garbage().unwrap();
+        }
+    }
+
+    #[test]
+    fn gc_cycle_keeps_the_progress_of_the_nodes_it_reached() {
+        let (net, c) = client_on_net(2, 4, false);
+        for lb in 0..8 {
+            c.write_block(lb, vec![lb as u8; 16]).unwrap();
+        }
+        assert_eq!(c.collect_garbage().unwrap().moved_to_old, 24);
+        c.write_block(0, vec![9; 16]).unwrap();
+        let victim = NodeId(0);
+        let on_victim = |list: &BTreeMap<(StripeId, usize), Vec<Tid>>| -> usize {
+            let there = |&(&(s, j), _): &(&(StripeId, usize), _)| c.node_of(s, j) == victim;
+            list.iter().filter(there).map(|(_, tids)| tids.len()).sum()
+        };
+        let (old_there, pending_there) = {
+            let gc = c.gc.lock();
+            (on_victim(&gc.old), on_victim(&gc.pending))
+        };
+        assert!(old_there > 0 && pending_there > 0, "both phases have work on the victim");
+
+        // Phase 1 drops every other node's entries, phase 2 moves every
+        // other node's; the victim's stay listed where they were.
+        net.crash_node(victim);
+        assert!(c.collect_garbage().is_err());
+        assert_eq!(c.gc_backlog(), 27 - (24 - old_there));
+        let gc = c.gc.lock();
+        assert_eq!(gc.old.values().map(Vec::len).sum::<usize>(), old_there + 3 - pending_there);
+        assert_eq!(gc.pending.values().map(Vec::len).sum::<usize>(), pending_there);
+        drop(gc);
+
+        // The replacement answers busy until its blocks are rebuilt; then
+        // the kept entries drain over the usual two cycles.
+        net.remap_node(victim, 0xA5);
+        c.rebuild_node(victim, 4).unwrap();
+        c.collect_garbage().unwrap();
+        c.collect_garbage().unwrap();
+        assert_eq!(c.gc_backlog(), 0);
+    }
+
+    #[test]
+    fn gc_cuts_a_nodes_entries_into_bounded_messages() {
+        // One write per stripe lists 3 entries per stripe, spread evenly
+        // by the rotating layout: more per node than one message carries.
+        let c = client(2, 4);
+        let stripes = FANOUT_CHUNK as u64 * 2;
+        for s in 0..stripes {
+            c.write_block(2 * s, vec![s as u8; 16]).unwrap();
+        }
+        let per_node = stripes as usize * 3 / 4;
+        let messages = 4 * per_node.div_ceil(FANOUT_CHUNK);
+        assert!(messages > 4);
+        let stats = c.endpoint().stats();
+        let sent = stats.snapshot().msgs_sent;
+        let r1 = c.collect_garbage().unwrap();
+        assert_eq!((r1.moved_to_old, r1.dropped, r1.messages), (3 * stripes as usize, 0, messages));
+        assert_eq!(stats.snapshot().msgs_sent - sent, messages as u64);
+        // GcOld reaches an entry only the cycle after its own GcRecent.
+        let r2 = c.collect_garbage().unwrap();
+        assert_eq!((r2.moved_to_old, r2.dropped, r2.messages), (0, 3 * stripes as usize, messages));
+        assert_eq!(c.gc_backlog(), 0);
+        let net = c.endpoint().network();
+        for node in 0..4 {
+            assert_eq!(net.with_node(NodeId(node), |n| n.metadata_bytes()), 22 * per_node);
         }
     }
 

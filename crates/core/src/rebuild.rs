@@ -31,7 +31,7 @@
 
 use crate::client::Client;
 use crate::error::ProtocolError;
-use crate::rpc::{call_many, expect_reply};
+use crate::rpc::{batch, call_many, expect_reply, unbatch};
 use ajx_storage::{Epoch, GetStateReply, LMode, NodeId, OpMode, Reply, Request, StripeId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -518,24 +518,4 @@ fn batched_calls(
         .iter()
         .map(|(node, xs)| (*node, batch(xs.iter().map(&mut req).collect())))
         .collect()
-}
-
-/// Collapses a singleton into a bare request (no batch framing on the wire).
-fn batch(mut reqs: Vec<Request>) -> Request {
-    if reqs.len() == 1 {
-        reqs.pop().expect("len checked")
-    } else {
-        Request::Batch(reqs)
-    }
-}
-
-/// Splits a reply back into per-member replies, mirroring [`batch`].
-fn unbatch(reply: Reply, members: usize) -> Result<Vec<Reply>, ProtocolError> {
-    if members == 1 {
-        return Ok(vec![reply]);
-    }
-    match reply {
-        Reply::Batch(rs) if rs.len() == members => Ok(rs),
-        other => Err(ProtocolError::unexpected("Reply::Batch", &other)),
-    }
 }

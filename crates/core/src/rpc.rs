@@ -6,6 +6,7 @@ use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use ajx_storage::{NodeId, Reply, Request};
 use ajx_transport::{ClientEndpoint, RpcError};
+use std::collections::BTreeMap;
 
 /// Issues `req`, transparently remapping a crashed node once (§3.5: "clients
 /// simply access some logical node, which gets remapped on failures") and
@@ -94,6 +95,69 @@ pub(crate) fn call_many(
             Err(e) => Err(ProtocolError::from(e)),
         })
         .collect()
+}
+
+/// Collapses a singleton into a bare request (no batch framing on the wire).
+pub(crate) fn batch(mut reqs: Vec<Request>) -> Request {
+    if reqs.len() == 1 {
+        reqs.pop().expect("len checked")
+    } else {
+        Request::Batch(reqs)
+    }
+}
+
+/// Splits a reply back into per-member replies, mirroring [`batch`].
+pub(crate) fn unbatch(reply: Reply, members: usize) -> Result<Vec<Reply>, ProtocolError> {
+    if members == 1 {
+        return Ok(vec![reply]);
+    }
+    match reply {
+        Reply::Batch(rs) if rs.len() == members => Ok(rs),
+        other => Err(ProtocolError::unexpected("Reply::Batch", &other)),
+    }
+}
+
+/// Batched fan-out: groups `items` by target node (ascending, so the wire
+/// order is deterministic) and sends each node one message per
+/// [`call_many`] round — the [`batch`] of `req(item)` for its next `chunk`
+/// items — until every node's group is sent, so a node's shard locks are
+/// never held for more than `chunk` members at a time. Returns each item
+/// with its own member's reply, and the number of messages issued. A
+/// failed message fails all of its node's members, unsent ones included:
+/// the node just showed it is unreachable, and the other nodes carry on.
+pub(crate) fn call_grouped<T>(
+    endpoint: &ClientEndpoint,
+    cfg: &ProtocolConfig,
+    items: Vec<(NodeId, T)>,
+    chunk: usize,
+    req: impl Fn(&T) -> Request,
+) -> (Vec<(T, Result<Reply, ProtocolError>)>, usize) {
+    let mut by_node: BTreeMap<NodeId, Vec<T>> = BTreeMap::new();
+    for (node, item) in items {
+        by_node.entry(node).or_default().push(item);
+    }
+    let mut rest: Vec<(NodeId, std::vec::IntoIter<T>)> =
+        by_node.into_iter().map(|(node, group)| (node, group.into_iter())).collect();
+    let (mut out, mut messages) = (Vec::new(), 0);
+    while !rest.is_empty() {
+        let round: Vec<Vec<T>> =
+            rest.iter_mut().map(|(_, group)| group.by_ref().take(chunk).collect()).collect();
+        let calls = rest
+            .iter()
+            .zip(&round)
+            .map(|((node, _), members)| (*node, batch(members.iter().map(&req).collect())))
+            .collect();
+        messages += round.len();
+        let replies = call_many(endpoint, cfg, calls);
+        for ((members, res), (_, unsent)) in round.into_iter().zip(replies).zip(&mut rest) {
+            match res.and_then(|reply| unbatch(reply, members.len())) {
+                Ok(rs) => out.extend(members.into_iter().zip(rs.into_iter().map(Ok))),
+                Err(e) => out.extend(members.into_iter().chain(unsent).map(|m| (m, Err(e.clone())))),
+            }
+        }
+        rest.retain(|(_, group)| !group.as_slice().is_empty());
+    }
+    (out, messages)
 }
 
 /// Unwraps a reply variant; a cross-variant mismatch returns

@@ -60,9 +60,13 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         cluster.stripe_is_consistent(StripeId(0))
     );
 
-    // Housekeeping: two GC cycles drain the write bookkeeping (Fig. 7).
-    cluster.client(0).collect_garbage()?;
-    cluster.client(0).collect_garbage()?;
-    println!("== done: {} bytes of node metadata after GC ==", cluster.total_metadata_bytes());
+    // Housekeeping: two GC cycles drain the write bookkeeping (Fig. 7),
+    // each phase with one batched message per storage node.
+    let messages = cluster.client(0).collect_garbage()?.messages
+        + cluster.client(0).collect_garbage()?.messages;
+    println!(
+        "== done: {} bytes of node metadata after GC ({messages} messages) ==",
+        cluster.total_metadata_bytes()
+    );
     Ok(())
 }

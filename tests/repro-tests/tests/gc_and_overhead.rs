@@ -111,6 +111,101 @@ fn gc_skips_locked_stripes_and_retries_later() {
 }
 
 #[test]
+fn a_gc_cycle_costs_one_message_per_node_per_phase() {
+    // 200 writes over 50 stripes leave 50 x 4 (stripe, index) entries, 50
+    // per node: Fig. 7 takes one batched message per node per phase, not
+    // one round trip per entry.
+    let c = cluster();
+    for round in 0..2u8 {
+        for lb in 0..100u64 {
+            c.client(0).write_block(lb, vec![round; 32]).unwrap();
+        }
+    }
+    let stats = c.client(0).endpoint().stats();
+    let mut sent = stats.snapshot().msgs_sent;
+    let mut cycle = || {
+        let r = c.client(0).collect_garbage().unwrap();
+        let now = stats.snapshot().msgs_sent;
+        assert_eq!(now - sent, r.messages as u64, "the report counts every RPC of the cycle");
+        sent = now;
+        r
+    };
+    let r1 = cycle();
+    assert!(r1.messages <= 2 * 4, "{} messages for 4 nodes", r1.messages);
+    assert_eq!((r1.moved_to_old, r1.dropped, r1.skipped_busy), (200 * 3, 0, 0));
+    for node in 0..4 {
+        for s in 0..50 {
+            assert_eq!(pending_tids_at(&c, NodeId(node), StripeId(s)), 0);
+        }
+    }
+    let r2 = cycle();
+    assert!(r2.messages <= 2 * 4, "{} messages for 4 nodes", r2.messages);
+    assert_eq!((r2.moved_to_old, r2.dropped, r2.skipped_busy), (0, 200 * 3, 0));
+    assert_eq!(c.client(0).gc_backlog(), 0);
+    assert_eq!(cycle().messages, 0, "nothing listed, nothing sent");
+}
+
+#[test]
+fn a_busy_member_holds_back_only_itself() {
+    // Stripes 0 and 4 put index 0 on the same node (the layout rotates by
+    // stripe over 4 nodes), so their entries travel in one message.
+    let c = cluster();
+    c.client(0).write_block(0, vec![1; 32]).unwrap();
+    c.client(0).write_block(8, vec![2; 32]).unwrap();
+    // Lock stripe 0 there as if a recovery were running.
+    let (stripe, caller) = (StripeId(0), ajx_storage::ClientId(99));
+    let at_node_0 = |req| c.network().with_node(NodeId(0), |n| drop(n.handle(req)));
+    at_node_0(ajx_storage::Request::TryLock { stripe, lm: ajx_storage::LMode::L1, caller });
+    let r = c.client(0).collect_garbage().unwrap();
+    assert_eq!(r.skipped_busy, 1, "busy entries are counted, not messages");
+    assert_eq!(r.moved_to_old, 5, "the other five entries moved");
+    assert_eq!(pending_tids_at(&c, NodeId(0), StripeId(4)), 0, "same message, not held back");
+    assert_eq!(pending_tids_at(&c, NodeId(0), StripeId(0)), 1);
+
+    at_node_0(ajx_storage::Request::SetLock { stripe, lm: ajx_storage::LMode::Unl, caller });
+    let r = c.client(0).collect_garbage().unwrap();
+    assert_eq!((r.dropped, r.moved_to_old, r.skipped_busy), (5, 1, 0));
+    assert_eq!(c.client(0).collect_garbage().unwrap().dropped, 1);
+    assert_eq!(c.client(0).gc_backlog(), 0);
+}
+
+#[test]
+fn batched_gc_replays_from_the_journal() {
+    // A node journals each phase's batch as one record; a restart with
+    // the disk must land on the collected state, not the pre-GC one.
+    let dir = ajx_storage::scratch_dir_fast("gc-replay");
+    let c = Cluster::with_network(
+        ProtocolConfig::new(2, 4, 32).unwrap(),
+        1,
+        ajx_transport::NetworkConfig {
+            persist: ajx_storage::PersistMode::Wal { dir: dir.clone() },
+            ..Default::default()
+        },
+    );
+    for lb in 0..16u64 {
+        c.client(0).write_block(lb, vec![lb as u8; 32]).unwrap();
+        c.client(0).write_block(lb, vec![lb as u8 + 1; 32]).unwrap();
+    }
+    let metadata = |c: &Cluster| -> Vec<usize> {
+        let of = |s| c.network().with_node(NodeId(0), |n| n.block_state(StripeId(s)).unwrap().metadata_bytes());
+        (0..8).map(of).collect()
+    };
+    let uncollected = metadata(&c);
+    c.client(0).collect_garbage().unwrap();
+    c.client(0).collect_garbage().unwrap();
+    let collected = metadata(&c);
+    assert!(collected.iter().zip(&uncollected).all(|(a, b)| a < b));
+
+    c.crash_storage_node(NodeId(0));
+    assert!(c.restart_storage_node_with_disk(NodeId(0)), "journal must replay");
+    assert_eq!(metadata(&c), collected);
+    for lb in 0..16u64 {
+        assert_eq!(c.client(0).read_block(lb).unwrap(), vec![lb as u8 + 1; 32]);
+    }
+    std::fs::remove_dir_all(dir).ok();
+}
+
+#[test]
 fn metadata_overhead_is_constant_per_block() {
     // §6.5: "the memory used by our protocol at the storage nodes is 10
     // bytes per block". Ours differs in constant (we keep an explicit
