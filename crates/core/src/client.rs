@@ -25,7 +25,7 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Most members one batched background message (a garbage-collection
-/// phase) carries: a node applies a batch under all of its members' shard
+/// phase, a monitoring sweep) carries: a node applies a batch under all of its members' shard
 /// locks, and foreground reads must not wait behind an unbounded one.
 const FANOUT_CHUNK: usize = 256;
 
@@ -928,8 +928,10 @@ impl Client {
     }
 
     /// The monitoring sweep of §3.10: probes every node of the given
-    /// stripes and triggers recovery where it finds INIT nodes or stale
-    /// unfinished writes older than `age_threshold` node ticks.
+    /// stripes — a chunk of stripes at a time, one batched message per
+    /// node — and triggers recovery, in stripe order, where it finds INIT
+    /// nodes or stale unfinished writes older than `age_threshold` node
+    /// ticks.
     ///
     /// # Errors
     ///
@@ -940,32 +942,29 @@ impl Client {
         age_threshold: u64,
     ) -> Result<MonitorReport, ProtocolError> {
         let mut report = MonitorReport::default();
-        for &stripe in stripes {
-            let probes: Vec<_> = (0..self.cfg.n())
-                .map(|t| (self.node_of(stripe, t), Request::Probe { stripe }))
+        for chunk in stripes.chunks(FANOUT_CHUNK) {
+            let probes = (0..chunk.len())
+                .flat_map(|x| (0..self.cfg.n()).map(move |t| (self.node_of(chunk[x], t), x)))
                 .collect();
-            let mut needs_recovery = false;
-            for res in call_many(&self.endpoint, &self.cfg, probes) {
+            let probe = |&x: &usize| Request::Probe { stripe: chunk[x] };
+            let (replies, _) = call_grouped(&self.endpoint, &self.cfg, probes, FANOUT_CHUNK, probe);
+            let mut needs_recovery = vec![false; chunk.len()];
+            for (x, res) in replies {
                 match res? {
-                    Reply::Probe {
-                        opmode,
-                        oldest_pending_age,
-                        ..
-                    } => {
-                        if opmode == OpMode::Init
-                            || oldest_pending_age.is_some_and(|a| a >= age_threshold)
-                        {
-                            needs_recovery = true;
-                        }
+                    Reply::Probe { opmode, oldest_pending_age, .. } => {
+                        needs_recovery[x] |= opmode == OpMode::Init
+                            || oldest_pending_age.is_some_and(|a| a >= age_threshold);
                     }
                     other => return Err(ProtocolError::unexpected("Reply::Probe", &other)),
                 }
             }
-            if needs_recovery {
-                self.recover_stripe(stripe)?;
-                report.recovered.push(stripe);
-            } else {
-                report.healthy += 1;
+            for (&stripe, flagged) in chunk.iter().zip(needs_recovery) {
+                if flagged {
+                    self.recover_stripe(stripe)?;
+                    report.recovered.push(stripe);
+                } else {
+                    report.healthy += 1;
+                }
             }
         }
         Ok(report)
@@ -1146,9 +1145,31 @@ mod tests {
         let c = client(2, 4);
         c.write_block(0, vec![1; 16]).unwrap();
         // Very generous age threshold: the just-written tid is not stale.
+        let sent = c.endpoint().stats().snapshot().msgs_sent;
         let report = c.monitor(&[StripeId(0), StripeId(5)], u64::MAX).unwrap();
         assert!(report.recovered.is_empty());
         assert_eq!(report.healthy, 2);
+        assert_eq!(c.endpoint().stats().snapshot().msgs_sent - sent, 4, "one batch per node");
+    }
+
+    #[test]
+    fn monitor_probes_a_chunk_of_stripes_then_recovers_the_flagged_in_order() {
+        let c = client(2, 4);
+        let last = FANOUT_CHUNK as u64 + 2;
+        let stripes: Vec<StripeId> = (0..FANOUT_CHUNK as u64 + 8).map(StripeId).collect();
+        for s in [3, 1, last] {
+            c.write_block(2 * s, vec![s as u8; 16]).unwrap();
+        }
+        // Any recentlist entry is stale at threshold 0: exactly the written
+        // stripes are flagged, across both chunks.
+        let report = c.monitor(&stripes, 0).unwrap();
+        assert_eq!(report.recovered, [StripeId(1), StripeId(3), StripeId(last)]);
+        assert_eq!(report.healthy, stripes.len() - 3);
+        // Recovery cleared their lists: the next sweep is nothing but its
+        // probes, one message per node per chunk.
+        let sent = c.endpoint().stats().snapshot().msgs_sent;
+        assert_eq!(c.monitor(&stripes, 0).unwrap().healthy, stripes.len());
+        assert_eq!(c.endpoint().stats().snapshot().msgs_sent - sent, 2 * 4);
     }
 
     #[test]
