@@ -688,7 +688,14 @@ impl<'a> Cursor<'a> {
     }
 }
 
-fn decode_request(c: &mut Cursor<'_>) -> Option<Request> {
+/// Deepest `Batch` nesting the decoder follows: members of a batch are
+/// plain requests. No client builds a batch inside a batch, and a bound is
+/// what keeps a checksum-valid frame of nested batch tags from recursing
+/// the replay path off the end of its stack.
+const MAX_BATCH_DEPTH: usize = 1;
+
+/// Decodes one request; `batch_depth` is the number of batches around it.
+fn decode_request(c: &mut Cursor<'_>, batch_depth: usize) -> Option<Request> {
     Some(match c.u8()? {
         0 => Request::Read { stripe: StripeId(c.u64()?) },
         1 => Request::Swap {
@@ -747,7 +754,9 @@ fn decode_request(c: &mut Cursor<'_>) -> Option<Request> {
             tids: c.list(TID_BYTES, Cursor::tid)?,
         },
         12 => Request::Probe { stripe: StripeId(c.u64()?) },
-        13 => Request::Batch(c.list(MIN_REQUEST_BYTES, decode_request)?),
+        13 if batch_depth < MAX_BATCH_DEPTH => {
+            Request::Batch(c.list(MIN_REQUEST_BYTES, |c| decode_request(c, batch_depth + 1))?)
+        }
         14 => Request::GetMeta { stripe: StripeId(c.u64()?) },
         _ => return None,
     })
@@ -756,7 +765,7 @@ fn decode_request(c: &mut Cursor<'_>) -> Option<Request> {
 fn decode_record(payload: &[u8]) -> Option<WalRecord> {
     let mut c = Cursor { bytes: payload, at: 0 };
     let rec = match c.u8()? {
-        0 => WalRecord::Apply(decode_request(&mut c)?),
+        0 => WalRecord::Apply(decode_request(&mut c, 0)?),
         1 => WalRecord::ClientFailure(ClientId(c.u32()?)),
         2 => WalRecord::FailRemap(c.u8()?),
         _ => return None,
@@ -821,7 +830,7 @@ mod tests {
             Request::GetMeta { stripe: StripeId(9) },
             Request::Batch(vec![
                 Request::Read { stripe: StripeId(0) },
-                Request::Batch(vec![Request::Probe { stripe: StripeId(1) }]),
+                Request::Probe { stripe: StripeId(1) },
             ]),
         ]
     }
@@ -878,7 +887,7 @@ mod tests {
     /// order, as the pre-CRC-32C journal wrote them.
     #[test]
     fn frame_lengths_match_the_golden_table() {
-        const GOLDEN: [usize; 15] = [18, 45, 92, 58, 23, 23, 18, 23, 58, 26, 42, 22, 18, 18, 37];
+        const GOLDEN: [usize; 15] = [18, 45, 92, 58, 23, 23, 18, 23, 58, 26, 42, 22, 18, 18, 32];
         let dir = scratch_dir("unit");
         let wal = WalBackend::create(dir.join("a.wal"));
         let mut lens = Vec::new();
@@ -920,6 +929,27 @@ mod tests {
         assert_eq!(decode_frame(&framed(&payload), 0), None);
         // Offsets near the end of the address space do not wrap.
         assert_eq!(decode_frame(&[0u8; 16], usize::MAX - 3), None);
+    }
+
+    /// Batches nest one level deep on disk and no deeper: a batch inside a
+    /// batch is rejected however valid its checksum, and a frame of nothing
+    /// but batch headers is turned away at the second one instead of
+    /// recursing once per header.
+    #[test]
+    fn checksum_valid_nested_batches_are_rejected() {
+        let probe = Request::Probe { stripe: StripeId(1) };
+        let flat = Request::Batch(vec![probe.clone()]);
+        let payload = encoded(WalRecordRef::Apply(&flat));
+        assert_eq!(decode_record(&payload), Some(WalRecord::Apply(flat.clone())));
+        let nested = Request::Batch(vec![probe, flat]);
+        let payload = encoded(WalRecordRef::Apply(&nested));
+        assert_eq!(decode_frame(&framed(&payload), 0), None);
+
+        // Record tag, then 1 MiB of `Batch` headers each claiming one member.
+        let header = [13u8, 1, 0, 0, 0];
+        let headers = header.iter().copied().cycle().take(1 << 20);
+        let payload: Vec<u8> = std::iter::once(0).chain(headers).collect();
+        assert_eq!(decode_frame(&framed(&payload), 0), None);
     }
 
     /// Three small records around one 64 KiB+ batch, every way a journal
