@@ -25,8 +25,9 @@ use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Most members one batched background message (a garbage-collection
-/// phase, a monitoring sweep) carries: a node applies a batch under all of its members' shard
-/// locks, and foreground reads must not wait behind an unbounded one.
+/// phase, a monitoring sweep) carries: a node applies a batch under all of
+/// its members' shard locks, and foreground reads must not wait behind an
+/// unbounded one.
 const FANOUT_CHUNK: usize = 256;
 
 /// Garbage-collection bookkeeping (Fig. 7's client-side `gc[j]`/`old[j]`
@@ -321,14 +322,13 @@ impl Client {
             })
             .collect();
         let read = |&(_, stripe): &(usize, StripeId)| Request::Read { stripe };
-        let (replies, _) = call_grouped(&self.endpoint, &self.cfg, reads, usize::MAX, read);
-        for ((x, _), res) in replies {
+        call_grouped(&self.endpoint, &self.cfg, reads, usize::MAX, read, |(x, _), res| {
             // Any miss here — transport error, malformed or short reply,
             // busy or INIT node — is healed by the slow path below.
             if let Ok(Reply::Read(r)) = res {
                 out[x] = r.block;
             }
-        }
+        });
         lbs.iter()
             .zip(out)
             .map(|(&lb, slot)| match slot {
@@ -590,10 +590,7 @@ impl Client {
                                 // Adds are not idempotent: an indeterminate
                                 // failure fails every block in this message.
                                 other => {
-                                    let e = other.map_or_else(
-                                        |e| e,
-                                        |r| ProtocolError::unexpected("Reply::Add or Batch", &r),
-                                    );
+                                    let e = ProtocolError::not("Reply::Add or Batch", other);
                                     for &px in want {
                                         pending[px].kill(e.clone());
                                     }
@@ -853,7 +850,7 @@ impl Client {
     }
 
     /// One garbage-collection cycle (Fig. 7's `collect_garbage` task), in
-    /// O(nodes) messages (DESIGN.md §7.2).
+    /// O(nodes) messages (DESIGN.md §7.1).
     ///
     /// Phase 1 drops previously-moved tids from nodes' oldlists; phase 2
     /// moves this client's completed writes from recentlists to oldlists.
@@ -891,18 +888,14 @@ impl Client {
                     Request::GcRecent { stripe, tids }
                 }
             };
-            let (replies, messages) =
-                call_grouped(&self.endpoint, &self.cfg, entries, FANOUT_CHUNK, member);
-            report.messages += messages;
-            let mut gc = self.gc.lock();
-            for ((key, tids), res) in replies {
-                // Only a dropped entry leaves the bookkeeping; a moved one
-                // graduates to the phase 1 list, anything else goes back
-                // where it came from.
+            // Only a dropped entry leaves the bookkeeping; a moved one
+            // graduates to the phase 1 list, anything else goes back where
+            // it came from.
+            let fold = |(key, tids): (_, Vec<Tid>), res| {
                 let to_old = match res {
                     Ok(Reply::Gc(true)) if drop_old => {
                         report.dropped += tids.len();
-                        continue;
+                        return;
                     }
                     Ok(Reply::Gc(true)) => {
                         report.moved_to_old += tids.len();
@@ -913,16 +906,22 @@ impl Client {
                         drop_old
                     }
                     other => {
-                        first_err.get_or_insert(other.map_or_else(
-                            |e| e,
-                            |r| ProtocolError::unexpected("Reply::Gc", &r),
-                        ));
+                        first_err.get_or_insert(ProtocolError::not("Reply::Gc", other));
                         drop_old
                     }
                 };
+                let mut gc = self.gc.lock();
                 let list = if to_old { &mut gc.old } else { &mut gc.pending };
-                list.entry(key).or_default().extend(tids);
-            }
+                let listed = list.entry(key).or_default();
+                if listed.is_empty() {
+                    *listed = tids;
+                } else {
+                    listed.extend(tids);
+                }
+            };
+            let messages =
+                call_grouped(&self.endpoint, &self.cfg, entries, FANOUT_CHUNK, member, fold);
+            report.messages += messages;
         }
         first_err.map_or(Ok(report), Err)
     }
@@ -947,16 +946,19 @@ impl Client {
                 .flat_map(|x| (0..self.cfg.n()).map(move |t| (self.node_of(chunk[x], t), x)))
                 .collect();
             let probe = |&x: &usize| Request::Probe { stripe: chunk[x] };
-            let (replies, _) = call_grouped(&self.endpoint, &self.cfg, probes, FANOUT_CHUNK, probe);
             let mut needs_recovery = vec![false; chunk.len()];
-            for (x, res) in replies {
-                match res? {
-                    Reply::Probe { opmode, oldest_pending_age, .. } => {
-                        needs_recovery[x] |= opmode == OpMode::Init
-                            || oldest_pending_age.is_some_and(|a| a >= age_threshold);
-                    }
-                    other => return Err(ProtocolError::unexpected("Reply::Probe", &other)),
+            let mut first_err = None;
+            call_grouped(&self.endpoint, &self.cfg, probes, FANOUT_CHUNK, probe, |x, res| match res {
+                Ok(Reply::Probe { opmode, oldest_pending_age, .. }) => {
+                    needs_recovery[x] |= opmode == OpMode::Init
+                        || oldest_pending_age.is_some_and(|a| a >= age_threshold);
                 }
+                other => {
+                    first_err.get_or_insert(ProtocolError::not("Reply::Probe", other));
+                }
+            });
+            if let Some(e) = first_err {
+                return Err(e);
             }
             for (&stripe, flagged) in chunk.iter().zip(needs_recovery) {
                 if flagged {

@@ -68,6 +68,12 @@ impl ProtocolError {
             got: rendered,
         }
     }
+
+    /// What went wrong when `res` is not the `expected` reply: its own
+    /// error, or [`ProtocolError::unexpected`] for a reply of another kind.
+    pub(crate) fn not<R: fmt::Debug>(expected: &'static str, res: Result<R, Self>) -> Self {
+        res.map_or_else(|e| e, |r| Self::unexpected(expected, &r))
+    }
 }
 
 impl fmt::Display for ProtocolError {

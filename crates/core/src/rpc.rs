@@ -121,24 +121,26 @@ pub(crate) fn unbatch(reply: Reply, members: usize) -> Result<Vec<Reply>, Protoc
 /// order is deterministic) and sends each node one message per
 /// [`call_many`] round — the [`batch`] of `req(item)` for its next `chunk`
 /// items — until every node's group is sent, so a node's shard locks are
-/// never held for more than `chunk` members at a time. Returns each item
-/// with its own member's reply, and the number of messages issued. A
-/// failed message fails all of its node's members, unsent ones included:
-/// the node just showed it is unreachable, and the other nodes carry on.
+/// never held for more than `chunk` members at a time. Hands each item to
+/// `fold` with its own member's reply and returns the number of messages
+/// issued. A failed message fails all of its node's members, unsent ones
+/// included: the node just showed it is unreachable, and the other nodes
+/// carry on.
 pub(crate) fn call_grouped<T>(
     endpoint: &ClientEndpoint,
     cfg: &ProtocolConfig,
     items: Vec<(NodeId, T)>,
     chunk: usize,
     req: impl Fn(&T) -> Request,
-) -> (Vec<(T, Result<Reply, ProtocolError>)>, usize) {
+    mut fold: impl FnMut(T, Result<Reply, ProtocolError>),
+) -> usize {
     let mut by_node: BTreeMap<NodeId, Vec<T>> = BTreeMap::new();
     for (node, item) in items {
         by_node.entry(node).or_default().push(item);
     }
     let mut rest: Vec<(NodeId, std::vec::IntoIter<T>)> =
         by_node.into_iter().map(|(node, group)| (node, group.into_iter())).collect();
-    let (mut out, mut messages) = (Vec::new(), 0);
+    let mut messages = 0;
     while !rest.is_empty() {
         let round: Vec<Vec<T>> =
             rest.iter_mut().map(|(_, group)| group.by_ref().take(chunk).collect()).collect();
@@ -151,13 +153,13 @@ pub(crate) fn call_grouped<T>(
         let replies = call_many(endpoint, cfg, calls);
         for ((members, res), (_, unsent)) in round.into_iter().zip(replies).zip(&mut rest) {
             match res.and_then(|reply| unbatch(reply, members.len())) {
-                Ok(rs) => out.extend(members.into_iter().zip(rs.into_iter().map(Ok))),
-                Err(e) => out.extend(members.into_iter().chain(unsent).map(|m| (m, Err(e.clone())))),
+                Ok(rs) => members.into_iter().zip(rs).for_each(|(m, r)| fold(m, Ok(r))),
+                Err(e) => members.into_iter().chain(unsent).for_each(|m| fold(m, Err(e.clone()))),
             }
         }
         rest.retain(|(_, group)| !group.as_slice().is_empty());
     }
-    (out, messages)
+    messages
 }
 
 /// Unwraps a reply variant; a cross-variant mismatch returns
