@@ -187,8 +187,9 @@ fn batched_gc_replays_from_the_journal() {
         c.client(0).write_block(lb, vec![lb as u8 + 1; 32]).unwrap();
     }
     let metadata = |c: &Cluster| -> Vec<usize> {
-        let of = |s| c.network().with_node(NodeId(0), |n| n.block_state(StripeId(s)).unwrap().metadata_bytes());
-        (0..8).map(of).collect()
+        c.network().with_node(NodeId(0), |n| {
+            (0..8).map(|s| n.block_state(StripeId(s)).unwrap().metadata_bytes()).collect()
+        })
     };
     let uncollected = metadata(&c);
     c.client(0).collect_garbage().unwrap();

@@ -11,8 +11,10 @@
 # internally), the many-client scale-out smoke (asserts 1k-client IOPS
 # >= 5x the 8-client figure with zero failed ops), the durability
 # smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
-# benchmark's contract (benchmark/ builds offline and its codec and
-# durable_write workloads run correct with zero failed operations).
+# benchmark's contract (benchmark/ builds offline, its codec, durable_write
+# and small_rw workloads run correct with zero failed operations, and a
+# traced small_rw run shows garbage collection still batched per node and
+# still collecting everything).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -129,15 +131,15 @@ grep -q '"recovery_floor_pass": true' BENCH_durability.smoke.json \
   || { echo "durability floor violated (WAL recovery not faster than rebuild)"; exit 1; }
 echo "durability floor holds (restart-with-disk beats wipe-and-rebuild)"
 
-echo "== benchmark contract (benchmark/run.sh, codec and durable_write workloads) =="
+echo "== benchmark contract (benchmark/run.sh, codec, durable_write and small_rw workloads) =="
 # BENCHMARK.json's driver calls benchmark/run.sh, which builds benchmark/
 # offline into .bench_build and prints the run's JSON result as the last
-# stdout line. Two short runs must build, exit 0, produce correct output
+# stdout line. Three short runs must build, exit 0, produce correct output
 # and fail no operation: codec, the one workload that drives both fields
-# of the erasure engine end to end, and durable_write, the one that goes
+# of the erasure engine end to end, durable_write, the one that goes
 # journal -> crash -> restart_with_disk -> a rebuild that must find
-# nothing to do.
-for workload in codec durable_write; do
+# nothing to do, and small_rw, the paper's common case.
+for workload in codec durable_write small_rw; do
   bench_result=$(bash benchmark/run.sh --workload "$workload" --seed 1 --slices 2 --trace 0 | tail -n 1)
   echo "$bench_result"
   case "$bench_result" in
@@ -145,6 +147,22 @@ for workload in codec durable_write; do
     *) echo "benchmark contract violated ($workload run incorrect or with failed operations)"; exit 1 ;;
   esac
 done
+
+echo "== garbage collection is O(nodes) messages and collects everything (traced small_rw) =="
+# With --slices the counts repeat exactly. Reads take 1 round trip and
+# writes 5, so an even mix sits at 3.0 plus Fig. 7's batched share; the
+# per-entry collection this replaced sat at 7.4. The nodes must still
+# handle the same members (7.40 per op): fewer means a cycle silently
+# collected less.
+traced=$(bash benchmark/run.sh --workload small_rw --seed 1 --slices 2 --trace 1 | tail -n 1)
+metric() { printf '%s' "$traced" | sed -n "s/.*\"$1\": {\"value\": \([0-9.e+-]*\).*/\1/p"; }
+round_trips=$(metric transport.round_trips_per_op)
+ops_handled=$(metric storage.ops_handled_per_op)
+echo "transport.round_trips_per_op $round_trips, storage.ops_handled_per_op $ops_handled"
+awk -v r="$round_trips" -v h="$ops_handled" \
+  'BEGIN { exit !(r > 0 && r < 3.5 && h > 7.3 && h < 7.6) }' \
+  || { echo "garbage collection left its message or work envelope (want round trips < 3.5, ops handled in 7.3..7.6)"; exit 1; }
+echo "garbage-collection envelope holds"
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
