@@ -12,7 +12,7 @@ use ajx_bench::{banner, measure_us, render_table};
 use ajx_cluster::{drive, Cluster, Workload};
 use ajx_core::{find_consistent, ProtocolConfig, UpdateStrategy};
 use ajx_storage::{
-    ClientId, Epoch, FlushPolicy, GetStateReply, NodeId, OpMode, Request, StorageNode, StripeId, Tid,
+    ClientId, Epoch, FlushPolicy, GetStateReply, NodeId, OpMode, Request, ShardedNode, StripeId, Tid,
     TidEntry,
 };
 use std::time::{Duration, Instant};
@@ -78,7 +78,7 @@ fn flush_ablation() {
         // A storage node receiving the add stream of a sequential pass:
         // k = 8 consecutive writes hit the same redundant block before the
         // pass moves to the next stripe.
-        let mut node = StorageNode::new(NodeId(0), 1024).with_flush_policy(policy);
+        let node = ShardedNode::new(NodeId(0), 1024, 1).with_flush_policy(policy);
         let k = 8u64;
         for stripe in 0..64u64 {
             for i in 0..k {
@@ -95,7 +95,7 @@ fn flush_ablation() {
         node.flush_all();
         rows.push(vec![
             label.to_string(),
-            node.ops_handled().to_string(),
+            node.lock_all().ops_handled().to_string(),
             node.media_writes().to_string(),
         ]);
     }

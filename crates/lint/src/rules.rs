@@ -317,8 +317,9 @@ pub struct CodecSite {
 
 /// The sites where every `Request`/`Reply` variant must appear: the wire
 /// accounting, the WAL codec (both directions), the journaling classifier,
-/// and the idempotence classifier. A variant missing from any of these is
-/// how "added a request, forgot persistence" becomes silent data loss.
+/// the idempotence classifier, and the §3.11 media-write classifier. A
+/// variant missing from any of these is how "added a request, forgot
+/// persistence" becomes silent data loss.
 pub const CODEC_SITES: &[CodecSite] = &[
     CodecSite {
         enum_name: "Request",
@@ -326,6 +327,13 @@ pub const CODEC_SITES: &[CodecSite] = &[
         impl_of: Some("Request"),
         fn_name: "is_idempotent",
         what: "idempotence classifier",
+    },
+    CodecSite {
+        enum_name: "Request",
+        file: "crates/storage/src/node.rs",
+        impl_of: Some("Request"),
+        fn_name: "writes_medium",
+        what: "media-write classifier",
     },
     CodecSite {
         enum_name: "Request",

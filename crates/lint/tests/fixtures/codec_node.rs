@@ -22,6 +22,13 @@ impl Request {
         }
     }
 
+    pub fn writes_medium(&self) -> bool {
+        match self {
+            Request::Swap { .. } => true,
+            Request::Read { .. } | Request::Probe { .. } => false,
+        }
+    }
+
     pub fn wire_bytes(&self) -> usize {
         match self {
             Request::Read { .. } => 0,

@@ -13,19 +13,23 @@
 //! * [`BlockState`] — per-stripe-block state machine: `swap`/`add`/`read`
 //!   (Fig. 4/5), the `recentlist`/`oldlist` write bookkeeping, recovery
 //!   locks and epochs (Fig. 6), and two-phase GC (Fig. 7).
-//! * [`StorageNode`] — a node hosting one block of many stripes behind the
+//! * [`ShardedNode`] — the node: one block of many stripes behind the
 //!   [`Request`]/[`Reply`] wire interface, with fail-remap (§3.5),
 //!   broadcast-mode coefficient multiplication and deferred flushing
-//!   (§3.11), and metadata accounting (§6.5).
+//!   (§3.11), metadata accounting (§6.5) and an optional write-ahead
+//!   journal ([`Persistence`]). Its blocks are spread over `n_shards`
+//!   privately locked shards so worker threads on different stripes do not
+//!   contend; one shard gives the paper's single-lock server, and the
+//!   count is not observable in any reply or counter.
 //! * The shared identifier types ([`Tid`], [`Epoch`], [`StripeId`], …) used
 //!   across the workspace.
 //!
 //! # Example
 //!
 //! ```
-//! use ajx_storage::{ClientId, NodeId, Request, Reply, StorageNode, StripeId, Tid, Epoch};
+//! use ajx_storage::{ClientId, NodeId, Request, Reply, ShardedNode, StripeId, Tid};
 //!
-//! let mut node = StorageNode::new(NodeId(3), 8);
+//! let node = ShardedNode::new(NodeId(3), 8, 4);
 //! // A client swaps new data in and learns the old content:
 //! let t = Tid::new(1, 0, ClientId(1));
 //! let Reply::Swap(swap) = node.handle(Request::Swap {
@@ -45,7 +49,7 @@ mod shard;
 mod state;
 mod types;
 
-pub use node::{FlushPolicy, Reply, Request, StorageNode, MSG_HEADER_BYTES};
+pub use node::{FlushPolicy, Reply, Request, MSG_HEADER_BYTES};
 pub use persist::{
     backend_for, scratch_dir, scratch_dir_fast, InMemoryPersistence, PersistMode, PersistStats, Persistence,
     WalBackend, WalRecord, WalRecordRef,

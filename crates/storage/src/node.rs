@@ -1,16 +1,12 @@
-//! The storage node: a map of per-stripe [`BlockState`] machines behind a
-//! single request/reply interface, plus the node-level concerns the paper
-//! describes — fail-remap (§3.5), the broadcast-mode coefficient multiply
-//! (§3.11), deferred redundant-block flushing for sequential I/O (§3.11),
-//! and the metadata accounting of §6.5.
+//! The storage node's wire interface: one [`Request`] variant per remote
+//! procedure of Figs. 4-7, the [`Reply`] each is answered with, the
+//! classifiers the retry layer, the journal and the §3.11 media accounting
+//! read off a request, and the bandwidth accounting of Fig. 1. The node
+//! that answers them is [`ShardedNode`](crate::ShardedNode).
 
-use crate::state::{
-    AddReply, BlockState, CheckTidReply, GetStateReply, ReadReply, SwapReply, TryLockReply,
-};
-use crate::types::{ClientId, Epoch, LMode, NodeId, OpMode, StripeId, Tid, TidEntry};
-use ajx_erasure::CodeFamily;
+use crate::state::{AddReply, CheckTidReply, GetStateReply, ReadReply, SwapReply, TryLockReply};
+use crate::types::{ClientId, Epoch, LMode, OpMode, StripeId, Tid, TidEntry};
 use serde::{Deserialize, Serialize};
-use std::collections::HashMap;
 
 /// Approximate fixed wire overhead of one RPC message (headers,
 /// stripe/epoch/tid fields). Used only for bandwidth *accounting* (Fig. 1);
@@ -203,6 +199,40 @@ impl Request {
         }
     }
 
+    /// Whether applying this one request writes its block to the node's
+    /// medium — what §3.11's media accounting (and its deferred-flush
+    /// coalescing) counts. A batch is an envelope: the node asks each
+    /// member as it applies it, so the batch itself answers `false`.
+    pub(crate) fn writes_medium(&self) -> bool {
+        // Exhaustive like `is_idempotent` (no `_` arm, and the ajx-lint
+        // codec-exhaustive rule wants every variant named): a new variant
+        // that changes block content cannot skip the accounting unnoticed.
+        match self {
+            Request::Swap { .. } | Request::Add { .. } | Request::Reconstruct { .. } => true,
+            Request::Read { .. }
+            | Request::CheckTid { .. }
+            | Request::TryLock { .. }
+            | Request::SetLock { .. }
+            | Request::GetState { .. }
+            | Request::GetMeta { .. }
+            | Request::GetRecent { .. }
+            | Request::Finalize { .. }
+            | Request::GcOld { .. }
+            | Request::GcRecent { .. }
+            | Request::Probe { .. }
+            | Request::Batch(_) => false,
+        }
+    }
+
+    /// Calls `f` on every non-batch request inside this one, in the order
+    /// the node applies them — however deeply batches are nested.
+    pub(crate) fn for_each_leaf<'a>(&'a self, f: &mut dyn FnMut(&'a Request)) {
+        match self {
+            Request::Batch(members) => members.iter().for_each(|m| m.for_each_leaf(f)),
+            leaf => f(leaf),
+        }
+    }
+
     /// Payload bytes carried by this request (block-sized fields only),
     /// plus the fixed header. Used for the Fig. 1 bandwidth columns and the
     /// simulator's bandwidth model.
@@ -367,310 +397,22 @@ pub enum FlushPolicy {
     WriteThrough,
     /// Mutations mark the stripe-block dirty; the media write happens when
     /// the node learns the sequential pass has moved on (a write arrives
-    /// for a different stripe) or on [`StorageNode::flush_all`].
+    /// for a different stripe) or on [`ShardedNode::flush_all`](crate::ShardedNode::flush_all).
     Deferred,
-}
-
-/// A thin storage node hosting one block of every stripe it participates in.
-///
-/// The node is a *pure state machine*: [`StorageNode::handle`] maps a
-/// [`Request`] to a [`Reply`] with no side channels, which is what lets the
-/// paper's protocol treat servers as passive and push all orchestration to
-/// clients.
-///
-/// # Example
-///
-/// ```
-/// use ajx_storage::{NodeId, Request, Reply, StorageNode, StripeId, Tid, ClientId};
-///
-/// let mut node = StorageNode::new(NodeId(0), 16);
-/// let tid = Tid::new(1, 0, ClientId(1));
-/// let reply = node.handle(Request::Swap {
-///     stripe: StripeId(0),
-///     value: vec![7; 16],
-///     ntid: tid,
-/// });
-/// match reply {
-///     Reply::Swap(r) => assert_eq!(r.block, Some(vec![0; 16])),
-///     other => panic!("unexpected reply {other:?}"),
-/// }
-/// ```
-#[derive(Debug)]
-pub struct StorageNode {
-    id: NodeId,
-    block_size: usize,
-    blocks: HashMap<StripeId, BlockState>,
-    code: Option<CodeFamily>,
-    flush_policy: FlushPolicy,
-    dirty: Option<StripeId>,
-    media_writes: u64,
-    ops_handled: u64,
-    lock_ops: u64,
-    /// `Some(garbage)` after a fail-remap: stripes touched for the first
-    /// time materialize as INIT garbage, because the *whole replacement
-    /// node* starts uninitialized (§3.5), not just previously-seen stripes.
-    remap_garbage: Option<u8>,
-}
-
-impl StorageNode {
-    /// Creates a node with the given identity and block size; blocks start
-    /// zeroed in normal mode.
-    pub fn new(id: NodeId, block_size: usize) -> Self {
-        StorageNode {
-            id,
-            block_size,
-            blocks: HashMap::new(),
-            code: None,
-            flush_policy: FlushPolicy::WriteThrough,
-            dirty: None,
-            media_writes: 0,
-            ops_handled: 0,
-            lock_ops: 0,
-            remap_garbage: None,
-        }
-    }
-
-    /// Equips the node with the erasure code so it can perform the
-    /// broadcast-mode coefficient multiply (§3.11).
-    pub fn with_code(mut self, code: CodeFamily) -> Self {
-        self.code = Some(code);
-        self
-    }
-
-    /// Selects the media flush policy (§3.11 ablation).
-    pub fn with_flush_policy(mut self, policy: FlushPolicy) -> Self {
-        self.flush_policy = policy;
-        self
-    }
-
-    /// This node's identity.
-    pub fn id(&self) -> NodeId {
-        self.id
-    }
-
-    /// The configured block size.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Total requests handled (instrumentation).
-    pub fn ops_handled(&self) -> u64 {
-        self.ops_handled
-    }
-
-    /// Lock-protocol requests handled (`trylock` / `setlock` /
-    /// `getrecent`) — instrumentation for asserting that the degraded-read
-    /// fast path really takes no locks.
-    pub fn lock_ops(&self) -> u64 {
-        self.lock_ops
-    }
-
-    /// Media writes performed under the current [`FlushPolicy`]
-    /// (instrumentation for the §3.11 sequential-write ablation).
-    pub fn media_writes(&self) -> u64 {
-        self.media_writes
-    }
-
-    /// Handles a request, advancing the target stripe-block state machine.
-    ///
-    /// A [`Request::Batch`] is unpacked here and applied member-by-member in
-    /// order; because the caller already holds the node (the transport
-    /// worker locks the node once per `handle` call), the whole batch
-    /// executes under a single lock acquisition with no interleaved foreign
-    /// requests.
-    pub fn handle(&mut self, req: Request) -> Reply {
-        match req {
-            Request::Batch(reqs) => {
-                Reply::Batch(reqs.into_iter().map(|r| self.handle(r)).collect())
-            }
-            other => self.handle_one(other),
-        }
-    }
-
-    /// Applies one non-batch request. `ops_handled` counts individual
-    /// operations, so a batch of m increments it m times.
-    fn handle_one(&mut self, req: Request) -> Reply {
-        self.ops_handled += 1;
-        if matches!(
-            req,
-            Request::TryLock { .. } | Request::SetLock { .. } | Request::GetRecent { .. }
-        ) {
-            self.lock_ops += 1;
-        }
-        let stripe = req.stripe();
-        let mutates = matches!(
-            req,
-            Request::Swap { .. } | Request::Add { .. } | Request::Reconstruct { .. }
-        );
-        let block_size = self.block_size;
-        // Resolve the scaled delta before borrowing the block state.
-        let req = match req {
-            Request::Add {
-                stripe,
-                mut delta,
-                ntid,
-                otid,
-                epoch,
-                scale: Some((j, i)),
-            } => match &self.code {
-                None => return Reply::NoCode,
-                Some(code) => {
-                    // The delta arrived owned; scale it where it sits
-                    // instead of copying it into a fresh block.
-                    code.scale_in_place(j, i, &mut delta);
-                    Request::Add {
-                        stripe,
-                        delta,
-                        ntid,
-                        otid,
-                        epoch,
-                        scale: None,
-                    }
-                }
-            },
-            other => other,
-        };
-
-        let remap_garbage = self.remap_garbage;
-        let state = self.blocks.entry(stripe).or_insert_with(|| match remap_garbage {
-            Some(g) => BlockState::after_fail_remap(vec![g; block_size]),
-            None => BlockState::new(block_size),
-        });
-
-        let reply = match req {
-            Request::Read { .. } => Reply::Read(state.read()),
-            Request::Swap { value, ntid, .. } => Reply::Swap(state.swap(value, ntid)),
-            Request::Add {
-                delta, ntid, otid, epoch, ..
-            } => Reply::Add(state.add(&delta, ntid, otid, epoch)),
-            Request::CheckTid { ntid, otid, .. } => Reply::CheckTid(state.checktid(ntid, otid)),
-            Request::TryLock { lm, caller, .. } => Reply::TryLock(state.trylock(lm, caller)),
-            Request::SetLock { lm, caller, .. } => {
-                state.setlock(lm, caller);
-                Reply::Ack
-            }
-            Request::GetState { .. } => Reply::GetState(state.get_state()),
-            Request::GetMeta { .. } => {
-                let mut meta = state.get_state();
-                meta.block = None;
-                Reply::GetState(meta)
-            }
-            Request::GetRecent { lm, caller, .. } => Reply::GetRecent(state.getrecent(lm, caller)),
-            Request::Reconstruct { cset, block, .. } => {
-                Reply::Reconstruct(state.reconstruct(cset, block))
-            }
-            Request::Finalize { epoch, .. } => {
-                state.finalize(epoch);
-                Reply::Ack
-            }
-            Request::GcOld { tids, .. } => Reply::Gc(state.gc_old(&tids)),
-            Request::GcRecent { tids, .. } => Reply::Gc(state.gc_recent(&tids)),
-            Request::Probe { .. } => {
-                let (opmode, lmode, oldest_pending_age) = state.probe();
-                Reply::Probe {
-                    opmode,
-                    lmode,
-                    oldest_pending_age,
-                }
-            }
-            // LINT-ALLOW(panic-free: handle() routes every Batch — nested
-            // ones included — through its own arm, and handle_one is
-            // private to this file; this arm cannot be reached by input)
-            Request::Batch(_) => unreachable!("batches are unpacked by handle()"),
-        };
-
-        if mutates && !matches!(reply, Reply::NoCode) {
-            self.account_media_write(stripe);
-        }
-        reply
-    }
-
-    fn account_media_write(&mut self, stripe: StripeId) {
-        match self.flush_policy {
-            FlushPolicy::WriteThrough => self.media_writes += 1,
-            FlushPolicy::Deferred => match self.dirty {
-                Some(d) if d == stripe => {} // coalesced with pending flush
-                Some(_) => {
-                    // Sequential pass moved on: flush the previous block.
-                    self.media_writes += 1;
-                    self.dirty = Some(stripe);
-                }
-                None => self.dirty = Some(stripe),
-            },
-        }
-    }
-
-    /// Flushes any deferred dirty block to the medium.
-    pub fn flush_all(&mut self) {
-        if self.dirty.take().is_some() {
-            self.media_writes += 1;
-        }
-    }
-
-    /// Simulates a crash + remap (§3.5): every stripe-block is replaced by
-    /// INIT state holding the supplied garbage pattern. The node keeps its
-    /// *logical* identity; the directory layer models the physical swap.
-    pub fn fail_remap(&mut self, garbage_byte: u8) {
-        self.remap_garbage = Some(garbage_byte);
-        let stripes: Vec<StripeId> = self.blocks.keys().copied().collect();
-        for s in stripes {
-            self.blocks
-                .insert(s, BlockState::after_fail_remap(vec![garbage_byte; self.block_size]));
-        }
-        self.dirty = None;
-    }
-
-    /// Notifies the node that `client` crashed, expiring any recovery locks
-    /// it holds (Fig. 6 line 34). Returns how many locks expired.
-    pub fn on_client_failure(&mut self, client: ClientId) -> usize {
-        self.blocks
-            .values_mut()
-            .map(|b| usize::from(b.expire_lock_if_held_by(client)))
-            .sum()
-    }
-
-    /// Resets the node to power-on state: blocks, dirty marker, remap
-    /// garbage, and counters all cleared; identity, code, and flush policy
-    /// kept. WAL replay rebuilds state on top of this (restart-with-disk).
-    pub(crate) fn reset(&mut self) {
-        self.blocks.clear();
-        self.dirty = None;
-        self.media_writes = 0;
-        self.ops_handled = 0;
-        self.lock_ops = 0;
-        self.remap_garbage = None;
-    }
-
-    /// Direct access to a stripe-block's state (tests and monitoring only).
-    pub fn block_state(&self, stripe: StripeId) -> Option<&BlockState> {
-        self.blocks.get(&stripe)
-    }
-
-    /// Mutable access for fault-injection in tests.
-    pub fn block_state_mut(&mut self, stripe: StripeId) -> Option<&mut BlockState> {
-        self.blocks.get_mut(&stripe)
-    }
-
-    /// Stripes this node currently holds state for.
-    pub fn stripes(&self) -> impl Iterator<Item = StripeId> + '_ {
-        self.blocks.keys().copied()
-    }
-
-    /// Total protocol metadata bytes across all stripe-blocks (§6.5).
-    pub fn metadata_bytes(&self) -> usize {
-        self.blocks.values().map(BlockState::metadata_bytes).sum()
-    }
-
-    /// Number of stripe-blocks materialized at this node.
-    pub fn resident_blocks(&self) -> usize {
-        self.blocks.len()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::state::AddStatus;
+    use crate::types::NodeId;
+    use crate::ShardedNode;
+    use ajx_erasure::CodeFamily;
+
+    /// The paper's single-lock server: a node of one shard.
+    fn single(block_size: usize) -> ShardedNode {
+        ShardedNode::new(NodeId(0), block_size, 1)
+    }
 
     fn tid(seq: u64) -> Tid {
         Tid::new(seq, 0, ClientId(1))
@@ -678,16 +420,16 @@ mod tests {
 
     #[test]
     fn lazy_block_materialization() {
-        let mut node = StorageNode::new(NodeId(0), 8);
-        assert_eq!(node.resident_blocks(), 0);
+        let node = single(8);
+        assert_eq!(node.lock_all().resident_blocks(), 0);
         let r = node.handle(Request::Read { stripe: StripeId(5) });
         assert!(matches!(r, Reply::Read(ReadReply { block: Some(b), .. }) if b == vec![0; 8]));
-        assert_eq!(node.resident_blocks(), 1);
+        assert_eq!(node.lock_all().resident_blocks(), 1);
     }
 
     #[test]
     fn stripes_are_independent() {
-        let mut node = StorageNode::new(NodeId(0), 2);
+        let node = single(2);
         node.handle(Request::TryLock {
             stripe: StripeId(1),
             lm: LMode::L1,
@@ -710,7 +452,7 @@ mod tests {
 
     #[test]
     fn scaled_add_requires_code() {
-        let mut node = StorageNode::new(NodeId(0), 4);
+        let node = single(4);
         let req = Request::Add {
             stripe: StripeId(0),
             delta: vec![1; 4],
@@ -723,20 +465,20 @@ mod tests {
 
         let code = CodeFamily::rs(2, 4).unwrap();
         let expected = code.scale_broadcast_delta(0, 0, &[1; 4]);
-        let mut node = StorageNode::new(NodeId(0), 4).with_code(code);
+        let node = single(4).with_code(code);
         assert!(matches!(
             node.handle(req),
             Reply::Add(AddReply { status: AddStatus::Ok, .. })
         ));
         assert_eq!(
-            node.block_state(StripeId(0)).unwrap().raw_block(),
+            node.lock_all().block_state(StripeId(0)).unwrap().raw_block(),
             &expected[..]
         );
     }
 
     #[test]
     fn fail_remap_resets_all_stripes_to_init() {
-        let mut node = StorageNode::new(NodeId(0), 2);
+        let node = single(2);
         for s in 0..3 {
             node.handle(Request::Swap {
                 stripe: StripeId(s),
@@ -746,7 +488,8 @@ mod tests {
         }
         node.fail_remap(0xEE);
         for s in 0..3 {
-            let st = node.block_state(StripeId(s)).unwrap();
+            let view = node.lock_all();
+            let st = view.block_state(StripeId(s)).unwrap();
             assert_eq!(st.opmode(), OpMode::Init);
             assert_eq!(st.raw_block(), &[0xEE, 0xEE]);
         }
@@ -757,7 +500,7 @@ mod tests {
 
     #[test]
     fn client_failure_expires_only_their_locks() {
-        let mut node = StorageNode::new(NodeId(0), 2);
+        let node = single(2);
         node.handle(Request::TryLock {
             stripe: StripeId(0),
             lm: LMode::L1,
@@ -770,15 +513,15 @@ mod tests {
         });
         assert_eq!(node.on_client_failure(ClientId(1)), 1);
         assert_eq!(
-            node.block_state(StripeId(0)).unwrap().lmode(),
+            node.lock_all().block_state(StripeId(0)).unwrap().lmode(),
             LMode::Exp
         );
-        assert_eq!(node.block_state(StripeId(1)).unwrap().lmode(), LMode::L0);
+        assert_eq!(node.lock_all().block_state(StripeId(1)).unwrap().lmode(), LMode::L0);
     }
 
     #[test]
     fn write_through_counts_every_mutation() {
-        let mut node = StorageNode::new(NodeId(0), 2);
+        let node = single(2);
         for i in 0..5 {
             node.handle(Request::Add {
                 stripe: StripeId(0),
@@ -796,8 +539,7 @@ mod tests {
     fn deferred_flush_coalesces_sequential_updates() {
         // §3.11: a redundant block updated by k sequential writes should hit
         // the medium once, not k times.
-        let mut node =
-            StorageNode::new(NodeId(0), 2).with_flush_policy(FlushPolicy::Deferred);
+        let node = single(2).with_flush_policy(FlushPolicy::Deferred);
         for i in 0..4 {
             node.handle(Request::Add {
                 stripe: StripeId(0),
@@ -846,7 +588,7 @@ mod tests {
 
     #[test]
     fn get_meta_strips_the_block_but_keeps_metadata() {
-        let mut node = StorageNode::new(NodeId(0), 4);
+        let node = single(4);
         node.handle(Request::Swap {
             stripe: StripeId(0),
             value: vec![9; 4],
@@ -906,7 +648,7 @@ mod tests {
 
     #[test]
     fn batch_applies_members_in_order_under_one_call() {
-        let mut node = StorageNode::new(NodeId(0), 4);
+        let node = single(4);
         // swap then read of the same stripe, plus a read of another stripe,
         // all in one message: the read must observe the swap's effect.
         let reply = node.handle(Request::Batch(vec![
@@ -926,7 +668,7 @@ mod tests {
         assert!(matches!(&replies[1], Reply::Read(r) if r.block == Some(vec![7; 4])));
         assert!(matches!(&replies[2], Reply::Read(r) if r.block == Some(vec![0; 4])));
         // ops_handled counts individual operations, not messages.
-        assert_eq!(node.ops_handled(), 3);
+        assert_eq!(node.lock_all().ops_handled(), 3);
     }
 
     #[test]
@@ -934,7 +676,7 @@ mod tests {
         // The rebuild engine's phase 2: one message probing many stripes'
         // states. The replies must be per-stripe and the whole batch must
         // leave the lock counter untouched.
-        let mut node = StorageNode::new(NodeId(0), 4);
+        let node = single(4);
         node.handle(Request::Swap {
             stripe: StripeId(1),
             value: vec![9; 4],
@@ -952,7 +694,7 @@ mod tests {
         };
         assert_eq!(s1.block.as_deref(), Some(&[9u8; 4][..]));
         assert_eq!(s1.recentlist.len(), 1);
-        assert_eq!(node.lock_ops(), 0, "get_state is not a lock operation");
+        assert_eq!(node.lock_all().lock_ops(), 0, "get_state is not a lock operation");
         // Lock-protocol requests do tick the counter, batched or not.
         node.handle(Request::Batch(vec![
             Request::TryLock {
@@ -971,7 +713,7 @@ mod tests {
             lm: LMode::L1,
             caller: ClientId(3),
         });
-        assert_eq!(node.lock_ops(), 3);
+        assert_eq!(node.lock_all().lock_ops(), 3);
     }
 
     #[test]
@@ -1028,7 +770,7 @@ mod tests {
 
     #[test]
     fn probe_reports_pending_writes_and_opmode() {
-        let mut node = StorageNode::new(NodeId(0), 2);
+        let node = single(2);
         node.handle(Request::Add {
             stripe: StripeId(0),
             delta: vec![1, 1],

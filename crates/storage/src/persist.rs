@@ -63,8 +63,9 @@ pub enum PersistMode {
 
 /// One durable event in the journal. `Apply` covers every state-mutating
 /// request (batches are one record: they execute atomically, so they must
-/// recover atomically); the other two are node-side events that mutate
-/// protocol state without a request.
+/// recover atomically — written as their leaves in order, whatever the
+/// nesting they arrived in); the other two are node-side events that
+/// mutate protocol state without a request.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum WalRecord {
     /// A state-mutating [`Request`] the node executed.
@@ -579,12 +580,15 @@ fn encode_request(out: &mut Vec<u8>, req: &Request) {
             out.push(12);
             put_u64(out, stripe.0);
         }
-        Request::Batch(members) => {
+        Request::Batch(_) => {
+            // A batch is journaled as its leaves, in order: replay needs
+            // only the order, and the decoder follows no nesting (see
+            // `MAX_BATCH_DEPTH`). A flat batch encodes as it always has.
+            let mut leaves = 0u32;
+            req.for_each_leaf(&mut |_| leaves += 1);
             out.push(13);
-            put_u32(out, members.len() as u32);
-            for m in members {
-                encode_request(out, m);
-            }
+            put_u32(out, leaves);
+            req.for_each_leaf(&mut |leaf| encode_request(out, leaf));
         }
         Request::GetMeta { stripe } => {
             out.push(14);
@@ -859,6 +863,17 @@ mod tests {
                 "round trip failed for {req:?}"
             );
         }
+        // A batch inside a batch is journaled as its leaves, in order.
+        let (a, b, c) = (
+            Request::Read { stripe: StripeId(0) },
+            Request::Probe { stripe: StripeId(1) },
+            Request::GetMeta { stripe: StripeId(2) },
+        );
+        let nested = Request::Batch(vec![a.clone(), Request::Batch(vec![b.clone(), c.clone()])]);
+        assert_eq!(
+            decode_record(&encoded(WalRecordRef::Apply(&nested))),
+            Some(WalRecord::Apply(Request::Batch(vec![a, b, c])))
+        );
         let payload = encoded(WalRecordRef::ClientFailure(ClientId(3)));
         assert_eq!(decode_record(&payload), Some(WalRecord::ClientFailure(ClientId(3))));
         let payload = encoded(WalRecordRef::FailRemap(0xA5));
@@ -941,8 +956,12 @@ mod tests {
         let flat = Request::Batch(vec![probe.clone()]);
         let payload = encoded(WalRecordRef::Apply(&flat));
         assert_eq!(decode_record(&payload), Some(WalRecord::Apply(flat.clone())));
-        let nested = Request::Batch(vec![probe, flat]);
-        let payload = encoded(WalRecordRef::Apply(&nested));
+        // The encoder writes a nested batch as its leaves, so the bytes of
+        // one are put together by hand: a two-member batch whose second
+        // member is `flat`'s own encoding.
+        let mut payload = vec![0, 13, 2, 0, 0, 0];
+        encode_request(&mut payload, &probe);
+        encode_request(&mut payload, &flat);
         assert_eq!(decode_frame(&framed(&payload), 0), None);
 
         // Record tag, then 1 MiB of `Batch` headers each claiming one member.

@@ -1,39 +1,44 @@
-//! Per-stripe sharded node state behind fine-grained locks.
+//! The storage node: per-stripe [`BlockState`] machines behind the
+//! [`Request`]/[`Reply`] interface, plus the node-level concerns the paper
+//! describes — fail-remap (§3.5), the broadcast-mode coefficient multiply
+//! and deferred redundant-block flushing (§3.11), the metadata accounting
+//! of §6.5 — and the journal hooks of DESIGN.md §10.
 //!
 //! The reactor transport serves one node's requests from several worker
-//! threads at once. Under the original single-lock [`StorageNode`] those
-//! workers serialize on the node mutex even when they touch *independent*
-//! stripes — which is exactly the common case for many-client traffic,
-//! since the stripe layout spreads clients across stripes. [`ShardedNode`]
-//! partitions the per-stripe [`BlockState`] map into `n_shards` shards by
-//! `stripe % n_shards`, each behind its own lock, so requests for
-//! different shards proceed in parallel.
+//! threads at once, and the stripe layout spreads clients across stripes,
+//! so [`ShardedNode`] partitions the block map into `n_shards` private
+//! shards by `stripe % n_shards`, each behind its own lock: requests for
+//! different shards proceed in parallel. A one-shard node is the paper's
+//! single-lock server.
 //!
-//! Three rules keep the sharded node *observably identical* to the
-//! single-lock node (asserted by the `sharded_equivalence` proptest):
+//! Three rules keep the shard count *unobservable* (asserted by the
+//! `sharded_equivalence` proptest, one shard against several):
 //!
 //! 1. **Shard-ordered batch locking.** A [`Request::Batch`] may span
 //!    shards; its member set of shards is locked in ascending global shard
 //!    index before any member executes, and held until the whole batch has
 //!    answered. Every multi-shard acquirer uses the same total order, so
 //!    no cycle — hence no deadlock — is possible, and the batch executes
-//!    atomically with respect to every other request (the PR 3 single-lock
-//!    batch semantics).
-//! 2. **Node-level flush accounting.** The §3.11 deferred-flush `dirty`
-//!    marker stays *node*-level: a per-shard marker would coalesce
+//!    atomically with respect to every other request.
+//! 2. **Node-level state lives in the node.** Identity, block size, the
+//!    code family, the flush policy, the §3.11 `dirty` marker and
+//!    `media_writes` exist once: a per-shard marker would coalesce
 //!    alternating-stripe write patterns that the real (single-medium) node
-//!    must flush, changing `media_writes`. All media accounting therefore
-//!    lives in the wrapper, not in the shard state machines.
-//! 3. **No cross-shard state.** Everything else a request touches is keyed
-//!    by its stripe, so the shard partition is semantically invisible.
+//!    must flush. A shard holds only what is keyed by stripe, and two
+//!    counters that are summed on read.
+//! 3. **One router.** `ShardedNode::apply` is the only walk from a
+//!    request to its leaves and the only match from a leaf to its
+//!    [`BlockState`] call. How the shards it needs came to be held — one
+//!    fresh lock, a batch's ascending lock set, or every shard for journal
+//!    replay — is its caller's business.
 
-use crate::node::{FlushPolicy, Reply, Request, StorageNode};
+use crate::node::{FlushPolicy, Reply, Request};
 use crate::persist::{InMemoryPersistence, Persistence, WalRecord, WalRecordRef};
 use crate::state::BlockState;
 use crate::types::{ClientId, NodeId, StripeId};
 use ajx_erasure::CodeFamily;
 use parking_lot::{Mutex, MutexGuard};
-use std::collections::BTreeMap;
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -65,45 +70,73 @@ fn is_journaled(req: &Request) -> bool {
     }
 }
 
+/// One shard's share of the node: the stripe-blocks that hash to it and
+/// the two counters kept beside them (summed across shards on read).
+#[derive(Debug, Default)]
+struct Shard {
+    blocks: HashMap<StripeId, BlockState>,
+    ops_handled: u64,
+    lock_ops: u64,
+    /// `Some(garbage)` after a fail-remap: stripes touched for the first
+    /// time materialize as INIT garbage, because the *whole replacement
+    /// node* starts uninitialized (§3.5), not just previously-seen stripes.
+    remap_garbage: Option<u8>,
+}
+
+impl Shard {
+    fn fail_remap(&mut self, garbage_byte: u8, block_size: usize) {
+        self.remap_garbage = Some(garbage_byte);
+        for state in self.blocks.values_mut() {
+            *state = BlockState::after_fail_remap(vec![garbage_byte; block_size]);
+        }
+    }
+
+    fn on_client_failure(&mut self, client: ClientId) -> usize {
+        self.blocks
+            .values_mut()
+            .map(|b| usize::from(b.expire_lock_if_held_by(client)))
+            .sum()
+    }
+}
+
 /// RAII guard for one shard's lock, acquired only through
 /// [`ShardedNode::lock_shard`] / [`ShardedNode::lock_all_shards`].
 ///
-/// In debug builds the guard carries its (node, shard-index) identity and
+/// The guard knows which shard it holds — that is how the router finds a
+/// leaf's shard among the guards it was handed. In debug builds it also
 /// reports its release to the lock-order watchdog, so any acquisition
 /// that breaks the ascending-index discipline (DESIGN.md §9) asserts at
 /// the acquisition site instead of deadlocking some later run.
 #[derive(Debug)]
-pub(crate) struct ShardGuard<'a> {
-    guard: MutexGuard<'a, StorageNode>,
+struct ShardGuard<'a> {
+    guard: MutexGuard<'a, Shard>,
+    idx: usize,
     #[cfg(debug_assertions)]
     node_token: usize,
-    #[cfg(debug_assertions)]
-    idx: usize,
 }
 
 impl<'a> ShardGuard<'a> {
-    fn new(guard: MutexGuard<'a, StorageNode>, node_token: usize, idx: usize) -> Self {
+    fn new(guard: MutexGuard<'a, Shard>, node_token: usize, idx: usize) -> Self {
         #[cfg(not(debug_assertions))]
-        let _ = (node_token, idx);
+        let _ = node_token;
         ShardGuard {
             guard,
+            idx,
             #[cfg(debug_assertions)]
             node_token,
-            #[cfg(debug_assertions)]
-            idx,
         }
     }
 }
 
 impl std::ops::Deref for ShardGuard<'_> {
-    type Target = StorageNode;
-    fn deref(&self) -> &StorageNode {
+    type Target = Shard;
+    fn deref(&self) -> &Shard {
         &self.guard
     }
 }
 
 impl std::ops::DerefMut for ShardGuard<'_> {
-    fn deref_mut(&mut self) -> &mut StorageNode {
+    fn deref_mut(&mut self) -> &mut Shard {
         &mut self.guard
     }
 }
@@ -162,24 +195,41 @@ mod watchdog {
     }
 }
 
-/// A storage node whose per-stripe state is partitioned into independently
-/// locked shards, so concurrent requests for different stripes never
-/// contend.
+/// A thin storage node hosting one block of every stripe it participates
+/// in, its per-stripe state partitioned into independently locked shards
+/// so concurrent requests for different stripes never contend.
 ///
-/// Each shard is a full [`StorageNode`] state machine holding only the
-/// stripes that hash to it; [`ShardedNode::handle`] routes requests (and
-/// locks shard sets for batches) and keeps the node-level accounting that
-/// must not fragment across shards (media writes, deferred-flush dirty
-/// tracking).
-///
-/// All methods take `&self`: the sharded node is shared directly between
+/// The node is a *pure state machine*: [`ShardedNode::handle`] maps a
+/// [`Request`] to a [`Reply`] with no side channels, which is what lets the
+/// paper's protocol treat servers as passive and push all orchestration to
+/// clients. All methods take `&self`: the node is shared directly between
 /// transport worker threads with no outer lock.
+///
+/// # Example
+///
+/// ```
+/// use ajx_storage::{NodeId, Request, Reply, ShardedNode, StripeId, Tid, ClientId};
+///
+/// let node = ShardedNode::new(NodeId(0), 16, 1);
+/// let tid = Tid::new(1, 0, ClientId(1));
+/// let reply = node.handle(Request::Swap {
+///     stripe: StripeId(0),
+///     value: vec![7; 16],
+///     ntid: tid,
+/// });
+/// match reply {
+///     Reply::Swap(r) => assert_eq!(r.block, Some(vec![0; 16])),
+///     other => panic!("unexpected reply {other:?}"),
+/// }
+/// ```
 #[derive(Debug)]
 pub struct ShardedNode {
     id: NodeId,
     block_size: usize,
+    /// The erasure code, for the broadcast-mode coefficient multiply.
+    code: Option<CodeFamily>,
     flush_policy: FlushPolicy,
-    shards: Vec<Mutex<StorageNode>>,
+    shards: Vec<Mutex<Shard>>,
     /// §3.11 deferred-flush marker — node-level by rule 2 above.
     dirty: Mutex<Option<StripeId>>,
     media_writes: AtomicU64,
@@ -200,14 +250,12 @@ impl ShardedNode {
     /// Creates a node with `n_shards` stripe shards (`n_shards >= 1`);
     /// blocks start zeroed in normal mode.
     pub fn new(id: NodeId, block_size: usize, n_shards: usize) -> Self {
-        let n_shards = n_shards.max(1);
         ShardedNode {
             id,
             block_size,
+            code: None,
             flush_policy: FlushPolicy::WriteThrough,
-            shards: (0..n_shards)
-                .map(|_| Mutex::new(StorageNode::new(id, block_size)))
-                .collect(),
+            shards: (0..n_shards.max(1)).map(|_| Mutex::default()).collect(),
             dirty: Mutex::new(None),
             media_writes: AtomicU64::new(0),
             shard_locks: AtomicU64::new(0),
@@ -229,22 +277,14 @@ impl ShardedNode {
         &self.persist
     }
 
-    /// Equips every shard with the erasure code for broadcast-mode scaled
-    /// adds (§3.11).
+    /// Equips the node with the erasure code so it can perform the
+    /// broadcast-mode coefficient multiply (§3.11).
     pub fn with_code(mut self, code: CodeFamily) -> Self {
-        let id = self.id;
-        for shard in &mut self.shards {
-            // Builder holds the node exclusively: no locking needed.
-            let slot = shard.get_mut();
-            let sn = std::mem::replace(slot, StorageNode::new(id, 0));
-            *slot = sn.with_code(code.clone());
-        }
+        self.code = Some(code);
         self
     }
 
-    /// Selects the media flush policy (§3.11 ablation). The shards
-    /// themselves always run write-through; deferral is accounted at node
-    /// level (see the module docs).
+    /// Selects the media flush policy (§3.11 ablation).
     pub fn with_flush_policy(mut self, policy: FlushPolicy) -> Self {
         self.flush_policy = policy;
         self
@@ -253,16 +293,6 @@ impl ShardedNode {
     /// This node's identity.
     pub fn id(&self) -> NodeId {
         self.id
-    }
-
-    /// The configured block size.
-    pub fn block_size(&self) -> usize {
-        self.block_size
-    }
-
-    /// Number of stripe shards.
-    pub fn n_shards(&self) -> usize {
-        self.shards.len()
     }
 
     fn shard_of(&self, stripe: StripeId) -> usize {
@@ -321,101 +351,36 @@ impl ShardedNode {
         self.contended_locks.load(Ordering::Relaxed)
     }
 
-    /// The shard indices a request touches (recursing into batches).
-    fn collect_shards(&self, req: &Request, out: &mut std::collections::BTreeSet<usize>) {
-        match req {
-            Request::Batch(members) => {
-                for m in members {
-                    self.collect_shards(m, out);
-                }
-            }
-            other => {
-                out.insert(self.shard_of(other.stripe()));
-            }
-        }
-    }
-
-    /// Applies a request against already-held shard guards (batch path).
-    fn apply_locked(&self, req: Request, guards: &mut BTreeMap<usize, ShardGuard<'_>>) -> Reply {
-        match req {
-            Request::Batch(members) => Reply::Batch(
-                members
-                    .into_iter()
-                    .map(|m| self.apply_locked(m, guards))
-                    .collect(),
-            ),
-            other => {
-                let stripe = other.stripe();
-                let mutates = matches!(
-                    other,
-                    Request::Swap { .. } | Request::Add { .. } | Request::Reconstruct { .. }
-                );
-                // LINT-ALLOW(panic-free: handle() collected and locked the
-                // shard set of the whole batch before the first
-                // apply_locked call, and recursion only visits members of
-                // that same batch, so the entry is always present)
-                let shard = guards
-                    .get_mut(&self.shard_of(stripe))
-                    .expect("batch shard set was locked up front");
-                let reply = shard.handle(other);
-                if mutates && !matches!(reply, Reply::NoCode) {
-                    self.account_media_write(stripe);
-                }
-                reply
-            }
-        }
-    }
-
     /// Handles a request, advancing the target stripe-block state machine.
     ///
     /// A non-batch request locks exactly its stripe's shard. A
-    /// [`Request::Batch`] locks the set of shards its members touch in
-    /// ascending shard order (deadlock-free) and holds them all until every
-    /// member has answered, so the batch is atomic with respect to all
-    /// other requests — the same observable semantics as the single-lock
-    /// [`StorageNode::handle`].
+    /// [`Request::Batch`] locks the set of shards its members touch, each
+    /// once, in ascending shard order (deadlock-free) and holds them all
+    /// until every member has answered, so the batch is atomic with
+    /// respect to all other requests — what a single node-wide lock gave.
     pub fn handle(&self, req: Request) -> Reply {
-        let reply = match req {
-            req @ Request::Batch(_) => {
-                let mut shard_set = std::collections::BTreeSet::new();
-                self.collect_shards(&req, &mut shard_set);
-                // Ascending acquisition: BTreeSet iterates in order.
-                let mut guards: BTreeMap<usize, ShardGuard<'_>> = shard_set
+        let reply = {
+            let (mut one, mut set);
+            let held: &mut [ShardGuard<'_>] = if matches!(req, Request::Batch(_)) {
+                let mut idxs = Vec::new();
+                req.for_each_leaf(&mut |leaf| idxs.push(self.shard_of(leaf.stripe())));
+                idxs.sort_unstable();
+                idxs.dedup();
+                set = idxs
                     .into_iter()
-                    .map(|idx| (idx, self.lock_shard(idx)))
-                    .collect();
-                // One journal record for the whole batch — it executes
-                // atomically under the shard set, so it recovers atomically.
-                if is_journaled(&req) {
-                    self.persist.append(WalRecordRef::Apply(&req));
-                }
-                // LINT-ALLOW(panic-free: the arm pattern `req @
-                // Request::Batch(_)` proves this destructure succeeds)
-                let Request::Batch(members) = req else { unreachable!() };
-                Reply::Batch(
-                    members
-                        .into_iter()
-                        .map(|m| self.apply_locked(m, &mut guards))
-                        .collect(),
-                )
+                    .map(|idx| self.lock_shard(idx))
+                    .collect::<Vec<_>>();
+                &mut set
+            } else {
+                one = self.lock_shard(self.shard_of(req.stripe()));
+                std::slice::from_mut(&mut one)
+            };
+            // One journal record per message, appended under the locks it
+            // executes under: a batch recovers as atomically as it ran.
+            if is_journaled(&req) {
+                self.persist.append(WalRecordRef::Apply(&req));
             }
-            other => {
-                let stripe = other.stripe();
-                let mutates = matches!(
-                    other,
-                    Request::Swap { .. } | Request::Add { .. } | Request::Reconstruct { .. }
-                );
-                let mut shard = self.lock_shard(self.shard_of(stripe));
-                if is_journaled(&other) {
-                    self.persist.append(WalRecordRef::Apply(&other));
-                }
-                let reply = shard.handle(other);
-                drop(shard);
-                if mutates && !matches!(reply, Reply::NoCode) {
-                    self.account_media_write(stripe);
-                }
-                reply
-            }
+            self.apply(held, req)
         };
         // Group commit: one fsync covers every record journaled since the
         // last commit, by any worker. Under the deferred policy the WAL
@@ -426,9 +391,125 @@ impl ShardedNode {
         reply
     }
 
-    /// Node-level §3.11 media accounting — mirrors
-    /// `StorageNode::account_media_write` exactly, but lifted out of the
-    /// shards so deferred-flush coalescing sees the node's single medium.
+    /// The router: applies `req` to the shards in `held`, batch members in
+    /// order, each leaf counted by its shard and — when it writes the block
+    /// — by the node's media accounting. `ops_handled` counts leaves, so a
+    /// batch of m adds m.
+    ///
+    /// `held` must hold the shard of every leaf of `req`.
+    fn apply(&self, held: &mut [ShardGuard<'_>], req: Request) -> Reply {
+        let stripe = req.stripe();
+        let writes_medium = req.writes_medium();
+        let reply = match req {
+            Request::Batch(members) => {
+                Reply::Batch(members.into_iter().map(|m| self.apply(held, m)).collect())
+            }
+            Request::Read { .. } => Reply::Read(self.block(held, stripe).read()),
+            Request::Swap { value, ntid, .. } => {
+                Reply::Swap(self.block(held, stripe).swap(value, ntid))
+            }
+            Request::Add {
+                mut delta,
+                ntid,
+                otid,
+                epoch,
+                scale,
+                ..
+            } => {
+                if let Some((j, i)) = scale {
+                    let Some(code) = &self.code else {
+                        self.shard(held, stripe).ops_handled += 1;
+                        return Reply::NoCode;
+                    };
+                    // The delta arrived owned; scale it where it sits
+                    // instead of copying it into a fresh block.
+                    code.scale_in_place(j, i, &mut delta);
+                }
+                Reply::Add(self.block(held, stripe).add(&delta, ntid, otid, epoch))
+            }
+            Request::CheckTid { ntid, otid, .. } => {
+                Reply::CheckTid(self.block(held, stripe).checktid(ntid, otid))
+            }
+            Request::TryLock { lm, caller, .. } => {
+                Reply::TryLock(self.lock_block(held, stripe).trylock(lm, caller))
+            }
+            Request::SetLock { lm, caller, .. } => {
+                self.lock_block(held, stripe).setlock(lm, caller);
+                Reply::Ack
+            }
+            Request::GetState { .. } => Reply::GetState(self.block(held, stripe).get_state()),
+            Request::GetMeta { .. } => {
+                let mut meta = self.block(held, stripe).get_state();
+                meta.block = None;
+                Reply::GetState(meta)
+            }
+            Request::GetRecent { lm, caller, .. } => {
+                Reply::GetRecent(self.lock_block(held, stripe).getrecent(lm, caller))
+            }
+            Request::Reconstruct { cset, block, .. } => {
+                Reply::Reconstruct(self.block(held, stripe).reconstruct(cset, block))
+            }
+            Request::Finalize { epoch, .. } => {
+                self.block(held, stripe).finalize(epoch);
+                Reply::Ack
+            }
+            Request::GcOld { tids, .. } => Reply::Gc(self.block(held, stripe).gc_old(&tids)),
+            Request::GcRecent { tids, .. } => Reply::Gc(self.block(held, stripe).gc_recent(&tids)),
+            Request::Probe { .. } => {
+                let (opmode, lmode, oldest_pending_age) = self.block(held, stripe).probe();
+                Reply::Probe {
+                    opmode,
+                    lmode,
+                    oldest_pending_age,
+                }
+            }
+        };
+        if writes_medium {
+            self.account_media_write(stripe);
+        }
+        reply
+    }
+
+    /// The held shard that serves `stripe`.
+    fn shard<'s>(&self, held: &'s mut [ShardGuard<'_>], stripe: StripeId) -> &'s mut Shard {
+        let idx = self.shard_of(stripe);
+        // LINT-ALLOW(panic-free: `apply` is private and each caller holds
+        // the shard of every leaf it passes — `handle` locks a single
+        // request's shard or a batch's collected set first, replay holds
+        // them all — so no input reaches this with its shard unheld)
+        held.iter_mut()
+            .find(|g| g.idx == idx)
+            .expect("the leaf's shard was locked before apply")
+    }
+
+    /// Counts one handled operation at `stripe`'s shard and returns the
+    /// state machine of its block, materializing it on first touch.
+    fn block<'s>(&self, held: &'s mut [ShardGuard<'_>], stripe: StripeId) -> &'s mut BlockState {
+        let (shard, block_size) = (self.shard(held, stripe), self.block_size);
+        shard.ops_handled += 1;
+        let remap_garbage = shard.remap_garbage;
+        shard
+            .blocks
+            .entry(stripe)
+            .or_insert_with(|| match remap_garbage {
+                Some(g) => BlockState::after_fail_remap(vec![g; block_size]),
+                None => BlockState::new(block_size),
+            })
+    }
+
+    /// [`ShardedNode::block`] for the lock protocol (`trylock` / `setlock`
+    /// / `getrecent`), which is counted separately.
+    fn lock_block<'s>(
+        &self,
+        held: &'s mut [ShardGuard<'_>],
+        stripe: StripeId,
+    ) -> &'s mut BlockState {
+        self.shard(held, stripe).lock_ops += 1;
+        self.block(held, stripe)
+    }
+
+    /// Node-level §3.11 media accounting: the node has one medium, so the
+    /// deferred-flush marker sees every shard's writes in one sequence.
     fn account_media_write(&self, stripe: StripeId) {
         match self.flush_policy {
             FlushPolicy::WriteThrough => {
@@ -439,6 +520,7 @@ impl ShardedNode {
                 match *dirty {
                     Some(d) if d == stripe => {} // coalesced with pending flush
                     Some(_) => {
+                        // Sequential pass moved on: flush the previous block.
                         self.media_writes.fetch_add(1, Ordering::Relaxed);
                         *dirty = Some(stripe);
                     }
@@ -448,7 +530,8 @@ impl ShardedNode {
         }
     }
 
-    /// Media writes performed under the current [`FlushPolicy`].
+    /// Media writes performed under the current [`FlushPolicy`]
+    /// (instrumentation for the §3.11 sequential-write ablation).
     pub fn media_writes(&self) -> u64 {
         self.media_writes.load(Ordering::Relaxed)
     }
@@ -462,14 +545,16 @@ impl ShardedNode {
         self.persist.commit();
     }
 
-    /// Simulates a crash + remap (§3.5) across every shard; see
-    /// [`StorageNode::fail_remap`]. The replacement node arrives with a
-    /// *fresh* medium: the journal is discarded and restarted with the
-    /// remap event, so a later restart-with-disk replays onto garbage.
+    /// Simulates a crash + remap (§3.5): every stripe-block is replaced by
+    /// INIT state holding the supplied garbage pattern. The node keeps its
+    /// *logical* identity; the directory layer models the physical swap.
+    /// The replacement node arrives with a *fresh* medium: the journal is
+    /// discarded and restarted with the remap event, so a later
+    /// restart-with-disk replays onto garbage.
     pub fn fail_remap(&self, garbage_byte: u8) {
-        let mut guards = self.lock_all_shards();
-        for g in &mut guards {
-            g.fail_remap(garbage_byte);
+        let mut held = self.lock_all_shards();
+        for shard in &mut held {
+            shard.fail_remap(garbage_byte, self.block_size);
         }
         *self.dirty.lock() = None;
         self.persist.truncate();
@@ -485,13 +570,13 @@ impl ShardedNode {
     /// single journal record sits at a point that is a valid
     /// linearization of the node's execution order.
     pub fn on_client_failure(&self, client: ClientId) -> usize {
-        let mut guards = self.lock_all_shards();
+        let mut held = self.lock_all_shards();
         self.persist.append(WalRecordRef::ClientFailure(client));
-        let expired = guards
+        let expired = held
             .iter_mut()
-            .map(|g| g.on_client_failure(client))
+            .map(|shard| shard.on_client_failure(client))
             .sum();
-        drop(guards);
+        drop(held);
         self.persist.commit();
         expired
     }
@@ -503,64 +588,46 @@ impl ShardedNode {
     }
 
     /// Restart-with-disk: wipes all in-memory state (a restart loses RAM)
-    /// and replays the journal through the fresh state machines. Returns
-    /// `false` — leaving memory untouched — if the backend is not durable,
-    /// in which case the caller must wipe-and-rebuild instead (§3.5).
+    /// and replays the journal through the router. Returns `false` —
+    /// leaving memory untouched — if the backend is not durable, in which
+    /// case the caller must wipe-and-rebuild instead (§3.5).
     ///
     /// Counters restart from zero, as a real process restart would; the
-    /// replay itself re-counts the work it re-applies.
+    /// replay re-counts the operations it re-applies, but not media
+    /// writes — rebuilding RAM from the journal writes nothing.
     pub fn restart_from_disk(&self) -> bool {
         let Some(records) = self.persist.replay() else {
             return false;
         };
-        let mut guards = self.lock_all_shards();
-        for g in &mut guards {
-            g.reset();
+        let mut held = self.lock_all_shards();
+        for shard in &mut held {
+            **shard = Shard::default();
         }
-        *self.dirty.lock() = None;
-        self.media_writes.store(0, Ordering::Relaxed);
         self.shard_locks.store(0, Ordering::Relaxed);
         self.contended_locks.store(0, Ordering::Relaxed);
         for rec in records {
             match rec {
-                WalRecord::Apply(req) => self.replay_request(&mut guards, req),
+                WalRecord::Apply(req) => drop(self.apply(&mut held, req)),
                 WalRecord::ClientFailure(c) => {
-                    for g in &mut guards {
-                        g.on_client_failure(c);
+                    for shard in &mut held {
+                        shard.on_client_failure(c);
                     }
                 }
                 WalRecord::FailRemap(garbage) => {
-                    for g in &mut guards {
-                        g.fail_remap(garbage);
+                    for shard in &mut held {
+                        shard.fail_remap(garbage, self.block_size);
                     }
                 }
             }
         }
+        *self.dirty.lock() = None;
+        self.media_writes.store(0, Ordering::Relaxed);
         true
     }
 
-    /// Re-applies one journaled request during replay, routing each leaf
-    /// to its shard (batch members in order, like the live batch path).
-    fn replay_request(&self, guards: &mut [ShardGuard<'_>], req: Request) {
-        match req {
-            Request::Batch(members) => {
-                for m in members {
-                    self.replay_request(guards, m);
-                }
-            }
-            other => {
-                let idx = self.shard_of(other.stripe());
-                // LINT-ALLOW(panic-free: guards holds one entry per shard
-                // and shard_of() is always below shards.len())
-                guards[idx].handle(other);
-            }
-        }
-    }
-
-    /// Locks every shard (ascending) and returns an exclusive whole-node
-    /// view — the monitoring/test analogue of locking the old single-lock
-    /// node. Monitoring acquisitions are not counted in the contention
-    /// instrumentation.
+    /// Locks every shard (ascending) and returns a whole-node view for
+    /// tests and monitoring. Monitoring acquisitions are not counted in the
+    /// contention instrumentation.
     pub fn lock_all(&self) -> NodeView<'_> {
         NodeView {
             node: self,
@@ -569,9 +636,10 @@ impl ShardedNode {
     }
 }
 
-/// Exclusive access to every shard of a [`ShardedNode`] at once — what
-/// tests, fault injection, and monitoring get from the network's
-/// `with_node`. Mirrors the inspection surface of [`StorageNode`].
+/// Every shard of a [`ShardedNode`] held at once, to read a consistent
+/// picture of the node — what tests and monitoring get from the network's
+/// `with_node`. Requests do not come this way: they go through
+/// [`ShardedNode::handle`] like any client's.
 #[derive(Debug)]
 pub struct NodeView<'a> {
     node: &'a ShardedNode,
@@ -580,40 +648,16 @@ pub struct NodeView<'a> {
 }
 
 impl NodeView<'_> {
-    /// The shard state machine covering `stripe`.
-    fn shard(&self, stripe: StripeId) -> &StorageNode {
-        // LINT-ALLOW(panic-free: guards holds one entry per shard and
-        // shard_of() is always below shards.len())
-        &self.guards[self.node.shard_of(stripe)]
-    }
-
-    /// Mutable access to the shard state machine covering `stripe`.
-    fn shard_mut(&mut self, stripe: StripeId) -> &mut StorageNode {
-        let idx = self.node.shard_of(stripe);
-        // LINT-ALLOW(panic-free: guards holds one entry per shard and
-        // shard_of() is always below shards.len())
-        &mut self.guards[idx]
-    }
-
-    /// The node's identity.
-    pub fn id(&self) -> NodeId {
-        self.node.id
-    }
-
-    /// The configured block size.
-    pub fn block_size(&self) -> usize {
-        self.node.block_size
-    }
-
     /// Total requests handled, summed across shards.
     pub fn ops_handled(&self) -> u64 {
-        self.guards.iter().map(|g| g.ops_handled()).sum()
+        self.guards.iter().map(|g| g.ops_handled).sum()
     }
 
     /// Lock-protocol requests handled (`trylock` / `setlock` /
-    /// `getrecent`), summed across shards.
+    /// `getrecent`), summed across shards — instrumentation for asserting
+    /// that the degraded-read fast path really takes no locks.
     pub fn lock_ops(&self) -> u64 {
-        self.guards.iter().map(|g| g.lock_ops()).sum()
+        self.guards.iter().map(|g| g.lock_ops).sum()
     }
 
     /// Media writes performed under the node's flush policy.
@@ -640,63 +684,30 @@ impl NodeView<'_> {
 
     /// Direct access to a stripe-block's state (tests and monitoring only).
     pub fn block_state(&self, stripe: StripeId) -> Option<&BlockState> {
-        self.shard(stripe).block_state(stripe)
-    }
-
-    /// Mutable access for fault-injection in tests.
-    pub fn block_state_mut(&mut self, stripe: StripeId) -> Option<&mut BlockState> {
-        self.shard_mut(stripe).block_state_mut(stripe)
+        let shard = self.guards.get(self.node.shard_of(stripe))?;
+        shard.blocks.get(&stripe)
     }
 
     /// Stripes this node currently holds state for (unordered).
     pub fn stripes(&self) -> Vec<StripeId> {
-        self.guards.iter().flat_map(|g| g.stripes()).collect()
+        self.guards
+            .iter()
+            .flat_map(|g| g.blocks.keys().copied())
+            .collect()
     }
 
     /// Total protocol metadata bytes across all stripe-blocks (§6.5).
     pub fn metadata_bytes(&self) -> usize {
-        self.guards.iter().map(|g| g.metadata_bytes()).sum()
+        self.guards
+            .iter()
+            .flat_map(|g| g.blocks.values())
+            .map(BlockState::metadata_bytes)
+            .sum()
     }
 
     /// Number of stripe-blocks materialized at this node.
     pub fn resident_blocks(&self) -> usize {
-        self.guards.iter().map(|g| g.resident_blocks()).sum()
-    }
-
-    /// Handles a request while holding the whole node — the test path that
-    /// used to call `StorageNode::handle` under the node mutex. Same
-    /// semantics (and same media accounting) as [`ShardedNode::handle`].
-    pub fn handle(&mut self, req: Request) -> Reply {
-        // Same journal-then-apply-then-commit shape as
-        // [`ShardedNode::handle`]; the view already holds every shard.
-        if is_journaled(&req) {
-            self.node.persist.append(WalRecordRef::Apply(&req));
-        }
-        let reply = self.apply(req);
-        if self.node.flush_policy == FlushPolicy::WriteThrough {
-            self.node.persist.commit();
-        }
-        reply
-    }
-
-    fn apply(&mut self, req: Request) -> Reply {
-        match req {
-            Request::Batch(members) => {
-                Reply::Batch(members.into_iter().map(|m| self.apply(m)).collect())
-            }
-            other => {
-                let stripe = other.stripe();
-                let mutates = matches!(
-                    other,
-                    Request::Swap { .. } | Request::Add { .. } | Request::Reconstruct { .. }
-                );
-                let reply = self.shard_mut(stripe).handle(other);
-                if mutates && !matches!(reply, Reply::NoCode) {
-                    self.node.account_media_write(stripe);
-                }
-                reply
-            }
-        }
+        self.guards.iter().map(|g| g.blocks.len()).sum()
     }
 }
 
@@ -766,23 +777,38 @@ mod tests {
     fn deferred_flush_accounting_is_node_level() {
         // Alternating stripes land in *different* shards; a per-shard dirty
         // marker would coalesce them, but the node has one medium, so each
-        // alternation must flush (single-lock semantics).
-        let single = {
-            let mut n =
-                StorageNode::new(NodeId(0), 2).with_flush_policy(FlushPolicy::Deferred);
+        // alternation must flush — whatever the shard count.
+        for n_shards in [1, 4] {
+            let node =
+                ShardedNode::new(NodeId(0), 2, n_shards).with_flush_policy(FlushPolicy::Deferred);
             for i in 0..6u64 {
-                n.handle(add(i % 2, i + 1));
+                node.handle(add(i % 2, i + 1));
             }
-            n.flush_all();
-            n.media_writes()
-        };
-        let sharded = ShardedNode::new(NodeId(0), 2, 4).with_flush_policy(FlushPolicy::Deferred);
-        for i in 0..6u64 {
-            sharded.handle(add(i % 2, i + 1));
+            node.flush_all();
+            assert_eq!(node.media_writes(), 6, "five alternation flushes + final flush");
         }
-        sharded.flush_all();
-        assert_eq!(sharded.media_writes(), single);
-        assert_eq!(single, 6, "five alternation flushes + final flush");
+    }
+
+    #[test]
+    fn batch_locks_each_of_its_shards_once() {
+        // Members repeat shards and between them span all four: the lock
+        // set is the distinct shards, not one acquisition per member.
+        let node = ShardedNode::new(NodeId(0), 2, 4);
+        let before = node.shard_lock_acquisitions();
+        let stripes = [3, 0, 7, 1, 4, 2, 3, 5];
+        let Reply::Batch(replies) = node.handle(Request::Batch(
+            stripes.iter().map(|&s| add(s, s + 1)).collect(),
+        )) else {
+            panic!("expected Reply::Batch");
+        };
+        assert_eq!(replies.len(), stripes.len());
+        assert_eq!(node.shard_lock_acquisitions() - before, 4);
+        // A nested batch adds no acquisitions of its own.
+        node.handle(Request::Batch(vec![
+            add(0, 20),
+            Request::Batch(vec![add(4, 21), add(1, 22)]),
+        ]));
+        assert_eq!(node.shard_lock_acquisitions() - before, 4 + 2);
     }
 
     #[test]
@@ -918,6 +944,43 @@ mod tests {
             ntid: tid(1),
         });
         assert!(!mem.restart_from_disk());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn nested_batch_is_journaled_as_its_leaves_and_replays() {
+        // The decoder follows no batch nesting; a nested batch journaled
+        // as it arrived would stop replay at its frame and drop every
+        // later record with it.
+        use crate::persist::{scratch_dir, WalBackend};
+        let dir = scratch_dir("shard-nested");
+        let node = ShardedNode::new(NodeId(0), 2, 3)
+            .with_persistence(Arc::new(WalBackend::create(dir.join("n.wal"))));
+        let swap = |s: u64| Request::Swap {
+            stripe: StripeId(s),
+            value: vec![s as u8 + 1; 2],
+            ntid: tid(s + 1),
+        };
+        node.handle(Request::Batch(vec![
+            swap(0),
+            Request::Batch(vec![add(1, 10), add(2, 11)]),
+        ]));
+        node.handle(swap(3));
+
+        let snapshot = |node: &ShardedNode| -> Vec<_> {
+            let view = node.lock_all();
+            (0..4u64)
+                .map(|s| {
+                    let b = view.block_state(StripeId(s)).expect("written above");
+                    let mut b = b.clone();
+                    let st = b.get_state();
+                    (st.block, st.epoch, st.recentlist, st.oldlist)
+                })
+                .collect()
+        };
+        let before = snapshot(&node);
+        assert!(node.restart_from_disk(), "WAL backend must recover");
+        assert_eq!(snapshot(&node), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

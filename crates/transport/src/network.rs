@@ -423,9 +423,9 @@ impl Network {
             .sum()
     }
 
-    /// Runs `f` with exclusive access to a whole node (every stripe shard
-    /// locked at once) — for tests, fault injection, and monitoring that
-    /// bypasses the RPC path.
+    /// Runs `f` with every stripe shard of a node locked at once — for
+    /// tests and monitoring to read a consistent picture of its state.
+    /// Requests, a test's included, go through a [`ClientEndpoint`].
     ///
     /// # Panics
     ///

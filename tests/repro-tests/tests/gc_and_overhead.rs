@@ -86,24 +86,21 @@ fn gc_skips_locked_stripes_and_retries_later() {
     let c = cluster();
     c.client(0).write_block(0, vec![1; 32]).unwrap();
     // Lock the stripe's data node as if a recovery were running.
-    c.network().with_node(NodeId(0), |n| {
-        n.handle(ajx_storage::Request::TryLock {
-            stripe: StripeId(0),
-            lm: ajx_storage::LMode::L1,
-            caller: ajx_storage::ClientId(99),
-        });
+    let at_node_0 = |req| drop(c.client(1).endpoint().call(NodeId(0), req).unwrap());
+    at_node_0(ajx_storage::Request::TryLock {
+        stripe: StripeId(0),
+        lm: ajx_storage::LMode::L1,
+        caller: ajx_storage::ClientId(99),
     });
     let r = c.client(0).collect_garbage().unwrap();
     assert!(r.skipped_busy > 0, "locked node must be skipped");
     assert!(c.client(0).gc_backlog() > 0, "work kept for next cycle");
 
     // Unlock and retry: the backlog drains.
-    c.network().with_node(NodeId(0), |n| {
-        n.handle(ajx_storage::Request::SetLock {
-            stripe: StripeId(0),
-            lm: ajx_storage::LMode::Unl,
-            caller: ajx_storage::ClientId(99),
-        });
+    at_node_0(ajx_storage::Request::SetLock {
+        stripe: StripeId(0),
+        lm: ajx_storage::LMode::Unl,
+        caller: ajx_storage::ClientId(99),
     });
     c.client(0).collect_garbage().unwrap();
     c.client(0).collect_garbage().unwrap();
@@ -154,7 +151,7 @@ fn a_busy_member_holds_back_only_itself() {
     c.client(0).write_block(8, vec![2; 32]).unwrap();
     // Lock stripe 0 there as if a recovery were running.
     let (stripe, caller) = (StripeId(0), ajx_storage::ClientId(99));
-    let at_node_0 = |req| c.network().with_node(NodeId(0), |n| drop(n.handle(req)));
+    let at_node_0 = |req| drop(c.client(1).endpoint().call(NodeId(0), req).unwrap());
     at_node_0(ajx_storage::Request::TryLock { stripe, lm: ajx_storage::LMode::L1, caller });
     let r = c.client(0).collect_garbage().unwrap();
     assert_eq!(r.skipped_busy, 1, "busy entries are counted, not messages");

@@ -1,22 +1,25 @@
-//! Property: a [`ShardedNode`] is observationally identical to the
-//! single-lock [`StorageNode`] it wraps.
+//! Property: the number of shards a [`ShardedNode`] spreads its stripes
+//! over cannot be observed.
 //!
-//! The reactor rework (DESIGN.md §9) shards node state by stripe-block
-//! index so batches on independent stripes never contend, but the paper's
-//! protocol was verified against the single-lock node — so the sharded
-//! node must be a pure performance transform. This test drives random
-//! interleaved histories (single requests, cross-stripe batches, nested
-//! batches, fail-remaps, deferred-flush events, client failures) through
-//! both implementations under both flush policies and demands:
+//! The paper's protocol was verified against a single-lock node, which is
+//! a [`ShardedNode`] of one shard; the reactor rework (DESIGN.md §9) runs
+//! it with several so batches on independent stripes never contend. Both
+//! are the same code — one router, node-level accounting — so this test
+//! drives random interleaved histories (single requests, cross-stripe
+//! batches, nested batches, fail-remaps, deferred-flush events, client
+//! failures) through a one-shard and a several-shard node under both
+//! flush policies and demands:
 //!
 //! * every reply identical, in order;
-//! * final media-write / ops / lock-op / metadata / residency counters
-//!   identical;
-//! * every stripe's final block bytes identical.
+//! * final ops / lock-op / metadata / residency counters identical;
+//! * every stripe's final block bytes identical;
+//! * `media_writes` of both equal, after every step, to [`MediaModel`] —
+//!   §3.11's accounting written out from the paper's description. The two
+//!   nodes share their accounting code, so agreeing with each other would
+//!   show nothing; the model is the independent answer.
 
 use ajx_storage::{
-    ClientId, Epoch, FlushPolicy, LMode, NodeId, Reply, Request, ShardedNode, StorageNode,
-    StripeId, Tid,
+    ClientId, Epoch, FlushPolicy, LMode, NodeId, Reply, Request, ShardedNode, StripeId, Tid,
 };
 use proptest::prelude::*;
 
@@ -119,11 +122,50 @@ fn op_strategy() -> impl Strategy<Value = HistOp> {
     ]
 }
 
-/// Runs `history` against both node flavours and asserts observational
-/// equivalence at every step and at the end.
+/// §3.11's media accounting, from its description: write-through puts
+/// every block mutation on the medium; deferred keeps one dirty block in
+/// memory and writes it when a mutation arrives for another stripe or the
+/// node is flushed. A remap swaps the medium, dirty block and all.
+struct MediaModel {
+    policy: FlushPolicy,
+    dirty: Option<u64>,
+    writes: u64,
+}
+
+impl MediaModel {
+    /// Every history op here that changes block content is a `Swap` or an
+    /// `Add`; the node counts each whatever it answered, a rejected one
+    /// included, as it always has.
+    fn apply(&mut self, op: &HistOp) {
+        match op {
+            HistOp::Batch { members } => members.iter().for_each(|m| self.apply(m)),
+            HistOp::Swap { stripe, .. } | HistOp::Add { stripe, .. } => match self.policy {
+                FlushPolicy::WriteThrough => self.writes += 1,
+                FlushPolicy::Deferred => {
+                    if self.dirty.is_some_and(|d| d != *stripe) {
+                        self.writes += 1;
+                    }
+                    self.dirty = Some(*stripe);
+                }
+            },
+            HistOp::FlushAll => self.writes += u64::from(self.dirty.take().is_some()),
+            HistOp::FailRemap { .. } => self.dirty = None,
+            HistOp::Read { .. }
+            | HistOp::TryLock { .. }
+            | HistOp::GetState { .. }
+            | HistOp::Probe { .. }
+            | HistOp::Finalize { .. }
+            | HistOp::ClientFailure { .. } => {}
+        }
+    }
+}
+
+/// Runs `history` against a one-shard and a several-shard node and asserts
+/// observational equivalence at every step and at the end.
 fn check_equivalence(history: &[HistOp], policy: FlushPolicy) {
-    let mut single = StorageNode::new(NodeId(0), BS).with_flush_policy(policy);
+    let single = ShardedNode::new(NodeId(0), BS, 1).with_flush_policy(policy);
     let sharded = ShardedNode::new(NodeId(0), BS, SHARDS).with_flush_policy(policy);
+    let mut media = MediaModel { policy, dirty: None, writes: 0 };
 
     for (step, op) in history.iter().enumerate() {
         match op {
@@ -147,27 +189,25 @@ fn check_equivalence(history: &[HistOp], policy: FlushPolicy) {
                 assert_eq!(a, b, "step {step}: reply diverged for {op:?}");
             }
         }
-        assert_eq!(
-            single.media_writes(),
-            sharded.media_writes(),
-            "step {step}: media-write accounting diverged"
-        );
+        media.apply(op);
+        assert_eq!(single.media_writes(), media.writes, "step {step}: one shard, media writes");
+        assert_eq!(sharded.media_writes(), media.writes, "step {step}: {SHARDS} shards, media writes");
     }
 
     // Final-state equivalence: counters and every stripe's bytes.
-    let view = sharded.lock_all();
-    assert_eq!(single.ops_handled(), view.ops_handled(), "ops_handled");
-    assert_eq!(single.lock_ops(), view.lock_ops(), "lock_ops");
-    assert_eq!(single.metadata_bytes(), view.metadata_bytes(), "metadata");
-    assert_eq!(single.resident_blocks(), view.resident_blocks(), "residency");
-    let mut a_stripes: Vec<StripeId> = single.stripes().collect();
-    let mut b_stripes = view.stripes();
+    let (one, many) = (single.lock_all(), sharded.lock_all());
+    assert_eq!(one.ops_handled(), many.ops_handled(), "ops_handled");
+    assert_eq!(one.lock_ops(), many.lock_ops(), "lock_ops");
+    assert_eq!(one.metadata_bytes(), many.metadata_bytes(), "metadata");
+    assert_eq!(one.resident_blocks(), many.resident_blocks(), "residency");
+    let mut a_stripes = one.stripes();
+    let mut b_stripes = many.stripes();
     a_stripes.sort_unstable();
     b_stripes.sort_unstable();
     assert_eq!(a_stripes, b_stripes, "resident stripe sets diverged");
     for stripe in a_stripes {
-        let a = single.block_state(stripe).expect("resident");
-        let b = view.block_state(stripe).expect("resident");
+        let a = one.block_state(stripe).expect("resident");
+        let b = many.block_state(stripe).expect("resident");
         assert_eq!(a.raw_block(), b.raw_block(), "stripe {stripe:?} bytes");
         assert_eq!(a.opmode(), b.opmode(), "stripe {stripe:?} opmode");
         assert_eq!(a.lmode(), b.lmode(), "stripe {stripe:?} lmode");
@@ -178,7 +218,7 @@ fn check_equivalence(history: &[HistOp], policy: FlushPolicy) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
-    /// Sharded ≡ single-lock under write-through flushing.
+    /// N shards ≡ one shard under write-through flushing.
     #[test]
     fn sharded_node_matches_single_lock_write_through(
         history in proptest::collection::vec(op_strategy(), 1..60)
@@ -186,9 +226,10 @@ proptest! {
         check_equivalence(&history, FlushPolicy::WriteThrough);
     }
 
-    /// Sharded ≡ single-lock under deferred flushing — the policy where
-    /// naive per-shard dirty tracking would diverge on alternating-stripe
-    /// writes (the dirty slot is node-level state, DESIGN.md §9).
+    /// N shards ≡ one shard under deferred flushing — the policy where
+    /// naive per-shard dirty tracking would diverge from the model on
+    /// alternating-stripe writes (the dirty slot is node-level state,
+    /// DESIGN.md §9).
     #[test]
     fn sharded_node_matches_single_lock_deferred(
         history in proptest::collection::vec(op_strategy(), 1..60)

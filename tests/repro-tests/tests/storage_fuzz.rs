@@ -5,7 +5,7 @@
 //! *any* order (clients "may not know about each other", §2).
 
 use ajx_storage::{
-    AddStatus, ClientId, Epoch, LMode, NodeId, OpMode, Reply, Request, StorageNode, StripeId, Tid,
+    AddStatus, ClientId, Epoch, LMode, NodeId, OpMode, Reply, Request, ShardedNode, StripeId, Tid,
 };
 use proptest::prelude::*;
 
@@ -65,7 +65,12 @@ fn tid(seq: u64) -> Tid {
     Tid::new(seq, 0, ClientId(1))
 }
 
-fn apply(node: &mut StorageNode, op: &FuzzOp) -> Option<Reply> {
+/// The paper's single-lock server: a node of one shard.
+fn single() -> ShardedNode {
+    ShardedNode::new(NodeId(0), BS, 1)
+}
+
+fn apply(node: &ShardedNode, op: &FuzzOp) -> Option<Reply> {
     let req = match op {
         FuzzOp::Read => Request::Read { stripe: STRIPE },
         FuzzOp::Swap { fill, seq } => Request::Swap {
@@ -132,8 +137,9 @@ fn apply(node: &mut StorageNode, op: &FuzzOp) -> Option<Reply> {
     Some(node.handle(req))
 }
 
-fn check_invariants(node: &StorageNode, history_len: usize) {
-    let Some(state) = node.block_state(STRIPE) else {
+fn check_invariants(node: &ShardedNode, history_len: usize) {
+    let view = node.lock_all();
+    let Some(state) = view.block_state(STRIPE) else {
         return;
     };
     // Block content always has the configured size.
@@ -158,9 +164,9 @@ proptest! {
     fn fuzz_state_machine_never_panics_and_keeps_invariants(
         ops in proptest::collection::vec(op_strategy(), 1..60)
     ) {
-        let mut node = StorageNode::new(NodeId(0), BS);
+        let node = single();
         for (i, op) in ops.iter().enumerate() {
-            let reply = apply(&mut node, op);
+            let reply = apply(&node, op);
             // Replies are internally consistent.
             if let Some(Reply::Add(a)) = reply {
                 if a.status == AddStatus::Ok {
@@ -182,10 +188,10 @@ proptest! {
         // finalize() installs the epoch recovery computed (max + 1); the
         // protocol guarantees monotonicity end-to-end, and the node must
         // faithfully store whatever the recovery layer hands it.
-        let mut node = StorageNode::new(NodeId(0), BS);
+        let node = single();
         for e in &epochs {
             node.handle(Request::Finalize { stripe: STRIPE, epoch: Epoch(*e) });
-            let got = node.block_state(STRIPE).unwrap().epoch();
+            let got = node.lock_all().block_state(STRIPE).unwrap().epoch();
             assert_eq!(got, Epoch(*e));
         }
     }
@@ -194,7 +200,7 @@ proptest! {
 #[test]
 fn adversarial_interleaving_swap_lock_remap() {
     // A regression-style fixed sequence mixing all the awkward transitions.
-    let mut node = StorageNode::new(NodeId(0), BS);
+    let node = single();
     let ops = [
         FuzzOp::Swap { fill: 1, seq: 1 },
         FuzzOp::TryLock { lm: 2, caller: 9 }, // L1
@@ -210,9 +216,10 @@ fn adversarial_interleaving_swap_lock_remap() {
         FuzzOp::Swap { fill: 9, seq: 4 },     // normal again
     ];
     for op in &ops {
-        apply(&mut node, op);
+        apply(&node, op);
     }
-    let st = node.block_state(STRIPE).unwrap();
+    let view = node.lock_all();
+    let st = view.block_state(STRIPE).unwrap();
     assert_eq!(st.opmode(), OpMode::Norm);
     assert_eq!(st.lmode(), LMode::Unl);
     assert_eq!(st.epoch(), Epoch(4));

@@ -14,7 +14,8 @@
 # benchmark's contract (benchmark/ builds offline, its codec, durable_write
 # and small_rw workloads run correct with zero failed operations, and a
 # traced small_rw run shows garbage collection still batched per node and
-# still collecting everything).
+# still collecting everything, and the node's media-write and metadata
+# accounts where they were).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -163,6 +164,17 @@ awk -v r="$round_trips" -v h="$ops_handled" \
   'BEGIN { exit !(r > 0 && r < 3.5 && h > 7.3 && h < 7.6) }' \
   || { echo "garbage collection left its message or work envelope (want round trips < 3.5, ops handled in 7.3..7.6)"; exit 1; }
 echo "garbage-collection envelope holds"
+# The two accounts the node keeps for itself, from the same run: RS 4-of-8
+# puts one swap and four adds on a medium per write, and after the run's
+# last collection a resident block carries 25.75 bytes of protocol
+# metadata. Both are exact with --slices; a slip in the node's accounting
+# fails here instead of at a later re-anchor.
+media_writes=$(metric storage.media_writes_per_write)
+metadata_bytes=$(metric storage.metadata_bytes_per_block)
+echo "storage.media_writes_per_write $media_writes, storage.metadata_bytes_per_block $metadata_bytes"
+awk -v m="$media_writes" -v b="$metadata_bytes" 'BEGIN { exit !(m == 5 && b == 25.75) }' \
+  || { echo "node-level accounting moved (want 5 media writes per write, 25.75 metadata bytes per block)"; exit 1; }
+echo "node-level accounting holds"
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
