@@ -1,13 +1,12 @@
 //! AST-lite: a structural model recovered from the token stream.
 //!
 //! No expression parsing — just the item structure the rules need:
-//! `#[cfg(test)]` / `#[test]` regions (most rules skip test code), function
-//! spans with their enclosing `impl` target (so a rule can say "inside
-//! `Request::wire_bytes`"), and enum variant lists (for the codec
-//! exhaustiveness rule).
+//! `#[cfg(test)]` / `#[test]` regions (most rules skip test code) and
+//! function spans with their enclosing `impl` target (so a rule can say
+//! "inside `ShardedNode::lock_shard`").
 
 use crate::lexer::{lex, Comment, Tok, Token};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A function's span in the token stream.
 #[derive(Debug, Clone)]
@@ -20,15 +19,6 @@ pub struct FnSpan {
     pub kw_idx: usize,
     /// Token range `[start, end)` of the body, braces included.
     pub body: (usize, usize),
-}
-
-/// An enum's name and variant list.
-#[derive(Debug, Clone)]
-pub struct EnumSpan {
-    /// The enum's name.
-    pub name: String,
-    /// Variant names in declaration order.
-    pub variants: Vec<String>,
 }
 
 /// A lexed file plus the recovered item structure.
@@ -45,8 +35,6 @@ pub struct FileModel {
     pub test_ranges: Vec<(usize, usize)>,
     /// All function spans, in order of appearance.
     pub fns: Vec<FnSpan>,
-    /// All enums, in order of appearance.
-    pub enums: Vec<EnumSpan>,
     /// Lines that contain at least one code token.
     pub code_lines: HashSet<u32>,
 }
@@ -57,7 +45,6 @@ impl FileModel {
         let (tokens, comments) = lex(src);
         let test_ranges = find_test_ranges(&tokens);
         let fns = find_fns(&tokens);
-        let enums = find_enums(&tokens);
         let code_lines = tokens.iter().map(|t| t.line).collect();
         FileModel {
             path: path.to_owned(),
@@ -65,7 +52,6 @@ impl FileModel {
             comments,
             test_ranges,
             fns,
-            enums,
             code_lines,
         }
     }
@@ -305,68 +291,6 @@ fn find_fns(tokens: &[Token]) -> Vec<FnSpan> {
     fns
 }
 
-/// Recovers enum names and their variant lists.
-fn find_enums(tokens: &[Token]) -> Vec<EnumSpan> {
-    let mut enums = Vec::new();
-    let mut i = 0usize;
-    while i < tokens.len() {
-        if tokens[i].is_ident("enum") {
-            if let Some(name) = tokens.get(i + 1).and_then(Token::ident) {
-                // Body opens at the next `{` (skip generics).
-                let mut j = i + 2;
-                while j < tokens.len() && !tokens[j].is_punct('{') && !tokens[j].is_punct(';') {
-                    j += 1;
-                }
-                if j < tokens.len() && tokens[j].is_punct('{') {
-                    let end = matching_brace(tokens, j);
-                    let mut variants = Vec::new();
-                    // Variant names: identifiers at nesting depth 1 whose
-                    // previous significant token is `{` or `,`, skipping
-                    // attributes.
-                    let mut k = j + 1;
-                    let mut depth = 0i32; // relative depth past the body `{`
-                    let mut expect_variant = true;
-                    while k < end && k < tokens.len() {
-                        if let Some((after, _)) = parse_attr(tokens, k) {
-                            if depth == 0 {
-                                k = after;
-                                continue;
-                            }
-                        }
-                        match &tokens[k].kind {
-                            Tok::Punct('{') | Tok::Punct('(') | Tok::Punct('[') => depth += 1,
-                            Tok::Punct('}') | Tok::Punct(')') | Tok::Punct(']') => {
-                                depth -= 1;
-                                if depth < 0 {
-                                    break; // closed the enum body
-                                }
-                            }
-                            Tok::Punct(',') if depth == 0 => expect_variant = true,
-                            Tok::Ident(id) if depth == 0 && expect_variant => {
-                                variants.push(id.clone());
-                                expect_variant = false;
-                            }
-                            _ => {}
-                        }
-                        k += 1;
-                    }
-                    enums.push(EnumSpan {
-                        name: name.to_owned(),
-                        variants,
-                    });
-                }
-            }
-        }
-        i += 1;
-    }
-    enums
-}
-
-/// Convenience map from enum name to its variants.
-pub fn enum_map(model: &FileModel) -> HashMap<&str, &EnumSpan> {
-    model.enums.iter().map(|e| (e.name.as_str(), e)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -392,14 +316,6 @@ mod tests {
             fn in_tests() { let _ = super::free_helper(); }
         }
     "#;
-
-    #[test]
-    fn enums_and_variants_are_recovered() {
-        let m = FileModel::parse("x.rs", SRC);
-        assert_eq!(m.enums.len(), 1);
-        assert_eq!(m.enums[0].name, "Color");
-        assert_eq!(m.enums[0].variants, ["Red", "Green", "Blue"]);
-    }
 
     #[test]
     fn fns_know_their_impl_target() {

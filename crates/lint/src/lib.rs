@@ -16,10 +16,10 @@
 //! - **lock-order** — shard locks in `ShardedNode` are only acquired
 //!   through the ascending-order helpers (DESIGN.md §9), which feed the
 //!   debug-build lock-order watchdog.
-//! - **codec-exhaustive** — every `Request`/`Reply` variant appears in
-//!   the wire codec, the WAL journal codec, and the idempotence
-//!   classifier, so adding a variant without teaching every codec about
-//!   it fails the gate.
+//!
+//! What is true by construction needs no rule: the `Request` variant lists
+//! (classifiers, journal codec) are generated from one table in
+//! `crates/storage/src/node.rs`, so no rule compares them (DESIGN.md §11).
 //!
 //! Rules match token patterns from a hand-rolled lexer/AST-lite, never
 //! raw text, so names in strings and comments cannot trip them. Known

@@ -5,9 +5,8 @@
 //! [`crate::engine`], and `LINT-ALLOW` resolution happens there too, so
 //! rules never need to know about the allowlist.
 
-use crate::ast::{FileModel, FnSpan};
+use crate::ast::FileModel;
 use crate::lexer::{Tok, Token};
-use std::collections::HashMap;
 
 /// A finding before allowlist resolution: rule id, line, and message.
 #[derive(Debug, Clone)]
@@ -296,164 +295,4 @@ pub fn lock_order(m: &FileModel, field: &str, allowed_fns: &[&str], out: &mut Ve
             ));
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Rule 5: codec exhaustiveness
-
-/// One place a protocol enum must be exhaustively handled.
-pub struct CodecSite {
-    /// Which enum this site must cover (`Request` / `Reply`).
-    pub enum_name: &'static str,
-    /// File the function lives in (workspace-relative path suffix).
-    pub file: &'static str,
-    /// `impl` target the function is defined on, if any.
-    pub impl_of: Option<&'static str>,
-    /// Function name.
-    pub fn_name: &'static str,
-    /// Human description for messages.
-    pub what: &'static str,
-}
-
-/// The sites where every `Request`/`Reply` variant must appear: the wire
-/// accounting, the WAL codec (both directions), the journaling classifier,
-/// the idempotence classifier, and the §3.11 media-write classifier. A
-/// variant missing from any of these is how "added a request, forgot
-/// persistence" becomes silent data loss.
-pub const CODEC_SITES: &[CodecSite] = &[
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/node.rs",
-        impl_of: Some("Request"),
-        fn_name: "is_idempotent",
-        what: "idempotence classifier",
-    },
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/node.rs",
-        impl_of: Some("Request"),
-        fn_name: "writes_medium",
-        what: "media-write classifier",
-    },
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/node.rs",
-        impl_of: Some("Request"),
-        fn_name: "wire_bytes",
-        what: "request wire accounting",
-    },
-    CodecSite {
-        enum_name: "Reply",
-        file: "crates/storage/src/node.rs",
-        impl_of: Some("Reply"),
-        fn_name: "wire_bytes",
-        what: "reply wire accounting",
-    },
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/persist.rs",
-        impl_of: None,
-        fn_name: "encode_request",
-        what: "WAL journal encoder",
-    },
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/persist.rs",
-        impl_of: None,
-        fn_name: "decode_request",
-        what: "WAL journal decoder",
-    },
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/shard.rs",
-        impl_of: None,
-        fn_name: "is_journaled",
-        what: "WAL journaling classifier",
-    },
-    CodecSite {
-        enum_name: "Request",
-        file: "crates/storage/src/node.rs",
-        impl_of: Some("Request"),
-        fn_name: "payload_bytes",
-        what: "request payload accounting",
-    },
-    CodecSite {
-        enum_name: "Reply",
-        file: "crates/storage/src/node.rs",
-        impl_of: Some("Reply"),
-        fn_name: "payload_bytes",
-        what: "reply payload accounting",
-    },
-];
-
-/// File that defines the protocol enums.
-pub const CODEC_ENUM_FILE: &str = "crates/storage/src/node.rs";
-
-/// Every `Request`/`Reply` variant must be named in every codec site, so
-/// adding a variant without teaching persistence/wire/idempotence about it
-/// is a lint failure instead of a latent data-loss bug.
-///
-/// Findings are attributed to the file containing the offending site.
-pub fn codec_exhaustive(
-    models: &HashMap<String, FileModel>,
-    out: &mut Vec<(String, RawFinding)>,
-) {
-    let find_model = |suffix: &str| models.iter().find(|(p, _)| p.ends_with(suffix));
-    let Some((enum_path, enum_model)) = find_model(CODEC_ENUM_FILE) else {
-        return; // enum file not in this scan (fixture runs)
-    };
-    let enums = crate::ast::enum_map(enum_model);
-    for site in CODEC_SITES {
-        let Some(spec) = enums.get(site.enum_name) else {
-            out.push((
-                enum_path.clone(),
-                finding(
-                    "codec-exhaustive",
-                    1,
-                    format!("protocol enum `{}` not found in {}", site.enum_name, CODEC_ENUM_FILE),
-                ),
-            ));
-            continue;
-        };
-        let Some((path, model)) = find_model(site.file) else {
-            continue; // site file not in this scan (fixture runs)
-        };
-        let Some(body) = model.fn_body(site.impl_of, site.fn_name) else {
-            out.push((
-                path.clone(),
-                finding(
-                    "codec-exhaustive",
-                    1,
-                    format!(
-                        "{} `{}` not found in {} — the exhaustiveness gate lost its anchor",
-                        site.what, site.fn_name, site.file
-                    ),
-                ),
-            ));
-            continue;
-        };
-        let body_toks = &model.tokens[body.0..body.1];
-        let fn_line = model.tokens[body.0].line;
-        for variant in &spec.variants {
-            let present = body_toks.iter().any(|t| t.is_ident(variant));
-            if !present {
-                out.push((
-                    path.clone(),
-                    finding(
-                        "codec-exhaustive",
-                        fn_line,
-                        format!(
-                            "`{}::{}` is not handled by the {} (`{}`); a {} without it silently loses data",
-                            site.enum_name, variant, site.what, site.fn_name, site.enum_name
-                        ),
-                    ),
-                ));
-            }
-        }
-    }
-}
-
-/// Helper for messages: the span of a function, for diagnostics.
-pub fn fn_line(model: &FileModel, f: &FnSpan) -> u32 {
-    model.tokens[f.kw_idx].line
 }

@@ -1,9 +1,26 @@
-//! The storage node's wire interface: one [`Request`] variant per remote
-//! procedure of Figs. 4-7, the [`Reply`] each is answered with, the
-//! classifiers the retry layer, the journal and the §3.11 media accounting
-//! read off a request, and the bandwidth accounting of Fig. 1. The node
-//! that answers them is [`ShardedNode`](crate::ShardedNode).
+//! The storage node's wire interface, declared once.
+//!
+//! The paper's server is fifteen remote procedures (Figs. 4-7) and nothing
+//! else: "storage nodes … implement very simple functionality" (§1). The
+//! `requests!` table below *is* that interface. Each procedure is one row —
+//! its variant and the figure it comes from, its journal tag, whether a
+//! retry may re-send it, whether the journal must keep it, whether it
+//! writes the block to the medium (§3.11), which field is its block payload
+//! (Fig. 1), and its fields in wire order — and the macro generates from the
+//! rows the [`Request`] enum, `stripe`, the three classifiers, the payload
+//! accounting and both directions of the journal codec, as plain exhaustive
+//! matches. The fifteenth message, [`Request::Batch`], is the envelope
+//! around rows, not a row: each generated function carries its one
+//! hand-written fold over a batch's members.
+//!
+//! A new operation is therefore one row here plus one arm in
+//! `ShardedNode::apply` — the one match that is behaviour — and a field type
+//! the journal has not seen before is one `Field` impl in `persist.rs`;
+//! nothing else lists the operations, so nothing can disagree with the
+//! table. [`Reply`] has no codec yet and is matched by hand, exhaustively,
+//! at the bottom of this file.
 
+use crate::persist::{Cursor, Field, MAX_BATCH_DEPTH, MIN_REQUEST_BYTES};
 use crate::state::{AddReply, CheckTidReply, GetStateReply, ReadReply, SwapReply, TryLockReply};
 use crate::types::{ClientId, Epoch, LMode, OpMode, StripeId, Tid, TidEntry};
 use serde::{Deserialize, Serialize};
@@ -13,31 +30,165 @@ use serde::{Deserialize, Serialize};
 /// the in-process transport never serializes.
 pub const MSG_HEADER_BYTES: usize = 32;
 
-/// A request to a storage node. One variant per remote procedure in
-/// Figs. 4-7.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub enum Request {
+/// Journal tag of the [`Request::Batch`] envelope. The rows of the table
+/// take the other values of `0..=14`; a tag is a row's identity on disk and
+/// never changes.
+const BATCH_TAG: u8 = 13;
+
+/// Expands the table of leaf operations into [`Request`] and everything
+/// that must list its variants. Row shape: `Variant = journal tag
+/// (idempotent, journaled, writes_medium[, payload: field]) { fields in
+/// wire order }`. Every operation addresses one stripe-block, so the macro
+/// itself puts `stripe: StripeId` first in every variant and on the wire.
+macro_rules! requests {
+    ($(
+        $(#[$vmeta:meta])*
+        $variant:ident = $tag:literal (
+            idempotent: $idempotent:literal, journaled: $journaled:literal,
+            writes_medium: $writes_medium:literal $(, payload: $payload:ident)?
+        ) {
+            $( $(#[$fmeta:meta])* $field:ident: $fty:ty, )*
+        }
+    )*) => {
+        /// A request to a storage node. One variant per remote procedure in
+        /// Figs. 4-7.
+        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+        pub enum Request {
+            $(
+                $(#[$vmeta])*
+                $variant {
+                    /// Target stripe.
+                    stripe: StripeId,
+                    $( $(#[$fmeta])* $field: $fty, )*
+                },
+            )*
+            /// Several operations coalesced into one message (§3.11 batching): the
+            /// node applies them in order under a single lock acquisition and
+            /// answers with one [`Reply::Batch`] of the same length. The transport
+            /// treats the whole batch as *one* exchange — one round trip, one fault
+            /// decision — which is what makes m same-node operations cost one round
+            /// instead of m.
+            Batch(Vec<Request>),
+        }
+
+        impl Request {
+            /// The stripe this request addresses.
+            pub fn stripe(&self) -> StripeId {
+                match self {
+                    $( Request::$variant { stripe, .. } => *stripe, )*
+                    // A batch may span stripes; report the first operation's (used
+                    // only for logging/accounting — dispatch unpacks the batch).
+                    Request::Batch(reqs) => reqs.first().map_or(StripeId(0), Request::stripe),
+                }
+            }
+
+            /// Whether re-sending this request after an indeterminate failure
+            /// (timeout / lost reply) is safe even if the first copy executed.
+            ///
+            /// `swap` returns the *previous* content and `add` XORs the delta in —
+            /// executing either twice corrupts the write, so the retry layer must
+            /// surface their timeouts instead of re-sending. Everything else is a
+            /// read, an idempotent state transition (`setlock`, `finalize`,
+            /// `reconstruct`, the GC moves), or — given re-entrant locking — a
+            /// `trylock` by the same caller.
+            pub fn is_idempotent(&self) -> bool {
+                match self {
+                    $( Request::$variant { .. } => $idempotent, )*
+                    // A batch may be re-sent only if every member may.
+                    Request::Batch(reqs) => reqs.iter().all(Request::is_idempotent),
+                }
+            }
+
+            /// Whether this request must be journaled for crash recovery.
+            /// Read-only requests advance nothing durable (only the monitoring
+            /// clock); a batch is journaled whole if any member mutates, because
+            /// it executes — and must recover — atomically.
+            pub(crate) fn is_journaled(&self) -> bool {
+                match self {
+                    $( Request::$variant { .. } => $journaled, )*
+                    Request::Batch(reqs) => reqs.iter().any(Request::is_journaled),
+                }
+            }
+
+            /// Whether applying this one request writes its block to the node's
+            /// medium — what §3.11's media accounting (and its deferred-flush
+            /// coalescing) counts. A batch is an envelope: the node asks each
+            /// member as it applies it, so the batch itself answers `false`.
+            pub(crate) fn writes_medium(&self) -> bool {
+                match self {
+                    $( Request::$variant { .. } => $writes_medium, )*
+                    Request::Batch(_) => false,
+                }
+            }
+
+            /// Block-content bytes carried by this request — the share of
+            /// [`Request::wire_bytes`] that is actual stripe data (`swap` values,
+            /// `add` deltas, reconstructed blocks), with headers and metadata
+            /// excluded. This is the quantity repair-bandwidth optimization
+            /// shrinks, so the transport counts it separately from total bytes.
+            pub fn payload_bytes(&self) -> usize {
+                match self {
+                    $( Request::$variant { $($payload,)? .. } => 0 $(+ $payload.len())?, )*
+                    Request::Batch(reqs) => reqs.iter().map(Request::payload_bytes).sum(),
+                }
+            }
+        }
+
+        /// Appends `req`'s journal encoding to `out`: its row's tag, then its
+        /// fields in the row's order.
+        pub(crate) fn encode_request(out: &mut Vec<u8>, req: &Request) {
+            match req {
+                $( Request::$variant { stripe $(, $field)* } => {
+                    out.push($tag);
+                    stripe.put(out);
+                    $( $field.put(out); )*
+                } )*
+                Request::Batch(_) => {
+                    // A batch is journaled as its leaves, in order: replay needs
+                    // only the order, and the decoder follows no nesting (see
+                    // `MAX_BATCH_DEPTH`). A flat batch encodes as it always has.
+                    let mut leaves = 0u32;
+                    req.for_each_leaf(&mut |_| leaves += 1);
+                    out.push(BATCH_TAG);
+                    leaves.put(out);
+                    req.for_each_leaf(&mut |leaf| encode_request(out, leaf));
+                }
+            }
+        }
+
+        /// Decodes one request, reading the fields of the row its tag names in
+        /// the order [`encode_request`] wrote them; `batch_depth` is the number
+        /// of batches around it. An unknown tag is not a request.
+        pub(crate) fn decode_request(c: &mut Cursor<'_>, batch_depth: usize) -> Option<Request> {
+            Some(match c.u8()? {
+                $( $tag => Request::$variant {
+                    stripe: StripeId::get(c)?,
+                    $( $field: <$fty as Field>::get(c)?, )*
+                }, )*
+                BATCH_TAG if batch_depth < MAX_BATCH_DEPTH => Request::Batch(
+                    c.list(MIN_REQUEST_BYTES, |c| decode_request(c, batch_depth + 1))?,
+                ),
+                _ => return None,
+            })
+        }
+    };
+}
+
+requests! {
     /// `read()` on a stripe-block (Fig. 4).
-    Read {
-        /// Target stripe.
-        stripe: StripeId,
-    },
+    Read = 0 (idempotent: true, journaled: false, writes_medium: false) {}
     /// `swap(v, ntid)` (Fig. 5).
-    Swap {
-        /// Target stripe.
-        stripe: StripeId,
+    Swap = 1 (idempotent: false, journaled: true, writes_medium: true, payload: value) {
         /// New block content `v`.
         value: Vec<u8>,
         /// This write's identifier.
         ntid: Tid,
-    },
+    }
     /// `add(v, ntid, otid, e)` (Fig. 5). When `scale` is set, the node
     /// multiplies the payload by its erasure coefficient before adding —
     /// the broadcast optimization of §3.11 where "the storage nodes, not
     /// the client, must do the multiplication by α_ji".
-    Add {
-        /// Target stripe.
-        stripe: StripeId,
+    Add = 2 (idempotent: false, journaled: true, writes_medium: true, payload: delta) {
         /// The increment (already scaled by the client unless `scale` set).
         delta: Vec<u8>,
         /// This write's identifier.
@@ -48,182 +199,69 @@ pub enum Request {
         epoch: Epoch,
         /// `Some((j, i))`: multiply by `α_ji` node-side (broadcast mode).
         scale: Option<(usize, usize)>,
-    },
+    }
     /// `checktid(ntid, otid)` (Fig. 5).
-    CheckTid {
-        /// Target stripe.
-        stripe: StripeId,
+    CheckTid = 3 (idempotent: true, journaled: false, writes_medium: false) {
         /// The blocked write.
         ntid: Tid,
         /// Its predecessor.
         otid: Tid,
-    },
+    }
     /// `trylock(lm)` (Fig. 6).
-    TryLock {
-        /// Target stripe.
-        stripe: StripeId,
+    TryLock = 4 (idempotent: true, journaled: true, writes_medium: false) {
         /// Desired lock mode.
         lm: LMode,
         /// The recovering client (the node's `lid`).
         caller: ClientId,
-    },
+    }
     /// `setlock(lm)` (Fig. 6).
-    SetLock {
-        /// Target stripe.
-        stripe: StripeId,
+    SetLock = 5 (idempotent: true, journaled: true, writes_medium: false) {
         /// New lock mode.
         lm: LMode,
         /// The recovering client.
         caller: ClientId,
-    },
+    }
     /// `get_state()` (Fig. 6).
-    GetState {
-        /// Target stripe.
-        stripe: StripeId,
-    },
+    GetState = 6 (idempotent: true, journaled: false, writes_medium: false) {}
     /// `get_state()` without the block payload: the metadata-only probe the
     /// byte-accounted rebuild engine uses to classify every node's stripe
     /// state before fetching blocks from only the repair set. Answered with
     /// a [`Reply::GetState`] whose `block` is `None`.
-    GetMeta {
-        /// Target stripe.
-        stripe: StripeId,
-    },
+    GetMeta = 14 (idempotent: true, journaled: false, writes_medium: false) {}
     /// `getrecent(lm)` (Fig. 6).
-    GetRecent {
-        /// Target stripe.
-        stripe: StripeId,
+    GetRecent = 7 (idempotent: true, journaled: true, writes_medium: false) {
         /// Lock mode to set atomically with the read.
         lm: LMode,
         /// The recovering client.
         caller: ClientId,
-    },
+    }
     /// `reconstruct(set, blk)` (Fig. 6).
-    Reconstruct {
-        /// Target stripe.
-        stripe: StripeId,
+    Reconstruct = 8 (idempotent: true, journaled: true, writes_medium: true, payload: block) {
         /// The consistent set used for decoding.
         cset: Vec<usize>,
         /// Recovered block content for this node.
         block: Vec<u8>,
-    },
+    }
     /// `finalize(ep)` (Fig. 6).
-    Finalize {
-        /// Target stripe.
-        stripe: StripeId,
+    Finalize = 9 (idempotent: true, journaled: true, writes_medium: false) {
         /// The new epoch (max observed + 1).
         epoch: Epoch,
-    },
+    }
     /// `gc_old(list)` (Fig. 7).
-    GcOld {
-        /// Target stripe.
-        stripe: StripeId,
+    GcOld = 10 (idempotent: true, journaled: true, writes_medium: false) {
         /// Tids to drop from `oldlist`.
         tids: Vec<Tid>,
-    },
+    }
     /// `gc_recent(list)` (Fig. 7).
-    GcRecent {
-        /// Target stripe.
-        stripe: StripeId,
+    GcRecent = 11 (idempotent: true, journaled: true, writes_medium: false) {
         /// Tids to move from `recentlist` to `oldlist`.
         tids: Vec<Tid>,
-    },
+    }
     /// Monitoring probe (§3.10): age of oldest pending tid + opmode.
-    Probe {
-        /// Target stripe.
-        stripe: StripeId,
-    },
-    /// Several operations coalesced into one message (§3.11 batching): the
-    /// node applies them in order under a single lock acquisition and
-    /// answers with one [`Reply::Batch`] of the same length. The transport
-    /// treats the whole batch as *one* exchange — one round trip, one fault
-    /// decision — which is what makes m same-node operations cost one round
-    /// instead of m.
-    Batch(Vec<Request>),
+    Probe = 12 (idempotent: true, journaled: false, writes_medium: false) {}
 }
 
 impl Request {
-    /// The stripe this request addresses.
-    pub fn stripe(&self) -> StripeId {
-        match self {
-            Request::Read { stripe }
-            | Request::Swap { stripe, .. }
-            | Request::Add { stripe, .. }
-            | Request::CheckTid { stripe, .. }
-            | Request::TryLock { stripe, .. }
-            | Request::SetLock { stripe, .. }
-            | Request::GetState { stripe }
-            | Request::GetMeta { stripe }
-            | Request::GetRecent { stripe, .. }
-            | Request::Reconstruct { stripe, .. }
-            | Request::Finalize { stripe, .. }
-            | Request::GcOld { stripe, .. }
-            | Request::GcRecent { stripe, .. }
-            | Request::Probe { stripe } => *stripe,
-            // A batch may span stripes; report the first operation's (used
-            // only for logging/accounting — dispatch unpacks the batch).
-            Request::Batch(reqs) => reqs.first().map_or(StripeId(0), Request::stripe),
-        }
-    }
-
-    /// Whether re-sending this request after an indeterminate failure
-    /// (timeout / lost reply) is safe even if the first copy executed.
-    ///
-    /// `swap` returns the *previous* content and `add` XORs the delta in —
-    /// executing either twice corrupts the write, so the retry layer must
-    /// surface their timeouts instead of re-sending. Everything else is a
-    /// read, an idempotent state transition (`setlock`, `finalize`,
-    /// `reconstruct`, the GC moves), or — given re-entrant locking — a
-    /// `trylock` by the same caller.
-    pub fn is_idempotent(&self) -> bool {
-        // Exhaustive on purpose (no `_` arm): a new Request variant must
-        // be classified here or the build breaks — the ajx-lint
-        // codec-exhaustive rule additionally requires every variant name
-        // to appear in this body.
-        match self {
-            Request::Swap { .. } | Request::Add { .. } => false,
-            // A batch may be re-sent only if every member may.
-            Request::Batch(reqs) => reqs.iter().all(Request::is_idempotent),
-            Request::Read { .. }
-            | Request::CheckTid { .. }
-            | Request::TryLock { .. }
-            | Request::SetLock { .. }
-            | Request::GetState { .. }
-            | Request::GetMeta { .. }
-            | Request::GetRecent { .. }
-            | Request::Reconstruct { .. }
-            | Request::Finalize { .. }
-            | Request::GcOld { .. }
-            | Request::GcRecent { .. }
-            | Request::Probe { .. } => true,
-        }
-    }
-
-    /// Whether applying this one request writes its block to the node's
-    /// medium — what §3.11's media accounting (and its deferred-flush
-    /// coalescing) counts. A batch is an envelope: the node asks each
-    /// member as it applies it, so the batch itself answers `false`.
-    pub(crate) fn writes_medium(&self) -> bool {
-        // Exhaustive like `is_idempotent` (no `_` arm, and the ajx-lint
-        // codec-exhaustive rule wants every variant named): a new variant
-        // that changes block content cannot skip the accounting unnoticed.
-        match self {
-            Request::Swap { .. } | Request::Add { .. } | Request::Reconstruct { .. } => true,
-            Request::Read { .. }
-            | Request::CheckTid { .. }
-            | Request::TryLock { .. }
-            | Request::SetLock { .. }
-            | Request::GetState { .. }
-            | Request::GetMeta { .. }
-            | Request::GetRecent { .. }
-            | Request::Finalize { .. }
-            | Request::GcOld { .. }
-            | Request::GcRecent { .. }
-            | Request::Probe { .. }
-            | Request::Batch(_) => false,
-        }
-    }
-
     /// Calls `f` on every non-batch request inside this one, in the order
     /// the node applies them — however deeply batches are nested.
     pub(crate) fn for_each_leaf<'a>(&'a self, f: &mut dyn FnMut(&'a Request)) {
@@ -233,65 +271,12 @@ impl Request {
         }
     }
 
-    /// Payload bytes carried by this request (block-sized fields only),
-    /// plus the fixed header. Used for the Fig. 1 bandwidth columns and the
-    /// simulator's bandwidth model.
+    /// Bytes this request puts on the wire in the Fig. 1 model: one fixed
+    /// header per message — a batch shares one, saving (m − 1) headers of
+    /// fixed overhead — plus its block payloads. Used for the Fig. 1
+    /// bandwidth columns and the simulator's bandwidth model.
     pub fn wire_bytes(&self) -> usize {
-        let payload = match self {
-            Request::Swap { value, .. } => value.len(),
-            Request::Add { delta, .. } => delta.len(),
-            Request::Reconstruct { block, .. } => block.len(),
-            // One shared header for the whole batch: the coalescing saves
-            // (m − 1) headers of fixed overhead on the wire.
-            Request::Batch(reqs) => {
-                return MSG_HEADER_BYTES
-                    + reqs
-                        .iter()
-                        .map(|r| r.wire_bytes() - MSG_HEADER_BYTES)
-                        .sum::<usize>()
-            }
-            // Header-only requests, named one by one so a new payload-
-            // carrying variant cannot silently fall into the zero bucket.
-            Request::Read { .. }
-            | Request::CheckTid { .. }
-            | Request::TryLock { .. }
-            | Request::SetLock { .. }
-            | Request::GetState { .. }
-            | Request::GetMeta { .. }
-            | Request::GetRecent { .. }
-            | Request::Finalize { .. }
-            | Request::GcOld { .. }
-            | Request::GcRecent { .. }
-            | Request::Probe { .. } => 0,
-        };
-        MSG_HEADER_BYTES + payload
-    }
-
-    /// Block-content bytes carried by this request — the share of
-    /// [`Request::wire_bytes`] that is actual stripe data (`swap` values,
-    /// `add` deltas, reconstructed blocks), with headers and metadata
-    /// excluded. This is the quantity repair-bandwidth optimization
-    /// shrinks, so the transport counts it separately from total bytes.
-    pub fn payload_bytes(&self) -> usize {
-        // Exhaustive like `wire_bytes`: a new payload-carrying variant
-        // must be named here (the ajx-lint codec rule enforces it).
-        match self {
-            Request::Swap { value, .. } => value.len(),
-            Request::Add { delta, .. } => delta.len(),
-            Request::Reconstruct { block, .. } => block.len(),
-            Request::Batch(reqs) => reqs.iter().map(Request::payload_bytes).sum(),
-            Request::Read { .. }
-            | Request::CheckTid { .. }
-            | Request::TryLock { .. }
-            | Request::SetLock { .. }
-            | Request::GetState { .. }
-            | Request::GetMeta { .. }
-            | Request::GetRecent { .. }
-            | Request::Finalize { .. }
-            | Request::GcOld { .. }
-            | Request::GcRecent { .. }
-            | Request::Probe { .. } => 0,
-        }
+        MSG_HEADER_BYTES + self.payload_bytes()
     }
 }
 
@@ -335,26 +320,24 @@ pub enum Reply {
 }
 
 impl Reply {
-    /// Payload bytes carried by this reply, plus the fixed header.
+    /// Bytes this reply puts on the wire: the fixed header (one for a whole
+    /// batch, as on the request side), its block payload, and 24 bytes per
+    /// tid-list entry it carries.
     pub fn wire_bytes(&self) -> usize {
-        let payload = match self {
-            Reply::Read(r) => r.block.as_ref().map_or(0, Vec::len),
-            Reply::Swap(r) => r.block.as_ref().map_or(0, Vec::len),
-            Reply::GetState(r) => {
-                r.block.as_ref().map_or(0, Vec::len) + 24 * (r.recentlist.len() + r.oldlist.len())
-            }
-            Reply::GetRecent(l) => 24 * l.len(),
-            // Mirrors `Request::Batch`: one shared header for the batch.
-            Reply::Batch(replies) => {
-                return MSG_HEADER_BYTES
-                    + replies
-                        .iter()
-                        .map(|r| r.wire_bytes() - MSG_HEADER_BYTES)
-                        .sum::<usize>()
-            }
-            // Header-only replies, named one by one for the same reason as
-            // `Request::wire_bytes`.
-            Reply::Add(_)
+        MSG_HEADER_BYTES + self.payload_bytes() + 24 * self.tid_entries()
+    }
+
+    /// Tid-list entries carried by this reply — its metadata share.
+    fn tid_entries(&self) -> usize {
+        match self {
+            Reply::GetState(r) => r.recentlist.len() + r.oldlist.len(),
+            Reply::GetRecent(l) => l.len(),
+            Reply::Batch(replies) => replies.iter().map(Reply::tid_entries).sum(),
+            // Named one by one so a new list-carrying reply cannot silently
+            // fall into the zero bucket.
+            Reply::Read(_)
+            | Reply::Swap(_)
+            | Reply::Add(_)
             | Reply::CheckTid(_)
             | Reply::TryLock(_)
             | Reply::Ack
@@ -362,8 +345,7 @@ impl Reply {
             | Reply::Gc(_)
             | Reply::Probe { .. }
             | Reply::NoCode => 0,
-        };
-        MSG_HEADER_BYTES + payload
+        }
     }
 
     /// Block-content bytes carried by this reply (read/swap/get_state
@@ -474,6 +456,45 @@ mod tests {
             node.lock_all().block_state(StripeId(0)).unwrap().raw_block(),
             &expected[..]
         );
+    }
+
+    #[test]
+    fn scaled_add_outside_the_code_answers_no_code_and_touches_nothing() {
+        // RS 2-of-4 has coefficients α_ji for j < 2, i < 2 only. A pair
+        // outside them must not reach `SystematicCode::coefficient`, which
+        // asserts: the node answers, as it does with no code at all.
+        let code = CodeFamily::rs(2, 4).unwrap();
+        let (p, k) = (code.p(), code.k());
+        let node = single(4).with_code(code);
+        let add = |scale| Request::Add {
+            stripe: StripeId(0),
+            delta: vec![1; 4],
+            ntid: tid(2),
+            otid: None,
+            epoch: Epoch(0),
+            scale: Some(scale),
+        };
+        assert_eq!(node.handle(add((p, 0))), Reply::NoCode);
+        assert_eq!(node.lock_all().resident_blocks(), 0, "nothing materialised");
+        node.handle(Request::Swap {
+            stripe: StripeId(0),
+            value: vec![7; 4],
+            ntid: tid(1),
+        });
+        let before = node.lock_all().block_state(StripeId(0)).cloned();
+        assert_eq!(node.handle(add((p, 0))), Reply::NoCode);
+        assert_eq!(node.handle(add((0, k))), Reply::NoCode);
+        assert_eq!(node.handle(add((usize::MAX, usize::MAX))), Reply::NoCode);
+        let view = node.lock_all();
+        assert_eq!(view.block_state(StripeId(0)).cloned(), before, "block and lists untouched");
+        assert_eq!(view.ops_handled(), 5, "the refused adds are counted");
+        assert_eq!(view.media_writes(), 1, "only the swap wrote the medium");
+        drop(view);
+        // The last pair inside the matrix still scales.
+        assert!(matches!(
+            node.handle(add((p - 1, k - 1))),
+            Reply::Add(AddReply { status: AddStatus::Ok, .. })
+        ));
     }
 
     #[test]
@@ -766,6 +787,68 @@ mod tests {
             Request::Batch(vec![Request::Read { stripe: StripeId(9) }, read]).stripe(),
             StripeId(9)
         );
+    }
+
+    /// What each operation is, as literals read off the hand-written matches
+    /// the table replaced — so the table's flags are checked against the old
+    /// answers, not against themselves.
+    #[test]
+    fn classifiers_match_the_truth_table() {
+        let (stripe, lm, caller) = (StripeId(3), LMode::L1, ClientId(2));
+        // (request, is_idempotent, is_journaled, writes_medium, payload_bytes)
+        let table = [
+            (Request::Read { stripe }, true, false, false, 0),
+            (Request::Swap { stripe, value: vec![0; 5], ntid: tid(1) }, false, true, true, 5),
+            (
+                Request::Add {
+                    stripe,
+                    delta: vec![0; 6],
+                    ntid: tid(2),
+                    otid: Some(tid(1)),
+                    epoch: Epoch(1),
+                    scale: None,
+                },
+                false,
+                true,
+                true,
+                6,
+            ),
+            (Request::CheckTid { stripe, ntid: tid(2), otid: tid(1) }, true, false, false, 0),
+            (Request::TryLock { stripe, lm, caller }, true, true, false, 0),
+            (Request::SetLock { stripe, lm, caller }, true, true, false, 0),
+            (Request::GetState { stripe }, true, false, false, 0),
+            (Request::GetMeta { stripe }, true, false, false, 0),
+            (Request::GetRecent { stripe, lm, caller }, true, true, false, 0),
+            (Request::Reconstruct { stripe, cset: vec![0, 1], block: vec![0; 7] }, true, true, true, 7),
+            (Request::Finalize { stripe, epoch: Epoch(2) }, true, true, false, 0),
+            (Request::GcOld { stripe, tids: vec![tid(1)] }, true, true, false, 0),
+            (Request::GcRecent { stripe, tids: vec![tid(2)] }, true, true, false, 0),
+            (Request::Probe { stripe }, true, false, false, 0),
+        ];
+        for (req, idempotent, journaled, writes_medium, payload) in &table {
+            assert_eq!(req.stripe(), stripe, "{req:?}");
+            assert_eq!(req.is_idempotent(), *idempotent, "is_idempotent of {req:?}");
+            assert_eq!(req.is_journaled(), *journaled, "is_journaled of {req:?}");
+            assert_eq!(req.writes_medium(), *writes_medium, "writes_medium of {req:?}");
+            assert_eq!(req.payload_bytes(), *payload, "payload_bytes of {req:?}");
+            assert_eq!(req.wire_bytes(), MSG_HEADER_BYTES + payload);
+        }
+        // The envelope folds over its members: every / any / never / sum —
+        // through nesting too.
+        let of = |names: &[usize]| Request::Batch(names.iter().map(|&i| table[i].0.clone()).collect());
+        let (read, swap, trylock, reconstruct) = (0, 1, 4, 9);
+        let reads = of(&[read, read]);
+        assert!(reads.is_idempotent() && !reads.is_journaled() && !reads.writes_medium());
+        let locks = of(&[read, trylock]);
+        assert!(locks.is_idempotent() && locks.is_journaled() && !locks.writes_medium());
+        let writes = Request::Batch(vec![reads.clone(), of(&[swap, reconstruct])]);
+        assert!(!writes.is_idempotent() && writes.is_journaled());
+        assert!(!writes.writes_medium(), "the node asks each member, not the envelope");
+        assert_eq!((reads.payload_bytes(), writes.payload_bytes()), (0, 5 + 7));
+        assert_eq!(writes.wire_bytes(), MSG_HEADER_BYTES + 12);
+        let empty = Request::Batch(vec![]);
+        assert!(empty.is_idempotent() && !empty.is_journaled() && !empty.writes_medium());
+        assert_eq!(empty.wire_bytes(), MSG_HEADER_BYTES);
     }
 
     #[test]

@@ -42,34 +42,6 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-/// Whether a request must be journaled for crash recovery. Read-only
-/// requests advance nothing durable (only the monitoring clock); a batch
-/// is journaled whole if any member mutates, because it executes — and
-/// must recover — atomically.
-fn is_journaled(req: &Request) -> bool {
-    // Exhaustive on purpose (no `_` arm): a new Request variant must be
-    // classified here or the build breaks — the ajx-lint codec-exhaustive
-    // rule additionally requires every variant name to appear here, so a
-    // mutating variant can never silently skip the journal.
-    match req {
-        Request::Read { .. }
-        | Request::GetState { .. }
-        | Request::GetMeta { .. }
-        | Request::Probe { .. }
-        | Request::CheckTid { .. } => false,
-        Request::Batch(members) => members.iter().any(is_journaled),
-        Request::Swap { .. }
-        | Request::Add { .. }
-        | Request::TryLock { .. }
-        | Request::SetLock { .. }
-        | Request::GetRecent { .. }
-        | Request::Reconstruct { .. }
-        | Request::Finalize { .. }
-        | Request::GcOld { .. }
-        | Request::GcRecent { .. } => true,
-    }
-}
-
 /// One shard's share of the node: the stripe-blocks that hash to it and
 /// the two counters kept beside them (summed across shards on read).
 #[derive(Debug, Default)]
@@ -377,7 +349,7 @@ impl ShardedNode {
             };
             // One journal record per message, appended under the locks it
             // executes under: a batch recovers as atomically as it ran.
-            if is_journaled(&req) {
+            if req.is_journaled() {
                 self.persist.append(WalRecordRef::Apply(&req));
             }
             self.apply(held, req)
@@ -417,7 +389,11 @@ impl ShardedNode {
                 ..
             } => {
                 if let Some((j, i)) = scale {
-                    let Some(code) = &self.code else {
+                    // The node has a coefficient α_ji only inside its code's
+                    // p × k matrix; a pair outside it (or no code at all)
+                    // is answered, not indexed with.
+                    let in_code = |c: &&CodeFamily| j < c.p() && i < c.k();
+                    let Some(code) = self.code.as_ref().filter(in_code) else {
                         self.shard(held, stripe).ops_handled += 1;
                         return Reply::NoCode;
                     };
@@ -981,6 +957,43 @@ mod tests {
         let before = snapshot(&node);
         assert!(node.restart_from_disk(), "WAL backend must recover");
         assert_eq!(snapshot(&node), before);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn journaled_scaled_add_outside_the_code_replays_as_no_code() {
+        // The journal keeps a request before the node looks inside it, so a
+        // CRC-valid frame can hold a scaled add no coefficient exists for.
+        // Replay must answer it as the live node did — `NoCode`, nothing
+        // touched — and carry on to the records behind it.
+        use crate::persist::{scratch_dir, WalBackend};
+        let dir = scratch_dir("shard-scale");
+        let node = ShardedNode::new(NodeId(0), 2, 3)
+            .with_code(CodeFamily::rs(2, 4).unwrap())
+            .with_persistence(Arc::new(WalBackend::create(dir.join("n.wal"))));
+        let scaled = |stripe: u64, seq: u64, scale| Request::Add {
+            stripe: StripeId(stripe),
+            delta: vec![1, 1],
+            ntid: tid(seq),
+            otid: None,
+            epoch: Epoch(0),
+            scale: Some(scale),
+        };
+        assert_eq!(node.handle(scaled(0, 1, (2, 0))), Reply::NoCode);
+        let Reply::Batch(replies) = node.handle(Request::Batch(vec![add(1, 2), scaled(1, 3, (0, 2))]))
+        else {
+            panic!("expected Reply::Batch");
+        };
+        assert!(matches!(&replies[..], [Reply::Add(a), Reply::NoCode] if a.status == AddStatus::Ok));
+        node.handle(scaled(2, 4, (1, 1)));
+        let blocks = |node: &ShardedNode| -> Vec<_> {
+            let view = node.lock_all();
+            (0..3u64).map(|s| view.block_state(StripeId(s)).cloned()).collect()
+        };
+        let before = blocks(&node);
+        assert_eq!(before[0], None, "the refused add materialised nothing");
+        assert!(node.restart_from_disk(), "replay got past both refused adds");
+        assert_eq!(blocks(&node), before);
         std::fs::remove_dir_all(&dir).ok();
     }
 

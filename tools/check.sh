@@ -49,8 +49,11 @@ cargo clippy --workspace --all-targets -- -D warnings
 echo "== ajx-lint (repo invariant checker) =="
 # Hard gate: zero findings on the committed tree. The allowlist is
 # pinned separately in crates/lint/tests/lint_self.rs; this run prints
-# the per-rule table so drift is visible in CI logs.
+# the per-rule table so drift is visible in CI logs, and the baseline
+# diff fails if the table (rules, findings, allows) is not the committed
+# tools/lint_baseline.txt.
 cargo run -q -p ajx-lint
+tools/lint_baseline.sh
 
 echo "== cargo test --workspace =="
 cargo test --workspace -q

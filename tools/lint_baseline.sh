@@ -8,9 +8,10 @@
 #
 # The baseline holds the stable `--summary` output: one
 # `rule <name> findings <n> allows <n>` line per rule plus a total.
-# `--update` is the only way to change it; check.sh does not call this
-# script (the hard zero-findings gate lives there), so the baseline is
-# purely a review aid for allowlist churn.
+# `--update` is the only way to change it; tools/check.sh runs the diff
+# right after its zero-findings gate, so a finding, an allow or a rule
+# that came or went without the baseline being regenerated fails the
+# check.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
