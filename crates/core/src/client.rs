@@ -14,7 +14,7 @@ use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
 use crate::rebuild::RebuildReport;
 use crate::recovery::{recover, RecoveryOutcome};
-use crate::rpc::{call, call_grouped, call_many, expect_reply};
+use crate::rpc::{batch, call, call_grouped, call_many, expect_reply};
 use crate::write::BlockWrite;
 use ajx_storage::{
     ClientId, LMode, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid,
@@ -196,7 +196,7 @@ impl Client {
         let node = self.node_of(stripe, i);
         let mut backoff = self.backoff(stripe, 1);
         for _ in 0..=self.cfg.busy_retry_limit {
-            let reply = match call(&self.endpoint, &self.cfg, node, Request::Read { stripe }) {
+            let reply = match call(&self.endpoint, &self.cfg, node, || Request::Read { stripe }) {
                 Ok(reply) => reply,
                 // The data node is unreachable (and, without auto-remap, is
                 // staying that way): try to serve the read from the peers
@@ -271,7 +271,7 @@ impl Client {
                 RecoveryOutcome::Completed => return Ok(None),
                 RecoveryOutcome::LostRace => {
                     backoff.pause();
-                    match call(&self.endpoint, &self.cfg, node, Request::Read { stripe }) {
+                    match call(&self.endpoint, &self.cfg, node, || Request::Read { stripe }) {
                         Ok(reply) => {
                             let r = expect_reply!(reply, Reply::Read);
                             if let Some(v) = r.block {
@@ -513,15 +513,16 @@ impl Client {
                     (x, Tid::new(seq, items[x].0, self.id()))
                 })
                 .collect();
-            let calls: Vec<(NodeId, Request)> = swaps
-                .iter()
-                .map(|&(x, ntid)| {
-                    let (i, value) = items[x];
-                    let value = self.staged_copy(value);
-                    (self.node_of(stripe, i), Request::Swap { stripe, value, ntid })
-                })
-                .collect();
-            for (&(x, ntid), res) in swaps.iter().zip(call_many(&self.endpoint, &self.cfg, calls))
+            // The tid is drawn before the round: a re-made swap must carry
+            // the same `ntid` (and the same bytes) as the one it replaces.
+            let nodes: Vec<NodeId> =
+                swaps.iter().map(|&(x, _)| self.node_of(stripe, items[x].0)).collect();
+            let swap = |c: usize| {
+                let (x, ntid) = swaps[c];
+                Request::Swap { stripe, value: crate::pool::take_copy(items[x].1), ntid }
+            };
+            for (&(x, ntid), res) in
+                swaps.iter().zip(call_many(&self.endpoint, &self.cfg, &nodes, swap))
             {
                 // A swap lost indeterminately may have executed: this
                 // block's write surfaces the error rather than re-sending.
@@ -543,8 +544,11 @@ impl Client {
                 let limit = self.cfg.order_retry_limit;
                 if self.cfg.strategy == UpdateStrategy::Broadcast && pending.len() == 1 {
                     let p = &mut pending[0];
-                    let adds = p.bw.multicast_adds(&self.cfg, stripe, items[p.x].1);
-                    for (j, res) in self.pfor(stripe, adds, true) {
+                    let replies = {
+                        let (js, add) = p.bw.multicast_adds(&self.cfg, stripe, items[p.x].1);
+                        self.pfor(stripe, js.iter().copied(), |c| add(js[c]), true)
+                    };
+                    for (j, res) in replies {
                         p.absorb(j, res, limit);
                     }
                 } else {
@@ -563,20 +567,17 @@ impl Client {
                                 (!want.is_empty()).then_some((j, want))
                             })
                             .collect();
-                        let adds: Vec<(usize, Request)> = groups
-                            .iter()
-                            .map(|(j, want)| {
-                                let add = |&px: &usize| {
-                                    let p = &pending[px];
-                                    p.bw.add(&self.cfg, stripe, *j, items[p.x].1)
-                                };
-                                match &want[..] {
-                                    [px] => (*j, add(px)),
-                                    _ => (*j, Request::Batch(want.iter().map(add).collect())),
-                                }
-                            })
-                            .collect();
-                        let replies = self.pfor(stripe, adds, false);
+                        // Every increment is recomputed from the `v` and
+                        // `w` this round still borrows, should it be re-sent.
+                        let adds = |c: usize| {
+                            let (j, want) = &groups[c];
+                            let add = |&px: &usize| {
+                                let p = &pending[px];
+                                p.bw.add(&self.cfg, stripe, *j, items[p.x].1)
+                            };
+                            batch(want.iter().map(add).collect())
+                        };
+                        let replies = self.pfor(stripe, groups.iter().map(|g| g.0), adds, false);
                         for ((j, want), (_, res)) in groups.iter().zip(replies) {
                             match res {
                                 Ok(Reply::Batch(rs)) if rs.len() == want.len() => {
@@ -616,7 +617,9 @@ impl Client {
                         continue;
                     }
                     any_order = true;
-                    for (j, res) in self.pfor(stripe, p.bw.checktids(stripe), false) {
+                    let probes = p.bw.checktids(stripe);
+                    let probe = |c: usize| probes[c].1.clone();
+                    for (j, res) in self.pfor(stripe, probes.iter().map(|q| q.0), probe, false) {
                         match res {
                             Ok(Reply::CheckTid(r)) => p.bw.on_checktid(j, r),
                             Ok(r) => p.kill(ProtocolError::unexpected("Reply::CheckTid", &r)),
@@ -676,15 +679,6 @@ impl Client {
         }
     }
 
-    /// Copies a borrowed value into a pool-backed owned buffer — the form a
-    /// `swap` payload must take — without hitting the allocator in steady
-    /// state.
-    fn staged_copy(&self, value: &[u8]) -> Vec<u8> {
-        let mut v = crate::pool::take(value.len());
-        v.copy_from_slice(value);
-        v
-    }
-
     /// The `swap` loop of Fig. 5 lines 3-6, entered with the swap round's
     /// reply: until the data node accepts, run recovery when the block is
     /// unavailable (or wait out someone else's), then swap again with the
@@ -713,42 +707,41 @@ impl Client {
                 return Err(ProtocolError::RetriesExhausted { what: "swap", attempts });
             }
             attempts += 1;
-            let swap = Request::Swap { stripe, value: self.staged_copy(value), ntid };
+            let swap = || Request::Swap { stripe, value: crate::pool::take_copy(value), ntid };
             reply = expect_reply!(call(&self.endpoint, &self.cfg, node, swap)?, Reply::Swap);
         }
     }
 
-    /// One `pfor` round addressed by in-stripe index: each request goes to
-    /// the node holding that index of `stripe`, and every reply comes back
-    /// paired with its index. `multicast` sends the round as the §3.11
-    /// broadcast — one payload on the client NIC, one unit of the kill
-    /// budget — with the §3.5 remap of crashed targets but none of
-    /// [`call_many`]'s re-sends.
+    /// One `pfor` round addressed by in-stripe index: call `c` carries
+    /// `make(c)` (made when sent, as [`call_many`] documents) to the node
+    /// holding index `js[c]` of `stripe`, and every reply comes back paired
+    /// with its index. `multicast` sends the round as the §3.11 broadcast —
+    /// one payload on the client NIC, one unit of the kill budget — with the
+    /// §3.5 remap of crashed targets but none of [`call_many`]'s re-sends.
     fn pfor(
         &self,
         stripe: StripeId,
-        reqs: Vec<(usize, Request)>,
+        js: impl Iterator<Item = usize>,
+        make: impl Fn(usize) -> Request,
         multicast: bool,
     ) -> Vec<(usize, Result<Reply, ProtocolError>)> {
-        if reqs.is_empty() {
+        let js: Vec<usize> = js.collect();
+        if js.is_empty() {
             return Vec::new(); // an empty round would still pay propagation delay
         }
-        let (js, calls): (Vec<usize>, Vec<(NodeId, Request)>) = reqs
-            .into_iter()
-            .map(|(j, req)| (j, (self.node_of(stripe, j), req)))
-            .unzip();
+        let nodes: Vec<NodeId> = js.iter().map(|&j| self.node_of(stripe, j)).collect();
         let replies = if multicast {
-            let retry = calls.clone();
-            let resend = |(res, (node, req))| match res {
+            let calls = nodes.iter().enumerate().map(|(c, &node)| (node, make(c))).collect();
+            let resend = |(c, res)| match res {
                 Err(RpcError::NodeDown(_)) if self.cfg.auto_remap => {
-                    self.endpoint.network().remap_node(node, self.cfg.remap_garbage);
-                    self.endpoint.call(node, req).map_err(ProtocolError::from)
+                    self.endpoint.network().remap_node(nodes[c], self.cfg.remap_garbage);
+                    self.endpoint.call(nodes[c], make(c)).map_err(ProtocolError::from)
                 }
                 other => other.map_err(ProtocolError::from),
             };
-            self.endpoint.broadcast(calls).into_iter().zip(retry).map(resend).collect()
+            self.endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
         } else {
-            call_many(&self.endpoint, &self.cfg, calls)
+            call_many(&self.endpoint, &self.cfg, &nodes, make)
         };
         js.into_iter().zip(replies).collect()
     }
@@ -832,12 +825,8 @@ impl Client {
     /// treated as still recovering.
     fn probe_stripe_released(&self, stripe: StripeId) -> Result<bool, ProtocolError> {
         for t in 0..self.cfg.n() {
-            match call(
-                &self.endpoint,
-                &self.cfg,
-                self.node_of(stripe, t),
-                Request::Probe { stripe },
-            ) {
+            let probe = || Request::Probe { stripe };
+            match call(&self.endpoint, &self.cfg, self.node_of(stripe, t), probe) {
                 Ok(Reply::Probe { opmode, lmode, .. }) => {
                     return Ok(opmode == OpMode::Norm && lmode == LMode::Unl)
                 }
@@ -1391,6 +1380,119 @@ mod tests {
         }
         assert!(c.write_block(0, vec![2; 16]).is_err());
         assert_eq!(crate::pool::pooled(), 1, "the error exit must recycle the old block");
+    }
+
+    /// A 12-of-16 client over single-worker nodes, stripe 0 written once,
+    /// and a 12-block rewrite of that stripe to send.
+    fn wide_client(
+        queue_depth: usize,
+        rpc_retry_budget: u32,
+    ) -> (std::sync::Arc<Network>, Client, Vec<Vec<u8>>) {
+        let mut cfg = ProtocolConfig::new(12, 16, 16).unwrap();
+        cfg.backoff.base = std::time::Duration::ZERO;
+        cfg.backoff.rpc_retry_budget = rpc_retry_budget;
+        let net = Network::new(NetworkConfig {
+            n_nodes: 16,
+            block_size: 16,
+            server_threads: 1,
+            node_queue_depth: Some(queue_depth),
+            ..NetworkConfig::default()
+        });
+        let c = Client::new(net.client(ClientId(1)), cfg);
+        for lb in 0..12 {
+            c.write_block(lb, vec![lb as u8 + 1; 16]).unwrap();
+        }
+        let values = (0..12u8).map(|b| vec![b ^ 0x3C; 16]).collect();
+        (net, c, values)
+    }
+
+    /// Parks `victim`'s one worker on a held probe, so that whatever is
+    /// sent to it next waits in its queue.
+    fn hold_worker(net: &std::sync::Arc<Network>, victim: NodeId) -> ajx_transport::PendingCall {
+        net.pause_node(victim);
+        let probe = Request::Probe { stripe: StripeId(0) };
+        let held = net.client(ClientId(9)).submit_call(victim, probe);
+        while net.node_queue_len(victim) > 0 {
+            std::thread::yield_now();
+        }
+        held
+    }
+
+    fn assert_stripe_0_holds(net: &Network, c: &Client, values: &[Vec<u8>]) {
+        let lbs: Vec<u64> = (0..12).collect();
+        assert_eq!(c.read_blocks(&lbs).unwrap(), values);
+        let blocks: Vec<Vec<u8>> = (0..16)
+            .map(|t| {
+                net.with_node(c.node_of(StripeId(0), t), |n| {
+                    n.block_state(StripeId(0)).expect("written").raw_block().to_vec()
+                })
+            })
+            .collect();
+        assert!(c.config().code.verify_stripe(&blocks).unwrap(), "parity matches the data");
+    }
+
+    #[test]
+    fn a_node_crashing_between_the_swap_and_add_rounds_gets_a_remade_batch() {
+        let (net, c, values) = wide_client(1024, 3);
+        let stripe = StripeId(0);
+        let victim = c.node_of(stripe, 13);
+        let _held = hold_worker(&net, victim);
+        let writes: Vec<(u64, &[u8])> = (0..).zip(values.iter().map(Vec::as_slice)).collect();
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| c.write_blocks(&writes));
+            // The swap round goes to data nodes only: what queues up at the
+            // redundant victim is the add round's twelve-member batch.
+            while net.node_queue_len(victim) == 0 {
+                std::thread::yield_now();
+            }
+            net.crash_node(victim);
+            net.resume_node(victim);
+            // NodeDown, remap, the batch made again for the replacement —
+            // which is INIT, so the write recovers the stripe and re-swaps.
+            writer.join().unwrap().unwrap();
+        });
+        assert!(net.node_is_up(victim), "auto-remap replaced the node");
+        c.recover_stripe(stripe).unwrap();
+        assert_stripe_0_holds(&net, &c, &values);
+    }
+
+    #[test]
+    fn a_shed_add_batch_is_remade_byte_for_byte_and_applied_once() {
+        let (net, c, values) = wide_client(1, u32::MAX);
+        let stripe = StripeId(0);
+        let (victim, witness) = (c.node_of(stripe, 13), c.node_of(stripe, 14));
+        let mut held = hold_worker(&net, victim);
+        let filler = net.client(ClientId(9));
+        let mut queued = filler.submit_call(victim, Request::Probe { stripe });
+        let writes: Vec<(u64, &[u8])> = (0..).zip(values.iter().map(Vec::as_slice)).collect();
+        let sent = c.endpoint().stats().snapshot().msgs_sent;
+        std::thread::scope(|s| {
+            let writer = s.spawn(|| c.write_blocks(&writes));
+            // 12 swaps, 4 add batches, then the victim's — shed by its full
+            // queue — is being made and sent again: let it land.
+            while c.endpoint().stats().snapshot().msgs_sent < sent + 17 {
+                std::thread::yield_now();
+            }
+            net.resume_node(victim);
+            for call_slot in [&mut held, &mut queued] {
+                while filler.poll_call(call_slot).is_none() {
+                    std::thread::yield_now();
+                }
+            }
+            writer.join().unwrap().unwrap();
+        });
+        // The increments the victim applied are the ones the first send
+        // carried (or parity is off), under the same tids (or its list
+        // differs from a node that was never shed).
+        assert_stripe_0_holds(&net, &c, &values);
+        let recent = |node| {
+            let Reply::GetState(s) = filler.call(node, Request::GetState { stripe }).unwrap() else {
+                panic!("GetState answers GetState")
+            };
+            s.recentlist.iter().map(|e| e.tid).collect::<Vec<_>>()
+        };
+        assert_eq!(recent(victim).len(), 24, "two writes of twelve blocks, each applied once");
+        assert_eq!(recent(victim), recent(witness));
     }
 
     #[test]

@@ -22,7 +22,12 @@
 //! cannot read them (`set_len` is `unsafe`, and nothing in this workspace
 //! touches it). The regression tests below pin both directions — shrink
 //! (old bytes beyond the new length) and grow (the region between the old
-//! and new lengths, which `resize` must cover).
+//! and new lengths, which `resize` must cover). [`take_copy`] holds the
+//! same line without the zero pass: `clear()` then `extend_from_slice(src)`
+//! makes the new length exactly `src.len()` and writes every byte of it from
+//! `src`, so a recycled buffer longer than `src` hides its tail past `len`
+//! and one shorter than `src` grows (or reallocates) under bytes that all
+//! come from `src`; its two tests pin those directions.
 
 use std::cell::RefCell;
 
@@ -49,6 +54,15 @@ pub(crate) fn take(len: usize) -> Vec<u8> {
             None => vec![0u8; len],
         }
     })
+}
+
+/// Takes a buffer holding a copy of `src` from the pool: [`take`] followed
+/// by `copy_from_slice`, minus the zero-fill that copy would overwrite.
+pub(crate) fn take_copy(src: &[u8]) -> Vec<u8> {
+    let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    buf.clear();
+    buf.extend_from_slice(src);
+    buf
 }
 
 /// Returns a buffer to the pool for reuse by a later [`take`].
@@ -102,6 +116,29 @@ mod tests {
         let small = take(16);
         assert_eq!(small.len(), 16);
         assert!(small.iter().all(|&b| b == 0), "stale bytes in shrunk buffer");
+    }
+
+    #[test]
+    fn take_copy_into_a_longer_recycled_buffer_shows_only_the_source() {
+        let mut big = take(64);
+        big.iter_mut().for_each(|b| *b = 0xA5);
+        give(big);
+        let src = [7u8; 16];
+        let copy = take_copy(&src);
+        assert_eq!(copy, src, "stale bytes or a stale length in the copy");
+    }
+
+    #[test]
+    fn take_copy_into_a_shorter_recycled_buffer_shows_only_the_source() {
+        // Empty the pool so the short buffer is the one that pops.
+        while POOL.with(|p| p.borrow_mut().pop()).is_some() {}
+        let mut short = take(8);
+        short.iter_mut().for_each(|b| *b = 0x5A);
+        give(short);
+        let src: Vec<u8> = (0..48).collect();
+        let copy = take_copy(&src);
+        assert_eq!(copy, src, "stale bytes under the grown length");
+        assert_eq!(pooled(), 0, "the recycled buffer was the one used");
     }
 
     #[test]

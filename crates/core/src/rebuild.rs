@@ -31,7 +31,7 @@
 
 use crate::client::Client;
 use crate::error::ProtocolError;
-use crate::rpc::{batch, call_many, expect_reply, unbatch};
+use crate::rpc::{call_groups, expect_reply, unbatch};
 use ajx_storage::{Epoch, GetStateReply, LMode, NodeId, OpMode, Reply, Request, StripeId};
 use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
@@ -156,8 +156,8 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             .flat_map(|x| (0..n).map(move |t| (x, t)))
             .collect();
         let groups = group_by_node(chunk, pairs, node_of);
-        let calls = batched_calls(&groups, |&(x, _)| Request::Probe { stripe: chunk[x] });
-        for ((_, xs), res) in groups.iter().zip(call_many(endpoint, cfg, calls)) {
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::Probe { stripe: chunk[x] });
+        for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
                     for (&(x, _), sub) in xs.iter().zip(unbatch(reply, xs.len())?) {
@@ -194,14 +194,14 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             break;
         }
         let groups = group_by_node(chunk, live.iter().map(|&x| (x, t)).collect(), node_of);
-        let calls = batched_calls(&groups, |&(x, _)| Request::TryLock {
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::TryLock {
             stripe: chunk[x],
             lm: LMode::L1,
             caller,
         });
         let mut dropped: BTreeSet<usize> = BTreeSet::new();
         let mut lost: Vec<usize> = Vec::new();
-        for ((_, xs), res) in groups.iter().zip(call_many(endpoint, cfg, calls)) {
+        for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
                     for (&(x, _), sub) in xs.iter().zip(unbatch(reply, xs.len())?) {
@@ -224,22 +224,18 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
         // modes (Fig. 6 line 5) — batched per node, best-effort: the race
         // winner's finalize or our own fallback supersedes a lost restore.
         if !lost.is_empty() {
-            let mut rel: BTreeMap<NodeId, Vec<Request>> = BTreeMap::new();
+            let mut rel: BTreeMap<NodeId, Vec<(StripeId, LMode)>> = BTreeMap::new();
             for &x in &lost {
-                for &(l, old) in &acquired[x] {
-                    rel.entry(node_of(chunk[x], l))
-                        .or_default()
-                        .push(Request::SetLock {
-                            stripe: chunk[x],
-                            lm: old,
-                            caller,
-                        });
+                for (l, old) in acquired[x].drain(..) {
+                    rel.entry(node_of(chunk[x], l)).or_default().push((chunk[x], old));
                 }
-                acquired[x].clear();
             }
-            let rels: Vec<(NodeId, Request)> =
-                rel.into_iter().map(|(node, reqs)| (node, batch(reqs))).collect();
-            let _ = call_many(endpoint, cfg, rels);
+            let rels: Vec<_> = rel.into_iter().collect();
+            let _ = call_groups(endpoint, cfg, &rels, |&(stripe, lm)| Request::SetLock {
+                stripe,
+                lm,
+                caller,
+            });
             dropped.extend(lost);
         }
         if !dropped.is_empty() {
@@ -262,9 +258,9 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             .flat_map(|&x| (0..n).map(move |t| (x, t)))
             .collect();
         let groups = group_by_node(chunk, pairs, node_of);
-        let calls = batched_calls(&groups, |&(x, _)| Request::GetMeta { stripe: chunk[x] });
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::GetMeta { stripe: chunk[x] });
         let mut dropped: BTreeSet<usize> = BTreeSet::new();
-        for ((_, xs), res) in groups.iter().zip(call_many(endpoint, cfg, calls)) {
+        for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
                     for (&(x, t), sub) in xs.iter().zip(unbatch(reply, xs.len())?) {
@@ -348,9 +344,9 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             })
             .collect();
         let groups = group_by_node(chunk, pairs, node_of);
-        let calls = batched_calls(&groups, |&(x, _)| Request::GetState { stripe: chunk[x] });
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::GetState { stripe: chunk[x] });
         let mut dropped: BTreeSet<usize> = BTreeSet::new();
-        for ((_, xs), res) in groups.iter().zip(call_many(endpoint, cfg, calls)) {
+        for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
                     for (&(x, t), sub) in xs.iter().zip(unbatch(reply, xs.len())?) {
@@ -383,7 +379,9 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     let mut epochs: BTreeMap<usize, Epoch> = BTreeMap::new();
     let mut alive: BTreeSet<usize> = fast.iter().copied().collect();
     {
-        let mut by_node: BTreeMap<NodeId, Vec<(usize, Request)>> = BTreeMap::new();
+        // The decoded blocks stay here for the round: a `Reconstruct` is
+        // idempotent, so a timeout re-sends it, re-made from its block.
+        let mut by_node: BTreeMap<NodeId, Vec<(&FastJob, Vec<u8>)>> = BTreeMap::new();
         let mut bad: BTreeSet<usize> = BTreeSet::new();
         for job in &jobs {
             epochs.insert(job.x, job.epoch);
@@ -404,22 +402,15 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
                 by_node
                     .entry(node_of(chunk[job.x], plan.lost()))
                     .or_default()
-                    .push((
-                        job.x,
-                        Request::Reconstruct {
-                            stripe: chunk[job.x],
-                            cset: job.cset.clone(),
-                            block: out,
-                        },
-                    ));
+                    .push((job, out));
             }
         }
         for b in blocks.into_values() {
             crate::pool::give(b);
         }
         if !bad.is_empty() {
-            for (_, xs_reqs) in by_node.iter_mut() {
-                xs_reqs.retain(|(x, _)| !bad.contains(x));
+            for members in by_node.values_mut() {
+                members.retain(|(job, _)| !bad.contains(&job.x));
             }
             alive.retain(|x| !bad.contains(x));
             for &x in &bad {
@@ -427,28 +418,30 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             }
             fallback.extend(bad);
         }
-        let mut calls: Vec<(NodeId, Request)> = Vec::with_capacity(by_node.len());
-        let mut xs_per_call: Vec<Vec<usize>> = Vec::with_capacity(by_node.len());
-        for (node, xs_reqs) in by_node {
-            let (xs, reqs): (Vec<usize>, Vec<Request>) = xs_reqs.into_iter().unzip();
-            calls.push((node, batch(reqs)));
-            xs_per_call.push(xs);
-        }
-        for (xs, res) in xs_per_call.iter().zip(call_many(endpoint, cfg, calls)) {
+        let groups: Vec<_> = by_node.into_iter().collect();
+        let replies = call_groups(endpoint, cfg, &groups, |(job, block)| Request::Reconstruct {
+            stripe: chunk[job.x],
+            cset: job.cset.clone(),
+            block: crate::pool::take_copy(block),
+        });
+        for ((_, members), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
-                    for (&x, sub) in xs.iter().zip(unbatch(reply, xs.len())?) {
+                    for ((job, _), sub) in members.iter().zip(unbatch(reply, members.len())?) {
                         let ep = expect_reply!(sub, Reply::Reconstruct);
-                        let slot = epochs.entry(x).or_insert(Epoch(0));
+                        let slot = epochs.entry(job.x).or_insert(Epoch(0));
                         *slot = (*slot).max(ep);
                     }
                 }
                 Err(_) => {
-                    for &x in xs {
-                        alive.remove(&x);
+                    for (job, _) in members {
+                        alive.remove(&job.x);
                     }
                 }
             }
+        }
+        for (_, block) in groups.into_iter().flat_map(|(_, members)| members) {
+            crate::pool::give(block);
         }
     }
     {
@@ -457,11 +450,11 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             .flat_map(|&x| (0..n).map(move |t| (x, t)))
             .collect();
         let groups = group_by_node(chunk, finalizable, node_of);
-        let calls = batched_calls(&groups, |&(x, _)| Request::Finalize {
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::Finalize {
             stripe: chunk[x],
             epoch: epochs[&x].next(),
         });
-        for ((_, xs), res) in groups.iter().zip(call_many(endpoint, cfg, calls)) {
+        for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
                     for sub in unbatch(reply, xs.len())? {
@@ -507,15 +500,4 @@ fn group_by_node(
         by_node.entry(node_of(chunk[x], t)).or_default().push((x, t));
     }
     by_node.into_iter().collect()
-}
-
-/// Builds one request per node group, batching multi-request groups.
-fn batched_calls(
-    groups: &[(NodeId, Vec<(usize, usize)>)],
-    mut req: impl FnMut(&(usize, usize)) -> Request,
-) -> Vec<(NodeId, Request)> {
-    groups
-        .iter()
-        .map(|(node, xs)| (*node, batch(xs.iter().map(&mut req).collect())))
-        .collect()
 }

@@ -152,41 +152,31 @@ fn recover_inner(
 ) -> Result<RecoveryOutcome, ProtocolError> {
     let n = cfg.n();
     let k = cfg.k();
-    let node_of = |t: usize| NodeId(cfg.layout.node_for(stripe.0, t) as u32);
+    let nodes = stripe_nodes(cfg, stripe);
+    let redundant = &nodes[k..];
 
     // ---- Phase 1: lock all blocks in index order (deadlock-free). ----
-    let mut acquired: Vec<(usize, LMode)> = Vec::new();
-    for t in 0..n {
-        let reply = call(
-            endpoint,
-            cfg,
-            node_of(t),
-            Request::TryLock {
-                stripe,
-                lm: LMode::L1,
-                caller,
-            },
-        )?;
-        let r = expect_reply!(reply, Reply::TryLock);
+    // Locks are taken on nodes 0, 1, ... in turn, so `acquired[t]` is what
+    // node `t` held before.
+    let mut acquired: Vec<LMode> = Vec::new();
+    for &node in &nodes {
+        let trylock = || Request::TryLock {
+            stripe,
+            lm: LMode::L1,
+            caller,
+        };
+        let r = expect_reply!(call(endpoint, cfg, node, trylock)?, Reply::TryLock);
         if r.ok {
-            acquired.push((t, r.old_lmode));
+            acquired.push(r.old_lmode);
         } else {
             // Someone else is recovering: release what we took, restoring
             // the previous lock modes (Fig. 6 line 5).
-            let releases: Vec<_> = acquired
-                .iter()
-                .map(|&(l, old)| {
-                    (
-                        node_of(l),
-                        Request::SetLock {
-                            stripe,
-                            lm: old,
-                            caller,
-                        },
-                    )
-                })
-                .collect();
-            for res in call_many(endpoint, cfg, releases) {
+            let release = |t: usize| Request::SetLock {
+                stripe,
+                lm: acquired[t],
+                caller,
+            };
+            for res in call_many(endpoint, cfg, &nodes[..acquired.len()], release) {
                 res?;
             }
             return Ok(RecoveryOutcome::LostRace);
@@ -195,8 +185,8 @@ fn recover_inner(
 
     // ---- Phase 2: read states; find a consistent set. ----
     let mut states: Vec<GetStateReply> = Vec::with_capacity(n);
-    for t in 0..n {
-        let reply = call(endpoint, cfg, node_of(t), Request::GetState { stripe })?;
+    for &node in &nodes {
+        let reply = call(endpoint, cfg, node, || Request::GetState { stripe })?;
         states.push(expect_reply!(reply, Reply::GetState));
     }
 
@@ -229,19 +219,12 @@ fn recover_inner(
             if cset.len() >= required {
                 // Re-acquire full locks before new adds slip in (Fig. 6
                 // line 19); drop members whose recentlist moved meanwhile.
-                let relocks: Vec<_> = (k..n)
-                    .map(|t| {
-                        (
-                            node_of(t),
-                            Request::GetRecent {
-                                stripe,
-                                lm: LMode::L1,
-                                caller,
-                            },
-                        )
-                    })
-                    .collect();
-                let lists: Vec<_> = call_many(endpoint, cfg, relocks)
+                let relock = |_| Request::GetRecent {
+                    stripe,
+                    lm: LMode::L1,
+                    caller,
+                };
+                let lists: Vec<_> = call_many(endpoint, cfg, redundant, relock)
                     .into_iter()
                     .collect::<Result<Vec<_>, _>>()?;
                 for (t, reply) in (k..n).zip(lists) {
@@ -263,7 +246,7 @@ fn recover_inner(
                     patience = 0;
                     continue;
                 }
-                unlock_all(endpoint, cfg, caller, stripe, n)?;
+                unlock_all(endpoint, cfg, caller, stripe)?;
                 return Err(ProtocolError::Unrecoverable {
                     stripe,
                     reason: format!(
@@ -274,26 +257,17 @@ fn recover_inner(
             }
             // Weaken redundant locks to L0 so outstanding adds can land
             // and make blocks consistent (Fig. 6 lines 14-18).
-            let weaken: Vec<_> = (k..n)
-                .map(|t| {
-                    (
-                        node_of(t),
-                        Request::SetLock {
-                            stripe,
-                            lm: LMode::L0,
-                            caller,
-                        },
-                    )
-                })
-                .collect();
-            for res in call_many(endpoint, cfg, weaken) {
+            let weaken = |_| Request::SetLock {
+                stripe,
+                lm: LMode::L0,
+                caller,
+            };
+            for res in call_many(endpoint, cfg, redundant, weaken) {
                 res?;
             }
             for _ in 0..8 {
-                let reads: Vec<_> = (k..n)
-                    .map(|t| (node_of(t), Request::GetState { stripe }))
-                    .collect();
-                for (t, res) in (k..n).zip(call_many(endpoint, cfg, reads)) {
+                let read = |_| Request::GetState { stripe };
+                for (t, res) in (k..n).zip(call_many(endpoint, cfg, redundant, read)) {
                     states[t] = expect_reply!(res?, Reply::GetState);
                 }
                 cset = find_consistent(&states, k);
@@ -307,7 +281,7 @@ fn recover_inner(
     };
 
     if cset.len() < k {
-        unlock_all(endpoint, cfg, caller, stripe, n)?;
+        unlock_all(endpoint, cfg, caller, stripe)?;
         return Err(ProtocolError::Unrecoverable {
             stripe,
             reason: format!(
@@ -322,7 +296,7 @@ fn recover_inner(
     // (first k); for an LRC some k-subsets are rank-deficient, so the code
     // picks a decodable one from the whole consistent set.
     let Some(key) = cfg.code.select_decode_indices(&cset) else {
-        unlock_all(endpoint, cfg, caller, stripe, n)?;
+        unlock_all(endpoint, cfg, caller, stripe)?;
         return Err(ProtocolError::Unrecoverable {
             stripe,
             reason: format!("consistent set {cset:?} does not determine the data"),
@@ -330,43 +304,29 @@ fn recover_inner(
     };
     let blocks = reconstruct_blocks(cfg, &key, &mut states)?;
 
-    // `blocks` owns the reconstructed stripe and has no further use: move
-    // each block into its Reconstruct request rather than cloning n blocks.
-    let writes: Vec<_> = blocks
-        .into_iter()
-        .enumerate()
-        .map(|(t, block)| {
-            (
-                node_of(t),
-                Request::Reconstruct {
-                    stripe,
-                    cset: cset.clone(),
-                    block,
-                },
-            )
-        })
-        .collect();
+    // `blocks` keeps the reconstructed stripe for the round: a `Reconstruct`
+    // is idempotent, so a timeout re-sends it, re-made from its block.
+    let write = |t: usize| Request::Reconstruct {
+        stripe,
+        cset: cset.clone(),
+        block: crate::pool::take_copy(&blocks[t]),
+    };
     // Point of no return: from the first `reconstruct` onwards the locks
     // must survive any error (see `recover`).
     *reconstructing = true;
+    let replies = call_many(endpoint, cfg, &nodes, write);
+    blocks.into_iter().for_each(crate::pool::give);
     let mut max_epoch = Epoch(0);
-    for res in call_many(endpoint, cfg, writes) {
+    for res in replies {
         let ep = expect_reply!(res?, Reply::Reconstruct);
         max_epoch = max_epoch.max(ep);
     }
 
-    let finals: Vec<_> = (0..n)
-        .map(|t| {
-            (
-                node_of(t),
-                Request::Finalize {
-                    stripe,
-                    epoch: max_epoch.next(),
-                },
-            )
-        })
-        .collect();
-    for res in call_many(endpoint, cfg, finals) {
+    let finalize = |_| Request::Finalize {
+        stripe,
+        epoch: max_epoch.next(),
+    };
+    for res in call_many(endpoint, cfg, &nodes, finalize) {
         res?;
     }
     Ok(RecoveryOutcome::Completed)
@@ -520,7 +480,8 @@ pub(crate) fn degraded_read(
 ) -> Result<Option<Vec<u8>>, ProtocolError> {
     let n = cfg.n();
     let k = cfg.k();
-    let node_of = |t: usize| NodeId(cfg.layout.node_for(stripe.0, t) as u32);
+    let nodes = stripe_nodes(cfg, stripe);
+    let nodes_of = |ts: &[usize]| -> Vec<NodeId> { ts.iter().map(|&t| nodes[t]).collect() };
     let peers: Vec<usize> = (0..n).filter(|&t| t != i).collect();
     // Optimistic guess: every peer healthy and consistent — which blocks
     // would the cheapest repair of `i` read? Those get a full `GetState`;
@@ -530,17 +491,13 @@ pub(crate) fn degraded_read(
         .repair(&cfg.code, i, &peers)
         .map(|p| p.indices().collect())
         .unwrap_or_default();
-    let calls: Vec<(NodeId, Request)> = peers
-        .iter()
-        .map(|&t| {
-            let req = if optimistic.contains(&t) {
-                Request::GetState { stripe }
-            } else {
-                Request::GetMeta { stripe }
-            };
-            (node_of(t), req)
-        })
-        .collect();
+    let ask = |c: usize| {
+        if optimistic.contains(&peers[c]) {
+            Request::GetState { stripe }
+        } else {
+            Request::GetMeta { stripe }
+        }
+    };
     let placeholder = || GetStateReply {
         opmode: OpMode::Init,
         recons_set: vec![],
@@ -550,7 +507,7 @@ pub(crate) fn degraded_read(
         epoch: Epoch(0),
     };
     let mut states: Vec<GetStateReply> = (0..n).map(|_| placeholder()).collect();
-    for (&t, res) in peers.iter().zip(call_many(endpoint, cfg, calls)) {
+    for (&t, res) in peers.iter().zip(call_many(endpoint, cfg, &nodes_of(&peers), ask)) {
         if let Ok(Reply::GetState(s)) = res {
             states[t] = s;
         }
@@ -575,11 +532,8 @@ pub(crate) fn degraded_read(
         .filter(|&t| states[t].block.is_none())
         .collect();
     if !missing.is_empty() {
-        let fetch: Vec<(NodeId, Request)> = missing
-            .iter()
-            .map(|&t| (node_of(t), Request::GetState { stripe }))
-            .collect();
-        for (&t, res) in missing.iter().zip(call_many(endpoint, cfg, fetch)) {
+        let fetch = |_| Request::GetState { stripe };
+        for (&t, res) in missing.iter().zip(call_many(endpoint, cfg, &nodes_of(&missing), fetch)) {
             match res {
                 Ok(Reply::GetState(s))
                     if s.opmode == states[t].opmode
@@ -617,26 +571,25 @@ pub(crate) fn degraded_read(
     Ok(decoded)
 }
 
+/// The node holding each in-stripe index of `stripe`, in index order.
+fn stripe_nodes(cfg: &ProtocolConfig, stripe: StripeId) -> Vec<NodeId> {
+    (0..cfg.n())
+        .map(|t| NodeId(cfg.layout.node_for(stripe.0, t) as u32))
+        .collect()
+}
+
 fn unlock_all(
     endpoint: &ClientEndpoint,
     cfg: &ProtocolConfig,
     caller: ClientId,
     stripe: StripeId,
-    n: usize,
 ) -> Result<(), ProtocolError> {
-    let releases: Vec<_> = (0..n)
-        .map(|t| {
-            (
-                NodeId(cfg.layout.node_for(stripe.0, t) as u32),
-                Request::SetLock {
-                    stripe,
-                    lm: LMode::Unl,
-                    caller,
-                },
-            )
-        })
-        .collect();
-    for res in call_many(endpoint, cfg, releases) {
+    let unlock = |_| Request::SetLock {
+        stripe,
+        lm: LMode::Unl,
+        caller,
+    };
+    for res in call_many(endpoint, cfg, &stripe_nodes(cfg, stripe), unlock) {
         res?;
     }
     Ok(())
@@ -651,17 +604,10 @@ fn best_effort_unlock(
     caller: ClientId,
     stripe: StripeId,
 ) {
-    let releases: Vec<_> = (0..cfg.n())
-        .map(|t| {
-            (
-                NodeId(cfg.layout.node_for(stripe.0, t) as u32),
-                Request::SetLock {
-                    stripe,
-                    lm: LMode::Unl,
-                    caller,
-                },
-            )
-        })
+    let lm = LMode::Unl;
+    let releases = stripe_nodes(cfg, stripe)
+        .into_iter()
+        .map(|node| (node, Request::SetLock { stripe, lm, caller }))
         .collect();
     let _ = endpoint.call_many(releases);
 }

@@ -101,27 +101,23 @@ impl BlockWrite {
     }
 
     /// The §3.11 multicast form: the plain difference `v − w`, computed
-    /// once, addressed to every index still in `T`; each node multiplies by
-    /// its own `α_ji`.
+    /// once, addressed to every index still in `T` (returned in order); each
+    /// node multiplies by its own `α_ji`. The maker builds the `add` for one
+    /// such index `j` from a copy of the difference — a `Vec<u8>` field
+    /// cannot be shared.
     pub(crate) fn multicast_adds(
         &self,
         cfg: &ProtocolConfig,
         stripe: StripeId,
         value: &[u8],
-    ) -> Vec<(usize, Request)> {
+    ) -> (Vec<usize>, impl Fn(usize) -> Request + '_) {
         let diff = cfg
             .code
             .broadcast_delta(value, &self.old)
             .expect("block sizes validated");
-        self.t
-            .iter()
-            .map(|&j| {
-                (
-                    j,
-                    self.request(stripe, diff.clone(), Some((j - cfg.k(), self.i))),
-                )
-            })
-            .collect()
+        let k = cfg.k();
+        let add = move |j: usize| self.request(stripe, diff.clone(), Some((j - k, self.i)));
+        (self.t.iter().copied().collect(), add)
     }
 
     /// Absorbs the reply to the `add` sent to `j` (Fig. 5 lines 9-14).
@@ -417,13 +413,10 @@ mod tests {
             "client-scaled increment against the swapped-out block"
         );
 
-        let multicast = bw.multicast_adds(&cfg, StripeId(0), &value);
-        assert_eq!(
-            multicast.iter().map(|(j, _)| *j).collect::<Vec<_>>(),
-            [2, 3, 4]
-        );
-        for (j, req) in multicast {
-            let Request::Add { delta, scale, .. } = req else {
+        let (js, multicast) = bw.multicast_adds(&cfg, StripeId(0), &value);
+        assert_eq!(js, [2, 3, 4]);
+        for j in js {
+            let Request::Add { delta, scale, .. } = multicast(j) else {
                 panic!("multicast builds adds")
             };
             assert_eq!(

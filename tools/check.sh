@@ -11,11 +11,12 @@
 # internally), the many-client scale-out smoke (asserts 1k-client IOPS
 # >= 5x the 8-client figure with zero failed ops), the durability
 # smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
-# benchmark's contract (benchmark/ builds offline, its codec, durable_write
-# and small_rw workloads run correct with zero failed operations, and a
-# traced small_rw run shows garbage collection still batched per node and
+# benchmark's contract (benchmark/ builds offline, its codec, durable_write,
+# small_rw and seq_large workloads run correct with zero failed operations,
+# a traced small_rw run shows garbage collection still batched per node and
 # still collecting everything, and the node's media-write and metadata
-# accounts where they were).
+# accounts where they were, and a traced seq_large run shows a bulk write
+# putting the same bytes and round trips on the wire).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -135,15 +136,16 @@ grep -q '"recovery_floor_pass": true' BENCH_durability.smoke.json \
   || { echo "durability floor violated (WAL recovery not faster than rebuild)"; exit 1; }
 echo "durability floor holds (restart-with-disk beats wipe-and-rebuild)"
 
-echo "== benchmark contract (benchmark/run.sh, codec, durable_write and small_rw workloads) =="
+echo "== benchmark contract (benchmark/run.sh, codec, durable_write, small_rw and seq_large workloads) =="
 # BENCHMARK.json's driver calls benchmark/run.sh, which builds benchmark/
 # offline into .bench_build and prints the run's JSON result as the last
-# stdout line. Three short runs must build, exit 0, produce correct output
+# stdout line. Four short runs must build, exit 0, produce correct output
 # and fail no operation: codec, the one workload that drives both fields
 # of the erasure engine end to end, durable_write, the one that goes
 # journal -> crash -> restart_with_disk -> a rebuild that must find
-# nothing to do, and small_rw, the paper's common case.
-for workload in codec durable_write small_rw; do
+# nothing to do, small_rw, the paper's common case, and seq_large, the
+# bulk path a perf PR has spent (PR 22).
+for workload in codec durable_write small_rw seq_large; do
   bench_result=$(bash benchmark/run.sh --workload "$workload" --seed 1 --slices 2 --trace 0 | tail -n 1)
   echo "$bench_result"
   case "$bench_result" in
@@ -178,6 +180,23 @@ echo "storage.media_writes_per_write $media_writes, storage.metadata_bytes_per_b
 awk -v m="$media_writes" -v b="$metadata_bytes" 'BEGIN { exit !(m == 5 && b == 25.75) }' \
   || { echo "node-level accounting moved (want 5 media writes per write, 25.75 metadata bytes per block)"; exit 1; }
 echo "node-level accounting holds"
+
+echo "== a bulk write puts the same bytes on the wire (traced seq_large) =="
+# PR 22 took the client's copies out of the 64 KiB write path; the wire
+# must not have noticed. RS 12-of-16 sends one value and four increments
+# per block (3.5008 wire bytes per user byte with headers), a 48-block
+# write_blocks is 48 swaps + 4 stripes x 4 add batches = 64 round trips
+# (1.3333 per block), and each block lands on a medium 5 times. Exact with
+# --slices; the literals are the PR 21 binary's.
+traced=$(bash benchmark/run.sh --workload seq_large --seed 1 --slices 2 --trace 1 | tail -n 1)
+wire_bytes=$(metric transport.wire_bytes_per_user_byte)
+write_trips=$(metric transport.write_round_trips_per_op)
+media_writes=$(metric storage.media_writes_per_write)
+echo "transport.wire_bytes_per_user_byte $wire_bytes, transport.write_round_trips_per_op $write_trips, storage.media_writes_per_write $media_writes"
+awk -v w="$wire_bytes" -v r="$write_trips" -v m="$media_writes" \
+  'BEGIN { exit !(sprintf("%.4f", w) == "3.5008" && sprintf("%.4f", r) == "1.3333" && m == 5) }' \
+  || { echo "the bulk write's wire moved (want 3.5008 wire bytes per user byte, 1.3333 write round trips per op, 5 media writes per write)"; exit 1; }
+echo "bulk-write wire counts hold"
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
