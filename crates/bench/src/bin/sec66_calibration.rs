@@ -47,13 +47,44 @@ fn sim_config(clients: usize, threads: usize, params: SimParams) -> SimConfig {
     cfg
 }
 
+/// Bisects `bracket` for the point where `below` (the model still falls
+/// short of the measurement) turns false. Returns that point and whether it
+/// lies inside the bracket: a search pinned to either end found no value
+/// that fits.
+fn bisect((lo, hi): (f64, f64), below: impl Fn(f64) -> bool) -> (f64, bool) {
+    let (mut a, mut b) = (lo, hi);
+    for _ in 0..24 {
+        let mid = 0.5 * (a + b);
+        if below(mid) {
+            a = mid;
+        } else {
+            b = mid;
+        }
+    }
+    let x = 0.5 * (a + b);
+    let margin = (hi - lo) * 1e-3;
+    (x, x - lo > margin && hi - x > margin)
+}
+
+/// Prints a fitted constant, or says plainly that the fit did not fit.
+fn report_fit(measured: &str, name: &str, (lo, hi): (f64, f64), (x, fitted): (f64, bool)) {
+    if fitted {
+        println!("fitted: {measured} -> {name} {x:.1} us");
+    } else {
+        println!(
+            "not fitted: {measured}; the {name} search ended at its bracket end \
+             ({x:.1} us of [{lo:.0}, {hi:.0}] us), so {x:.1} us is the bracket, not a fit"
+        );
+    }
+}
+
 fn main() {
     banner(
         "sec 6.6 — simulator accuracy vs the threaded implementation",
         "simulating the real system should agree within ~20%",
     );
 
-    // --- Step 1: fit the per-RPC CPU constant from 1-thread latency. ---
+    // --- Step 1: fit the effective one-way latency from 1-thread latency. ---
     let c = threaded_cluster(1);
     for lb in 0..8u64 {
         c.client(0).write_block(lb, vec![0; 1024]).unwrap();
@@ -77,22 +108,26 @@ fn main() {
     // inflates per-message delay; that inflation is a *per-call delay*
     // (parallel across outstanding calls), so it calibrates into the
     // latency term — not into shared CPU time, which would wrongly
-    // serialize concurrent requests.
-    let (mut lo, mut hi) = (LAT_US, 800.0f64);
-    for _ in 0..24 {
-        let mid = 0.5 * (lo + hi);
-        params.one_way_latency_us = mid;
-        let r = run(&sim_config(1, 1, params));
-        if r.mean_latency_us < measured_lat_us {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    params.one_way_latency_us = 0.5 * (lo + hi);
-    println!(
-        "fitted: measured 1-thread write latency {measured_lat_us:.0} us -> effective one-way latency {:.1} us",
-        params.one_way_latency_us
+    // serialize concurrent requests. When the simulator already predicts
+    // more than the measurement at the configured latency, the search
+    // stays at its lower end and reports no fit.
+    let bracket = (LAT_US, 800.0);
+    let lat_fit = bisect(bracket, |lat| {
+        let p = SimParams {
+            one_way_latency_us: lat,
+            ..params
+        };
+        run(&sim_config(1, 1, p)).mean_latency_us < measured_lat_us
+    });
+    params.one_way_latency_us = lat_fit.0;
+    let simulated = run(&sim_config(1, 1, params)).mean_latency_us;
+    report_fit(
+        &format!(
+            "measured 1-thread write latency {measured_lat_us:.0} us (simulated {simulated:.0} us)"
+        ),
+        "effective one-way latency",
+        bracket,
+        lat_fit,
     );
 
     // Second fitted constant: the per-RPC client CPU time, fitted against
@@ -104,22 +139,22 @@ fn main() {
     let c = threaded_cluster(1);
     let fit = drive(&c, 16, 50, Workload::RandomWrite { blocks: BLOCKS }, 99);
     let target_mbps = fit.mb_per_sec();
-    let (mut lo, mut hi) = (0.0f64, 300.0f64);
-    for _ in 0..24 {
-        let mid = 0.5 * (lo + hi);
-        params.rpc_client_cpu_us = mid;
-        let r = run(&sim_config(1, 16, params));
-        if r.aggregate_mbps > target_mbps {
-            lo = mid;
-        } else {
-            hi = mid;
-        }
-    }
-    params.rpc_client_cpu_us = 0.5 * (lo + hi);
-    println!(
-        "fitted: measured 1x16 throughput {target_mbps:.2} MB/s -> per-RPC client cpu {:.1} us\n",
-        params.rpc_client_cpu_us
+    let bracket = (0.0, 300.0);
+    let cpu_fit = bisect(bracket, |cpu| {
+        let p = SimParams {
+            rpc_client_cpu_us: cpu,
+            ..params
+        };
+        run(&sim_config(1, 16, p)).aggregate_mbps > target_mbps
+    });
+    params.rpc_client_cpu_us = cpu_fit.0;
+    report_fit(
+        &format!("measured 1x16 throughput {target_mbps:.2} MB/s"),
+        "per-RPC client cpu",
+        bracket,
+        cpu_fit,
     );
+    println!();
 
     // --- Step 2: compare throughput at unseen concurrency levels. ---
     let mut rows = Vec::new();

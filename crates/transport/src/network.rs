@@ -14,12 +14,15 @@
 //!   degrades into determinate client backoff instead of unbounded memory.
 //!   Node state is a [`ShardedNode`]: per-stripe shards behind fine-grained
 //!   locks, so workers serving independent stripes never contend.
-//! * **Client side** — the classic blocking [`ClientEndpoint::call`] /
-//!   [`ClientEndpoint::call_many`] remain for protocol code, and
-//!   [`ClientEndpoint::submit_call`] + [`ClientEndpoint::poll_call`] expose
-//!   the same exchange as a completion-queue [`PendingCall`], so one OS
-//!   thread can drive thousands of logical clients' in-flight RPCs
-//!   (the `ext_many_clients` scale-out path).
+//! * **Client side** — one completion path. [`ClientEndpoint::submit_call`]
+//!   starts an exchange as a [`PendingCall`] that
+//!   [`ClientEndpoint::poll_call`] resolves without blocking, so one OS
+//!   thread can drive thousands of logical clients' in-flight RPCs (the
+//!   `ext_many_clients` scale-out path). The blocking
+//!   [`ClientEndpoint::call`] / [`ClientEndpoint::call_many`] /
+//!   [`ClientEndpoint::broadcast`] that protocol code uses submit their
+//!   round the same way and then wait on each call in order, so both kinds
+//!   of caller see one timing model (stated on `submit_call`).
 
 use crate::bucket::TokenBucket;
 use crate::error::RpcError;
@@ -30,7 +33,7 @@ use ajx_storage::{
     backend_for, ClientId, FlushPolicy, NodeId, NodeView, PersistMode, PersistStats, Reply,
     Request, ShardedNode,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender, TrySendError};
+use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -442,17 +445,10 @@ impl Network {
         &self.stats
     }
 
-    fn sleep_latency(&self) {
-        if !self.latency.is_zero() {
-            std::thread::sleep(self.latency);
-        }
-    }
-
     /// Sends one call on its way — the one place a call's transport fate
     /// is drawn and applied: draw, maybe duplicate, submit, maybe drop the
     /// reply. Returns how the call left the client and the link delay the
-    /// fate injected (paid by the caller, who knows whether it sleeps it
-    /// off or folds it into a deadline).
+    /// fate injected, which the caller folds into the call's `ready_at`.
     ///
     /// The fate comes from the endpoint's per-link sequence counters,
     /// keeping the injected drop/delay/duplicate decisions deterministic per
@@ -482,95 +478,6 @@ impl Network {
             Err(e) => Dispatched::Failed(e),
         };
         (sent, fate.delay)
-    }
-
-    /// Blocks for the outcome of a dispatched call, waiting for an
-    /// in-flight reply at most `call_timeout`. The deadline a *lost*
-    /// exchange costs is not paid here but by [`Network::sleep_out_loss`],
-    /// because a batch shares one such wait.
-    fn await_reply(&self, node: NodeId, sent: Dispatched) -> Result<Reply, RpcError> {
-        match sent {
-            Dispatched::Failed(e) => Err(e),
-            Dispatched::Lost => Err(RpcError::Timeout(node)),
-            Dispatched::InFlight(rx) => match self.call_timeout {
-                Some(t) => match rx.recv_timeout(t) {
-                    Ok(r) => r,
-                    Err(RecvTimeoutError::Timeout) => Err(RpcError::Timeout(node)),
-                    Err(RecvTimeoutError::Disconnected) => Err(RpcError::NetTornDown(node)),
-                },
-                None => match rx.recv() {
-                    Ok(r) => r,
-                    Err(_) => Err(RpcError::NetTornDown(node)),
-                },
-            },
-        }
-    }
-
-    /// The client discovers a lost exchange only by waiting out its
-    /// deadline. Without a configured deadline the loss still surfaces as
-    /// `Timeout`, just instantly.
-    fn sleep_out_loss(&self) {
-        if let Some(t) = self.call_timeout {
-            std::thread::sleep(t);
-        }
-    }
-
-    /// Delivers a batch of requests that were sent "at the same time" (one
-    /// propagation delay each way for the whole batch — the paper's
-    /// `pfor` round). Returns replies in request order.
-    fn deliver_batch(
-        &self,
-        ep: &ClientEndpoint,
-        calls: Vec<(NodeId, Request)>,
-    ) -> Vec<Result<Reply, RpcError>> {
-        self.sleep_latency(); // outbound propagation (shared window)
-        let mut injected_delay = Duration::ZERO;
-        let sent: Vec<(NodeId, Dispatched)> = calls
-            .into_iter()
-            .map(|(node, req)| {
-                let (sent, delay) = self.dispatch(ep, node, req);
-                injected_delay = injected_delay.max(delay);
-                (node, sent)
-            })
-            .collect();
-        // The whole batch shares one propagation window, so injected link
-        // delay is paid once (the max across the batch), like the base
-        // latency — and one shared wait covers every lost call in the
-        // batch (they time out in parallel).
-        if !injected_delay.is_zero() {
-            std::thread::sleep(injected_delay);
-        }
-        if sent.iter().any(|(_, s)| matches!(s, Dispatched::Lost)) {
-            self.sleep_out_loss();
-        }
-        let replies = sent
-            .into_iter()
-            .map(|(node, sent)| self.await_reply(node, sent))
-            .collect();
-        self.sleep_latency(); // inbound propagation
-        replies
-    }
-
-    /// Delivers one request — [`Network::deliver_batch`] for a batch of
-    /// one without building a `Vec` per call: the hot failure-free READ
-    /// path of Fig. 4 issues millions of these.
-    fn deliver_one(
-        &self,
-        ep: &ClientEndpoint,
-        node: NodeId,
-        req: Request,
-    ) -> Result<Reply, RpcError> {
-        self.sleep_latency(); // outbound propagation
-        let (sent, delay) = self.dispatch(ep, node, req);
-        if !delay.is_zero() {
-            std::thread::sleep(delay);
-        }
-        if matches!(sent, Dispatched::Lost) {
-            self.sleep_out_loss();
-        }
-        let result = self.await_reply(node, sent);
-        self.sleep_latency(); // inbound propagation
-        result
     }
 
     fn submit(
@@ -688,8 +595,8 @@ impl ClientEndpoint {
     }
 
     /// Admits one outgoing request: spends the kill budget, then books the
-    /// send. Returns the request's wire bytes for the caller to charge to
-    /// the client NIC its own way (sleeping, or folded into `ready_at`).
+    /// send. Returns the request's wire bytes for [`ClientEndpoint::launch`]
+    /// to reserve on the client NIC.
     fn admit(&self, req: &Request) -> Result<usize, RpcError> {
         self.consume_budget()?;
         let bytes = req.wire_bytes();
@@ -698,34 +605,7 @@ impl ClientEndpoint {
         Ok(bytes)
     }
 
-    /// Serializes `bytes` through the client NIC, sleeping out the drain.
-    fn nic_drain(&self, bytes: usize) {
-        if let Some(nic) = &self.nic {
-            nic.consume(bytes);
-        }
-    }
-
-    /// Books a reply that reached the client — per-client and network-wide
-    /// receive counters plus one round trip. NIC drain is the caller's.
-    fn account_reply(&self, reply: &Reply) {
-        let (bytes, payload) = (reply.wire_bytes(), reply.payload_bytes());
-        for stats in [&self.stats, &*self.net.stats] {
-            stats.record_receive(bytes);
-            stats.record_receive_payload(payload);
-        }
-        self.stats.record_round_trip();
-    }
-
-    /// The blocking paths' receive side: NIC drain, then the books.
-    fn received(&self, result: Result<Reply, RpcError>) -> Result<Reply, RpcError> {
-        if let Ok(reply) = &result {
-            self.nic_drain(reply.wire_bytes());
-            self.account_reply(reply);
-        }
-        result
-    }
-
-    /// One synchronous RPC: request out, reply back.
+    /// One synchronous RPC: request out, reply back — a round of one.
     ///
     /// # Errors
     ///
@@ -735,35 +615,19 @@ impl ClientEndpoint {
     /// loses the exchange; [`RpcError::NetTornDown`] when the node's
     /// workers die mid-call.
     pub fn call(&self, node: NodeId, req: Request) -> Result<Reply, RpcError> {
-        self.nic_drain(self.admit(&req)?);
-        self.received(self.net.deliver_one(self, node, req))
+        self.wait(&mut self.submit_call(node, req))
     }
 
-    /// Parallel fan-out — the paper's `pfor`: the batch is sent in one
-    /// round (one shared propagation delay each way; the client NIC still
-    /// serializes the payloads) and the replies are returned in order.
+    /// Parallel fan-out — the paper's `pfor`: every call of the round is
+    /// submitted before the first is waited on, so the round shares one
+    /// propagation window (the client NIC still serializes the payloads),
+    /// and the replies are returned in order.
     pub fn call_many(&self, calls: Vec<(NodeId, Request)>) -> Vec<Result<Reply, RpcError>> {
-        // Budget + client NIC serialization per request.
-        let mut admitted = Vec::with_capacity(calls.len());
-        let gate: Vec<Result<NodeId, RpcError>> = calls
+        let mut round: Vec<PendingCall> = calls
             .into_iter()
-            .map(|(node, req)| {
-                self.nic_drain(self.admit(&req)?);
-                admitted.push((node, req));
-                Ok(node)
-            })
+            .map(|(node, req)| self.submit_call(node, req))
             .collect();
-        let mut delivered = self.net.deliver_batch(self, admitted).into_iter();
-        gate.into_iter()
-            .map(|g| {
-                // `deliver_batch` answers every admitted call; if it ever
-                // came up short, surface the torn-network error
-                // (indeterminate, like a closed reply channel) instead of
-                // panicking inside the client.
-                let node = g?;
-                self.received(delivered.next().unwrap_or(Err(RpcError::NetTornDown(node))))
-            })
-            .collect()
+        round.iter_mut().map(|call| self.wait(call)).collect()
     }
 
     /// Broadcast (§3.11): sends the *same* payload to many nodes, paying
@@ -777,36 +641,50 @@ impl ClientEndpoint {
         let Some((_, first)) = requests.first() else {
             return Vec::new();
         };
-        match self.admit(first) {
-            Ok(shared_bytes) => self.nic_drain(shared_bytes),
+        let mut shared_bytes = match self.admit(first) {
+            Ok(bytes) => bytes,
             Err(e) => return vec![Err(e); requests.len()],
-        }
-        self.net
-            .deliver_batch(self, requests)
+        };
+        // The first member reserves the shared payload; the rest ride on it.
+        let mut round: Vec<PendingCall> = requests
             .into_iter()
-            .map(|r| self.received(r))
-            .collect()
+            .map(|(node, req)| self.launch(node, req, Ok(std::mem::take(&mut shared_bytes))))
+            .collect();
+        round.iter_mut().map(|call| self.wait(call)).collect()
     }
 
-    /// Starts an RPC without blocking: the request is enqueued at the node
-    /// immediately and the returned [`PendingCall`] is driven to completion
-    /// by [`ClientEndpoint::poll_call`]. This is the connection-multiplexed
-    /// path — one OS thread can hold thousands of `PendingCall`s for as
-    /// many logical clients, where [`ClientEndpoint::call`] would park a
-    /// thread each.
+    /// Starts an RPC without blocking: the returned [`PendingCall`] is
+    /// driven to completion by [`ClientEndpoint::poll_call`]. This is the
+    /// connection-multiplexed path — one OS thread can hold thousands of
+    /// `PendingCall`s for as many logical clients — and the blocking calls
+    /// are this plus a wait, so one timing model holds for every caller:
     ///
-    /// Semantics match `call`: same kill budget, same per-link fault
-    /// decision stream, same NIC serialization and stats. Timing differs
-    /// only in *where* the modeled delays are paid: instead of sleeping,
-    /// the call carries a `ready_at` instant (NIC drain + both propagation
-    /// legs + injected delay) before which `poll_call` reports nothing —
-    /// the node may therefore *execute* the request earlier than a blocking
-    /// client could have observed, which preserves throughput and latency
-    /// accounting but not cross-client arrival order; deterministic chaos
-    /// runs keep using the blocking path.
+    /// * a call's fate is drawn once, here, in `Network::dispatch`, in
+    ///   per-link submission order;
+    /// * the request is enqueued at the node here, at submit;
+    /// * nothing about the call is observable before `ready_at` = submit
+    ///   time + client-NIC reservation + 2 × one-way latency + injected
+    ///   delay;
+    /// * an arrived reply is released after its client-NIC drain;
+    /// * a delivered call times out at `ready_at + call_timeout`; a lost
+    ///   call resolves to `Timeout` at exactly that instant, or as soon as
+    ///   `ready_at` passes when no deadline is set.
+    ///
+    /// At nonzero latency the node may therefore execute a request before
+    /// its outbound leg has elapsed: throughput and latency accounting
+    /// hold, cross-client arrival order does not. At zero latency with no
+    /// NIC shaping, `ready_at` is the submit instant and nothing is slept.
     pub fn submit_call(&self, node: NodeId, req: Request) -> PendingCall {
+        let admitted = self.admit(&req);
+        self.launch(node, req, admitted)
+    }
+
+    /// The one way a call leaves the client: reserve client NIC time for
+    /// its admitted bytes, let [`Network::dispatch`] draw its fate and
+    /// enqueue it, and fix `ready_at`. A refused admission resolves at once.
+    fn launch(&self, node: NodeId, req: Request, admitted: Result<usize, RpcError>) -> PendingCall {
         let now = Instant::now();
-        let (ready_at, sent) = match self.admit(&req) {
+        let (ready_at, sent) = match admitted {
             Err(e) => (now, Dispatched::Failed(e)),
             Ok(bytes) => {
                 let nic_wait = self
@@ -825,6 +703,43 @@ impl ClientEndpoint {
         }
     }
 
+    /// Blocks until `call` resolves, exactly as [`ClientEndpoint::poll_call`]
+    /// would resolve it — the only place a client waits. Sleeps to
+    /// `ready_at` (a lost call: to its deadline); a reply still in flight
+    /// is then awaited on its channel until the deadline and goes through
+    /// the same arrival step as a polled one.
+    fn wait(&self, call: &mut PendingCall) -> Result<Reply, RpcError> {
+        loop {
+            let deadline = self.deadline(call);
+            let wake = match call.state {
+                PendingState::Sent(Dispatched::Lost) => deadline.unwrap_or(call.ready_at),
+                _ => call.ready_at,
+            };
+            let now = Instant::now();
+            if now < wake {
+                std::thread::sleep(wake - now);
+            }
+            if let PendingState::Sent(Dispatched::InFlight(rx)) = &call.state {
+                let reply = match deadline {
+                    Some(d) => rx
+                        .recv_timeout(d.saturating_duration_since(Instant::now()))
+                        .ok(),
+                    None => rx.recv().ok(),
+                };
+                if let Some(result) = reply {
+                    if let Some(resolved) = self.arrive(call, result, Instant::now()) {
+                        return resolved;
+                    }
+                }
+            }
+            // Failed, lost, timed out, torn down, or draining through the
+            // client NIC: resolves (or not yet) as a poll would.
+            if let Some(resolved) = self.poll_call(call) {
+                return resolved;
+            }
+        }
+    }
+
     /// Polls a [`PendingCall`] once: `None` while the exchange is still in
     /// flight (or its modeled latency has not elapsed), `Some(result)`
     /// exactly once when it resolves. Never blocks.
@@ -834,58 +749,36 @@ impl ClientEndpoint {
     /// Panics if called again after it has returned `Some`.
     pub fn poll_call(&self, call: &mut PendingCall) -> Option<Result<Reply, RpcError>> {
         let now = Instant::now();
-        // Nothing is observable before the modeled propagation completes.
+        // Nothing is observable before `ready_at`.
         if now < call.ready_at {
             return None;
         }
+        let deadline = self.deadline(call);
         match std::mem::replace(&mut call.state, PendingState::Done) {
             // LINT-ALLOW(panic-free: documented `# Panics` contract for
             // local API misuse — not reachable from remote input)
             PendingState::Done => panic!("poll_call on an already-resolved call"),
             PendingState::Sent(Dispatched::Failed(e)) => Some(Err(e)),
             PendingState::Arrived(result) => Some(self.finish_call(call, result, now)),
-            PendingState::Sent(Dispatched::Lost) => {
-                // A lost exchange surfaces only after the deadline (or
-                // right away when no deadline is configured — matching the
-                // blocking path's instant surfacing).
-                let deadline = call.ready_at + self.net.call_timeout.unwrap_or(Duration::ZERO);
-                if now >= deadline {
-                    Some(Err(RpcError::Timeout(call.node)))
-                } else {
-                    call.state = PendingState::Sent(Dispatched::Lost);
-                    None
-                }
+            // A lost exchange surfaces only at its deadline (as soon as
+            // `ready_at` passes when no deadline is configured).
+            PendingState::Sent(Dispatched::Lost) if deadline.is_some_and(|d| now < d) => {
+                call.state = PendingState::Sent(Dispatched::Lost);
+                None
             }
+            PendingState::Sent(Dispatched::Lost) => Some(Err(RpcError::Timeout(call.node))),
             PendingState::Sent(Dispatched::InFlight(rx)) => match rx.try_recv() {
-                Some(result) => {
-                    // The reply is at the client NIC: fold its drain time
-                    // into the observation instant instead of sleeping.
-                    let wait = match (&result, &self.nic) {
-                        (Ok(reply), Some(nic)) => nic.consume_nonblocking(reply.wire_bytes()),
-                        _ => Duration::ZERO,
-                    };
-                    if wait.is_zero() {
-                        Some(self.finish_call(call, result, now))
-                    } else {
-                        call.ready_at = now + wait;
-                        call.state = PendingState::Arrived(result);
-                        None
-                    }
-                }
-                None if rx.is_disconnected() => {
-                    // One final drain closes the race between the worker's
-                    // last send and its disconnect.
-                    match rx.try_recv() {
-                        Some(result) => Some(self.finish_call(call, result, now)),
-                        None => Some(Err(RpcError::NetTornDown(call.node))),
-                    }
+                Some(result) => self.arrive(call, result, now),
+                // One final drain closes the race between the worker's
+                // last send and its disconnect.
+                None if rx.is_disconnected() => match rx.try_recv() {
+                    Some(result) => self.arrive(call, result, now),
+                    None => Some(Err(RpcError::NetTornDown(call.node))),
+                },
+                None if deadline.is_some_and(|d| now >= d) => {
+                    Some(Err(RpcError::Timeout(call.node)))
                 }
                 None => {
-                    if let Some(t) = self.net.call_timeout {
-                        if now >= call.ready_at + t {
-                            return Some(Err(RpcError::Timeout(call.node)));
-                        }
-                    }
                     call.state = PendingState::Sent(Dispatched::InFlight(rx));
                     None
                 }
@@ -893,8 +786,37 @@ impl ClientEndpoint {
         }
     }
 
-    /// Completion bookkeeping shared by every resolving `poll_call` arm
-    /// that actually received a reply.
+    /// When a call still unanswered gives up: `ready_at + call_timeout`.
+    fn deadline(&self, call: &PendingCall) -> Option<Instant> {
+        self.net.call_timeout.map(|t| call.ready_at + t)
+    }
+
+    /// The arrival step every received reply takes, polled or waited on:
+    /// the reply is released once it has drained through the client NIC —
+    /// at once when that takes no time, else `call` is parked as arrived
+    /// until `now` plus the drain.
+    fn arrive(
+        &self,
+        call: &mut PendingCall,
+        result: Result<Reply, RpcError>,
+        now: Instant,
+    ) -> Option<Result<Reply, RpcError>> {
+        let drain = match (&result, &self.nic) {
+            (Ok(reply), Some(nic)) => nic.consume_nonblocking(reply.wire_bytes()),
+            _ => Duration::ZERO,
+        };
+        if drain.is_zero() {
+            call.state = PendingState::Done;
+            Some(self.finish_call(call, result, now))
+        } else {
+            call.ready_at = now + drain;
+            call.state = PendingState::Arrived(result);
+            None
+        }
+    }
+
+    /// Books a call that received a reply: per-client and network-wide
+    /// receive counters, one round trip and one latency sample.
     fn finish_call(
         &self,
         call: &PendingCall,
@@ -902,7 +824,12 @@ impl ClientEndpoint {
         now: Instant,
     ) -> Result<Reply, RpcError> {
         if let Ok(reply) = &result {
-            self.account_reply(reply);
+            let (bytes, payload) = (reply.wire_bytes(), reply.payload_bytes());
+            for stats in [&self.stats, &*self.net.stats] {
+                stats.record_receive(bytes);
+                stats.record_receive_payload(payload);
+            }
+            self.stats.record_round_trip();
             self.stats
                 .record_latency(now.saturating_duration_since(call.sent_at));
         }
@@ -911,8 +838,9 @@ impl ClientEndpoint {
 }
 
 /// One outstanding RPC started by [`ClientEndpoint::submit_call`], resolved
-/// by repeated [`ClientEndpoint::poll_call`]s. Holding many of these on one
-/// thread is the scale-out alternative to one blocked thread per call.
+/// by repeated [`ClientEndpoint::poll_call`]s (or waited on by the blocking
+/// calls). Holding many of these on one thread is the scale-out alternative
+/// to one blocked thread per call.
 pub struct PendingCall {
     node: NodeId,
     /// When the request left the client (latency histogram anchor).
@@ -1350,9 +1278,12 @@ mod fault_tests {
 
     #[test]
     fn fault_decisions_reproduce_across_identical_networks() {
+        // No deadline: a lost exchange surfaces as `Timeout` at once and a
+        // delivered one cannot time out, so the pattern is the fate draws
+        // alone, not how fast the host answered.
         let run = || {
             let net = Network::new(NetworkConfig {
-                call_timeout: Some(Duration::from_micros(100)),
+                call_timeout: None,
                 ..NetworkConfig::default()
             });
             net.faults().set_seed(1234);
@@ -1465,6 +1396,95 @@ mod fault_tests {
             40,
             "one fault decision per batched exchange"
         );
+    }
+
+    #[test]
+    fn partitioned_blocking_call_times_out_no_earlier_than_its_deadline() {
+        let net = faulty_net(NetworkConfig::default());
+        net.faults().partition_requests(ClientId(1), NodeId(0));
+        let client = net.client(ClientId(1));
+        let start = Instant::now();
+        let err = client
+            .call(NodeId(0), Request::Read { stripe: StripeId(0) })
+            .unwrap_err();
+        assert_eq!(err, RpcError::Timeout(NodeId(0)));
+        assert!(
+            start.elapsed() >= Duration::from_millis(5),
+            "the loss surfaces only at the 5 ms deadline, got {:?}",
+            start.elapsed()
+        );
+    }
+
+    /// One timing model: the blocking calls and the submit/poll pair, given
+    /// the same sequence on two identical faulty networks, draw the same
+    /// fates and resolve every call the same way with the same books.
+    #[test]
+    fn blocking_calls_resolve_like_submit_and_poll() {
+        let run = |blocking: bool| {
+            let net = Network::new(NetworkConfig {
+                server_threads: 1, // node execution order = submission order
+                call_timeout: None,
+                ..NetworkConfig::default()
+            });
+            net.faults().set_seed(77);
+            net.faults().set_tracing(true);
+            net.faults().set_default_link(LinkFaults {
+                drop_req: 0.15,
+                drop_reply: 0.1,
+                dup_req: 0.1,
+                delay_p: 0.2,
+                delay: Duration::from_micros(200),
+            });
+            let client = net.client(ClientId(1));
+            let req = |i: u64| match i % 3 {
+                0 => Request::Read { stripe: StripeId(i % 5) },
+                _ => Request::Swap {
+                    stripe: StripeId(i % 5),
+                    value: vec![i as u8; 64],
+                    ntid: Tid::new(i + 1, 0, ClientId(1)),
+                },
+            };
+            let mut results = Vec::new();
+            for i in 0..40u64 {
+                let round: Vec<(NodeId, Request)> = if i % 2 == 0 {
+                    vec![(NodeId((i % 4) as u32), req(i))]
+                } else {
+                    (0..4)
+                        .map(|j| (NodeId(j), req(i * 4 + u64::from(j))))
+                        .collect()
+                };
+                if blocking && round.len() == 1 {
+                    let (node, r) = round.into_iter().next().unwrap();
+                    results.push(client.call(node, r));
+                } else if blocking {
+                    results.extend(client.call_many(round));
+                } else {
+                    let mut pending: Vec<_> = round
+                        .into_iter()
+                        .map(|(node, r)| client.submit_call(node, r))
+                        .collect();
+                    for call in &mut pending {
+                        results.push(loop {
+                            match client.poll_call(call) {
+                                Some(r) => break r,
+                                None => std::thread::yield_now(),
+                            }
+                        });
+                    }
+                }
+            }
+            let books = (client.stats().snapshot(), client.stats().latency_samples());
+            (results, net.faults().take_trace(), books)
+        };
+        let (blocking, polled) = (run(true), run(false));
+        assert!(
+            blocking.0.iter().any(|r| r.is_err()) && blocking.1.iter().any(|l| l.contains("delay")),
+            "faults actually fired: {:?}",
+            blocking.1
+        );
+        assert_eq!(blocking.0, polled.0, "same results");
+        assert_eq!(blocking.1, polled.1, "same fate draws");
+        assert_eq!(blocking.2, polled.2, "same books and latency samples");
     }
 
     #[test]
@@ -1635,6 +1655,34 @@ mod reactor_tests {
             start.elapsed() >= Duration::from_millis(4),
             "a 2 ms one-way latency means a ≥4 ms round trip, got {:?}",
             start.elapsed()
+        );
+    }
+
+    #[test]
+    fn blocking_calls_pay_one_shared_round_trip_window() {
+        let net = Network::new(NetworkConfig {
+            one_way_latency: Duration::from_millis(2),
+            ..NetworkConfig::default()
+        });
+        let client = net.client(ClientId(1));
+        let start = Instant::now();
+        client.call(NodeId(0), Request::Read { stripe: StripeId(0) }).unwrap();
+        assert!(
+            start.elapsed() >= Duration::from_millis(4),
+            "a 2 ms one-way latency means a ≥4 ms round trip, got {:?}",
+            start.elapsed()
+        );
+        let start = Instant::now();
+        let replies = client.call_many(
+            (0..4)
+                .map(|i| (NodeId(i), Request::Read { stripe: StripeId(0) }))
+                .collect(),
+        );
+        assert!(replies.iter().all(Result::is_ok));
+        let took = start.elapsed();
+        assert!(
+            took >= Duration::from_millis(4) && took < Duration::from_millis(8),
+            "a 4-way round shares one window, not four: {took:?}"
         );
     }
 

@@ -11,8 +11,8 @@
 # internally), the many-client scale-out smoke (asserts 1k-client IOPS
 # >= 5x the 8-client figure with zero failed ops), the durability
 # smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
-# benchmark's contract (benchmark/ builds offline, its codec, durable_write,
-# small_rw and seq_large workloads run correct with zero failed operations,
+# benchmark's contract (benchmark/ builds offline, all six of its workloads
+# run correct with zero failed operations,
 # a traced small_rw run shows garbage collection still batched per node and
 # still collecting everything, and the node's media-write and metadata
 # accounts where they were, and a traced seq_large run shows a bulk write
@@ -136,16 +136,18 @@ grep -q '"recovery_floor_pass": true' BENCH_durability.smoke.json \
   || { echo "durability floor violated (WAL recovery not faster than rebuild)"; exit 1; }
 echo "durability floor holds (restart-with-disk beats wipe-and-rebuild)"
 
-echo "== benchmark contract (benchmark/run.sh, codec, durable_write, small_rw and seq_large workloads) =="
+echo "== benchmark contract (benchmark/run.sh, all six workloads) =="
 # BENCHMARK.json's driver calls benchmark/run.sh, which builds benchmark/
 # offline into .bench_build and prints the run's JSON result as the last
-# stdout line. Four short runs must build, exit 0, produce correct output
-# and fail no operation: codec, the one workload that drives both fields
-# of the erasure engine end to end, durable_write, the one that goes
-# journal -> crash -> restart_with_disk -> a rebuild that must find
-# nothing to do, small_rw, the paper's common case, and seq_large, the
-# bulk path a perf PR has spent (PR 22).
-for workload in codec durable_write small_rw seq_large; do
+# stdout line. A short run of every workload must build, exit 0, produce
+# correct output and fail no operation: codec, the one workload that
+# drives both fields of the erasure engine end to end, durable_write, the
+# one that goes journal -> crash -> restart_with_disk -> a rebuild that
+# must find nothing to do, small_rw, the paper's common case, seq_large,
+# the bulk write path, degraded_rebuild, the widest blocking fan-out (n-1
+# ways, plus the rebuild engine), and many_clients, the submit_call /
+# poll_call pair the blocking calls wait on.
+for workload in codec durable_write small_rw seq_large degraded_rebuild many_clients; do
   bench_result=$(bash benchmark/run.sh --workload "$workload" --seed 1 --slices 2 --trace 0 | tail -n 1)
   echo "$bench_result"
   case "$bench_result" in
