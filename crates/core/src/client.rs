@@ -66,7 +66,10 @@ impl Pending {
     /// state machine.
     fn absorb(&mut self, j: usize, res: Result<Reply, ProtocolError>, order_retry_limit: u32) {
         match res {
-            Ok(Reply::Add(r)) => {
+            Ok(Reply::Add(mut r)) => {
+                // The node handed the increment's buffer back: the next
+                // increment is staged in it.
+                crate::pool::give(std::mem::take(&mut r.spent));
                 self.bw.on_add(j, &r, order_retry_limit);
             }
             Ok(other) => self.kill(ProtocolError::unexpected("Reply::Add", &other)),
@@ -1379,7 +1382,9 @@ mod tests {
             let _ = crate::pool::take(16);
         }
         assert!(c.write_block(0, vec![2; 16]).is_err());
-        assert_eq!(crate::pool::pooled(), 1, "the error exit must recycle the old block");
+        // The other redundant node's add answered and handed back its
+        // increment; the old block is the error exit's to recycle.
+        assert_eq!(crate::pool::pooled(), 2, "the error exit must recycle the old block");
     }
 
     /// A 12-of-16 client over single-worker nodes, stripe 0 written once,

@@ -343,8 +343,9 @@ fn step(
                     }
                     AddSlot::Pending(pending) => match c.ep.poll_call(pending) {
                         None => {}
-                        Some(Ok(Reply::Add(a))) => {
+                        Some(Ok(Reply::Add(mut a))) => {
                             progressed = true;
+                            crate::pool::give(std::mem::take(&mut a.spent));
                             match bw.on_add(j, &a, cfg.order_retry_limit) {
                                 AddOutcome::Done => *slot = AddSlot::Done,
                                 // No re-swap here (module docs).

@@ -4,9 +4,10 @@
 //! node) for deltas and read-modify-write edges. Allocating those afresh
 //! per call would put the allocator on the per-block critical path the
 //! PR 1 kernels just got off of. Instead, buffers circulate: a `swap`
-//! reply's old block is [`give`]n back once its deltas are computed, and
-//! the next delta [`take`]s it — so in steady state a sequential writer
-//! touches the allocator only to grow the pool to its high-water mark.
+//! reply's old block is [`give`]n back once its deltas are computed, an
+//! `add` reply hands back the increment buffer it carried, and the next
+//! delta [`take`]s them — so in steady state a sequential writer touches
+//! the allocator only to grow the pool to its high-water mark.
 //!
 //! The pool is thread-local (no locks, no cross-thread traffic) and
 //! bounded, so a burst cannot pin memory forever. Buffers of any size are
@@ -31,10 +32,11 @@
 
 use std::cell::RefCell;
 
-/// Retained buffers per thread. Sized for one stripe's worth of staging at
-/// the widest supported codes (p ≤ k ≤ 16) plus slack; beyond this,
-/// returned buffers are simply dropped.
-const MAX_POOLED: usize = 64;
+/// Retained buffers per thread: one stripe of a `write_blocks` call holds
+/// k staged values and k·(n − k) increments at once (60 at RS 12-of-16),
+/// and all of them come back. 256 covers k ≤ 16 with n − k ≤ 15; beyond
+/// this, returned buffers are simply dropped.
+const MAX_POOLED: usize = 256;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };

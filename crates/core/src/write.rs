@@ -222,6 +222,15 @@ mod tests {
         Tid::new(seq, 1, ClientId(7))
     }
 
+    fn add_reply(status: AddStatus, opmode: OpMode, lmode: LMode) -> AddReply {
+        AddReply {
+            status,
+            opmode,
+            lmode,
+            spent: Vec::new(),
+        }
+    }
+
     fn swapped(otid: Option<Tid>) -> BlockWrite {
         let swap = SwapReply {
             block: Some(vec![3; 8]),
@@ -276,20 +285,12 @@ mod tests {
         ];
         for (status, opmode, lmode, rounds, outcome, need_recovery) in table {
             let mut bw = swapped(None);
-            let order = AddReply {
-                status: AOrder,
-                opmode: Norm,
-                lmode: L0,
-            };
+            let order = add_reply(AOrder, Norm, L0);
             for _ in 0..rounds {
                 bw.on_add(2, &order, u32::MAX);
                 assert!(bw.close_round());
             }
-            let reply = AddReply {
-                status,
-                opmode,
-                lmode,
-            };
+            let reply = add_reply(status, opmode, lmode);
             let got = bw.on_add(3, &reply, LIMIT);
             let row = format!("{status:?}/{opmode:?}/{lmode:?} at {rounds} order rounds");
             assert_eq!(
@@ -313,11 +314,7 @@ mod tests {
     fn checktid_replies_move_otid_and_d() {
         let otid = Some(tid(4));
         let mut bw = swapped(otid);
-        let ok = AddReply {
-            status: AOk,
-            opmode: OpMode::Norm,
-            lmode: LMode::Unl,
-        };
+        let ok = add_reply(AOk, OpMode::Norm, LMode::Unl);
         bw.on_add(2, &ok, LIMIT);
         // One probe per index in D = {i, 2}, each naming both tids.
         let probes = bw.checktids(StripeId(6));
@@ -350,11 +347,7 @@ mod tests {
     #[test]
     fn complete_iff_d_is_the_data_index_plus_every_redundant_index() {
         let cfg = cfg();
-        let ok = AddReply {
-            status: AOk,
-            opmode: OpMode::Norm,
-            lmode: LMode::Unl,
-        };
+        let ok = add_reply(AOk, OpMode::Norm, LMode::Unl);
         let mut bw = swapped(None);
         assert!(!bw.settled() && !bw.complete(&cfg));
         for j in K..N {
@@ -368,11 +361,7 @@ mod tests {
 
         // A dropped index settles the write incomplete.
         let mut bw = swapped(None);
-        let stale = AddReply {
-            status: Unavail,
-            opmode: OpMode::Norm,
-            lmode: LMode::Unl,
-        };
+        let stale = add_reply(Unavail, OpMode::Norm, LMode::Unl);
         bw.on_add(2, &ok, LIMIT);
         bw.on_add(3, &stale, LIMIT);
         bw.on_add(4, &ok, LIMIT);

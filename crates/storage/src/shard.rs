@@ -401,7 +401,11 @@ impl ShardedNode {
                     // instead of copying it into a fresh block.
                     code.scale_in_place(j, i, &mut delta);
                 }
-                Reply::Add(self.block(held, stripe).add(&delta, ntid, otid, epoch))
+                let mut reply = self.block(held, stripe).add(&delta, ntid, otid, epoch);
+                // Applied or refused, the increment is spent: its buffer
+                // goes back to the client with the reply.
+                reply.spent = delta;
+                Reply::Add(reply)
             }
             Request::CheckTid { ntid, otid, .. } => {
                 Reply::CheckTid(self.block(held, stripe).checktid(ntid, otid))

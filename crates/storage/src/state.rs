@@ -51,7 +51,7 @@ pub enum AddStatus {
 }
 
 /// Reply to `add`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
 pub struct AddReply {
     /// Outcome of the add.
     pub status: AddStatus,
@@ -59,6 +59,22 @@ pub struct AddReply {
     pub opmode: OpMode,
     /// Lock mode, so the client can detect in-progress or expired recovery.
     pub lmode: LMode,
+    /// The request's increment buffer, handed back once the node is done
+    /// with it so the client stages its next increment in it. Not reply
+    /// content: it puts no bytes on the wire and is left out of `Debug`. In
+    /// process it keeps a block-sized buffer from being freed by whichever
+    /// worker applied the add and re-allocated by the client.
+    pub spent: Vec<u8>,
+}
+
+impl std::fmt::Debug for AddReply {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("AddReply")
+            .field("status", &self.status)
+            .field("opmode", &self.opmode)
+            .field("lmode", &self.lmode)
+            .finish()
+    }
 }
 
 /// Reply to `checktid` (Fig. 5 lines 43-45).
@@ -255,6 +271,7 @@ impl BlockState {
                 status: AddStatus::Unavail,
                 opmode: self.opmode,
                 lmode: self.lmode,
+                spent: Vec::new(),
             };
         }
         if let Some(otid) = otid {
@@ -268,6 +285,7 @@ impl BlockState {
                     status: AddStatus::Order,
                     opmode: self.opmode,
                     lmode: self.lmode,
+                    spent: Vec::new(),
                 };
             }
         }
@@ -282,6 +300,7 @@ impl BlockState {
             status: AddStatus::Ok,
             opmode: self.opmode,
             lmode: self.lmode,
+            spent: Vec::new(),
         }
     }
 

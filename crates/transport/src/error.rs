@@ -24,8 +24,8 @@ pub enum RpcError {
     /// reply was dropped, a partition blocked the link, or the node was too
     /// slow. The caller cannot tell whether the request executed.
     Timeout(NodeId),
-    /// The reply channel closed without a reply: the network was torn down
-    /// or the node's worker threads died mid-call. Distinct from
+    /// No reply will come: the network was torn down, or the request's
+    /// handler panicked and closed its node mid-call. Distinct from
     /// [`RpcError::ClientKilled`] — the *caller* is fine.
     NetTornDown(NodeId),
     /// The node's bounded request queue was full and the request was

@@ -1,19 +1,21 @@
-//! The in-process network: reactor-style storage nodes served from bounded
-//! request queues, client endpoints with bandwidth shaping and a
+//! The in-process network: storage nodes served from bounded request
+//! queues by one worker pool, client endpoints with bandwidth shaping and a
 //! connection-multiplexed completion path, fault injection, and the
 //! directory/remap behaviour of §3.5.
 //!
 //! This is the reproduction's analogue of the paper's §5.1 testbed ("RPC in
 //! user mode running over TCP", 8 hosts), scaled past its 8-client world:
 //!
-//! * **Server side** — each storage node owns a *bounded* MPSC request
-//!   queue drained by [`NetworkConfig::server_threads`] worker threads
-//!   (§5.1: "the number of threads at the server limit the number of RPC
-//!   calls that are served simultaneously"). A full queue sheds the
-//!   request with [`RpcError::Busy`] *before* enqueueing it, so overload
-//!   degrades into determinate client backoff instead of unbounded memory.
-//!   Node state is a [`ShardedNode`]: per-stripe shards behind fine-grained
-//!   locks, so workers serving independent stripes never contend.
+//! * **Server side** — each storage node owns a *bounded* FIFO request
+//!   queue; one worker pool drains them all, serving at most
+//!   [`NetworkConfig::server_threads`] requests of a node at once (§5.1:
+//!   "the number of threads at the server limit the number of RPC calls
+//!   that are served simultaneously"), and one woken worker serves a whole
+//!   fan-out. A full queue sheds the request with [`RpcError::Busy`]
+//!   *before* enqueueing it, so overload degrades into determinate client
+//!   backoff instead of unbounded memory. Node state is a [`ShardedNode`]:
+//!   per-stripe shards behind fine-grained locks, so workers serving
+//!   independent stripes never contend.
 //! * **Client side** — one completion path. [`ClientEndpoint::submit_call`]
 //!   starts an exchange as a [`PendingCall`] that
 //!   [`ClientEndpoint::poll_call`] resolves without blocking, so one OS
@@ -22,7 +24,8 @@
 //!   [`ClientEndpoint::call`] / [`ClientEndpoint::call_many`] /
 //!   [`ClientEndpoint::broadcast`] that protocol code uses submit their
 //!   round the same way and then wait on each call in order, so both kinds
-//!   of caller see one timing model (stated on `submit_call`).
+//!   of caller see one timing model (stated on `submit_call`); a round is
+//!   one slot set, and only the post that completes it wakes its client.
 
 use crate::bucket::TokenBucket;
 use crate::error::RpcError;
@@ -33,9 +36,11 @@ use ajx_storage::{
     backend_for, ClientId, FlushPolicy, NodeId, NodeView, PersistMode, PersistStats, Reply,
     Request, ShardedNode,
 };
-use crossbeam::channel::{bounded, unbounded, Receiver, Sender, TrySendError};
+use std::collections::VecDeque;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Configuration for a [`Network`].
@@ -53,8 +58,10 @@ pub struct NetworkConfig {
     pub client_bandwidth: Option<u64>,
     /// Per-storage-node NIC bandwidth in bytes/s (`None` = unlimited).
     pub node_bandwidth: Option<u64>,
-    /// RPC worker threads per storage node (§5.1: limits the number of
-    /// calls served simultaneously).
+    /// Requests one storage node serves at once (§5.1: "the number of
+    /// threads at the server limit the number of RPC calls that are served
+    /// simultaneously"). The pool that serves every node starts workers on
+    /// demand, up to `n_nodes × server_threads` of them.
     pub server_threads: usize,
     /// Erasure code handed to nodes for broadcast-mode scaling (§3.11).
     pub code: Option<CodeFamily>,
@@ -101,15 +108,120 @@ impl Default for NetworkConfig {
     }
 }
 
+/// Locks `m`. Handler panics are caught before they can poison a lock.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One request in a node's queue, with where its reply goes (`None`: the
+/// fault plan lost the reply, or the request is a duplicate nobody awaits).
 struct Job {
     req: Request,
-    reply_tx: Sender<Result<Reply, RpcError>>,
+    reply: Option<ReplyTo>,
+}
+
+/// One round's replies — a `call`, a `call_many` or `broadcast`, or one
+/// `submit_call` — in one slot per call. Only the post that completes the
+/// round wakes its client, and only if it waits; earlier posts wake nobody.
+struct Round {
+    state: Mutex<RoundState>,
+    done: Condvar,
+}
+
+#[derive(Default)]
+struct RoundState {
+    replies: Vec<Option<Result<Reply, RpcError>>>,
+    /// Calls of the round a node still owes a post.
+    unposted: usize,
+    /// The client sleeps on `done` until `unposted` reaches zero.
+    waiting: bool,
+}
+
+impl Round {
+    fn new(calls: usize) -> Arc<Self> {
+        Arc::new(Round {
+            state: Mutex::new(RoundState {
+                replies: vec![None; calls],
+                ..RoundState::default()
+            }),
+            done: Condvar::new(),
+        })
+    }
+
+    /// Arms call `slot` for a reply from `node`: one more post to await.
+    fn arm(self: &Arc<Self>, slot: usize, node: NodeId) -> ReplyTo {
+        lock(&self.state).unposted += 1;
+        ReplyTo {
+            round: Arc::clone(self),
+            slot,
+            node,
+            answer: None,
+        }
+    }
+
+    fn post(&self, slot: usize, result: Result<Reply, RpcError>) {
+        let mut st = lock(&self.state);
+        if let Some(reply) = st.replies.get_mut(slot) {
+            *reply = Some(result);
+        }
+        st.unposted -= 1;
+        let wake = st.unposted == 0 && st.waiting;
+        drop(st);
+        if wake {
+            self.done.notify_one();
+        }
+    }
+
+    /// Call `slot`'s reply, if it has been posted and not yet taken.
+    fn take(&self, slot: usize) -> Option<Result<Reply, RpcError>> {
+        lock(&self.state)
+            .replies
+            .get_mut(slot)
+            .and_then(Option::take)
+    }
+
+    /// Blocks until every armed call has been posted, or `until` passes.
+    fn await_posts(&self, until: Option<Instant>) {
+        let mut st = lock(&self.state);
+        st.waiting = true;
+        while st.unposted > 0 {
+            st = match until {
+                None => self.done.wait(st).unwrap_or_else(PoisonError::into_inner),
+                Some(until) => {
+                    let Some(left) = until.checked_duration_since(Instant::now()) else {
+                        break;
+                    };
+                    let waited = self.done.wait_timeout(st, left);
+                    waited.unwrap_or_else(PoisonError::into_inner).0
+                }
+            };
+        }
+        st.waiting = false;
+    }
+}
+
+/// A worker's handle on one slot of a round: dropping it posts `answer`,
+/// or [`RpcError::NetTornDown`] with none — its node closed by a panicking
+/// handler, or the network dropped — so no client waits on a reply that
+/// cannot come.
+struct ReplyTo {
+    round: Arc<Round>,
+    slot: usize,
+    node: NodeId,
+    answer: Option<Result<Reply, RpcError>>,
+}
+
+impl Drop for ReplyTo {
+    fn drop(&mut self) {
+        let torn_down = Err(RpcError::NetTornDown(self.node));
+        self.round.post(self.slot, self.answer.take().unwrap_or(torn_down));
+    }
 }
 
 /// How a call left the client (see [`Network::dispatch`]).
 enum Dispatched {
-    /// The exchange is in flight; the node answers on this channel.
-    InFlight(Receiver<Result<Reply, RpcError>>),
+    /// The exchange is in flight; the node answers into this round's slot.
+    InFlight(Arc<Round>, usize),
     /// The request or its reply was lost; resolves to `Timeout` once the
     /// deadline passes.
     Lost,
@@ -117,141 +229,225 @@ enum Dispatched {
     Failed(RpcError),
 }
 
-/// Pause/resume switch for one node's worker threads. A paused worker
-/// parks here right after dequeuing its next job, leaving the rest of the
-/// queue in place — which is how tests hold a node at a known queue depth
-/// to exercise [`RpcError::Busy`] shedding deterministically.
-///
-/// `std::sync` rather than `parking_lot` because the workers need a
-/// condition variable to sleep on.
-struct Gate {
-    open: Mutex<bool>,
-    cv: Condvar,
-}
-
-impl Gate {
-    fn new() -> Self {
-        Gate {
-            open: Mutex::new(true),
-            cv: Condvar::new(),
-        }
-    }
-
-    /// Blocks the caller while the gate is closed.
-    fn wait_open(&self) {
-        let mut open = self.open.lock().unwrap_or_else(|e| e.into_inner());
-        while !*open {
-            open = self
-                .cv
-                .wait(open)
-                .unwrap_or_else(|e| e.into_inner());
-        }
-    }
-
-    fn set(&self, open_now: bool) {
-        *self.open.lock().unwrap_or_else(|e| e.into_inner()) = open_now;
-        if open_now {
-            self.cv.notify_all();
-        }
-    }
-}
-
+/// One storage node as the pool serves it.
 struct NodeSlot {
-    node: Arc<ShardedNode>,
-    up: Arc<AtomicBool>,
-    queue: Sender<Job>,
-    gate: Arc<Gate>,
+    node: ShardedNode,
+    up: AtomicBool,
+    nic: Option<TokenBucket>,
 }
 
-#[allow(clippy::too_many_arguments)] // one-shot plumbing from Network::new
-fn spawn_node_workers(
-    id: NodeId,
-    node: Arc<ShardedNode>,
-    up: Arc<AtomicBool>,
-    gate: Arc<Gate>,
-    nic: Option<Arc<TokenBucket>>,
-    stats: Arc<NetStats>,
-    rx: Receiver<Job>,
-    workers: usize,
-) {
-    for w in 0..workers {
-        let node = Arc::clone(&node);
-        let up = Arc::clone(&up);
-        let gate = Arc::clone(&gate);
-        let nic = nic.clone();
-        let stats = Arc::clone(&stats);
-        let rx = rx.clone();
-        std::thread::Builder::new()
-            .name(format!("{id}-worker-{w}"))
-            .spawn(move || {
-                // Exits when every queue sender (the Network) is dropped.
-                for job in rx.iter() {
-                    gate.wait_open();
-                    if !up.load(Ordering::SeqCst) {
-                        stats.dec_inflight(id.0 as usize);
-                        let _ = job.reply_tx.send(Err(RpcError::NodeDown(id)));
-                        continue;
-                    }
-                    let req_bytes = job.req.wire_bytes();
-                    if let Some(nic) = &nic {
-                        nic.consume(req_bytes);
-                    }
-                    // A node that crashed while the request was queued
-                    // never replies with data.
-                    if !up.load(Ordering::SeqCst) {
-                        stats.dec_inflight(id.0 as usize);
-                        let _ = job.reply_tx.send(Err(RpcError::NodeDown(id)));
-                        continue;
-                    }
-                    // No outer node lock: the sharded node locks only the
-                    // stripe shards this request touches, so workers on
-                    // independent stripes proceed in parallel.
-                    let reply = node.handle(job.req);
-                    // A power failure tripping during this request's
-                    // commit means the machine died before the reply left
-                    // it: the node goes down and the caller sees an
-                    // indeterminate timeout — the write may or may not
-                    // have become durable (ack-after-fsync semantics).
-                    if node.persist_tripped() {
-                        up.store(false, Ordering::SeqCst);
-                        stats.dec_inflight(id.0 as usize);
-                        let _ = job.reply_tx.send(Err(RpcError::Timeout(id)));
-                        continue;
-                    }
-                    if let Some(nic) = &nic {
-                        nic.consume(reply.wire_bytes());
-                    }
-                    stats.dec_inflight(id.0 as usize);
-                    let _ = job.reply_tx.send(Ok(reply));
+impl NodeSlot {
+    /// Serves one request as the node's NIC and handler would: a node that
+    /// is down refuses, and a power trip during the request's commit is an
+    /// indeterminate `Timeout`. `None`: the handler panicked.
+    fn serve(&self, id: NodeId, req: Request) -> Option<Result<Reply, RpcError>> {
+        if !self.up.load(Ordering::SeqCst) {
+            return Some(Err(RpcError::NodeDown(id)));
+        }
+        if let Some(nic) = &self.nic {
+            nic.consume(req.wire_bytes());
+        }
+        // A node that crashed while the request was queued never replies
+        // with data.
+        if !self.up.load(Ordering::SeqCst) {
+            return Some(Err(RpcError::NodeDown(id)));
+        }
+        // No outer node lock: the sharded node locks only the stripe
+        // shards this request touches, so workers on independent stripes
+        // proceed in parallel.
+        let reply = catch_unwind(AssertUnwindSafe(|| self.node.handle(req))).ok()?;
+        // A power failure tripping during this request's commit means the
+        // machine died before the reply left it: the node goes down and the
+        // caller sees an indeterminate timeout — the write may or may not
+        // have become durable (ack-after-fsync semantics).
+        if self.node.persist_tripped() {
+            self.up.store(false, Ordering::SeqCst);
+            return Some(Err(RpcError::Timeout(id)));
+        }
+        if let Some(nic) = &self.nic {
+            nic.consume(reply.wire_bytes());
+        }
+        Some(Ok(reply))
+    }
+}
+
+/// One node's queue and what the pool does with it.
+#[derive(Default)]
+struct NodeQueue {
+    jobs: VecDeque<Job>,
+    /// Jobs of this node that workers hold: at most `per_node`.
+    serving: usize,
+    /// [`Network::pause_node`]: a worker holds the node's job it took until
+    /// the node resumes — how tests pin a node's queue at a known depth.
+    paused: bool,
+    /// A handler panicked: the node takes no more requests.
+    closed: bool,
+}
+
+/// The pool's books, under one lock with every node's queue.
+#[derive(Default)]
+struct PoolState {
+    queues: Vec<NodeQueue>,
+    /// Where the next search starts, so nodes are served round-robin.
+    cursor: usize,
+    /// Workers awake and looking for a job.
+    searching: usize,
+    /// Workers parked on `Shared::work`.
+    idle: usize,
+    /// Wake-ups handed to idle workers and not yet claimed by one.
+    wakeups: usize,
+    workers: Vec<JoinHandle<()>>,
+}
+
+impl PoolState {
+    /// Takes the head of the first queue from the cursor on whose node serves
+    /// fewer than `per_node`, and books it as served.
+    fn take_job(&mut self, per_node: usize) -> Option<(usize, Job)> {
+        let n = self.queues.len();
+        for i in (self.cursor..n).chain(0..self.cursor) {
+            let Some(q) = self.queues.get_mut(i).filter(|q| q.serving < per_node) else {
+                continue;
+            };
+            if let Some(job) = q.jobs.pop_front() {
+                q.serving += 1;
+                self.cursor = (i + 1) % n;
+                return Some((i, job));
+            }
+        }
+        None
+    }
+}
+
+/// The storage nodes and the one worker pool that serves them all, shared
+/// by the [`Network`] and its workers.
+struct Shared {
+    nodes: Vec<NodeSlot>,
+    pool: Mutex<PoolState>,
+    /// Idle workers park here.
+    work: Condvar,
+    /// Workers holding a paused node's job park here.
+    resumed: Condvar,
+    /// Requests one node serves at once ([`NetworkConfig::server_threads`]).
+    per_node: usize,
+    /// Each node's queue depth; `None` is unbounded.
+    depth: Option<usize>,
+    /// Set once, by `Network::drop`: workers serve nothing more and exit.
+    closing: AtomicBool,
+    /// Network-wide traffic counters; workers decrement in-flight gauges.
+    stats: NetStats,
+}
+
+impl Shared {
+    /// The one wake policy: unless a worker is searching the queues, hand an
+    /// idle one a wake-up — `Ok(true)`: notify `work` once the pool lock is
+    /// dropped — or start one while the pool is below `n × per_node`.
+    fn ensure_searcher(self: &Arc<Self>, st: &mut PoolState) -> std::io::Result<bool> {
+        if st.searching > 0 {
+            return Ok(false);
+        }
+        if st.idle > 0 {
+            st.idle -= 1;
+            st.wakeups += 1;
+            st.searching += 1;
+            return Ok(true);
+        }
+        if st.workers.len() < self.nodes.len() * self.per_node {
+            let shared = Arc::clone(self);
+            let worker = std::thread::Builder::new()
+                .name(format!("net-worker-{}", st.workers.len()))
+                .spawn(move || shared.work())?;
+            st.workers.push(worker);
+            st.searching += 1;
+        }
+        Ok(false)
+    }
+
+    /// A worker's life: take the next servable job, serve it, post its
+    /// reply; park when there is none; exit once the network is dropped.
+    /// A worker starts, or is woken, already counted as searching.
+    fn work(self: Arc<Self>) {
+        let closing = || self.closing.load(Ordering::SeqCst);
+        let mut st = lock(&self.pool);
+        loop {
+            let Some((i, job)) = st.take_job(self.per_node) else {
+                st.searching -= 1;
+                if closing() {
+                    return;
                 }
-            })
-            // LINT-ALLOW(panic-free: setup path — worker threads spawn at
-            // network construction, before any request is in flight)
-            .expect("spawn node worker");
+                st.idle += 1;
+                loop {
+                    st = self.work.wait(st).unwrap_or_else(PoisonError::into_inner);
+                    if st.wakeups > 0 {
+                        st.wakeups -= 1;
+                        break;
+                    }
+                    if closing() {
+                        st.idle -= 1;
+                        return;
+                    }
+                }
+                continue;
+            };
+            st.searching -= 1;
+            // A job that can block its worker — a paused node's, held until
+            // the node resumes, or a shaped NIC's — passes the search on
+            // first, so no other node's job waits behind it. A worker that
+            // only computes does not, and so serves a whole fan-out alone.
+            let paused = |st: &PoolState| st.queues.get(i).is_some_and(|q| q.paused);
+            let shaped = self.nodes.get(i).is_some_and(|slot| slot.nic.is_some());
+            if (shaped || paused(&st))
+                && st.queues.iter().any(|q| q.serving < self.per_node && !q.jobs.is_empty())
+                && self.ensure_searcher(&mut st).unwrap_or(false)
+            {
+                self.work.notify_one();
+            }
+            while paused(&st) && !closing() {
+                st = self.resumed.wait(st).unwrap_or_else(PoisonError::into_inner);
+            }
+            // Nothing more is served once the network is dropped, nor after
+            // a panic closed the node; `None` from `serve`: it panicked.
+            let unserved = closing() || st.queues.get(i).is_some_and(|q| q.closed);
+            drop(st);
+            let Job { req, mut reply } = job;
+            let answer = match self.nodes.get(i) {
+                Some(slot) if !unserved => slot.serve(NodeId(i as u32), req),
+                _ => None,
+            };
+            self.stats.dec_inflight(i);
+            st = lock(&self.pool);
+            // Back to searching before the reply leaves: a client whose next
+            // call lands now finds a searcher and wakes nobody.
+            st.searching += 1;
+            if let Some(q) = st.queues.get_mut(i) {
+                q.serving -= 1;
+                q.closed |= answer.is_none() && !unserved;
+            }
+            drop(st);
+            if let Some(reply) = &mut reply {
+                reply.answer = answer;
+            }
+            drop(reply);
+            st = lock(&self.pool);
+        }
     }
 }
 
 /// The shared in-process network holding every storage node.
 ///
 /// Cheap to share (`Arc`); create per-client endpoints with
-/// [`Network::client`]. Node worker threads shut down when the last `Arc`
-/// drops.
+/// [`Network::client`]. Dropping the last `Arc` joins the worker pool.
 pub struct Network {
-    slots: Vec<NodeSlot>,
+    shared: Arc<Shared>,
     latency: Duration,
     client_bandwidth: Option<u64>,
     call_timeout: Option<Duration>,
     faults: FaultPlan,
-    /// Shared with the node workers, which decrement the per-node
-    /// in-flight gauges as they answer.
-    stats: Arc<NetStats>,
 }
 
 impl Network {
-    /// Builds the network, its storage nodes, and their worker threads.
+    /// Builds the network and its storage nodes. Workers start on demand.
     pub fn new(cfg: NetworkConfig) -> Arc<Self> {
-        let stats = Arc::new(NetStats::with_nodes(cfg.n_nodes));
-        let slots = (0..cfg.n_nodes)
+        let nodes: Vec<NodeSlot> = (0..cfg.n_nodes)
             .map(|i| {
                 let id = NodeId(i as u32);
                 let mut node = ShardedNode::new(id, cfg.block_size, cfg.state_shards)
@@ -260,50 +456,44 @@ impl Network {
                 if let Some(code) = &cfg.code {
                     node = node.with_code(code.clone());
                 }
-                let node = Arc::new(node);
-                let up = Arc::new(AtomicBool::new(true));
-                let gate = Arc::new(Gate::new());
-                let nic = cfg.node_bandwidth.map(|b| Arc::new(TokenBucket::new(b)));
-                let (tx, rx) = match cfg.node_queue_depth {
-                    Some(depth) => bounded::<Job>(depth.max(1)),
-                    None => unbounded::<Job>(),
-                };
-                spawn_node_workers(
-                    id,
-                    Arc::clone(&node),
-                    Arc::clone(&up),
-                    Arc::clone(&gate),
-                    nic,
-                    Arc::clone(&stats),
-                    rx,
-                    cfg.server_threads.max(1),
-                );
                 NodeSlot {
                     node,
-                    up,
-                    queue: tx,
-                    gate,
+                    up: AtomicBool::new(true),
+                    nic: cfg.node_bandwidth.map(TokenBucket::new),
                 }
             })
             .collect();
+        let queues = nodes.iter().map(|_| NodeQueue::default()).collect();
         Arc::new(Network {
-            slots,
+            shared: Arc::new(Shared {
+                nodes,
+                pool: Mutex::new(PoolState { queues, ..PoolState::default() }),
+                work: Condvar::new(),
+                resumed: Condvar::new(),
+                per_node: cfg.server_threads.max(1),
+                depth: cfg.node_queue_depth.map(|d| d.max(1)),
+                closing: AtomicBool::new(false),
+                stats: NetStats::with_nodes(cfg.n_nodes),
+            }),
             latency: cfg.one_way_latency,
             client_bandwidth: cfg.client_bandwidth,
             call_timeout: cfg.call_timeout,
             faults: FaultPlan::new(),
-            stats,
         })
+    }
+
+    fn slot(&self, node: NodeId) -> Option<&NodeSlot> {
+        self.shared.nodes.get(node.0 as usize)
     }
 
     /// Number of storage nodes.
     pub fn n_nodes(&self) -> usize {
-        self.slots.len()
+        self.shared.nodes.len()
     }
 
     /// Creates an endpoint through which a client issues RPCs.
     pub fn client(self: &Arc<Self>, id: ClientId) -> ClientEndpoint {
-        let fault_seq = (0..self.slots.len()).map(|_| AtomicU64::new(0)).collect();
+        let fault_seq = (0..self.n_nodes()).map(|_| AtomicU64::new(0)).collect();
         ClientEndpoint {
             net: Arc::clone(self),
             id,
@@ -328,7 +518,7 @@ impl Network {
     /// Fail-stops a storage node: subsequent RPCs return
     /// [`RpcError::NodeDown`].
     pub fn crash_node(&self, node: NodeId) {
-        if let Some(slot) = self.slots.get(node.0 as usize) {
+        if let Some(slot) = self.slot(node) {
             slot.up.store(false, Ordering::SeqCst);
         }
     }
@@ -338,7 +528,7 @@ impl Network {
     /// With a durable backend this also swaps the medium — the journal
     /// restarts from the remap event.
     pub fn remap_node(&self, node: NodeId, garbage_byte: u8) {
-        if let Some(slot) = self.slots.get(node.0 as usize) {
+        if let Some(slot) = self.slot(node) {
             slot.node.fail_remap(garbage_byte);
             slot.up.store(true, Ordering::SeqCst);
         }
@@ -350,7 +540,7 @@ impl Network {
     /// down and untouched, if it has no durable backend; the caller must
     /// wipe-and-rebuild via [`Network::remap_node`] instead.
     pub fn restart_node_with_disk(&self, node: NodeId) -> bool {
-        let Some(slot) = self.slots.get(node.0 as usize) else {
+        let Some(slot) = self.slot(node) else {
             return false;
         };
         if slot.node.restart_from_disk() {
@@ -366,7 +556,7 @@ impl Network {
     /// the node dies mid-ack (see [`ajx_storage::Persistence::power_fail_at`]).
     /// No effect on in-memory nodes.
     pub fn arm_power_failure(&self, node: NodeId, offset: u64) {
-        if let Some(slot) = self.slots.get(node.0 as usize) {
+        if let Some(slot) = self.slot(node) {
             slot.node.persistence().power_fail_at(offset);
         }
     }
@@ -374,53 +564,54 @@ impl Network {
     /// Whether `node`'s durability backend has tripped an armed power
     /// failure (used by drivers that commit outside the RPC path).
     pub fn node_persist_tripped(&self, node: NodeId) -> bool {
-        self.slots
-            .get(node.0 as usize)
-            .is_some_and(|s| s.node.persist_tripped())
+        self.slot(node).is_some_and(|s| s.node.persist_tripped())
     }
 
     /// Durability counters for `node`'s backend (fsyncs, records, bytes).
     pub fn persist_stats(&self, node: NodeId) -> PersistStats {
-        self.slots
-            .get(node.0 as usize)
+        self.slot(node)
             .map(|s| s.node.persistence().stats())
             .unwrap_or_default()
     }
 
-    /// Parks the node's worker threads (each right after dequeuing its next
-    /// job) until [`Network::resume_node`]. Test instrumentation: holding
-    /// the workers lets a test fill the bounded queue to a known depth and
-    /// observe [`RpcError::Busy`] shedding deterministically.
+    /// Pauses the node: each worker that takes one of its jobs parks right
+    /// after dequeuing it, until [`Network::resume_node`]. Test
+    /// instrumentation: holding the node's jobs lets a test fill its bounded
+    /// queue to a known depth and observe [`RpcError::Busy`] shedding
+    /// deterministically.
     pub fn pause_node(&self, node: NodeId) {
-        if let Some(slot) = self.slots.get(node.0 as usize) {
-            slot.gate.set(false);
+        if let Some(q) = lock(&self.shared.pool).queues.get_mut(node.0 as usize) {
+            q.paused = true;
         }
     }
 
     /// Releases workers parked by [`Network::pause_node`].
     pub fn resume_node(&self, node: NodeId) {
-        if let Some(slot) = self.slots.get(node.0 as usize) {
-            slot.gate.set(true);
+        if let Some(q) = lock(&self.shared.pool).queues.get_mut(node.0 as usize) {
+            q.paused = false;
         }
+        self.shared.resumed.notify_all();
     }
 
     /// Requests waiting in the node's queue (not counting any a worker has
     /// already dequeued). 0 for unknown nodes.
     pub fn node_queue_len(&self, node: NodeId) -> usize {
-        self.slots.get(node.0 as usize).map_or(0, |s| s.queue.len())
+        lock(&self.shared.pool)
+            .queues
+            .get(node.0 as usize)
+            .map_or(0, |q| q.jobs.len())
     }
 
     /// Whether the node is currently reachable.
     pub fn node_is_up(&self, node: NodeId) -> bool {
-        self.slots
-            .get(node.0 as usize)
-            .is_some_and(|s| s.up.load(Ordering::SeqCst))
+        self.slot(node).is_some_and(|s| s.up.load(Ordering::SeqCst))
     }
 
     /// Fail-stop detection of a *client* (§2): expires the recovery locks it
     /// held at every node (Fig. 6 line 34). Returns total locks expired.
     pub fn notify_client_failure(&self, client: ClientId) -> usize {
-        self.slots
+        self.shared
+            .nodes
             .iter()
             .map(|s| s.node.on_client_failure(client))
             .sum()
@@ -436,24 +627,33 @@ impl Network {
     pub fn with_node<R>(&self, node: NodeId, f: impl FnOnce(&mut NodeView<'_>) -> R) -> R {
         // LINT-ALLOW(panic-free: test/monitoring path with a documented
         // `# Panics` contract, never reached by request handling)
-        let slot = &self.slots[node.0 as usize];
+        let slot = &self.shared.nodes[node.0 as usize];
         f(&mut slot.node.lock_all())
     }
 
     /// Network-wide traffic counters.
     pub fn stats(&self) -> &NetStats {
-        &self.stats
+        &self.shared.stats
     }
 
     /// Sends one call on its way — the one place a call's transport fate
     /// is drawn and applied: draw, maybe duplicate, submit, maybe drop the
-    /// reply. Returns how the call left the client and the link delay the
-    /// fate injected, which the caller folds into the call's `ready_at`.
+    /// reply. A delivered reply is posted into `slot` of `round`. Returns
+    /// how the call left the client and the link delay the fate injected,
+    /// which the caller folds into the call's `ready_at`; counts into
+    /// `wakes` the parked workers the submits handed a wake-up.
     ///
     /// The fate comes from the endpoint's per-link sequence counters,
     /// keeping the injected drop/delay/duplicate decisions deterministic per
     /// `(seed, link, seq)`.
-    fn dispatch(&self, ep: &ClientEndpoint, node: NodeId, req: Request) -> (Dispatched, Duration) {
+    fn dispatch(
+        &self,
+        ep: &ClientEndpoint,
+        node: NodeId,
+        req: Request,
+        (round, slot): (&Arc<Round>, usize),
+        wakes: &mut usize,
+    ) -> (Dispatched, Duration) {
         let fate = match ep.fault_seq.get(node.0 as usize) {
             Some(ctr) => {
                 let seq = ctr.fetch_add(1, Ordering::Relaxed);
@@ -468,64 +668,99 @@ impl Network {
         if fate.duplicate_req {
             // At-least-once delivery: the node executes the request a
             // second time; the duplicate's reply goes nowhere.
-            let _ = self.submit(node, req.clone());
+            *wakes += usize::from(self.submit(node, req.clone(), None) == Ok(true));
         }
-        let sent = match self.submit(node, req) {
-            // The node executes the request but the reply is lost:
-            // dropping the receiver discards whatever it sends.
-            Ok(_) if fate.drop_reply => Dispatched::Lost,
-            Ok(rx) => Dispatched::InFlight(rx),
+        // The node executes the request either way; a lost reply is one
+        // it sends nowhere.
+        let reply_to = (!fate.drop_reply).then_some((round, slot));
+        let sent = match self.submit(node, req, reply_to) {
+            Ok(woke) => {
+                *wakes += usize::from(woke);
+                reply_to.map_or(Dispatched::Lost, |(round, slot)| {
+                    Dispatched::InFlight(Arc::clone(round), slot)
+                })
+            }
             Err(e) => Dispatched::Failed(e),
         };
         (sent, fate.delay)
     }
 
+    /// Enqueues `req` at `node`, its reply armed for `reply_to`'s slot, and
+    /// makes sure a worker will serve it; `Ok(true)`: a parked worker was
+    /// handed the wake-up, and [`Network::wake`] must notify it. Every
+    /// refusal comes before the enqueue, so it is determinate.
     fn submit(
         &self,
         node: NodeId,
         req: Request,
-    ) -> Result<Receiver<Result<Reply, RpcError>>, RpcError> {
-        let slot = self
-            .slots
-            .get(node.0 as usize)
-            .ok_or(RpcError::UnknownNode(node))?;
-        if !slot.up.load(Ordering::SeqCst) {
-            return Err(RpcError::NodeDown(node));
-        }
+        reply_to: Option<(&Arc<Round>, usize)>,
+    ) -> Result<bool, RpcError> {
+        let (i, shared) = (node.0 as usize, &self.shared);
         let wire_bytes = req.wire_bytes();
         let payload_bytes = req.payload_bytes();
-        let (tx, rx) = bounded(1);
-        // Gauge up *before* the enqueue (rolled back on rejection): once
-        // the job is in the queue a worker may answer — and decrement —
-        // at any moment.
-        self.stats.inc_inflight(node.0 as usize);
-        match slot.queue.try_send(Job { req, reply_tx: tx }) {
-            Ok(()) => {}
-            // Backpressure: the bounded queue is full and the request was
-            // never enqueued — determinate, so the caller may resend after
-            // backing off (no remap).
-            Err(TrySendError::Full(_)) => {
-                self.stats.dec_inflight(node.0 as usize);
-                return Err(RpcError::Busy(node));
-            }
-            // Every worker is gone; the node is effectively down.
-            Err(TrySendError::Disconnected(_)) => {
-                self.stats.dec_inflight(node.0 as usize);
-                return Err(RpcError::NodeDown(node));
-            }
+        let mut st = lock(&shared.pool);
+        let (Some(slot), Some(q)) = (self.slot(node), st.queues.get(i)) else {
+            return Err(RpcError::UnknownNode(node));
+        };
+        // Crashed, or closed by a handler's panic.
+        if !slot.up.load(Ordering::SeqCst) || q.closed {
+            return Err(RpcError::NodeDown(node));
         }
+        // Backpressure: the bounded queue is full and the request is never
+        // enqueued — determinate, so the caller may resend after backing
+        // off (no remap).
+        if shared.depth.is_some_and(|depth| q.jobs.len() >= depth) {
+            return Err(RpcError::Busy(node));
+        }
+        // A job its node can take now needs a searching worker; one that
+        // cannot be started refuses the request, again before the enqueue.
+        let runnable = q.serving < shared.per_node;
+        let woke = runnable && shared.ensure_searcher(&mut st).map_err(|_| RpcError::Busy(node))?;
+        // Under the pool lock, so no worker can answer — and decrement the
+        // gauge — before it goes up.
+        shared.stats.inc_inflight(i);
+        let reply = reply_to.map(|(round, slot)| round.arm(slot, node));
+        if let Some(q) = st.queues.get_mut(i) {
+            q.jobs.push_back(Job { req, reply });
+        }
+        drop(st);
         // Counted only after the queue accepted the message: a send that
         // never left the client must not inflate `msgs_sent`.
-        self.stats.record_send(wire_bytes);
-        self.stats.record_send_payload(payload_bytes);
-        Ok(rx)
+        shared.stats.record_send(wire_bytes);
+        shared.stats.record_send_payload(payload_bytes);
+        Ok(woke)
+    }
+
+    /// Notifies the parked workers a round's submits handed `wakes`. Sent
+    /// after the whole round is enqueued, so the woken worker finds it all.
+    fn wake(&self, wakes: usize) {
+        (0..wakes).for_each(|_| self.shared.work.notify_one());
+    }
+}
+
+impl Drop for Network {
+    /// Drops queued and paused-held jobs unserved (their calls resolve
+    /// [`RpcError::NetTornDown`]) and joins every worker, so the nodes'
+    /// memory is freed here, not later by a detached thread.
+    fn drop(&mut self) {
+        let workers = {
+            let mut st = lock(&self.shared.pool);
+            self.shared.closing.store(true, Ordering::SeqCst);
+            st.queues.iter_mut().for_each(|q| q.jobs.clear());
+            std::mem::take(&mut st.workers)
+        };
+        self.shared.work.notify_all();
+        self.shared.resumed.notify_all();
+        for worker in workers {
+            let _ = worker.join();
+        }
     }
 }
 
 impl std::fmt::Debug for Network {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Network")
-            .field("n_nodes", &self.slots.len())
+            .field("n_nodes", &self.n_nodes())
             .field("latency", &self.latency)
             .finish_non_exhaustive()
     }
@@ -613,7 +848,7 @@ impl ClientEndpoint {
     /// targets; [`RpcError::ClientKilled`] once fault injection fires;
     /// [`RpcError::Timeout`] when the deadline passes or the fault plan
     /// loses the exchange; [`RpcError::NetTornDown`] when the node's
-    /// workers die mid-call.
+    /// handler panics mid-call.
     pub fn call(&self, node: NodeId, req: Request) -> Result<Reply, RpcError> {
         self.wait(&mut self.submit_call(node, req))
     }
@@ -623,11 +858,17 @@ impl ClientEndpoint {
     /// propagation window (the client NIC still serializes the payloads),
     /// and the replies are returned in order.
     pub fn call_many(&self, calls: Vec<(NodeId, Request)>) -> Vec<Result<Reply, RpcError>> {
-        let mut round: Vec<PendingCall> = calls
+        let (round, mut wakes) = (Round::new(calls.len()), 0);
+        let mut pending: Vec<PendingCall> = calls
             .into_iter()
-            .map(|(node, req)| self.submit_call(node, req))
+            .enumerate()
+            .map(|(slot, (node, req))| {
+                let admitted = self.admit(&req);
+                self.launch(node, req, admitted, (&round, slot), &mut wakes)
+            })
             .collect();
-        round.iter_mut().map(|call| self.wait(call)).collect()
+        self.net.wake(wakes);
+        pending.iter_mut().map(|call| self.wait(call)).collect()
     }
 
     /// Broadcast (§3.11): sends the *same* payload to many nodes, paying
@@ -646,11 +887,17 @@ impl ClientEndpoint {
             Err(e) => return vec![Err(e); requests.len()],
         };
         // The first member reserves the shared payload; the rest ride on it.
-        let mut round: Vec<PendingCall> = requests
+        let (round, mut wakes) = (Round::new(requests.len()), 0);
+        let mut pending: Vec<PendingCall> = requests
             .into_iter()
-            .map(|(node, req)| self.launch(node, req, Ok(std::mem::take(&mut shared_bytes))))
+            .enumerate()
+            .map(|(slot, (node, req))| {
+                let admitted = Ok(std::mem::take(&mut shared_bytes));
+                self.launch(node, req, admitted, (&round, slot), &mut wakes)
+            })
             .collect();
-        round.iter_mut().map(|call| self.wait(call)).collect()
+        self.net.wake(wakes);
+        pending.iter_mut().map(|call| self.wait(call)).collect()
     }
 
     /// Starts an RPC without blocking: the returned [`PendingCall`] is
@@ -675,14 +922,25 @@ impl ClientEndpoint {
     /// hold, cross-client arrival order does not. At zero latency with no
     /// NIC shaping, `ready_at` is the submit instant and nothing is slept.
     pub fn submit_call(&self, node: NodeId, req: Request) -> PendingCall {
-        let admitted = self.admit(&req);
-        self.launch(node, req, admitted)
+        let (admitted, mut wakes) = (self.admit(&req), 0);
+        let call = self.launch(node, req, admitted, (&Round::new(1), 0), &mut wakes);
+        self.net.wake(wakes);
+        call
     }
 
     /// The one way a call leaves the client: reserve client NIC time for
     /// its admitted bytes, let [`Network::dispatch`] draw its fate and
-    /// enqueue it, and fix `ready_at`. A refused admission resolves at once.
-    fn launch(&self, node: NodeId, req: Request, admitted: Result<usize, RpcError>) -> PendingCall {
+    /// enqueue it with its reply armed for `slot` of `round`, and fix
+    /// `ready_at`. A refused admission resolves at once. Wake-ups owed to
+    /// parked workers add up in `wakes` for the caller to send.
+    fn launch(
+        &self,
+        node: NodeId,
+        req: Request,
+        admitted: Result<usize, RpcError>,
+        slot: (&Arc<Round>, usize),
+        wakes: &mut usize,
+    ) -> PendingCall {
         let now = Instant::now();
         let (ready_at, sent) = match admitted {
             Err(e) => (now, Dispatched::Failed(e)),
@@ -691,7 +949,7 @@ impl ClientEndpoint {
                     .nic
                     .as_ref()
                     .map_or(Duration::ZERO, |nic| nic.consume_nonblocking(bytes));
-                let (sent, delay) = self.net.dispatch(self, node, req);
+                let (sent, delay) = self.net.dispatch(self, node, req, slot, wakes);
                 (now + nic_wait + self.net.latency * 2 + delay, sent)
             }
         };
@@ -705,37 +963,26 @@ impl ClientEndpoint {
 
     /// Blocks until `call` resolves, exactly as [`ClientEndpoint::poll_call`]
     /// would resolve it — the only place a client waits. Sleeps to
-    /// `ready_at` (a lost call: to its deadline); a reply still in flight
-    /// is then awaited on its channel until the deadline and goes through
-    /// the same arrival step as a polled one.
+    /// `ready_at` (a lost call: to its deadline); a reply not posted by then
+    /// is awaited on its round until the deadline, and only the post that
+    /// completes the round wakes the client.
     fn wait(&self, call: &mut PendingCall) -> Result<Reply, RpcError> {
         loop {
+            if let Some(resolved) = self.poll_call(call) {
+                return resolved;
+            }
             let deadline = self.deadline(call);
-            let wake = match call.state {
+            let now = Instant::now();
+            let wake = match &call.state {
+                PendingState::Sent(Dispatched::InFlight(round, _)) if now >= call.ready_at => {
+                    round.await_posts(deadline);
+                    continue;
+                }
                 PendingState::Sent(Dispatched::Lost) => deadline.unwrap_or(call.ready_at),
                 _ => call.ready_at,
             };
-            let now = Instant::now();
             if now < wake {
                 std::thread::sleep(wake - now);
-            }
-            if let PendingState::Sent(Dispatched::InFlight(rx)) = &call.state {
-                let reply = match deadline {
-                    Some(d) => rx
-                        .recv_timeout(d.saturating_duration_since(Instant::now()))
-                        .ok(),
-                    None => rx.recv().ok(),
-                };
-                if let Some(result) = reply {
-                    if let Some(resolved) = self.arrive(call, result, Instant::now()) {
-                        return resolved;
-                    }
-                }
-            }
-            // Failed, lost, timed out, torn down, or draining through the
-            // client NIC: resolves (or not yet) as a poll would.
-            if let Some(resolved) = self.poll_call(call) {
-                return resolved;
             }
         }
     }
@@ -767,19 +1014,13 @@ impl ClientEndpoint {
                 None
             }
             PendingState::Sent(Dispatched::Lost) => Some(Err(RpcError::Timeout(call.node))),
-            PendingState::Sent(Dispatched::InFlight(rx)) => match rx.try_recv() {
+            PendingState::Sent(Dispatched::InFlight(round, slot)) => match round.take(slot) {
                 Some(result) => self.arrive(call, result, now),
-                // One final drain closes the race between the worker's
-                // last send and its disconnect.
-                None if rx.is_disconnected() => match rx.try_recv() {
-                    Some(result) => self.arrive(call, result, now),
-                    None => Some(Err(RpcError::NetTornDown(call.node))),
-                },
                 None if deadline.is_some_and(|d| now >= d) => {
                     Some(Err(RpcError::Timeout(call.node)))
                 }
                 None => {
-                    call.state = PendingState::Sent(Dispatched::InFlight(rx));
+                    call.state = PendingState::Sent(Dispatched::InFlight(round, slot));
                     None
                 }
             },
@@ -825,7 +1066,7 @@ impl ClientEndpoint {
     ) -> Result<Reply, RpcError> {
         if let Ok(reply) = &result {
             let (bytes, payload) = (reply.wire_bytes(), reply.payload_bytes());
-            for stats in [&self.stats, &*self.net.stats] {
+            for stats in [&self.stats, self.net.stats()] {
                 stats.record_receive(bytes);
                 stats.record_receive_payload(payload);
             }
@@ -871,7 +1112,7 @@ impl PendingCall {
 impl std::fmt::Debug for PendingCall {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let state = match &self.state {
-            PendingState::Sent(Dispatched::InFlight(_)) => "in-flight",
+            PendingState::Sent(Dispatched::InFlight(..)) => "in-flight",
             PendingState::Arrived(_) => "arrived",
             PendingState::Sent(Dispatched::Lost) => "lost",
             PendingState::Sent(Dispatched::Failed(_)) => "failed",
@@ -1308,9 +1549,9 @@ mod fault_tests {
 
     #[test]
     fn torn_down_worker_pool_is_not_a_killed_client() {
-        // A malformed request panics the node's only worker thread; the
-        // reply channel closes without a reply. Before the fix this
-        // surfaced as `ClientKilled` — blaming a healthy caller.
+        // A malformed request panics the node's handler; its reply slot is
+        // dropped unposted. Before the fix this surfaced as `ClientKilled`
+        // — blaming a healthy caller.
         let net = Network::new(NetworkConfig {
             n_nodes: 1,
             server_threads: 1,
@@ -1338,7 +1579,7 @@ mod fault_tests {
         assert_ne!(err, RpcError::ClientKilled);
         assert!(!client.is_killed(), "the caller is fine");
 
-        // Once the worker pool is gone the queue rejects sends: NodeDown.
+        // The panic closed the node: its queue rejects sends with NodeDown.
         let mut down = false;
         for _ in 0..500 {
             match client.call(NodeId(0), Request::Read { stripe: StripeId(0) }) {
@@ -1349,7 +1590,7 @@ mod fault_tests {
                 _ => std::thread::sleep(Duration::from_millis(1)),
             }
         }
-        assert!(down, "dead worker pool must surface as NodeDown");
+        assert!(down, "a closed node must surface as NodeDown");
 
         // Regression (stats fix): a send rejected by the dead queue must
         // not count as sent.
@@ -1417,11 +1658,13 @@ mod fault_tests {
 
     /// One timing model: the blocking calls and the submit/poll pair, given
     /// the same sequence on two identical faulty networks, draw the same
-    /// fates and resolve every call the same way with the same books.
+    /// fates and resolve every call the same way with the same books — single
+    /// calls and 16-way rounds mixing lost and delivered members alike.
     #[test]
     fn blocking_calls_resolve_like_submit_and_poll() {
         let run = |blocking: bool| {
             let net = Network::new(NetworkConfig {
+                n_nodes: 16,
                 server_threads: 1, // node execution order = submission order
                 call_timeout: None,
                 ..NetworkConfig::default()
@@ -1447,10 +1690,10 @@ mod fault_tests {
             let mut results = Vec::new();
             for i in 0..40u64 {
                 let round: Vec<(NodeId, Request)> = if i % 2 == 0 {
-                    vec![(NodeId((i % 4) as u32), req(i))]
+                    vec![(NodeId((i % 16) as u32), req(i))]
                 } else {
-                    (0..4)
-                        .map(|j| (NodeId(j), req(i * 4 + u64::from(j))))
+                    (0..16)
+                        .map(|j| (NodeId(j), req(i * 16 + u64::from(j))))
                         .collect()
                 };
                 if blocking && round.len() == 1 {
@@ -1485,6 +1728,105 @@ mod fault_tests {
         assert_eq!(blocking.0, polled.0, "same results");
         assert_eq!(blocking.1, polled.1, "same fate draws");
         assert_eq!(blocking.2, polled.2, "same books and latency samples");
+    }
+
+    /// A 16-way round whose members are lost at different instants: on both
+    /// paths every lost member resolves `Timeout` no earlier than its own
+    /// deadline, every delivered one answers, and results, fate traces and
+    /// books agree.
+    #[test]
+    fn round_members_resolve_at_their_own_deadlines() {
+        const TIMEOUT: Duration = Duration::from_millis(20);
+        const DELAY: Duration = Duration::from_millis(5);
+        let delayed = LinkFaults {
+            delay_p: 1.0,
+            delay: DELAY,
+            ..LinkFaults::default()
+        };
+        // Per member, by `j % 4`: lost at submit; lost after a delay; reply
+        // lost after a delay (the request executes); delivered after a delay.
+        let links = [
+            LinkFaults {
+                drop_req: 1.0,
+                ..LinkFaults::default()
+            },
+            LinkFaults {
+                drop_req: 1.0,
+                ..delayed
+            },
+            LinkFaults {
+                drop_reply: 1.0,
+                ..delayed
+            },
+            delayed,
+        ];
+        let deadlines = [
+            Some(TIMEOUT),
+            Some(DELAY + TIMEOUT),
+            Some(DELAY + TIMEOUT),
+            None,
+        ];
+        let run = |blocking: bool| {
+            let net = Network::new(NetworkConfig {
+                n_nodes: 16,
+                server_threads: 1,
+                call_timeout: Some(TIMEOUT),
+                ..NetworkConfig::default()
+            });
+            net.faults().set_tracing(true);
+            for j in 0..16u32 {
+                net.faults()
+                    .set_link(ClientId(1), NodeId(j), links[j as usize % 4]);
+            }
+            let client = net.client(ClientId(1));
+            let round: Vec<_> = (0..16)
+                .map(|j| {
+                    (
+                        NodeId(j),
+                        Request::Read {
+                            stripe: StripeId(0),
+                        },
+                    )
+                })
+                .collect();
+            let start = Instant::now();
+            let resolved: Vec<(Result<Reply, RpcError>, Duration)> = if blocking {
+                let results = client.call_many(round);
+                let took = start.elapsed();
+                results.into_iter().map(|r| (r, took)).collect()
+            } else {
+                let mut pending: Vec<_> = round
+                    .into_iter()
+                    .map(|(node, r)| client.submit_call(node, r))
+                    .collect();
+                let mut out = vec![None; pending.len()];
+                while out.iter().any(Option::is_none) {
+                    for (call, slot) in pending.iter_mut().zip(&mut out) {
+                        if slot.is_none() {
+                            *slot = client.poll_call(call).map(|r| (r, start.elapsed()));
+                        }
+                    }
+                    std::thread::yield_now();
+                }
+                out.into_iter().flatten().collect()
+            };
+            for (j, (result, at)) in resolved.iter().enumerate() {
+                match deadlines[j % 4] {
+                    Some(deadline) => {
+                        assert_eq!(*result, Err(RpcError::Timeout(NodeId(j as u32))));
+                        assert!(
+                            *at >= deadline,
+                            "member {j} resolved at {at:?}, before {deadline:?}"
+                        );
+                    }
+                    None => assert!(result.is_ok(), "member {j}: {result:?}"),
+                }
+            }
+            let results: Vec<_> = resolved.into_iter().map(|(r, _)| r).collect();
+            let books = (client.stats().snapshot(), client.stats().latency_samples());
+            (results, net.faults().take_trace(), books)
+        };
+        assert_eq!(run(true), run(false));
     }
 
     #[test]
@@ -1805,6 +2147,128 @@ mod reactor_tests {
             }
         }
         net.with_node(NodeId(0), |n| assert_eq!(n.ops_handled(), 3));
+    }
+
+    fn await_reply(client: &ClientEndpoint, call: &mut PendingCall) -> Result<Reply, RpcError> {
+        loop {
+            match client.poll_call(call) {
+                Some(r) => break r,
+                None => std::thread::yield_now(),
+            }
+        }
+    }
+
+    /// One pool serves every node, so a node paused with a job held stalls
+    /// no other node — even at one request per node, and even when the
+    /// held job and the other node's were submitted as one fan-out.
+    #[test]
+    fn a_paused_node_does_not_stall_another() {
+        let net = Network::new(NetworkConfig {
+            n_nodes: 2,
+            server_threads: 1,
+            ..NetworkConfig::default()
+        });
+        let client = net.client(ClientId(1));
+        let read = Request::Read {
+            stripe: StripeId(0),
+        };
+        net.pause_node(NodeId(0));
+        let mut held = client.submit_call(NodeId(0), read.clone());
+        let mut fanned = client.submit_call(NodeId(1), read.clone());
+        await_reply(&client, &mut fanned).expect("node 1 answers its fan-out member");
+        while net.node_queue_len(NodeId(0)) > 0 {
+            std::thread::yield_now();
+        }
+        let mut queued = client.submit_call(NodeId(0), read.clone());
+        assert!(
+            client.call(NodeId(1), read).is_ok(),
+            "node 1 answers a later call"
+        );
+        assert!(
+            client.poll_call(&mut held).is_none(),
+            "node 0 still holds its job"
+        );
+        net.resume_node(NodeId(0));
+        await_reply(&client, &mut held).expect("the held job completes after resume");
+        await_reply(&client, &mut queued).expect("so does the one queued behind it");
+    }
+
+    /// A request that panics node 0's handler closes node 0 alone: its own
+    /// call resolves `NetTornDown`, node 1 keeps answering, and node 0
+    /// refuses from then on.
+    #[test]
+    fn a_panicking_handler_closes_only_its_node() {
+        let net = Network::new(NetworkConfig {
+            n_nodes: 2,
+            server_threads: 1,
+            ..NetworkConfig::default()
+        });
+        let client = net.client(ClientId(1));
+        let malformed = Request::Add {
+            stripe: StripeId(0),
+            delta: vec![1; 8], // wrong size for 64-byte blocks
+            ntid: Tid::new(1, 0, ClientId(1)),
+            otid: None,
+            epoch: ajx_storage::Epoch(0),
+            scale: None,
+        };
+        let read = Request::Read {
+            stripe: StripeId(0),
+        };
+        assert_eq!(
+            client.call(NodeId(0), malformed),
+            Err(RpcError::NetTornDown(NodeId(0)))
+        );
+        assert!(
+            client.call(NodeId(1), read.clone()).is_ok(),
+            "node 1 still answers"
+        );
+        assert_eq!(
+            client.call(NodeId(0), read),
+            Err(RpcError::NodeDown(NodeId(0)))
+        );
+        assert_eq!(net.stats().inflight(0), 0);
+    }
+
+    /// Dropping a network while a paused node holds one job and has another
+    /// queued returns promptly, joins every worker, and resolves both calls
+    /// `NetTornDown`: no hang and no detached thread.
+    #[test]
+    fn dropping_the_network_joins_its_workers_and_tears_down_queued_calls() {
+        let net = Network::new(NetworkConfig {
+            n_nodes: 1,
+            server_threads: 1,
+            ..NetworkConfig::default()
+        });
+        let client = net.client(ClientId(1));
+        let read = Request::Read {
+            stripe: StripeId(0),
+        };
+        net.pause_node(NodeId(0));
+        let mut held = client.submit_call(NodeId(0), read.clone());
+        while net.node_queue_len(NodeId(0)) > 0 {
+            std::thread::yield_now();
+        }
+        let mut queued = client.submit_call(NodeId(0), read);
+        let pool = Arc::downgrade(&net.shared);
+        let start = Instant::now();
+        drop(client);
+        drop(net);
+        assert!(
+            start.elapsed() < Duration::from_secs(1),
+            "drop took {:?}",
+            start.elapsed()
+        );
+        assert!(pool.upgrade().is_none(), "a worker outlived its network");
+        // A call resolves from its round alone; any endpoint can poll it.
+        let other = Network::new(NetworkConfig::default());
+        let poller = other.client(ClientId(2));
+        for call in [&mut held, &mut queued] {
+            assert_eq!(
+                poller.poll_call(call),
+                Some(Err(RpcError::NetTornDown(NodeId(0))))
+            );
+        }
     }
 }
 

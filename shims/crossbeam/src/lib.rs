@@ -1,248 +1,7 @@
-//! Minimal offline stand-in for `crossbeam`: MPMC channels (mutex + condvar
-//! over a `VecDeque`) and scoped threads bridged onto `std::thread::scope`.
-//! See `shims/README.md`.
+//! Minimal offline stand-in for `crossbeam`: scoped threads bridged onto
+//! `std::thread::scope`. See `shims/README.md`.
 
 #![forbid(unsafe_code)]
-
-/// Multi-producer multi-consumer FIFO channels.
-pub mod channel {
-    use std::collections::VecDeque;
-    use std::fmt;
-    use std::sync::{Arc, Condvar, Mutex};
-
-    struct State<T> {
-        queue: VecDeque<T>,
-        senders: usize,
-        receivers: usize,
-        /// Capacity enforced by [`Sender::try_send`] only; blocking `send`
-        /// never waits for space (see [`bounded`]).
-        cap: usize,
-    }
-
-    struct Shared<T> {
-        state: Mutex<State<T>>,
-        ready: Condvar,
-    }
-
-    /// Sending half; cloneable.
-    pub struct Sender<T>(Arc<Shared<T>>);
-
-    /// Receiving half; cloneable (competing consumers).
-    pub struct Receiver<T>(Arc<Shared<T>>);
-
-    /// The message could not be delivered because all receivers are gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct SendError<T>(pub T);
-
-    /// The channel is empty and all senders are gone.
-    #[derive(Debug, PartialEq, Eq)]
-    pub struct RecvError;
-
-    /// Why a [`Sender::try_send`] did not enqueue the message.
-    #[derive(Debug, PartialEq, Eq)]
-    pub enum TrySendError<T> {
-        /// The channel is at capacity; the message was *not* enqueued.
-        Full(T),
-        /// All receivers are gone.
-        Disconnected(T),
-    }
-
-    /// Why a [`Receiver::recv_timeout`] returned without a message.
-    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-    pub enum RecvTimeoutError {
-        /// The deadline passed with the channel still empty.
-        Timeout,
-        /// All senders disconnected with the channel empty.
-        Disconnected,
-    }
-
-    impl<T> fmt::Display for SendError<T> {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "sending on a disconnected channel")
-        }
-    }
-
-    impl fmt::Display for RecvError {
-        fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-            write!(f, "receiving on an empty, disconnected channel")
-        }
-    }
-
-    fn shared<T>(cap: usize) -> Arc<Shared<T>> {
-        Arc::new(Shared {
-            state: Mutex::new(State {
-                queue: VecDeque::new(),
-                senders: 1,
-                receivers: 1,
-                cap,
-            }),
-            ready: Condvar::new(),
-        })
-    }
-
-    /// Creates an unbounded channel.
-    pub fn unbounded<T>() -> (Sender<T>, Receiver<T>) {
-        let s = shared(usize::MAX);
-        (Sender(Arc::clone(&s)), Receiver(s))
-    }
-
-    /// Creates a bounded channel. The capacity is enforced only by
-    /// [`Sender::try_send`] (which fails with [`TrySendError::Full`] at
-    /// capacity); blocking [`Sender::send`] never waits for space. Every
-    /// blocking-send use in this workspace treats bounded channels as
-    /// one-shot reply slots, for which this is equivalent; queues that need
-    /// backpressure admit through `try_send`.
-    pub fn bounded<T>(cap: usize) -> (Sender<T>, Receiver<T>) {
-        let s = shared(cap);
-        (Sender(Arc::clone(&s)), Receiver(s))
-    }
-
-    impl<T> Clone for Sender<T> {
-        fn clone(&self) -> Self {
-            self.0.state.lock().unwrap().senders += 1;
-            Sender(Arc::clone(&self.0))
-        }
-    }
-
-    impl<T> Drop for Sender<T> {
-        fn drop(&mut self) {
-            let mut st = self.0.state.lock().unwrap();
-            st.senders -= 1;
-            if st.senders == 0 {
-                drop(st);
-                self.0.ready.notify_all();
-            }
-        }
-    }
-
-    impl<T> Clone for Receiver<T> {
-        fn clone(&self) -> Self {
-            self.0.state.lock().unwrap().receivers += 1;
-            Receiver(Arc::clone(&self.0))
-        }
-    }
-
-    impl<T> Drop for Receiver<T> {
-        fn drop(&mut self) {
-            self.0.state.lock().unwrap().receivers -= 1;
-        }
-    }
-
-    impl<T> Sender<T> {
-        /// Enqueues `msg`, failing only if every receiver has been dropped.
-        pub fn send(&self, msg: T) -> Result<(), SendError<T>> {
-            let mut st = self.0.state.lock().unwrap();
-            if st.receivers == 0 {
-                return Err(SendError(msg));
-            }
-            st.queue.push_back(msg);
-            drop(st);
-            self.0.ready.notify_one();
-            Ok(())
-        }
-
-        /// Enqueues `msg` only if the channel is below capacity, failing
-        /// with [`TrySendError::Full`] otherwise. Never blocks.
-        pub fn try_send(&self, msg: T) -> Result<(), TrySendError<T>> {
-            let mut st = self.0.state.lock().unwrap();
-            if st.receivers == 0 {
-                return Err(TrySendError::Disconnected(msg));
-            }
-            if st.queue.len() >= st.cap {
-                return Err(TrySendError::Full(msg));
-            }
-            st.queue.push_back(msg);
-            drop(st);
-            self.0.ready.notify_one();
-            Ok(())
-        }
-
-        /// Number of queued messages.
-        pub fn len(&self) -> usize {
-            self.0.state.lock().unwrap().queue.len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    impl<T> Receiver<T> {
-        /// Whether every sender has been dropped. Once true, no further
-        /// message can arrive (a final [`Receiver::try_recv`] drains any
-        /// residue).
-        pub fn is_disconnected(&self) -> bool {
-            self.0.state.lock().unwrap().senders == 0
-        }
-
-        /// Blocks until a message arrives or every sender is dropped.
-        pub fn recv(&self) -> Result<T, RecvError> {
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvError);
-                }
-                st = self.0.ready.wait(st).unwrap();
-            }
-        }
-
-        /// Blocks until a message arrives, every sender is dropped, or
-        /// `timeout` elapses.
-        pub fn recv_timeout(&self, timeout: std::time::Duration) -> Result<T, RecvTimeoutError> {
-            let deadline = std::time::Instant::now() + timeout;
-            let mut st = self.0.state.lock().unwrap();
-            loop {
-                if let Some(v) = st.queue.pop_front() {
-                    return Ok(v);
-                }
-                if st.senders == 0 {
-                    return Err(RecvTimeoutError::Disconnected);
-                }
-                let now = std::time::Instant::now();
-                let Some(remaining) = deadline.checked_duration_since(now).filter(|d| !d.is_zero())
-                else {
-                    return Err(RecvTimeoutError::Timeout);
-                };
-                let (guard, _timed_out) = self.0.ready.wait_timeout(st, remaining).unwrap();
-                st = guard;
-            }
-        }
-
-        /// Non-blocking receive; `None` when empty (regardless of senders).
-        pub fn try_recv(&self) -> Option<T> {
-            self.0.state.lock().unwrap().queue.pop_front()
-        }
-
-        /// Blocking iterator that ends when the channel is disconnected.
-        pub fn iter(&self) -> Iter<'_, T> {
-            Iter(self)
-        }
-
-        /// Number of queued messages.
-        pub fn len(&self) -> usize {
-            self.0.state.lock().unwrap().queue.len()
-        }
-
-        /// Whether the queue is empty.
-        pub fn is_empty(&self) -> bool {
-            self.len() == 0
-        }
-    }
-
-    /// Iterator returned by [`Receiver::iter`].
-    pub struct Iter<'a, T>(&'a Receiver<T>);
-
-    impl<T> Iterator for Iter<'_, T> {
-        type Item = T;
-        fn next(&mut self) -> Option<T> {
-            self.0.recv().ok()
-        }
-    }
-}
 
 /// Scoped threads bridged onto `std::thread::scope`.
 pub mod thread {
@@ -276,101 +35,5 @@ pub mod thread {
         F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> R,
     {
         Ok(std::thread::scope(|s| f(&Scope { inner: s })))
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::channel::{bounded, unbounded, RecvError};
-
-    #[test]
-    fn mpmc_fan_in_fan_out() {
-        let (tx, rx) = unbounded::<u32>();
-        let total: u32 = super::thread::scope(|s| {
-            for t in 0..4u32 {
-                let tx = tx.clone();
-                s.spawn(move |_| {
-                    for i in 0..100 {
-                        tx.send(t * 1000 + i).unwrap();
-                    }
-                });
-            }
-            drop(tx);
-            let mut handles = Vec::new();
-            for _ in 0..3 {
-                let rx = rx.clone();
-                handles.push(s.spawn(move |_| rx.iter().count() as u32));
-            }
-            handles.into_iter().map(|h| h.join().unwrap()).sum()
-        })
-        .unwrap();
-        assert_eq!(total, 400);
-    }
-
-    #[test]
-    fn recv_on_disconnected_errors() {
-        let (tx, rx) = bounded::<u8>(1);
-        tx.send(9).unwrap();
-        drop(tx);
-        assert_eq!(rx.recv(), Ok(9));
-        assert_eq!(rx.recv(), Err(RecvError));
-    }
-
-    #[test]
-    fn recv_timeout_times_out_then_delivers() {
-        use super::channel::RecvTimeoutError;
-        let (tx, rx) = unbounded::<u8>();
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_millis(1)),
-            Err(RecvTimeoutError::Timeout)
-        );
-        tx.send(5).unwrap();
-        assert_eq!(rx.recv_timeout(std::time::Duration::from_secs(1)), Ok(5));
-        drop(tx);
-        assert_eq!(
-            rx.recv_timeout(std::time::Duration::from_millis(1)),
-            Err(RecvTimeoutError::Disconnected)
-        );
-    }
-
-    #[test]
-    fn send_without_receivers_errors() {
-        let (tx, rx) = unbounded::<u8>();
-        drop(rx);
-        assert!(tx.send(1).is_err());
-    }
-
-    #[test]
-    fn try_send_enforces_capacity() {
-        use super::channel::TrySendError;
-        let (tx, rx) = bounded::<u8>(2);
-        tx.try_send(1).unwrap();
-        tx.try_send(2).unwrap();
-        assert_eq!(tx.try_send(3), Err(TrySendError::Full(3)));
-        assert_eq!(rx.recv(), Ok(1));
-        tx.try_send(3).unwrap();
-        drop(rx);
-        assert_eq!(tx.try_send(4), Err(TrySendError::Disconnected(4)));
-    }
-
-    #[test]
-    fn try_send_on_unbounded_never_fills() {
-        let (tx, _rx) = unbounded::<u32>();
-        for i in 0..10_000 {
-            tx.try_send(i).unwrap();
-        }
-        assert_eq!(tx.len(), 10_000);
-    }
-
-    #[test]
-    fn is_disconnected_tracks_senders() {
-        let (tx, rx) = bounded::<u8>(4);
-        assert!(!rx.is_disconnected());
-        tx.send(7).unwrap();
-        drop(tx);
-        assert!(rx.is_disconnected());
-        // Residue is still drainable after disconnect.
-        assert_eq!(rx.try_recv(), Some(7));
-        assert_eq!(rx.try_recv(), None);
     }
 }

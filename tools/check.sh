@@ -15,8 +15,9 @@
 # run correct with zero failed operations,
 # a traced small_rw run shows garbage collection still batched per node and
 # still collecting everything, and the node's media-write and metadata
-# accounts where they were, and a traced seq_large run shows a bulk write
-# putting the same bytes and round trips on the wire).
+# accounts where they were, a traced seq_large run shows a bulk write
+# putting the same bytes and round trips on the wire, and a traced
+# degraded_rebuild run shows the widest fan-out's protocol counts unmoved).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -199,6 +200,23 @@ awk -v w="$wire_bytes" -v r="$write_trips" -v m="$media_writes" \
   'BEGIN { exit !(sprintf("%.4f", w) == "3.5008" && sprintf("%.4f", r) == "1.3333" && m == 5) }' \
   || { echo "the bulk write's wire moved (want 3.5008 wire bytes per user byte, 1.3333 write round trips per op, 5 media writes per write)"; exit 1; }
 echo "bulk-write wire counts hold"
+
+echo "== the widest fan-out keeps its protocol (traced degraded_rebuild) =="
+# Degraded reads and the rebuild engine are the n-1-way fan-outs every node
+# serves at once; how the transport schedules them must change no count.
+# Exact with --slices; the literals are those of the transport that gave
+# every node its own worker threads.
+traced=$(bash benchmark/run.sh --workload degraded_rebuild --seed 1 --slices 2 --trace 1 | tail -n 1)
+msgs=$(metric transport.msgs_per_op)
+round_trips=$(metric transport.round_trips_per_op)
+wire_bytes=$(metric transport.wire_bytes_per_user_byte)
+ops_handled=$(metric storage.ops_handled_per_op)
+lock_ops=$(metric storage.lock_ops)
+echo "transport.msgs_per_op $msgs, transport.round_trips_per_op $round_trips, transport.wire_bytes_per_user_byte $wire_bytes, storage.ops_handled_per_op $ops_handled, storage.lock_ops $lock_ops"
+awk -v m="$msgs" -v r="$round_trips" -v w="$wire_bytes" -v h="$ops_handled" -v l="$lock_ops" \
+  'BEGIN { exit !(sprintf("%.4f", m) == "25.1429" && sprintf("%.4f", r) == "12.5714" && sprintf("%.4f", w) == "4.9062" && sprintf("%.4f", h) == "46.5714" && l == 0) }' \
+  || { echo "the degraded_rebuild fan-out moved (want 25.1429 msgs, 12.5714 round trips, 4.9062 wire bytes per user byte, 46.5714 ops handled per op, 0 lock ops)"; exit 1; }
+echo "degraded_rebuild protocol counts hold"
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
