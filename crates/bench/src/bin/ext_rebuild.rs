@@ -22,8 +22,8 @@
 //! degraded reads must issue **zero** lock RPCs, and the LRC rebuild must
 //! move ≤ 0.5× the RS repair bytes per lost block.
 //!
-//! Prints a JSON document on stdout; `tools/check.sh` redirects the
-//! `--smoke` variant to `BENCH_recovery.json` at the repo root.
+//! Prints a JSON document on stdout (a full run is `BENCH_recovery.json`;
+//! `tools/check.sh` writes `--smoke` runs to `BENCH_recovery.smoke.json`).
 //!
 //! Flags:
 //!

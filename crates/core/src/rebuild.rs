@@ -246,8 +246,8 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
 
     // ---- Phase 2a: one batched metadata-only round across all stripes. --
     // `GetMeta` carries the tid bookkeeping, opmode, and epoch of every
-    // block but **no block content** — classification is free of payload
-    // bytes, and the states are frozen under the L1 locks.
+    // block but **no block content** — the node neither sends nor copies
+    // it — and the states are frozen under the L1 locks.
     let mut states: Vec<Vec<Option<GetStateReply>>> = vec![vec![]; chunk.len()];
     for &x in &live {
         states[x] = (0..n).map(|_| None).collect();

@@ -609,29 +609,113 @@ mod tests {
 
     #[test]
     fn get_meta_strips_the_block_but_keeps_metadata() {
-        let node = single(4);
-        node.handle(Request::Swap {
-            stripe: StripeId(0),
-            value: vec![9; 4],
-            ntid: tid(1),
-        });
-        let full = node.handle(Request::GetState { stripe: StripeId(0) });
-        let meta = node.handle(Request::GetMeta { stripe: StripeId(0) });
-        let (Reply::GetState(full), Reply::GetState(meta)) = (full, meta) else {
-            panic!("expected Reply::GetState for both");
+        const S: StripeId = StripeId(0);
+        let swap = |seq: u64| Request::Swap {
+            stripe: S,
+            value: vec![seq as u8; 4],
+            ntid: tid(seq),
         };
-        assert_eq!(full.block, Some(vec![9; 4]));
-        assert_eq!(meta.block, None, "meta probe carries no payload");
-        assert_eq!(meta.recentlist, full.recentlist);
-        assert_eq!(meta.oldlist, full.oldlist);
-        assert_eq!(meta.opmode, full.opmode);
-        assert_eq!(meta.epoch, full.epoch);
+        let finalize = |epoch| Request::Finalize { stripe: S, epoch };
+        // A tid recorded at the block's clock `time` (one tick per request).
+        let at = |seq: u64, time: u64| TidEntry { tid: tid(seq), time };
+        // One row per mode: a history leaving stripe 0 there, the full reply
+        // `GetState` must give, and the age of the oldest pending tid after
+        // the two calls below and one probe (the probe's tick minus the
+        // tid's) — which pins one tick per call.
+        // INIT content is garbage and withheld; RECONS content is the
+        // recovered value and returned.
+        type Row = (&'static str, Vec<Request>, bool, GetStateReply, Option<u64>);
+        let rows: [Row; 3] = [
+            (
+                "NORM, both lists non-empty",
+                vec![
+                    finalize(Epoch(2)),
+                    swap(1),
+                    swap(2),
+                    swap(3),
+                    Request::GcRecent { stripe: S, tids: vec![tid(1), tid(2)] },
+                ],
+                false,
+                GetStateReply {
+                    opmode: OpMode::Norm,
+                    recons_set: vec![],
+                    oldlist: vec![at(1, 2), at(2, 3)],
+                    recentlist: vec![at(3, 4)],
+                    block: Some(vec![3; 4]),
+                    epoch: Epoch(2),
+                },
+                Some(8 - 4),
+            ),
+            (
+                "INIT after a remap",
+                vec![swap(1)],
+                true,
+                GetStateReply {
+                    opmode: OpMode::Init,
+                    recons_set: vec![],
+                    oldlist: vec![],
+                    recentlist: vec![],
+                    block: None,
+                    epoch: Epoch(0),
+                },
+                None,
+            ),
+            (
+                "RECONS after a Reconstruct",
+                vec![
+                    finalize(Epoch(5)),
+                    swap(1),
+                    Request::TryLock { stripe: S, lm: LMode::L1, caller: ClientId(7) },
+                    Request::Reconstruct { stripe: S, cset: vec![0, 2, 3], block: vec![4; 4] },
+                ],
+                false,
+                GetStateReply {
+                    opmode: OpMode::Recons,
+                    recons_set: vec![0, 2, 3],
+                    oldlist: vec![],
+                    recentlist: vec![at(1, 2)],
+                    block: Some(vec![4; 4]),
+                    epoch: Epoch(5),
+                },
+                Some(7 - 2),
+            ),
+        ];
+        for (name, history, remap, want, age) in rows {
+            // Two nodes with one history: one answers `GetState` twice, the
+            // other `GetMeta` twice.
+            let (full_node, meta_node) = (single(4), single(4));
+            for node in [&full_node, &meta_node] {
+                history.iter().cloned().for_each(|req| drop(node.handle(req)));
+                if remap {
+                    node.fail_remap(0xEE);
+                }
+            }
+            for _ in 0..2 {
+                let (Reply::GetState(full), Reply::GetState(meta)) = (
+                    full_node.handle(Request::GetState { stripe: S }),
+                    meta_node.handle(Request::GetMeta { stripe: S }),
+                ) else {
+                    panic!("{name}: expected Reply::GetState for both");
+                };
+                assert_eq!(full, want, "{name}: GetState");
+                assert_eq!(meta, GetStateReply { block: None, ..want.clone() }, "{name}: GetMeta");
+                assert_eq!(Reply::GetState(meta).payload_bytes(), 0, "{name}");
+            }
+            for node in [&full_node, &meta_node] {
+                let Reply::Probe { oldest_pending_age, .. } = node.handle(Request::Probe { stripe: S })
+                else {
+                    panic!("{name}: expected Reply::Probe");
+                };
+                assert_eq!(oldest_pending_age, age, "{name}: one tick per call");
+            }
+            // And the two states, clocks included, are equal.
+            let (full_view, meta_view) = (full_node.lock_all(), meta_node.lock_all());
+            assert_eq!(full_view.block_state(S), meta_view.block_state(S), "{name}");
+        }
         // The wire savings the rebuild engine banks on.
-        let meta_req = Request::GetMeta { stripe: StripeId(0) };
+        let meta_req = Request::GetMeta { stripe: S };
         assert_eq!(meta_req.wire_bytes(), MSG_HEADER_BYTES);
         assert!(meta_req.is_idempotent());
-        assert!(Reply::GetState(meta).payload_bytes() == 0);
-        assert_eq!(Reply::GetState(full).payload_bytes(), 4);
     }
 
     #[test]

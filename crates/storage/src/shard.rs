@@ -418,11 +418,7 @@ impl ShardedNode {
                 Reply::Ack
             }
             Request::GetState { .. } => Reply::GetState(self.block(held, stripe).get_state()),
-            Request::GetMeta { .. } => {
-                let mut meta = self.block(held, stripe).get_state();
-                meta.block = None;
-                Reply::GetState(meta)
-            }
+            Request::GetMeta { .. } => Reply::GetState(self.block(held, stripe).meta()),
             Request::GetRecent { lm, caller, .. } => {
                 Reply::GetRecent(self.lock_block(held, stripe).getrecent(lm, caller))
             }

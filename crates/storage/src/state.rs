@@ -110,8 +110,9 @@ pub struct GetStateReply {
     pub oldlist: Vec<TidEntry>,
     /// Recent-write list used to judge consistency.
     pub recentlist: Vec<TidEntry>,
-    /// Block content, or `None` if `opmode ≠ NORM` ("block has garbage").
-    /// Also `None` in replies to metadata-only probes (`GetMeta`).
+    /// Block content, or `None` if `opmode = INIT` ("block has garbage");
+    /// RECONS content is returned (see [`BlockState::get_state`]). Also
+    /// `None` in replies to metadata-only probes (`GetMeta`).
     pub block: Option<Vec<u8>>,
     /// The node's current epoch: targeted rebuild computes the finalize
     /// epoch as the max over *all* nodes' `get_state`/`get_meta` replies,
@@ -375,17 +376,20 @@ impl BlockState {
     /// recovered (hence correct) value, since re-encoding a consistent set
     /// reproduces that set's blocks exactly. Only INIT content is garbage.
     pub fn get_state(&mut self) -> GetStateReply {
+        let block = (self.opmode != OpMode::Init).then(|| self.block.clone());
+        GetStateReply { block, ..self.meta() }
+    }
+
+    /// [`get_state`](Self::get_state) without the block: the same tick and
+    /// metadata, and no copy of the content — a metadata-only peer's answer.
+    pub fn meta(&mut self) -> GetStateReply {
         self.tick();
         GetStateReply {
             opmode: self.opmode,
             recons_set: self.recons_set.clone(),
             oldlist: self.oldlist.clone(),
             recentlist: self.recentlist.clone(),
-            block: if self.opmode == OpMode::Init {
-                None
-            } else {
-                Some(self.block.clone())
-            },
+            block: None,
             epoch: self.epoch,
         }
     }

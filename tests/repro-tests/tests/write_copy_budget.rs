@@ -11,45 +11,21 @@
 //! cloning every request in case of a re-send, which put this count at 10,
 //! or freeing each increment at the node, which put it at 5; it is 1 now.
 //!
-//! This file holds one test on purpose: the count is process-wide, so no
-//! other test may run beside it.
+//! One test per file: the count is process-wide (`support/block_allocs.rs`).
+
+#[path = "support/block_allocs.rs"]
+mod block_allocs;
 
 use ajx_cluster::Cluster;
 use ajx_core::ProtocolConfig;
 use ajx_transport::NetworkConfig;
-use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use block_allocs::{blocks_allocated, CountingAlloc};
 
 const K: usize = 12;
 const N: usize = 16;
 const BLOCK: usize = 64 * 1024;
 /// Blocks per call: four stripes, 3 MiB (the benchmark's `seq_large` shape).
 const RUN: usize = 48;
-
-/// Bytes requested in allocations of at least one block while `COUNTING`.
-static BLOCK_BYTES: AtomicUsize = AtomicUsize::new(0);
-static COUNTING: AtomicBool = AtomicBool::new(false);
-
-struct CountingAlloc;
-
-// SAFETY: every call is forwarded unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the counters touched beside it are atomics and
-// never allocate. `realloc` and `alloc_zeroed` keep their default
-// definitions, which go through `alloc` and `dealloc` below.
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        if layout.size() >= BLOCK && COUNTING.load(Ordering::Relaxed) {
-            BLOCK_BYTES.fetch_add(layout.size(), Ordering::Relaxed);
-        }
-        // SAFETY: the caller's `layout` is passed through as received.
-        unsafe { System.alloc(layout) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        // SAFETY: `ptr` came from `System.alloc` above with this `layout`.
-        unsafe { System.dealloc(ptr, layout) }
-    }
-}
 
 #[global_allocator]
 static ALLOC: CountingAlloc = CountingAlloc;
@@ -71,12 +47,10 @@ fn failure_free_bulk_write_allocates_at_most_two_blocks_per_user_block() {
         client.write_blocks(&writes).unwrap();
     }
 
-    COUNTING.store(true, Ordering::SeqCst);
-    let done = client.write_blocks(&writes);
-    COUNTING.store(false, Ordering::SeqCst);
+    let (done, blocks) = blocks_allocated(BLOCK, || client.write_blocks(&writes));
     done.unwrap();
 
-    let per_block = BLOCK_BYTES.load(Ordering::SeqCst) as f64 / (RUN * BLOCK) as f64;
+    let per_block = blocks / RUN as f64;
     println!("block-sized allocations per user block: {per_block:.2}");
     assert!(
         per_block <= 2.0,

@@ -217,6 +217,16 @@ awk -v m="$msgs" -v r="$round_trips" -v w="$wire_bytes" -v h="$ops_handled" -v l
   'BEGIN { exit !(sprintf("%.4f", m) == "25.1429" && sprintf("%.4f", r) == "12.5714" && sprintf("%.4f", w) == "4.9062" && sprintf("%.4f", h) == "46.5714" && l == 0) }' \
   || { echo "the degraded_rebuild fan-out moved (want 25.1429 msgs, 12.5714 round trips, 4.9062 wire bytes per user byte, 46.5714 ops handled per op, 0 lock ops)"; exit 1; }
 echo "degraded_rebuild protocol counts hold"
+# The rebuild's own bytes, from the same run: LRC(12,3,1) fetches 4.5
+# shares per lost block on average (its local group's four; all twelve data
+# blocks for the global parity) and writes one back, 5.5 x 16 KiB; the
+# metadata-only GetMeta rounds carry no block. Exact with --slices.
+repair_bytes=$(metric core.repair_bytes_per_lost_block)
+rebuild_trips=$(metric core.rebuild_round_trips_per_lost_block)
+echo "core.repair_bytes_per_lost_block $repair_bytes, core.rebuild_round_trips_per_lost_block $rebuild_trips"
+awk -v b="$repair_bytes" -v r="$rebuild_trips" 'BEGIN { exit !(b == 90112 && r == 10) }' \
+  || { echo "the rebuild's bytes moved (want 90112 repair bytes and 10 round trips per lost block)"; exit 1; }
+echo "rebuild byte counts hold"
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
