@@ -6,9 +6,10 @@
 //! *storage* NICs saturate.
 
 use ajx_bench::{banner, render_table};
-use ajx_sim::{run, SimConfig, SimStrategy, SimWorkload};
+use ajx_core::UpdateStrategy;
+use ajx_sim::{run, SimConfig, SimWorkload};
 
-fn throughput(k: usize, n: usize, clients: usize, strategy: SimStrategy) -> f64 {
+fn throughput(k: usize, n: usize, clients: usize, strategy: UpdateStrategy) -> f64 {
     let mut cfg = SimConfig::new(k, n, clients);
     cfg.threads_per_client = 16;
     cfg.ops_per_thread = 30;
@@ -31,10 +32,10 @@ fn main() {
         let n = k + p;
         rows.push(vec![
             p.to_string(),
-            format!("{:.1}", throughput(k, n, 1, SimStrategy::Parallel)),
-            format!("{:.1}", throughput(k, n, 1, SimStrategy::Broadcast)),
-            format!("{:.1}", throughput(k, n, 64, SimStrategy::Parallel)),
-            format!("{:.1}", throughput(k, n, 64, SimStrategy::Broadcast)),
+            format!("{:.1}", throughput(k, n, 1, UpdateStrategy::Parallel)),
+            format!("{:.1}", throughput(k, n, 1, UpdateStrategy::Broadcast)),
+            format!("{:.1}", throughput(k, n, 64, UpdateStrategy::Parallel)),
+            format!("{:.1}", throughput(k, n, 64, UpdateStrategy::Broadcast)),
         ]);
     }
     print!(

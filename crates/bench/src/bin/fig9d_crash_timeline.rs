@@ -95,11 +95,11 @@ fn main() {
     cluster.crash_storage_node(NodeId(2));
     let t0 = Instant::now();
     // Three clients split the stripe space, like the paper's experiment.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for c in 0..3usize {
             let stripes = &stripes;
             let cluster = &cluster;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let share: Vec<StripeId> = stripes
                     .iter()
                     .copied()
@@ -109,8 +109,7 @@ fn main() {
                 cluster.client(c).monitor(&share, u64::MAX).unwrap();
             });
         }
-    })
-    .unwrap();
+    });
     let elapsed = t0.elapsed();
     let recovered_bytes = stripes.len() as f64 * 5.0 * 1024.0; // whole stripes rewritten
     println!(

@@ -45,18 +45,17 @@ fn main() {
     let t0 = Instant::now();
     let rounds = 100;
     for r in 0..rounds {
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for lb in 0..4u64 {
                 let cluster = Arc::clone(&cluster);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     cluster
                         .client(0)
                         .write_block(lb, vec![r as u8; 1024])
                         .unwrap();
                 });
             }
-        })
-        .unwrap();
+        });
     }
     let four_block_us = t0.elapsed().as_secs_f64() * 1e6 / f64::from(rounds);
 

@@ -12,8 +12,8 @@
 
 use ajx_bench::{banner, render_table};
 use ajx_cluster::{drive, Cluster, Workload};
-use ajx_core::ProtocolConfig;
-use ajx_sim::{run, SimConfig, SimParams, SimStrategy, SimWorkload};
+use ajx_core::{ProtocolConfig, UpdateStrategy};
+use ajx_sim::{run, SimConfig, SimParams, SimWorkload};
 use std::time::{Duration, Instant};
 
 // Scaled-down testbed (see fig9a_outstanding.rs): keeps both systems in
@@ -40,7 +40,7 @@ fn sim_config(clients: usize, threads: usize, params: SimParams) -> SimConfig {
     let mut cfg = SimConfig::new(K, N, clients);
     cfg.params = params;
     cfg.threads_per_client = threads;
-    cfg.strategy = SimStrategy::Parallel;
+    cfg.strategy = UpdateStrategy::Parallel;
     cfg.workload = SimWorkload::Write;
     cfg.stripes = BLOCKS / K as u64;
     cfg.ops_per_thread = (800 / threads).max(20) as u64;

@@ -198,10 +198,10 @@ fn chance(state: &mut u64, p: f64) -> bool {
 /// `(cfg, opts)` produce identical [`ChaosReport::trace`]s.
 pub fn run_chaos(cfg: ProtocolConfig, opts: &ChaosOptions) -> ChaosReport {
     let mut cfg = cfg;
-    // Multi-block writes normally pipeline stripes over worker threads;
-    // here that would let thread scheduling reorder RPCs and break the
-    // byte-identical-trace contract, so the pool is disabled. The rebuild
-    // engine's chunk pool is serialized for the same reason.
+    // One stripe per write window and one chunk per rebuild window: a
+    // wider window replays byte-identically too (one thread drives it),
+    // but it sends in another order, and the committed seeded shapes stay
+    // comparable only at the order they were recorded with.
     cfg.pipeline_width = 1;
     cfg.rebuild_width = 1;
     if opts.durable {

@@ -99,8 +99,9 @@ fn splitmix64(state: &mut u64) -> u64 {
 /// for the phases; identical `(cfg, opts)` produce identical traces.
 pub fn run_power_loss(cfg: ProtocolConfig, opts: &PowerLossOptions) -> PowerLossReport {
     let mut cfg = cfg;
-    // Determinism: single driver thread, no worker pools (same contract
-    // as the chaos harness), and *no* auto-remap — a remap swaps the
+    // Determinism: single driver thread, windows of one stripe and one
+    // chunk (the order the committed seeded shapes were recorded with, as
+    // in the chaos harness), and *no* auto-remap — a remap swaps the
     // medium and would destroy the very journal this run is about.
     cfg.pipeline_width = 1;
     cfg.rebuild_width = 1;

@@ -119,14 +119,14 @@ pub fn drive(
     let errors = AtomicU64::new(0);
     let start = Instant::now();
 
-    crossbeam::thread::scope(|scope| {
+    std::thread::scope(|scope| {
         for c in 0..cluster.n_clients() {
             let client = cluster.client(c).clone();
             let ops = &ops;
             let errors = &errors;
             for t in 0..threads {
                 let client = client.clone();
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let mut rng = rand::rngs::StdRng::seed_from_u64(
                         seed ^ (c as u64) << 32 ^ t as u64,
                     );
@@ -189,8 +189,7 @@ pub fn drive(
                 });
             }
         }
-    })
-    .expect("workload worker panicked");
+    });
 
     let done = ops.load(Ordering::Relaxed);
     DriveReport {

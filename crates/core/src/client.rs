@@ -7,8 +7,8 @@
 //! one for each outstanding RPC call").
 //!
 //! `WRITE` exists once: every entry point — one block or many — funnels
-//! into `write_stripe_batch`, the blocking driver over the sans-IO
-//! per-block state machine in `write.rs` (DESIGN.md §7).
+//! into `write_window`, the blocking driver over the sans-IO per-block
+//! state machine in `write.rs` (DESIGN.md §7).
 
 use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
@@ -44,7 +44,7 @@ struct GcLists {
 
 /// A swapped block inside the write engine.
 struct Pending {
-    /// Position of the block in the engine's `items`.
+    /// Position of the block in the window's items.
     x: usize,
     bw: BlockWrite,
     /// Set when an RPC of this block failed indeterminately (or answered
@@ -74,6 +74,51 @@ impl Pending {
             }
             Ok(other) => self.kill(ProtocolError::unexpected("Reply::Add", &other)),
             Err(e) => self.kill(e),
+        }
+    }
+}
+
+/// One block of a write window: `(stripe, data index, value)`.
+type WriteItem<'v> = (StripeId, usize, &'v [u8]);
+
+/// One stripe's part in a write window.
+struct StripeRun<'v> {
+    stripe: StripeId,
+    /// The stripe's blocks; `Pending::x` and `todo` index into them.
+    items: &'v [WriteItem<'v>],
+    backoff: crate::backoff::BackoffSession,
+    /// Items that still need a swap; a block leaves the list when it is
+    /// swapped and re-enters only by settling incomplete.
+    todo: Vec<usize>,
+    pending: Vec<Pending>,
+    err: Option<ProtocolError>,
+}
+
+impl StripeRun<'_> {
+    /// Retires settled blocks: complete ones are recorded for GC;
+    /// incomplete ones with nothing left to try go back on the list for the
+    /// next outer attempt's re-swap; failed ones report their error.
+    fn retire(&mut self, cfg: &ProtocolConfig, gc: &Mutex<GcLists>) {
+        for p in std::mem::take(&mut self.pending) {
+            if p.live() && !p.bw.settled() {
+                self.pending.push(p);
+                continue;
+            }
+            let complete = p.bw.complete(cfg);
+            let (ntid, d, old) = p.bw.finish();
+            // The old block has served its deltas; recycle it for the next
+            // write's staging buffers.
+            crate::pool::give(old);
+            if let Some(e) = p.err {
+                self.err.get_or_insert(e);
+            } else if complete {
+                let mut gc = gc.lock();
+                for j in d {
+                    gc.pending.entry((self.stripe, j)).or_default().push(ntid);
+                }
+            } else {
+                self.todo.push(p.x);
+            }
         }
     }
 }
@@ -398,8 +443,9 @@ impl Client {
         value: &[u8],
     ) -> Result<(), ProtocolError> {
         self.check_size(value)?;
-        // A one-block write is a batch of one.
-        self.write_stripe_batch(stripe, &[(i, value)])
+        assert!(i < self.cfg.k(), "data index {i} out of range");
+        // A one-block write is a window of one.
+        self.write_window(&[&[(stripe, i, value)]])
     }
 
     /// Every `WRITE` entry point validates its values here, before any RPC.
@@ -413,9 +459,10 @@ impl Client {
 
     /// Scatter-gather `WRITE`: writes many logical blocks, grouping them by
     /// stripe so each stripe pays one `swap` round plus one *batched* `add`
-    /// message per redundant node instead of one message per block, and
-    /// pipelining independent stripes across a bounded scoped-thread pool
-    /// of [`ProtocolConfig::pipeline_width`] workers.
+    /// message per redundant node instead of one message per block. Windows
+    /// of [`ProtocolConfig::pipeline_width`] stripes go through the protocol
+    /// one after another on the calling thread, each round of a window
+    /// carrying all of its stripes' messages.
     ///
     /// Atomicity is per block, exactly as with a loop of
     /// [`Client::write_block`]: the multi-block call itself is not atomic
@@ -432,253 +479,229 @@ impl Client {
         for &(_, value) in writes {
             self.check_size(value)?;
         }
-        let mut by_stripe: BTreeMap<u64, BTreeMap<usize, &[u8]>> = BTreeMap::new();
+        let mut blocks: BTreeMap<(u64, usize), &[u8]> = BTreeMap::new();
         for &(lb, value) in writes {
             let pl = self.cfg.layout.locate(lb);
-            by_stripe.entry(pl.stripe).or_default().insert(pl.index, value);
+            blocks.insert((pl.stripe, pl.index), value);
         }
-        type StripeWork<'v> = (StripeId, Vec<(usize, &'v [u8])>);
-        let work: Vec<StripeWork> = by_stripe
-            .into_iter()
-            .map(|(s, items)| (StripeId(s), items.into_iter().collect()))
-            .collect();
-        let width = self.cfg.pipeline_width.max(1).min(work.len());
-        let next = std::sync::atomic::AtomicUsize::new(0);
-        let first_err: Mutex<Option<ProtocolError>> = Mutex::new(None);
-        let worker = || loop {
-            let w = next.fetch_add(1, Ordering::Relaxed);
-            let Some((s, items)) = work.get(w) else { break };
-            // A failed stripe does not stop the others: atomicity is per
-            // block, and finishing independent stripes leaves the disk
-            // closer to the requested state.
-            if let Err(e) = self.write_stripe_batch(*s, items) {
-                first_err.lock().get_or_insert(e);
-            }
-        };
-        if width <= 1 {
-            worker(); // same closure, on the caller's thread
-        } else {
-            crossbeam::thread::scope(|scope| {
-                for _ in 0..width {
-                    scope.spawn(|_| worker());
-                }
-            })
-            .expect("stripe pipeline worker panicked");
-        }
-        first_err.into_inner().map_or(Ok(()), Err)
+        let items: Vec<WriteItem> =
+            blocks.into_iter().map(|((s, i), v)| (StripeId(s), i, v)).collect();
+        let stripes: Vec<&[WriteItem]> = items.chunk_by(|a, b| a.0 == b.0).collect();
+        // A failed stripe does not stop the others: atomicity is per block,
+        // and finishing independent stripes leaves the disk closer to the
+        // requested state.
+        let width = self.cfg.pipeline_width.max(1);
+        stripes.chunks(width).map(|window| self.write_window(window)).fold(Ok(()), Result::and)
     }
 
-    /// The one `WRITE` engine (Fig. 5): writes data blocks `items` of *one*
-    /// stripe, each `(data index, value)`. Every block runs its own
+    /// The one `WRITE` engine (Fig. 5), over a window of stripes, each a run
+    /// of `(stripe, data index, value)` items. Every block runs its own
     /// [`BlockWrite`] state machine — same `swap`, same classification of
     /// `add` replies, same `checktid` probe, same recovery triggers, same
-    /// outer re-swap attempts whatever the batch size — and this driver
-    /// only decides how their messages travel: one `swap` round over the
-    /// (distinct) data nodes, then `add` rounds in which each redundant
-    /// node receives a single message carrying every block's increment
-    /// ([`Request::Batch`] when there is more than one).
+    /// outer re-swap attempts whatever the window — and this driver only
+    /// decides how their messages travel. The stripes move in lockstep: one
+    /// `swap` round over their (distinct) data nodes, then `add` rounds in
+    /// which each redundant node of a stripe receives a single message
+    /// carrying every block's increment for it ([`Request::Batch`] when
+    /// there is more than one). A round sends the union of the messages its
+    /// stripes would send one at a time, and no message serves two stripes;
+    /// recovery, the GC record and a failure stay per stripe.
     ///
-    /// Under [`UpdateStrategy::Broadcast`] a round with one live block is
-    /// the §3.11 multicast (node-scaled `v − w`, client NIC charged once).
-    /// With several live blocks the increments are client-scaled like the
-    /// other strategies': per-node batches cannot share one payload, and a
-    /// batch already amortizes the per-message cost the multicast saves.
-    fn write_stripe_batch(
-        &self,
-        stripe: StripeId,
-        items: &[(usize, &[u8])],
-    ) -> Result<(), ProtocolError> {
-        let k = self.cfg.k();
-        let n = self.cfg.n();
-        for &(i, _) in items {
-            assert!(i < k, "data index {i} out of range");
+    /// Under [`UpdateStrategy::Broadcast`] a stripe whose round has one live
+    /// block sends its own §3.11 multicast (node-scaled `v − w`, client NIC
+    /// charged once). With several live blocks the increments are
+    /// client-scaled like the other strategies': per-node batches cannot
+    /// share one payload, and a batch already amortizes the per-message
+    /// cost the multicast saves.
+    fn write_window(&self, window: &[&[WriteItem]]) -> Result<(), ProtocolError> {
+        let mut runs: Vec<StripeRun> = Vec::with_capacity(window.len());
+        for &items in window {
+            let (stripe, todo) = (items[0].0, (0..items.len()).collect());
+            let backoff = self.backoff(stripe, 2);
+            runs.push(StripeRun { stripe, items, backoff, todo, pending: Vec::new(), err: None });
         }
-        let mut backoff = self.backoff(stripe, 2);
-        let mut first_err: Option<ProtocolError> = None;
-        // Items (by position) that still need a swap; a block leaves the
-        // list when it is swapped and re-enters only by settling incomplete.
-        let mut todo: Vec<usize> = (0..items.len()).collect();
-        let mut pending: Vec<Pending> = Vec::new();
-
         // Outer `repeat` (Fig. 5 lines 1 and 22), shared across the blocks
         // still unfinished: a fresh swap each attempt.
-        'attempts: for _ in 0..self.cfg.write_attempt_limit {
-            if todo.is_empty() {
+        for _ in 0..self.cfg.write_attempt_limit {
+            if runs.iter().all(|run| run.todo.is_empty()) {
                 break;
             }
             // Swap round: within one stripe, distinct data indices live on
-            // distinct nodes, so this is one message per node — a single
-            // `pfor` round trip for the whole run.
-            let swaps: Vec<(usize, Tid)> = todo
-                .drain(..)
-                .map(|x| {
+            // distinct nodes, so this is one message per (stripe, node) — a
+            // single `pfor` round trip for the whole window. The tid is
+            // drawn before the round: a re-made swap must carry the same
+            // `ntid` (and the same bytes) as the one it replaces.
+            let (mut swaps, mut nodes) = (Vec::new(), Vec::new());
+            for (r, run) in runs.iter_mut().enumerate() {
+                for x in run.todo.drain(..) {
                     let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                    (x, Tid::new(seq, items[x].0, self.id()))
-                })
-                .collect();
-            // The tid is drawn before the round: a re-made swap must carry
-            // the same `ntid` (and the same bytes) as the one it replaces.
-            let nodes: Vec<NodeId> =
-                swaps.iter().map(|&(x, _)| self.node_of(stripe, items[x].0)).collect();
+                    swaps.push((r, x, Tid::new(seq, run.items[x].1, self.id())));
+                    nodes.push(self.node_of(run.stripe, run.items[x].1));
+                }
+            }
             let swap = |c: usize| {
-                let (x, ntid) = swaps[c];
-                Request::Swap { stripe, value: crate::pool::take_copy(items[x].1), ntid }
+                let (r, x, ntid) = swaps[c];
+                let value = crate::pool::take_copy(runs[r].items[x].2);
+                Request::Swap { stripe: runs[r].stripe, value, ntid }
             };
-            for (&(x, ntid), res) in
+            for (&(r, x, ntid), res) in
                 swaps.iter().zip(call_many(&self.endpoint, &self.cfg, &nodes, swap))
             {
+                let (stripe, i, value) = runs[r].items[x];
                 // A swap lost indeterminately may have executed: this
                 // block's write surfaces the error rather than re-sending.
                 let swapped = res.and_then(|reply| match reply {
-                    Reply::Swap(r) => self.settle_swap(stripe, items[x], ntid, r),
+                    Reply::Swap(sr) => self.settle_swap(stripe, (i, value), ntid, sr),
                     other => Err(ProtocolError::unexpected("Reply::Swap", &other)),
                 });
                 match swapped {
-                    Ok(bw) => pending.push(Pending { x, bw, err: None }),
+                    Ok(bw) => runs[r].pending.push(Pending { x, bw, err: None }),
                     Err(e) => {
-                        first_err.get_or_insert(e);
+                        runs[r].err.get_or_insert(e);
                     }
                 }
             }
 
             // Add rounds (Fig. 5 lines 7-21) until every swapped block has
             // settled.
-            while !pending.is_empty() {
-                let limit = self.cfg.order_retry_limit;
-                if self.cfg.strategy == UpdateStrategy::Broadcast && pending.len() == 1 {
-                    let p = &mut pending[0];
-                    let replies = {
-                        let (js, add) = p.bw.multicast_adds(&self.cfg, stripe, items[p.x].1);
-                        self.pfor(stripe, js.iter().copied(), |c| add(js[c]), true)
-                    };
-                    for (j, res) in replies {
-                        p.absorb(j, res, limit);
-                    }
-                } else {
-                    // The hybrid `for h / pfor j ∈ G_h ∩ T` of §4 (serial
-                    // and parallel are its degenerate cases): per strategy
-                    // round, each redundant node gets ONE message carrying
-                    // every live block's increment for it.
-                    for round in self.cfg.strategy.rounds(k, n) {
-                        // (redundant index, the live blocks that owe it an add)
-                        let groups: Vec<(usize, Vec<usize>)> = round
-                            .into_iter()
-                            .filter_map(|j| {
-                                let owes = |p: &Pending| p.live() && p.bw.wants(j);
-                                let want: Vec<usize> =
-                                    (0..pending.len()).filter(|&px| owes(&pending[px])).collect();
-                                (!want.is_empty()).then_some((j, want))
-                            })
-                            .collect();
-                        // Every increment is recomputed from the `v` and
-                        // `w` this round still borrows, should it be re-sent.
-                        let adds = |c: usize| {
-                            let (j, want) = &groups[c];
-                            let add = |&px: &usize| {
-                                let p = &pending[px];
-                                p.bw.add(&self.cfg, stripe, *j, items[p.x].1)
-                            };
-                            batch(want.iter().map(add).collect())
-                        };
-                        let replies = self.pfor(stripe, groups.iter().map(|g| g.0), adds, false);
-                        for ((j, want), (_, res)) in groups.iter().zip(replies) {
-                            match res {
-                                Ok(Reply::Batch(rs)) if rs.len() == want.len() => {
-                                    for (&px, sub) in want.iter().zip(rs) {
-                                        pending[px].absorb(*j, Ok(sub), limit);
-                                    }
-                                }
-                                Ok(reply @ Reply::Add(_)) if want.len() == 1 => {
-                                    pending[want[0]].absorb(*j, Ok(reply), limit);
-                                }
-                                // Adds are not idempotent: an indeterminate
-                                // failure fails every block in this message.
-                                other => {
-                                    let e = ProtocolError::not("Reply::Add or Batch", other);
-                                    for &px in want {
-                                        pending[px].kill(e.clone());
-                                    }
-                                }
+            while runs.iter().any(|run| !run.pending.is_empty()) {
+                self.add_rounds(&mut runs);
+                // Fig. 5 line 13: expired lock, crashed node, or hopeless
+                // ordering on any live block ⇒ run the stripe's recovery,
+                // once. If it fails, so does the stripe's write, and
+                // whatever it still has swapped out goes back to the pool.
+                for run in &mut runs {
+                    if run.pending.iter().any(|p| p.live() && p.bw.needs_recovery()) {
+                        if let Err(e) = self.recover_stripe(run.stripe) {
+                            (run.err, run.todo) = (Some(e), Vec::new());
+                            for p in run.pending.drain(..) {
+                                crate::pool::give(p.bw.finish().2);
                             }
                         }
                     }
                 }
-
-                // Fig. 5 line 13: expired lock, crashed node, or hopeless
-                // ordering on any live block ⇒ run recovery, once.
-                if pending.iter().any(|p| p.live() && p.bw.needs_recovery()) {
-                    if let Err(e) = self.recover_stripe(stripe) {
-                        first_err = Some(e);
-                        break 'attempts;
-                    }
+                self.probe_orders(&mut runs);
+                for run in &mut runs {
+                    run.retire(&self.cfg, &self.gc);
                 }
-                // Fig. 5 lines 15-19, per block: has the predecessor write
-                // been GC'd (completed) or has a done node crashed?
-                let mut any_order = false;
-                for p in pending.iter_mut().filter(|p| p.live()) {
-                    if !p.bw.close_round() {
-                        continue;
-                    }
-                    any_order = true;
-                    let probes = p.bw.checktids(stripe);
-                    let probe = |c: usize| probes[c].1.clone();
-                    for (j, res) in self.pfor(stripe, probes.iter().map(|q| q.0), probe, false) {
-                        match res {
-                            Ok(Reply::CheckTid(r)) => p.bw.on_checktid(j, r),
-                            Ok(r) => p.kill(ProtocolError::unexpected("Reply::CheckTid", &r)),
-                            Err(e) => p.kill(e),
-                        }
-                        if !p.live() {
-                            break;
-                        }
-                    }
-                }
-                if any_order {
-                    backoff.pause(); // "p retries the add after a while" (§3.9)
-                }
-
-                // Retire settled blocks: complete ones are recorded for GC;
-                // incomplete ones with nothing left to try go back on the
-                // list for the next outer attempt's re-swap; failed ones
-                // report their error.
-                let mut rest = Vec::with_capacity(pending.len());
-                for p in pending {
-                    if p.live() && !p.bw.settled() {
-                        rest.push(p);
-                        continue;
-                    }
-                    let complete = p.bw.complete(&self.cfg);
-                    let (ntid, d, old) = p.bw.finish();
-                    // The old block has served its deltas; recycle it for
-                    // the next write's staging buffers.
-                    crate::pool::give(old);
-                    if let Some(e) = p.err {
-                        first_err.get_or_insert(e);
-                    } else if complete {
-                        let mut gc = self.gc.lock();
-                        for j in d {
-                            gc.pending.entry((stripe, j)).or_default().push(ntid);
-                        }
-                    } else {
-                        todo.push(p.x);
-                    }
-                }
-                pending = rest;
             }
         }
-
-        // The one exit: whatever is still swapped out (a failed recovery
-        // aborts mid-round) goes back to the pool.
-        for p in pending {
-            crate::pool::give(p.bw.finish().2);
-        }
-        match first_err {
+        let attempts = self.cfg.write_attempt_limit;
+        let outcome = |run: StripeRun| match run.err {
             Some(e) => Err(e),
-            None if todo.is_empty() => Ok(()),
-            None => Err(ProtocolError::RetriesExhausted {
-                what: "WRITE",
-                attempts: self.cfg.write_attempt_limit,
-            }),
+            None if run.todo.is_empty() => Ok(()),
+            None => Err(ProtocolError::RetriesExhausted { what: "WRITE", attempts }),
+        };
+        runs.into_iter().map(outcome).fold(Ok(()), Result::and)
+    }
+
+    /// One pass of the window's `add` rounds (Fig. 5 lines 7-12): a stripe
+    /// that multicasts sends its broadcast, then the hybrid `for h / pfor
+    /// j ∈ G_h ∩ T` of §4 (serial and parallel are its degenerate cases)
+    /// gives, per strategy round, each redundant node of every other stripe
+    /// ONE message carrying every live block's increment for it.
+    fn add_rounds(&self, runs: &mut [StripeRun]) {
+        let limit = self.cfg.order_retry_limit;
+        let multicast = |run: &StripeRun| {
+            self.cfg.strategy == UpdateStrategy::Broadcast && run.pending.len() == 1
+        };
+        for run in runs.iter_mut().filter(|run| multicast(run)) {
+            let p = &mut run.pending[0];
+            let (targets, replies) = {
+                let (js, add) = p.bw.multicast_adds(&self.cfg, run.stripe, run.items[p.x].2);
+                let targets: Vec<_> = js.iter().map(|&j| (run.stripe, j)).collect();
+                let replies = self.pfor(&targets, |c| add(js[c]), true);
+                (targets, replies)
+            };
+            for ((_, j), res) in targets.into_iter().zip(replies) {
+                p.absorb(j, res, limit);
+            }
+        }
+        for round in self.cfg.strategy.rounds(self.cfg.k(), self.cfg.n()) {
+            // (stripe's run, redundant index, the live blocks that owe it an add)
+            let mut groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+            for (r, run) in runs.iter().enumerate().filter(|(_, run)| !multicast(run)) {
+                for &j in &round {
+                    let owes = |p: &Pending| p.live() && p.bw.wants(j);
+                    let want: Vec<usize> =
+                        (0..run.pending.len()).filter(|&px| owes(&run.pending[px])).collect();
+                    if !want.is_empty() {
+                        groups.push((r, j, want));
+                    }
+                }
+            }
+            let targets: Vec<(StripeId, usize)> =
+                groups.iter().map(|&(r, j, _)| (runs[r].stripe, j)).collect();
+            // Every increment is recomputed from the `v` and `w` this round
+            // still borrows, should it be re-sent.
+            let adds = |c: usize| {
+                let (r, j, want) = &groups[c];
+                let run = &runs[*r];
+                let add = |&px: &usize| {
+                    let p = &run.pending[px];
+                    p.bw.add(&self.cfg, run.stripe, *j, run.items[p.x].2)
+                };
+                batch(want.iter().map(add).collect())
+            };
+            let replies = self.pfor(&targets, adds, false);
+            for ((r, j, want), res) in groups.iter().zip(replies) {
+                let pending = &mut runs[*r].pending;
+                match res {
+                    Ok(Reply::Batch(rs)) if rs.len() == want.len() => {
+                        for (&px, sub) in want.iter().zip(rs) {
+                            pending[px].absorb(*j, Ok(sub), limit);
+                        }
+                    }
+                    Ok(reply @ Reply::Add(_)) if want.len() == 1 => {
+                        pending[want[0]].absorb(*j, Ok(reply), limit);
+                    }
+                    // Adds are not idempotent: an indeterminate failure
+                    // fails every block in this message.
+                    other => {
+                        let e = ProtocolError::not("Reply::Add or Batch", other);
+                        for &px in want {
+                            pending[px].kill(e.clone());
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Fig. 5 lines 15-19, per block: has the predecessor write been GC'd
+    /// (completed) or has a done node crashed? A stripe's blocks that saw
+    /// an ORDER probe one after another, the `b`-th of every stripe in
+    /// round `b`; then the window pauses once, for its longest backoff —
+    /// "p retries the add after a while" (§3.9).
+    fn probe_orders(&self, runs: &mut [StripeRun]) {
+        let close = |p: &mut [Pending]| -> Vec<usize> {
+            (0..p.len()).filter(|&x| p[x].live() && p[x].bw.close_round()).collect()
+        };
+        let ordered: Vec<_> = runs.iter_mut().map(|run| close(&mut run.pending)).collect();
+        for b in 0..ordered.iter().map(Vec::len).max().unwrap_or(0) {
+            // ((run, block), target, probe)
+            let mut probes = Vec::new();
+            for (r, &px) in ordered.iter().enumerate().filter_map(|(r, o)| Some((r, o.get(b)?))) {
+                let stripe = runs[r].stripe;
+                let probe = runs[r].pending[px].bw.checktids(stripe).into_iter();
+                probes.extend(probe.map(|(j, q)| ((r, px), (stripe, j), q)));
+            }
+            let targets: Vec<(StripeId, usize)> = probes.iter().map(|q| q.1).collect();
+            let replies = self.pfor(&targets, |c| probes[c].2.clone(), false);
+            for (((r, px), (_, j), _), res) in probes.into_iter().zip(replies) {
+                let p = &mut runs[r].pending[px];
+                match res {
+                    _ if !p.live() => {} // an earlier probe of this block failed
+                    Ok(Reply::CheckTid(reply)) => p.bw.on_checktid(j, reply),
+                    Ok(reply) => p.kill(ProtocolError::unexpected("Reply::CheckTid", &reply)),
+                    Err(e) => p.kill(e),
+                }
+            }
+        }
+        let pauses = runs.iter_mut().zip(&ordered).filter(|(_, o)| !o.is_empty());
+        let pause = pauses.map(|(run, _)| run.backoff.next_delay()).max().unwrap_or_default();
+        if !pause.is_zero() {
+            std::thread::sleep(pause);
         }
     }
 
@@ -715,38 +738,34 @@ impl Client {
         }
     }
 
-    /// One `pfor` round addressed by in-stripe index: call `c` carries
-    /// `make(c)` (made when sent, as [`call_many`] documents) to the node
-    /// holding index `js[c]` of `stripe`, and every reply comes back paired
-    /// with its index. `multicast` sends the round as the §3.11 broadcast —
-    /// one payload on the client NIC, one unit of the kill budget — with the
-    /// §3.5 remap of crashed targets but none of [`call_many`]'s re-sends.
+    /// One `pfor` round addressed by (stripe, in-stripe index): call `c`
+    /// carries `make(c)` (made when sent, as [`call_many`] documents) to the
+    /// node holding `targets[c]`, and the replies come back in order.
+    /// `multicast` sends the round as the §3.11 broadcast — one payload on
+    /// the client NIC, one unit of the kill budget — with the §3.5 remap of
+    /// crashed targets but none of [`call_many`]'s re-sends.
     fn pfor(
         &self,
-        stripe: StripeId,
-        js: impl Iterator<Item = usize>,
+        targets: &[(StripeId, usize)],
         make: impl Fn(usize) -> Request,
         multicast: bool,
-    ) -> Vec<(usize, Result<Reply, ProtocolError>)> {
-        let js: Vec<usize> = js.collect();
-        if js.is_empty() {
+    ) -> Vec<Result<Reply, ProtocolError>> {
+        if targets.is_empty() {
             return Vec::new(); // an empty round would still pay propagation delay
         }
-        let nodes: Vec<NodeId> = js.iter().map(|&j| self.node_of(stripe, j)).collect();
-        let replies = if multicast {
-            let calls = nodes.iter().enumerate().map(|(c, &node)| (node, make(c))).collect();
-            let resend = |(c, res)| match res {
-                Err(RpcError::NodeDown(_)) if self.cfg.auto_remap => {
-                    self.endpoint.network().remap_node(nodes[c], self.cfg.remap_garbage);
-                    self.endpoint.call(nodes[c], make(c)).map_err(ProtocolError::from)
-                }
-                other => other.map_err(ProtocolError::from),
-            };
-            self.endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
-        } else {
-            call_many(&self.endpoint, &self.cfg, &nodes, make)
+        let nodes: Vec<NodeId> = targets.iter().map(|&(s, j)| self.node_of(s, j)).collect();
+        if !multicast {
+            return call_many(&self.endpoint, &self.cfg, &nodes, make);
+        }
+        let calls = nodes.iter().enumerate().map(|(c, &node)| (node, make(c))).collect();
+        let resend = |(c, res)| match res {
+            Err(RpcError::NodeDown(_)) if self.cfg.auto_remap => {
+                self.endpoint.network().remap_node(nodes[c], self.cfg.remap_garbage);
+                self.endpoint.call(nodes[c], make(c)).map_err(ProtocolError::from)
+            }
+            other => other.map_err(ProtocolError::from),
         };
-        js.into_iter().zip(replies).collect()
+        self.endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
     }
 
     /// Runs recovery for `stripe` until it completes — either by this
@@ -781,15 +800,15 @@ impl Client {
     /// Rebuilds the given stripes with the batched engine (see
     /// [`crate::RebuildReport`]): chunks of stripes are repaired with one
     /// batched lock / state / reconstruct / finalize round per storage
-    /// node, decode plans come from the config's shared cache, and up to
-    /// `cfg.rebuild_width` chunks run concurrently. Healthy stripes are
-    /// probed first and skipped; anything the batched fast path cannot
-    /// settle falls back to serial Fig. 6 recovery.
+    /// node, decode plans come from the config's shared cache, and windows
+    /// of `cfg.rebuild_width` chunks share each round's fan-out. Healthy
+    /// stripes are probed first and skipped; anything the batched fast
+    /// path cannot settle falls back to serial Fig. 6 recovery.
     ///
     /// # Errors
     ///
-    /// The first error from a chunk, after every chunk has run — stripes
-    /// in other chunks are still repaired.
+    /// The first error from a window, after every window has run — stripes
+    /// in other windows are still repaired.
     pub fn rebuild_stripes(&self, stripes: &[StripeId]) -> Result<RebuildReport, ProtocolError> {
         crate::rebuild::rebuild_stripes(self, stripes)
     }
@@ -1207,7 +1226,7 @@ mod tests {
     #[test]
     fn sequence_numbers_are_unique_across_threads() {
         let c = std::sync::Arc::new(client(2, 4));
-        crossbeam_scope_writes(&c);
+        write_from_four_threads(&c);
         // 4 threads x 25 writes: every write got a distinct tid, so the
         // data node's recentlist (pre-GC) holds exactly 100 entries.
         let total: usize = (0..2u64)
@@ -1221,7 +1240,7 @@ mod tests {
         assert_eq!(total, 100);
     }
 
-    fn crossbeam_scope_writes(c: &std::sync::Arc<Client>) {
+    fn write_from_four_threads(c: &std::sync::Arc<Client>) {
         let handles: Vec<_> = (0..4)
             .map(|t| {
                 let c = std::sync::Arc::clone(c);
@@ -1365,8 +1384,8 @@ mod tests {
                 matches!(err, ProtocolError::RetriesExhausted { what: "swap", .. }),
                 "width {width}: {err}"
             );
-            // ...and the second stripe is written all the same, serial
-            // loop or worker pool.
+            // ...and the second stripe is written all the same, in the
+            // next window or in the same one.
             assert_eq!(c.read_block(2).unwrap(), b, "width {width}");
         }
     }

@@ -112,17 +112,17 @@ pub struct ProtocolConfig {
     /// Automatically remap crashed nodes through the directory service
     /// (§3.5) when an RPC finds them down.
     pub auto_remap: bool,
-    /// Maximum stripes a multi-block [`write_blocks`](crate::Client::write_blocks)
-    /// call works on concurrently (bounded scoped-thread pool). Independent
-    /// stripes share no protocol state, so pipelining them only multiplies
-    /// the outstanding-call count — the knob Fig. 9(a) sweeps. `1` disables
-    /// the pool and processes stripes in order, which the deterministic
-    /// chaos harness relies on.
+    /// Stripes a multi-block [`write_blocks`](crate::Client::write_blocks)
+    /// call moves through the protocol together: each round of such a
+    /// window sends the messages of all its stripes in one fan-out, on the
+    /// caller's thread. Independent stripes share no protocol state, so a
+    /// wider window only multiplies the calls outstanding per round. `1`
+    /// writes the stripes one at a time, the message order the seeded
+    /// harnesses' committed shapes were recorded with.
     pub pipeline_width: usize,
-    /// Maximum stripe-chunks a [`rebuild_stripes`](crate::Client::rebuild_stripes)
-    /// call works on concurrently (bounded scoped-thread pool, like
-    /// `pipeline_width` for writes). `1` disables the pool and rebuilds
-    /// chunks in order, which the deterministic chaos harness relies on.
+    /// Stripe-chunks a [`rebuild_stripes`](crate::Client::rebuild_stripes)
+    /// call moves through each batched round together (the windows of
+    /// `pipeline_width`, for the rebuild). `1` rebuilds chunk after chunk.
     pub rebuild_width: usize,
     /// Serve a `READ` whose data node is unavailable by decoding the block
     /// client-side from the other `n − 1` nodes' `get_state` replies — no

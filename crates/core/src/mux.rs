@@ -287,11 +287,14 @@ fn step(
         }
 
         Phase::First(call) => {
-            // A READ ends here; a WRITE's accepted swap opens its add phase.
+            // A READ ends here, done only if the data node returned the
+            // block; a WRITE's accepted swap opens its add phase.
             match c.ep.poll_call(call) {
                 None => return Step::Pending,
-                Some(Ok(_)) if c.is_read(opts) => finish_op(c, op_stats, completed, now),
-                Some(Ok(Reply::Swap(r))) => {
+                Some(Ok(Reply::Read(r))) if c.is_read(opts) && r.block.is_some() => {
+                    finish_op(c, op_stats, completed, now)
+                }
+                Some(Ok(Reply::Swap(r))) if !c.is_read(opts) => {
                     let (stripe, i) = (c.stripe(opts), c.data_index(cfg));
                     let ntid = Tid::new(c.seq, i, c.ep.id());
                     match BlockWrite::new(i, ntid, r, cfg.k(), cfg.n()) {
@@ -320,6 +323,7 @@ fn step(
                         c.phase = Phase::Parked { at: now + c.backoff.next_delay() };
                     }
                 }
+                // Includes a READ's ⊥ (locked or INIT data node): no recovery.
                 Some(Ok(_)) | Some(Err(_)) => abandon_op(c, failed),
             }
             Step::Progress
@@ -599,30 +603,48 @@ mod tests {
 
     #[test]
     fn degraded_cluster_fails_ops_instead_of_livelocking() {
-        // Node 5 is a fresh INIT replacement for every stripe: swaps it
-        // owns are rejected and adds it owes answer `Unavail` forever. The
-        // mux runs no recovery, so those ops must end as failures — the
-        // pre-`BlockWrite` driver parked and resubmitted such an add
-        // without bound and this run never returned.
+        // Node 2 is a fresh INIT replacement for every stripe: swaps it
+        // owns are rejected, adds it owes answer `Unavail` forever, and
+        // reads of its blocks answer ⊥. The mux runs no recovery, so those
+        // ops must end as failures — the pre-`BlockWrite` driver parked and
+        // resubmitted such an add without bound and this run never
+        // returned, and a READ answered ⊥ once counted as completed.
         let cfg = cfg_4_8(32);
-        let net = net_for(&cfg, |_| {});
-        net.remap_node(NodeId(5), 0xA5);
-        let opts = MuxOptions {
-            clients: 4,
-            ops_per_client: 8,
-            read_pct: 0,
-            stripes_per_client: 2,
-            driver_threads: 1,
-        };
-        let (tx, rx) = std::sync::mpsc::channel();
-        std::thread::spawn(move || tx.send(run_mux_workload(&net, &cfg, &opts)));
-        let report = rx
-            .recv_timeout(Duration::from_secs(30))
-            .expect("a mux run on a degraded cluster must terminate");
-        assert_eq!(report.completed_ops + report.failed_ops, 4 * 8);
-        assert!(report.failed_ops > 0, "ops touching the INIT node must fail");
-        assert!(report.completed_ops > 0, "ops clear of it still complete");
-        assert_eq!(report.busy_exhausted, 0, "not a backpressure failure");
+        let (clients, ops_per_client, stripes_per_client) = (4, 8, 2);
+        for read_pct in [0, 100] {
+            let net = net_for(&cfg, |_| {});
+            let remapped = NodeId(2);
+            net.remap_node(remapped, 0xA5);
+            let opts = MuxOptions {
+                clients,
+                ops_per_client,
+                read_pct,
+                stripes_per_client,
+                driver_threads: 1,
+            };
+            let (tx, rx) = std::sync::mpsc::channel();
+            let (run_cfg, run_opts) = (cfg.clone(), opts.clone());
+            std::thread::spawn(move || tx.send(run_mux_workload(&net, &run_cfg, &run_opts)));
+            let report = rx
+                .recv_timeout(Duration::from_secs(30))
+                .expect("a mux run on a degraded cluster must terminate");
+            let row = format!("read_pct {read_pct}");
+            assert_eq!(report.completed_ops + report.failed_ops, 4 * 8, "{row}");
+            assert!(report.failed_ops > 0, "{row}: ops touching the INIT node must fail");
+            assert!(report.completed_ops > 0, "{row}: ops clear of it still complete");
+            assert_eq!(report.busy_exhausted, 0, "{row}: not a backpressure failure");
+            if read_pct == 100 {
+                // Exactly the reads whose data block lives on the INIT node.
+                let on_remapped = (0..clients as u64)
+                    .flat_map(|c| (0..ops_per_client).map(move |op| (c, op)))
+                    .filter(|&(c, op)| {
+                        let stripe = c * stripes_per_client + op as u64 % stripes_per_client;
+                        node_of(&cfg, StripeId(stripe), op % cfg.k()) == remapped
+                    })
+                    .count() as u64;
+                assert_eq!(report.failed_ops, on_remapped, "{row}");
+            }
+        }
     }
 
     #[test]

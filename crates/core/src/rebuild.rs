@@ -1,4 +1,4 @@
-//! The parallel stripe-rebuild engine: bulk recovery after a node failure.
+//! The batched stripe-rebuild engine: bulk recovery after a node failure.
 //!
 //! Fig. 6 recovery repairs one stripe at a time with ~5 serial rounds of
 //! per-node RPCs — correct, but painfully slow for the common bulk case: a
@@ -7,13 +7,14 @@
 //! rest of the stripe sits quietly in `NORM`. This module batches that
 //! case aggressively:
 //!
-//! * stripes are processed in chunks of [`REBUILD_CHUNK`], and up to
-//!   `cfg.rebuild_width` chunks run concurrently on a scoped thread pool
-//!   (same shape as the client's write pipelining);
-//! * within a chunk, each protocol round (probe, `TryLock`, `GetState`,
-//!   `Reconstruct`, `Finalize`) sends **one batched message per storage
-//!   node** covering every stripe in the chunk — per-stripe round trips
-//!   collapse to per-node round trips;
+//! * stripes are processed in chunks of [`REBUILD_CHUNK`]: each protocol
+//!   round (probe, `TryLock`, `GetState`, `Reconstruct`, `Finalize`) sends
+//!   **one batched message per storage node** covering every stripe in the
+//!   chunk — per-stripe round trips collapse to per-node round trips;
+//! * windows of `cfg.rebuild_width` chunks move through those rounds in
+//!   lockstep on the calling thread (the shape of the client's write
+//!   windows): a round's fan-out carries every chunk's messages, so the
+//!   chunks overlap their round trips without a thread each;
 //! * decode plans come from the config's shared [`ajx_erasure::PlanCache`]
 //!   (the Vandermonde inversion for "everyone but node X" happens once,
 //!   not once per stripe) and all scratch goes through the thread-local
@@ -33,9 +34,7 @@ use crate::client::Client;
 use crate::error::ProtocolError;
 use crate::rpc::{call_groups, expect_reply, unbatch};
 use ajx_storage::{Epoch, GetStateReply, LMode, NodeId, OpMode, Reply, Request, StripeId};
-use parking_lot::Mutex;
 use std::collections::{BTreeMap, BTreeSet};
-use std::sync::atomic::{AtomicUsize, Ordering};
 
 /// Stripes per batched round: bounds peak memory (a chunk keeps up to
 /// `REBUILD_CHUNK × n` blocks alive in its reconstruct round) while
@@ -88,53 +87,28 @@ pub(crate) fn rebuild_stripes(
     Ok(report)
 }
 
+/// Runs the stripes through [`rebuild_window`] in windows of
+/// `cfg.rebuild_width` chunks, one after another on the calling thread;
+/// every window runs, then the first error is the result.
 fn rebuild_all_chunks(
     client: &Client,
     stripes: &[StripeId],
 ) -> Result<RebuildReport, ProtocolError> {
-    let chunks: Vec<&[StripeId]> = stripes.chunks(REBUILD_CHUNK).collect();
-    let width = client.config().rebuild_width.max(1).min(chunks.len());
-    if width <= 1 {
-        let mut report = RebuildReport::default();
-        let mut first_err: Option<ProtocolError> = None;
-        for chunk in &chunks {
-            match rebuild_chunk(client, chunk) {
-                Ok(r) => report.absorb(r),
-                Err(e) => first_err = first_err.or(Some(e)),
-            }
-        }
-        return match first_err {
-            Some(e) => Err(e),
-            None => Ok(report),
-        };
+    let window = REBUILD_CHUNK * client.config().rebuild_width.max(1);
+    let reports: Vec<_> = stripes.chunks(window).map(|w| rebuild_window(client, w)).collect();
+    let mut report = RebuildReport::default();
+    for r in reports {
+        report.absorb(r?);
     }
-    let next = AtomicUsize::new(0);
-    let report: Mutex<RebuildReport> = Mutex::new(RebuildReport::default());
-    let first_err: Mutex<Option<ProtocolError>> = Mutex::new(None);
-    crossbeam::thread::scope(|scope| {
-        for _ in 0..width {
-            scope.spawn(|_| loop {
-                let w = next.fetch_add(1, Ordering::Relaxed);
-                let Some(chunk) = chunks.get(w) else { break };
-                match rebuild_chunk(client, chunk) {
-                    Ok(r) => report.lock().absorb(r),
-                    Err(e) => {
-                        let mut slot = first_err.lock();
-                        slot.get_or_insert(e);
-                    }
-                }
-            });
-        }
-    })
-    .expect("rebuild worker panicked");
-    match first_err.into_inner() {
-        Some(e) => Err(e),
-        None => Ok(report.into_inner()),
-    }
+    Ok(report)
 }
 
-/// Repairs one chunk of stripes with batched per-node rounds.
-fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, ProtocolError> {
+/// Repairs a window of stripes with batched per-node rounds. The window's
+/// chunks move in lockstep: each round sends, in one fan-out, the messages
+/// every chunk would send alone — one batched message per (chunk, storage
+/// node), since [`group_by_node`] keys by both. A malformed reply ends the
+/// window with its error.
+fn rebuild_window(client: &Client, window: &[StripeId]) -> Result<RebuildReport, ProtocolError> {
     let cfg = client.config();
     let endpoint = client.endpoint();
     let caller = client.id();
@@ -142,7 +116,7 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     let k = cfg.k();
     let node_of = |s: StripeId, t: usize| NodeId(cfg.layout.node_for(s.0, t) as u32);
     let mut report = RebuildReport {
-        stripes: chunk.len(),
+        stripes: window.len(),
         ..RebuildReport::default()
     };
     let mut fallback: BTreeSet<usize> = BTreeSet::new();
@@ -150,13 +124,11 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     // ---- Probe round: find the stripes that actually need work. --------
     // One batched Probe per storage node; a stripe is healthy only if all
     // n of its blocks report NORM and unlocked.
-    let mut needs = vec![false; chunk.len()];
+    let mut needs = vec![false; window.len()];
     {
-        let pairs: Vec<(usize, usize)> = (0..chunk.len())
-            .flat_map(|x| (0..n).map(move |t| (x, t)))
-            .collect();
-        let groups = group_by_node(chunk, pairs, node_of);
-        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::Probe { stripe: chunk[x] });
+        let pairs = (0..window.len()).flat_map(|x| (0..n).map(move |t| (x, t)));
+        let groups = group_by_node(window, pairs, node_of);
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::Probe { stripe: window[x] });
         for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
                 Ok(reply) => {
@@ -181,21 +153,21 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
         }
     }
     report.skipped = needs.iter().filter(|&&b| !b).count();
-    let mut live: Vec<usize> = (0..chunk.len()).filter(|&x| needs[x]).collect();
+    let mut live: Vec<usize> = (0..window.len()).filter(|&x| needs[x]).collect();
 
     // ---- Phase 1: batched TryLock L1, strictly in index order. ----------
     // Index order across stripes' blocks is what keeps concurrent
     // recoveries deadlock-free (Fig. 6); batching per node *within* one
     // index round preserves it, since every live stripe's t-th lock is
     // acquired before any (t+1)-th is attempted.
-    let mut acquired: Vec<Vec<(usize, LMode)>> = vec![Vec::new(); chunk.len()];
+    let mut acquired: Vec<Vec<(usize, LMode)>> = vec![Vec::new(); window.len()];
     for t in 0..n {
         if live.is_empty() {
             break;
         }
-        let groups = group_by_node(chunk, live.iter().map(|&x| (x, t)).collect(), node_of);
+        let groups = group_by_node(window, live.iter().map(|&x| (x, t)), node_of);
         let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::TryLock {
-            stripe: chunk[x],
+            stripe: window[x],
             lm: LMode::L1,
             caller,
         });
@@ -224,13 +196,11 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
         // modes (Fig. 6 line 5) — batched per node, best-effort: the race
         // winner's finalize or our own fallback supersedes a lost restore.
         if !lost.is_empty() {
-            let mut rel: BTreeMap<NodeId, Vec<(StripeId, LMode)>> = BTreeMap::new();
-            for &x in &lost {
-                for (l, old) in acquired[x].drain(..) {
-                    rel.entry(node_of(chunk[x], l)).or_default().push((chunk[x], old));
-                }
-            }
-            let rels: Vec<_> = rel.into_iter().collect();
+            let rels = group(lost.iter().flat_map(|&x| {
+                let acquired = std::mem::take(&mut acquired[x]);
+                let stripe = window[x];
+                acquired.into_iter().map(move |(l, old)| (x, node_of(stripe, l), (stripe, old)))
+            }));
             let _ = call_groups(endpoint, cfg, &rels, |&(stripe, lm)| Request::SetLock {
                 stripe,
                 lm,
@@ -248,17 +218,14 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     // `GetMeta` carries the tid bookkeeping, opmode, and epoch of every
     // block but **no block content** — the node neither sends nor copies
     // it — and the states are frozen under the L1 locks.
-    let mut states: Vec<Vec<Option<GetStateReply>>> = vec![vec![]; chunk.len()];
+    let mut states: Vec<Vec<Option<GetStateReply>>> = vec![vec![]; window.len()];
     for &x in &live {
         states[x] = (0..n).map(|_| None).collect();
     }
     if !live.is_empty() {
-        let pairs: Vec<(usize, usize)> = live
-            .iter()
-            .flat_map(|&x| (0..n).map(move |t| (x, t)))
-            .collect();
-        let groups = group_by_node(chunk, pairs, node_of);
-        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::GetMeta { stripe: chunk[x] });
+        let pairs = live.iter().flat_map(|&x| (0..n).map(move |t| (x, t)));
+        let groups = group_by_node(window, pairs, node_of);
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::GetMeta { stripe: window[x] });
         let mut dropped: BTreeSet<usize> = BTreeSet::new();
         for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
@@ -335,16 +302,12 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     // ---- Phase 2b: fetch blocks only from the union of repair shares. ---
     let mut blocks: BTreeMap<(usize, usize), Vec<u8>> = BTreeMap::new();
     if !jobs.is_empty() {
-        let pairs: Vec<(usize, usize)> = jobs
-            .iter()
-            .flat_map(|job| {
-                let fetch: BTreeSet<usize> =
-                    job.plans.iter().flat_map(|p| p.indices()).collect();
-                fetch.into_iter().map(move |t| (job.x, t))
-            })
-            .collect();
-        let groups = group_by_node(chunk, pairs, node_of);
-        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::GetState { stripe: chunk[x] });
+        let pairs = jobs.iter().flat_map(|job| {
+            let fetch: BTreeSet<usize> = job.plans.iter().flat_map(|p| p.indices()).collect();
+            fetch.into_iter().map(move |t| (job.x, t))
+        });
+        let groups = group_by_node(window, pairs, node_of);
+        let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::GetState { stripe: window[x] });
         let mut dropped: BTreeSet<usize> = BTreeSet::new();
         for ((_, xs), res) in groups.iter().zip(replies) {
             match res {
@@ -381,7 +344,7 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     {
         // The decoded blocks stay here for the round: a `Reconstruct` is
         // idempotent, so a timeout re-sends it, re-made from its block.
-        let mut by_node: BTreeMap<NodeId, Vec<(&FastJob, Vec<u8>)>> = BTreeMap::new();
+        let mut by_node: BTreeMap<(usize, NodeId), Vec<_>> = BTreeMap::new();
         let mut bad: BTreeSet<usize> = BTreeSet::new();
         for job in &jobs {
             epochs.insert(job.x, job.epoch);
@@ -399,10 +362,8 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
                     bad.insert(job.x);
                     break;
                 }
-                by_node
-                    .entry(node_of(chunk[job.x], plan.lost()))
-                    .or_default()
-                    .push((job, out));
+                let node = node_of(window[job.x], plan.lost());
+                by_node.entry((job.x / REBUILD_CHUNK, node)).or_default().push((job, out));
             }
         }
         for b in blocks.into_values() {
@@ -418,9 +379,10 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
             }
             fallback.extend(bad);
         }
-        let groups: Vec<_> = by_node.into_iter().collect();
+        let groups: Vec<_> =
+            by_node.into_iter().map(|((_, node), members)| (node, members)).collect();
         let replies = call_groups(endpoint, cfg, &groups, |(job, block)| Request::Reconstruct {
-            stripe: chunk[job.x],
+            stripe: window[job.x],
             cset: job.cset.clone(),
             block: crate::pool::take_copy(block),
         });
@@ -445,13 +407,10 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
         }
     }
     {
-        let finalizable: Vec<(usize, usize)> = alive
-            .iter()
-            .flat_map(|&x| (0..n).map(move |t| (x, t)))
-            .collect();
-        let groups = group_by_node(chunk, finalizable, node_of);
+        let finalizable = alive.iter().flat_map(|&x| (0..n).map(move |t| (x, t)));
+        let groups = group_by_node(window, finalizable, node_of);
         let replies = call_groups(endpoint, cfg, &groups, |&(x, _)| Request::Finalize {
-            stripe: chunk[x],
+            stripe: window[x],
             epoch: epochs[&x].next(),
         });
         for ((_, xs), res) in groups.iter().zip(replies) {
@@ -477,7 +436,7 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     // ---- Serial fallback: full Fig. 6 recovery, one stripe at a time. ---
     let mut first_err: Option<ProtocolError> = None;
     for &x in &fallback {
-        match client.recover_stripe(chunk[x]) {
+        match client.recover_stripe(window[x]) {
             Ok(()) => report.recovered += 1,
             Err(e) => first_err = first_err.or(Some(e)),
         }
@@ -488,16 +447,23 @@ fn rebuild_chunk(client: &Client, chunk: &[StripeId]) -> Result<RebuildReport, P
     }
 }
 
-/// Groups per-stripe work items `(chunk index, in-stripe index)` by the
-/// storage node that owns them, deterministically (BTreeMap order).
+/// Groups per-stripe work items `(window index, in-stripe index)` by the
+/// storage node that owns them, one group per chunk and node.
 fn group_by_node(
-    chunk: &[StripeId],
-    pairs: Vec<(usize, usize)>,
+    window: &[StripeId],
+    pairs: impl Iterator<Item = (usize, usize)>,
     node_of: impl Fn(StripeId, usize) -> NodeId,
 ) -> Vec<(NodeId, Vec<(usize, usize)>)> {
-    let mut by_node: BTreeMap<NodeId, Vec<(usize, usize)>> = BTreeMap::new();
-    for (x, t) in pairs {
-        by_node.entry(node_of(chunk[x], t)).or_default().push((x, t));
+    group(pairs.map(|(x, t)| (x, node_of(window[x], t), (x, t))))
+}
+
+/// Groups `(window index, node, item)` by chunk and node, deterministically
+/// (BTreeMap order): a node gets one message per chunk and round, as it did
+/// when every chunk ran alone.
+fn group<T>(items: impl Iterator<Item = (usize, NodeId, T)>) -> Vec<(NodeId, Vec<T>)> {
+    let mut by_node: BTreeMap<(usize, NodeId), Vec<T>> = BTreeMap::new();
+    for (x, node, item) in items {
+        by_node.entry((x / REBUILD_CHUNK, node)).or_default().push(item);
     }
-    by_node.into_iter().collect()
+    by_node.into_iter().map(|((_, node), items)| (node, items)).collect()
 }

@@ -36,5 +36,5 @@ mod model;
 mod params;
 
 pub use engine::{Chain, Engine, ResourceId, Step};
-pub use model::{run, SimConfig, SimReport, SimStrategy, SimWorkload};
+pub use model::{run, SimConfig, SimReport, SimWorkload};
 pub use params::SimParams;

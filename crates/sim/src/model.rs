@@ -12,26 +12,9 @@
 
 use crate::engine::{Chain, Engine, ResourceId, Step};
 use crate::params::SimParams;
+use ajx_core::UpdateStrategy;
 use rand::{Rng, SeedableRng};
 use serde::{Deserialize, Serialize};
-
-/// Redundant-update strategy in the simulator (mirrors
-/// `ajx_core::UpdateStrategy`, duplicated here so the simulator has no
-/// dependency cycle).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum SimStrategy {
-    /// One `add` RPC at a time.
-    Serial,
-    /// All `add`s in parallel (AJX-par).
-    Parallel,
-    /// `groups` serial rounds of parallel adds.
-    Hybrid {
-        /// Number of serial rounds.
-        groups: usize,
-    },
-    /// Multicast `v − w` once; nodes do the `α` multiply (AJX-bcast).
-    Broadcast,
-}
 
 /// What the simulated clients do.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -61,7 +44,7 @@ pub struct SimConfig {
     /// Outstanding requests (worker threads) per client.
     pub threads_per_client: usize,
     /// Update strategy for writes.
-    pub strategy: SimStrategy,
+    pub strategy: UpdateStrategy,
     /// Operation mix.
     pub workload: SimWorkload,
     /// Stripe space operations spread over (rotation spreads node load).
@@ -81,7 +64,7 @@ impl SimConfig {
             n,
             n_clients,
             threads_per_client: 16,
-            strategy: SimStrategy::Parallel,
+            strategy: UpdateStrategy::Parallel,
             workload: SimWorkload::Write,
             stripes: 1024,
             ops_per_thread: 50,
@@ -196,7 +179,7 @@ pub fn run(cfg: &SimConfig) -> SimReport {
                 // Swap done: launch the redundant updates (or finish if p = 0).
                 if ctx.rounds.is_empty() {
                     finish_op(engine, cfg, &res, ctx, token, now, &mut total_ops);
-                } else if cfg.strategy == SimStrategy::Broadcast {
+                } else if cfg.strategy == UpdateStrategy::Broadcast {
                     ctx.phase = Phase::BcastSend;
                     let chain = bcast_send_chain(cfg, &res, ctx);
                     engine.spawn_group(vec![chain], token);
@@ -299,38 +282,16 @@ fn start_next_op(
         engine.spawn_group(vec![read_chain(cfg, res, ctx)], token);
         return;
     }
-    // A write: swap first.
-    ctx.rounds = write_rounds(cfg);
-    match cfg.strategy {
-        SimStrategy::Broadcast if !ctx.rounds.is_empty() => {
-            // Swap, then a broadcast send, then deliveries. We fold the
-            // swap and the broadcast send decision into phases.
-            ctx.phase = Phase::Swap;
-        }
-        _ => ctx.phase = Phase::Swap,
-    }
+    // A write: swap first (under Broadcast, the broadcast send and its
+    // deliveries follow as phases of their own).
+    ctx.rounds = cfg.strategy.rounds(cfg.k, cfg.n);
+    ctx.phase = Phase::Swap;
     engine.spawn_group(vec![swap_chain(cfg, res, ctx)], token);
 }
 
 /// Node hosting in-stripe block `t` of `stripe` (the §3.11 rotation).
 fn node_of(cfg: &SimConfig, stripe: u64, t: usize) -> usize {
     ((t as u64 + stripe) % cfg.n as u64) as usize
-}
-
-/// The redundant in-stripe indices grouped into serial rounds.
-fn write_rounds(cfg: &SimConfig) -> Vec<Vec<usize>> {
-    let all: Vec<usize> = (cfg.k..cfg.n).collect();
-    if all.is_empty() {
-        return vec![];
-    }
-    match cfg.strategy {
-        SimStrategy::Serial => all.into_iter().map(|j| vec![j]).collect(),
-        SimStrategy::Parallel | SimStrategy::Broadcast => vec![all],
-        SimStrategy::Hybrid { groups } => {
-            let r = all.len().div_ceil(groups.max(1));
-            all.chunks(r.max(1)).map(<[usize]>::to_vec).collect()
-        }
-    }
 }
 
 #[allow(clippy::too_many_arguments)] // one arg per modeled resource/cost
@@ -514,7 +475,7 @@ mod tests {
         par.threads_per_client = 1; // isolate latency from queuing
         par.ops_per_thread = 50;
         let mut ser = par.clone();
-        ser.strategy = SimStrategy::Serial;
+        ser.strategy = UpdateStrategy::Serial;
         let l_par = run(&par).mean_latency_us;
         let l_ser = run(&ser).mean_latency_us;
         assert!(
@@ -531,7 +492,7 @@ mod tests {
         base.threads_per_client = 32;
         base.ops_per_thread = 40;
         let mut bc = base.clone();
-        bc.strategy = SimStrategy::Broadcast;
+        bc.strategy = UpdateStrategy::Broadcast;
         let plain = run(&base);
         let bcast = run(&bc);
         assert!(
@@ -569,9 +530,9 @@ mod tests {
         base.threads_per_client = 1;
         base.ops_per_thread = 30;
         let mut ser = base.clone();
-        ser.strategy = SimStrategy::Serial;
+        ser.strategy = UpdateStrategy::Serial;
         let mut hyb = base.clone();
-        hyb.strategy = SimStrategy::Hybrid { groups: 2 };
+        hyb.strategy = UpdateStrategy::Hybrid { groups: 2 };
         let l_par = run(&base).mean_latency_us;
         let l_hyb = run(&hyb).mean_latency_us;
         let l_ser = run(&ser).mean_latency_us;

@@ -1318,9 +1318,9 @@ mod tests {
             ..NetworkConfig::default()
         });
         let clients: Vec<_> = (0..2).map(|i| net.client(ClientId(i + 1))).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (ci, c) in clients.iter().enumerate() {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..200u64 {
                         let fill = ((ci as u8 + 1) * 7) ^ (i as u8);
                         let reply = c
@@ -1346,8 +1346,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
     }
 
     #[test]
@@ -1396,10 +1395,10 @@ mod tests {
         });
         let client = Arc::new(net.client(ClientId(1)));
         let ops = 500u32;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for t in 0..8u32 {
                 let client = Arc::clone(&client);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..ops {
                         let node = NodeId((t + i) % 4);
                         client
@@ -1408,8 +1407,7 @@ mod tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(client.stats().snapshot().round_trips as u32, 8 * ops);
     }
 }
@@ -1914,9 +1912,9 @@ mod reactor_tests {
             ..NetworkConfig::default()
         });
         let clients: Vec<_> = (0..4).map(|i| net.client(ClientId(i))).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (t, c) in clients.iter().enumerate() {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // Stripe t → shard t for every client: disjoint shards.
                     for i in 0..200u64 {
                         c.call(
@@ -1934,8 +1932,7 @@ mod reactor_tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         net.with_node(NodeId(0), |n| {
             assert_eq!(
                 n.contended_shard_locks(),
@@ -2288,9 +2285,9 @@ mod server_thread_tests {
             ..NetworkConfig::default()
         });
         let clients: Vec<_> = (0..4).map(|i| net.client(ClientId(i))).collect();
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for c in &clients {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in 0..100u64 {
                         c.call(
                             NodeId((i % 2) as u32),
@@ -2300,8 +2297,7 @@ mod server_thread_tests {
                     }
                 });
             }
-        })
-        .unwrap();
+        });
         assert_eq!(net.stats().snapshot().msgs_sent, 400);
     }
 
@@ -2315,17 +2311,16 @@ mod server_thread_tests {
         let client = net.client(ClientId(1));
         // Race a crash against a burst of calls: every call must resolve to
         // either a successful reply or NodeDown — never hang.
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             let net2 = &net;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 std::thread::yield_now();
                 net2.crash_node(NodeId(0));
             });
             for _ in 0..50 {
                 let _ = client.call(NodeId(0), Request::Read { stripe: StripeId(0) });
             }
-        })
-        .unwrap();
+        });
         assert!(!net.node_is_up(NodeId(0)));
     }
 }

@@ -12,10 +12,15 @@
 //! 3. **Fault tolerance** — the deterministic chaos harness driven through
 //!    the batched path (`max_run > 1`) has zero regularity violations and
 //!    byte-identical traces across reruns, for several seeds.
+//! 4. **Windows** — `write_blocks` and `rebuild_stripes` moving several
+//!    stripes (chunks) through each round send exactly the messages of
+//!    one at a time and leave the same state, and, driven by one thread,
+//!    replay byte-identically on a lossy network.
 
 use ajx_cluster::{run_chaos, ChaosOptions, Cluster};
-use ajx_core::ProtocolConfig;
-use ajx_storage::StripeId;
+use ajx_core::{ProtocolConfig, UpdateStrategy};
+use ajx_storage::{NodeId, StripeId};
+use ajx_transport::{LinkFaults, NetSnapshot, NetworkConfig};
 use proptest::prelude::*;
 use std::time::Duration;
 
@@ -193,5 +198,140 @@ fn batched_chaos_soak_is_clean_and_deterministic_across_seeds() {
         );
         assert_eq!(a.ops_ok, b.ops_ok);
         assert_eq!(a.writes_indeterminate, b.writes_indeterminate);
+    }
+}
+
+// ---------------------------------------------------------------------------
+// 4. Windows: the same messages and state at any width, and replays
+// ---------------------------------------------------------------------------
+
+/// Every block of every stripe, as `Cluster::raw_stripe` reads them.
+type Contents = Vec<Vec<Option<Vec<u8>>>>;
+
+/// What a run leaves behind that its width must not change.
+#[derive(Debug, PartialEq)]
+struct WindowRun {
+    /// `msgs_sent`, `bytes_sent`, `round_trips` of the 64-block write.
+    write: (u64, u64, u64),
+    rebuild: ajx_core::RebuildReport,
+    /// After the rebuild.
+    contents: Contents,
+}
+
+fn counts(spent: NetSnapshot) -> (u64, u64, u64) {
+    (spent.msgs_sent, spent.bytes_sent, spent.round_trips)
+}
+
+/// 4-of-8 at `width`: a 64-block `write_blocks` over 12 full stripes and
+/// 16 one-block stripes (the multicast case under Broadcast), then 100
+/// stripes written, node 3 lost, and `rebuild_node` over four chunks.
+fn window_run(strategy: UpdateStrategy, width: usize) -> WindowRun {
+    const STRIPES: u64 = 100;
+    let mut cfg = ProtocolConfig::new(4, 8, 64).unwrap();
+    cfg.strategy = strategy;
+    cfg.pipeline_width = width;
+    cfg.rebuild_width = width;
+    let c = Cluster::new(cfg, 1);
+    let client = c.client(0);
+    let value = |lb: u64| vec![(lb * 7 % 251) as u8 + 1; 64];
+    let lbs: Vec<u64> = (0..48).chain((12..28).map(|s| s * 4 + s % 4)).collect();
+    let values: Vec<Vec<u8>> = lbs.iter().map(|&lb| value(lb)).collect();
+    let writes: Vec<(u64, &[u8])> =
+        lbs.iter().zip(&values).map(|(&lb, v)| (lb, v.as_slice())).collect();
+    let before = client.endpoint().stats().snapshot();
+    client.write_blocks(&writes).unwrap();
+    let write = counts(client.endpoint().stats().snapshot().since(&before));
+
+    let rest: Vec<Vec<u8>> = (0..STRIPES * 4).map(|lb| value(lb + 1000)).collect();
+    let writes: Vec<(u64, &[u8])> =
+        rest.iter().enumerate().map(|(lb, v)| (lb as u64, v.as_slice())).collect();
+    client.write_blocks(&writes).unwrap();
+    c.crash_storage_node(NodeId(3));
+    let rebuild = client.rebuild_node(NodeId(3), STRIPES).unwrap();
+    assert_eq!(rebuild.rebuilt, STRIPES as usize, "{strategy:?} at width {width}");
+    let contents = (0..STRIPES).map(|s| c.raw_stripe(StripeId(s))).collect();
+    for s in 0..STRIPES {
+        assert!(c.stripe_is_consistent(StripeId(s)), "{strategy:?} at width {width}: stripe {s}");
+    }
+    WindowRun { write, rebuild, contents }
+}
+
+#[test]
+fn windows_send_the_messages_of_one_stripe_at_a_time() {
+    let strategies = [
+        UpdateStrategy::Serial,
+        UpdateStrategy::Parallel,
+        UpdateStrategy::Hybrid { groups: 2 },
+        UpdateStrategy::Broadcast,
+    ];
+    for strategy in strategies {
+        let one = window_run(strategy, 1);
+        assert_eq!(window_run(strategy, 8), one, "{strategy:?}: width 8 against width 1");
+    }
+}
+
+/// What a seeded lossy run must replay.
+#[derive(Debug, PartialEq)]
+struct LossyRun {
+    trace: Vec<String>,
+    /// The write's and the rebuild's results.
+    outcome: String,
+    /// `msgs_sent`, `bytes_sent`, `round_trips` of the whole run.
+    counts: (u64, u64, u64),
+    contents: Contents,
+}
+
+/// One seeded lossy run at window 4: `write_blocks` over 40 stripes of a
+/// 2-of-4 code, node 1 lost, `rebuild_stripes` over two chunks.
+fn lossy_window_run(seed: u64) -> LossyRun {
+    const STRIPES: u64 = 40;
+    let mut cfg = ProtocolConfig::new(2, 4, 32).unwrap();
+    cfg.pipeline_width = 4;
+    cfg.rebuild_width = 4;
+    cfg.busy_retry_limit = 24;
+    cfg.backoff.base = Duration::from_micros(20);
+    cfg.backoff.cap = Duration::from_micros(500);
+    let c = Cluster::with_network(
+        cfg,
+        1,
+        NetworkConfig {
+            server_threads: 1,
+            call_timeout: Some(Duration::from_millis(100)),
+            ..NetworkConfig::default()
+        },
+    );
+    let faults = c.network().faults();
+    faults.set_seed(seed);
+    faults.set_default_link(LinkFaults {
+        drop_req: 0.02,
+        drop_reply: 0.02,
+        dup_req: 0.02,
+        ..LinkFaults::default()
+    });
+    faults.set_tracing(true);
+    let client = c.client(0);
+    let values: Vec<Vec<u8>> = (0..STRIPES * 2).map(|lb| vec![lb as u8 ^ 0x3C; 32]).collect();
+    let writes: Vec<(u64, &[u8])> =
+        values.iter().enumerate().map(|(lb, v)| (lb as u64, v.as_slice())).collect();
+    let wrote = client.write_blocks(&writes);
+    c.crash_storage_node(NodeId(1));
+    let stripes: Vec<StripeId> = (0..STRIPES).map(StripeId).collect();
+    let rebuilt = client.rebuild_stripes(&stripes);
+    LossyRun {
+        trace: faults.take_trace(),
+        outcome: format!("{wrote:?} {rebuilt:?}"),
+        counts: counts(client.endpoint().stats().snapshot()),
+        contents: stripes.iter().map(|&s| c.raw_stripe(s)).collect(),
+    }
+}
+
+#[test]
+fn a_window_replays_byte_identically_on_a_lossy_network() {
+    for seed in [0x5EED_0005u64, 0x5EED_0004] {
+        let a = lossy_window_run(seed);
+        assert!(a.trace.iter().any(|l| l.contains("drop")), "seed {seed:#x}: faults were injected");
+        let b = lossy_window_run(seed);
+        assert_eq!(a.trace, b.trace, "seed {seed:#x}: fault traces");
+        assert_eq!(a, b, "seed {seed:#x}: outcomes, counters and contents");
     }
 }

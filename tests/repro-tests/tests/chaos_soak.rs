@@ -215,11 +215,11 @@ fn mid_rebuild_client_crash_hands_off_to_a_successor() {
     // Kill the rebuilder (client 0) a couple dozen RPCs into the rebuild —
     // deep enough to have taken locks, before the job is done.
     let detect = cluster.kill_client_after(0, 20);
-    let rebuild_outcome = crossbeam::thread::scope(|s| {
+    let rebuild_outcome = std::thread::scope(|s| {
         for c in 1..3usize {
             let cluster = Arc::clone(&cluster);
             let expected = &expected;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let client = cluster.client(c);
                 for round in 0..40u64 {
                     let lb = (round * 5 + c as u64) % BLOCKS;
@@ -234,11 +234,10 @@ fn mid_rebuild_client_crash_hands_off_to_a_successor() {
             });
         }
         let cluster = Arc::clone(&cluster);
-        s.spawn(move |_| cluster.client(0).rebuild_node(NodeId(1), STRIPES))
+        s.spawn(move || cluster.client(0).rebuild_node(NodeId(1), STRIPES))
             .join()
             .unwrap()
-    })
-    .unwrap();
+    });
     assert!(
         rebuild_outcome.is_err(),
         "the killed rebuilder must not report success: {rebuild_outcome:?}"
@@ -286,11 +285,11 @@ fn concurrent_soak_under_faults_stays_regular() {
     });
 
     let rec: Arc<Recorder<u8>> = Recorder::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for c in 0..CLIENTS {
             let cluster = Arc::clone(&cluster);
             let rec = Arc::clone(&rec);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let client = cluster.client(c);
                 let mut x = 0x5EED ^ c as u64;
                 for i in 0..50u64 {
@@ -321,14 +320,13 @@ fn concurrent_soak_under_faults_stays_regular() {
         // remap it, then crash another (within the n − k = 2 budget only
         // after the first is repaired by on-demand recovery).
         let cluster = Arc::clone(&cluster);
-        s.spawn(move |_| {
+        s.spawn(move || {
             std::thread::sleep(Duration::from_millis(10));
             cluster.crash_storage_node(NodeId(1));
             std::thread::sleep(Duration::from_millis(30));
             cluster.remap_storage_node(NodeId(1));
         });
-    })
-    .unwrap();
+    });
 
     // Repair epilogue, as in run_chaos: heal, resurrect, expire any locks
     // stranded by recoveries whose unlocks the network ate, recover, check.

@@ -19,10 +19,10 @@ fn fig3c_concurrent_writes_to_coupled_blocks() {
     // many times; the erasure code must stay consistent without any locks
     // (Fig. 3(C) generalized).
     let c = Arc::new(cluster(2, 4, 2));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for (idx, block) in [(0usize, 0u64), (1usize, 1u64)] {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..100u8 {
                     c.client(idx)
                         .write_block(block, vec![i.wrapping_add(idx as u8 * 7); 32])
@@ -30,8 +30,7 @@ fn fig3c_concurrent_writes_to_coupled_blocks() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert!(c.stripe_is_consistent(StripeId(0)));
     assert_eq!(c.client(0).read_block(0).unwrap(), vec![99; 32]);
     assert_eq!(c.client(0).read_block(1).unwrap(), vec![99u8.wrapping_add(7); 32]);
@@ -43,10 +42,10 @@ fn concurrent_writers_on_every_block_of_a_wide_stripe() {
     // every redundant node receives interleaved adds from all writers.
     let k = 4;
     let c = Arc::new(cluster(k, 7, k));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..k {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..60u8 {
                     c.client(w)
                         .write_block(w as u64, vec![i ^ (w as u8) << 4; 32])
@@ -54,8 +53,7 @@ fn concurrent_writers_on_every_block_of_a_wide_stripe() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert!(c.stripe_is_consistent(StripeId(0)));
 }
 
@@ -65,10 +63,10 @@ fn same_block_contention_resolves_to_a_single_write() {
     // apply their swaps and adds in the same order everywhere, leaving the
     // stripe consistent and the block holding one of the written values.
     let c = Arc::new(cluster(2, 4, 2));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for idx in 0..2usize {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..50u8 {
                     c.client(idx)
                         .write_block(0, vec![(idx as u8 + 1) * 100 + i % 50; 32])
@@ -76,8 +74,7 @@ fn same_block_contention_resolves_to_a_single_write() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert!(c.stripe_is_consistent(StripeId(0)));
     let v = c.client(0).read_block(0).unwrap();
     assert!(v.iter().all(|&b| b == v[0]));
@@ -94,12 +91,12 @@ fn mixed_read_write_history_is_regular() {
     // read/write history and validate multi-writer regularity.
     let c = Arc::new(cluster(2, 4, 3));
     let rec: Arc<Recorder<u8>> = Recorder::new();
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Two writers on two blocks.
         for w in 0..2usize {
             let c = Arc::clone(&c);
             let rec = Arc::clone(&rec);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..40u8 {
                     let val = (w as u8 + 1) * 100 + i;
                     let pending = rec.invoke();
@@ -111,7 +108,7 @@ fn mixed_read_write_history_is_regular() {
         // One reader sweeping both blocks.
         let c = Arc::clone(&c);
         let rec = Arc::clone(&rec);
-        s.spawn(move |_| {
+        s.spawn(move || {
             for i in 0..80u64 {
                 let loc = i % 2;
                 let pending = rec.invoke();
@@ -120,8 +117,7 @@ fn mixed_read_write_history_is_regular() {
                 rec.complete_read(loc, 2, pending, observed);
             }
         });
-    })
-    .unwrap();
+    });
     let history = rec.take_history();
     assert_eq!(history.len(), 160);
     check_regular(&history).expect("multi-writer regularity must hold");
@@ -133,10 +129,10 @@ fn broadcast_strategy_under_concurrency() {
         .unwrap()
         .with_strategy(UpdateStrategy::Broadcast);
     let c = Arc::new(Cluster::new(cfg, 2));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for idx in 0..2usize {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..40u8 {
                     c.client(idx)
                         .write_block(idx as u64, vec![i; 32])
@@ -144,8 +140,7 @@ fn broadcast_strategy_under_concurrency() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
     assert!(c.stripe_is_consistent(StripeId(0)));
 }
 
@@ -154,18 +149,17 @@ fn many_threads_one_client_share_the_endpoint() {
     // The paper's client is multi-threaded with one thread per outstanding
     // call; our Client must tolerate full intra-client concurrency.
     let c = Arc::new(cluster(2, 4, 1));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for t in 0..8u64 {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..30u64 {
                     let lb = (t * 30 + i) % 16;
                     c.client(0).write_block(lb, vec![(lb + 1) as u8; 32]).unwrap();
                 }
             });
         }
-    })
-    .unwrap();
+    });
     for s in 0..8 {
         assert!(c.stripe_is_consistent(StripeId(s)), "stripe {s}");
     }

@@ -181,7 +181,7 @@ fn k_subsets(n: usize, k: usize) -> Vec<Vec<usize>> {
 
 #[test]
 fn rebuild_node_repairs_every_stripe_with_bounded_concurrency() {
-    // 80 stripes = 3 chunks of 32: exercises the scoped chunk pool
+    // 80 stripes = 3 chunks of 32: exercises a window of several chunks
     // (rebuild_width defaults to 8) and per-node batching across stripes.
     let k = 2;
     let stripes = 80u64;

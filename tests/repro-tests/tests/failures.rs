@@ -313,16 +313,15 @@ fn concurrent_recovery_attempts_do_not_deadlock() {
     let c = Arc::new(Cluster::new(cfg, 2));
     c.client(0).write_block(0, vec![6; 32]).unwrap();
     c.crash_storage_node(NodeId(1));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for idx in 0..2usize {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // Block 1 of stripe 0 lives on crashed node 1.
                 assert_eq!(c.client(idx).read_block(1).unwrap(), vec![0; 32]);
             });
         }
-    })
-    .unwrap();
+    });
     assert!(c.stripe_is_consistent(StripeId(0)));
     assert_eq!(c.client(0).read_block(0).unwrap(), vec![6; 32]);
 }

@@ -31,10 +31,10 @@ fn full_lifecycle_of_a_small_deployment() {
 
     // Day 2: concurrent operation — two writers, one reader, disjoint and
     // overlapping blocks mixed.
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..2usize {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..80u64 {
                     let lb = (w as u64 * 31 + i * 7) % blocks;
                     c.client(w).write_block(lb, vec![(i % 250) as u8 + 1; 128]).unwrap();
@@ -42,14 +42,13 @@ fn full_lifecycle_of_a_small_deployment() {
             });
         }
         let c2 = Arc::clone(&c);
-        s.spawn(move |_| {
+        s.spawn(move || {
             for i in 0..160u64 {
                 let v = c2.client(2).read_block(i % blocks).unwrap();
                 assert!(v.iter().all(|&b| b == v[0]), "torn read");
             }
         });
-    })
-    .unwrap();
+    });
     for s in &stripes {
         assert!(c.stripe_is_consistent(*s), "after contention: {s}");
     }

@@ -19,11 +19,11 @@ fn writes_survive_repeated_concurrent_recoveries() {
     let c = Arc::new(Cluster::new(cfg, 2));
     let stop = Arc::new(AtomicBool::new(false));
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         {
             let c = Arc::clone(&c);
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 // The recovery loop: like a very aggressive monitor.
                 while !stop.load(Ordering::SeqCst) {
                     c.client(1).recover_stripe(StripeId(0)).unwrap();
@@ -31,15 +31,14 @@ fn writes_survive_repeated_concurrent_recoveries() {
             });
         }
         let c2 = Arc::clone(&c);
-        s.spawn(move |_| {
+        s.spawn(move || {
             for i in 0..150u8 {
                 c2.client(0).write_block(0, vec![i; 32]).unwrap();
                 c2.client(0).write_block(1, vec![i ^ 0xFF; 32]).unwrap();
             }
             stop.store(true, Ordering::SeqCst);
         });
-    })
-    .unwrap();
+    });
 
     assert!(c.stripe_is_consistent(StripeId(0)));
     assert_eq!(c.client(1).read_block(0).unwrap(), vec![149; 32]);
@@ -56,18 +55,18 @@ fn reads_continue_during_recovery_of_other_stripes() {
         c.client(0).write_block(lb, vec![(lb + 1) as u8; 32]).unwrap();
     }
     let stop = Arc::new(AtomicBool::new(false));
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         {
             let c = Arc::clone(&c);
             let stop = Arc::clone(&stop);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 while !stop.load(Ordering::SeqCst) {
                     c.client(1).recover_stripe(StripeId(0)).unwrap();
                 }
             });
         }
         let c2 = Arc::clone(&c);
-        s.spawn(move |_| {
+        s.spawn(move || {
             // Blocks 2..20 live on stripes 1..10 — disjoint from stripe 0.
             for round in 0..30u64 {
                 for lb in 2..20u64 {
@@ -77,8 +76,7 @@ fn reads_continue_during_recovery_of_other_stripes() {
             }
             stop.store(true, Ordering::SeqCst);
         });
-    })
-    .unwrap();
+    });
     for s in 0..10 {
         assert!(c.stripe_is_consistent(StripeId(s)));
     }
@@ -98,21 +96,20 @@ fn recovery_races_with_node_crash_and_remap() {
     }
     for round in 0..10u32 {
         let victim = ajx_storage::NodeId(round % 5);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             {
                 let c = Arc::clone(&c);
-                s.spawn(move |_| {
+                s.spawn(move || {
                     // May race with the crash below — both outcomes fine.
                     let _ = c.client(1).recover_stripe(StripeId(0));
                 });
             }
             let c2 = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 c2.crash_storage_node(victim);
                 c2.remap_storage_node(victim);
             });
-        })
-        .unwrap();
+        });
         // Converge before next round.
         c.client(0).monitor(&[StripeId(0)], u64::MAX).unwrap();
         assert!(c.stripe_is_consistent(StripeId(0)), "round {round}");

@@ -17,11 +17,11 @@ fn randomized_concurrent_load_is_regular() {
     let c = Arc::new(Cluster::new(cfg, 5));
     let rec: Arc<Recorder<u16>> = Recorder::new();
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..3usize {
             let c = Arc::clone(&c);
             let rec = Arc::clone(&rec);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(w as u64);
                 for i in 0..60u16 {
                     let lb = rng.random_range(0..8u64);
@@ -39,7 +39,7 @@ fn randomized_concurrent_load_is_regular() {
         for r in 3..5usize {
             let c = Arc::clone(&c);
             let rec = Arc::clone(&rec);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(r as u64 + 100);
                 for _ in 0..80 {
                     let lb = rng.random_range(0..8u64);
@@ -50,8 +50,7 @@ fn randomized_concurrent_load_is_regular() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     let history = rec.take_history();
     check_regular(&history).expect("§3.1 regularity violated");
@@ -73,10 +72,10 @@ fn stress_with_storage_crashes_keeps_committed_data() {
         c.client(0).write_block(lb, vec![1; 32]).unwrap();
     }
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for w in 0..2usize {
             let c = Arc::clone(&c);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let mut rng = rand::rngs::StdRng::seed_from_u64(w as u64 + 7);
                 for _ in 0..60 {
                     let lb = rng.random_range(0..8u64);
@@ -93,7 +92,7 @@ fn stress_with_storage_crashes_keeps_committed_data() {
         // system tolerates t_d crashes per recovered epoch, not unbounded
         // back-to-back losses.
         let c = Arc::clone(&c);
-        s.spawn(move |_| {
+        s.spawn(move || {
             let mut rng = rand::rngs::StdRng::seed_from_u64(99);
             let stripes: Vec<StripeId> = (0..4).map(StripeId).collect();
             for _ in 0..6 {
@@ -108,8 +107,7 @@ fn stress_with_storage_crashes_keeps_committed_data() {
                     .expect("monitor restores redundancy after a single crash");
             }
         });
-    })
-    .unwrap();
+    });
 
     // Repair everything via monitoring, then verify ground truth.
     let stripes: Vec<StripeId> = (0..4).map(StripeId).collect();

@@ -33,7 +33,7 @@ static ALLOC: CountingAlloc = CountingAlloc;
 #[test]
 fn failure_free_bulk_write_allocates_at_most_two_blocks_per_user_block() {
     let mut cfg = ProtocolConfig::new(K, N, BLOCK).unwrap();
-    cfg.pipeline_width = 1; // one thread, one pool
+    cfg.pipeline_width = 1; // one stripe per round, as the budget was measured
     let net_cfg = NetworkConfig {
         server_threads: 1,
         ..NetworkConfig::default()

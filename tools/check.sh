@@ -8,7 +8,8 @@
 # CRC-32C SSE4.2 floor), the
 # batched data-path throughput smoke, the degraded-read/rebuild smoke
 # (asserts the >=4x rebuild speedup and zero-lock degraded reads
-# internally), the many-client scale-out smoke (asserts 1k-client IOPS
+# internally; both smokes' width-8 message counts are pinned exactly),
+# the many-client scale-out smoke (asserts 1k-client IOPS
 # >= 5x the 8-client figure with zero failed ops), the durability
 # smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
 # benchmark's contract (benchmark/ builds offline, all six of its workloads
@@ -102,6 +103,13 @@ echo "== batched data path (ext_seq_throughput --smoke) =="
 cargo run --release -p ajx-bench --bin ext_seq_throughput -- --smoke \
   > BENCH_datapath.smoke.json
 cat BENCH_datapath.smoke.json
+# The smoke writes at the default pipeline_width 8: a window of stripes
+# sends exactly the union of its stripes' messages, so the 4-of-8 x 64
+# batched write's counts are those of one stripe at a time.
+grep -A1 '"k":4,"n":8,"run_blocks":64' BENCH_datapath.smoke.json \
+  | grep -q '"batched":{"micros":[0-9.]*,"round_trips":128,"bytes_sent":1314816}' \
+  || { echo "4-of-8 x 64 batched write no longer 128 round trips / 1314816 bytes"; exit 1; }
+echo "batched write counts hold (128 round trips, 1314816 bytes at width 8)"
 
 echo "== degraded reads + rebuild engine + LRC repair bandwidth (ext_rebuild --smoke) =="
 # The binary asserts the >=4x engine speedup, zero-lock degraded reads,
@@ -113,6 +121,12 @@ cat BENCH_recovery.smoke.json
 grep -q '"lrc_repair_ratio_pass":true' BENCH_recovery.smoke.json \
   || { echo "LRC repair-bandwidth floor violated (needs <= 0.5x RS bytes)"; exit 1; }
 echo "LRC repair floor holds (<= 0.5x RS bytes per lost block)"
+# Same rule for the rebuild engine at the default rebuild_width 8: one
+# message per chunk and node, all eight chunks' messages in each round.
+grep -A4 '"k":4,"n":8,"stripes":256' BENCH_recovery.smoke.json \
+  | grep -q '"engine":{"micros":[0-9.]*,"round_trips":768,"bytes_sent":1073152}' \
+  || { echo "4-of-8 rebuild engine no longer 768 round trips / 1073152 bytes"; exit 1; }
+echo "rebuild engine counts hold (768 round trips, 1073152 bytes at width 8)"
 
 echo "== many-client scale-out (ext_many_clients --smoke) =="
 # The binary exits nonzero itself if the 5x floor or zero-failure
