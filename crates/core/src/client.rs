@@ -21,7 +21,9 @@ use ajx_storage::{
 };
 use ajx_transport::{ClientEndpoint, RpcError};
 use parking_lot::Mutex;
+use std::cell::RefCell;
 use std::collections::BTreeMap;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Most members one batched background message (a garbage-collection
@@ -40,6 +42,28 @@ struct GcLists {
     /// Writes whose tids nodes moved to oldlist; next cycle drops them
     /// (phase 1 input).
     old: BTreeMap<(StripeId, usize), Vec<Tid>>,
+}
+
+/// A live block's part in one round of adds: (its stripe's run, the block,
+/// the increments it owes the round as `(j, increment)`), all made in one
+/// pass by [`BlockWrite::increments`].
+type Owed = (usize, usize, Vec<(usize, Vec<u8>)>);
+
+/// One message of a round of adds: (stripe's run, redundant index `j`, the
+/// run's span of the round's [`Owed`] list). It carries the increment for
+/// `j` of every block in the span that made one.
+type AddGroup = (usize, usize, Range<usize>);
+
+/// The blocks `group`'s message serves, in order, each with its increment
+/// for the group's index.
+fn members<'o>(
+    owed: &'o mut [Owed],
+    (_, j, span): &AddGroup,
+) -> impl Iterator<Item = (usize, &'o mut Vec<u8>)> {
+    let j = *j;
+    owed[span.clone()]
+        .iter_mut()
+        .filter_map(move |(_, px, incs)| Some((*px, &mut incs.iter_mut().find(|inc| inc.0 == j)?.1)))
 }
 
 /// A swapped block inside the write engine.
@@ -599,7 +623,10 @@ impl Client {
     /// that multicasts sends its broadcast, then the hybrid `for h / pfor
     /// j ∈ G_h ∩ T` of §4 (serial and parallel are its degenerate cases)
     /// gives, per strategy round, each redundant node of every other stripe
-    /// ONE message carrying every live block's increment for it.
+    /// ONE message carrying every live block's increment for it. Before a
+    /// round is sent, each live block makes every increment it owes the
+    /// round in one tiled pass over its `v` and `w`
+    /// ([`BlockWrite::increments`]).
     fn add_rounds(&self, runs: &mut [StripeRun]) {
         let limit = self.cfg.order_retry_limit;
         let multicast = |run: &StripeRun| {
@@ -618,50 +645,62 @@ impl Client {
             }
         }
         for round in self.cfg.strategy.rounds(self.cfg.k(), self.cfg.n()) {
-            // (stripe's run, redundant index, the live blocks that owe it an add)
-            let mut groups: Vec<(usize, usize, Vec<usize>)> = Vec::new();
+            let mut owed: Vec<Owed> = Vec::new();
+            let mut groups: Vec<AddGroup> = Vec::new();
             for (r, run) in runs.iter().enumerate().filter(|(_, run)| !multicast(run)) {
+                let from = owed.len();
+                for (px, p) in run.pending.iter().enumerate().filter(|(_, p)| p.live()) {
+                    let mut incs: Vec<(usize, Vec<u8>)> =
+                        round.iter().filter(|&&j| p.bw.wants(j)).map(|&j| (j, Vec::new())).collect();
+                    if !incs.is_empty() {
+                        p.bw.increments(&self.cfg, run.items[p.x].2, &mut incs);
+                        owed.push((r, px, incs));
+                    }
+                }
                 for &j in &round {
-                    let owes = |p: &Pending| p.live() && p.bw.wants(j);
-                    let want: Vec<usize> =
-                        (0..run.pending.len()).filter(|&px| owes(&run.pending[px])).collect();
-                    if !want.is_empty() {
-                        groups.push((r, j, want));
+                    if owed[from..].iter().any(|(_, _, incs)| incs.iter().any(|inc| inc.0 == j)) {
+                        groups.push((r, j, from..owed.len()));
                     }
                 }
             }
             let targets: Vec<(StripeId, usize)> =
                 groups.iter().map(|&(r, j, _)| (runs[r].stripe, j)).collect();
-            // Every increment is recomputed from the `v` and `w` this round
-            // still borrows, should it be re-sent.
+            // A first send carries the increments made above; a re-send
+            // re-makes its own from the `v` and `w` this round still
+            // borrows.
+            let owed = RefCell::new(owed);
             let adds = |c: usize| {
-                let (r, j, want) = &groups[c];
-                let run = &runs[*r];
-                let add = |&px: &usize| {
+                let group = &groups[c];
+                let run = &runs[group.0];
+                let add = |(px, made): (usize, &mut Vec<u8>)| {
                     let p = &run.pending[px];
-                    p.bw.add(&self.cfg, run.stripe, *j, run.items[p.x].2)
+                    match std::mem::take(made) {
+                        delta if !delta.is_empty() => p.bw.add_of(run.stripe, delta),
+                        _ => p.bw.add(&self.cfg, run.stripe, group.1, run.items[p.x].2),
+                    }
                 };
-                batch(want.iter().map(add).collect())
+                batch(members(&mut owed.borrow_mut(), group).map(add).collect())
             };
             let replies = self.pfor(&targets, adds, false);
-            for ((r, j, want), res) in groups.iter().zip(replies) {
-                let pending = &mut runs[*r].pending;
+            let mut owed = owed.into_inner();
+            for (group, res) in groups.iter().zip(replies) {
+                let (pending, j) = (&mut runs[group.0].pending, group.1);
+                let count = members(&mut owed, group).count();
+                let mut want = members(&mut owed, group).map(|(px, _)| px);
                 match res {
-                    Ok(Reply::Batch(rs)) if rs.len() == want.len() => {
-                        for (&px, sub) in want.iter().zip(rs) {
-                            pending[px].absorb(*j, Ok(sub), limit);
+                    Ok(Reply::Batch(rs)) if rs.len() == count => {
+                        for (px, sub) in want.zip(rs) {
+                            pending[px].absorb(j, Ok(sub), limit);
                         }
                     }
-                    Ok(reply @ Reply::Add(_)) if want.len() == 1 => {
-                        pending[want[0]].absorb(*j, Ok(reply), limit);
+                    Ok(reply @ Reply::Add(_)) if count == 1 => {
+                        pending[want.next().expect("one member")].absorb(j, Ok(reply), limit);
                     }
                     // Adds are not idempotent: an indeterminate failure
                     // fails every block in this message.
                     other => {
                         let e = ProtocolError::not("Reply::Add or Batch", other);
-                        for &px in want {
-                            pending[px].kill(e.clone());
-                        }
+                        want.for_each(|px| pending[px].kill(e.clone()));
                     }
                 }
             }

@@ -28,15 +28,22 @@
 //! makes the new length exactly `src.len()` and writes every byte of it from
 //! `src`, so a recycled buffer longer than `src` hides its tail past `len`
 //! and one shorter than `src` grows (or reallocates) under bytes that all
-//! come from `src`; its two tests pin those directions.
+//! come from `src`; its two tests pin those directions. [`take_empty`]
+//! hands out length zero and leaves the growing to its caller, who may only
+//! use `resize` or `extend_from_slice`: the client's increments grow their
+//! buffer one tile at a time with `resize(len + tile, 0)`, so each tile's
+//! zero-fill lands in cache just before the kernel overwrites it.
 
 use std::cell::RefCell;
 
-/// Retained buffers per thread: one stripe of a `write_blocks` call holds
-/// k staged values and k·(n − k) increments at once (60 at RS 12-of-16),
-/// and all of them come back. 256 covers k ≤ 16 with n − k ≤ 15; beyond
-/// this, returned buffers are simply dropped.
-const MAX_POOLED: usize = 256;
+/// Retained buffers per thread; beyond this, returned buffers are simply
+/// dropped. One window of `write_blocks` at the default `pipeline_width`
+/// holds k staged values and k·(n − k) increments for each of its 8
+/// stripes at once, and all of them come back: 8 × 60 = 480 at RS
+/// 12-of-16. The bound counts buffers, not bytes: a byte bound large
+/// enough for that window lets a pool of 1 KiB blocks grow to tens of
+/// thousands of buffers, which slowed `many_clients` by about 9 %.
+const MAX_POOLED: usize = 512;
 
 thread_local! {
     static POOL: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
@@ -58,11 +65,20 @@ pub(crate) fn take(len: usize) -> Vec<u8> {
     })
 }
 
+/// Takes an empty buffer with room for `cap` bytes from the pool, for a
+/// caller that grows it itself — with `resize` (zero-filled) or
+/// `extend_from_slice`, so every byte of its length is written.
+pub(crate) fn take_empty(cap: usize) -> Vec<u8> {
+    let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
+    buf.clear();
+    buf.reserve(cap);
+    buf
+}
+
 /// Takes a buffer holding a copy of `src` from the pool: [`take`] followed
 /// by `copy_from_slice`, minus the zero-fill that copy would overwrite.
 pub(crate) fn take_copy(src: &[u8]) -> Vec<u8> {
-    let mut buf = POOL.with(|p| p.borrow_mut().pop()).unwrap_or_default();
-    buf.clear();
+    let mut buf = take_empty(src.len());
     buf.extend_from_slice(src);
     buf
 }
@@ -164,6 +180,17 @@ mod tests {
             give(vec![0u8; 8]);
         }
         assert!(POOL.with(|p| p.borrow().len()) <= MAX_POOLED);
+    }
+
+    #[test]
+    fn take_empty_grown_by_resize_never_shows_stale_bytes() {
+        let mut dirty = take(64);
+        dirty.iter_mut().for_each(|b| *b = 0xA5);
+        give(dirty);
+        let mut buf = take_empty(48);
+        assert!(buf.is_empty() && buf.capacity() >= 48);
+        buf.resize(16, 0);
+        assert!(buf.iter().all(|&b| b == 0), "stale bytes under the grown length");
     }
 
     #[test]

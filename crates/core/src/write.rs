@@ -9,6 +9,7 @@
 //! [`AddStatus`] is matched — therefore exists once.
 
 use crate::config::ProtocolConfig;
+use ajx_gf::kernel::TILE;
 use ajx_storage::{
     AddReply, AddStatus, CheckTidReply, Epoch, LMode, OpMode, Request, StripeId, SwapReply, Tid,
 };
@@ -84,8 +85,42 @@ impl BlockWrite {
         }
     }
 
-    /// The `add` for redundant index `j`, carrying the client-scaled
-    /// increment `α_ji·(v − w)` in a pool-backed buffer.
+    /// The client-scaled increments `α_ji·(v − w)` for every redundant
+    /// index `j` in `incs`, each into its own pool buffer, in one pass of
+    /// [`TILE`]-byte tiles over `v` and `w`: each tile of both is read once,
+    /// while hot, for all the indices. A buffer is grown one tile at a time
+    /// (capacity reserved up front), so its zero-fill lands in cache just
+    /// before `delta_into` overwrites it. The one increment routine: every
+    /// `add` this write sends carries an increment made here.
+    pub(crate) fn increments(
+        &self,
+        cfg: &ProtocolConfig,
+        value: &[u8],
+        incs: &mut [(usize, Vec<u8>)],
+    ) {
+        assert_eq!(value.len(), self.old.len(), "block sizes validated");
+        for (_, buf) in incs.iter_mut() {
+            *buf = crate::pool::take_empty(value.len());
+        }
+        for (v, w) in value.chunks(TILE).zip(self.old.chunks(TILE)) {
+            for (j, buf) in incs.iter_mut() {
+                let at = buf.len();
+                buf.resize(at + v.len(), 0);
+                cfg.code
+                    .delta_into_buf(*j - cfg.k(), self.i, v, w, &mut buf[at..])
+                    .expect("block sizes validated");
+            }
+        }
+    }
+
+    /// The `add` carrying `delta`, an increment
+    /// [`increments`](Self::increments) made for its target index.
+    pub(crate) fn add_of(&self, stripe: StripeId, delta: Vec<u8>) -> Request {
+        self.request(stripe, delta, None)
+    }
+
+    /// The `add` for redundant index `j`, its increment made alone: the
+    /// one-index case of [`increments`](Self::increments).
     pub(crate) fn add(
         &self,
         cfg: &ProtocolConfig,
@@ -93,11 +128,10 @@ impl BlockWrite {
         j: usize,
         value: &[u8],
     ) -> Request {
-        let mut delta = crate::pool::take(value.len());
-        cfg.code
-            .delta_into_buf(j - cfg.k(), self.i, value, &self.old, &mut delta)
-            .expect("block sizes validated");
-        self.request(stripe, delta, None)
+        let mut inc = [(j, Vec::new())];
+        self.increments(cfg, value, &mut inc);
+        let [(_, delta)] = inc;
+        self.add_of(stripe, delta)
     }
 
     /// The §3.11 multicast form: the plain difference `v − w`, computed
@@ -375,6 +409,46 @@ mod tests {
         }
         bw.on_checktid(1, CheckTidReply::Init);
         assert!(bw.settled() && !bw.complete(&cfg));
+    }
+
+    /// The tiled pass makes, for any subset of the redundant indices, the
+    /// increments `delta_into_buf` makes one index at a time — from pool
+    /// buffers left full of another request's bytes.
+    #[test]
+    fn tiled_increments_equal_one_delta_per_index() {
+        let codes = [
+            ("RS 4-of-8", ProtocolConfig::new(4, 8, 16).unwrap()),
+            ("RS 12-of-16", ProtocolConfig::new(12, 16, 16).unwrap()),
+            ("LRC(12,3,1)", ProtocolConfig::new_lrc(12, 3, 1, 16).unwrap()),
+        ];
+        for (name, cfg) in codes {
+            let (k, n) = (cfg.k(), cfg.n());
+            for len in [16, 4096, 65536, 3 * TILE + 10] {
+                let value: Vec<u8> = (0..len).map(|b| (b * 7 + 1) as u8).collect();
+                let old: Vec<u8> = (0..len).map(|b| (b * 13 + 5) as u8).collect();
+                let i = len % k;
+                let swap = SwapReply {
+                    block: Some(old.clone()),
+                    epoch: Epoch::default(),
+                    otid: None,
+                    lmode: LMode::Unl,
+                };
+                let bw = BlockWrite::new(i, tid(1), swap, k, n).unwrap();
+                for subset in 0u32..1 << (n - k) {
+                    let js: Vec<usize> = (k..n).filter(|j| subset >> (j - k) & 1 == 1).collect();
+                    for _ in &js {
+                        crate::pool::give(vec![0xEE; len + 64]);
+                    }
+                    let mut incs: Vec<(usize, Vec<u8>)> = js.iter().map(|&j| (j, Vec::new())).collect();
+                    bw.increments(&cfg, &value, &mut incs);
+                    for (j, inc) in incs {
+                        let mut want = vec![0u8; len];
+                        cfg.code.delta_into_buf(j - k, i, &value, &old, &mut want).unwrap();
+                        assert!(inc == want, "{name}, {len} B, indices {js:?}: increment for {j}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

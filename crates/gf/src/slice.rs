@@ -7,7 +7,9 @@
 //! * [`mul_add_assign`] — `dst ^= c·src`, the client's *Delta* step
 //!   (α_ji·(v−w) in Fig. 5 line 10) and the inner loop of full encode/decode;
 //! * [`mul_add_multi`] — the fused multi-row form of `mul_add_assign` that
-//!   streams one source block through several destination rows per pass.
+//!   streams one source block through several destination rows per pass;
+//! * [`add_assign_multi`] — the fused multi-source form of `add_assign`: a
+//!   node's batch of adds to one block in one pass.
 //!
 //! These are thin façades over the tiered [`kernel`](crate::kernel) engine:
 //! coefficient tables are precomputed at compile time (no per-call table
@@ -38,16 +40,15 @@ pub fn add_assign(dst: &mut [u8], src: &[u8]) {
     kernel::add_assign(dst, src);
 }
 
-/// `dst[i] = xor of all srcs[j][i]` — sums any number of blocks into `dst`.
+/// `dst[i] ^= srcs[0][i] ^ srcs[1][i] ^ …` — several blocks added into one
+/// in a single tiled pass over `dst`: a storage node's batched *Add*.
 ///
 /// # Panics
 ///
 /// Panics if any source length differs from `dst`.
-pub fn sum_into(dst: &mut [u8], srcs: &[&[u8]]) {
-    dst.fill(0);
-    for src in srcs {
-        kernel::add_assign(dst, src);
-    }
+#[inline]
+pub fn add_assign_multi<'s>(dst: &mut [u8], srcs: impl Iterator<Item = &'s [u8]> + Clone) {
+    kernel::add_assign_multi(dst, srcs);
 }
 
 /// `dst[i] = c · dst[i]` — scales a block by a field constant.
@@ -129,15 +130,31 @@ mod tests {
     }
 
     #[test]
-    fn sum_into_sums_all_sources() {
-        let a = [1u8, 2, 3];
-        let b = [4u8, 5, 6];
-        let c = [7u8, 8, 9];
-        let mut out = [0xAAu8; 3];
-        sum_into(&mut out, &[&a, &b, &c]);
-        for i in 0..3 {
-            assert_eq!(out[i], a[i] ^ b[i] ^ c[i]);
+    fn add_assign_multi_equals_one_add_assign_per_source() {
+        // Lengths around the tile: inside one, exactly one, and a partial
+        // last tile; no sources at all leaves `dst` alone.
+        for len in [0, 1, 100, kernel::TILE, 3 * kernel::TILE + 5] {
+            for count in [0usize, 1, 2, 5] {
+                let srcs: Vec<Vec<u8>> = (0..count)
+                    .map(|s| (0..len).map(|i| (i * 31 + s * 7 + 1) as u8).collect())
+                    .collect();
+                let start: Vec<u8> = (0..len).map(|i| (i * 13) as u8).collect();
+                let mut one_by_one = start.clone();
+                for src in &srcs {
+                    add_assign(&mut one_by_one, src);
+                }
+                let mut fused = start;
+                add_assign_multi(&mut fused, srcs.iter().map(Vec::as_slice));
+                assert_eq!(fused, one_by_one, "{count} sources of {len} bytes");
+            }
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "equal-length")]
+    fn add_assign_multi_rejects_length_mismatch() {
+        let mut a = vec![0u8; 4];
+        add_assign_multi(&mut a, [&[0u8; 4][..], &[0u8; 5]].into_iter());
     }
 
     #[test]

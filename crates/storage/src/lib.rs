@@ -56,7 +56,7 @@ pub use persist::{
 };
 pub use shard::{NodeView, ShardedNode};
 pub use state::{
-    AddReply, AddStatus, BlockState, CheckTidReply, GetStateReply, ReadReply, SwapReply,
-    TryLockReply,
+    AddReply, AddStatus, BlockState, CheckTidReply, GetStateReply, Increment, ReadReply,
+    SwapReply, TryLockReply,
 };
 pub use types::{ClientId, Epoch, LMode, NodeId, OpMode, StripeId, Tid, TidEntry};

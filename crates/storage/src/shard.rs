@@ -34,13 +34,20 @@
 
 use crate::node::{FlushPolicy, Reply, Request};
 use crate::persist::{InMemoryPersistence, Persistence, WalRecord, WalRecordRef};
-use crate::state::BlockState;
-use crate::types::{ClientId, NodeId, StripeId};
+use crate::state::{AddReply, BlockState, Increment};
+use crate::types::{ClientId, LMode, NodeId, OpMode, StripeId};
 use ajx_erasure::CodeFamily;
 use parking_lot::{Mutex, MutexGuard};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
+
+/// An add's reply: the block's answer and modes, and the increment's
+/// buffer — applied or refused, the increment is spent, and its buffer goes
+/// back to the client.
+fn answered(inc: Increment, (opmode, lmode): (OpMode, LMode)) -> Reply {
+    Reply::Add(AddReply { status: inc.status, opmode, lmode, spent: inc.v })
+}
 
 /// One shard's share of the node: the stripe-blocks that hash to it and
 /// the two counters kept beside them (summed across shards on read).
@@ -366,7 +373,9 @@ impl ShardedNode {
     /// The router: applies `req` to the shards in `held`, batch members in
     /// order, each leaf counted by its shard and — when it writes the block
     /// — by the node's media accounting. `ops_handled` counts leaves, so a
-    /// batch of m adds m.
+    /// batch of m adds m. A batch's maximal runs of consecutive adds to one
+    /// stripe each go to their block as one [`BlockState::add`]; a lone add
+    /// is a run of one.
     ///
     /// `held` must hold the shard of every leaf of `req`.
     fn apply(&self, held: &mut [ShardGuard<'_>], req: Request) -> Reply {
@@ -374,38 +383,47 @@ impl ShardedNode {
         let writes_medium = req.writes_medium();
         let reply = match req {
             Request::Batch(members) => {
-                Reply::Batch(members.into_iter().map(|m| self.apply(held, m)).collect())
+                let mut replies = Vec::with_capacity(members.len());
+                let mut run = (stripe, Vec::new());
+                let mut members = members.into_iter();
+                while let Some(m) = members.next() {
+                    let next = self.increment(m);
+                    // A run ends at the first member that does not extend it.
+                    if !matches!(&next, Ok((s, _)) if *s == run.0) {
+                        self.flush_run(held, &mut run, &mut replies);
+                    }
+                    match next {
+                        Ok((s, inc)) => {
+                            // One allocation per batch, and none for a
+                            // batch without adds: the node's allocator is
+                            // shared with every block it serves.
+                            if run.1.capacity() == 0 {
+                                run.1.reserve_exact(members.len() + 1);
+                            }
+                            run.0 = s;
+                            run.1.push(inc);
+                        }
+                        Err(other) => replies.push(self.apply(held, other)),
+                    }
+                }
+                self.flush_run(held, &mut run, &mut replies);
+                Reply::Batch(replies)
             }
             Request::Read { .. } => Reply::Read(self.block(held, stripe).read()),
             Request::Swap { value, ntid, .. } => {
                 Reply::Swap(self.block(held, stripe).swap(value, ntid))
             }
-            Request::Add {
-                mut delta,
-                ntid,
-                otid,
-                epoch,
-                scale,
-                ..
-            } => {
-                if let Some((j, i)) = scale {
-                    // The node has a coefficient α_ji only inside its code's
-                    // p × k matrix; a pair outside it (or no code at all)
-                    // is answered, not indexed with.
-                    let in_code = |c: &&CodeFamily| j < c.p() && i < c.k();
-                    let Some(code) = self.code.as_ref().filter(in_code) else {
-                        self.shard(held, stripe).ops_handled += 1;
-                        return Reply::NoCode;
-                    };
-                    // The delta arrived owned; scale it where it sits
-                    // instead of copying it into a fresh block.
-                    code.scale_in_place(j, i, &mut delta);
-                }
-                let mut reply = self.block(held, stripe).add(&delta, ntid, otid, epoch);
-                // Applied or refused, the increment is spent: its buffer
-                // goes back to the client with the reply.
-                reply.spent = delta;
-                Reply::Add(reply)
+            add @ Request::Add { .. } => {
+                let Ok((_, inc)) = self.increment(add) else {
+                    // A scaled add the node cannot scale is answered, not
+                    // applied.
+                    self.shard(held, stripe).ops_handled += 1;
+                    return Reply::NoCode;
+                };
+                let mut run = [inc];
+                let modes = self.add_run(held, stripe, &mut run);
+                let [inc] = run;
+                return answered(inc, modes);
             }
             Request::CheckTid { ntid, otid, .. } => {
                 Reply::CheckTid(self.block(held, stripe).checktid(ntid, otid))
@@ -446,6 +464,61 @@ impl ShardedNode {
         reply
     }
 
+    /// `req` as its block's increment if it is an `Add` the node can apply,
+    /// scaled in place when it came as a §3.11 multicast (it arrived owned,
+    /// so no copy). Any other request comes back unchanged — among them a
+    /// scaled add whose `(j, i)` lies outside the node's code's p × k matrix
+    /// (or that reached a node with no code): it has no coefficient to be
+    /// scaled by.
+    fn increment(&self, req: Request) -> Result<(StripeId, Increment), Request> {
+        let code_for = |scale: Option<(usize, usize)>| {
+            let (j, i) = scale?;
+            self.code.as_ref().filter(|c| j < c.p() && i < c.k()).map(|c| (c, j, i))
+        };
+        match req {
+            Request::Add { stripe, mut delta, ntid, otid, epoch, scale }
+                if scale.is_none() || code_for(scale).is_some() =>
+            {
+                if let Some((code, j, i)) = code_for(scale) {
+                    code.scale_in_place(j, i, &mut delta);
+                }
+                Ok((stripe, Increment::new(delta, ntid, otid, epoch)))
+            }
+            other => Err(other),
+        }
+    }
+
+    /// Applies a run of increments to `stripe`'s block as one
+    /// [`BlockState::add`], counting each as a handled operation and a media
+    /// write, and returns the modes every member's reply carries.
+    fn add_run(
+        &self,
+        held: &mut [ShardGuard<'_>],
+        stripe: StripeId,
+        run: &mut [Increment],
+    ) -> (OpMode, LMode) {
+        let modes = self.counted_block(held, stripe, run.len() as u64).add(run);
+        for _ in 0..run.len() {
+            self.account_media_write(stripe);
+        }
+        modes
+    }
+
+    /// Applies a batch's pending run of adds, if any, and appends its
+    /// members' replies in order; the run's buffer is left empty for the
+    /// next run.
+    fn flush_run(
+        &self,
+        held: &mut [ShardGuard<'_>],
+        (stripe, run): &mut (StripeId, Vec<Increment>),
+        replies: &mut Vec<Reply>,
+    ) {
+        if !run.is_empty() {
+            let modes = self.add_run(held, *stripe, run);
+            replies.extend(run.drain(..).map(|inc| answered(inc, modes)));
+        }
+    }
+
     /// The held shard that serves `stripe`.
     fn shard<'s>(&self, held: &'s mut [ShardGuard<'_>], stripe: StripeId) -> &'s mut Shard {
         let idx = self.shard_of(stripe);
@@ -461,8 +534,18 @@ impl ShardedNode {
     /// Counts one handled operation at `stripe`'s shard and returns the
     /// state machine of its block, materializing it on first touch.
     fn block<'s>(&self, held: &'s mut [ShardGuard<'_>], stripe: StripeId) -> &'s mut BlockState {
+        self.counted_block(held, stripe, 1)
+    }
+
+    /// [`ShardedNode::block`] for `ops` operations at once (a run of adds).
+    fn counted_block<'s>(
+        &self,
+        held: &'s mut [ShardGuard<'_>],
+        stripe: StripeId,
+        ops: u64,
+    ) -> &'s mut BlockState {
         let (shard, block_size) = (self.shard(held, stripe), self.block_size);
-        shard.ops_handled += 1;
+        shard.ops_handled += ops;
         let remap_garbage = shard.remap_garbage;
         shard
             .blocks
@@ -995,6 +1078,102 @@ mod tests {
         assert!(node.restart_from_disk(), "replay got past both refused adds");
         assert_eq!(blocks(&node), before);
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A batch whose adds run together at the node answers, and leaves
+    /// behind, exactly what its members sent one at a time do — and replays
+    /// from the journal to the same blocks.
+    #[test]
+    fn a_batch_of_add_runs_equals_its_members_one_at_a_time() {
+        use crate::persist::{scratch_dir, WalBackend};
+        // Past one tile, so the run's multi-source pass crosses a boundary.
+        const BLOCK: usize = ajx_gf::kernel::TILE + 6;
+        let delta = |seed: u8| -> Vec<u8> {
+            (0..BLOCK).map(|b| (b as u8).wrapping_mul(seed) ^ seed).collect()
+        };
+        let add = |stripe: u64, seq: u64, otid: Option<u64>, epoch: u64, scale| Request::Add {
+            stripe: StripeId(stripe),
+            delta: delta(seq as u8),
+            ntid: tid(seq),
+            otid: otid.map(tid),
+            epoch: Epoch(epoch),
+            scale,
+        };
+        let setup = [
+            Request::Swap { stripe: StripeId(0), value: delta(1), ntid: tid(1) },
+            Request::Swap { stripe: StripeId(1), value: delta(2), ntid: tid(2) },
+            // Stripe 2 sits at epoch 3, so an epoch-0 add to it is stale.
+            Request::Finalize { stripe: StripeId(2), epoch: Epoch(3) },
+        ];
+        let members = vec![
+            add(0, 10, Some(1), 0, None),
+            // ORDER behind a member of this same batch: admitted.
+            add(0, 11, Some(10), 0, None),
+            // ORDER behind a write the block never saw.
+            add(0, 12, Some(99), 0, None),
+            // A duplicate tid: acknowledged, not applied again.
+            add(0, 10, Some(1), 0, None),
+            add(0, 13, None, 0, Some((1, 0))),
+            Request::Probe { stripe: StripeId(0) },
+            add(0, 14, Some(11), 0, Some((0, 1))),
+            // Outside the RS(2, 4) coefficient matrix: answered, not run.
+            add(0, 15, None, 0, Some((5, 0))),
+            add(0, 16, None, 0, None),
+            // The run moves to the next stripe without a break.
+            add(1, 17, Some(2), 0, None),
+            add(1, 18, None, 0, Some((1, 1))),
+            Request::Swap { stripe: StripeId(1), value: delta(19), ntid: tid(19) },
+            add(1, 20, Some(19), 0, None),
+            add(2, 21, None, 0, None),
+            add(2, 22, None, 3, None),
+            add(2, 23, Some(22), 4, Some((0, 0))),
+            Request::CheckTid { stripe: StripeId(2), ntid: tid(23), otid: tid(22) },
+            add(0, 24, Some(16), 0, None),
+        ];
+        for policy in [FlushPolicy::WriteThrough, FlushPolicy::Deferred] {
+            let dir = scratch_dir("shard-runs");
+            let node = |n_shards| {
+                ShardedNode::new(NodeId(0), BLOCK, n_shards)
+                    .with_code(CodeFamily::rs(2, 4).unwrap())
+                    .with_flush_policy(policy)
+            };
+            let batched = node(2).with_persistence(Arc::new(WalBackend::create(dir.join("n.wal"))));
+            let alone = node(2);
+            for req in &setup {
+                assert_eq!(batched.handle(req.clone()), alone.handle(req.clone()));
+            }
+            let Reply::Batch(replies) = batched.handle(Request::Batch(members.clone())) else {
+                panic!("a batch answers with a batch");
+            };
+            let one_by_one: Vec<Reply> = members.iter().map(|m| alone.handle(m.clone())).collect();
+            assert_eq!(replies, one_by_one, "{policy:?}: replies, in order");
+            let statuses: Vec<_> = replies
+                .iter()
+                .filter_map(|r| if let Reply::Add(a) = r { Some(a.status) } else { None })
+                .collect();
+            use AddStatus::{Ok as A, Order as O, Unavail as U};
+            assert_eq!(statuses, [A, A, O, A, A, A, A, A, A, A, U, A, A, A], "{policy:?}");
+
+            let state = |node: &ShardedNode| -> (Vec<_>, u64) {
+                let view = node.lock_all();
+                let blocks = (0..3u64)
+                    .map(|s| {
+                        let mut b = view.block_state(StripeId(s)).expect("touched above").clone();
+                        let st = b.get_state();
+                        (st.block, st.epoch, st.recentlist, st.oldlist, b.probe())
+                    })
+                    .collect();
+                (blocks, view.ops_handled())
+            };
+            let want = state(&alone);
+            assert_eq!(state(&batched), want, "{policy:?}: blocks, tid lists, ops handled");
+            batched.flush_all();
+            alone.flush_all();
+            assert_eq!(batched.media_writes(), alone.media_writes(), "{policy:?}: media writes");
+            assert!(batched.restart_from_disk(), "WAL backend must recover");
+            assert_eq!(state(&batched), want, "{policy:?}: the batch replays to the same blocks");
+            std::fs::remove_dir_all(&dir).ok();
+        }
     }
 
     #[test]

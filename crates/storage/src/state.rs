@@ -77,6 +77,32 @@ impl std::fmt::Debug for AddReply {
     }
 }
 
+/// One member of a run of `add`s handed to [`BlockState::add`]: Fig. 5
+/// line 36's arguments, and the status the block answers it with.
+#[derive(Debug)]
+pub struct Increment {
+    /// The increment `v`, owned so the node can hand its buffer back.
+    pub v: Vec<u8>,
+    /// This write's tid.
+    pub ntid: Tid,
+    /// The previous write this one must follow (§3.7).
+    pub otid: Option<Tid>,
+    /// The epoch the writer's `swap` saw.
+    pub epoch: Epoch,
+    /// The block's answer, written by [`BlockState::add`] (`Unavail` until
+    /// then).
+    pub status: AddStatus,
+    /// Whether the block XORed `v` in: admitted, and not a duplicate.
+    applied: bool,
+}
+
+impl Increment {
+    /// An add not yet answered.
+    pub fn new(v: Vec<u8>, ntid: Tid, otid: Option<Tid>, epoch: Epoch) -> Self {
+        Increment { v, ntid, otid, epoch, status: AddStatus::Unavail, applied: false }
+    }
+}
+
 /// Reply to `checktid` (Fig. 5 lines 43-45).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub enum CheckTidReply {
@@ -259,50 +285,38 @@ impl BlockState {
             .any(|entry| entry.tid == tid)
     }
 
-    /// `add(v, ntid, otid, e)` — Fig. 5 lines 36-42: XORs the increment into
-    /// the block if the node is available, the epoch is current, and the
-    /// previous write (`otid`) has already been seen here.
-    pub fn add(&mut self, v: &[u8], ntid: Tid, otid: Option<Tid>, e: Epoch) -> AddReply {
-        let now = self.tick();
-        if self.opmode != OpMode::Norm
-            || !matches!(self.lmode, LMode::Unl | LMode::L0)
-            || e < self.epoch
-        {
-            return AddReply {
-                status: AddStatus::Unavail,
-                opmode: self.opmode,
-                lmode: self.lmode,
-                spent: Vec::new(),
+    /// `add(v, ntid, otid, e)` — Fig. 5 lines 36-42, for a run of adds to
+    /// this block: the members are admitted one by one, in order, exactly as
+    /// if each had been applied alone — tick, mode and epoch check, ORDER
+    /// against `otid` (an earlier member of the run counts as seen), tid
+    /// dedup, `recentlist` push — and every admitted increment is then
+    /// XORed in with one tiled multi-source pass. Each member's status is
+    /// written into it; the modes every reply carries are returned, since an
+    /// `add` changes neither. A lone add is a run of one.
+    pub fn add(&mut self, run: &mut [Increment]) -> (OpMode, LMode) {
+        for inc in run.iter_mut() {
+            let now = self.tick();
+            (inc.status, inc.applied) = if self.opmode != OpMode::Norm
+                || !matches!(self.lmode, LMode::Unl | LMode::L0)
+                || inc.epoch < self.epoch
+            {
+                (AddStatus::Unavail, false)
+            } else if inc.otid.is_some_and(|otid| !self.seen_tid(otid)) {
+                (AddStatus::Order, false)
+            } else {
+                // At-least-once delivery: a duplicated add must not XOR the
+                // increment a second time — in GF(2^w) that *cancels* the
+                // update while the bookkeeping still claims it happened.
+                let fresh = !self.seen_tid(inc.ntid);
+                if fresh {
+                    self.recentlist.push(TidEntry { tid: inc.ntid, time: now });
+                }
+                (AddStatus::Ok, fresh)
             };
         }
-        if let Some(otid) = otid {
-            let seen = self
-                .recentlist
-                .iter()
-                .chain(self.oldlist.iter())
-                .any(|entry| entry.tid == otid);
-            if !seen {
-                return AddReply {
-                    status: AddStatus::Order,
-                    opmode: self.opmode,
-                    lmode: self.lmode,
-                    spent: Vec::new(),
-                };
-            }
-        }
-        if !self.seen_tid(ntid) {
-            // At-least-once delivery: a duplicated add must not XOR the
-            // increment a second time — in GF(2^w) that *cancels* the
-            // update while the bookkeeping still claims it happened.
-            ajx_gf::slice::add_assign(&mut self.block, v);
-            self.recentlist.push(TidEntry { tid: ntid, time: now });
-        }
-        AddReply {
-            status: AddStatus::Ok,
-            opmode: self.opmode,
-            lmode: self.lmode,
-            spent: Vec::new(),
-        }
+        let applied = run.iter().filter(|inc| inc.applied).map(|inc| inc.v.as_slice());
+        ajx_gf::slice::add_assign_multi(&mut self.block, applied);
+        (self.opmode, self.lmode)
     }
 
     /// `checktid(ntid, otid)` — Fig. 5 lines 43-45.
@@ -541,6 +555,14 @@ mod tests {
         Tid::new(seq, 0, ClientId(1))
     }
 
+    /// A lone add: a run of one.
+    fn add1(s: &mut BlockState, v: &[u8], ntid: Tid, otid: Option<Tid>, e: Epoch) -> Increment {
+        let mut run = [Increment::new(v.to_vec(), ntid, otid, e)];
+        s.add(&mut run);
+        let [inc] = run;
+        inc
+    }
+
     #[test]
     fn read_returns_block_in_normal_unlocked_state() {
         let mut s = BlockState::new(4);
@@ -552,12 +574,12 @@ mod tests {
     #[test]
     fn duplicated_add_is_applied_exactly_once() {
         let mut s = BlockState::new(4);
-        let r = s.add(&[7, 7, 7, 7], tid(1), None, Epoch(0));
+        let r = add1(&mut s, &[7, 7, 7, 7], tid(1), None, Epoch(0));
         assert_eq!(r.status, AddStatus::Ok);
         assert_eq!(s.raw_block(), &[7, 7, 7, 7]);
         // An at-least-once network redelivers the same add: a second XOR
         // would cancel the update entirely.
-        let r = s.add(&[7, 7, 7, 7], tid(1), None, Epoch(0));
+        let r = add1(&mut s, &[7, 7, 7, 7], tid(1), None, Epoch(0));
         assert_eq!(r.status, AddStatus::Ok, "duplicate is acknowledged");
         assert_eq!(s.raw_block(), &[7, 7, 7, 7], "but not re-applied");
         assert_eq!(s.pending_tids(), 1, "and not re-recorded");
@@ -677,7 +699,7 @@ mod tests {
     #[test]
     fn add_xors_and_records_tid() {
         let mut s = BlockState::new(2);
-        let r = s.add(&[0x0F, 0xF0], tid(1), None, Epoch(0));
+        let r = add1(&mut s, &[0x0F, 0xF0], tid(1), None, Epoch(0));
         assert_eq!(r.status, AddStatus::Ok);
         assert_eq!(s.raw_block(), &[0x0F, 0xF0]);
         assert_eq!(s.pending_tids(), 1);
@@ -687,22 +709,22 @@ mod tests {
     fn add_enforces_write_order_via_otid() {
         let mut s = BlockState::new(2);
         // otid 5 never seen here: must return ORDER and not modify.
-        let r = s.add(&[1, 1], tid(6), Some(tid(5)), Epoch(0));
+        let r = add1(&mut s, &[1, 1], tid(6), Some(tid(5)), Epoch(0));
         assert_eq!(r.status, AddStatus::Order);
         assert_eq!(s.raw_block(), &[0, 0]);
         // After tid 5 arrives, the add goes through.
-        assert_eq!(s.add(&[2, 2], tid(5), None, Epoch(0)).status, AddStatus::Ok);
-        assert_eq!(s.add(&[1, 1], tid(6), Some(tid(5)), Epoch(0)).status, AddStatus::Ok);
+        assert_eq!(add1(&mut s, &[2, 2], tid(5), None, Epoch(0)).status, AddStatus::Ok);
+        assert_eq!(add1(&mut s, &[1, 1], tid(6), Some(tid(5)), Epoch(0)).status, AddStatus::Ok);
         assert_eq!(s.raw_block(), &[3, 3]);
     }
 
     #[test]
     fn add_accepts_otid_found_in_oldlist() {
         let mut s = BlockState::new(1);
-        s.add(&[1], tid(1), None, Epoch(0));
+        add1(&mut s, &[1], tid(1), None, Epoch(0));
         assert!(s.gc_recent(&[tid(1)]));
         // tid(1) now lives in oldlist only; ordering check must still pass.
-        let r = s.add(&[2], tid(2), Some(tid(1)), Epoch(0));
+        let r = add1(&mut s, &[2], tid(2), Some(tid(1)), Epoch(0));
         assert_eq!(r.status, AddStatus::Ok);
     }
 
@@ -710,28 +732,28 @@ mod tests {
     fn add_rejects_stale_epoch() {
         let mut s = BlockState::new(1);
         s.finalize(Epoch(3));
-        let r = s.add(&[1], tid(1), None, Epoch(2));
+        let r = add1(&mut s, &[1], tid(1), None, Epoch(2));
         assert_eq!(r.status, AddStatus::Unavail);
         // Current and future epochs pass (future can happen transiently
         // while finalize sweeps across nodes).
-        assert_eq!(s.add(&[1], tid(2), None, Epoch(3)).status, AddStatus::Ok);
-        assert_eq!(s.add(&[1], tid(3), None, Epoch(4)).status, AddStatus::Ok);
+        assert_eq!(add1(&mut s, &[1], tid(2), None, Epoch(3)).status, AddStatus::Ok);
+        assert_eq!(add1(&mut s, &[1], tid(3), None, Epoch(4)).status, AddStatus::Ok);
     }
 
     #[test]
     fn add_allowed_under_l0_but_not_l1() {
         let mut s = BlockState::new(1);
         s.trylock(LMode::L1, ClientId(9));
-        assert_eq!(s.add(&[1], tid(1), None, Epoch(0)).status, AddStatus::Unavail);
+        assert_eq!(add1(&mut s, &[1], tid(1), None, Epoch(0)).status, AddStatus::Unavail);
         s.setlock(LMode::L0, ClientId(9));
-        assert_eq!(s.add(&[1], tid(1), None, Epoch(0)).status, AddStatus::Ok);
+        assert_eq!(add1(&mut s, &[1], tid(1), None, Epoch(0)).status, AddStatus::Ok);
     }
 
     #[test]
     fn checktid_distinguishes_crash_gc_and_nochange() {
         let mut s = BlockState::new(1);
-        s.add(&[1], tid(1), None, Epoch(0));
-        s.add(&[1], tid(2), Some(tid(1)), Epoch(0));
+        add1(&mut s, &[1], tid(1), None, Epoch(0));
+        add1(&mut s, &[1], tid(2), Some(tid(1)), Epoch(0));
         assert_eq!(s.checktid(tid(2), tid(1)), CheckTidReply::NoChange);
         // GC tid(1) out of recentlist:
         assert!(s.gc_recent(&[tid(1)]));
@@ -813,8 +835,8 @@ mod tests {
     #[test]
     fn gc_two_phase_moves_then_drops() {
         let mut s = BlockState::new(1);
-        s.add(&[1], tid(1), None, Epoch(0));
-        s.add(&[1], tid(2), Some(tid(1)), Epoch(0));
+        add1(&mut s, &[1], tid(1), None, Epoch(0));
+        add1(&mut s, &[1], tid(2), Some(tid(1)), Epoch(0));
         assert!(s.gc_recent(&[tid(1)]));
         let st = s.get_state();
         assert_eq!(st.recentlist.len(), 1);
@@ -840,7 +862,7 @@ mod tests {
         // what matters is that it is O(1) per block, not proportional to
         // history. See `sec65_overhead` bench for the reported number.
         let mut s = BlockState::new(1024);
-        s.add(&[0; 1024], tid(1), None, Epoch(0));
+        add1(&mut s, &[0; 1024], tid(1), None, Epoch(0));
         s.gc_recent(&[tid(1)]);
         s.gc_old(&[tid(1)]);
         assert!(s.metadata_bytes() <= 32, "got {}", s.metadata_bytes());
@@ -850,7 +872,7 @@ mod tests {
     fn oldest_recent_age_grows_with_time() {
         let mut s = BlockState::new(1);
         assert_eq!(s.oldest_recent_age(), None);
-        s.add(&[1], tid(1), None, Epoch(0));
+        add1(&mut s, &[1], tid(1), None, Epoch(0));
         assert_eq!(s.oldest_recent_age(), Some(0));
         s.read();
         s.read();
