@@ -11,7 +11,9 @@
 //!   [`NetworkConfig::server_threads`] requests of a node at once (§5.1:
 //!   "the number of threads at the server limit the number of RPC calls
 //!   that are served simultaneously"), and one woken worker serves a whole
-//!   fan-out. A full queue sheds the request with [`RpcError::Busy`]
+//!   fan-out. At zero latency a blocking round is served by its own client
+//!   while it would otherwise wait, and wakes no worker unless it leaves a
+//!   job behind. A full queue sheds the request with [`RpcError::Busy`]
 //!   *before* enqueueing it, so overload degrades into determinate client
 //!   backoff instead of unbounded memory. Node state is a [`ShardedNode`]:
 //!   per-stripe shards behind fine-grained locks, so workers serving
@@ -180,6 +182,11 @@ impl Round {
             .and_then(Option::take)
     }
 
+    /// Whether every armed call has been posted.
+    fn complete(&self) -> bool {
+        lock(&self.state).unposted == 0
+    }
+
     /// Blocks until every armed call has been posted, or `until` passes.
     fn await_posts(&self, until: Option<Instant>) {
         let mut st = lock(&self.state);
@@ -227,6 +234,16 @@ enum Dispatched {
     Lost,
     /// Failed before reaching the node's queue.
     Failed(RpcError),
+}
+
+/// What a round's submits leave to do once its last call is enqueued
+/// ([`Network::settle`]).
+enum Owed {
+    /// Notify this many parked workers, each handed a wake-up by a submit.
+    Wakes(usize),
+    /// Nothing was handed out: the waiting client serves the round itself
+    /// ([`Shared::serve_round`]).
+    Serve,
 }
 
 /// One storage node as the pool serves it.
@@ -301,11 +318,20 @@ struct PoolState {
 
 impl PoolState {
     /// Takes the head of the first queue from the cursor on whose node serves
-    /// fewer than `per_node`, and books it as served.
-    fn take_job(&mut self, per_node: usize) -> Option<(usize, Job)> {
+    /// fewer than `per_node` and that `may_take` accepts, and books it as
+    /// served.
+    fn take_job(
+        &mut self,
+        per_node: usize,
+        may_take: impl Fn(usize, &NodeQueue) -> bool,
+    ) -> Option<(usize, Job)> {
         let n = self.queues.len();
         for i in (self.cursor..n).chain(0..self.cursor) {
-            let Some(q) = self.queues.get_mut(i).filter(|q| q.serving < per_node) else {
+            let Some(q) = self
+                .queues
+                .get_mut(i)
+                .filter(|q| q.serving < per_node && may_take(i, q))
+            else {
                 continue;
             };
             if let Some(job) = q.jobs.pop_front() {
@@ -315,6 +341,13 @@ impl PoolState {
             }
         }
         None
+    }
+
+    /// Whether some queued job's node serves fewer than `per_node`.
+    fn runnable(&self, per_node: usize) -> bool {
+        self.queues
+            .iter()
+            .any(|q| q.serving < per_node && !q.jobs.is_empty())
     }
 }
 
@@ -362,6 +395,13 @@ impl Shared {
         Ok(false)
     }
 
+    /// Whether serving node `i`'s next job can block the thread serving it:
+    /// held at a paused node's gate until the node resumes, or metered
+    /// through a shaped node NIC.
+    fn may_block(&self, i: usize, q: &NodeQueue) -> bool {
+        q.paused || self.nodes.get(i).is_some_and(|slot| slot.nic.is_some())
+    }
+
     /// A worker's life: take the next servable job, serve it, post its
     /// reply; park when there is none; exit once the network is dropped.
     /// A worker starts, or is woken, already counted as searching.
@@ -369,7 +409,7 @@ impl Shared {
         let closing = || self.closing.load(Ordering::SeqCst);
         let mut st = lock(&self.pool);
         loop {
-            let Some((i, job)) = st.take_job(self.per_node) else {
+            let Some((i, job)) = st.take_job(self.per_node, |_, _| true) else {
                 st.searching -= 1;
                 if closing() {
                     return;
@@ -389,45 +429,93 @@ impl Shared {
                 continue;
             };
             st.searching -= 1;
-            // A job that can block its worker — a paused node's, held until
-            // the node resumes, or a shaped NIC's — passes the search on
-            // first, so no other node's job waits behind it. A worker that
-            // only computes does not, and so serves a whole fan-out alone.
-            let paused = |st: &PoolState| st.queues.get(i).is_some_and(|q| q.paused);
-            let shaped = self.nodes.get(i).is_some_and(|slot| slot.nic.is_some());
-            if (shaped || paused(&st))
-                && st.queues.iter().any(|q| q.serving < self.per_node && !q.jobs.is_empty())
+            // A job that can block its worker passes the search on first, so
+            // no other node's job waits behind it. A worker that only
+            // computes does not, and so serves a whole fan-out alone.
+            if st.queues.get(i).is_some_and(|q| self.may_block(i, q))
+                && st.runnable(self.per_node)
                 && self.ensure_searcher(&mut st).unwrap_or(false)
             {
                 self.work.notify_one();
             }
-            while paused(&st) && !closing() {
-                st = self.resumed.wait(st).unwrap_or_else(PoisonError::into_inner);
-            }
-            // Nothing more is served once the network is dropped, nor after
-            // a panic closed the node; `None` from `serve`: it panicked.
-            let unserved = closing() || st.queues.get(i).is_some_and(|q| q.closed);
-            drop(st);
-            let Job { req, mut reply } = job;
-            let answer = match self.nodes.get(i) {
-                Some(slot) if !unserved => slot.serve(NodeId(i as u32), req),
-                _ => None,
+            st = self.run_job(st, i, job, true);
+        }
+    }
+
+    /// Serves `job`, just taken from node `i`'s queue under `st`, and posts
+    /// its reply: the one serve path, for a worker and for a client serving
+    /// its own round ([`Shared::serve_round`], `worker: false`). A paused
+    /// node's job is held at its gate first. Returns the pool lock, retaken
+    /// after the post.
+    fn run_job<'a>(
+        &'a self,
+        mut st: MutexGuard<'a, PoolState>,
+        i: usize,
+        job: Job,
+        worker: bool,
+    ) -> MutexGuard<'a, PoolState> {
+        let closing = || self.closing.load(Ordering::SeqCst);
+        while st.queues.get(i).is_some_and(|q| q.paused) && !closing() {
+            st = self.resumed.wait(st).unwrap_or_else(PoisonError::into_inner);
+        }
+        // Nothing more is served once the network is dropped, nor after a
+        // panic closed the node; `None` from `serve`: it panicked.
+        let unserved = closing() || st.queues.get(i).is_some_and(|q| q.closed);
+        drop(st);
+        let Job { req, mut reply } = job;
+        let answer = match self.nodes.get(i) {
+            Some(slot) if !unserved => slot.serve(NodeId(i as u32), req),
+            _ => None,
+        };
+        self.stats.dec_inflight(i);
+        st = lock(&self.pool);
+        // A worker is back to searching before the reply leaves: a client
+        // whose next call lands now finds a searcher and wakes nobody.
+        st.searching += usize::from(worker);
+        if let Some(q) = st.queues.get_mut(i) {
+            q.serving -= 1;
+            q.closed |= answer.is_none() && !unserved;
+        }
+        drop(st);
+        if let Some(reply) = &mut reply {
+            reply.answer = answer;
+        }
+        drop(reply);
+        lock(&self.pool)
+    }
+
+    /// A blocking round's client, which would only wait, serves queued jobs
+    /// itself — any node's, by the workers' `take_job` rule, never one that
+    /// can block — until `round` completes or nothing it may take is left.
+    /// Its submits handed out no wake-up, so a runnable job it leaves gets a
+    /// searching worker now, woken only then; a round that leaves none wakes
+    /// nobody. Should no worker start, it serves every runnable job itself.
+    fn serve_round(self: &Arc<Self>, round: &Round) {
+        let mut st = lock(&self.pool);
+        let mut alone = false;
+        loop {
+            let next = if alone || !round.complete() {
+                st.take_job(self.per_node, |i, q| alone || !self.may_block(i, q))
+            } else {
+                None
             };
-            self.stats.dec_inflight(i);
-            st = lock(&self.pool);
-            // Back to searching before the reply leaves: a client whose next
-            // call lands now finds a searcher and wakes nobody.
-            st.searching += 1;
-            if let Some(q) = st.queues.get_mut(i) {
-                q.serving -= 1;
-                q.closed |= answer.is_none() && !unserved;
+            if let Some((i, job)) = next {
+                st = self.run_job(st, i, job, false);
+                continue;
             }
-            drop(st);
-            if let Some(reply) = &mut reply {
-                reply.answer = answer;
+            if !st.runnable(self.per_node) {
+                return;
             }
-            drop(reply);
-            st = lock(&self.pool);
+            match self.ensure_searcher(&mut st) {
+                Ok(woke) => {
+                    drop(st);
+                    if woke {
+                        self.work.notify_one();
+                    }
+                    return;
+                }
+                Err(_) => alone = true,
+            }
         }
     }
 }
@@ -640,8 +728,8 @@ impl Network {
     /// is drawn and applied: draw, maybe duplicate, submit, maybe drop the
     /// reply. A delivered reply is posted into `slot` of `round`. Returns
     /// how the call left the client and the link delay the fate injected,
-    /// which the caller folds into the call's `ready_at`; counts into
-    /// `wakes` the parked workers the submits handed a wake-up.
+    /// which the caller folds into the call's `ready_at`; the submits add
+    /// to what the round `owed` once it is enqueued.
     ///
     /// The fate comes from the endpoint's per-link sequence counters,
     /// keeping the injected drop/delay/duplicate decisions deterministic per
@@ -652,7 +740,7 @@ impl Network {
         node: NodeId,
         req: Request,
         (round, slot): (&Arc<Round>, usize),
-        wakes: &mut usize,
+        owed: &mut Owed,
     ) -> (Dispatched, Duration) {
         let fate = match ep.fault_seq.get(node.0 as usize) {
             Some(ctr) => {
@@ -668,33 +756,32 @@ impl Network {
         if fate.duplicate_req {
             // At-least-once delivery: the node executes the request a
             // second time; the duplicate's reply goes nowhere.
-            *wakes += usize::from(self.submit(node, req.clone(), None) == Ok(true));
+            let _ = self.submit(node, req.clone(), None, owed);
         }
         // The node executes the request either way; a lost reply is one
         // it sends nowhere.
         let reply_to = (!fate.drop_reply).then_some((round, slot));
-        let sent = match self.submit(node, req, reply_to) {
-            Ok(woke) => {
-                *wakes += usize::from(woke);
-                reply_to.map_or(Dispatched::Lost, |(round, slot)| {
-                    Dispatched::InFlight(Arc::clone(round), slot)
-                })
-            }
+        let sent = match self.submit(node, req, reply_to, owed) {
+            Ok(()) => reply_to.map_or(Dispatched::Lost, |(round, slot)| {
+                Dispatched::InFlight(Arc::clone(round), slot)
+            }),
             Err(e) => Dispatched::Failed(e),
         };
         (sent, fate.delay)
     }
 
     /// Enqueues `req` at `node`, its reply armed for `reply_to`'s slot, and
-    /// makes sure a worker will serve it; `Ok(true)`: a parked worker was
-    /// handed the wake-up, and [`Network::wake`] must notify it. Every
-    /// refusal comes before the enqueue, so it is determinate.
+    /// makes sure a worker will serve it — counting into `owed` a parked
+    /// worker handed the wake-up, for [`Network::settle`] to notify —
+    /// unless the round is [`Owed::Serve`]. Every refusal comes before the
+    /// enqueue, so it is determinate.
     fn submit(
         &self,
         node: NodeId,
         req: Request,
         reply_to: Option<(&Arc<Round>, usize)>,
-    ) -> Result<bool, RpcError> {
+        owed: &mut Owed,
+    ) -> Result<(), RpcError> {
         let (i, shared) = (node.0 as usize, &self.shared);
         let wire_bytes = req.wire_bytes();
         let payload_bytes = req.payload_bytes();
@@ -712,10 +799,16 @@ impl Network {
         if shared.depth.is_some_and(|depth| q.jobs.len() >= depth) {
             return Err(RpcError::Busy(node));
         }
-        // A job its node can take now needs a searching worker; one that
-        // cannot be started refuses the request, again before the enqueue.
+        // A job its node can take now needs a searching worker, unless the
+        // waiting client serves the round; one that cannot be started
+        // refuses the request, again before the enqueue.
         let runnable = q.serving < shared.per_node;
-        let woke = runnable && shared.ensure_searcher(&mut st).map_err(|_| RpcError::Busy(node))?;
+        if let (Owed::Wakes(wakes), true) = (&mut *owed, runnable) {
+            let woke = shared
+                .ensure_searcher(&mut st)
+                .map_err(|_| RpcError::Busy(node))?;
+            *wakes += usize::from(woke);
+        }
         // Under the pool lock, so no worker can answer — and decrement the
         // gauge — before it goes up.
         shared.stats.inc_inflight(i);
@@ -728,13 +821,17 @@ impl Network {
         // never left the client must not inflate `msgs_sent`.
         shared.stats.record_send(wire_bytes);
         shared.stats.record_send_payload(payload_bytes);
-        Ok(woke)
+        Ok(())
     }
 
-    /// Notifies the parked workers a round's submits handed `wakes`. Sent
-    /// after the whole round is enqueued, so the woken worker finds it all.
-    fn wake(&self, wakes: usize) {
-        (0..wakes).for_each(|_| self.shared.work.notify_one());
+    /// Does what `round`'s submits `owed`, once the whole round is
+    /// enqueued: notifies the parked workers they handed a wake-up, so the
+    /// woken worker finds the round whole, or serves the round here.
+    fn settle(&self, round: &Round, owed: Owed) {
+        match owed {
+            Owed::Wakes(wakes) => (0..wakes).for_each(|_| self.shared.work.notify_one()),
+            Owed::Serve => self.shared.serve_round(round),
+        }
     }
 }
 
@@ -850,7 +947,11 @@ impl ClientEndpoint {
     /// loses the exchange; [`RpcError::NetTornDown`] when the node's
     /// handler panics mid-call.
     pub fn call(&self, node: NodeId, req: Request) -> Result<Reply, RpcError> {
-        self.wait(&mut self.submit_call(node, req))
+        let (round, mut owed) = (Round::new(1), self.blocking_round());
+        let admitted = self.admit(&req);
+        let mut call = self.launch(node, req, admitted, (&round, 0), &mut owed);
+        self.net.settle(&round, owed);
+        self.wait(&mut call)
     }
 
     /// Parallel fan-out — the paper's `pfor`: every call of the round is
@@ -858,17 +959,7 @@ impl ClientEndpoint {
     /// propagation window (the client NIC still serializes the payloads),
     /// and the replies are returned in order.
     pub fn call_many(&self, calls: Vec<(NodeId, Request)>) -> Vec<Result<Reply, RpcError>> {
-        let (round, mut wakes) = (Round::new(calls.len()), 0);
-        let mut pending: Vec<PendingCall> = calls
-            .into_iter()
-            .enumerate()
-            .map(|(slot, (node, req))| {
-                let admitted = self.admit(&req);
-                self.launch(node, req, admitted, (&round, slot), &mut wakes)
-            })
-            .collect();
-        self.net.wake(wakes);
-        pending.iter_mut().map(|call| self.wait(call)).collect()
+        self.round(calls, |req| self.admit(req))
     }
 
     /// Broadcast (§3.11): sends the *same* payload to many nodes, paying
@@ -887,16 +978,27 @@ impl ClientEndpoint {
             Err(e) => return vec![Err(e); requests.len()],
         };
         // The first member reserves the shared payload; the rest ride on it.
-        let (round, mut wakes) = (Round::new(requests.len()), 0);
-        let mut pending: Vec<PendingCall> = requests
+        self.round(requests, |_| Ok(std::mem::take(&mut shared_bytes)))
+    }
+
+    /// One blocking round of `calls`, each admitted by `admit`: launch
+    /// them all, settle what their submits owed, then wait on each call in
+    /// order.
+    fn round(
+        &self,
+        calls: Vec<(NodeId, Request)>,
+        mut admit: impl FnMut(&Request) -> Result<usize, RpcError>,
+    ) -> Vec<Result<Reply, RpcError>> {
+        let (round, mut owed) = (Round::new(calls.len()), self.blocking_round());
+        let mut pending: Vec<PendingCall> = calls
             .into_iter()
             .enumerate()
             .map(|(slot, (node, req))| {
-                let admitted = Ok(std::mem::take(&mut shared_bytes));
-                self.launch(node, req, admitted, (&round, slot), &mut wakes)
+                let admitted = admit(&req);
+                self.launch(node, req, admitted, (&round, slot), &mut owed)
             })
             .collect();
-        self.net.wake(wakes);
+        self.net.settle(&round, owed);
         pending.iter_mut().map(|call| self.wait(call)).collect()
     }
 
@@ -904,7 +1006,9 @@ impl ClientEndpoint {
     /// driven to completion by [`ClientEndpoint::poll_call`]. This is the
     /// connection-multiplexed path — one OS thread can hold thousands of
     /// `PendingCall`s for as many logical clients — and the blocking calls
-    /// are this plus a wait, so one timing model holds for every caller:
+    /// are this plus a wait (at zero latency with no client NIC, the wait
+    /// begins by serving the round: `Owed::Serve`), so one timing model
+    /// holds for every caller:
     ///
     /// * a call's fate is drawn once, here, in `Network::dispatch`, in
     ///   per-link submission order;
@@ -922,24 +1026,37 @@ impl ClientEndpoint {
     /// hold, cross-client arrival order does not. At zero latency with no
     /// NIC shaping, `ready_at` is the submit instant and nothing is slept.
     pub fn submit_call(&self, node: NodeId, req: Request) -> PendingCall {
-        let (admitted, mut wakes) = (self.admit(&req), 0);
-        let call = self.launch(node, req, admitted, (&Round::new(1), 0), &mut wakes);
-        self.net.wake(wakes);
+        let (admitted, round, mut owed) = (self.admit(&req), Round::new(1), Owed::Wakes(0));
+        let call = self.launch(node, req, admitted, (&round, 0), &mut owed);
+        self.net.settle(&round, owed);
         call
+    }
+
+    /// How a blocking round's submits leave it. At zero latency with no
+    /// client NIC its `ready_at` is the submit instant, so its client has
+    /// nothing to do but wait: it serves the round itself
+    /// ([`Owed::Serve`]). Otherwise they wake workers at once and the
+    /// client sleeps to `ready_at`.
+    fn blocking_round(&self) -> Owed {
+        if self.net.latency.is_zero() && self.nic.is_none() {
+            Owed::Serve
+        } else {
+            Owed::Wakes(0)
+        }
     }
 
     /// The one way a call leaves the client: reserve client NIC time for
     /// its admitted bytes, let [`Network::dispatch`] draw its fate and
     /// enqueue it with its reply armed for `slot` of `round`, and fix
-    /// `ready_at`. A refused admission resolves at once. Wake-ups owed to
-    /// parked workers add up in `wakes` for the caller to send.
+    /// `ready_at`. A refused admission resolves at once. What the submits
+    /// leave to do adds up in `owed` for the caller to settle.
     fn launch(
         &self,
         node: NodeId,
         req: Request,
         admitted: Result<usize, RpcError>,
         slot: (&Arc<Round>, usize),
-        wakes: &mut usize,
+        owed: &mut Owed,
     ) -> PendingCall {
         let now = Instant::now();
         let (ready_at, sent) = match admitted {
@@ -949,7 +1066,7 @@ impl ClientEndpoint {
                     .nic
                     .as_ref()
                     .map_or(Duration::ZERO, |nic| nic.consume_nonblocking(bytes));
-                let (sent, delay) = self.net.dispatch(self, node, req, slot, wakes);
+                let (sent, delay) = self.net.dispatch(self, node, req, slot, owed);
                 (now + nic_wait + self.net.latency * 2 + delay, sent)
             }
         };
@@ -2322,5 +2439,170 @@ mod server_thread_tests {
             }
         });
         assert!(!net.node_is_up(NodeId(0)));
+    }
+}
+
+#[cfg(test)]
+mod caller_serves_tests {
+    use super::*;
+    use crate::fault::LinkFaults;
+    use ajx_storage::{StripeId, Tid};
+
+    /// The pool's books: `(searching, wake-ups owed, workers started)`.
+    fn books(net: &Network) -> (usize, usize, usize) {
+        let st = lock(&net.shared.pool);
+        (st.searching, st.wakeups, st.workers.len())
+    }
+
+    fn read() -> Request {
+        Request::Read {
+            stripe: StripeId(0),
+        }
+    }
+
+    /// Whether `done` comes to hold within a second.
+    fn within_a_second(done: impl Fn() -> bool) -> bool {
+        let start = Instant::now();
+        while !done() {
+            if start.elapsed() > Duration::from_secs(1) {
+                return false;
+            }
+            std::thread::yield_now();
+        }
+        true
+    }
+
+    /// At zero latency the waiting client serves its whole round: a 4-way
+    /// `call_many` leaves no wake-up owed and no worker searching, and
+    /// starts none.
+    #[test]
+    fn a_zero_latency_round_wakes_no_worker() {
+        let net = Network::new(NetworkConfig::default());
+        let client = net.client(ClientId(1));
+        for _ in 0..3 {
+            let replies = client.call_many((0..4).map(|i| (NodeId(i), read())).collect());
+            assert!(replies.iter().all(Result::is_ok));
+            assert_eq!(books(&net), (0, 0, 0), "(searching, wake-ups, workers)");
+        }
+        assert_eq!(client.stats().snapshot().round_trips, 12);
+    }
+
+    /// A job its round does not wait for — a duplicate and a request whose
+    /// reply the fault plan drops — is left queued when the client stops
+    /// serving, and a worker serves it: both copies reach the node, which
+    /// applies the increment once.
+    #[test]
+    fn a_job_the_round_leaves_behind_is_served_by_a_worker() {
+        let net = Network::new(NetworkConfig {
+            call_timeout: Some(Duration::from_millis(5)),
+            ..NetworkConfig::default()
+        });
+        net.faults().set_link(
+            ClientId(1),
+            NodeId(0),
+            LinkFaults {
+                dup_req: 1.0,
+                drop_reply: 1.0,
+                ..LinkFaults::default()
+            },
+        );
+        let client = net.client(ClientId(1));
+        let add = Request::Add {
+            stripe: StripeId(0),
+            delta: vec![1; 64],
+            ntid: Tid::new(1, 0, ClientId(1)),
+            otid: None,
+            epoch: ajx_storage::Epoch(0),
+            scale: None,
+        };
+        assert_eq!(
+            client.call(NodeId(0), add),
+            Err(RpcError::Timeout(NodeId(0)))
+        );
+        let served = within_a_second(|| net.with_node(NodeId(0), |n| n.ops_handled()) == 2);
+        assert!(served, "both copies reach the node");
+        assert_eq!(books(&net).2, 1, "a worker was started for them");
+        net.with_node(NodeId(0), |n| {
+            let applied = n.block_state(StripeId(0)).map(|s| s.raw_block().to_vec());
+            assert_eq!(applied, Some(vec![1; 64]), "applied exactly once");
+        });
+        assert_eq!(net.stats().inflight(0), 0);
+    }
+
+    /// A job that can block its server — a paused node's, a shaped node
+    /// NIC's — is never the client's: a worker takes it, while the client
+    /// serves the rest of its round.
+    #[test]
+    fn a_client_never_serves_a_job_that_can_block() {
+        let net = Network::new(NetworkConfig {
+            n_nodes: 2,
+            server_threads: 1,
+            ..NetworkConfig::default()
+        });
+        let client = net.client(ClientId(1));
+        net.pause_node(NodeId(0));
+        let (held, replies) = std::thread::scope(|s| {
+            let round =
+                s.spawn(|| client.call_many(vec![(NodeId(0), read()), (NodeId(1), read())]));
+            // Node 1's job served and node 0's taken; resumed either way, so
+            // a failed check cannot leave the round's thread blocked.
+            let held = within_a_second(|| {
+                net.with_node(NodeId(1), |n| n.ops_handled()) == 1
+                    && net.node_queue_len(NodeId(0)) == 0
+            });
+            let held = (held, books(&net).2);
+            net.resume_node(NodeId(0));
+            (held, round.join().expect("the round's thread"))
+        });
+        assert_eq!(
+            held,
+            (true, 1),
+            "a worker, not the client, holds node 0's job"
+        );
+        assert!(replies.iter().all(Result::is_ok), "{replies:?}");
+
+        let shaped = Network::new(NetworkConfig {
+            node_bandwidth: Some(1 << 30),
+            ..NetworkConfig::default()
+        });
+        let client = shaped.client(ClientId(1));
+        assert!(client.call(NodeId(0), read()).is_ok());
+        assert_eq!(books(&shaped).2, 1, "a worker served the shaped node");
+    }
+
+    /// Two clients serving rounds against one node at `server_threads: 1`
+    /// never run two of its handlers at once: on one shard, no lock
+    /// acquisition ever contends.
+    #[test]
+    fn clients_serving_one_node_keep_its_cap() {
+        let net = Network::new(NetworkConfig {
+            n_nodes: 1,
+            server_threads: 1,
+            state_shards: 1,
+            ..NetworkConfig::default()
+        });
+        let clients: Vec<_> = (1..=2).map(|i| net.client(ClientId(i))).collect();
+        let start = std::sync::Barrier::new(clients.len());
+        std::thread::scope(|s| {
+            for c in &clients {
+                let start = &start;
+                s.spawn(move || {
+                    start.wait();
+                    for i in 0..500u64 {
+                        let swap = Request::Swap {
+                            stripe: StripeId(0),
+                            value: vec![i as u8; 64],
+                            ntid: Tid::new(i + 1, 0, c.id()),
+                        };
+                        c.call(NodeId(0), Request::Batch(vec![swap, read()]))
+                            .expect("a batch on a healthy node");
+                    }
+                });
+            }
+        });
+        net.with_node(NodeId(0), |n| {
+            assert_eq!(n.ops_handled(), 2 * 500 * 2);
+            assert_eq!(n.contended_shard_locks(), 0, "two handlers ran at once");
+        });
     }
 }

@@ -16,7 +16,8 @@
 # run correct with zero failed operations,
 # a traced small_rw run shows garbage collection still batched per node and
 # still collecting everything, and the node's media-write and metadata
-# accounts where they were, a traced seq_large run shows a bulk write
+# accounts where they were, and its blocking rounds served without a
+# thread hop, a traced seq_large run shows a bulk write
 # putting the same bytes and round trips on the wire, and a traced
 # degraded_rebuild run shows the widest fan-out's protocol counts unmoved).
 #
@@ -197,6 +198,14 @@ echo "storage.media_writes_per_write $media_writes, storage.metadata_bytes_per_b
 awk -v m="$media_writes" -v b="$metadata_bytes" 'BEGIN { exit !(m == 5 && b == 25.75) }' \
   || { echo "node-level accounting moved (want 5 media writes per write, 25.75 metadata bytes per block)"; exit 1; }
 echo "node-level accounting holds"
+# At zero latency a blocking round's waiting client serves the round itself
+# and wakes no worker unless it leaves a job behind: 0.14-0.23 context
+# switches per operation, against 3.2 when every round woke a worker.
+ctx_switches=$(metric transport.ctx_switches_per_op)
+echo "transport.ctx_switches_per_op $ctx_switches"
+awk -v c="$ctx_switches" 'BEGIN { exit !(c != "" && c < 0.5) }' \
+  || { echo "a blocking round went back to a thread hop (want transport.ctx_switches_per_op < 0.5)"; exit 1; }
+echo "a round trip costs no thread hop"
 
 echo "== a bulk write puts the same bytes on the wire (traced seq_large) =="
 # PR 22 took the client's copies out of the 64 KiB write path; the wire
