@@ -13,12 +13,9 @@
 use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
 use crate::rebuild::RebuildReport;
-use crate::recovery::{recover, RecoveryOutcome};
 use crate::rpc::{batch, call, call_grouped, call_many, expect_reply};
 use crate::write::BlockWrite;
-use ajx_storage::{
-    ClientId, LMode, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid,
-};
+use ajx_storage::{ClientId, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid};
 use ajx_transport::{ClientEndpoint, RpcError};
 use parking_lot::Mutex;
 use std::cell::RefCell;
@@ -31,6 +28,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 /// its members' shard locks, and foreground reads must not wait behind an
 /// unbounded one.
 const FANOUT_CHUNK: usize = 256;
+
+/// Whole-`WRITE` attempt budget: the outer `repeat` of Fig. 5, a fresh
+/// swap each attempt.
+const WRITE_ATTEMPT_LIMIT: u32 = 64;
 
 /// Garbage-collection bookkeeping (Fig. 7's client-side `gc[j]`/`old[j]`
 /// lists, keyed additionally by stripe since one client writes many
@@ -235,7 +236,7 @@ impl Client {
     /// Starts a backoff session for one operation's retry loop, seeded per
     /// (client, stripe, operation) so competing clients draw different
     /// jitter but a given run is reproducible.
-    fn backoff(&self, stripe: StripeId, salt: u64) -> crate::backoff::BackoffSession {
+    pub(crate) fn backoff(&self, stripe: StripeId, salt: u64) -> crate::backoff::BackoffSession {
         self.cfg
             .backoff
             .session((u64::from(self.id().0) << 40) ^ (stripe.0 << 8) ^ salt)
@@ -296,10 +297,9 @@ impl Client {
                         return Ok(v);
                     }
                     // Ambiguous tid bookkeeping (writes draining) or too
-                    // few reachable peers: settle it under locks.
-                    if let Some(v) = self.recover_for_read(stripe, i)? {
-                        return Ok(v);
-                    }
+                    // few reachable peers: settle it under locks, then
+                    // read again.
+                    self.recover_stripe(stripe)?;
                 }
                 None => backoff.pause(), // recovery in progress elsewhere
             }
@@ -321,49 +321,6 @@ impl Client {
             return Ok(None);
         }
         crate::recovery::degraded_read(&self.endpoint, &self.cfg, stripe, i)
-    }
-
-    /// Recovery on behalf of a blocked `READ` of `(stripe, i)`: like
-    /// [`Client::recover_stripe`], but after losing the recovery race the
-    /// client re-probes *the data node it wants* once — if the race winner
-    /// has finished, the block comes back in that same round trip, instead
-    /// of paying a generic probe plus a fresh full `READ` round.
-    ///
-    /// `Ok(Some(v))` is the block; `Ok(None)` means this client completed
-    /// the recovery itself and the caller should re-issue its `READ`.
-    fn recover_for_read(
-        &self,
-        stripe: StripeId,
-        i: usize,
-    ) -> Result<Option<Vec<u8>>, ProtocolError> {
-        let node = self.node_of(stripe, i);
-        let mut backoff = self.backoff(stripe, 4);
-        for _ in 0..=self.cfg.busy_retry_limit {
-            match recover(&self.endpoint, &self.cfg, self.id(), stripe)? {
-                RecoveryOutcome::Completed => return Ok(None),
-                RecoveryOutcome::LostRace => {
-                    backoff.pause();
-                    match call(&self.endpoint, &self.cfg, node, || Request::Read { stripe }) {
-                        Ok(reply) => {
-                            let r = expect_reply!(reply, Reply::Read);
-                            if let Some(v) = r.block {
-                                return Ok(Some(v));
-                            }
-                            // Still locked or INIT: the winner has not
-                            // finished; contend for recovery again.
-                        }
-                        // The data node is unreachable; recovery can still
-                        // finish without it, so keep contending.
-                        Err(ProtocolError::Rpc(_)) => {}
-                        Err(e) => return Err(e),
-                    }
-                }
-            }
-        }
-        Err(ProtocolError::RetriesExhausted {
-            what: "recovery",
-            attempts: self.cfg.busy_retry_limit + 1,
-        })
     }
 
     /// Scatter-gather `READ`: fetches many logical blocks with one batched
@@ -546,7 +503,7 @@ impl Client {
         }
         // Outer `repeat` (Fig. 5 lines 1 and 22), shared across the blocks
         // still unfinished: a fresh swap each attempt.
-        for _ in 0..self.cfg.write_attempt_limit {
+        for _ in 0..WRITE_ATTEMPT_LIMIT {
             if runs.iter().all(|run| run.todo.is_empty()) {
                 break;
             }
@@ -610,7 +567,7 @@ impl Client {
                 }
             }
         }
-        let attempts = self.cfg.write_attempt_limit;
+        let attempts = WRITE_ATTEMPT_LIMIT;
         let outcome = |run: StripeRun| match run.err {
             Some(e) => Err(e),
             None if run.todo.is_empty() => Ok(()),
@@ -807,42 +764,31 @@ impl Client {
         self.endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
     }
 
-    /// Runs recovery for `stripe` until it completes — either by this
-    /// client or by the client we lost the race to (Fig. 4 line 4 /
-    /// Fig. 5's `start_recovery`).
+    /// Runs Fig. 6 recovery for `stripe` until it completes — either by
+    /// this client or by the client it lost the race to (Fig. 4 line 4 /
+    /// Fig. 5's `start_recovery`): the rebuild engine over a window of this
+    /// one stripe, without its healthy-stripe probe.
     ///
     /// # Errors
     ///
-    /// As [`crate::recovery`] plus [`ProtocolError::RetriesExhausted`] when
-    /// losing the race repeatedly without the stripe becoming readable.
+    /// [`ProtocolError::Unrecoverable`] if no `k` consistent blocks can be
+    /// assembled (the §4 failure bounds were exceeded);
+    /// [`ProtocolError::RetriesExhausted`] when losing the lock race
+    /// repeatedly without the stripe being released; transport errors
+    /// (e.g. this client was killed mid-recovery — the locks it leaves
+    /// behind expire and another client picks up).
     pub fn recover_stripe(&self, stripe: StripeId) -> Result<(), ProtocolError> {
-        let mut backoff = self.backoff(stripe, 4);
-        for _ in 0..=self.cfg.busy_retry_limit {
-            match recover(&self.endpoint, &self.cfg, self.id(), stripe)? {
-                RecoveryOutcome::Completed => return Ok(()),
-                RecoveryOutcome::LostRace => {
-                    backoff.pause();
-                    // If the other client finished, the stripe is usable
-                    // again; probe cheaply via a node's lock mode.
-                    if self.probe_stripe_released(stripe)? {
-                        return Ok(());
-                    }
-                }
-            }
-        }
-        Err(ProtocolError::RetriesExhausted {
-            what: "recovery",
-            attempts: self.cfg.busy_retry_limit + 1,
-        })
+        crate::rebuild::recover_stripe(self, stripe)
     }
 
-    /// Rebuilds the given stripes with the batched engine (see
+    /// Rebuilds the given stripes with the batched Fig. 6 engine (see
     /// [`crate::RebuildReport`]): chunks of stripes are repaired with one
-    /// batched lock / state / reconstruct / finalize round per storage
-    /// node, decode plans come from the config's shared cache, and windows
-    /// of `cfg.rebuild_width` chunks share each round's fan-out. Healthy
-    /// stripes are probed first and skipped; anything the batched fast
-    /// path cannot settle falls back to serial Fig. 6 recovery.
+    /// batched lock / metadata / share / reconstruct / finalize round per
+    /// storage node, decode plans come from the config's shared cache, and
+    /// windows of `cfg.rebuild_width` chunks share each round's fan-out.
+    /// Healthy stripes are probed first and skipped; crashed recoveries are
+    /// adopted, draining writes waited out, and lost lock races retried in
+    /// the same batched rounds.
     ///
     /// # Errors
     ///
@@ -873,30 +819,6 @@ impl Client {
         }
         let stripes: Vec<StripeId> = (0..stripe_count).map(StripeId).collect();
         self.rebuild_stripes(&stripes)
-    }
-
-    /// Checks whether the recovery we lost the race to has finished and
-    /// released the stripe.
-    ///
-    /// Asks the data nodes in index order and settles for the first one
-    /// that answers: the probe must not be pinned to data node 0, because
-    /// when *that* is the crashed node a transport error here used to abort
-    /// the whole recovery retry loop. An unreachable node just means "ask
-    /// the next one"; if nobody answers, the stripe is conservatively
-    /// treated as still recovering.
-    fn probe_stripe_released(&self, stripe: StripeId) -> Result<bool, ProtocolError> {
-        for t in 0..self.cfg.n() {
-            let probe = || Request::Probe { stripe };
-            match call(&self.endpoint, &self.cfg, self.node_of(stripe, t), probe) {
-                Ok(Reply::Probe { opmode, lmode, .. }) => {
-                    return Ok(opmode == OpMode::Norm && lmode == LMode::Unl)
-                }
-                Ok(other) => return Err(ProtocolError::unexpected("Reply::Probe", &other)),
-                Err(ProtocolError::Rpc(_)) => continue,
-                Err(e) => return Err(e),
-            }
-        }
-        Ok(false)
     }
 
     /// One garbage-collection cycle (Fig. 7's `collect_garbage` task), in
@@ -1034,6 +956,7 @@ impl Client {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ajx_storage::LMode;
     use ajx_transport::{Network, NetworkConfig};
 
     fn client(k: usize, n: usize) -> Client {
@@ -1176,20 +1099,6 @@ mod tests {
         for node in 0..4 {
             assert_eq!(net.with_node(NodeId(node), |n| n.metadata_bytes()), 22 * per_node);
         }
-    }
-
-    #[test]
-    fn lost_race_probe_falls_past_a_crashed_data_node() {
-        let (net, c) = client_on_net(2, 4, false);
-        c.write_block(0, vec![3; 16]).unwrap();
-        let stripe = StripeId(0);
-        // Crash the first data node; the probe used to be hard-wired to it
-        // and surfaced the transport error, aborting recovery's retry loop.
-        net.crash_node(c.node_of(stripe, 0));
-        assert!(
-            c.probe_stripe_released(stripe).unwrap(),
-            "an unreachable first node means: ask the next one"
-        );
     }
 
     #[test]

@@ -96,19 +96,10 @@ pub struct ProtocolConfig {
     pub order_retry_limit: u32,
     /// Retry budget for operations blocked on another client's recovery.
     pub busy_retry_limit: u32,
-    /// How many L0 drain rounds recovery waits for outstanding `add`s to
-    /// make blocks consistent (Fig. 6 lines 13-18) before settling for a
-    /// smaller consistent set. Draining only helps when the writers are
-    /// alive; once patience runs out, recovery accepts any set of at least
-    /// `k` blocks — this is what lets the §3.10 monitoring sweep repair the
-    /// stripe even after more than `t_p` client crashes.
-    pub drain_patience: u32,
     /// Pacing for busy retries and indeterminate-RPC re-sends: capped
     /// exponential backoff with jitter. Replaces the old fixed
     /// `busy_retry_pause`, which synchronized competing clients.
     pub backoff: BackoffPolicy,
-    /// Whole-`WRITE` attempt budget (outer `repeat` of Fig. 5).
-    pub write_attempt_limit: u32,
     /// Automatically remap crashed nodes through the directory service
     /// (§3.5) when an RPC finds them down.
     pub auto_remap: bool,
@@ -179,9 +170,7 @@ impl ProtocolConfig {
             t_d,
             order_retry_limit: 64,
             busy_retry_limit: 512,
-            drain_patience: 3,
             backoff: BackoffPolicy::default(),
-            write_attempt_limit: 64,
             auto_remap: true,
             remap_garbage: 0xA5,
             pipeline_width: 8,

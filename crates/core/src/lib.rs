@@ -17,10 +17,11 @@
 //! * [`ProtocolConfig`] / [`UpdateStrategy`] — configuration, including the
 //!   serial / parallel / hybrid / broadcast redundant-update schemes
 //!   (Fig. 1's AJX-ser / AJX-par / AJX-bcast).
-//! * [`recovery`] — Fig. 6's three-phase recovery, `find_consistent`, and
-//!   the lock-free degraded read (DESIGN.md §8).
-//! * [`RebuildReport`] / [`Client::rebuild_node`] — the batched, bounded-
-//!   concurrency stripe-rebuild engine for bulk repair after a node loss.
+//! * [`recovery`] — `find_consistent` and the lock-free degraded read
+//!   (DESIGN.md §8).
+//! * [`RebuildReport`] / [`Client::rebuild_node`] — the batched Fig. 6
+//!   engine: every recovery, from [`Client::recover_stripe`]'s one stripe
+//!   to bulk repair of a lost node's stripes in windows of chunks.
 //! * [`resilience`] — the §4 theorems relating redundancy `n − k` to the
 //!   tolerated client (`t_p`) and storage (`t_d`) crash counts.
 //!
@@ -72,4 +73,4 @@ pub use config::{ProtocolConfig, UpdateStrategy};
 pub use error::ProtocolError;
 pub use mux::{run_mux_workload, MuxOptions, MuxReport};
 pub use rebuild::RebuildReport;
-pub use recovery::{find_consistent, RecoveryOutcome};
+pub use recovery::find_consistent;

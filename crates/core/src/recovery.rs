@@ -1,34 +1,17 @@
-//! The online recovery procedure of §3.8 / Fig. 6, and the
-//! [`find_consistent`] analysis it relies on.
-//!
-//! Recovery is run by *any client* that stumbles on a failed or locked
-//! block. It has three phases: (1) lock all `n` stripe-blocks in index
-//! order, (2) find `k + slack` blocks mutually consistent under the erasure
-//! code (letting outstanding `add`s drain through the weakened L0 lock if
-//! needed), (3) decode, rewrite every node, bump the epoch, and unlock.
-//! A crashed recovery is picked up by the next client via the `RECONS`
-//! opmode and the saved `recons_set`.
+//! The stripe analysis behind recovery and degraded reads:
+//! [`find_consistent`] (Fig. 6) and the lock-free degraded read
+//! (DESIGN.md §8). Fig. 6 recovery itself — lock, choose a consistent set
+//! (adopting a crashed recovery's, or draining outstanding adds), decode,
+//! reconstruct, finalize — is the batched engine in `rebuild.rs`, behind
+//! both [`Client::recover_stripe`](crate::Client::recover_stripe) and
+//! [`Client::rebuild_stripes`](crate::Client::rebuild_stripes).
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
-use crate::rpc::{call, call_many, expect_reply};
-use ajx_erasure::CodeError;
-use ajx_storage::{
-    ClientId, Epoch, GetStateReply, LMode, NodeId, OpMode, Reply, Request, StripeId, Tid,
-};
+use crate::rpc::call_many;
+use ajx_storage::{Epoch, GetStateReply, NodeId, OpMode, Reply, Request, StripeId, Tid};
 use ajx_transport::ClientEndpoint;
 use std::collections::BTreeSet;
-
-/// What a recovery attempt accomplished.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum RecoveryOutcome {
-    /// This client completed recovery; the stripe is consistent and in a
-    /// fresh epoch.
-    Completed,
-    /// Another client holds the recovery locks; the caller should retry its
-    /// original operation after a pause.
-    LostRace,
-}
 
 /// Implements Fig. 6's `find_consistent`: the largest set `S` of in-stripe
 /// indices whose blocks are mutually consistent under the erasure code,
@@ -104,283 +87,6 @@ pub fn find_consistent(states: &[GetStateReply], k: usize) -> Vec<usize> {
     }
     best.sort_unstable();
     best
-}
-
-/// Runs one recovery attempt for `stripe` (Fig. 6's `recover()`).
-///
-/// On any error after locks were taken, a best-effort unlock is issued
-/// before the error propagates: a *live* client that errors out of
-/// recovery (e.g. persistent timeouts through a partition) gets no
-/// failure notification, so locks it leaves behind would never expire and
-/// the stripe would be bricked for everyone. The unlock itself is
-/// fire-and-forget — nodes that cannot be reached stay locked until this
-/// client retries (re-entrant `trylock`) or is declared failed.
-///
-/// # Errors
-///
-/// [`ProtocolError::Unrecoverable`] if no `k` consistent blocks can be
-/// assembled (failure bounds of §4 exceeded); transport errors if this
-/// client is killed mid-recovery (the crash-during-recovery scenario —
-/// the locks it leaves behind expire and another client picks up).
-pub(crate) fn recover(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    caller: ClientId,
-    stripe: StripeId,
-) -> Result<RecoveryOutcome, ProtocolError> {
-    let mut reconstructing = false;
-    let outcome = recover_inner(endpoint, cfg, caller, stripe, &mut reconstructing);
-    if outcome.is_err() && !reconstructing {
-        best_effort_unlock(endpoint, cfg, caller, stripe);
-    }
-    // Once any `reconstruct` was dispatched the stripe MUST stay locked:
-    // some node may hold RECONS state pointing at the pre-recovery blocks,
-    // and the next recovery will decode from that saved consistent set
-    // (Fig. 6 line 9) *without re-checking it*. Unlocking here would let
-    // new writes mutate those blocks first and the re-decode would
-    // fabricate data. The locks are released by a recovery that finishes
-    // the job, or expire when this client is declared failed (§2).
-    outcome
-}
-
-fn recover_inner(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    caller: ClientId,
-    stripe: StripeId,
-    reconstructing: &mut bool,
-) -> Result<RecoveryOutcome, ProtocolError> {
-    let n = cfg.n();
-    let k = cfg.k();
-    let nodes = stripe_nodes(cfg, stripe);
-    let redundant = &nodes[k..];
-
-    // ---- Phase 1: lock all blocks in index order (deadlock-free). ----
-    // Locks are taken on nodes 0, 1, ... in turn, so `acquired[t]` is what
-    // node `t` held before.
-    let mut acquired: Vec<LMode> = Vec::new();
-    for &node in &nodes {
-        let trylock = || Request::TryLock {
-            stripe,
-            lm: LMode::L1,
-            caller,
-        };
-        let r = expect_reply!(call(endpoint, cfg, node, trylock)?, Reply::TryLock);
-        if r.ok {
-            acquired.push(r.old_lmode);
-        } else {
-            // Someone else is recovering: release what we took, restoring
-            // the previous lock modes (Fig. 6 line 5).
-            let release = |t: usize| Request::SetLock {
-                stripe,
-                lm: acquired[t],
-                caller,
-            };
-            for res in call_many(endpoint, cfg, &nodes[..acquired.len()], release) {
-                res?;
-            }
-            return Ok(RecoveryOutcome::LostRace);
-        }
-    }
-
-    // ---- Phase 2: read states; find a consistent set. ----
-    let mut states: Vec<GetStateReply> = Vec::with_capacity(n);
-    for &node in &nodes {
-        let reply = call(endpoint, cfg, node, || Request::GetState { stripe })?;
-        states.push(expect_reply!(reply, Reply::GetState));
-    }
-
-    let cset: Vec<usize> = if let Some(h) = states
-        .iter()
-        .position(|s| s.opmode == OpMode::Recons)
-    {
-        // A previous recovery crashed in phase 3: adopt its consistent set,
-        // minus nodes that have failed since (Fig. 6 line 9).
-        states[h]
-            .recons_set
-            .iter()
-            .copied()
-            .filter(|&j| states[j].opmode != OpMode::Init)
-            .collect()
-    } else {
-        let init_count = states.iter().filter(|s| s.opmode == OpMode::Init).count();
-        let slack = (cfg.t_d as i64 - init_count as i64).max(0) as usize;
-        // We first aim for k + slack consistent blocks so that `slack`
-        // further node failures during recovery remain survivable (Fig. 6
-        // line 13); if draining outstanding adds cannot get there (their
-        // writers may be dead, §3.10), we settle for any k.
-        let mut required = k + slack;
-        let mut cset = find_consistent(&states, k);
-        let mut patience = 0u32;
-        let mut backoff = cfg
-            .backoff
-            .session((u64::from(caller.0) << 40) ^ (stripe.0 << 8) ^ 5);
-        loop {
-            if cset.len() >= required {
-                // Re-acquire full locks before new adds slip in (Fig. 6
-                // line 19); drop members whose recentlist moved meanwhile.
-                let relock = |_| Request::GetRecent {
-                    stripe,
-                    lm: LMode::L1,
-                    caller,
-                };
-                let lists: Vec<_> = call_many(endpoint, cfg, redundant, relock)
-                    .into_iter()
-                    .collect::<Result<Vec<_>, _>>()?;
-                for (t, reply) in (k..n).zip(lists) {
-                    let list = expect_reply!(reply, Reply::GetRecent);
-                    if list != states[t].recentlist {
-                        cset.retain(|&j| j != t);
-                    }
-                }
-                if cset.len() >= required {
-                    break;
-                }
-            }
-            patience += 1;
-            if patience > cfg.drain_patience {
-                if required > k {
-                    // Outstanding writes are not completing (dead
-                    // clients): give up on the slack margin.
-                    required = k;
-                    patience = 0;
-                    continue;
-                }
-                unlock_all(endpoint, cfg, caller, stripe)?;
-                return Err(ProtocolError::Unrecoverable {
-                    stripe,
-                    reason: format!(
-                        "only {} consistent blocks found, {k} required",
-                        cset.len()
-                    ),
-                });
-            }
-            // Weaken redundant locks to L0 so outstanding adds can land
-            // and make blocks consistent (Fig. 6 lines 14-18).
-            let weaken = |_| Request::SetLock {
-                stripe,
-                lm: LMode::L0,
-                caller,
-            };
-            for res in call_many(endpoint, cfg, redundant, weaken) {
-                res?;
-            }
-            for _ in 0..8 {
-                let read = |_| Request::GetState { stripe };
-                for (t, res) in (k..n).zip(call_many(endpoint, cfg, redundant, read)) {
-                    states[t] = expect_reply!(res?, Reply::GetState);
-                }
-                cset = find_consistent(&states, k);
-                if cset.len() >= required {
-                    break;
-                }
-                backoff.pause();
-            }
-        }
-        cset
-    };
-
-    if cset.len() < k {
-        unlock_all(endpoint, cfg, caller, stripe)?;
-        return Err(ProtocolError::Unrecoverable {
-            stripe,
-            reason: format!(
-                "consistent set has {} blocks but the code needs {k}",
-                cset.len()
-            ),
-        });
-    }
-
-    // ---- Phase 3: decode, rewrite, advance epoch, unlock. ----
-    // Family-aware member choice: for Reed-Solomon any k members decode
-    // (first k); for an LRC some k-subsets are rank-deficient, so the code
-    // picks a decodable one from the whole consistent set.
-    let Some(key) = cfg.code.select_decode_indices(&cset) else {
-        unlock_all(endpoint, cfg, caller, stripe)?;
-        return Err(ProtocolError::Unrecoverable {
-            stripe,
-            reason: format!("consistent set {cset:?} does not determine the data"),
-        });
-    };
-    let blocks = reconstruct_blocks(cfg, &key, &mut states)?;
-
-    // `blocks` keeps the reconstructed stripe for the round: a `Reconstruct`
-    // is idempotent, so a timeout re-sends it, re-made from its block.
-    let write = |t: usize| Request::Reconstruct {
-        stripe,
-        cset: cset.clone(),
-        block: crate::pool::take_copy(&blocks[t]),
-    };
-    // Point of no return: from the first `reconstruct` onwards the locks
-    // must survive any error (see `recover`).
-    *reconstructing = true;
-    let replies = call_many(endpoint, cfg, &nodes, write);
-    blocks.into_iter().for_each(crate::pool::give);
-    let mut max_epoch = Epoch(0);
-    for res in replies {
-        let ep = expect_reply!(res?, Reply::Reconstruct);
-        max_epoch = max_epoch.max(ep);
-    }
-
-    let finalize = |_| Request::Finalize {
-        stripe,
-        epoch: max_epoch.next(),
-    };
-    for res in call_many(endpoint, cfg, &nodes, finalize) {
-        res?;
-    }
-    Ok(RecoveryOutcome::Completed)
-}
-
-/// Decodes the full stripe from the consistent members `key` (exactly `k`
-/// in-stripe indices) and re-encodes the redundancy, returning all `n`
-/// blocks in index order.
-///
-/// This is the shared decode heart of phase 3 and the rebuild engine: the
-/// Vandermonde inversion comes from `cfg.plan_cache` (computed once per
-/// erasure pattern, not once per stripe), scratch buffers come from the
-/// thread-local [`crate::pool`], and the fetched state blocks are handed
-/// back to that pool once decoded — steady-state reconstruction of a long
-/// run of stripes allocates nothing.
-pub(crate) fn reconstruct_blocks(
-    cfg: &ProtocolConfig,
-    key: &[usize],
-    states: &mut [GetStateReply],
-) -> Result<Vec<Vec<u8>>, CodeError> {
-    let k = cfg.k();
-    let p = cfg.n() - k;
-    let plan = cfg.plan_cache.plan(&cfg.code, key)?;
-    let len = key
-        .first()
-        .and_then(|&t| states[t].block.as_ref())
-        .map_or(0, |b| b.len());
-    let mut data: Vec<Vec<u8>> = (0..k).map(|_| crate::pool::take(len)).collect();
-    let mut red: Vec<Vec<u8>> = (0..p).map(|_| crate::pool::take(len)).collect();
-    let decoded = {
-        // A `None` block (impossible for consistent members) surfaces as a
-        // WrongBlockCount error from `decode_into`, not a panic.
-        let shares: Vec<&[u8]> = key
-            .iter()
-            .filter_map(|&t| states[t].block.as_deref())
-            .collect();
-        let mut out: Vec<&mut [u8]> = data.iter_mut().map(|b| b.as_mut_slice()).collect();
-        plan.decode_into(&shares, &mut out)
-    }
-    .and_then(|()| {
-        let mut out: Vec<&mut [u8]> = red.iter_mut().map(|b| b.as_mut_slice()).collect();
-        cfg.code.encode_into(&data, &mut out)
-    });
-    give_blocks(states);
-    data.extend(red);
-    match decoded {
-        Ok(()) => Ok(data),
-        Err(e) => {
-            for b in data {
-                crate::pool::give(b);
-            }
-            Err(e)
-        }
-    }
 }
 
 /// Returns every fetched state block to the thread-local buffer pool.
@@ -470,8 +176,8 @@ pub(crate) fn degraded_plan(states: &[GetStateReply], k: usize, i: usize) -> Opt
 ///
 /// Returns `Ok(None)` whenever the lock-free path is not safe (peers
 /// unreachable, writes draining, crashed recovery in progress) — the
-/// caller then falls back to [`recover`]. Transport errors are folded into
-/// `Ok(None)` too: a peer we cannot reach is simply not a candidate.
+/// caller then falls back to Fig. 6 recovery. Transport errors are folded
+/// into `Ok(None)` too: a peer we cannot reach is simply not a candidate.
 pub(crate) fn degraded_read(
     endpoint: &ClientEndpoint,
     cfg: &ProtocolConfig,
@@ -578,44 +284,10 @@ fn stripe_nodes(cfg: &ProtocolConfig, stripe: StripeId) -> Vec<NodeId> {
         .collect()
 }
 
-fn unlock_all(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    caller: ClientId,
-    stripe: StripeId,
-) -> Result<(), ProtocolError> {
-    let unlock = |_| Request::SetLock {
-        stripe,
-        lm: LMode::Unl,
-        caller,
-    };
-    for res in call_many(endpoint, cfg, &stripe_nodes(cfg, stripe), unlock) {
-        res?;
-    }
-    Ok(())
-}
-
-/// Fire-and-forget unlock for error paths: release whatever locks this
-/// client still holds without letting a second failure mask the original
-/// error. Unreachable nodes are simply skipped.
-fn best_effort_unlock(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    caller: ClientId,
-    stripe: StripeId,
-) {
-    let lm = LMode::Unl;
-    let releases = stripe_nodes(cfg, stripe)
-        .into_iter()
-        .map(|node| (node, Request::SetLock { stripe, lm, caller }))
-        .collect();
-    let _ = endpoint.call_many(releases);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use ajx_storage::TidEntry;
+    use ajx_storage::{ClientId, TidEntry};
 
     fn tid(seq: u64, block: usize) -> Tid {
         Tid::new(seq, block, ClientId(1))

@@ -9,11 +9,14 @@
 //!   fresh Vandermonde inversion for every erasure pattern up to (8, 4).
 //! * `rebuild_node` repairs every stripe a failed node held, skips healthy
 //!   stripes, and leaves ground truth intact.
+//! * One engine runs every recovery: `recover_stripe` costs a window of one
+//!   stripe, and one window settles a crashed recovery, a draining write and
+//!   a lost lock race beside a plain lost block.
 
 use ajx_cluster::Cluster;
 use ajx_core::ProtocolConfig;
 use ajx_erasure::{CodeFamily, PlanCache, ReedSolomon};
-use ajx_storage::{NodeId, StripeId};
+use ajx_storage::{ClientId, LMode, NodeId, OpMode, Request, StripeId};
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -254,6 +257,107 @@ fn rebuild_repairs_only_the_stripes_that_need_it() {
     for s in 0..4 {
         assert!(c.stripe_is_consistent(StripeId(s)));
     }
+}
+
+#[test]
+fn one_recovery_sends_the_engines_messages_and_moves_only_its_repair_shares() {
+    // 4-of-8, 64 B blocks: stripe 0 written and garbage-collected, then
+    // node 0 (its index 0) lost and remapped.
+    let c = cluster(4, 8);
+    let client = c.client(0);
+    for lb in 0..4 {
+        client.write_block(lb, vec![lb as u8 + 1; 64]).unwrap();
+    }
+    client.collect_garbage().unwrap();
+    client.collect_garbage().unwrap();
+    c.crash_storage_node(NodeId(0));
+    c.remap_storage_node(NodeId(0));
+    let cost = || {
+        let before = client.endpoint().stats().snapshot();
+        client.recover_stripe(StripeId(0)).unwrap();
+        let spent = client.endpoint().stats().snapshot().since(&before);
+        (spent.msgs_sent, spent.payload_sent + spent.payload_received)
+    };
+    // 8 TryLock + 8 GetMeta + 4 GetState (the lost block's repair shares,
+    // 4 × 64 B back) + 1 Reconstruct (64 B out) + 8 Finalize. The serial
+    // Fig. 6 path this engine replaced sent 8 TryLock + 8 GetState + 4
+    // GetRecent + 8 Reconstruct + 8 Finalize = 36 messages, 960 bytes.
+    assert_eq!(cost(), (29, 320));
+    assert!(c.stripe_is_consistent(StripeId(0)));
+    // Healthy now: 8 TryLock + 8 GetMeta + 8 Finalize, no block moves.
+    assert_eq!(cost(), (24, 0));
+    for lb in 0..4 {
+        assert_eq!(client.read_block(lb).unwrap(), vec![lb as u8 + 1; 64]);
+    }
+}
+
+#[test]
+fn one_window_settles_every_case_beside_a_plain_lost_block() {
+    // 2-of-4, node 0 lost and remapped; node 0 holds index (4 − s) % 4 of
+    // stripe s. Client 0 rebuilds, client 1 is a recoverer killed after its
+    // Reconstruct, client 2 a writer killed mid-write, ClientId(99) a raw
+    // lock holder.
+    let c = Cluster::new(ProtocolConfig::new(2, 4, 64).unwrap(), 3);
+    let value = |lb: u64| vec![lb as u8 + 1; 64];
+    for lb in 0..8 {
+        c.client(0).write_block(lb, value(lb)).unwrap();
+    }
+    let (plain, recons, draining, locked) = (StripeId(1), StripeId(2), StripeId(3), StripeId(0));
+
+    // Draining: a write to block 6 (stripe 3, index 0) swaps and reaches one
+    // of the two redundant nodes before its client dies. With node 0
+    // (index 1) gone, the largest consistent set is {0, 2}: one short of
+    // k + slack = 3, and no add is coming.
+    let detect = c.kill_client_after(2, 2);
+    assert!(c.client(2).write_block(6, vec![0xEE; 64]).is_err());
+    detect();
+    c.crash_storage_node(NodeId(0));
+    c.remap_storage_node(NodeId(0));
+
+    // Crashed recovery: 4 TryLock + 4 GetMeta + 2 repair shares + the lost
+    // block's Reconstruct, then death before Finalize; its locks expire.
+    let detect = c.kill_client_after(1, 4 + 4 + 2 + 1);
+    assert!(c.client(1).recover_stripe(recons).is_err());
+    assert!(detect() > 0);
+    let opmode = c.network().with_node(NodeId(0), |n| n.block_state(recons).map(|b| b.opmode()));
+    assert_eq!(opmode, Some(OpMode::Recons), "the crash must land after the Reconstruct");
+
+    // Lost race: a raw client holds every lock of stripe 0 at L1.
+    let raw = c.network().client(ClientId(99));
+    for t in 0..4 {
+        let lock = Request::TryLock { stripe: locked, lm: LMode::L1, caller: ClientId(99) };
+        raw.call(NodeId(t), lock).unwrap();
+    }
+
+    let client = c.client(0);
+    let stats = client.endpoint().stats();
+    let sent = stats.snapshot().msgs_sent;
+    let all = [locked, plain, recons, draining];
+    let report = std::thread::scope(|s| {
+        s.spawn(|| {
+            // The probe (4 messages) and the index-0 TryLock round (4) are
+            // sent, and the next round has begun: the race is lost. Only
+            // now does the lock holder's failure expire its locks.
+            while stats.snapshot().msgs_sent < sent + 9 {
+                std::thread::yield_now();
+            }
+            assert_eq!(c.network().notify_client_failure(ClientId(99)), 4);
+        });
+        client.rebuild_stripes(&all).unwrap()
+    });
+    assert_eq!((report.stripes, report.skipped), (4, 0));
+    assert_eq!(report.rebuilt + report.recovered, 4, "{report:?}");
+    assert_eq!(report.rebuilt, 1, "only the plain stripe rides the fast path: {report:?}");
+    for stripe in all {
+        assert!(c.stripe_is_consistent(stripe), "{stripe:?}");
+    }
+    for lb in (0..8).filter(|&lb| lb != 6) {
+        assert_eq!(client.read_block(lb).unwrap(), value(lb), "block {lb}");
+    }
+    // Regular-register semantics: the interrupted write may or may not
+    // survive.
+    let v6 = client.read_block(6).unwrap();
+    assert!(v6 == vec![0xEE; 64] || v6 == value(6), "block 6: {:?}", v6[0]);
 }
 
 #[test]

@@ -157,10 +157,11 @@ fn crash_during_recovery_is_picked_up_via_recons_set() {
     c.crash_storage_node(NodeId(0));
     c.remap_storage_node(NodeId(0));
 
-    // Recovery call budget: trylocks(4) + get_states(4) + relock
-    // getrecent(2) + 2 of 4 reconstructs, then death. (Recovery is driven
-    // explicitly: a read of the remapped block would be served degraded.)
-    let detect = c.kill_client_after(0, 4 + 4 + 2 + 2);
+    // Recovery call budget: trylocks(4) + get_metas(4) + the lost block's
+    // 2 repair shares + its 1 reconstruct, then death before the 4
+    // finalizes. (Recovery is driven explicitly: a read of the remapped
+    // block would be served degraded.)
+    let detect = c.kill_client_after(0, 4 + 4 + 2 + 1);
     let err = c.client(0).recover_stripe(StripeId(0)).unwrap_err();
     assert_eq!(err, ProtocolError::Rpc(RpcError::ClientKilled));
     let expired = detect();

@@ -128,6 +128,13 @@ grep -A4 '"k":4,"n":8,"stripes":256' BENCH_recovery.smoke.json \
   | grep -q '"engine":{"micros":[0-9.]*,"round_trips":768,"bytes_sent":1073152}' \
   || { echo "4-of-8 rebuild engine no longer 768 round trips / 1073152 bytes"; exit 1; }
 echo "rebuild engine counts hold (768 round trips, 1073152 bytes at width 8)"
+# The serial arm is a loop of one-stripe `recover_stripe` calls: the same
+# engine over windows of one, 8 TryLock + 8 GetMeta + 4 GetState + 1
+# Reconstruct + 8 Finalize = 29 round trips per stripe.
+grep -A4 '"k":4,"n":8,"stripes":256' BENCH_recovery.smoke.json \
+  | grep -q '"serial":{"micros":[0-9.]*,"round_trips":7424,' \
+  || { echo "4-of-8 one-stripe recovery loop no longer 7424 round trips"; exit 1; }
+echo "one-stripe recovery counts hold (7424 round trips, 29 per stripe)"
 
 echo "== many-client scale-out (ext_many_clients --smoke) =="
 # The binary exits nonzero itself if the 5x floor or zero-failure
