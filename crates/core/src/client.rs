@@ -6,20 +6,23 @@
 //! methods may be called from many threads (the paper's "multiple threads,
 //! one for each outstanding RPC call").
 //!
-//! `WRITE` exists once: every entry point — one block or many — funnels
-//! into `write_window`, the blocking driver over the sans-IO per-block
-//! state machine in `write.rs` (DESIGN.md §7).
+//! `READ` and `WRITE` exist once each: every entry point — one block or
+//! many — funnels into a window engine. `read_window` runs a fast round,
+//! the window's degraded reads and its stripes' recovery in batched rounds
+//! (DESIGN.md §8); `write_window` is the blocking driver over the sans-IO
+//! per-block state machine in `write.rs` (DESIGN.md §7). Both hand the
+//! stripes they find broken to the Fig. 6 engine as one window.
 
 use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
-use crate::rebuild::RebuildReport;
+use crate::rebuild::{recover_stripes, RebuildReport};
 use crate::rpc::{batch, call, call_grouped, call_many, expect_reply};
 use crate::write::BlockWrite;
 use ajx_storage::{ClientId, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid};
 use ajx_transport::{ClientEndpoint, RpcError};
 use parking_lot::Mutex;
 use std::cell::RefCell;
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -266,61 +269,8 @@ impl Client {
         i: usize,
     ) -> Result<Vec<u8>, ProtocolError> {
         assert!(i < self.cfg.k(), "data index {i} out of range");
-        let node = self.node_of(stripe, i);
-        let mut backoff = self.backoff(stripe, 1);
-        for _ in 0..=self.cfg.busy_retry_limit {
-            let reply = match call(&self.endpoint, &self.cfg, node, || Request::Read { stripe }) {
-                Ok(reply) => reply,
-                // The data node is unreachable (and, without auto-remap, is
-                // staying that way): try to serve the read from the peers
-                // before giving up.
-                Err(e @ ProtocolError::Rpc(_)) => {
-                    if let Some(v) = self.try_degraded_read(stripe, i)? {
-                        return Ok(v);
-                    }
-                    return Err(e);
-                }
-                Err(e) => return Err(e),
-            };
-            let r = expect_reply!(reply, Reply::Read);
-            match r.block {
-                Some(v) => return Ok(v),
-                None if r.lmode.allows_recovery_start() => {
-                    // The data node lost its block (INIT after a remap).
-                    // Fast path (DESIGN.md §8): decode it from the other
-                    // n − 1 nodes with no locks and no recovery — 2 round
-                    // trips total instead of a recovery's ~5 rounds of
-                    // stripe-wide locking and rewriting. The stripe stays
-                    // degraded until the rebuild engine (or any explicit
-                    // recovery) repairs it.
-                    if let Some(v) = self.try_degraded_read(stripe, i)? {
-                        return Ok(v);
-                    }
-                    // Ambiguous tid bookkeeping (writes draining) or too
-                    // few reachable peers: settle it under locks, then
-                    // read again.
-                    self.recover_stripe(stripe)?;
-                }
-                None => backoff.pause(), // recovery in progress elsewhere
-            }
-        }
-        Err(ProtocolError::RetriesExhausted {
-            what: "READ",
-            attempts: self.cfg.busy_retry_limit + 1,
-        })
-    }
-
-    /// One attempt at the lock-free degraded read, honoring the
-    /// `degraded_reads` config switch. `Ok(None)` means "fall back".
-    fn try_degraded_read(
-        &self,
-        stripe: StripeId,
-        i: usize,
-    ) -> Result<Option<Vec<u8>>, ProtocolError> {
-        if !self.cfg.degraded_reads {
-            return Ok(None);
-        }
-        crate::recovery::degraded_read(&self.endpoint, &self.cfg, stripe, i)
+        // A one-block read is a window of one.
+        self.read_window(&[(stripe, i)]).pop().expect("one block")
     }
 
     /// Scatter-gather `READ`: fetches many logical blocks with one batched
@@ -330,44 +280,100 @@ impl Client {
     /// In the failure-free case every requested block is fetched exactly
     /// once and the whole call is a single `pfor` round over at most
     /// `min(len, n)` nodes — for a stripe-aligned sequential run of `m`
-    /// blocks, `min(m, n)` round trips instead of `m`. Any block the fast
-    /// path cannot serve (lost exchange, busy or INIT node) falls back to
-    /// the robust [`Client::read_stripe_index`] path, recovery included.
+    /// blocks, `min(m, n)` round trips instead of `m`. The blocks the fast
+    /// round cannot serve share their degraded reads' rounds and their
+    /// stripes' recovery ([`Client::read_block`]'s steps, over the window).
     ///
     /// Returns the blocks in request order.
     ///
     /// # Errors
     ///
-    /// As [`Client::read_block`].
+    /// As [`Client::read_block`]: the first block's error, after every block
+    /// has had its chances.
     pub fn read_blocks(&self, lbs: &[u64]) -> Result<Vec<Vec<u8>>, ProtocolError> {
-        let mut out: Vec<Option<Vec<u8>>> = (0..lbs.len()).map(|_| None).collect();
-        let reads: Vec<(NodeId, (usize, StripeId))> = lbs
-            .iter()
-            .enumerate()
-            .map(|(x, &lb)| {
-                let pl = self.cfg.layout.locate(lb);
-                let stripe = StripeId(pl.stripe);
-                (self.node_of(stripe, pl.index), (x, stripe))
-            })
-            .collect();
-        let read = |&(_, stripe): &(usize, StripeId)| Request::Read { stripe };
-        call_grouped(&self.endpoint, &self.cfg, reads, usize::MAX, read, |(x, _), res| {
-            // Any miss here — transport error, malformed or short reply,
-            // busy or INIT node — is healed by the slow path below.
-            if let Ok(Reply::Read(r)) = res {
-                out[x] = r.block;
+        let located = lbs.iter().map(|&lb| self.cfg.layout.locate(lb));
+        let blocks: Vec<_> = located.map(|pl| (StripeId(pl.stripe), pl.index)).collect();
+        self.read_window(&blocks).into_iter().collect()
+    }
+
+    /// The one `READ` engine (Fig. 4; DESIGN.md §8) over a window of
+    /// `(stripe, data index)` blocks. Each attempt sends the unfinished
+    /// blocks one batched fast round of `Read`s; serves those whose data
+    /// node is unreachable or INIT by lock-free degraded reads, all in the
+    /// same rounds; recovers the stripes whose degraded read is ambiguous in
+    /// one window of the Fig. 6 engine (a block whose data node is
+    /// unreachable reports its transport error instead) and reads their
+    /// blocks again; and pauses once for the blocks a locked node answered
+    /// ⊥, up to `busy_retry_limit` times. One outcome per block.
+    fn read_window(&self, blocks: &[(StripeId, usize)]) -> Vec<Result<Vec<u8>, ProtocolError>> {
+        let Some(&(first, _)) = blocks.first() else {
+            return Vec::new();
+        };
+        // A block still unsettled after the last attempt reports this.
+        let attempts = self.cfg.busy_retry_limit + 1;
+        let exhausted = ProtocolError::RetriesExhausted { what: "READ", attempts };
+        let mut out = vec![Err(exhausted); blocks.len()];
+        let mut todo: Vec<usize> = (0..blocks.len()).collect();
+        let mut backoff = self.backoff(first, 1);
+        for _ in 0..attempts {
+            if todo.is_empty() {
+                break;
             }
-        });
-        lbs.iter()
-            .zip(out)
-            .map(|(&lb, slot)| match slot {
-                Some(v) => Ok(v),
-                None => {
-                    let pl = self.cfg.layout.locate(lb);
-                    self.read_stripe_index(StripeId(pl.stripe), pl.index)
+            // (block, the data node's transport error if it is unreachable)
+            let (mut misses, mut busy) = (Vec::new(), Vec::new());
+            let node = |x: usize| self.node_of(blocks[x].0, blocks[x].1);
+            let read = |&x: &usize| Request::Read { stripe: blocks[x].0 };
+            let mut fast = |x: usize, res: Result<Reply, ProtocolError>| match res {
+                Ok(Reply::Read(r)) => match r.block {
+                    Some(v) => out[x] = Ok(v),
+                    None if r.lmode.allows_recovery_start() => misses.push((x, None)),
+                    None => busy.push(x), // recovery in progress elsewhere
+                },
+                Ok(other) => out[x] = Err(ProtocolError::unexpected("Reply::Read", &other)),
+                Err(e @ ProtocolError::Rpc(_)) => misses.push((x, Some(e))),
+                Err(e) => out[x] = Err(e),
+            };
+            if let [x] = todo[..] {
+                fast(x, call(&self.endpoint, &self.cfg, node(x), || read(&x)));
+            } else {
+                let reads = todo.iter().map(|&x| (node(x), x)).collect();
+                call_grouped(&self.endpoint, &self.cfg, reads, usize::MAX, read, fast);
+            }
+            let mut recover = Vec::new();
+            if !misses.is_empty() {
+                let at: Vec<_> = misses.iter().map(|&(x, _)| blocks[x]).collect();
+                let decoded = if self.cfg.degraded_reads {
+                    crate::recovery::degraded_reads(self, &at)
+                } else {
+                    vec![None; at.len()]
+                };
+                for ((x, unreachable), v) in misses.into_iter().zip(decoded) {
+                    match (v, unreachable) {
+                        (Some(v), _) => out[x] = Ok(v),
+                        (None, Some(e)) => out[x] = Err(e),
+                        (None, None) => recover.push(x),
+                    }
                 }
-            })
-            .collect()
+                let stripes: BTreeSet<StripeId> = recover.iter().map(|&x| blocks[x].0).collect();
+                let stripes: Vec<StripeId> = stripes.into_iter().collect();
+                let recovered = recover_stripes(self, &stripes);
+                for x in std::mem::take(&mut recover) {
+                    let s = stripes.binary_search(&blocks[x].0).expect("a recovered stripe");
+                    match &recovered[s] {
+                        Ok(()) => recover.push(x),
+                        Err(e) => out[x] = Err(e.clone()),
+                    }
+                }
+            }
+            if !busy.is_empty() {
+                backoff.pause();
+            }
+            // A recovered stripe's blocks go round again without a pause.
+            busy.extend(recover);
+            busy.sort_unstable();
+            todo = busy;
+        }
+        out
     }
 
     /// `WRITE` of a logical block (Fig. 5): in the failure-free case, one
@@ -549,15 +555,19 @@ impl Client {
                 self.add_rounds(&mut runs);
                 // Fig. 5 line 13: expired lock, crashed node, or hopeless
                 // ordering on any live block ⇒ run the stripe's recovery,
-                // once. If it fails, so does the stripe's write, and
-                // whatever it still has swapped out goes back to the pool.
-                for run in &mut runs {
-                    if run.pending.iter().any(|p| p.live() && p.bw.needs_recovery()) {
-                        if let Err(e) = self.recover_stripe(run.stripe) {
-                            (run.err, run.todo) = (Some(e), Vec::new());
-                            for p in run.pending.drain(..) {
-                                crate::pool::give(p.bw.finish().2);
-                            }
+                // once, in one recovery window for all such stripes. If it
+                // fails, so does the stripe's write, and whatever it still
+                // has swapped out goes back to the pool.
+                let broken =
+                    |r: &StripeRun| r.pending.iter().any(|p| p.live() && p.bw.needs_recovery());
+                let stripes: Vec<StripeId> =
+                    runs.iter().filter(|r| broken(r)).map(|r| r.stripe).collect();
+                let recovered = recover_stripes(self, &stripes);
+                for (run, res) in runs.iter_mut().filter(|r| broken(r)).zip(recovered) {
+                    if let Err(e) = res {
+                        (run.err, run.todo) = (Some(e), Vec::new());
+                        for p in run.pending.drain(..) {
+                            crate::pool::give(p.bw.finish().2);
                         }
                     }
                 }
@@ -778,7 +788,7 @@ impl Client {
     /// (e.g. this client was killed mid-recovery — the locks it leaves
     /// behind expire and another client picks up).
     pub fn recover_stripe(&self, stripe: StripeId) -> Result<(), ProtocolError> {
-        crate::rebuild::recover_stripe(self, stripe)
+        recover_stripes(self, &[stripe]).remove(0)
     }
 
     /// Rebuilds the given stripes with the batched Fig. 6 engine (see
@@ -900,48 +910,50 @@ impl Client {
 
     /// The monitoring sweep of §3.10: probes every node of the given
     /// stripes — a chunk of stripes at a time, one batched message per
-    /// node — and triggers recovery, in stripe order, where it finds INIT
-    /// nodes or stale unfinished writes older than `age_threshold` node
-    /// ticks.
+    /// node — and recovers the stripes where it finds INIT nodes or stale
+    /// unfinished writes older than `age_threshold` node ticks, a chunk's
+    /// in one recovery window.
     ///
     /// # Errors
     ///
-    /// Transport failures, or recovery errors for stripes beyond repair.
+    /// A probe's transport failure at once; otherwise the first stripe's
+    /// recovery error, after every chunk has been swept.
     pub fn monitor(
         &self,
         stripes: &[StripeId],
         age_threshold: u64,
     ) -> Result<MonitorReport, ProtocolError> {
-        let mut report = MonitorReport::default();
+        let (mut report, mut first_err) = (MonitorReport::default(), None);
         for chunk in stripes.chunks(FANOUT_CHUNK) {
             let probes = (0..chunk.len())
                 .flat_map(|x| (0..self.cfg.n()).map(move |t| (self.node_of(chunk[x], t), x)))
                 .collect();
             let probe = |&x: &usize| Request::Probe { stripe: chunk[x] };
             let mut needs_recovery = vec![false; chunk.len()];
-            let mut first_err = None;
+            let mut probe_err = None;
             call_grouped(&self.endpoint, &self.cfg, probes, FANOUT_CHUNK, probe, |x, res| match res {
                 Ok(Reply::Probe { opmode, oldest_pending_age, .. }) => {
                     needs_recovery[x] |= opmode == OpMode::Init
                         || oldest_pending_age.is_some_and(|a| a >= age_threshold);
                 }
                 other => {
-                    first_err.get_or_insert(ProtocolError::not("Reply::Probe", other));
+                    probe_err.get_or_insert(ProtocolError::not("Reply::Probe", other));
                 }
             });
-            if let Some(e) = first_err {
+            if let Some(e) = probe_err {
                 return Err(e);
             }
-            for (&stripe, flagged) in chunk.iter().zip(needs_recovery) {
-                if flagged {
-                    self.recover_stripe(stripe)?;
-                    report.recovered.push(stripe);
-                } else {
-                    report.healthy += 1;
+            let flagged: Vec<StripeId> =
+                chunk.iter().zip(needs_recovery).filter(|f| f.1).map(|f| *f.0).collect();
+            report.healthy += chunk.len() - flagged.len();
+            for (&stripe, res) in flagged.iter().zip(recover_stripes(self, &flagged)) {
+                match res {
+                    Ok(()) => report.recovered.push(stripe),
+                    Err(e) => first_err = first_err.or(Some(e)),
                 }
             }
         }
-        Ok(report)
+        first_err.map_or(Ok(report), Err)
     }
 
     /// Number of tids awaiting garbage collection (both phases) — §6.5's

@@ -17,11 +17,12 @@
 //! * [`ProtocolConfig`] / [`UpdateStrategy`] — configuration, including the
 //!   serial / parallel / hybrid / broadcast redundant-update schemes
 //!   (Fig. 1's AJX-ser / AJX-par / AJX-bcast).
-//! * [`recovery`] — `find_consistent` and the lock-free degraded read
-//!   (DESIGN.md §8).
+//! * [`recovery`] — `find_consistent` and the lock-free degraded reads
+//!   that the one `READ` engine batches over its window (DESIGN.md §8).
 //! * [`RebuildReport`] / [`Client::rebuild_node`] — the batched Fig. 6
 //!   engine: every recovery, from [`Client::recover_stripe`]'s one stripe
-//!   to bulk repair of a lost node's stripes in windows of chunks.
+//!   and the stripes a read, a write or the monitor finds broken to bulk
+//!   repair of a lost node's stripes in windows of chunks.
 //! * [`resilience`] — the §4 theorems relating redundancy `n − k` to the
 //!   tolerated client (`t_p`) and storage (`t_d`) crash counts.
 //!

@@ -1,23 +1,27 @@
 //! The online recovery of §3.8 / Fig. 6, once: the batched stripe-repair
 //! engine behind every recovery — [`Client::rebuild_stripes`] after a node
-//! loss, and [`Client::recover_stripe`] for the one stripe a read, a write
-//! or the monitor finds broken.
+//! loss, and `recover_stripes` for the stripes a read, a write or the
+//! monitor finds broken ([`Client::recover_stripe`] is its window of one).
+//! Each stripe of a window gets its own outcome.
 //!
 //! Stripes move through the protocol in windows: chunks of
-//! [`REBUILD_CHUNK`] stripes, `cfg.rebuild_width` chunks per window (one
-//! stripe for `recover_stripe`). Every round sends **one batched message
-//! per (chunk, storage node)**, all in one fan-out on the calling thread,
-//! so per-stripe round trips collapse to per-node ones. Decode plans come
-//! from the config's shared [`ajx_erasure::PlanCache`] and scratch goes
-//! through the thread-local buffer pool. One pass over a window:
+//! [`REBUILD_CHUNK`] stripes, `cfg.rebuild_width` chunks per window. Every
+//! round sends **one batched message per (chunk, storage node)**, all in
+//! one fan-out on the calling thread, so per-stripe round trips collapse
+//! to per-node ones; the `READ` engine's degraded reads share the same
+//! `round`. Decode plans come from the config's shared
+//! [`ajx_erasure::PlanCache`] and scratch goes through the thread-local
+//! buffer pool. One pass over a window:
 //!
 //! 1. *Probe* (rebuild only): stripes NORM and unlocked on all `n` nodes
-//!    are skipped. `recover_stripe` skips it: the stripes it is asked to
-//!    repair (a monitor's stale writes, a power-loss suspect) are NORM and
+//!    are skipped. A recovery skips it: the stripes it is asked to repair
+//!    (a monitor's stale writes, a power-loss suspect) are NORM and
 //!    unlocked.
 //! 2. *Lock* all `n` blocks at `L1`, in index order across the window, the
 //!    order that keeps concurrent recoveries deadlock-free. A lost race
-//!    restores the lock modes it took (Fig. 6 line 5).
+//!    restores the lock modes it took (Fig. 6 line 5), except that a lock
+//!    this client re-entered goes back to `UNL` unless the stripe holds
+//!    RECONS state.
 //! 3. *Read* every block's metadata (`GetMeta`: tid lists, opmode, epoch,
 //!    no content).
 //! 4. *Choose* the consistent set. A RECONS node means a recovery crashed
@@ -102,7 +106,8 @@ impl RebuildReport {
     }
 }
 
-/// Entry point behind [`Client::rebuild_stripes`].
+/// Entry point behind [`Client::rebuild_stripes`]: every window runs, then
+/// the first stripe's error is the result.
 pub(crate) fn rebuild_stripes(
     client: &Client,
     stripes: &[StripeId],
@@ -112,37 +117,46 @@ pub(crate) fn rebuild_stripes(
     // rebuild's traffic (payload counters skip headers and metadata-only
     // rounds by construction).
     let before = client.endpoint().stats().snapshot();
-    let mut report = rebuild_all_chunks(client, stripes)?;
+    let (mut report, outcomes) = windows(client, stripes, true);
+    outcomes.into_iter().collect::<Result<(), _>>()?;
     let spent = client.endpoint().stats().snapshot().since(&before);
     report.repair_bytes = spent.payload_sent + spent.payload_received;
     report.round_trips = spent.round_trips;
     Ok(report)
 }
 
-/// Entry point behind [`Client::recover_stripe`]: a window of one stripe,
-/// not probed.
-pub(crate) fn recover_stripe(client: &Client, stripe: StripeId) -> Result<(), ProtocolError> {
-    rebuild_window(client, &[stripe], false).map(drop)
+/// Recovers the given (distinct) stripes for a read, a write or the
+/// monitor, without the healthy-stripe probe: one outcome per stripe.
+pub(crate) fn recover_stripes(
+    client: &Client,
+    stripes: &[StripeId],
+) -> Vec<Result<(), ProtocolError>> {
+    windows(client, stripes, false).1
 }
 
 /// Runs the stripes through [`rebuild_window`] in windows of
-/// `cfg.rebuild_width` chunks, one after another on the calling thread;
-/// every window runs, then the first error is the result.
-fn rebuild_all_chunks(
+/// `cfg.rebuild_width` chunks, one after another on the calling thread.
+/// A window that ends in a malformed reply fails all of its stripes.
+fn windows(
     client: &Client,
     stripes: &[StripeId],
-) -> Result<RebuildReport, ProtocolError> {
+    probe: bool,
+) -> (RebuildReport, Vec<Result<(), ProtocolError>>) {
     let window = REBUILD_CHUNK * client.config().rebuild_width.max(1);
-    let reports: Vec<_> = stripes.chunks(window).map(|w| rebuild_window(client, w, true)).collect();
-    let mut report = RebuildReport::default();
-    for r in reports {
-        report.absorb(r?);
+    let (mut report, mut outcomes) = (RebuildReport::default(), Vec::with_capacity(stripes.len()));
+    for w in stripes.chunks(window) {
+        let mut settled = vec![Ok(()); w.len()];
+        match rebuild_window(client, w, probe, &mut settled) {
+            Ok(r) => report.absorb(r),
+            Err(e) => settled.fill(Err(e)),
+        }
+        outcomes.extend(settled);
     }
-    Ok(report)
+    (report, outcomes)
 }
 
 /// How one pass left a stripe.
-enum Outcome {
+pub(crate) enum Outcome {
     /// Repaired; `true` on the fast path (no adoption, no drain).
     Repaired(bool),
     /// Another client holds a lock; the pass released what it took.
@@ -156,15 +170,16 @@ enum Outcome {
 
 /// Where each stripe of a pass has ended up; a stripe without an entry is
 /// still going.
-type Outcomes = BTreeMap<usize, Outcome>;
+pub(crate) type Outcomes = BTreeMap<usize, Outcome>;
 
 /// Repairs a window of stripes (module docs): passes until every stripe is
-/// settled. The first error is the result, after every stripe has had its
-/// chances; a malformed reply ends the window with its error.
+/// settled, each failed one with its error in `settled`. A malformed reply
+/// ends the window with its error.
 fn rebuild_window(
     client: &Client,
     window: &[StripeId],
     probe: bool,
+    settled: &mut [Result<(), ProtocolError>],
 ) -> Result<RebuildReport, ProtocolError> {
     let limit = client.config().busy_retry_limit;
     let mut report = RebuildReport { stripes: window.len(), ..RebuildReport::default() };
@@ -174,11 +189,11 @@ fn rebuild_window(
         report.skipped = window.len() - todo.len();
     }
     // A rebuilt stripe whose round failed in transport gets one more pass.
-    // A one-stripe recovery gets none: its caller (a read, a write, the
-    // monitor) has its own retries.
+    // A recovery gets none: its caller (a read, a write, the monitor) has
+    // its own retries.
     let (mut held, mut retried) = (vec![false; window.len()], vec![!probe; window.len()]);
     let mut backoff = client.backoff(window[0], 4);
-    let (mut first_pass, mut pauses, mut first_err) = (true, 0, None);
+    let (mut first_pass, mut pauses) = (true, 0);
     while !todo.is_empty() {
         let (mut lost, mut again, mut give_up) = (Vec::new(), Vec::new(), Vec::new());
         for (x, outcome) in repair_pass(client, window, &todo, &mut held)? {
@@ -191,7 +206,7 @@ fn rebuild_window(
                     again.push(x);
                 }
                 Outcome::Failed(e) | Outcome::Unrecoverable(e) => {
-                    first_err.get_or_insert(e);
+                    settled[x] = Err(e);
                     give_up.push(x);
                 }
             }
@@ -205,7 +220,9 @@ fn rebuild_window(
             report.recovered += raced - busy.len();
             if pauses > limit && !busy.is_empty() {
                 let (what, attempts) = ("recovery", limit + 1);
-                first_err.get_or_insert(ProtocolError::RetriesExhausted { what, attempts });
+                for x in busy {
+                    settled[x] = Err(ProtocolError::RetriesExhausted { what, attempts });
+                }
             } else {
                 again.extend(busy);
             }
@@ -213,7 +230,7 @@ fn rebuild_window(
         again.sort_unstable();
         (todo, first_pass) = (again, false);
     }
-    first_err.map_or(Ok(report), Err)
+    Ok(report)
 }
 
 /// One pass of Fig. 6 over the window's stripes `todo` (module docs, steps
@@ -249,10 +266,15 @@ fn repair_pass(
             Ok(())
         })?;
         // Lost races restore the previous lock modes, best-effort: the
-        // winner's finalize or our own retry supersedes a lost restore.
+        // winner's finalize or our own retry supersedes a lost restore. A
+        // lock this client re-entered is its own leftover: it goes back to
+        // UNL, unless the stripe holds RECONS state.
         let taken = lost.iter().flat_map(|&x| (0..acquired[x].len()).map(move |l| (x, l)));
-        let restore =
-            |x: usize, l: usize| Request::SetLock { stripe: window[x], lm: acquired[x][l], caller };
+        let restore = |x: usize, l: usize| {
+            let old = acquired[x][l];
+            let lm = if old.is_locked() && !held[x] { LMode::Unl } else { old };
+            Request::SetLock { stripe: window[x], lm, caller }
+        };
         let _ = round(client, window, taken, restore, &mut Outcomes::new(), |_, _, _| Ok(()));
         for x in lost {
             out.entry(x).or_insert(Outcome::LostRace);
@@ -611,7 +633,7 @@ fn pairs<'a>(
 /// goes to `on`; a message that fails in transport fails its stripes in
 /// `out` (a stripe already settled keeps its outcome). An error from `on`,
 /// or a malformed batch reply, ends the round with it.
-fn round(
+pub(crate) fn round(
     client: &Client,
     window: &[StripeId],
     pairs: impl IntoIterator<Item = (usize, usize)>,
@@ -627,6 +649,7 @@ fn round(
     let replies = call_groups(client.endpoint(), cfg, &groups, |&(x, t)| req(x, t));
     for ((_, members), res) in groups.iter().zip(replies) {
         match res {
+            Ok(reply) if members.len() == 1 => on(members[0].0, members[0].1, reply)?,
             Ok(reply) => {
                 for (&(x, t), sub) in members.iter().zip(unbatch(reply, members.len())?) {
                     on(x, t, sub)?;

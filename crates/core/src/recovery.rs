@@ -1,17 +1,17 @@
 //! The stripe analysis behind recovery and degraded reads:
-//! [`find_consistent`] (Fig. 6) and the lock-free degraded read
-//! (DESIGN.md §8). Fig. 6 recovery itself — lock, choose a consistent set
-//! (adopting a crashed recovery's, or draining outstanding adds), decode,
-//! reconstruct, finalize — is the batched engine in `rebuild.rs`, behind
-//! both [`Client::recover_stripe`](crate::Client::recover_stripe) and
-//! [`Client::rebuild_stripes`](crate::Client::rebuild_stripes).
+//! [`find_consistent`] (Fig. 6), and the lock-free degraded reads
+//! (DESIGN.md §8) that the `READ` engine, `Client::read_window`, runs in
+//! batched rounds over its window's misses. Fig. 6 recovery itself — lock,
+//! choose a consistent set (adopting a crashed recovery's, or draining
+//! outstanding adds), decode, reconstruct, finalize — is the batched
+//! engine in `rebuild.rs`, whose round helper these reads share.
 
-use crate::config::ProtocolConfig;
-use crate::error::ProtocolError;
-use crate::rpc::call_many;
-use ajx_storage::{Epoch, GetStateReply, NodeId, OpMode, Reply, Request, StripeId, Tid};
-use ajx_transport::ClientEndpoint;
+use crate::client::Client;
+use crate::rebuild::{round, Outcomes};
+use ajx_erasure::RepairPlan;
+use ajx_storage::{Epoch, GetStateReply, OpMode, Reply, Request, StripeId, Tid};
 use std::collections::BTreeSet;
+use std::sync::Arc;
 
 /// Implements Fig. 6's `find_consistent`: the largest set `S` of in-stripe
 /// indices whose blocks are mutually consistent under the erasure code,
@@ -89,15 +89,6 @@ pub fn find_consistent(states: &[GetStateReply], k: usize) -> Vec<usize> {
     best
 }
 
-/// Returns every fetched state block to the thread-local buffer pool.
-fn give_blocks(states: &mut [GetStateReply]) {
-    for s in states.iter_mut() {
-        if let Some(b) = s.block.take() {
-            crate::pool::give(b);
-        }
-    }
-}
-
 /// Decides whether a degraded read of data block `i` can be served
 /// lock-free from one round of `GetState`/`GetMeta` replies (DESIGN.md §8),
 /// and if so returns the full validated consistent set — the caller asks
@@ -160,51 +151,32 @@ pub(crate) fn degraded_plan(states: &[GetStateReply], k: usize, i: usize) -> Opt
     Some(cset)
 }
 
-/// Lock-free degraded read of data block `i` (DESIGN.md §8 and §12): one
-/// batched round to the `n − 1` peers — full `GetState` to the code's
-/// cheapest expected repair set, metadata-only `GetMeta` to the rest —
-/// [`degraded_plan`] on the replies, and a client-side single-block decode
-/// via the repair-plan cache. No locks are taken and no recovery is
-/// triggered.
-///
-/// On an LRC the optimistic repair set is the lost block's local group
-/// (~`k/g + 1` blocks instead of `k`), so the common-case read moves far
-/// fewer payload bytes. If the validated consistent set forces a different
-/// repair set, the missing blocks are fetched in a second round, guarded
-/// against concurrent mutation by tid-bookkeeping equality with the round
-/// that [`degraded_plan`] validated.
-///
-/// Returns `Ok(None)` whenever the lock-free path is not safe (peers
-/// unreachable, writes draining, crashed recovery in progress) — the
-/// caller then falls back to Fig. 6 recovery. Transport errors are folded
-/// into `Ok(None)` too: a peer we cannot reach is simply not a candidate.
-pub(crate) fn degraded_read(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    stripe: StripeId,
-    i: usize,
-) -> Result<Option<Vec<u8>>, ProtocolError> {
-    let n = cfg.n();
-    let k = cfg.k();
-    let nodes = stripe_nodes(cfg, stripe);
-    let nodes_of = |ts: &[usize]| -> Vec<NodeId> { ts.iter().map(|&t| nodes[t]).collect() };
-    let peers: Vec<usize> = (0..n).filter(|&t| t != i).collect();
-    // Optimistic guess: every peer healthy and consistent — which blocks
-    // would the cheapest repair of `i` read? Those get a full `GetState`;
-    // the rest answer metadata-only.
-    let optimistic: BTreeSet<usize> = cfg
-        .plan_cache
-        .repair(&cfg.code, i, &peers)
-        .map(|p| p.indices().collect())
-        .unwrap_or_default();
-    let ask = |c: usize| {
-        if optimistic.contains(&peers[c]) {
-            Request::GetState { stripe }
-        } else {
-            Request::GetMeta { stripe }
-        }
+/// Lock-free degraded reads of the data blocks `misses`, `(stripe, index)`
+/// each (DESIGN.md §8 and §12), batched over the window: one round asks
+/// every miss's `n − 1` peers — `GetState` from the code's cheapest
+/// expected repair set (on an LRC, the local group), `GetMeta` from the
+/// rest — [`degraded_plan`] judges each miss, one more round fetches the
+/// plan members the first did not, and each block is decoded client-side.
+/// A late block is only used if its node's tid lists and epoch equal those
+/// [`degraded_plan`] validated (TOCTOU guard). No locks, no recovery: an
+/// unsafe read comes back `None`; an unreachable peer is not a candidate.
+pub(crate) fn degraded_reads(
+    client: &Client,
+    misses: &[(StripeId, usize)],
+) -> Vec<Option<Vec<u8>>> {
+    let cfg = client.config();
+    let (n, k) = (cfg.n(), cfg.k());
+    let stripes: Vec<StripeId> = misses.iter().map(|m| m.0).collect();
+    let peers = |i: usize| (0..n).filter(move |&t| t != i);
+    let optimistic: Vec<Option<Arc<RepairPlan>>> = misses
+        .iter()
+        .map(|&(_, i)| cfg.plan_cache.repair(&cfg.code, i, &peers(i).collect::<Vec<_>>()))
+        .collect();
+    let ask = |x: usize, t: usize| match &optimistic[x] {
+        Some(p) if p.indices().any(|u| u == t) => Request::GetState { stripe: stripes[x] },
+        _ => Request::GetMeta { stripe: stripes[x] },
     };
-    let placeholder = || GetStateReply {
+    let absent = || GetStateReply {
         opmode: OpMode::Init,
         recons_set: vec![],
         oldlist: vec![],
@@ -212,76 +184,64 @@ pub(crate) fn degraded_read(
         block: None,
         epoch: Epoch(0),
     };
-    let mut states: Vec<GetStateReply> = (0..n).map(|_| placeholder()).collect();
-    for (&t, res) in peers.iter().zip(call_many(endpoint, cfg, &nodes_of(&peers), ask)) {
-        if let Ok(Reply::GetState(s)) = res {
-            states[t] = s;
+    let mut states: Vec<Vec<GetStateReply>> =
+        misses.iter().map(|_| (0..n).map(|_| absent()).collect()).collect();
+    let asked = misses.iter().enumerate().flat_map(|(x, &(_, i))| peers(i).map(move |t| (x, t)));
+    let _ = round(client, &stripes, asked, ask, &mut Outcomes::new(), |x, t, reply| {
+        if let Reply::GetState(s) = reply {
+            states[x][t] = s;
         }
-    }
-    let Some(cset) = degraded_plan(&states, k, i) else {
-        give_blocks(&mut states);
-        return Ok(None);
-    };
-    // The consistent set is validated; now pick the cheapest repair inside
-    // it. A set that cannot repair `i` at all (LRC rank deficit) is as
-    // ambiguous as any other failure: fall back.
-    let Some(plan) = cfg.plan_cache.repair(&cfg.code, i, &cset) else {
-        give_blocks(&mut states);
-        return Ok(None);
-    };
-    // Second round for plan members the optimistic guess did not fetch.
-    // The late block is only usable if the node's tid bookkeeping did not
-    // move since the round `degraded_plan` validated — any drift means a
-    // write or recovery is interleaving, so fall back (TOCTOU guard).
-    let missing: Vec<usize> = plan
-        .indices()
-        .filter(|&t| states[t].block.is_none())
+        Ok(())
+    });
+    // The cheapest repair inside each validated consistent set. A set that
+    // cannot repair the block (LRC rank deficit) is as ambiguous as any
+    // other failure.
+    let mut plans: Vec<Option<Arc<RepairPlan>>> = misses
+        .iter()
+        .enumerate()
+        .map(|(x, &(_, i))| cfg.plan_cache.repair(&cfg.code, i, &degraded_plan(&states[x], k, i)?))
         .collect();
-    if !missing.is_empty() {
-        let fetch = |_| Request::GetState { stripe };
-        for (&t, res) in missing.iter().zip(call_many(endpoint, cfg, &nodes_of(&missing), fetch)) {
-            match res {
-                Ok(Reply::GetState(s))
-                    if s.opmode == states[t].opmode
-                        && s.recentlist == states[t].recentlist
-                        && s.oldlist == states[t].oldlist
-                        && s.epoch == states[t].epoch =>
-                {
-                    states[t] = s;
-                }
-                _ => {
-                    give_blocks(&mut states);
-                    return Ok(None);
-                }
+    let mut late = Vec::new();
+    for (x, p) in plans.iter().enumerate().filter_map(|(x, p)| Some((x, p.as_ref()?))) {
+        late.extend(p.indices().filter(|&t| states[x][t].block.is_none()).map(|t| (x, t)));
+    }
+    let get = |x: usize, _| Request::GetState { stripe: stripes[x] };
+    let _ = round(client, &stripes, late, get, &mut Outcomes::new(), |x, t, reply| {
+        let seen = &states[x][t];
+        match reply {
+            Reply::GetState(s)
+                if s.opmode == seen.opmode
+                    && s.recentlist == seen.recentlist
+                    && s.oldlist == seen.oldlist
+                    && s.epoch == seen.epoch =>
+            {
+                states[x][t] = s;
             }
+            _ => plans[x] = None,
         }
-    }
-    let shares: Vec<&[u8]> = plan
-        .indices()
-        .filter_map(|t| states[t].block.as_deref())
+        Ok(())
+    });
+    // A share still missing (its late fetch failed in transport) or a
+    // ragged one fails the block's read like any other ambiguity.
+    let decoded = plans
+        .iter()
+        .zip(&states)
+        .map(|(plan, sts)| {
+            let plan = plan.as_ref()?;
+            let shares: Vec<&[u8]> =
+                plan.indices().map(|t| sts[t].block.as_deref()).collect::<Option<_>>()?;
+            let mut out = crate::pool::take(shares.first().map_or(0, |s| s.len()));
+            if plan.reconstruct_into(&shares, &mut out).is_err() {
+                crate::pool::give(out);
+                return None;
+            }
+            Some(out)
+        })
         .collect();
-    let len = shares.first().map_or(0, |s| s.len());
-    let mut out = crate::pool::take(len);
-    // Decode errors mean ragged or missing shares — not a state the
-    // protocol produces, but the conservative answer is the same as for
-    // any other ambiguity: fall back to recovery.
-    let decoded = match plan.reconstruct_into(&shares, &mut out) {
-        Ok(()) => Some(out),
-        Err(_) => {
-            crate::pool::give(out);
-            None
-        }
-    };
-    drop(shares);
-    give_blocks(&mut states);
-    Ok(decoded)
-}
-
-/// The node holding each in-stripe index of `stripe`, in index order.
-fn stripe_nodes(cfg: &ProtocolConfig, stripe: StripeId) -> Vec<NodeId> {
-    (0..cfg.n())
-        .map(|t| NodeId(cfg.layout.node_for(stripe.0, t) as u32))
-        .collect()
+    for block in states.iter_mut().flatten().filter_map(|s| s.block.take()) {
+        crate::pool::give(block);
+    }
+    decoded
 }
 
 #[cfg(test)]

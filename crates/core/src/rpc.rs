@@ -151,7 +151,10 @@ pub(crate) fn call_groups<T>(
     req: impl Fn(&T) -> Request,
 ) -> Vec<Result<Reply, ProtocolError>> {
     let nodes: Vec<NodeId> = groups.iter().map(|g| g.0).collect();
-    call_many(endpoint, cfg, &nodes, |c| batch(groups[c].1.iter().map(&req).collect()))
+    call_many(endpoint, cfg, &nodes, |c| match &groups[c].1[..] {
+        [one] => req(one),
+        members => Request::Batch(members.iter().map(&req).collect()),
+    })
 }
 
 /// Batched fan-out: groups `items` by target node (ascending, so the wire

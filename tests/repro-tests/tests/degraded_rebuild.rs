@@ -12,6 +12,9 @@
 //! * One engine runs every recovery: `recover_stripe` costs a window of one
 //!   stripe, and one window settles a crashed recovery, a draining write and
 //!   a lost lock race beside a plain lost block.
+//! * One engine runs every `READ`: `read_blocks` shares one degraded round,
+//!   or one recovery window, among all of its misses, and `read_block` is
+//!   a window of one.
 
 use ajx_cluster::Cluster;
 use ajx_core::ProtocolConfig;
@@ -380,4 +383,139 @@ fn degraded_read_with_untouched_stripe_returns_zeros() {
     c.client(0).write_block(2, vec![5; 64]).unwrap(); // materialize stripe 1 only
     c.crash_storage_node(NodeId(0));
     assert_eq!(c.client(0).read_block(0).unwrap(), vec![0; 64]);
+}
+
+/// A 4-of-8 cluster at 64 B blocks with 8 stripes written (32 blocks) and
+/// garbage-collected, then node 0 lost and remapped: node 0 holds a data
+/// block of 4 of the stripes.
+fn four_of_eight_with_node_0_lost(degraded_reads: bool) -> (Cluster, Vec<Vec<u8>>) {
+    let mut cfg = ProtocolConfig::new(4, 8, 64).unwrap();
+    cfg.degraded_reads = degraded_reads;
+    let c = Cluster::new(cfg, 1);
+    let values: Vec<Vec<u8>> = (0..32u8).map(|lb| vec![lb + 1; 64]).collect();
+    let writes: Vec<(u64, &[u8])> = (0..).zip(values.iter().map(Vec::as_slice)).collect();
+    c.client(0).write_blocks(&writes).unwrap();
+    c.client(0).collect_garbage().unwrap();
+    c.client(0).collect_garbage().unwrap();
+    c.crash_storage_node(NodeId(0));
+    c.remap_storage_node(NodeId(0));
+    (c, values)
+}
+
+/// Messages `client 0` sends while `f` runs.
+fn msgs_sent(c: &Cluster, f: impl FnOnce()) -> u64 {
+    let before = c.client(0).endpoint().stats().snapshot();
+    f();
+    c.client(0).endpoint().stats().snapshot().since(&before).msgs_sent
+}
+
+#[test]
+fn a_batched_read_serves_all_of_its_misses_in_one_degraded_round() {
+    let (c, values) = four_of_eight_with_node_0_lost(true);
+    let lbs: Vec<u64> = (0..32).collect();
+    let locks = c.total_lock_ops();
+    let mut got = Vec::new();
+    // 8 Read batches, one per node, then one GetState/GetMeta batch for the
+    // 4 misses on each of the 7 other nodes; no plan member is late. A
+    // read per miss sent 8 + 4 × (1 Read + 7 peers) = 40.
+    assert_eq!(msgs_sent(&c, || got = c.client(0).read_blocks(&lbs).unwrap()), 8 + 7);
+    assert_eq!(got, values);
+    assert_eq!(c.total_lock_ops(), locks, "degraded reads take no locks");
+    let lost = (0..8).filter(|&s| !c.stripe_is_consistent(StripeId(s))).count();
+    assert_eq!(lost, 8, "and repair nothing");
+}
+
+#[test]
+fn without_degraded_reads_a_batched_read_recovers_its_stripes_in_one_window() {
+    let (c, values) = four_of_eight_with_node_0_lost(false);
+    let lbs: Vec<u64> = (0..32).collect();
+    let mut got = Vec::new();
+    // 8 Read batches; the 4 stripes whose data block was lost recover in
+    // one engine window: 8 TryLock rounds of 4 (index t of each stripe on
+    // its own node), 8 GetMeta, 7 GetState (16 repair shares over the
+    // nodes 1-7), 1 Reconstruct (every lost block is on node 0) and 8
+    // Finalize; then the 4 blocks read again, one batch to node 0. A read
+    // per miss sent 8 + 4 × (1 Read + 29 + 1 Read) = 132.
+    let sent = msgs_sent(&c, || got = c.client(0).read_blocks(&lbs).unwrap());
+    assert_eq!(sent, 8 + (32 + 8 + 7 + 1 + 8) + 1);
+    assert_eq!(got, values);
+    let repaired = (0..8).filter(|&s| c.stripe_is_consistent(StripeId(s))).count();
+    assert_eq!(repaired, 4, "the stripes whose parity was lost wait for a rebuild");
+}
+
+#[test]
+fn a_read_block_is_a_window_of_one_and_sends_what_it_did() {
+    let (c, values) = four_of_eight_with_node_0_lost(true);
+    let on_node_0 = |lb: u64| {
+        let pl = c.config().layout.locate(lb);
+        c.config().layout.node_for(pl.stripe, pl.index) == 0
+    };
+    let (lost, kept): (Vec<u64>, Vec<u64>) = (0..32).partition(|&lb| on_node_0(lb));
+    let read = |c: &Cluster, values: &[Vec<u8>], lb: u64| {
+        msgs_sent(c, || assert_eq!(c.client(0).read_block(lb).unwrap(), values[lb as usize]))
+    };
+    // Healthy: one Read. Degraded: the Read, then 7 peers.
+    assert_eq!(read(&c, &values, kept[0]), 1);
+    assert_eq!(read(&c, &values, lost[0]), 1 + 7);
+    // Without degraded reads: the Read, a one-stripe recovery (8 TryLock +
+    // 8 GetMeta + 4 GetState + 1 Reconstruct + 8 Finalize), the Read again.
+    let (c, values) = four_of_eight_with_node_0_lost(false);
+    assert_eq!(read(&c, &values, lost[1]), 1 + 29 + 1);
+}
+
+#[test]
+fn a_lost_lock_race_lets_go_of_the_locks_this_client_re_entered() {
+    // Clients 0 and 1 each hold a raw L1 lock on stripe 0, at indices 0
+    // and 1, as an abandoned attempt of their own would leave it.
+    let mut cfg = ProtocolConfig::new(2, 4, 64).unwrap();
+    cfg.busy_retry_limit = 3;
+    cfg.backoff.base = std::time::Duration::ZERO;
+    let c = Cluster::new(cfg, 2);
+    c.client(0).write_block(0, vec![5; 64]).unwrap();
+    let stripe = StripeId(0);
+    for t in 0..2u32 {
+        let lock = Request::TryLock { stripe, lm: LMode::L1, caller: ClientId(t) };
+        c.network().client(ClientId(t)).call(NodeId(t), lock).unwrap();
+    }
+    // Client 0 re-enters its lock on index 0 and loses the race at index 1.
+    // The lock it re-entered must not outlive its attempt, or client 1 can
+    // never win the stripe either.
+    let _ = c.client(0).recover_stripe(stripe);
+    c.client(1).recover_stripe(stripe).unwrap();
+    assert!(c.stripe_is_consistent(stripe));
+    for t in 0..4 {
+        let lmode = c.network().with_node(NodeId(t), |n| n.block_state(stripe).map(|b| b.lmode()));
+        assert_eq!(lmode, Some(LMode::Unl), "index {t}");
+    }
+    assert_eq!(c.client(1).read_block(0).unwrap(), vec![5; 64]);
+}
+
+#[test]
+fn a_recovery_adopts_a_crashed_recoverys_set_without_draining() {
+    // 2-of-4, node 0 lost and remapped. Client 1 recovers stripe 0 and dies
+    // after 4 TryLock + 4 GetMeta + 2 repair shares + the lost block's
+    // Reconstruct, leaving node 0 in RECONS; its locks expire.
+    let c = Cluster::new(ProtocolConfig::new(2, 4, 64).unwrap(), 2);
+    let stripe = StripeId(0);
+    c.client(0).write_block(0, vec![3; 64]).unwrap();
+    c.client(0).write_block(1, vec![4; 64]).unwrap();
+    c.crash_storage_node(NodeId(0));
+    c.remap_storage_node(NodeId(0));
+    let detect = c.kill_client_after(1, 4 + 4 + 2 + 1);
+    assert!(c.client(1).recover_stripe(stripe).is_err());
+    assert!(detect() > 0);
+    let opmode = c.network().with_node(NodeId(0), |n| n.block_state(stripe).map(|b| b.opmode()));
+    assert_eq!(opmode, Some(OpMode::Recons));
+
+    // The saved set {1, 2, 3} is one short of k + slack = 4: found again
+    // instead of adopted, it would drain (SetLock L0, GetMeta re-reads,
+    // GetRecent) until patience ran out. Adopted: 4 TryLock + 4 GetMeta +
+    // 2 GetState + 1 Reconstruct + 4 Finalize, and the TryLocks are the
+    // only lock operations.
+    let locks = c.total_lock_ops();
+    assert_eq!(msgs_sent(&c, || c.client(0).recover_stripe(stripe).unwrap()), 15);
+    assert_eq!(c.total_lock_ops() - locks, 4, "no SetLock L0, no GetRecent");
+    assert!(c.stripe_is_consistent(stripe));
+    assert_eq!(c.client(0).read_block(0).unwrap(), vec![3; 64]);
+    assert_eq!(c.client(0).read_block(1).unwrap(), vec![4; 64]);
 }

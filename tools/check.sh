@@ -8,7 +8,8 @@
 # CRC-32C SSE4.2 floor), the
 # batched data-path throughput smoke, the degraded-read/rebuild smoke
 # (asserts the >=4x rebuild speedup and zero-lock degraded reads
-# internally; both smokes' width-8 message counts are pinned exactly),
+# internally; both smokes' width-8 message counts and the degraded reads'
+# counts are pinned exactly),
 # the many-client scale-out smoke (asserts 1k-client IOPS
 # >= 5x the 8-client figure with zero failed ops), the durability
 # smoke (asserts restart-with-disk beats wipe-and-rebuild), and the repo
@@ -135,6 +136,13 @@ grep -A4 '"k":4,"n":8,"stripes":256' BENCH_recovery.smoke.json \
   | grep -q '"serial":{"micros":[0-9.]*,"round_trips":7424,' \
   || { echo "4-of-8 one-stripe recovery loop no longer 7424 round trips"; exit 1; }
 echo "one-stripe recovery counts hold (7424 round trips, 29 per stripe)"
+# A degraded read_block is a READ window of one: one Read to the lost data
+# node, then one GetState or GetMeta to each of the 7 peers, 8 round trips
+# per read.
+grep -A1 '"k":4,"n":8,"stripes":256' BENCH_recovery.smoke.json \
+  | grep -q '"reads":128,"round_trips":1024,"bytes_sent":32768}' \
+  || { echo "4-of-8 degraded reads no longer 128 reads / 1024 round trips / 32768 bytes"; exit 1; }
+echo "degraded-read counts hold (128 reads, 1024 round trips, 32768 bytes)"
 
 echo "== many-client scale-out (ext_many_clients --smoke) =="
 # The binary exits nonzero itself if the 5x floor or zero-failure
