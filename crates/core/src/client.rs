@@ -12,18 +12,23 @@
 //! (DESIGN.md §8); `write_window` is the blocking driver over the sans-IO
 //! per-block state machine in `write.rs` (DESIGN.md §7). Both hand the
 //! stripes they find broken to the Fig. 6 engine as one window.
+//!
+//! Every round here — reads, swaps, adds, `checktid` probes, GC, the
+//! monitor's probes — is one `rpc::pfor` over `(key, node, member)`s; the
+//! key says which members share a message (DESIGN.md §6). A window of one
+//! block reads with the plain `rpc::call`, and a §3.11 multicast goes
+//! through `rpc::multicast`.
 
 use crate::config::{ProtocolConfig, UpdateStrategy};
 use crate::error::ProtocolError;
 use crate::rebuild::{recover_stripes, RebuildReport};
-use crate::rpc::{batch, call, call_grouped, call_many, expect_reply};
+use crate::rpc::{call, expect_reply, pfor};
 use crate::write::BlockWrite;
 use ajx_storage::{ClientId, NodeId, OpMode, Reply, Request, StripeId, SwapReply, Tid};
-use ajx_transport::{ClientEndpoint, RpcError};
+use ajx_transport::ClientEndpoint;
 use parking_lot::Mutex;
 use std::cell::RefCell;
 use std::collections::{BTreeMap, BTreeSet};
-use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 
 /// Most members one batched background message (a garbage-collection
@@ -46,28 +51,6 @@ struct GcLists {
     /// Writes whose tids nodes moved to oldlist; next cycle drops them
     /// (phase 1 input).
     old: BTreeMap<(StripeId, usize), Vec<Tid>>,
-}
-
-/// A live block's part in one round of adds: (its stripe's run, the block,
-/// the increments it owes the round as `(j, increment)`), all made in one
-/// pass by [`BlockWrite::increments`].
-type Owed = (usize, usize, Vec<(usize, Vec<u8>)>);
-
-/// One message of a round of adds: (stripe's run, redundant index `j`, the
-/// run's span of the round's [`Owed`] list). It carries the increment for
-/// `j` of every block in the span that made one.
-type AddGroup = (usize, usize, Range<usize>);
-
-/// The blocks `group`'s message serves, in order, each with its increment
-/// for the group's index.
-fn members<'o>(
-    owed: &'o mut [Owed],
-    (_, j, span): &AddGroup,
-) -> impl Iterator<Item = (usize, &'o mut Vec<u8>)> {
-    let j = *j;
-    owed[span.clone()]
-        .iter_mut()
-        .filter_map(move |(_, px, incs)| Some((*px, &mut incs.iter_mut().find(|inc| inc.0 == j)?.1)))
 }
 
 /// A swapped block inside the write engine.
@@ -323,7 +306,7 @@ impl Client {
             let (mut misses, mut busy) = (Vec::new(), Vec::new());
             let node = |x: usize| self.node_of(blocks[x].0, blocks[x].1);
             let read = |&x: &usize| Request::Read { stripe: blocks[x].0 };
-            let mut fast = |x: usize, res: Result<Reply, ProtocolError>| match res {
+            let mut fast = |&mut x: &mut usize, res: Result<Reply, ProtocolError>| match res {
                 Ok(Reply::Read(r)) => match r.block {
                     Some(v) => out[x] = Ok(v),
                     None if r.lmode.allows_recovery_start() => misses.push((x, None)),
@@ -333,11 +316,12 @@ impl Client {
                 Err(e @ ProtocolError::Rpc(_)) => misses.push((x, Some(e))),
                 Err(e) => out[x] = Err(e),
             };
-            if let [x] = todo[..] {
-                fast(x, call(&self.endpoint, &self.cfg, node(x), || read(&x)));
+            if let [mut x] = todo[..] {
+                let reply = call(&self.endpoint, &self.cfg, node(x), || read(&x));
+                fast(&mut x, reply);
             } else {
-                let reads = todo.iter().map(|&x| (node(x), x)).collect();
-                call_grouped(&self.endpoint, &self.cfg, reads, usize::MAX, read, fast);
+                let reads = todo.iter().map(|&x| ((), node(x), x)).collect();
+                pfor(&self.endpoint, &self.cfg, reads, usize::MAX, true, read, fast);
             }
             let mut recover = Vec::new();
             if !misses.is_empty() {
@@ -518,23 +502,21 @@ impl Client {
             // single `pfor` round trip for the whole window. The tid is
             // drawn before the round: a re-made swap must carry the same
             // `ntid` (and the same bytes) as the one it replaces.
-            let (mut swaps, mut nodes) = (Vec::new(), Vec::new());
+            // (position, data node, (run, item, ntid, the item))
+            let mut swaps = Vec::new();
             for (r, run) in runs.iter_mut().enumerate() {
                 for x in run.todo.drain(..) {
+                    let (c, item) = (swaps.len(), run.items[x]);
                     let seq = self.seq.fetch_add(1, Ordering::Relaxed);
-                    swaps.push((r, x, Tid::new(seq, run.items[x].1, self.id())));
-                    nodes.push(self.node_of(run.stripe, run.items[x].1));
+                    let ntid = Tid::new(seq, item.1, self.id());
+                    swaps.push((c, self.node_of(run.stripe, item.1), (r, x, ntid, item)));
                 }
             }
-            let swap = |c: usize| {
-                let (r, x, ntid) = swaps[c];
-                let value = crate::pool::take_copy(runs[r].items[x].2);
-                Request::Swap { stripe: runs[r].stripe, value, ntid }
+            let swap = |&(_, _, ntid, (stripe, _, value)): &(_, _, Tid, WriteItem)| {
+                Request::Swap { stripe, value: crate::pool::take_copy(value), ntid }
             };
-            for (&(r, x, ntid), res) in
-                swaps.iter().zip(call_many(&self.endpoint, &self.cfg, &nodes, swap))
-            {
-                let (stripe, i, value) = runs[r].items[x];
+            pfor(&self.endpoint, &self.cfg, swaps, usize::MAX, true, swap, |m, res| {
+                let (r, x, ntid, (stripe, i, value)) = *m;
                 // A swap lost indeterminately may have executed: this
                 // block's write surfaces the error rather than re-sending.
                 let swapped = res.and_then(|reply| match reply {
@@ -547,7 +529,7 @@ impl Client {
                         runs[r].err.get_or_insert(e);
                     }
                 }
-            }
+            });
 
             // Add rounds (Fig. 5 lines 7-21) until every swapped block has
             // settled.
@@ -601,75 +583,54 @@ impl Client {
         };
         for run in runs.iter_mut().filter(|run| multicast(run)) {
             let p = &mut run.pending[0];
-            let (targets, replies) = {
+            let (js, replies) = {
                 let (js, add) = p.bw.multicast_adds(&self.cfg, run.stripe, run.items[p.x].2);
-                let targets: Vec<_> = js.iter().map(|&j| (run.stripe, j)).collect();
-                let replies = self.pfor(&targets, |c| add(js[c]), true);
-                (targets, replies)
+                let nodes: Vec<NodeId> = js.iter().map(|&j| self.node_of(run.stripe, j)).collect();
+                let add = |c: usize| add(js[c]);
+                let replies = crate::rpc::multicast(&self.endpoint, &self.cfg, &nodes, add);
+                (js, replies)
             };
-            for ((_, j), res) in targets.into_iter().zip(replies) {
+            for (j, res) in js.into_iter().zip(replies) {
                 p.absorb(j, res, limit);
             }
         }
         for round in self.cfg.strategy.rounds(self.cfg.k(), self.cfg.n()) {
-            let mut owed: Vec<Owed> = Vec::new();
-            let mut groups: Vec<AddGroup> = Vec::new();
+            // Every live block's `(j, increment)`s for the round, made in one
+            // pass per block, and one `(r, j)`-keyed member per increment.
+            let (mut incs, mut adds) = (Vec::new(), Vec::new());
             for (r, run) in runs.iter().enumerate().filter(|(_, run)| !multicast(run)) {
-                let from = owed.len();
                 for (px, p) in run.pending.iter().enumerate().filter(|(_, p)| p.live()) {
-                    let mut incs: Vec<(usize, Vec<u8>)> =
-                        round.iter().filter(|&&j| p.bw.wants(j)).map(|&j| (j, Vec::new())).collect();
-                    if !incs.is_empty() {
-                        p.bw.increments(&self.cfg, run.items[p.x].2, &mut incs);
-                        owed.push((r, px, incs));
+                    let from = incs.len();
+                    incs.extend(round.iter().filter(|&&j| p.bw.wants(j)).map(|&j| (j, Vec::new())));
+                    if incs.len() > from {
+                        p.bw.increments(&self.cfg, run.items[p.x].2, &mut incs[from..]);
                     }
-                }
-                for &j in &round {
-                    if owed[from..].iter().any(|(_, _, incs)| incs.iter().any(|inc| inc.0 == j)) {
-                        groups.push((r, j, from..owed.len()));
+                    for (at, &(j, _)) in incs.iter().enumerate().skip(from) {
+                        adds.push(((r, j), self.node_of(run.stripe, j), (r, px, j, at)));
                     }
                 }
             }
-            let targets: Vec<(StripeId, usize)> =
-                groups.iter().map(|&(r, j, _)| (runs[r].stripe, j)).collect();
-            // A first send carries the increments made above; a re-send
+            // A first send carries the increment made above; a re-send
             // re-makes its own from the `v` and `w` this round still
             // borrows.
-            let owed = RefCell::new(owed);
-            let adds = |c: usize| {
-                let group = &groups[c];
-                let run = &runs[group.0];
-                let add = |(px, made): (usize, &mut Vec<u8>)| {
-                    let p = &run.pending[px];
-                    match std::mem::take(made) {
-                        delta if !delta.is_empty() => p.bw.add_of(run.stripe, delta),
-                        _ => p.bw.add(&self.cfg, run.stripe, group.1, run.items[p.x].2),
-                    }
-                };
-                batch(members(&mut owed.borrow_mut(), group).map(add).collect())
-            };
-            let replies = self.pfor(&targets, adds, false);
-            let mut owed = owed.into_inner();
-            for (group, res) in groups.iter().zip(replies) {
-                let (pending, j) = (&mut runs[group.0].pending, group.1);
-                let count = members(&mut owed, group).count();
-                let mut want = members(&mut owed, group).map(|(px, _)| px);
-                match res {
-                    Ok(Reply::Batch(rs)) if rs.len() == count => {
-                        for (px, sub) in want.zip(rs) {
-                            pending[px].absorb(j, Ok(sub), limit);
-                        }
-                    }
-                    Ok(reply @ Reply::Add(_)) if count == 1 => {
-                        pending[want.next().expect("one member")].absorb(j, Ok(reply), limit);
-                    }
-                    // Adds are not idempotent: an indeterminate failure
-                    // fails every block in this message.
-                    other => {
-                        let e = ProtocolError::not("Reply::Add or Batch", other);
-                        want.for_each(|px| pending[px].kill(e.clone()));
-                    }
+            let incs = RefCell::new(incs);
+            let add = |&(r, px, j, at): &(usize, usize, usize, usize)| {
+                let (run, made) = (&runs[r], std::mem::take(&mut incs.borrow_mut()[at].1));
+                let p = &run.pending[px];
+                if made.is_empty() {
+                    p.bw.add(&self.cfg, run.stripe, j, run.items[p.x].2)
+                } else {
+                    p.bw.add_of(run.stripe, made)
                 }
+            };
+            let mut replies = Vec::with_capacity(adds.len());
+            pfor(&self.endpoint, &self.cfg, adds, usize::MAX, true, add, |&mut m, res| {
+                replies.push((m, res));
+            });
+            // Adds are not idempotent: an indeterminate failure fails every
+            // block in its message.
+            for ((r, px, j, _), res) in replies {
+                runs[r].pending[px].absorb(j, res, limit);
             }
         }
     }
@@ -685,24 +646,24 @@ impl Client {
         };
         let ordered: Vec<_> = runs.iter_mut().map(|run| close(&mut run.pending)).collect();
         for b in 0..ordered.iter().map(Vec::len).max().unwrap_or(0) {
-            // ((run, block), target, probe)
+            // (position, target node, (run, block, j, probe))
             let mut probes = Vec::new();
             for (r, &px) in ordered.iter().enumerate().filter_map(|(r, o)| Some((r, o.get(b)?))) {
                 let stripe = runs[r].stripe;
-                let probe = runs[r].pending[px].bw.checktids(stripe).into_iter();
-                probes.extend(probe.map(|(j, q)| ((r, px), (stripe, j), q)));
+                for (j, q) in runs[r].pending[px].bw.checktids(stripe) {
+                    probes.push((probes.len(), self.node_of(stripe, j), (r, px, j, q)));
+                }
             }
-            let targets: Vec<(StripeId, usize)> = probes.iter().map(|q| q.1).collect();
-            let replies = self.pfor(&targets, |c| probes[c].2.clone(), false);
-            for (((r, px), (_, j), _), res) in probes.into_iter().zip(replies) {
-                let p = &mut runs[r].pending[px];
+            let probe = |(_, _, _, q): &(usize, usize, usize, Request)| q.clone();
+            pfor(&self.endpoint, &self.cfg, probes, usize::MAX, true, probe, |m, res| {
+                let p = &mut runs[m.0].pending[m.1];
                 match res {
                     _ if !p.live() => {} // an earlier probe of this block failed
-                    Ok(Reply::CheckTid(reply)) => p.bw.on_checktid(j, reply),
+                    Ok(Reply::CheckTid(reply)) => p.bw.on_checktid(m.2, reply),
                     Ok(reply) => p.kill(ProtocolError::unexpected("Reply::CheckTid", &reply)),
                     Err(e) => p.kill(e),
                 }
-            }
+            });
         }
         let pauses = runs.iter_mut().zip(&ordered).filter(|(_, o)| !o.is_empty());
         let pause = pauses.map(|(run, _)| run.backoff.next_delay()).max().unwrap_or_default();
@@ -742,36 +703,6 @@ impl Client {
             let swap = || Request::Swap { stripe, value: crate::pool::take_copy(value), ntid };
             reply = expect_reply!(call(&self.endpoint, &self.cfg, node, swap)?, Reply::Swap);
         }
-    }
-
-    /// One `pfor` round addressed by (stripe, in-stripe index): call `c`
-    /// carries `make(c)` (made when sent, as [`call_many`] documents) to the
-    /// node holding `targets[c]`, and the replies come back in order.
-    /// `multicast` sends the round as the §3.11 broadcast — one payload on
-    /// the client NIC, one unit of the kill budget — with the §3.5 remap of
-    /// crashed targets but none of [`call_many`]'s re-sends.
-    fn pfor(
-        &self,
-        targets: &[(StripeId, usize)],
-        make: impl Fn(usize) -> Request,
-        multicast: bool,
-    ) -> Vec<Result<Reply, ProtocolError>> {
-        if targets.is_empty() {
-            return Vec::new(); // an empty round would still pay propagation delay
-        }
-        let nodes: Vec<NodeId> = targets.iter().map(|&(s, j)| self.node_of(s, j)).collect();
-        if !multicast {
-            return call_many(&self.endpoint, &self.cfg, &nodes, make);
-        }
-        let calls = nodes.iter().enumerate().map(|(c, &node)| (node, make(c))).collect();
-        let resend = |(c, res)| match res {
-            Err(RpcError::NodeDown(_)) if self.cfg.auto_remap => {
-                self.endpoint.network().remap_node(nodes[c], self.cfg.remap_garbage);
-                self.endpoint.call(nodes[c], make(c)).map_err(ProtocolError::from)
-            }
-            other => other.map_err(ProtocolError::from),
-        };
-        self.endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
     }
 
     /// Runs Fig. 6 recovery for `stripe` until it completes — either by
@@ -860,7 +791,7 @@ impl Client {
             };
             let entries = taken
                 .into_iter()
-                .map(|(key @ (stripe, j), tids)| (self.node_of(stripe, j), (key, tids)))
+                .map(|(key @ (stripe, j), tids)| ((), self.node_of(stripe, j), (key, tids)))
                 .collect();
             let member = |((stripe, _), tids): &((StripeId, usize), Vec<Tid>)| {
                 let (stripe, tids) = (*stripe, tids.clone());
@@ -873,7 +804,8 @@ impl Client {
             // Only a dropped entry leaves the bookkeeping; a moved one
             // graduates to the phase 1 list, anything else goes back where
             // it came from.
-            let fold = |(key, tids): (_, Vec<Tid>), res| {
+            let fold = |(key, tids): &mut (_, Vec<Tid>), res| {
+                let (key, tids) = (*key, std::mem::take(tids));
                 let to_old = match res {
                     Ok(Reply::Gc(true)) if drop_old => {
                         report.dropped += tids.len();
@@ -901,9 +833,8 @@ impl Client {
                     listed.extend(tids);
                 }
             };
-            let messages =
-                call_grouped(&self.endpoint, &self.cfg, entries, FANOUT_CHUNK, member, fold);
-            report.messages += messages;
+            report.messages +=
+                pfor(&self.endpoint, &self.cfg, entries, FANOUT_CHUNK, true, member, fold);
         }
         first_err.map_or(Ok(report), Err)
     }
@@ -926,12 +857,13 @@ impl Client {
         let (mut report, mut first_err) = (MonitorReport::default(), None);
         for chunk in stripes.chunks(FANOUT_CHUNK) {
             let probes = (0..chunk.len())
-                .flat_map(|x| (0..self.cfg.n()).map(move |t| (self.node_of(chunk[x], t), x)))
+                .flat_map(|x| (0..self.cfg.n()).map(move |t| ((), self.node_of(chunk[x], t), x)))
                 .collect();
             let probe = |&x: &usize| Request::Probe { stripe: chunk[x] };
             let mut needs_recovery = vec![false; chunk.len()];
             let mut probe_err = None;
-            call_grouped(&self.endpoint, &self.cfg, probes, FANOUT_CHUNK, probe, |x, res| match res {
+            let (ep, cfg) = (&self.endpoint, &self.cfg);
+            pfor(ep, cfg, probes, FANOUT_CHUNK, true, probe, |&mut x, res| match res {
                 Ok(Reply::Probe { opmode, oldest_pending_age, .. }) => {
                     needs_recovery[x] |= opmode == OpMode::Init
                         || oldest_pending_age.is_some_and(|a| a >= age_threshold);

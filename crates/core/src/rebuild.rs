@@ -7,9 +7,11 @@
 //! Stripes move through the protocol in windows: chunks of
 //! [`REBUILD_CHUNK`] stripes, `cfg.rebuild_width` chunks per window. Every
 //! round sends **one batched message per (chunk, storage node)**, all in
-//! one fan-out on the calling thread, so per-stripe round trips collapse
-//! to per-node ones; the `READ` engine's degraded reads share the same
-//! `round`. Decode plans come from the config's shared
+//! one fan-out on the calling thread (`rpc::pfor` keyed by chunk), so
+//! per-stripe round trips collapse to per-node ones; the `READ` engine's
+//! degraded reads go through the same `round` adapter, which turns a
+//! message's transport error into its stripes' `Failed` outcome. Decode
+//! plans come from the config's shared
 //! [`ajx_erasure::PlanCache`] and scratch goes through the thread-local
 //! buffer pool. One pass over a window:
 //!
@@ -54,7 +56,7 @@ use crate::client::Client;
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use crate::recovery::find_consistent;
-use crate::rpc::{batch, call_groups, expect_reply, unbatch};
+use crate::rpc::{expect_reply, pfor};
 use ajx_erasure::RepairPlan;
 use ajx_storage::{Epoch, GetStateReply, LMode, NodeId, OpMode, Reply, Request, StripeId};
 use std::collections::{BTreeMap, BTreeSet};
@@ -603,21 +605,16 @@ fn still_held(
 }
 
 /// Fire-and-forget unlock of every block of the stripes `xs`: one batched
-/// `SetLock UNL` per node, no re-sends. Nodes that cannot be reached stay
-/// locked until this client retries (re-entrant `trylock`) or is declared
-/// failed.
+/// `SetLock UNL` per (chunk, node), no re-sends. Nodes that cannot be
+/// reached stay locked until this client retries (re-entrant `trylock`) or
+/// is declared failed.
 fn release(client: &Client, window: &[StripeId], xs: impl Iterator<Item = usize>) {
     let (cfg, caller) = (client.config(), client.id());
     let xs: Vec<usize> = xs.collect();
     let lm = LMode::Unl;
-    let unlock = |&(x, _): &(usize, usize)| Request::SetLock { stripe: window[x], lm, caller };
-    let calls: Vec<_> = group_by_node(cfg, window, pairs(&xs, 0..cfg.n()))
-        .into_iter()
-        .map(|(node, members)| (node, batch(members.iter().map(unlock).collect())))
-        .collect();
-    if !calls.is_empty() {
-        let _ = client.endpoint().call_many(calls);
-    }
+    let unlock = |&(x, _): &(u32, u32)| Request::SetLock { stripe: window[x as usize], lm, caller };
+    let members = targets(cfg, window, pairs(&xs, 0..cfg.n()));
+    pfor(client.endpoint(), cfg, members, usize::MAX, false, unlock, |_, _| {});
 }
 
 /// Every `(x, t)` for the stripes `xs` and in-stripe indices `ts`.
@@ -642,43 +639,35 @@ pub(crate) fn round(
     mut on: impl FnMut(usize, usize, Reply) -> Result<(), ProtocolError>,
 ) -> Result<(), ProtocolError> {
     let cfg = client.config();
-    let groups = group_by_node(cfg, window, pairs);
-    if groups.is_empty() {
-        return Ok(());
-    }
-    let replies = call_groups(client.endpoint(), cfg, &groups, |&(x, t)| req(x, t));
-    for ((_, members), res) in groups.iter().zip(replies) {
+    let members = targets(cfg, window, pairs);
+    let mut ended = None;
+    let req = |&(x, t): &(u32, u32)| req(x as usize, t as usize);
+    pfor(client.endpoint(), cfg, members, usize::MAX, true, req, |&mut (x, t), res| {
+        let (x, t) = (x as usize, t as usize);
         match res {
-            Ok(reply) if members.len() == 1 => on(members[0].0, members[0].1, reply)?,
-            Ok(reply) => {
-                for (&(x, t), sub) in members.iter().zip(unbatch(reply, members.len())?) {
-                    on(x, t, sub)?;
-                }
+            _ if ended.is_some() => {}
+            Ok(reply) => ended = on(x, t, reply).err(),
+            Err(e @ ProtocolError::Rpc(_)) => {
+                out.entry(x).or_insert(Outcome::Failed(e));
             }
-            Err(e) => {
-                for &(x, _) in members {
-                    out.entry(x).or_insert_with(|| Outcome::Failed(e.clone()));
-                }
-            }
+            Err(e) => ended = Some(e),
         }
-    }
-    Ok(())
+    });
+    ended.map_or(Ok(()), Err)
 }
 
-/// Groups `(window index, in-stripe index)` pairs by chunk and storage
-/// node, deterministically (BTreeMap order): a node gets one message per
-/// chunk and round, as it would if every chunk ran alone.
-fn group_by_node(
+/// `(x, t)` pairs as [`pfor`] members keyed by chunk: a node gets one
+/// message per chunk and round, as it would if every chunk ran alone. A
+/// member is 16 bytes, as a pair is: a window's member list and the sort
+/// over it weigh what its pair list does.
+fn targets(
     cfg: &ProtocolConfig,
     window: &[StripeId],
     pairs: impl IntoIterator<Item = (usize, usize)>,
-) -> Vec<(NodeId, Vec<(usize, usize)>)> {
-    let mut by_node: BTreeMap<(usize, NodeId), Vec<(usize, usize)>> = BTreeMap::new();
-    for (x, t) in pairs {
-        let node = NodeId(cfg.layout.node_for(window[x].0, t) as u32);
-        by_node.entry((x / REBUILD_CHUNK, node)).or_default().push((x, t));
-    }
-    by_node.into_iter().map(|((_, node), members)| (node, members)).collect()
+) -> Vec<(u32, NodeId, (u32, u32))> {
+    let node = |x: usize, t: usize| NodeId(cfg.layout.node_for(window[x].0, t) as u32);
+    let member = |(x, t)| ((x / REBUILD_CHUNK) as u32, node(x, t), (x as u32, t as u32));
+    pairs.into_iter().map(member).collect()
 }
 
 #[cfg(test)]

@@ -4,7 +4,7 @@
 //! batched rounds over its window's misses. Fig. 6 recovery itself — lock,
 //! choose a consistent set (adopting a crashed recovery's, or draining
 //! outstanding adds), decode, reconstruct, finalize — is the batched
-//! engine in `rebuild.rs`, whose round helper these reads share.
+//! engine in `rebuild.rs`, whose round adapter these reads share.
 
 use crate::client::Client;
 use crate::rebuild::{round, Outcomes};

@@ -1,12 +1,16 @@
-//! Typed RPC helpers: thin wrappers over the transport that unwrap reply
-//! variants and implement the §3.5 directory behaviour (auto-remap of
-//! crashed nodes) so the protocol code reads like the paper's pseudocode.
+//! The client's only doors to the transport's blocking calls, so the
+//! protocol code reads like the paper's pseudocode: [`call`] sends one
+//! request; [`pfor`] sends one round of `(key, node, member)`s, grouping
+//! the members that share a key and a node into one message; [`multicast`]
+//! sends the §3.11 broadcast. All three implement the §3.5 directory
+//! behaviour (auto-remap of crashed nodes), and a failed message is re-sent
+//! by one policy, [`call`]'s. [`expect_reply!`] unwraps a reply variant.
 
 use crate::config::ProtocolConfig;
 use crate::error::ProtocolError;
 use ajx_storage::{NodeId, Reply, Request};
 use ajx_transport::{ClientEndpoint, RpcError};
-use std::collections::BTreeMap;
+use std::ops::Range;
 
 /// Sends the request `make` builds to `node`, transparently remapping a
 /// crashed node once (§3.5: "clients simply access some logical node, which
@@ -75,128 +79,167 @@ pub(crate) fn call(
     }
 }
 
-/// Parallel fan-out (`pfor`): call `c` goes to `targets[c]` and carries
-/// `make(c)`, with [`call`]'s auto-remap, idempotent-retry and
-/// made-when-sent semantics per call. Failed calls are retried serially
-/// after the round — the slow path only exists under faults.
-pub(crate) fn call_many(
+/// The one `pfor` round of Figs. 4-7: every batched step of the protocol
+/// sends its members through here, each `(key, node, member)` carrying
+/// `req(member)` to `node`.
+///
+/// Members that share a key and a node share a message: a stable sort by
+/// `(key, node)` orders the runs, and every message goes out in that order
+/// and carries its members in the order given. A run of one is a bare
+/// request, a longer one a [`Request::Batch`]. A run longer than `cap`
+/// continues in the next round, so a node's shard locks are never held for
+/// more than `cap` members at a time. With `resend`, a failed message is
+/// re-sent under [`call`]'s policy (made when sent again, §3.5 remap,
+/// idempotent and `Busy` re-sends); without it, a message is sent once.
+///
+/// Every member's reply, or its message's error, goes to `fold`. A failed
+/// message fails all of its run's members, unsent ones included: the node
+/// just showed it is unreachable, and the other runs carry on. A reply that
+/// does not match its message (a short or foreign [`Reply::Batch`]) is its
+/// message's error. Returns the number of messages sent.
+pub(crate) fn pfor<K: Ord + Copy, M>(
     endpoint: &ClientEndpoint,
     cfg: &ProtocolConfig,
-    targets: &[NodeId],
-    make: impl Fn(usize) -> Request,
-) -> Vec<Result<Reply, ProtocolError>> {
-    let mut idempotent = Vec::with_capacity(targets.len());
-    let calls = targets
+    members: Vec<(K, NodeId, M)>,
+    cap: usize,
+    resend: bool,
+    req: impl Fn(&M) -> Request,
+    fold: impl FnMut(&mut M, Result<Reply, ProtocolError>),
+) -> usize {
+    let cfg = resend.then_some(cfg);
+    fan_out(members, cap, req, |round, make| call_many(endpoint, cfg, round, make), fold)
+}
+
+/// What a message, or one member of it, comes to.
+type Answer = Result<Reply, ProtocolError>;
+
+/// One message of a [`fan_out`] round: to `node`, carrying the sorted
+/// members `sent` of a run that ends at `end`.
+struct Message {
+    node: NodeId,
+    sent: Range<usize>,
+    end: usize,
+}
+
+/// [`pfor`] without the transport: `send` sends one round, message `c`
+/// made by `make(&round[c])`, and returns one outcome per message in order.
+fn fan_out<K: Ord + Copy, M>(
+    mut members: Vec<(K, NodeId, M)>,
+    cap: usize,
+    req: impl Fn(&M) -> Request,
+    mut send: impl FnMut(&[Message], &dyn Fn(&Message) -> Request) -> Vec<Answer>,
+    mut fold: impl FnMut(&mut M, Answer),
+) -> usize {
+    members.sort_by_key(|m| (m.0, m.1));
+    let mut round: Vec<Message> = Vec::new();
+    for (i, &(key, node, _)) in members.iter().enumerate() {
+        match round.last_mut() {
+            Some(run) if run.node == node && members[run.sent.start].0 == key => run.end = i + 1,
+            _ => round.push(Message { node, sent: i..i, end: i + 1 }),
+        }
+    }
+    let mut messages = 0;
+    while !round.is_empty() {
+        for run in &mut round {
+            let from = run.sent.end;
+            run.sent = from..run.end.min(from.saturating_add(cap.max(1)));
+        }
+        messages += round.len();
+        let make = |m: &Message| match &members[m.sent.clone()] {
+            [(_, _, one)] => req(one),
+            many => Request::Batch(many.iter().map(|(_, _, member)| req(member)).collect()),
+        };
+        let replies = send(&round, &make);
+        for (m, res) in round.iter_mut().zip(replies) {
+            match res {
+                Ok(reply) if m.sent.len() == 1 => fold(&mut members[m.sent.start].2, Ok(reply)),
+                Ok(Reply::Batch(rs)) if rs.len() == m.sent.len() => {
+                    for ((_, _, member), r) in members[m.sent.clone()].iter_mut().zip(rs) {
+                        fold(member, Ok(r));
+                    }
+                }
+                res => {
+                    let e = ProtocolError::not("Reply::Batch", res);
+                    for (_, _, member) in &mut members[m.sent.start..m.end] {
+                        fold(member, Err(e.clone()));
+                    }
+                    m.sent.end = m.end;
+                }
+            }
+        }
+        round.retain(|m| m.sent.end < m.end);
+    }
+    messages
+}
+
+/// Sends one [`fan_out`] round in one blocking fan-out (a round of one
+/// message is a plain call) and settles each message: with `cfg`, a failed
+/// one is re-sent serially after the round under [`call`]'s policy, the
+/// slow path that only exists under faults; without it, its error stands.
+fn call_many(
+    endpoint: &ClientEndpoint,
+    cfg: Option<&ProtocolConfig>,
+    round: &[Message],
+    make: &dyn Fn(&Message) -> Request,
+) -> Vec<Answer> {
+    let settle = |m: &Message, idempotent, first: Result<Reply, RpcError>| match (cfg, first) {
+        (_, Ok(reply)) => Ok(reply),
+        (Some(cfg), Err(RpcError::NodeDown(_))) if cfg.auto_remap => {
+            endpoint.network().remap_node(m.node, cfg.remap_garbage);
+            endpoint.call(m.node, make(m)).map_err(ProtocolError::from)
+        }
+        (Some(cfg), Err(e))
+            if e.is_indeterminate() && idempotent && cfg.backoff.rpc_retry_budget > 0 =>
+        {
+            call(endpoint, cfg, m.node, || make(m))
+        }
+        // Shed by a full queue, never executed: retry any request.
+        (Some(cfg), Err(RpcError::Busy(_))) if cfg.backoff.rpc_retry_budget > 0 => {
+            call(endpoint, cfg, m.node, || make(m))
+        }
+        (_, Err(e)) => Err(ProtocolError::from(e)),
+    };
+    if let [m] = round {
+        let req = make(m);
+        let idempotent = req.is_idempotent();
+        return vec![settle(m, idempotent, endpoint.call(m.node, req))];
+    }
+    let mut idempotent = Vec::with_capacity(round.len());
+    let calls = round
         .iter()
-        .enumerate()
-        .map(|(c, &node)| {
-            let req = make(c);
+        .map(|m| {
+            let req = make(m);
             idempotent.push(req.is_idempotent());
-            (node, req)
+            (m.node, req)
         })
         .collect();
     let first = endpoint.call_many(calls);
-    first
-        .into_iter()
-        .zip(targets)
-        .enumerate()
-        .map(|(c, (res, &node))| match res {
-            Ok(reply) => Ok(reply),
-            Err(RpcError::NodeDown(_)) if cfg.auto_remap => {
-                endpoint.network().remap_node(node, cfg.remap_garbage);
-                endpoint.call(node, make(c)).map_err(ProtocolError::from)
-            }
-            Err(e)
-                if e.is_indeterminate()
-                    && idempotent[c]
-                    && cfg.backoff.rpc_retry_budget > 0 =>
-            {
-                call(endpoint, cfg, node, || make(c))
-            }
-            // Shed by a full queue, never executed: retry any request.
-            Err(RpcError::Busy(_)) if cfg.backoff.rpc_retry_budget > 0 => {
-                call(endpoint, cfg, node, || make(c))
-            }
-            Err(e) => Err(ProtocolError::from(e)),
-        })
-        .collect()
+    first.into_iter().zip(round).zip(idempotent).map(|((res, m), i)| settle(m, i, res)).collect()
 }
 
-/// Collapses a singleton into a bare request (no batch framing on the wire).
-pub(crate) fn batch(mut reqs: Vec<Request>) -> Request {
-    if reqs.len() == 1 {
-        reqs.pop().expect("len checked")
-    } else {
-        Request::Batch(reqs)
-    }
-}
-
-/// Splits a reply back into per-member replies, mirroring [`batch`].
-pub(crate) fn unbatch(reply: Reply, members: usize) -> Result<Vec<Reply>, ProtocolError> {
-    if members == 1 {
-        return Ok(vec![reply]);
-    }
-    match reply {
-        Reply::Batch(rs) if rs.len() == members => Ok(rs),
-        other => Err(ProtocolError::unexpected("Reply::Batch", &other)),
-    }
-}
-
-/// One `pfor` round over node groups: each node gets the [`batch`] of
-/// `req(member)` for its members, made when it is sent (see [`call`]).
-pub(crate) fn call_groups<T>(
+/// The §3.11 multicast: message `c` goes to `nodes[c]` carrying `make(c)`,
+/// and the client NIC pays for one payload. A crashed target is remapped
+/// (§3.5) and sent its message again alone; nothing else is re-sent. It
+/// stays apart from [`pfor`]: one payload for every member is a different
+/// transport call, not a grouping.
+pub(crate) fn multicast(
     endpoint: &ClientEndpoint,
     cfg: &ProtocolConfig,
-    groups: &[(NodeId, Vec<T>)],
-    req: impl Fn(&T) -> Request,
+    nodes: &[NodeId],
+    make: impl Fn(usize) -> Request,
 ) -> Vec<Result<Reply, ProtocolError>> {
-    let nodes: Vec<NodeId> = groups.iter().map(|g| g.0).collect();
-    call_many(endpoint, cfg, &nodes, |c| match &groups[c].1[..] {
-        [one] => req(one),
-        members => Request::Batch(members.iter().map(&req).collect()),
-    })
-}
-
-/// Batched fan-out: groups `items` by target node (ascending, so the wire
-/// order is deterministic) and sends each node one message per
-/// [`call_groups`] round — the [`batch`] of `req(item)` for its next `chunk`
-/// items — until every node's group is sent, so a node's shard locks are
-/// never held for more than `chunk` members at a time. Hands each item to
-/// `fold` with its own member's reply and returns the number of messages
-/// issued. A failed message fails all of its node's members, unsent ones
-/// included: the node just showed it is unreachable, and the other nodes
-/// carry on.
-pub(crate) fn call_grouped<T>(
-    endpoint: &ClientEndpoint,
-    cfg: &ProtocolConfig,
-    items: Vec<(NodeId, T)>,
-    chunk: usize,
-    req: impl Fn(&T) -> Request,
-    mut fold: impl FnMut(T, Result<Reply, ProtocolError>),
-) -> usize {
-    let mut by_node: BTreeMap<NodeId, Vec<T>> = BTreeMap::new();
-    for (node, item) in items {
-        by_node.entry(node).or_default().push(item);
+    if nodes.is_empty() {
+        return Vec::new(); // an empty round would still pay propagation delay
     }
-    let mut rest: Vec<(NodeId, std::vec::IntoIter<T>)> =
-        by_node.into_iter().map(|(node, group)| (node, group.into_iter())).collect();
-    let mut messages = 0;
-    while !rest.is_empty() {
-        let round: Vec<(NodeId, Vec<T>)> = rest
-            .iter_mut()
-            .map(|(node, group)| (*node, group.by_ref().take(chunk).collect()))
-            .collect();
-        messages += round.len();
-        let replies = call_groups(endpoint, cfg, &round, &req);
-        for (((_, members), res), (_, unsent)) in round.into_iter().zip(replies).zip(&mut rest) {
-            match res.and_then(|reply| unbatch(reply, members.len())) {
-                Ok(rs) => members.into_iter().zip(rs).for_each(|(m, r)| fold(m, Ok(r))),
-                Err(e) => members.into_iter().chain(unsent).for_each(|m| fold(m, Err(e.clone()))),
-            }
+    let calls = nodes.iter().enumerate().map(|(c, &node)| (node, make(c))).collect();
+    let resend = |(c, res)| match res {
+        Err(RpcError::NodeDown(_)) if cfg.auto_remap => {
+            endpoint.network().remap_node(nodes[c], cfg.remap_garbage);
+            endpoint.call(nodes[c], make(c)).map_err(ProtocolError::from)
         }
-        rest.retain(|(_, group)| !group.as_slice().is_empty());
-    }
-    messages
+        other => other.map_err(ProtocolError::from),
+    };
+    endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
 }
 
 /// Unwraps a reply variant; a cross-variant mismatch returns
@@ -262,13 +305,27 @@ mod tests {
         assert!(!net.node_is_up(NodeId(1)), "no remap requested");
     }
 
+    /// A [`pfor`] round of one member per target: member `c` goes to
+    /// `nodes[c]` carrying `make(c)`; the replies come back in order.
+    fn pfor_each(
+        ep: &ClientEndpoint,
+        cfg: &ProtocolConfig,
+        nodes: &[NodeId],
+        make: impl Fn(usize) -> Request,
+    ) -> Vec<Result<Reply, ProtocolError>> {
+        let members = nodes.iter().enumerate().map(|(c, &node)| (c, node, c)).collect();
+        let mut replies = Vec::new();
+        pfor(ep, cfg, members, usize::MAX, true, |&c| make(c), |_, res| replies.push(res));
+        replies
+    }
+
     #[test]
     fn call_many_remaps_only_the_down_targets() {
         let (net, ep, cfg) = setup(true);
         net.crash_node(NodeId(0));
         net.crash_node(NodeId(3));
         let nodes: Vec<_> = (0..4).map(NodeId).collect();
-        let replies = call_many(&ep, &cfg, &nodes, |_| Request::Read { stripe: StripeId(0) });
+        let replies = pfor_each(&ep, &cfg, &nodes, |_| Request::Read { stripe: StripeId(0) });
         assert_eq!(replies.len(), 4);
         assert!(replies.iter().all(Result::is_ok));
         // Remapped nodes answer ⊥; healthy nodes answer content.
@@ -474,7 +531,7 @@ mod tests {
         made.borrow_mut().clear();
         let nodes: Vec<_> = (0..4).map(NodeId).collect();
         let read = |_| Request::Read { stripe: StripeId(0) };
-        let replies = call_many(&ep, &cfg, &nodes, recording(&made, read));
+        let replies = pfor_each(&ep, &cfg, &nodes, recording(&made, read));
         assert!(replies.iter().all(Result::is_ok));
         let positions: Vec<usize> = made.borrow().iter().map(|(c, _)| *c).collect();
         assert_eq!(positions, [0, 1, 2, 3], "once per target, in order");
@@ -487,7 +544,7 @@ mod tests {
         let made = std::cell::RefCell::new(Vec::new());
         let nodes: Vec<_> = (0..4).map(NodeId).collect();
         let swap = |c: usize| swap_of(c as u8);
-        let replies = call_many(&ep, &cfg, &nodes, recording(&made, swap));
+        let replies = pfor_each(&ep, &cfg, &nodes, recording(&made, swap));
         assert!(replies.iter().all(Result::is_ok));
         let made = made.into_inner();
         let positions: Vec<usize> = made.iter().map(|(c, _)| *c).collect();
@@ -569,5 +626,151 @@ mod tests {
             err,
             crate::error::ProtocolError::Rpc(RpcError::ClientKilled)
         ));
+    }
+
+    /// The member ids a message carries, from its `Read { stripe: id }`s.
+    fn ids(req: Request) -> Vec<u64> {
+        match req {
+            Request::Batch(reqs) => reqs.into_iter().flat_map(ids).collect(),
+            Request::Read { stripe } => vec![stripe.0],
+            other => panic!("not a test member: {other:?}"),
+        }
+    }
+
+    /// Each round [`fan_out`] sent, as `(node, member ids)` per message.
+    type Rounds = Vec<Vec<(NodeId, Vec<u64>)>>;
+
+    /// Each member `fold` saw, with its outcome, in order.
+    type Folded = Vec<(u64, Result<Reply, ProtocolError>)>;
+
+    /// Runs [`fan_out`] over a transport that records every round and
+    /// answers each message with `reply(round, message, members)`; returns
+    /// the rounds, the member ids each `fold` saw (with its outcome) and
+    /// the message count.
+    fn drive(
+        members: &[(u8, NodeId, u64)],
+        cap: usize,
+        reply: impl Fn(usize, &(NodeId, Vec<u64>)) -> Result<Reply, ProtocolError>,
+    ) -> (Rounds, Folded, usize) {
+        let (mut rounds, mut folded) = (Rounds::new(), Folded::new());
+        let read = |&id: &u64| Request::Read { stripe: StripeId(id) };
+        let send = |round: &[Message], make: &dyn Fn(&Message) -> Request| {
+            let sent: Vec<_> = round.iter().map(|m| (m.node, ids(make(m)))).collect();
+            let replies = sent.iter().map(|msg| reply(rounds.len(), msg)).collect();
+            rounds.push(sent);
+            replies
+        };
+        let messages =
+            fan_out(members.to_vec(), cap, read, send, |&mut id, res| folded.push((id, res)));
+        (rounds, folded, messages)
+    }
+
+    /// A well-formed answer: `Ack` per member, batched like the message.
+    fn acks((_, ids): &(NodeId, Vec<u64>)) -> Result<Reply, ProtocolError> {
+        Ok(match ids.len() {
+            1 => Reply::Ack,
+            n => Reply::Batch(vec![Reply::Ack; n]),
+        })
+    }
+
+    /// The grouping `pfor` replaced, kept as the reference: a `BTreeMap`
+    /// of per-`(key, node)` lists, each sending its next `cap` members per
+    /// round until all are sent.
+    fn reference(members: &[(u8, NodeId, u64)], cap: usize) -> Rounds {
+        let mut by_run: std::collections::BTreeMap<(u8, NodeId), Vec<u64>> = Default::default();
+        for &(key, node, id) in members {
+            by_run.entry((key, node)).or_default().push(id);
+        }
+        let mut rest: Vec<(NodeId, std::vec::IntoIter<u64>)> =
+            by_run.into_iter().map(|((_, node), ids)| (node, ids.into_iter())).collect();
+        let mut rounds = Rounds::new();
+        while !rest.is_empty() {
+            let round = rest.iter_mut().map(|(node, ids)| (*node, ids.by_ref().take(cap)));
+            rounds.push(round.map(|(node, ids)| (node, ids.collect())).collect());
+            rest.retain(|(_, ids)| !ids.as_slice().is_empty());
+        }
+        rounds
+    }
+
+    #[test]
+    fn pfor_sends_the_messages_of_the_btreemap_grouping_it_replaced() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut next = |bound: u64| {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            x % bound
+        };
+        for case in 0..500 {
+            let len = next(40) as usize;
+            let members: Vec<(u8, NodeId, u64)> = (0..len as u64)
+                .map(|id| (next(4) as u8, NodeId(next(6) as u32), id))
+                .collect();
+            let cap = [1, 2, 3, 7, usize::MAX][case % 5];
+            let (rounds, folded, messages) = drive(&members, cap, |_, msg| acks(msg));
+            let want = reference(&members, cap);
+            assert_eq!(rounds, want, "case {case}: cap {cap}, members {members:?}");
+            assert_eq!(messages, want.iter().map(Vec::len).sum::<usize>());
+            let sent: Vec<u64> = want.iter().flatten().flat_map(|(_, ids)| ids.clone()).collect();
+            let seen: Vec<u64> = folded.iter().map(|f| f.0).collect();
+            assert_eq!(seen, sent, "case {case}: one fold per member, in send order");
+            assert!(folded.iter().all(|f| matches!(f.1, Ok(Reply::Ack))));
+        }
+    }
+
+    #[test]
+    fn pfor_table() {
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let down = || ProtocolError::Rpc(RpcError::NodeDown(NodeId(0)));
+        let is_err = |res: &Result<Reply, ProtocolError>| res.is_err();
+
+        // One member: a bare request, its reply handed over as is.
+        let (rounds, folded, messages) = drive(&[(0, n0, 7)], usize::MAX, |_, msg| acks(msg));
+        assert_eq!((rounds, messages), (vec![vec![(n0, vec![7])]], 1));
+        assert!(matches!(folded[..], [(7, Ok(Reply::Ack))]));
+
+        // A run over the cap continues in the next rounds, beside the
+        // runs that fit.
+        let members = [(0, n0, 0), (0, n0, 1), (0, n1, 2), (0, n0, 3), (0, n0, 4)];
+        let (rounds, _, messages) = drive(&members, 2, |_, msg| acks(msg));
+        let want = vec![
+            vec![(n0, vec![0, 1]), (n1, vec![2])],
+            vec![(n0, vec![3, 4])],
+        ];
+        assert_eq!((rounds, messages), (want, 3));
+
+        // A failed message fails every member of its run, unsent ones
+        // included; the other runs carry on.
+        let members = [(0, n0, 0), (0, n0, 1), (0, n0, 2), (0, n1, 3), (0, n1, 4), (0, n1, 5)];
+        let fail_n0 = |_, msg: &(NodeId, Vec<u64>)| match msg.0 {
+            NodeId(0) => Err(down()),
+            _ => acks(msg),
+        };
+        let (rounds, folded, messages) = drive(&members, 2, fail_n0);
+        let want = vec![vec![(n0, vec![0, 1]), (n1, vec![3, 4])], vec![(n1, vec![5])]];
+        assert_eq!((rounds, messages), (want, 3));
+        let failed: Vec<u64> = folded.iter().filter(|f| is_err(&f.1)).map(|f| f.0).collect();
+        assert_eq!(failed, [0, 1, 2], "node 0's unsent member 2 fails with its message");
+        assert!(folded.iter().all(|f| f.0 < 3 || matches!(f.1, Ok(Reply::Ack))));
+
+        // A short batch, a long one and a foreign reply are the message's
+        // error, not a panic.
+        let members = [(0, n0, 0), (0, n0, 1), (1, n0, 2), (1, n0, 3), (2, n0, 4), (2, n0, 5)];
+        let malformed = |_, msg: &(NodeId, Vec<u64>)| {
+            Ok(match msg.1[0] {
+                0 => Reply::Batch(vec![Reply::Ack]),
+                2 => Reply::Batch(vec![Reply::Ack; 3]),
+                _ => Reply::Ack,
+            })
+        };
+        let (_, folded, messages) = drive(&members, usize::MAX, malformed);
+        assert_eq!(messages, 3);
+        assert_eq!(folded.len(), 6);
+        for (id, res) in folded {
+            let Err(ProtocolError::UnexpectedReply { expected, .. }) = res else {
+                panic!("member {id}: {res:?}")
+            };
+            assert_eq!(expected, "Reply::Batch");
+        }
     }
 }

@@ -341,6 +341,17 @@ fn concurrent_soak_under_faults_stays_regular() {
             .network()
             .notify_client_failure(ajx_storage::ClientId(c as u32));
     }
+    // This recovery can meet a stripe beyond §4's bound. The fault rates
+    // above bound nothing per stripe, and under CPU load the 20 ms deadline
+    // strands more writes (a write given up after its swap is a §4 client
+    // failure). A witness, three times in ~1500 runs with the CPU
+    // oversubscribed: node 1 (stripe 0's index 1) is INIT, data node 0
+    // holds four block-0 tids in its recentlist, redundant node 2 one of
+    // them and node 3 none. That is four stranded writes on top of one
+    // crashed node. Parallel adds with p = 2 tolerate a node crash only at
+    // t_p ≤ 1 (`d_parallel(2, 1) = 1`, `d_parallel(2, 2) = 0`), so
+    // `find_consistent` finds one consistent block and the recovery is
+    // `Unrecoverable`, as the protocol promises beyond the bound.
     for stripe in 0..BLOCKS / 2 {
         cluster
             .client(0)

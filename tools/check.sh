@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo check entry point: line-count inventory (tools/loc.sh), release
-# build, lint wall, full workspace test
+# build, lint wall, a grep that keeps core's blocking rounds in core::rpc,
+# full workspace test
 # suite, a seeded chaos smoke run, the seeded power-loss smoke (three
 # seeds, both flush policies, byte-identical traces), the GF(2^8) +
 # GF(2^16) kernel backend matrix (per-backend test runs +
@@ -59,6 +60,23 @@ echo "== ajx-lint (repo invariant checker) =="
 # tools/lint_baseline.txt.
 cargo run -q -p ajx-lint
 tools/lint_baseline.sh
+
+echo "== blocking rounds only through core::rpc =="
+# Which members share a message, in what order, and what a failed message
+# does to them is decided in one place: `core::rpc` (`call`, `pfor`,
+# `multicast`). No other file of crates/core/src may call the transport's
+# blocking round itself (`mux.rs` drives the completion-queue path, not a
+# blocking round). In-file test modules are not scanned.
+direct=$(for f in crates/core/src/*.rs; do
+  case "$(basename "$f")" in rpc.rs | mux.rs) continue ;; esac
+  awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+    /\.(call_many|broadcast|call)\(/ { print f ":" FNR ": " $0 }' "$f"
+done)
+if [ -n "$direct" ]; then
+  echo "$direct"
+  echo "FAIL: a blocking transport round outside core::rpc" >&2
+  exit 1
+fi
 
 echo "== cargo test --workspace =="
 cargo test --workspace -q
