@@ -1,355 +1,89 @@
-//! Closed-loop throughput simulation of the baseline protocols on the
-//! `ajx-sim` discrete-event engine — an *extension* of the paper's Fig. 1:
-//! the table compares per-operation costs; this module runs those message
-//! patterns under load so the throughput consequences ("FAB and GWGR ...
-//! perform poorly for random I/O, especially with highly-efficient erasure
-//! codes") become measurable curves.
+//! Closed-loop throughput of the Fig. 1 protocols — an *extension* of the
+//! paper's Fig. 1: the table compares per-operation costs; this module runs
+//! the message patterns under load so the throughput consequences ("FAB and
+//! GWGR ... perform poorly for random I/O, especially with
+//! highly-efficient erasure codes") become measurable curves.
 //!
-//! Protocol write patterns (single user-visible block write):
+//! Every protocol runs through the one §5.2 model, `ajx_sim::closed_loop`:
+//! the same resources, RPC chain, operation draws and report. The AJX rows
+//! are `ajx_sim::run` under each row's own update strategy; this module
+//! adds only FAB's and GWGR's phases (single user-visible block):
 //!
-//! * **AJX-par** — `swap` at the data node (block out, old block back),
-//!   then parallel `add`s at the `p` redundant nodes (block out, ack back).
-//! * **FAB** — two rounds to *all n* nodes, each carrying the write's
-//!   data; one round-1 reply returns the old version.
-//! * **GWGR** — whole-stripe granularity: a single-block write first reads
-//!   all `n` fragments, then writes all `n` back in a two-round commit.
-//!
-//! Reads: AJX contacts the data node; FAB queries `k` nodes (one returns
-//! the block); GWGR fetches all `n` fragments.
+//! * **FAB** — a write is two rounds to *all n* nodes, each carrying the
+//!   write's data; one round-1 reply returns the old version. A read
+//!   queries `k` nodes, and the one holding the block returns it.
+//! * **GWGR** — whole-stripe granularity: a write first reads all `n`
+//!   fragments, then writes all `n` back in a two-round commit. A read
+//!   fetches all `n` fragments.
 
 use crate::Protocol;
-use ajx_sim::{Chain, Engine, ResourceId, SimParams, Step};
-use rand::{Rng, SeedableRng};
+use ajx_core::UpdateStrategy;
+use ajx_sim::{closed_loop, run, Chain, Model, Op, SimConfig, SimReport};
 
-/// Configuration for one baseline-comparison simulation run.
-#[derive(Debug, Clone)]
-pub struct BaselineSimConfig {
-    /// The protocol to simulate.
-    pub proto: Protocol,
-    /// Data blocks per stripe.
-    pub k: usize,
-    /// Total blocks per stripe.
-    pub n: usize,
-    /// Number of client nodes.
-    pub n_clients: usize,
-    /// Outstanding requests per client.
-    pub threads_per_client: usize,
-    /// Operations per thread.
-    pub ops_per_thread: u64,
-    /// Fraction of reads (percent); the rest are single-block writes.
-    pub read_pct: u8,
-    /// Timing constants (shared with the AJX simulator for fairness).
-    pub params: SimParams,
-    /// Deterministic seed.
-    pub seed: u64,
-}
-
-impl BaselineSimConfig {
-    /// A write-only configuration at moderate load.
-    pub fn write_only(proto: Protocol, k: usize, n: usize, n_clients: usize) -> Self {
-        BaselineSimConfig {
-            proto,
-            k,
-            n,
-            n_clients,
-            threads_per_client: 16,
-            ops_per_thread: 30,
-            read_pct: 0,
-            params: SimParams::default(),
-            seed: 0xFAB,
-        }
-    }
-}
-
-/// Result of a baseline simulation.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct BaselineSimReport {
-    /// User-visible operations completed.
-    pub ops: u64,
-    /// Virtual elapsed time (µs).
-    pub elapsed_us: f64,
-    /// Goodput: user-payload MB/s (one block per op, regardless of how
-    /// many blocks the protocol moves internally).
-    pub goodput_mbps: f64,
-    /// Mean user-op latency (µs).
-    pub mean_latency_us: f64,
-}
-
-struct Ctx {
-    rng: rand::rngs::StdRng,
-    client: usize,
-    ops_done: u64,
-    op_start: f64,
-    /// Remaining phases (each a group of chains) of the in-flight op.
-    phases: Vec<Vec<Chain>>,
-    lat_sum: f64,
-}
-
-struct Res {
-    client_cpu: Vec<ResourceId>,
-    client_nic: Vec<ResourceId>,
-    node_cpu: Vec<ResourceId>,
-    node_nic: Vec<ResourceId>,
-}
-
-/// Runs the simulation; deterministic for a given config.
+/// Runs `proto` through `cfg`'s closed loop; deterministic for a given
+/// config. An AJX row runs under its own update strategy, whatever
+/// `cfg.strategy` says; FAB and GWGR ignore it.
 ///
 /// # Panics
 ///
-/// Panics on degenerate configurations.
-pub fn run_baseline(cfg: &BaselineSimConfig) -> BaselineSimReport {
-    assert!(cfg.k >= 1 && cfg.n > cfg.k && cfg.n_clients >= 1);
-    let mut engine = Engine::new();
-    let res = Res {
-        client_cpu: (0..cfg.n_clients).map(|_| engine.add_resource()).collect(),
-        client_nic: (0..cfg.n_clients).map(|_| engine.add_resource()).collect(),
-        node_cpu: (0..cfg.n).map(|_| engine.add_resource()).collect(),
-        node_nic: (0..cfg.n).map(|_| engine.add_resource()).collect(),
-    };
-    let total = cfg.n_clients * cfg.threads_per_client;
-    let mut threads: Vec<Ctx> = (0..total)
-        .map(|t| Ctx {
-            rng: rand::rngs::StdRng::seed_from_u64(cfg.seed ^ (t as u64) << 17),
-            client: t / cfg.threads_per_client,
-            ops_done: 0,
-            op_start: 0.0,
-            phases: Vec::new(),
-            lat_sum: 0.0,
-        })
-        .collect();
-
-    for (t, ctx) in threads.iter_mut().enumerate() {
-        start_op(&mut engine, cfg, &res, ctx, t as u64, 0.0);
-    }
-    let mut total_ops = 0u64;
-    engine.run(|engine, now, token| {
-        let ctx = &mut threads[token as usize];
-        if let Some(next) = ctx.phases.pop() {
-            engine.spawn_group(next, token);
-            return;
-        }
-        ctx.lat_sum += now - ctx.op_start;
-        ctx.ops_done += 1;
-        total_ops += 1;
-        if ctx.ops_done < cfg.ops_per_thread {
-            start_op(engine, cfg, &res, ctx, token, now);
-        }
-    });
-
-    let elapsed_us = engine.now();
-    BaselineSimReport {
-        ops: total_ops,
-        elapsed_us,
-        goodput_mbps: if elapsed_us > 0.0 {
-            total_ops as f64 * cfg.params.block_size as f64 / elapsed_us
-        } else {
-            0.0
-        },
-        mean_latency_us: if total_ops > 0 {
-            threads.iter().map(|t| t.lat_sum).sum::<f64>() / total_ops as f64
-        } else {
-            0.0
-        },
+/// Panics on degenerate configurations (see [`ajx_sim::closed_loop`]).
+pub fn run_baseline(proto: Protocol, cfg: &SimConfig) -> SimReport {
+    let ajx = |strategy| run(&SimConfig { strategy, ..cfg.clone() });
+    match proto {
+        Protocol::AjxPar => ajx(UpdateStrategy::Parallel),
+        Protocol::AjxBcast => ajx(UpdateStrategy::Broadcast),
+        Protocol::AjxSer => ajx(UpdateStrategy::Serial),
+        Protocol::Fab => closed_loop(cfg, |m, op| fab_phases(cfg, m, op)),
+        Protocol::Gwgr => closed_loop(cfg, |m, op| gwgr_phases(cfg, m, op)),
     }
 }
 
-fn start_op(engine: &mut Engine, cfg: &BaselineSimConfig, res: &Res, ctx: &mut Ctx, token: u64, now: f64) {
-    ctx.op_start = now;
-    let stripe: u64 = ctx.rng.random_range(0..1024);
-    let index = ctx.rng.random_range(0..cfg.k);
-    let is_read = ctx.rng.random_range(0..100u8) < cfg.read_pct;
-    // Phases are stored in reverse (popped from the back).
-    let mut phases = if is_read {
-        read_phases(cfg, res, ctx.client, stripe, index)
-    } else {
-        write_phases(cfg, res, ctx.client, stripe, index)
-    };
-    phases.reverse();
-    let first = phases.pop().expect("ops have at least one phase");
-    ctx.phases = phases;
-    engine.spawn_group(first, token);
-}
-
-fn node_of(cfg: &BaselineSimConfig, stripe: u64, t: usize) -> usize {
-    ((t as u64 + stripe) % cfg.n as u64) as usize
-}
-
-/// One request/reply chain through the shared resource model.
-#[allow(clippy::too_many_arguments)]
-fn rpc(
-    p: &SimParams,
-    res: &Res,
-    client: usize,
-    node: usize,
-    req_bytes: f64,
-    service_us: f64,
-    rep_bytes: f64,
-) -> Chain {
-    vec![
-        Step::Use {
-            resource: res.client_cpu[client],
-            us: p.rpc_client_cpu_us,
-        },
-        Step::Use {
-            resource: res.client_nic[client],
-            us: req_bytes / p.client_nic_bpus,
-        },
-        Step::Delay {
-            us: p.one_way_latency_us,
-        },
-        Step::Use {
-            resource: res.node_nic[node],
-            us: req_bytes / p.node_nic_bpus,
-        },
-        Step::Use {
-            resource: res.node_cpu[node],
-            us: p.rpc_node_cpu_us + service_us,
-        },
-        Step::Use {
-            resource: res.node_nic[node],
-            us: rep_bytes / p.node_nic_bpus,
-        },
-        Step::Delay {
-            us: p.one_way_latency_us,
-        },
-        Step::Use {
-            resource: res.client_nic[client],
-            us: rep_bytes / p.client_nic_bpus,
-        },
-    ]
-}
-
-fn write_phases(
-    cfg: &BaselineSimConfig,
-    res: &Res,
-    client: usize,
-    stripe: u64,
-    index: usize,
-) -> Vec<Vec<Chain>> {
+fn fab_phases(cfg: &SimConfig, m: &Model, op: &Op) -> Vec<Vec<Chain>> {
     let p = &cfg.params;
-    let blk = p.block_msg_bytes();
-    let hdr = p.hdr_bytes();
-    match cfg.proto {
-        Protocol::AjxPar | Protocol::AjxSer | Protocol::AjxBcast => {
-            // Modeled here in the parallel form (the ajx-sim crate covers
-            // the per-strategy differences in full).
-            let data_node = node_of(cfg, stripe, index);
-            let swap = vec![rpc(p, res, client, data_node, blk, p.swap_service_us, blk)];
-            let adds: Vec<Chain> = (cfg.k..cfg.n)
-                .map(|j| {
-                    let node = node_of(cfg, stripe, j);
-                    let mut c = rpc(p, res, client, node, blk, p.add_cost_us, hdr);
-                    // Delta computation before each add.
-                    c.insert(
-                        0,
-                        Step::Use {
-                            resource: res.client_cpu[client],
-                            us: p.delta_cost_us,
-                        },
-                    );
-                    c
-                })
-                .collect();
-            vec![swap, adds]
-        }
-        Protocol::Fab => {
-            // Two rounds to every node in the stripe, all carrying data.
-            let round1: Vec<Chain> = (0..cfg.n)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    let rep = if t == 0 { blk } else { hdr };
-                    rpc(p, res, client, node, blk, p.swap_service_us, rep)
-                })
-                .collect();
-            let round2: Vec<Chain> = (0..cfg.n)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    rpc(p, res, client, node, blk, p.swap_service_us, hdr)
-                })
-                .collect();
-            vec![round1, round2]
-        }
-        Protocol::Gwgr => {
-            // Whole-stripe granularity: read all fragments, re-encode,
-            // write all back, commit.
-            let read_all: Vec<Chain> = (0..cfg.n)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    rpc(p, res, client, node, hdr, p.read_service_us, blk)
-                })
-                .collect();
-            let mut write_all: Vec<Chain> = (0..cfg.n)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    rpc(p, res, client, node, blk, p.swap_service_us, hdr)
-                })
-                .collect();
-            // Re-encode the stripe before writing (k Delta-sized units).
-            write_all[0].insert(
-                0,
-                Step::Use {
-                    resource: res.client_cpu[client],
-                    us: p.delta_cost_us * cfg.k as f64,
-                },
-            );
-            let commit: Vec<Chain> = (0..cfg.n)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    rpc(p, res, client, node, hdr, p.read_service_us, hdr)
-                })
-                .collect();
-            vec![read_all, write_all, commit]
-        }
+    let (blk, hdr, cpu) = (p.block_msg_bytes(), p.hdr_bytes(), p.rpc_client_cpu_us);
+    if op.read {
+        let rep = |t| if t == op.index { blk } else { hdr };
+        let query = |t| m.rpc(op, t, hdr, p.read_service_us, rep(t), cpu);
+        return vec![(0..cfg.k).map(query).collect()];
     }
+    // Round one brings the old version back from one node.
+    let round = |old: bool| {
+        let rep = |t| if old && t == 0 { blk } else { hdr };
+        (0..cfg.n).map(|t| m.rpc(op, t, blk, p.swap_service_us, rep(t), cpu)).collect()
+    };
+    vec![round(true), round(false)]
 }
 
-fn read_phases(
-    cfg: &BaselineSimConfig,
-    res: &Res,
-    client: usize,
-    stripe: u64,
-    index: usize,
-) -> Vec<Vec<Chain>> {
+fn gwgr_phases(cfg: &SimConfig, m: &Model, op: &Op) -> Vec<Vec<Chain>> {
     let p = &cfg.params;
-    let blk = p.block_msg_bytes();
-    let hdr = p.hdr_bytes();
-    match cfg.proto {
-        Protocol::AjxPar | Protocol::AjxSer | Protocol::AjxBcast => {
-            let node = node_of(cfg, stripe, index);
-            vec![vec![rpc(p, res, client, node, hdr, p.read_service_us, blk)]]
-        }
-        Protocol::Fab => {
-            // Query k nodes; one returns the block.
-            let round: Vec<Chain> = (0..cfg.k)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    let rep = if t == index { blk } else { hdr };
-                    rpc(p, res, client, node, hdr, p.read_service_us, rep)
-                })
-                .collect();
-            vec![round]
-        }
-        Protocol::Gwgr => {
-            let round: Vec<Chain> = (0..cfg.n)
-                .map(|t| {
-                    let node = node_of(cfg, stripe, t);
-                    rpc(p, res, client, node, hdr, p.read_service_us, blk)
-                })
-                .collect();
-            vec![round]
-        }
+    let (blk, hdr, cpu) = (p.block_msg_bytes(), p.hdr_bytes(), p.rpc_client_cpu_us);
+    let round = |req, service, rep| -> Vec<Chain> {
+        (0..cfg.n).map(|t| m.rpc(op, t, req, service, rep, cpu)).collect()
+    };
+    let read_all = round(hdr, p.read_service_us, blk);
+    if op.read {
+        return vec![read_all];
     }
+    // The client re-encodes the stripe (k Delta-sized units) before its
+    // first write goes out.
+    let mut write_all = round(blk, p.swap_service_us, hdr);
+    let encode_us = cpu + p.delta_cost_us * cfg.k as f64;
+    write_all[0] = m.rpc(op, 0, blk, p.swap_service_us, hdr, encode_us);
+    vec![read_all, write_all, round(hdr, p.read_service_us, hdr)]
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn quick(proto: Protocol, k: usize, n: usize) -> BaselineSimReport {
-        let mut cfg = BaselineSimConfig::write_only(proto, k, n, 4);
-        cfg.ops_per_thread = 20;
-        cfg.threads_per_client = 8;
-        run_baseline(&cfg)
+    fn quick(proto: Protocol, k: usize, n: usize) -> SimReport {
+        let cfg = SimConfig {
+            threads_per_client: 8,
+            ops_per_thread: 20,
+            seed: 0xFAB,
+            ..SimConfig::new(k, n, 4)
+        };
+        run_baseline(proto, &cfg)
     }
 
     #[test]
@@ -357,7 +91,7 @@ mod tests {
         for proto in Protocol::ALL {
             let r = quick(proto, 4, 6);
             assert_eq!(r.ops, 4 * 8 * 20, "{proto:?}");
-            assert!(r.goodput_mbps > 0.0);
+            assert!(r.aggregate_mbps > 0.0);
             assert!(r.mean_latency_us > 0.0);
         }
     }
@@ -377,16 +111,16 @@ mod tests {
         let fab = quick(Protocol::Fab, 8, 10);
         let gwgr = quick(Protocol::Gwgr, 8, 10);
         assert!(
-            ajx.goodput_mbps > 2.0 * fab.goodput_mbps,
+            ajx.aggregate_mbps > 2.0 * fab.aggregate_mbps,
             "AJX {} vs FAB {}",
-            ajx.goodput_mbps,
-            fab.goodput_mbps
+            ajx.aggregate_mbps,
+            fab.aggregate_mbps
         );
         assert!(
-            ajx.goodput_mbps > 2.0 * gwgr.goodput_mbps,
+            ajx.aggregate_mbps > 2.0 * gwgr.aggregate_mbps,
             "AJX {} vs GWGR {}",
-            ajx.goodput_mbps,
-            gwgr.goodput_mbps
+            ajx.aggregate_mbps,
+            gwgr.aggregate_mbps
         );
     }
 
@@ -398,8 +132,8 @@ mod tests {
         let ajx_large = quick(Protocol::AjxPar, 16, 18);
         let fab_small = quick(Protocol::Fab, 2, 4);
         let fab_large = quick(Protocol::Fab, 16, 18);
-        let ajx_ratio = ajx_large.goodput_mbps / ajx_small.goodput_mbps;
-        let fab_ratio = fab_large.goodput_mbps / fab_small.goodput_mbps;
+        let ajx_ratio = ajx_large.aggregate_mbps / ajx_small.aggregate_mbps;
+        let fab_ratio = fab_large.aggregate_mbps / fab_small.aggregate_mbps;
         assert!(ajx_ratio > 0.8, "AJX roughly flat in k: {ajx_ratio}");
         assert!(fab_ratio < 0.6, "FAB collapses with k: {fab_ratio}");
     }

@@ -7,13 +7,18 @@
 //! large k and n, and small p"; this experiment runs the three message
 //! patterns through the same simulator and measures by how much.
 
-use ajx_baselines::{run_baseline, BaselineSimConfig, Protocol};
+use ajx_baselines::{run_baseline, Protocol};
 use ajx_bench::{banner, render_table};
+use ajx_sim::{SimConfig, SimWorkload};
 
-fn goodput(proto: Protocol, k: usize, n: usize, read_pct: u8) -> f64 {
-    let mut cfg = BaselineSimConfig::write_only(proto, k, n, 8);
-    cfg.read_pct = read_pct;
-    run_baseline(&cfg).goodput_mbps
+fn goodput(proto: Protocol, k: usize, n: usize, workload: SimWorkload) -> f64 {
+    let cfg = SimConfig {
+        workload,
+        ops_per_thread: 30,
+        seed: 0xFAB,
+        ..SimConfig::new(k, n, 8)
+    };
+    run_baseline(proto, &cfg).aggregate_mbps
 }
 
 fn main() {
@@ -28,9 +33,9 @@ fn main() {
     let rows: Vec<Vec<String>> = codes
         .iter()
         .map(|&(k, n)| {
-            let ajx = goodput(Protocol::AjxPar, k, n, 0);
-            let fab = goodput(Protocol::Fab, k, n, 0);
-            let gwgr = goodput(Protocol::Gwgr, k, n, 0);
+            let ajx = goodput(Protocol::AjxPar, k, n, SimWorkload::Write);
+            let fab = goodput(Protocol::Fab, k, n, SimWorkload::Write);
+            let gwgr = goodput(Protocol::Gwgr, k, n, SimWorkload::Write);
             vec![
                 format!("{k}-of-{n}"),
                 format!("{ajx:.1}"),
@@ -53,9 +58,9 @@ fn main() {
     let rows: Vec<Vec<String>> = codes
         .iter()
         .map(|&(k, n)| {
-            let ajx = goodput(Protocol::AjxPar, k, n, 100);
-            let fab = goodput(Protocol::Fab, k, n, 100);
-            let gwgr = goodput(Protocol::Gwgr, k, n, 100);
+            let ajx = goodput(Protocol::AjxPar, k, n, SimWorkload::Read);
+            let fab = goodput(Protocol::Fab, k, n, SimWorkload::Read);
+            let gwgr = goodput(Protocol::Gwgr, k, n, SimWorkload::Read);
             vec![
                 format!("{k}-of-{n}"),
                 format!("{ajx:.1}"),

@@ -151,7 +151,7 @@ impl Cluster {
     /// Installs a fresh (INIT, garbage-filled) replacement for `node`
     /// (§3.5 directory remap).
     pub fn remap_storage_node(&self, node: NodeId) {
-        self.net.remap_node(node, self.cfg.remap_garbage);
+        self.net.remap_node(node, ajx_core::REMAP_GARBAGE);
     }
 
     /// Restarts a crashed node from its durable state (restart-with-disk,

@@ -75,13 +75,13 @@ impl Pending {
 
     /// Feeds redundant node `j`'s answer to this block's `add` into the
     /// state machine.
-    fn absorb(&mut self, j: usize, res: Result<Reply, ProtocolError>, order_retry_limit: u32) {
+    fn absorb(&mut self, j: usize, res: Result<Reply, ProtocolError>) {
         match res {
             Ok(Reply::Add(mut r)) => {
                 // The node handed the increment's buffer back: the next
                 // increment is staged in it.
                 crate::pool::give(std::mem::take(&mut r.spent));
-                self.bw.on_add(j, &r, order_retry_limit);
+                self.bw.on_add(j, &r);
             }
             Ok(other) => self.kill(ProtocolError::unexpected("Reply::Add", &other)),
             Err(e) => self.kill(e),
@@ -577,7 +577,6 @@ impl Client {
     /// round in one tiled pass over its `v` and `w`
     /// ([`BlockWrite::increments`]).
     fn add_rounds(&self, runs: &mut [StripeRun]) {
-        let limit = self.cfg.order_retry_limit;
         let multicast = |run: &StripeRun| {
             self.cfg.strategy == UpdateStrategy::Broadcast && run.pending.len() == 1
         };
@@ -591,7 +590,7 @@ impl Client {
                 (js, replies)
             };
             for (j, res) in js.into_iter().zip(replies) {
-                p.absorb(j, res, limit);
+                p.absorb(j, res);
             }
         }
         for round in self.cfg.strategy.rounds(self.cfg.k(), self.cfg.n()) {
@@ -630,7 +629,7 @@ impl Client {
             // Adds are not idempotent: an indeterminate failure fails every
             // block in its message.
             for ((r, px, j, _), res) in replies {
-                runs[r].pending[px].absorb(j, res, limit);
+                runs[r].pending[px].absorb(j, res);
             }
         }
     }
@@ -756,7 +755,7 @@ impl Client {
     ) -> Result<RebuildReport, ProtocolError> {
         let network = self.endpoint.network();
         if !network.node_is_up(node) {
-            network.remap_node(node, self.cfg.remap_garbage);
+            network.remap_node(node, crate::config::REMAP_GARBAGE);
         }
         let stripes: Vec<StripeId> = (0..stripe_count).map(StripeId).collect();
         self.rebuild_stripes(&stripes)

@@ -5,6 +5,15 @@ use crate::resilience;
 use ajx_erasure::{CodeError, CodeFamily, PlanCache, StripeLayout};
 use std::sync::Arc;
 
+/// How many times a `WRITE` re-sends an `add` that keeps returning ORDER
+/// before concluding the predecessor's client crashed and starting
+/// recovery ("tired of looping", Fig. 5 line 13).
+pub(crate) const ORDER_RETRY_LIMIT: u32 = 64;
+
+/// The byte a remapped node's blocks are filled with (§3.5: a replacement
+/// starts INIT, its content garbage).
+pub const REMAP_GARBAGE: u8 = 0xA5;
+
 /// How a `WRITE` updates the redundant blocks (Fig. 1's AJX-ser / AJX-par /
 /// AJX-bcast and §4's hybrid scheme).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,10 +99,6 @@ pub struct ProtocolConfig {
     /// drives the recovery `slack` (Fig. 6 line 12). Must satisfy the §4
     /// bound for the chosen strategy.
     pub t_d: usize,
-    /// How many times a `WRITE` re-sends an `add` that keeps returning
-    /// ORDER before concluding the predecessor's client crashed and
-    /// starting recovery ("tired of looping", Fig. 5 line 13).
-    pub order_retry_limit: u32,
     /// Retry budget for operations blocked on another client's recovery.
     pub busy_retry_limit: u32,
     /// Pacing for busy retries and indeterminate-RPC re-sends: capped
@@ -126,8 +131,6 @@ pub struct ProtocolConfig {
     /// k×k inversion runs once per erasure pattern rather than once per
     /// stripe. Clones of this config share the cache.
     pub plan_cache: Arc<PlanCache>,
-    /// Garbage fill byte for remapped nodes (visible in tests).
-    pub remap_garbage: u8,
 }
 
 impl ProtocolConfig {
@@ -168,11 +171,9 @@ impl ProtocolConfig {
             strategy: UpdateStrategy::Parallel,
             t_p: 0,
             t_d,
-            order_retry_limit: 64,
             busy_retry_limit: 512,
             backoff: BackoffPolicy::default(),
             auto_remap: true,
-            remap_garbage: 0xA5,
             pipeline_width: 8,
             rebuild_width: 8,
             degraded_reads: true,

@@ -70,7 +70,7 @@ mod write;
 
 pub use backoff::{BackoffPolicy, BackoffSession, Jitter};
 pub use client::{Client, GcReport, MonitorReport};
-pub use config::{ProtocolConfig, UpdateStrategy};
+pub use config::{ProtocolConfig, UpdateStrategy, REMAP_GARBAGE};
 pub use error::ProtocolError;
 pub use mux::{run_mux_workload, MuxOptions, MuxReport};
 pub use rebuild::RebuildReport;

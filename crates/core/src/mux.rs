@@ -25,7 +25,7 @@
 //!
 //! **The mux runs no recovery and no re-swap.** Where the blocking driver
 //! would start recovery (Fig. 5 line 13: expired lock, INIT node, ordering
-//! stalled past `order_retry_limit`) or re-swap (an `add` dropped from `T`
+//! stalled past `ORDER_RETRY_LIMIT`) or re-swap (an `add` dropped from `T`
 //! by a stale epoch), the mux abandons the operation and counts it in
 //! [`MuxReport::failed_ops`] — so a run on a degraded cluster terminates
 //! and says how much failed instead of resubmitting forever. Clients write
@@ -350,7 +350,7 @@ fn step(
                         Some(Ok(Reply::Add(mut a))) => {
                             progressed = true;
                             crate::pool::give(std::mem::take(&mut a.spent));
-                            match bw.on_add(j, &a, cfg.order_retry_limit) {
+                            match bw.on_add(j, &a) {
                                 AddOutcome::Done => *slot = AddSlot::Done,
                                 // No re-swap here (module docs).
                                 AddOutcome::Dropped => fail = true,

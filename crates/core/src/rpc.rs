@@ -6,7 +6,7 @@
 //! behaviour (auto-remap of crashed nodes), and a failed message is re-sent
 //! by one policy, [`call`]'s. [`expect_reply!`] unwraps a reply variant.
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, REMAP_GARBAGE};
 use crate::error::ProtocolError;
 use ajx_storage::{NodeId, Reply, Request};
 use ajx_transport::{ClientEndpoint, RpcError};
@@ -51,13 +51,13 @@ pub(crate) fn call(
     loop {
         let req = make();
         let idempotent = req.is_idempotent();
-        match endpoint.call(node, req) {
+        let e = match endpoint.call(node, req) {
             Ok(reply) => return Ok(reply),
-            Err(RpcError::NodeDown(_)) if cfg.auto_remap => {
-                // A crash is determinate — no reason to burn retry budget.
-                endpoint.network().remap_node(node, cfg.remap_garbage);
-                return endpoint.call(node, make()).map_err(ProtocolError::from);
-            }
+            Err(e) => e,
+        };
+        match remap(endpoint, cfg, node, e, &make) {
+            // A crash is determinate — no reason to burn retry budget.
+            Ok(answer) => return answer,
             Err(e)
                 if e.is_indeterminate()
                     && idempotent
@@ -76,6 +76,26 @@ pub(crate) fn call(
             }
             Err(e) => return Err(ProtocolError::from(e)),
         }
+    }
+}
+
+/// The §3.5 arm of every re-send: a message that found `node` crashed is
+/// made again and sent once more, to the fresh replacement the directory
+/// maps in, when `cfg.auto_remap` allows. Any other error is handed back
+/// for the caller's policy to settle.
+fn remap(
+    endpoint: &ClientEndpoint,
+    cfg: &ProtocolConfig,
+    node: NodeId,
+    e: RpcError,
+    make: impl FnOnce() -> Request,
+) -> Result<Answer, RpcError> {
+    match e {
+        RpcError::NodeDown(_) if cfg.auto_remap => {
+            endpoint.network().remap_node(node, REMAP_GARBAGE);
+            Ok(endpoint.call(node, make()).map_err(ProtocolError::from))
+        }
+        e => Err(e),
     }
 }
 
@@ -182,22 +202,21 @@ fn call_many(
     round: &[Message],
     make: &dyn Fn(&Message) -> Request,
 ) -> Vec<Answer> {
-    let settle = |m: &Message, idempotent, first: Result<Reply, RpcError>| match (cfg, first) {
-        (_, Ok(reply)) => Ok(reply),
-        (Some(cfg), Err(RpcError::NodeDown(_))) if cfg.auto_remap => {
-            endpoint.network().remap_node(m.node, cfg.remap_garbage);
-            endpoint.call(m.node, make(m)).map_err(ProtocolError::from)
+    let settle = |m: &Message, idempotent, first: Result<Reply, RpcError>| {
+        let (Some(cfg), Err(e)) = (cfg, &first) else {
+            return first.map_err(ProtocolError::from);
+        };
+        match remap(endpoint, cfg, m.node, *e, || make(m)) {
+            Ok(answer) => answer,
+            Err(e) if e.is_indeterminate() && idempotent && cfg.backoff.rpc_retry_budget > 0 => {
+                call(endpoint, cfg, m.node, || make(m))
+            }
+            // Shed by a full queue, never executed: retry any request.
+            Err(RpcError::Busy(_)) if cfg.backoff.rpc_retry_budget > 0 => {
+                call(endpoint, cfg, m.node, || make(m))
+            }
+            Err(e) => Err(ProtocolError::from(e)),
         }
-        (Some(cfg), Err(e))
-            if e.is_indeterminate() && idempotent && cfg.backoff.rpc_retry_budget > 0 =>
-        {
-            call(endpoint, cfg, m.node, || make(m))
-        }
-        // Shed by a full queue, never executed: retry any request.
-        (Some(cfg), Err(RpcError::Busy(_))) if cfg.backoff.rpc_retry_budget > 0 => {
-            call(endpoint, cfg, m.node, || make(m))
-        }
-        (_, Err(e)) => Err(ProtocolError::from(e)),
     };
     if let [m] = round {
         let req = make(m);
@@ -232,12 +251,9 @@ pub(crate) fn multicast(
         return Vec::new(); // an empty round would still pay propagation delay
     }
     let calls = nodes.iter().enumerate().map(|(c, &node)| (node, make(c))).collect();
-    let resend = |(c, res)| match res {
-        Err(RpcError::NodeDown(_)) if cfg.auto_remap => {
-            endpoint.network().remap_node(nodes[c], cfg.remap_garbage);
-            endpoint.call(nodes[c], make(c)).map_err(ProtocolError::from)
-        }
-        other => other.map_err(ProtocolError::from),
+    let resend = |(c, res): (usize, Result<Reply, RpcError>)| match res {
+        Ok(reply) => Ok(reply),
+        Err(e) => remap(endpoint, cfg, nodes[c], e, || make(c)).unwrap_or_else(|e| Err(e.into())),
     };
     endpoint.broadcast(calls).into_iter().enumerate().map(resend).collect()
 }

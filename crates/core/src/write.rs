@@ -8,7 +8,7 @@
 //! queue. The classification of an `add` reply — the one place
 //! [`AddStatus`] is matched — therefore exists once.
 
-use crate::config::ProtocolConfig;
+use crate::config::{ProtocolConfig, ORDER_RETRY_LIMIT};
 use ajx_gf::kernel::TILE;
 use ajx_storage::{
     AddReply, AddStatus, CheckTidReply, Epoch, LMode, OpMode, Request, StripeId, SwapReply, Tid,
@@ -155,11 +155,11 @@ impl BlockWrite {
     }
 
     /// Absorbs the reply to the `add` sent to `j` (Fig. 5 lines 9-14).
-    pub(crate) fn on_add(&mut self, j: usize, r: &AddReply, order_retry_limit: u32) -> AddOutcome {
+    pub(crate) fn on_add(&mut self, j: usize, r: &AddReply) -> AddOutcome {
         self.saw_order |= r.status == AddStatus::Order;
         self.need_recovery |= r.lmode == LMode::Exp
             || (r.opmode != OpMode::Norm && r.lmode == LMode::Unl)
-            || (r.status == AddStatus::Order && self.order_rounds >= order_retry_limit);
+            || (r.status == AddStatus::Order && self.order_rounds >= ORDER_RETRY_LIMIT);
         match r.status {
             AddStatus::Ok => {
                 self.t.remove(&j);
@@ -246,7 +246,6 @@ mod tests {
 
     const K: usize = 2;
     const N: usize = 5;
-    const LIMIT: u32 = 3;
 
     fn cfg() -> ProtocolConfig {
         ProtocolConfig::new(K, N, 8).unwrap()
@@ -298,9 +297,9 @@ mod tests {
             (AOk, Norm, L0, 0, Done, false),
             // ORDER retries quietly until the rounds run out.
             (AOrder, Norm, Unl, 0, Order, false),
-            (AOrder, Norm, Unl, LIMIT - 1, Order, false),
-            (AOrder, Norm, Unl, LIMIT, Order, true),
-            (AOrder, Norm, L0, LIMIT + 5, Order, true),
+            (AOrder, Norm, Unl, ORDER_RETRY_LIMIT - 1, Order, false),
+            (AOrder, Norm, Unl, ORDER_RETRY_LIMIT, Order, true),
+            (AOrder, Norm, L0, ORDER_RETRY_LIMIT + 5, Order, true),
             // ⊥ from an unlocked or draining node: stale epoch or INIT —
             // out of T; only a non-NORM unlocked node asks for recovery.
             (Unavail, Norm, Unl, 0, Dropped, false),
@@ -311,7 +310,7 @@ mod tests {
             // ⊥ from a fully locked node: someone is recovering; wait.
             (Unavail, Norm, L1, 0, Retry, false),
             (Unavail, Recons, L1, 0, Retry, false),
-            (Unavail, Init, L1, LIMIT, Retry, false),
+            (Unavail, Init, L1, ORDER_RETRY_LIMIT, Retry, false),
             // An expired lock always asks for recovery.
             (Unavail, Norm, Exp, 0, Retry, true),
             (Unavail, Init, Exp, 0, Retry, true),
@@ -321,11 +320,11 @@ mod tests {
             let mut bw = swapped(None);
             let order = add_reply(AOrder, Norm, L0);
             for _ in 0..rounds {
-                bw.on_add(2, &order, u32::MAX);
+                bw.on_add(2, &order);
                 assert!(bw.close_round());
             }
             let reply = add_reply(status, opmode, lmode);
-            let got = bw.on_add(3, &reply, LIMIT);
+            let got = bw.on_add(3, &reply);
             let row = format!("{status:?}/{opmode:?}/{lmode:?} at {rounds} order rounds");
             assert_eq!(
                 (got, bw.needs_recovery()),
@@ -349,7 +348,7 @@ mod tests {
         let otid = Some(tid(4));
         let mut bw = swapped(otid);
         let ok = add_reply(AOk, OpMode::Norm, LMode::Unl);
-        bw.on_add(2, &ok, LIMIT);
+        bw.on_add(2, &ok);
         // One probe per index in D = {i, 2}, each naming both tids.
         let probes = bw.checktids(StripeId(6));
         assert_eq!(probes.iter().map(|(j, _)| *j).collect::<Vec<_>>(), [1, 2]);
@@ -386,7 +385,7 @@ mod tests {
         assert!(!bw.settled() && !bw.complete(&cfg));
         for j in K..N {
             assert!(!bw.complete(&cfg), "incomplete before add {j}");
-            bw.on_add(j, &ok, LIMIT);
+            bw.on_add(j, &ok);
         }
         assert!(bw.settled() && bw.complete(&cfg));
         let (ntid, d, old) = bw.finish();
@@ -396,16 +395,16 @@ mod tests {
         // A dropped index settles the write incomplete.
         let mut bw = swapped(None);
         let stale = add_reply(Unavail, OpMode::Norm, LMode::Unl);
-        bw.on_add(2, &ok, LIMIT);
-        bw.on_add(3, &stale, LIMIT);
-        bw.on_add(4, &ok, LIMIT);
+        bw.on_add(2, &ok);
+        bw.on_add(3, &stale);
+        bw.on_add(4, &ok);
         assert!(bw.settled() && !bw.complete(&cfg));
 
         // Losing the data node from D (checktid Init) with every redundant
         // index done is still not complete.
         let mut bw = swapped(Some(tid(4)));
         for j in K..N {
-            bw.on_add(j, &ok, LIMIT);
+            bw.on_add(j, &ok);
         }
         bw.on_checktid(1, CheckTidReply::Init);
         assert!(bw.settled() && !bw.complete(&cfg));

@@ -14,8 +14,12 @@
 //!   chains).
 //! * [`SimParams`] — timing constants calibrated per §5.1 (50 µs RTT,
 //!   500 Mbit/s NICs, Fig. 8(a)-scale compute costs).
-//! * [`SimConfig`] / [`run`] — protocol-level model: reads, writes under
-//!   all four update strategies, the §3.11 rotation, closed-loop clients.
+//! * [`closed_loop`] — the one model: every client thread runs its
+//!   operations back to back, each drawn at its start ([`Op`]) and run as
+//!   a protocol's phases, groups of [`Model::rpc`] chains.
+//! * [`SimConfig`] / [`run`] — the loop given AJX's phases: reads, and
+//!   writes under all four update strategies, over the §3.11 rotation.
+//!   `ajx-baselines` gives the same loop FAB's and GWGR's phases.
 //!
 //! # Example
 //!
@@ -36,5 +40,5 @@ mod model;
 mod params;
 
 pub use engine::{Chain, Engine, ResourceId, Step};
-pub use model::{run, SimConfig, SimReport, SimWorkload};
+pub use model::{closed_loop, run, Model, Op, SimConfig, SimReport, SimWorkload};
 pub use params::SimParams;

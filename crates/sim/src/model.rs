@@ -1,5 +1,5 @@
-//! The system model: turns protocol operations into resource-usage chains
-//! and runs closed-loop clients against them (§5.2).
+//! The system model (§5.2): one closed loop of client threads over one set
+//! of resources, and AJX's operations as phases of it.
 //!
 //! Per §5.2: "Each client has multiple threads, one for each outstanding
 //! RPC call; there is a processor to serve all threads. In each thread,
@@ -9,6 +9,13 @@
 //! arrives at the storage nodes, it allocates the receiving node's network
 //! adapter ... To serve an RPC call, the storage node incurs some variable
 //! latency that depends on the RPC call."
+//!
+//! [`closed_loop`] is that model. Every thread runs its operations back to
+//! back; each [`Op`] is drawn at its start and runs as the phases a
+//! protocol builds for it: groups of chains, mostly [`Model::rpc`]s, one
+//! group after another, a group done when all of its chains are. [`run`]
+//! is the loop given AJX's phases; `ajx-baselines` gives it FAB's and
+//! GWGR's.
 
 use crate::engine::{Chain, Engine, ResourceId, Step};
 use crate::params::SimParams;
@@ -80,7 +87,8 @@ pub struct SimReport {
     pub ops: u64,
     /// Virtual end time (µs).
     pub elapsed_us: f64,
-    /// Aggregate payload throughput in MB/s.
+    /// Aggregate payload throughput in MB/s: one block per operation,
+    /// however many blocks the protocol moves to serve it.
     pub aggregate_mbps: f64,
     /// Mean operation latency (µs).
     pub mean_latency_us: f64,
@@ -92,120 +100,211 @@ pub struct SimReport {
     pub node_nic_util: f64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Phase {
-    Idle,
-    Read,
-    Swap,
-    /// Executing add round `r` of the current write.
-    AddRound(usize),
-    /// Broadcast send in flight; deliveries follow.
-    BcastSend,
-    BcastDeliver,
+/// One operation of the closed loop, as drawn at its start.
+#[derive(Debug, Clone, Copy)]
+pub struct Op {
+    /// The client whose thread runs it.
+    pub client: usize,
+    /// The stripe it touches.
+    pub stripe: u64,
+    /// The in-stripe data index it reads or writes (`< k`).
+    pub index: usize,
+    /// A read; otherwise a single-block write.
+    pub read: bool,
 }
 
-struct ThreadCtx {
-    rng: rand::rngs::StdRng,
-    client: usize,
-    ops_done: u64,
-    op_start: f64,
-    phase: Phase,
-    /// In-stripe placement of the in-flight write.
-    stripe: u64,
-    index: usize,
-    rounds: Vec<Vec<usize>>,
-    latencies_sum: f64,
-    latencies_max: f64,
-}
-
-struct Resources {
+/// The resources of one run — every client's processor and NIC, every
+/// storage node's processor and NIC — and the RPC chain through them.
+#[derive(Debug)]
+pub struct Model {
+    params: SimParams,
+    n: usize,
     client_cpu: Vec<ResourceId>,
     client_nic: Vec<ResourceId>,
     node_cpu: Vec<ResourceId>,
     node_nic: Vec<ResourceId>,
 }
 
-/// Runs the simulation to completion and reports aggregate results.
+impl Model {
+    /// The node holding in-stripe block `t` of `op`'s stripe (the §3.11
+    /// rotation).
+    fn node(&self, op: &Op, t: usize) -> usize {
+        ((t as u64 + op.stripe) % self.n as u64) as usize
+    }
+
+    /// One RPC from `op`'s client to the node of in-stripe block `t`: the
+    /// client's processor for `client_cpu_us`, the request through both
+    /// NICs, the node's processor for its per-RPC cost plus `service_us`,
+    /// and the reply back.
+    pub fn rpc(
+        &self,
+        op: &Op,
+        t: usize,
+        req_bytes: f64,
+        service_us: f64,
+        rep_bytes: f64,
+        client_cpu_us: f64,
+    ) -> Chain {
+        let p = &self.params;
+        let mut chain = Vec::with_capacity(8);
+        chain.push(Step::Use { resource: self.client_cpu[op.client], us: client_cpu_us });
+        chain.push(Step::Use {
+            resource: self.client_nic[op.client],
+            us: req_bytes / p.client_nic_bpus,
+        });
+        chain.extend(self.delivery(op, t, req_bytes, p.rpc_node_cpu_us + service_us, rep_bytes));
+        chain
+    }
+
+    /// An RPC from the moment its request leaves the client: propagation,
+    /// the node's NIC, its processor for `node_cpu_us`, and the reply back
+    /// to the client's NIC.
+    fn delivery(
+        &self,
+        op: &Op,
+        t: usize,
+        req_bytes: f64,
+        node_cpu_us: f64,
+        rep_bytes: f64,
+    ) -> [Step; 6] {
+        let p = &self.params;
+        let node = self.node(op, t);
+        [
+            Step::Delay { us: p.one_way_latency_us },
+            Step::Use { resource: self.node_nic[node], us: req_bytes / p.node_nic_bpus },
+            Step::Use { resource: self.node_cpu[node], us: node_cpu_us },
+            Step::Use { resource: self.node_nic[node], us: rep_bytes / p.node_nic_bpus },
+            Step::Delay { us: p.one_way_latency_us },
+            Step::Use { resource: self.client_nic[op.client], us: rep_bytes / p.client_nic_bpus },
+        ]
+    }
+}
+
+/// One client thread of the closed loop.
+struct Thread {
+    rng: rand::rngs::StdRng,
+    client: usize,
+    ops_done: u64,
+    op_start: f64,
+    /// The in-flight operation's phases not yet started.
+    phases: std::vec::IntoIter<Vec<Chain>>,
+    latencies_sum: f64,
+    latencies_max: f64,
+}
+
+/// Runs AJX (Figs. 4-5) under `cfg.strategy` to completion and reports
+/// aggregate results.
+///
+/// # Panics
+///
+/// As [`closed_loop`].
+pub fn run(cfg: &SimConfig) -> SimReport {
+    closed_loop(cfg, |m, op| ajx_phases(cfg, m, op))
+}
+
+/// AJX's phases of `op`. A read is one RPC to the data node. A write is
+/// the swap (the new block out, the old block back), then either the
+/// strategy's rounds of `add`s or the §3.11 broadcast: one send, then its
+/// deliveries.
+fn ajx_phases(cfg: &SimConfig, m: &Model, op: &Op) -> Vec<Vec<Chain>> {
+    let p = &cfg.params;
+    let (blk, hdr, cpu) = (p.block_msg_bytes(), p.hdr_bytes(), p.rpc_client_cpu_us);
+    if op.read {
+        return vec![vec![m.rpc(op, op.index, hdr, p.read_service_us, blk, cpu)]];
+    }
+    let mut phases = vec![vec![m.rpc(op, op.index, blk, p.swap_service_us, blk, cpu)]];
+    if cfg.strategy == UpdateStrategy::Broadcast {
+        // One subtraction (half a Delta: no multiply) and one NIC send for
+        // all p targets (§3.11: "saving client bandwidth"); each target
+        // scales the difference by its own coefficient.
+        phases.push(vec![vec![
+            Step::Use { resource: m.client_cpu[op.client], us: cpu + p.delta_cost_us / 2.0 },
+            Step::Use { resource: m.client_nic[op.client], us: blk / p.client_nic_bpus },
+        ]]);
+        let node_cpu_us = p.rpc_node_cpu_us + p.node_scale_cost_us + p.add_cost_us;
+        let deliver = |j| m.delivery(op, j, blk, node_cpu_us, hdr).to_vec();
+        phases.push((cfg.k..cfg.n).map(deliver).collect());
+    } else {
+        // The client computes each add's delta before sending it.
+        let add = |j| m.rpc(op, j, blk, p.add_cost_us, hdr, cpu + p.delta_cost_us);
+        let rounds = cfg.strategy.rounds(cfg.k, cfg.n).into_iter();
+        phases.extend(rounds.map(|round| round.into_iter().map(add).collect()));
+    }
+    phases
+}
+
+/// Runs `cfg`'s closed loop to completion: each of the `n_clients ×
+/// threads_per_client` threads runs `ops_per_thread` operations back to
+/// back, each drawn at its start and run as the groups `phases` builds for
+/// it, one group after another. The loop never reads `cfg.strategy`; only
+/// `phases` may.
 ///
 /// # Panics
 ///
 /// Panics on degenerate configurations (`k = 0`, `n <= k`, no clients,
-/// no threads, no ops).
-pub fn run(cfg: &SimConfig) -> SimReport {
+/// no threads, no ops) and when `phases` builds no group, or an empty one.
+pub fn closed_loop(cfg: &SimConfig, phases: impl Fn(&Model, &Op) -> Vec<Vec<Chain>>) -> SimReport {
     assert!(cfg.k >= 1 && cfg.n > cfg.k, "need 1 <= k < n");
     assert!(cfg.n_clients >= 1 && cfg.threads_per_client >= 1);
     assert!(cfg.ops_per_thread >= 1 && cfg.stripes >= 1);
 
     let mut engine = Engine::new();
-    let res = Resources {
-        client_cpu: (0..cfg.n_clients).map(|_| engine.add_resource()).collect(),
-        client_nic: (0..cfg.n_clients).map(|_| engine.add_resource()).collect(),
-        node_cpu: (0..cfg.n).map(|_| engine.add_resource()).collect(),
-        node_nic: (0..cfg.n).map(|_| engine.add_resource()).collect(),
+    let mut resources = |count: usize| -> Vec<ResourceId> {
+        (0..count).map(|_| engine.add_resource()).collect()
+    };
+    let model = Model {
+        params: cfg.params,
+        n: cfg.n,
+        client_cpu: resources(cfg.n_clients),
+        client_nic: resources(cfg.n_clients),
+        node_cpu: resources(cfg.n),
+        node_nic: resources(cfg.n),
     };
 
     let total_threads = cfg.n_clients * cfg.threads_per_client;
-    let mut threads: Vec<ThreadCtx> = (0..total_threads)
-        .map(|t| ThreadCtx {
+    let mut threads: Vec<Thread> = (0..total_threads)
+        .map(|t| Thread {
             rng: rand::rngs::StdRng::seed_from_u64(cfg.seed ^ (t as u64).wrapping_mul(0x9E37)),
             client: t / cfg.threads_per_client,
             ops_done: 0,
             op_start: 0.0,
-            phase: Phase::Idle,
-            stripe: 0,
-            index: 0,
-            rounds: Vec::new(),
+            phases: Vec::new().into_iter(),
             latencies_sum: 0.0,
             latencies_max: 0.0,
         })
         .collect();
 
-    // Kick off every thread's first op.
-    #[allow(clippy::needless_range_loop)] // t is also the token value
-    for t in 0..total_threads {
-        start_next_op(&mut engine, cfg, &res, &mut threads[t], t as u64, 0.0);
-    }
+    let start = |engine: &mut Engine, th: &mut Thread, token: u64, now: f64| {
+        th.op_start = now;
+        let stripe = th.rng.random_range(0..cfg.stripes);
+        let index = th.rng.random_range(0..cfg.k);
+        let read = match cfg.workload {
+            SimWorkload::Read => true,
+            SimWorkload::Write => false,
+            SimWorkload::Mixed { read_pct } => th.rng.random_range(0..100u8) < read_pct,
+        };
+        let op = Op { client: th.client, stripe, index, read };
+        th.phases = phases(&model, &op).into_iter();
+        engine.spawn_group(th.phases.next().expect("an operation has a phase"), token);
+    };
 
+    for (t, th) in threads.iter_mut().enumerate() {
+        start(&mut engine, th, t as u64, 0.0);
+    }
     let mut total_ops = 0u64;
     engine.run(|engine, now, token| {
-        let tid = token as usize;
-        let ctx = &mut threads[tid];
-        match ctx.phase {
-            Phase::Idle => unreachable!("completion for an idle thread"),
-            Phase::Read => {
-                finish_op(engine, cfg, &res, ctx, token, now, &mut total_ops);
-            }
-            Phase::Swap => {
-                // Swap done: launch the redundant updates (or finish if p = 0).
-                if ctx.rounds.is_empty() {
-                    finish_op(engine, cfg, &res, ctx, token, now, &mut total_ops);
-                } else if cfg.strategy == UpdateStrategy::Broadcast {
-                    ctx.phase = Phase::BcastSend;
-                    let chain = bcast_send_chain(cfg, &res, ctx);
-                    engine.spawn_group(vec![chain], token);
-                } else {
-                    ctx.phase = Phase::AddRound(0);
-                    let chains = add_round_chains(cfg, &res, ctx, 0);
-                    engine.spawn_group(chains, token);
-                }
-            }
-            Phase::AddRound(r) => {
-                if r + 1 < ctx.rounds.len() {
-                    ctx.phase = Phase::AddRound(r + 1);
-                    let chains = add_round_chains(cfg, &res, ctx, r + 1);
-                    engine.spawn_group(chains, token);
-                } else {
-                    finish_op(engine, cfg, &res, ctx, token, now, &mut total_ops);
-                }
-            }
-            Phase::BcastSend => {
-                ctx.phase = Phase::BcastDeliver;
-                let chains = bcast_delivery_chains(cfg, &res, ctx);
-                engine.spawn_group(chains, token);
-            }
-            Phase::BcastDeliver => {
-                finish_op(engine, cfg, &res, ctx, token, now, &mut total_ops);
-            }
+        let th = &mut threads[token as usize];
+        if let Some(group) = th.phases.next() {
+            engine.spawn_group(group, token);
+            return;
+        }
+        let lat = now - th.op_start;
+        th.latencies_sum += lat;
+        th.latencies_max = th.latencies_max.max(lat);
+        th.ops_done += 1;
+        total_ops += 1;
+        if th.ops_done < cfg.ops_per_thread {
+            start(engine, th, token, now);
         }
     });
 
@@ -213,18 +312,9 @@ pub fn run(cfg: &SimConfig) -> SimReport {
     let payload_bytes = total_ops as f64 * cfg.params.block_size as f64;
     let lat_sum: f64 = threads.iter().map(|t| t.latencies_sum).sum();
     let lat_max = threads.iter().fold(0.0f64, |m, t| m.max(t.latencies_max));
-    let client_nic_util = res
-        .client_nic
-        .iter()
-        .map(|&r| engine.utilization_hint(r))
-        .sum::<f64>()
-        / cfg.n_clients as f64;
-    let node_nic_util = res
-        .node_nic
-        .iter()
-        .map(|&r| engine.utilization_hint(r))
-        .sum::<f64>()
-        / cfg.n as f64;
+    let mean_util = |rs: &[ResourceId]| {
+        rs.iter().map(|&r| engine.utilization_hint(r)).sum::<f64>() / rs.len() as f64
+    };
 
     SimReport {
         ops: total_ops,
@@ -236,186 +326,9 @@ pub fn run(cfg: &SimConfig) -> SimReport {
         },
         mean_latency_us: if total_ops > 0 { lat_sum / total_ops as f64 } else { 0.0 },
         max_latency_us: lat_max,
-        client_nic_util,
-        node_nic_util,
+        client_nic_util: mean_util(&model.client_nic),
+        node_nic_util: mean_util(&model.node_nic),
     }
-}
-
-fn finish_op(
-    engine: &mut Engine,
-    cfg: &SimConfig,
-    res: &Resources,
-    ctx: &mut ThreadCtx,
-    token: u64,
-    now: f64,
-    total_ops: &mut u64,
-) {
-    let lat = now - ctx.op_start;
-    ctx.latencies_sum += lat;
-    ctx.latencies_max = ctx.latencies_max.max(lat);
-    ctx.ops_done += 1;
-    *total_ops += 1;
-    ctx.phase = Phase::Idle;
-    if ctx.ops_done < cfg.ops_per_thread {
-        start_next_op(engine, cfg, res, ctx, token, now);
-    }
-}
-
-fn start_next_op(
-    engine: &mut Engine,
-    cfg: &SimConfig,
-    res: &Resources,
-    ctx: &mut ThreadCtx,
-    token: u64,
-    now: f64,
-) {
-    ctx.op_start = now;
-    ctx.stripe = ctx.rng.random_range(0..cfg.stripes);
-    ctx.index = ctx.rng.random_range(0..cfg.k);
-    let is_read = match cfg.workload {
-        SimWorkload::Read => true,
-        SimWorkload::Write => false,
-        SimWorkload::Mixed { read_pct } => ctx.rng.random_range(0..100u8) < read_pct,
-    };
-    if is_read {
-        ctx.phase = Phase::Read;
-        engine.spawn_group(vec![read_chain(cfg, res, ctx)], token);
-        return;
-    }
-    // A write: swap first (under Broadcast, the broadcast send and its
-    // deliveries follow as phases of their own).
-    ctx.rounds = cfg.strategy.rounds(cfg.k, cfg.n);
-    ctx.phase = Phase::Swap;
-    engine.spawn_group(vec![swap_chain(cfg, res, ctx)], token);
-}
-
-/// Node hosting in-stripe block `t` of `stripe` (the §3.11 rotation).
-fn node_of(cfg: &SimConfig, stripe: u64, t: usize) -> usize {
-    ((t as u64 + stripe) % cfg.n as u64) as usize
-}
-
-#[allow(clippy::too_many_arguments)] // one arg per modeled resource/cost
-fn rpc_chain(
-    p: &SimParams,
-    client_cpu: ResourceId,
-    client_nic: ResourceId,
-    node_cpu: ResourceId,
-    node_nic: ResourceId,
-    req_bytes: f64,
-    service_us: f64,
-    rep_bytes: f64,
-    client_cpu_us: f64,
-) -> Chain {
-    vec![
-        Step::Use { resource: client_cpu, us: client_cpu_us },
-        Step::Use { resource: client_nic, us: req_bytes / p.client_nic_bpus },
-        Step::Delay { us: p.one_way_latency_us },
-        Step::Use { resource: node_nic, us: req_bytes / p.node_nic_bpus },
-        Step::Use { resource: node_cpu, us: p.rpc_node_cpu_us + service_us },
-        Step::Use { resource: node_nic, us: rep_bytes / p.node_nic_bpus },
-        Step::Delay { us: p.one_way_latency_us },
-        Step::Use { resource: client_nic, us: rep_bytes / p.client_nic_bpus },
-    ]
-}
-
-fn read_chain(cfg: &SimConfig, res: &Resources, ctx: &ThreadCtx) -> Chain {
-    let p = &cfg.params;
-    let node = node_of(cfg, ctx.stripe, ctx.index);
-    rpc_chain(
-        p,
-        res.client_cpu[ctx.client],
-        res.client_nic[ctx.client],
-        res.node_cpu[node],
-        res.node_nic[node],
-        p.hdr_bytes(),
-        p.read_service_us,
-        p.block_msg_bytes(),
-        p.rpc_client_cpu_us,
-    )
-}
-
-fn swap_chain(cfg: &SimConfig, res: &Resources, ctx: &ThreadCtx) -> Chain {
-    let p = &cfg.params;
-    let node = node_of(cfg, ctx.stripe, ctx.index);
-    // The swap carries the new block out and the old block back.
-    rpc_chain(
-        p,
-        res.client_cpu[ctx.client],
-        res.client_nic[ctx.client],
-        res.node_cpu[node],
-        res.node_nic[node],
-        p.block_msg_bytes(),
-        p.swap_service_us,
-        p.block_msg_bytes(),
-        p.rpc_client_cpu_us,
-    )
-}
-
-fn add_round_chains(cfg: &SimConfig, res: &Resources, ctx: &ThreadCtx, round: usize) -> Vec<Chain> {
-    let p = &cfg.params;
-    ctx.rounds[round]
-        .iter()
-        .map(|&j| {
-            let node = node_of(cfg, ctx.stripe, j);
-            rpc_chain(
-                p,
-                res.client_cpu[ctx.client],
-                res.client_nic[ctx.client],
-                res.node_cpu[node],
-                res.node_nic[node],
-                p.block_msg_bytes(),
-                p.add_cost_us,
-                p.hdr_bytes(),
-                // The client computes this add's delta before sending it.
-                p.rpc_client_cpu_us + p.delta_cost_us,
-            )
-        })
-        .collect()
-}
-
-fn bcast_send_chain(cfg: &SimConfig, res: &Resources, ctx: &ThreadCtx) -> Chain {
-    let p = &cfg.params;
-    vec![
-        // One subtraction (half a Delta: no multiply) + one NIC send for
-        // all p targets (§3.11: "saving client bandwidth").
-        Step::Use {
-            resource: res.client_cpu[ctx.client],
-            us: p.rpc_client_cpu_us + p.delta_cost_us / 2.0,
-        },
-        Step::Use {
-            resource: res.client_nic[ctx.client],
-            us: p.block_msg_bytes() / p.client_nic_bpus,
-        },
-    ]
-}
-
-fn bcast_delivery_chains(cfg: &SimConfig, res: &Resources, ctx: &ThreadCtx) -> Vec<Chain> {
-    let p = &cfg.params;
-    (cfg.k..cfg.n)
-        .map(|j| {
-            let node = node_of(cfg, ctx.stripe, j);
-            vec![
-                Step::Delay { us: p.one_way_latency_us },
-                Step::Use {
-                    resource: res.node_nic[node],
-                    us: p.block_msg_bytes() / p.node_nic_bpus,
-                },
-                Step::Use {
-                    resource: res.node_cpu[node],
-                    us: p.rpc_node_cpu_us + p.node_scale_cost_us + p.add_cost_us,
-                },
-                Step::Use {
-                    resource: res.node_nic[node],
-                    us: p.hdr_bytes() / p.node_nic_bpus,
-                },
-                Step::Delay { us: p.one_way_latency_us },
-                Step::Use {
-                    resource: res.client_nic[ctx.client],
-                    us: p.hdr_bytes() / p.client_nic_bpus,
-                },
-            ]
-        })
-        .collect()
 }
 
 #[cfg(test)]
@@ -604,5 +517,77 @@ mod extra_tests {
         let r = run(&cfg);
         assert_eq!(r.ops, 20);
         assert!(r.mean_latency_us > 0.0, "nic + cpu still cost time");
+    }
+}
+
+#[cfg(test)]
+mod pinned_tests {
+    use super::*;
+
+    /// `run`'s output, pinned bit for bit over every strategy and workload,
+    /// a zero-latency network and 256 B blocks: `ops`, then the `to_bits`
+    /// of every other [`SimReport`] field in declaration order. A change
+    /// that moves the model on purpose re-records the table and says why.
+    #[test]
+    fn reports_are_pinned_bit_for_bit() {
+        use SimWorkload::{Mixed, Read, Write};
+        use UpdateStrategy::{Broadcast, Hybrid, Parallel, Serial};
+        let base = |strategy, workload| SimConfig {
+            strategy,
+            workload,
+            threads_per_client: 4,
+            ops_per_thread: 12,
+            ..SimConfig::new(4, 8, 2)
+        };
+        let mut cases = Vec::new();
+        for strategy in [Parallel, Serial, Hybrid { groups: 2 }, Broadcast] {
+            for workload in [Write, Read, Mixed { read_pct: 50 }] {
+                cases.push(base(strategy, workload));
+            }
+        }
+        let mut zero = base(Parallel, Mixed { read_pct: 50 });
+        zero.params.one_way_latency_us = 0.0;
+        cases.push(zero);
+        let mut small = base(Broadcast, Mixed { read_pct: 50 });
+        small.params = small.params.scaled_to_block(256);
+        cases.push(small);
+
+        #[rustfmt::skip]
+        let pinned: [(u64, [u64; 6]); 14] = [
+            // Parallel: Write, Read, Mixed { 50 }
+            (96, [0x40b9ec1999999996, 0x402da085b12815d6, 0x4080e15983c131d3, 0x40843428f5c28f59, 0x3fefe0a64fb72f24, 0x3fef9171683f5db7]),
+            (96, [0x409aa2ed916872a7, 0x404cd52ad09270fd, 0x4060ff258bf258b9, 0x4068672b020c49bc, 0x3fefbcfbb4f99674, 0x3fece28bad245ee2]),
+            (96, [0x40b056ab020c49c0, 0x403780b115c4456c, 0x40730cd21735ee48, 0x4080cb1a9fbe76c2, 0x3fefbf913d565fe9, 0x3fef2466ca4083f4]),
+            // Serial
+            (96, [0x40c08028f5c28f51, 0x40274597af176fdb, 0x4085d019af72014f, 0x40888f8d4fdf3b62, 0x3fefe1420531893a, 0x3fef7d37d1c838a2]),
+            (96, [0x409aa2ed916872a7, 0x404cd52ad09270fd, 0x4060ff258bf258b9, 0x4068672b020c49bc, 0x3fefbcfbb4f99674, 0x3fece28bad245ee2]),
+            (96, [0x40b80ce872b020bb, 0x402feed34e700dc5, 0x407915815d867c41, 0x40880ee978d4fe1c, 0x3fefcefe5e309592, 0x3fee9b600f890d78]),
+            // Hybrid { groups: 2 }
+            (96, [0x40b9ecd916872afd, 0x402d9faadc8a3133, 0x408111c3ece2a531, 0x4084333333333332, 0x3fefeb25191f1ba4, 0x3fef8a832ccb9c71]),
+            (96, [0x409aa2ed916872a7, 0x404cd52ad09270fd, 0x4060ff258bf258b9, 0x4068672b020c49bc, 0x3fefbcfbb4f99674, 0x3fece28bad245ee2]),
+            (96, [0x40b2658c49ba5e3b, 0x4034df9341c118c7, 0x40744ed47ae147b8, 0x4082e3ae147ae168, 0x3fef43b6479b0604, 0x3fee61c9dee28780]),
+            // Broadcast
+            (96, [0x40aed7db22d0e57b, 0x4038e6703d93fc66, 0x40742bb8a94d243f, 0x4079f7ced916872e, 0x3fefcf233a1a9e8a, 0x3fef8b12f7108197]),
+            (96, [0x409aa2ed916872a7, 0x404cd52ad09270fd, 0x4060ff258bf258b9, 0x4068672b020c49bc, 0x3fefbcfbb4f99674, 0x3fece28bad245ee2]),
+            (96, [0x40a80ea1cac0831f, 0x403fec897a02545c, 0x406be50624dd2f25, 0x40772f9db22d0e4a, 0x3fef9938845ebe64, 0x3fef21cf7b9dd9de]),
+            // Parallel, Mixed { 50 }, zero one-way latency
+            (96, [0x40acc70624dd2f20, 0x403ab004ddb46db2, 0x40701c8a94d242ea, 0x407f145a1cac0834, 0x3fee6acb2d9583f4, 0x3fee8fa7e781585f]),
+            // Broadcast, Mixed { 50 }, scaled_to_block(256)
+            (96, [0x40a06891eb851eb5, 0x4027670cbec82948, 0x406368819f0fb384, 0x406f2420c49ba5c8, 0x3fefe18d251d065e, 0x3fef471418f85343]),
+        ];
+        for (cfg, (ops, bits)) in cases.iter().zip(pinned) {
+            let r = run(cfg);
+            let got = [
+                r.elapsed_us,
+                r.aggregate_mbps,
+                r.mean_latency_us,
+                r.max_latency_us,
+                r.client_nic_util,
+                r.node_nic_util,
+            ]
+            .map(f64::to_bits);
+            let case = format!("{:?} {:?} {:?}", cfg.strategy, cfg.workload, cfg.params);
+            assert_eq!((r.ops, got), (ops, bits), "{case}");
+        }
     }
 }

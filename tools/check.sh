@@ -2,7 +2,8 @@
 # Repo check entry point: line-count inventory (tools/loc.sh), release
 # build, lint wall, a grep that keeps core's blocking rounds in core::rpc,
 # full workspace test
-# suite, a seeded chaos smoke run, the seeded power-loss smoke (three
+# suite, the §5.2 simulators' tables diffed against experiments_output.txt,
+# a seeded chaos smoke run, the seeded power-loss smoke (three
 # seeds, both flush policies, byte-identical traces), the GF(2^8) +
 # GF(2^16) kernel backend matrix (per-backend test runs +
 # BENCH_kernels.json, re-asserting the wide-kernel AVX2 floor and the
@@ -80,6 +81,23 @@ fi
 
 echo "== cargo test --workspace =="
 cargo test --workspace -q
+
+echo "== the §5.2 simulators print their committed tables (fig10a-d, ext_baseline_throughput) =="
+# Both simulators are deterministic, so each binary's stdout must equal its
+# section of experiments_output.txt: the lines between its
+# `################ <name> ################` banner and its `exit=` line.
+# A change that moves the model on purpose regenerates the section and
+# says which numbers moved and why.
+sim_out=$(mktemp -d)
+for b in fig10a_sim_write fig10b_sim_read fig10c_sim_max fig10d_sim_bcast ext_baseline_throughput; do
+  awk -v h="################ $b ################" \
+    '$0 == h { f = 1; next } f && /^exit=/ { exit } f' experiments_output.txt > "$sim_out/want"
+  cargo run --release -q -p ajx-bench --bin "$b" > "$sim_out/got"
+  diff "$sim_out/want" "$sim_out/got" \
+    || { echo "FAIL: $b no longer prints its section of experiments_output.txt" >&2; exit 1; }
+  echo "$b matches experiments_output.txt"
+done
+rm -r "$sim_out"
 
 echo "== chaos smoke (seeded fault injection) =="
 cargo test -p repro-tests --test chaos_soak --release -q
