@@ -2,11 +2,11 @@
 //!
 //! The paper's client-scaling experiment (Fig. 9b) stops at 8 clients —
 //! each a blocked OS thread. This experiment drives the same k=4 n=8
-//! read/write mix from 8 up to 10k *logical* clients through the
-//! connection-multiplexed completion-queue path
-//! ([`ajx_core::run_mux_workload`]): a handful of driver threads poll
-//! every client's in-flight RPCs, so client count is decoupled from
-//! thread count.
+//! read/write mix from 8 up to 10k *logical* clients through
+//! [`ajx_core::run_mux_workload`]: each of a handful of driver threads runs
+//! its slice of the fleet as windows of the one READ/WRITE engine, so
+//! client count is decoupled from thread count. An operation's latency is
+//! the duration of the window (step) that carried it.
 //!
 //! With a 500 µs one-way latency, 8 closed-loop clients are latency-bound
 //! (~1 ms RTT each); at 1k+ clients the open capacity of the reactor

@@ -4,27 +4,16 @@
 //! while", §3.9). On a fault-free network a fixed pause is fine, but under
 //! injected loss and contention a fixed pause synchronizes competing
 //! clients — they collide at the recovery locks on every round. This module
-//! provides the standard cure: capped exponential backoff with jitter
-//! (including the *decorrelated* variant), seeded so retry schedules are
-//! reproducible in chaos runs.
+//! provides the standard cure, one schedule: capped *decorrelated* jitter,
+//! seeded so retry schedules are reproducible in chaos runs.
 
 use std::time::Duration;
 
-/// How randomness is mixed into the computed delay.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Jitter {
-    /// Pure capped exponential: `min(cap, base·multiplier^attempt)`.
-    None,
-    /// Uniform in `[0, min(cap, base·multiplier^attempt)]` — desynchronizes
-    /// fully but can retry very hot.
-    Full,
-    /// `min(cap, uniform(base, 3·previous))` — each delay derives from the
-    /// previous draw rather than the attempt count, spreading competing
-    /// clients while keeping a floor of `base`.
-    Decorrelated,
-}
-
 /// Backoff configuration shared by every retry loop of a client.
+///
+/// Each delay is `min(cap, uniform(base, 3·previous))`: it derives from the
+/// previous draw rather than an attempt count, spreading competing clients
+/// while keeping a floor of `base`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BackoffPolicy {
     /// First (and minimum) delay. `ZERO` disables sleeping entirely —
@@ -32,37 +21,21 @@ pub struct BackoffPolicy {
     pub base: Duration,
     /// Upper bound on any single delay.
     pub cap: Duration,
-    /// Growth factor for the exponential variants (ignored by
-    /// [`Jitter::Decorrelated`], which grows from the previous draw).
-    pub multiplier: u32,
-    /// Jitter strategy.
-    pub jitter: Jitter,
-    /// How many times an *idempotent* RPC that failed indeterminately
-    /// ([`ajx_transport::RpcError::is_indeterminate`]) is re-sent before
-    /// the error is surfaced to the protocol layer.
+    /// How many times an RPC is re-sent after it failed indeterminately
+    /// ([`ajx_transport::RpcError::is_indeterminate`], idempotent requests
+    /// only) or was shed with [`ajx_transport::RpcError::Busy`] (any
+    /// request: a shed one never ran) before the error is surfaced to the
+    /// protocol layer.
     pub rpc_retry_budget: u32,
-    /// How many [`ajx_transport::RpcError::Busy`] sheds a single
-    /// *operation* absorbs in the multiplexed driver's park-and-resubmit
-    /// loop before the operation is abandoned with a determinate failure.
-    /// (The blocking RPC path charges `Busy` against
-    /// [`rpc_retry_budget`](Self::rpc_retry_budget) instead.) Generous by
-    /// default — backpressure under load is normal and shed requests were
-    /// never executed — but finite, so a client pinned against a
-    /// permanently saturated node terminates instead of spinning forever.
-    pub busy_retry_budget: u32,
 }
 
 impl Default for BackoffPolicy {
-    /// 100 µs base doubling to a 10 ms cap with decorrelated jitter, and
-    /// three re-sends for indeterminate idempotent RPCs.
+    /// 100 µs base growing to a 10 ms cap, and three re-sends.
     fn default() -> Self {
         BackoffPolicy {
             base: Duration::from_micros(100),
             cap: Duration::from_millis(10),
-            multiplier: 2,
-            jitter: Jitter::Decorrelated,
             rpc_retry_budget: 3,
-            busy_retry_budget: 1024,
         }
     }
 }
@@ -74,10 +47,7 @@ impl BackoffPolicy {
         BackoffPolicy {
             base: Duration::ZERO,
             cap: Duration::ZERO,
-            multiplier: 1,
-            jitter: Jitter::None,
             rpc_retry_budget: 0,
-            busy_retry_budget: 0,
         }
     }
 
@@ -88,7 +58,6 @@ impl BackoffPolicy {
             policy: *self,
             rng: seed ^ 0x5851_F42D_4C95_7F2D,
             prev: self.base,
-            attempt: 0,
         }
     }
 }
@@ -99,7 +68,6 @@ pub struct BackoffSession {
     policy: BackoffPolicy,
     rng: u64,
     prev: Duration,
-    attempt: u32,
 }
 
 impl BackoffSession {
@@ -127,21 +95,9 @@ impl BackoffSession {
         if p.base.is_zero() {
             return Duration::ZERO;
         }
-        let exp = p
-            .base
-            .saturating_mul(p.multiplier.max(1).saturating_pow(self.attempt))
-            .min(p.cap)
-            .max(p.base);
-        self.attempt = self.attempt.saturating_add(1);
-        let delay = match p.jitter {
-            Jitter::None => exp,
-            Jitter::Full => self.uniform(Duration::ZERO, exp),
-            Jitter::Decorrelated => {
-                let hi = self.prev.saturating_mul(3).min(p.cap).max(p.base);
-                self.uniform(p.base, hi)
-            }
-        };
-        self.prev = delay.max(p.base);
+        let hi = self.prev.saturating_mul(3).min(p.cap).max(p.base);
+        let delay = self.uniform(p.base, hi);
+        self.prev = delay;
         delay
     }
 
@@ -158,42 +114,17 @@ impl BackoffSession {
 mod tests {
     use super::*;
 
-    fn policy(jitter: Jitter) -> BackoffPolicy {
+    fn policy() -> BackoffPolicy {
         BackoffPolicy {
             base: Duration::from_micros(100),
             cap: Duration::from_millis(5),
-            multiplier: 2,
-            jitter,
             rpc_retry_budget: 3,
-            busy_retry_budget: 8,
-        }
-    }
-
-    #[test]
-    fn no_jitter_doubles_up_to_the_cap() {
-        let mut s = policy(Jitter::None).session(1);
-        let delays: Vec<_> = (0..8).map(|_| s.next_delay()).collect();
-        assert_eq!(delays[0], Duration::from_micros(100));
-        assert_eq!(delays[1], Duration::from_micros(200));
-        assert_eq!(delays[2], Duration::from_micros(400));
-        assert_eq!(*delays.last().unwrap(), Duration::from_millis(5), "capped");
-        assert!(delays.windows(2).all(|w| w[0] <= w[1]), "monotone");
-    }
-
-    #[test]
-    fn full_jitter_stays_within_the_envelope() {
-        let mut s = policy(Jitter::Full).session(7);
-        for attempt in 0..20u32 {
-            let d = s.next_delay();
-            let env = Duration::from_micros(100 * 2u64.pow(attempt.min(10)))
-                .min(Duration::from_millis(5));
-            assert!(d <= env, "attempt {attempt}: {d:?} > {env:?}");
         }
     }
 
     #[test]
     fn decorrelated_jitter_respects_floor_and_cap() {
-        let mut s = policy(Jitter::Decorrelated).session(42);
+        let mut s = policy().session(42);
         for _ in 0..100 {
             let d = s.next_delay();
             assert!(d >= Duration::from_micros(100));
@@ -203,7 +134,7 @@ mod tests {
 
     #[test]
     fn same_seed_same_schedule() {
-        let p = policy(Jitter::Decorrelated);
+        let p = policy();
         let a: Vec<_> = {
             let mut s = p.session(9);
             (0..50).map(|_| s.next_delay()).collect()
@@ -218,6 +149,28 @@ mod tests {
         };
         assert_eq!(a, b);
         assert_ne!(a, c);
+    }
+
+    /// The default schedule, pinned for two seeds: any change to the delay
+    /// arithmetic or the jitter stream shows here.
+    #[test]
+    fn default_schedule_is_pinned() {
+        let pinned: [(u64, [u64; 12]); 2] = [
+            (1, [
+                131345, 372328, 552430, 613575, 955593, 2626692, 5987587, 7059541, 934222,
+                1802157, 4389881, 7342518,
+            ]),
+            (0xDEAD_BEEF, [
+                290211, 757284, 1328111, 499838, 1268321, 232643, 400049, 408420, 796828, 114400,
+                102325, 244422,
+            ]),
+        ];
+        for (seed, nanos) in pinned {
+            let mut s = BackoffPolicy::default().session(seed);
+            for (x, ns) in nanos.into_iter().enumerate() {
+                assert_eq!(s.next_delay(), Duration::from_nanos(ns), "seed {seed}, delay {x}");
+            }
+        }
     }
 
     #[test]

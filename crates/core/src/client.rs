@@ -90,7 +90,7 @@ impl Pending {
 }
 
 /// One block of a write window: `(stripe, data index, value)`.
-type WriteItem<'v> = (StripeId, usize, &'v [u8]);
+pub(crate) type WriteItem<'v> = (StripeId, usize, &'v [u8]);
 
 /// One stripe's part in a write window.
 struct StripeRun<'v> {
@@ -288,7 +288,10 @@ impl Client {
     /// unreachable reports its transport error instead) and reads their
     /// blocks again; and pauses once for the blocks a locked node answered
     /// ⊥, up to `busy_retry_limit` times. One outcome per block.
-    fn read_window(&self, blocks: &[(StripeId, usize)]) -> Vec<Result<Vec<u8>, ProtocolError>> {
+    pub(crate) fn read_window(
+        &self,
+        blocks: &[(StripeId, usize)],
+    ) -> Vec<Result<Vec<u8>, ProtocolError>> {
         let Some(&(first, _)) = blocks.first() else {
             return Vec::new();
         };
@@ -416,7 +419,7 @@ impl Client {
         self.check_size(value)?;
         assert!(i < self.cfg.k(), "data index {i} out of range");
         // A one-block write is a window of one.
-        self.write_window(&[&[(stripe, i, value)]])
+        self.write_window(&[&[(stripe, i, value)]]).remove(0)
     }
 
     /// Every `WRITE` entry point validates its values here, before any RPC.
@@ -462,7 +465,7 @@ impl Client {
         // and finishing independent stripes leaves the disk closer to the
         // requested state.
         let width = self.cfg.pipeline_width.max(1);
-        stripes.chunks(width).map(|window| self.write_window(window)).fold(Ok(()), Result::and)
+        stripes.chunks(width).flat_map(|window| self.write_window(window)).fold(Ok(()), Result::and)
     }
 
     /// The one `WRITE` engine (Fig. 5), over a window of stripes, each a run
@@ -476,7 +479,8 @@ impl Client {
     /// carrying every block's increment for it ([`Request::Batch`] when
     /// there is more than one). A round sends the union of the messages its
     /// stripes would send one at a time, and no message serves two stripes;
-    /// recovery, the GC record and a failure stay per stripe.
+    /// recovery, the GC record and a failure stay per stripe, and so does
+    /// the outcome: one per stripe, in window order.
     ///
     /// Under [`UpdateStrategy::Broadcast`] a stripe whose round has one live
     /// block sends its own §3.11 multicast (node-scaled `v − w`, client NIC
@@ -484,7 +488,7 @@ impl Client {
     /// client-scaled like the other strategies': per-node batches cannot
     /// share one payload, and a batch already amortizes the per-message
     /// cost the multicast saves.
-    fn write_window(&self, window: &[&[WriteItem]]) -> Result<(), ProtocolError> {
+    pub(crate) fn write_window(&self, window: &[&[WriteItem]]) -> Vec<Result<(), ProtocolError>> {
         let mut runs: Vec<StripeRun> = Vec::with_capacity(window.len());
         for &items in window {
             let (stripe, todo) = (items[0].0, (0..items.len()).collect());
@@ -565,7 +569,7 @@ impl Client {
             None if run.todo.is_empty() => Ok(()),
             None => Err(ProtocolError::RetriesExhausted { what: "WRITE", attempts }),
         };
-        runs.into_iter().map(outcome).fold(Ok(()), Result::and)
+        runs.into_iter().map(outcome).collect()
     }
 
     /// One pass of the window's `add` rounds (Fig. 5 lines 7-12): a stripe

@@ -25,6 +25,9 @@
 //!   repair of a lost node's stripes in windows of chunks.
 //! * [`resilience`] — the §4 theorems relating redundancy `n − k` to the
 //!   tolerated client (`t_p`) and storage (`t_d`) crash counts.
+//! * [`run_mux_workload`] — thousands of logical clients on a few OS
+//!   threads, each thread one [`Client`] running its slice of the fleet as
+//!   windows of the same `READ` / `WRITE` engine.
 //!
 //! # Quickstart
 //!
@@ -68,7 +71,7 @@ pub mod resilience;
 mod rpc;
 mod write;
 
-pub use backoff::{BackoffPolicy, BackoffSession, Jitter};
+pub use backoff::{BackoffPolicy, BackoffSession};
 pub use client::{Client, GcReport, MonitorReport};
 pub use config::{ProtocolConfig, UpdateStrategy, REMAP_GARBAGE};
 pub use error::ProtocolError;

@@ -22,11 +22,10 @@ use std::ops::Range;
 /// kept.** `make` builds the request from data the caller still borrows. It
 /// runs once for the first send and again only inside an arm that re-sends,
 /// so the failure-free path clones no block and keeps no copy for a re-send
-/// that never comes — the rule `mux.rs`'s `reissue_op` already follows. A
-/// re-made request must equal the one it replaces (same tids, same epoch,
-/// increment recomputed from the same `v` and `w`). A caller whose request
-/// carries no block may keep it prebuilt and pass `|| req.clone()`, a clone
-/// of a few words.
+/// that never comes. A re-made request must equal the one it replaces (same
+/// tids, same epoch, increment recomputed from the same `v` and `w`). A
+/// caller whose request carries no block may keep it prebuilt and pass
+/// `|| req.clone()`, a clone of a few words.
 ///
 /// Non-idempotent requests (`swap`, `add`) are never re-sent after an
 /// indeterminate failure: the first copy may have executed, and executing
@@ -367,10 +366,7 @@ mod tests {
         cfg.backoff = crate::backoff::BackoffPolicy {
             base: Duration::ZERO,
             cap: Duration::ZERO,
-            multiplier: 2,
-            jitter: crate::backoff::Jitter::None,
             rpc_retry_budget: budget,
-            busy_retry_budget: budget,
         };
         let net = Network::new(NetworkConfig {
             n_nodes: 4,
@@ -463,10 +459,7 @@ mod tests {
         cfg.backoff = crate::backoff::BackoffPolicy {
             base: Duration::ZERO,
             cap: Duration::ZERO,
-            multiplier: 2,
-            jitter: crate::backoff::Jitter::None,
             rpc_retry_budget: 3,
-            busy_retry_budget: 3,
         };
         let net = Network::new(NetworkConfig {
             n_nodes: 4,

@@ -2,11 +2,12 @@
 //! machine: no endpoint, no clock, no sleeping.
 //!
 //! A [`BlockWrite`] is born from an accepted `swap` and then only builds
-//! `add` requests and absorbs replies. Whoever owns the I/O decides how the
-//! requests travel: [`Client`](crate::Client)'s batch engine sends them in
-//! blocking `pfor` rounds, [`mux`](crate::mux) submits them to a completion
-//! queue. The classification of an `add` reply — the one place
-//! [`AddStatus`] is matched — therefore exists once.
+//! `add` requests and absorbs replies. [`Client`](crate::Client)'s write
+//! window owns the I/O and decides how the requests travel — in blocking
+//! `pfor` rounds, one window for a single block, for `write_blocks` and
+//! for every step of a [`mux`](crate::mux) run alike. The classification
+//! of an `add` reply — the one place [`AddStatus`] is matched — exists
+//! once.
 
 use crate::config::{ProtocolConfig, ORDER_RETRY_LIMIT};
 use ajx_gf::kernel::TILE;
@@ -14,21 +15,6 @@ use ajx_storage::{
     AddReply, AddStatus, CheckTidReply, Epoch, LMode, OpMode, Request, StripeId, SwapReply, Tid,
 };
 use std::collections::BTreeSet;
-
-/// What one `add` reply did to redundant index `j`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub(crate) enum AddOutcome {
-    /// Applied: `j` moved from `T` to `D`.
-    Done,
-    /// Stale epoch or INIT node: `j` left `T` without joining `D`, so this
-    /// attempt can no longer complete — only a fresh `swap` can.
-    Dropped,
-    /// Locked node: `j` stays in `T`; send the same `add` again.
-    Retry,
-    /// As `Retry`, because the predecessor write has not reached `j` yet
-    /// (§3.7): [`BlockWrite::close_round`] will ask for the `checktid` probe.
-    Order,
-}
 
 /// One data block's write between its `swap` and its last `add`.
 #[derive(Debug)]
@@ -154,8 +140,12 @@ impl BlockWrite {
         (self.t.iter().copied().collect(), add)
     }
 
-    /// Absorbs the reply to the `add` sent to `j` (Fig. 5 lines 9-14).
-    pub(crate) fn on_add(&mut self, j: usize, r: &AddReply) -> AddOutcome {
+    /// Absorbs the reply to the `add` sent to `j` (Fig. 5 lines 9-14): an
+    /// applied `add` moves `j` from `T` to `D`; a stale epoch or an INIT
+    /// node drops `j` from `T`, so only a fresh `swap` can complete the
+    /// write; a locked node, or a predecessor write that has not reached
+    /// `j` yet (§3.7, ORDER), keeps `j` in `T` for the same `add` again.
+    pub(crate) fn on_add(&mut self, j: usize, r: &AddReply) {
         self.saw_order |= r.status == AddStatus::Order;
         self.need_recovery |= r.lmode == LMode::Exp
             || (r.opmode != OpMode::Norm && r.lmode == LMode::Unl)
@@ -164,16 +154,13 @@ impl BlockWrite {
             AddStatus::Ok => {
                 self.t.remove(&j);
                 self.d.insert(j);
-                AddOutcome::Done
             }
-            AddStatus::Order => AddOutcome::Order,
             // Stale epoch or INIT node — drop from T; the outer repeat
             // re-swaps if needed.
             AddStatus::Unavail if matches!(r.lmode, LMode::Unl | LMode::L0) => {
                 self.t.remove(&j);
-                AddOutcome::Dropped
             }
-            AddStatus::Unavail => AddOutcome::Retry,
+            AddStatus::Order | AddStatus::Unavail => {}
         }
     }
 
@@ -241,8 +228,8 @@ impl BlockWrite {
 mod tests {
     use super::*;
     use ajx_storage::ClientId;
-    use AddOutcome::{Done, Dropped, Order, Retry};
     use AddStatus::{Ok as AOk, Order as AOrder, Unavail};
+    use Effect::{Done, Dropped, Order, Retry};
 
     const K: usize = 2;
     const N: usize = 5;
@@ -285,6 +272,30 @@ mod tests {
         assert!(BlockWrite::new(0, tid(1), swap, K, N).is_none());
     }
 
+    /// What one `add` reply did to its index, read off the write's state.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    enum Effect {
+        /// Applied: `j` moved from `T` to `D`.
+        Done,
+        /// Stale epoch or INIT node: `j` left `T` without joining `D`.
+        Dropped,
+        /// Locked node: `j` stays in `T`.
+        Retry,
+        /// As `Retry`, and the round asks for the `checktid` probe.
+        Order,
+    }
+
+    /// The effect of the reply to `j`'s `add`, closing its round.
+    fn effect(bw: &mut BlockWrite, j: usize) -> Effect {
+        let order = bw.close_round();
+        match (bw.wants(j), bw.d.contains(&j)) {
+            (false, true) => Done,
+            (false, false) => Dropped,
+            (true, _) if order => Order,
+            (true, _) => Retry,
+        }
+    }
+
     /// Fig. 5 lines 9-13 as a table: every `(status, opmode, lmode)` a node
     /// can answer, at `order_rounds` below and at the retry limit.
     #[test]
@@ -324,21 +335,16 @@ mod tests {
                 assert!(bw.close_round());
             }
             let reply = add_reply(status, opmode, lmode);
-            let got = bw.on_add(3, &reply);
+            bw.on_add(3, &reply);
             let row = format!("{status:?}/{opmode:?}/{lmode:?} at {rounds} order rounds");
-            assert_eq!(
-                (got, bw.needs_recovery()),
-                (outcome, need_recovery),
-                "{row}"
-            );
-            assert_eq!(bw.close_round(), outcome == Order, "{row}: saw-order");
+            assert_eq!(bw.needs_recovery(), need_recovery, "{row}");
+            let saw_order = bw.saw_order;
+            assert_eq!(effect(&mut bw, 3), outcome, "{row}");
+            assert_eq!(saw_order, outcome == Order, "{row}: saw-order");
             assert!(
                 !bw.needs_recovery() && !bw.close_round(),
                 "{row}: a new round starts clean"
             );
-            // T and D move exactly as the outcome says.
-            assert_eq!(bw.wants(3), matches!(outcome, Retry | Order), "{row}: T");
-            assert_eq!(bw.d.contains(&3), outcome == Done, "{row}: D");
             assert!(bw.wants(2) && bw.wants(4), "{row}: other indices untouched");
         }
     }

@@ -10,10 +10,10 @@
 //! * [`ClientEndpoint`] — per-client connection with serial calls
 //!   ([`ClientEndpoint::call`]), parallel `pfor` fan-out
 //!   ([`ClientEndpoint::call_many`]), link-layer multicast
-//!   ([`ClientEndpoint::broadcast`], §3.11), and a non-blocking
-//!   completion-queue path ([`ClientEndpoint::submit_call`] /
-//!   [`ClientEndpoint::poll_call`] over [`PendingCall`]) so one thread can
-//!   multiplex thousands of logical clients.
+//!   ([`ClientEndpoint::broadcast`], §3.11), all made of one non-blocking
+//!   completion path ([`ClientEndpoint::submit_call`] /
+//!   [`ClientEndpoint::poll_call`] over [`PendingCall`]) plus a wait; the
+//!   path itself is public for tests and round-trip probes.
 //! * Reactor-style nodes — each node drains a *bounded* request queue
 //!   (full ⇒ [`RpcError::Busy`] backpressure) into per-stripe sharded
 //!   state, so requests for independent stripes never contend on a lock.

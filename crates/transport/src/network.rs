@@ -20,14 +20,15 @@
 //!   independent stripes never contend.
 //! * **Client side** — one completion path. [`ClientEndpoint::submit_call`]
 //!   starts an exchange as a [`PendingCall`] that
-//!   [`ClientEndpoint::poll_call`] resolves without blocking, so one OS
-//!   thread can drive thousands of logical clients' in-flight RPCs (the
-//!   `ext_many_clients` scale-out path). The blocking
+//!   [`ClientEndpoint::poll_call`] resolves without blocking; tests and
+//!   round-trip probes call them directly. The blocking
 //!   [`ClientEndpoint::call`] / [`ClientEndpoint::call_many`] /
 //!   [`ClientEndpoint::broadcast`] that protocol code uses submit their
 //!   round the same way and then wait on each call in order, so both kinds
 //!   of caller see one timing model (stated on `submit_call`); a round is
 //!   one slot set, and only the post that completes it wakes its client.
+//!   Many logical clients share a thread as one client's window, not as
+//!   many pending calls (`ajx_core::run_mux_workload`).
 
 use crate::bucket::TokenBucket;
 use crate::error::RpcError;
@@ -765,7 +766,12 @@ impl Network {
             Ok(()) => reply_to.map_or(Dispatched::Lost, |(round, slot)| {
                 Dispatched::InFlight(Arc::clone(round), slot)
             }),
-            Err(e) => Dispatched::Failed(e),
+            Err(e) => {
+                if let RpcError::Busy(_) = e {
+                    ep.stats.record_busy_shed();
+                }
+                Dispatched::Failed(e)
+            }
         };
         (sent, fate.delay)
     }
@@ -1003,10 +1009,9 @@ impl ClientEndpoint {
     }
 
     /// Starts an RPC without blocking: the returned [`PendingCall`] is
-    /// driven to completion by [`ClientEndpoint::poll_call`]. This is the
-    /// connection-multiplexed path — one OS thread can hold thousands of
-    /// `PendingCall`s for as many logical clients — and the blocking calls
-    /// are this plus a wait (at zero latency with no client NIC, the wait
+    /// driven to completion by [`ClientEndpoint::poll_call`]. One thread may
+    /// hold any number of `PendingCall`s, and the blocking calls are this
+    /// plus a wait (at zero latency with no client NIC, the wait
     /// begins by serving the round: `Owed::Serve`), so one timing model
     /// holds for every caller:
     ///
@@ -1996,6 +2001,7 @@ mod reactor_tests {
             "a saturated node must reject, not buffer"
         );
         assert_eq!(net.node_queue_len(NodeId(0)), 2, "the shed request never queued");
+        assert_eq!(client.stats().busy_shed(), 1, "the client counts its shed");
 
         // After the shed the node drains normally: nothing was lost.
         net.resume_node(NodeId(0));

@@ -35,6 +35,8 @@ pub struct NetStats {
     /// Block-content bytes inside received messages.
     payload_received: AtomicU64,
     round_trips: AtomicU64,
+    /// Requests a full node queue shed with `RpcError::Busy`.
+    busy_shed: AtomicU64,
     /// Requests currently queued or executing, per node. Empty unless
     /// built with [`NetStats::with_nodes`].
     inflight: Vec<AtomicU64>,
@@ -57,6 +59,7 @@ impl Default for NetStats {
             payload_sent: AtomicU64::new(0),
             payload_received: AtomicU64::new(0),
             round_trips: AtomicU64::new(0),
+            busy_shed: AtomicU64::new(0),
             inflight: Vec::new(),
             inflight_peak: Vec::new(),
             latency_buckets: std::array::from_fn(|_| AtomicU64::new(0)),
@@ -202,6 +205,17 @@ impl NetStats {
     /// Records one completed round trip.
     pub fn record_round_trip(&self) {
         self.round_trips.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Records one request shed with `RpcError::Busy` before it reached
+    /// its node's queue.
+    pub fn record_busy_shed(&self) {
+        self.busy_shed.fetch_add(1, Ordering::Relaxed);
+    }
+
+    /// Requests shed with `RpcError::Busy` so far.
+    pub fn busy_shed(&self) -> u64 {
+        self.busy_shed.load(Ordering::Relaxed)
     }
 
     /// A consistent-enough snapshot of all counters.

@@ -66,16 +66,27 @@ echo "== blocking rounds only through core::rpc =="
 # Which members share a message, in what order, and what a failed message
 # does to them is decided in one place: `core::rpc` (`call`, `pfor`,
 # `multicast`). No other file of crates/core/src may call the transport's
-# blocking round itself (`mux.rs` drives the completion-queue path, not a
-# blocking round). In-file test modules are not scanned.
+# blocking round itself, and the mux, which runs its fleet as windows of
+# the client's READ/WRITE engine, builds and sends no message of its own:
+# `mux.rs` names no completion-queue call, request, reply or
+# `BlockWrite`. In-file test modules are not scanned.
 direct=$(for f in crates/core/src/*.rs; do
-  case "$(basename "$f")" in rpc.rs | mux.rs) continue ;; esac
+  [ "$(basename "$f")" = rpc.rs ] && continue
   awk -v f="$f" '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
     /\.(call_many|broadcast|call)\(/ { print f ":" FNR ": " $0 }' "$f"
 done)
+own=$(awk '/^[[:space:]]*#\[cfg\(test\)\]/ { exit }
+  /(^|[^A-Za-z_])(submit_call|poll_call|PendingCall|Request|Reply|BlockWrite)([^A-Za-z_]|$)/ {
+    print "crates/core/src/mux.rs:" FNR ": " $0 }' \
+  crates/core/src/mux.rs)
 if [ -n "$direct" ]; then
   echo "$direct"
   echo "FAIL: a blocking transport round outside core::rpc" >&2
+  exit 1
+fi
+if [ -n "$own" ]; then
+  echo "$own"
+  echo "FAIL: mux.rs sends messages of its own instead of engine windows" >&2
   exit 1
 fi
 
