@@ -27,13 +27,18 @@
 //!   round the same way and then wait on each call in order, so both kinds
 //!   of caller see one timing model (stated on `submit_call`); a round is
 //!   one slot set, and only the post that completes it wakes its client.
+//!   A round pays its fixed costs once, not per call: one clock read at
+//!   launch, one kill-budget update, one pool lock per run of
+//!   `ENQUEUE_RUN` enqueues, slots armed from the start and the lost or
+//!   refused ones disarmed in one step, every reply taken in one lock once
+//!   the round is complete, and one add per counter to the books.
 //!   Many logical clients share a thread as one client's window, not as
 //!   many pending calls (`ajx_core::run_mux_workload`).
 
 use crate::bucket::TokenBucket;
 use crate::error::RpcError;
 use crate::fault::{Fate, FaultPlan};
-use crate::stats::NetStats;
+use crate::stats::{NetSnapshot, NetStats};
 use ajx_erasure::CodeFamily;
 use ajx_storage::{
     backend_for, ClientId, FlushPolicy, NodeId, NodeView, PersistMode, PersistStats, Reply,
@@ -41,7 +46,7 @@ use ajx_storage::{
 };
 use std::collections::VecDeque;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -124,18 +129,23 @@ struct Job {
 }
 
 /// One round's replies — a `call`, a `call_many` or `broadcast`, or one
-/// `submit_call` — in one slot per call. Only the post that completes the
-/// round wakes its client, and only if it waits; earlier posts wake nobody.
+/// `submit_call` — in one slot per call. Every slot starts armed, so
+/// arming takes no lock; the calls that will never be posted (lost,
+/// refused) are disarmed together once the round is enqueued. Only the
+/// post that completes the round wakes its client, and only if it waits;
+/// earlier posts wake nobody. A complete round's replies are taken in one
+/// lock ([`Round::take_all`]).
 struct Round {
+    /// Armed calls not yet posted; zero once the round is complete.
+    /// Posts decrement it under `state`'s lock, so a client that checks it
+    /// there before sleeping cannot miss the last post.
+    unposted: AtomicUsize,
     state: Mutex<RoundState>,
     done: Condvar,
 }
 
-#[derive(Default)]
 struct RoundState {
     replies: Vec<Option<Result<Reply, RpcError>>>,
-    /// Calls of the round a node still owes a post.
-    unposted: usize,
     /// The client sleeps on `done` until `unposted` reaches zero.
     waiting: bool,
 }
@@ -143,22 +153,20 @@ struct RoundState {
 impl Round {
     fn new(calls: usize) -> Arc<Self> {
         Arc::new(Round {
+            unposted: AtomicUsize::new(calls),
             state: Mutex::new(RoundState {
                 replies: vec![None; calls],
-                ..RoundState::default()
+                waiting: false,
             }),
             done: Condvar::new(),
         })
     }
 
-    /// Arms call `slot` for a reply from `node`: one more post to await.
-    fn arm(self: &Arc<Self>, slot: usize, node: NodeId) -> ReplyTo {
-        lock(&self.state).unposted += 1;
-        ReplyTo {
-            round: Arc::clone(self),
-            slot,
-            node,
-            answer: None,
+    /// Drops `calls` slots that no node will post — lost or refused calls
+    /// — in one step. Only the round's own client disarms, before it waits.
+    fn disarm(&self, calls: usize) {
+        if calls > 0 {
+            self.unposted.fetch_sub(calls, Ordering::AcqRel);
         }
     }
 
@@ -167,8 +175,7 @@ impl Round {
         if let Some(reply) = st.replies.get_mut(slot) {
             *reply = Some(result);
         }
-        st.unposted -= 1;
-        let wake = st.unposted == 0 && st.waiting;
+        let wake = self.unposted.fetch_sub(1, Ordering::AcqRel) == 1 && st.waiting;
         drop(st);
         if wake {
             self.done.notify_one();
@@ -183,16 +190,21 @@ impl Round {
             .and_then(Option::take)
     }
 
-    /// Whether every armed call has been posted.
+    /// Every slot's reply, in one lock; for a complete round.
+    fn take_all(&self) -> Vec<Option<Result<Reply, RpcError>>> {
+        std::mem::take(&mut lock(&self.state).replies)
+    }
+
+    /// Whether every armed call has been posted. Takes no lock.
     fn complete(&self) -> bool {
-        lock(&self.state).unposted == 0
+        self.unposted.load(Ordering::Acquire) == 0
     }
 
     /// Blocks until every armed call has been posted, or `until` passes.
     fn await_posts(&self, until: Option<Instant>) {
         let mut st = lock(&self.state);
         st.waiting = true;
-        while st.unposted > 0 {
+        while !self.complete() {
             st = match until {
                 None => self.done.wait(st).unwrap_or_else(PoisonError::into_inner),
                 Some(until) => {
@@ -208,33 +220,33 @@ impl Round {
     }
 }
 
-/// A worker's handle on one slot of a round: dropping it posts `answer`,
-/// or [`RpcError::NetTornDown`] with none — its node closed by a panicking
-/// handler, or the network dropped — so no client waits on a reply that
-/// cannot come.
+/// A worker's handle on one slot of a round. [`ReplyTo::post`] posts the
+/// node's answer; dropped unposted, or posted with no answer — its node
+/// closed by a panicking handler, or the network dropped — it posts
+/// [`RpcError::NetTornDown`], so no client waits on a reply that cannot
+/// come.
 struct ReplyTo {
-    round: Arc<Round>,
+    /// `None` once posted.
+    round: Option<Arc<Round>>,
     slot: usize,
     node: NodeId,
-    answer: Option<Result<Reply, RpcError>>,
+}
+
+impl ReplyTo {
+    fn post(mut self, answer: Option<Result<Reply, RpcError>>) {
+        if let Some(round) = self.round.take() {
+            let torn_down = Err(RpcError::NetTornDown(self.node));
+            round.post(self.slot, answer.unwrap_or(torn_down));
+        }
+    }
 }
 
 impl Drop for ReplyTo {
     fn drop(&mut self) {
-        let torn_down = Err(RpcError::NetTornDown(self.node));
-        self.round.post(self.slot, self.answer.take().unwrap_or(torn_down));
+        if let Some(round) = self.round.take() {
+            round.post(self.slot, Err(RpcError::NetTornDown(self.node)));
+        }
     }
-}
-
-/// How a call left the client (see [`Network::dispatch`]).
-enum Dispatched {
-    /// The exchange is in flight; the node answers into this round's slot.
-    InFlight(Arc<Round>, usize),
-    /// The request or its reply was lost; resolves to `Timeout` once the
-    /// deadline passes.
-    Lost,
-    /// Failed before reaching the node's queue.
-    Failed(RpcError),
 }
 
 /// What a round's submits leave to do once its last call is enqueued
@@ -447,7 +459,9 @@ impl Shared {
     /// its reply: the one serve path, for a worker and for a client serving
     /// its own round ([`Shared::serve_round`], `worker: false`). A paused
     /// node's job is held at its gate first. Returns the pool lock, retaken
-    /// after the post.
+    /// once: a client posts before it retakes it; a worker is back to
+    /// searching before the reply leaves, so a client whose next call lands
+    /// now finds a searcher and wakes nobody.
     fn run_job<'a>(
         &'a self,
         mut st: MutexGuard<'a, PoolState>,
@@ -463,26 +477,32 @@ impl Shared {
         // panic closed the node; `None` from `serve`: it panicked.
         let unserved = closing() || st.queues.get(i).is_some_and(|q| q.closed);
         drop(st);
-        let Job { req, mut reply } = job;
+        let Job { req, reply } = job;
         let answer = match self.nodes.get(i) {
             Some(slot) if !unserved => slot.serve(NodeId(i as u32), req),
             _ => None,
         };
+        let panicked = answer.is_none() && !unserved;
         self.stats.dec_inflight(i);
+        let unsent = match reply {
+            Some(reply) if !worker => {
+                reply.post(answer);
+                None
+            }
+            reply => reply.map(|reply| (reply, answer)),
+        };
         st = lock(&self.pool);
-        // A worker is back to searching before the reply leaves: a client
-        // whose next call lands now finds a searcher and wakes nobody.
         st.searching += usize::from(worker);
         if let Some(q) = st.queues.get_mut(i) {
             q.serving -= 1;
-            q.closed |= answer.is_none() && !unserved;
+            q.closed |= panicked;
         }
-        drop(st);
-        if let Some(reply) = &mut reply {
-            reply.answer = answer;
+        if let Some((reply, answer)) = unsent {
+            drop(st);
+            reply.post(answer);
+            st = lock(&self.pool);
         }
-        drop(reply);
-        lock(&self.pool)
+        st
     }
 
     /// A blocking round's client, which would only wait, serves queued jobs
@@ -725,109 +745,20 @@ impl Network {
         &self.shared.stats
     }
 
-    /// Sends one call on its way — the one place a call's transport fate
-    /// is drawn and applied: draw, maybe duplicate, submit, maybe drop the
-    /// reply. A delivered reply is posted into `slot` of `round`. Returns
-    /// how the call left the client and the link delay the fate injected,
-    /// which the caller folds into the call's `ready_at`; the submits add
-    /// to what the round `owed` once it is enqueued.
-    ///
-    /// The fate comes from the endpoint's per-link sequence counters,
-    /// keeping the injected drop/delay/duplicate decisions deterministic per
-    /// `(seed, link, seq)`.
-    fn dispatch(
-        &self,
-        ep: &ClientEndpoint,
-        node: NodeId,
-        req: Request,
-        (round, slot): (&Arc<Round>, usize),
-        owed: &mut Owed,
-    ) -> (Dispatched, Duration) {
-        let fate = match ep.fault_seq.get(node.0 as usize) {
+    /// Draws the fate of `ep`'s next call to `node` — the one place a
+    /// call's transport fate is drawn, at launch, in per-link submission
+    /// order ([`Launch::call`] applies it). The fate comes from the
+    /// endpoint's per-link sequence counters, keeping the injected
+    /// drop/delay/duplicate decisions deterministic per `(seed, link, seq)`.
+    fn dispatch(&self, ep: &ClientEndpoint, node: NodeId) -> Fate {
+        match ep.fault_seq.get(node.0 as usize) {
             Some(ctr) => {
                 let seq = ctr.fetch_add(1, Ordering::Relaxed);
                 self.faults.fate(ep.id, node, seq)
             }
-            // Unknown node: no link exists, submit rejects it below.
+            // Unknown node: no link exists, the enqueue rejects it.
             None => Fate::CLEAN,
-        };
-        if !fate.deliver_req {
-            return (Dispatched::Lost, fate.delay);
         }
-        if fate.duplicate_req {
-            // At-least-once delivery: the node executes the request a
-            // second time; the duplicate's reply goes nowhere.
-            let _ = self.submit(node, req.clone(), None, owed);
-        }
-        // The node executes the request either way; a lost reply is one
-        // it sends nowhere.
-        let reply_to = (!fate.drop_reply).then_some((round, slot));
-        let sent = match self.submit(node, req, reply_to, owed) {
-            Ok(()) => reply_to.map_or(Dispatched::Lost, |(round, slot)| {
-                Dispatched::InFlight(Arc::clone(round), slot)
-            }),
-            Err(e) => {
-                if let RpcError::Busy(_) = e {
-                    ep.stats.record_busy_shed();
-                }
-                Dispatched::Failed(e)
-            }
-        };
-        (sent, fate.delay)
-    }
-
-    /// Enqueues `req` at `node`, its reply armed for `reply_to`'s slot, and
-    /// makes sure a worker will serve it — counting into `owed` a parked
-    /// worker handed the wake-up, for [`Network::settle`] to notify —
-    /// unless the round is [`Owed::Serve`]. Every refusal comes before the
-    /// enqueue, so it is determinate.
-    fn submit(
-        &self,
-        node: NodeId,
-        req: Request,
-        reply_to: Option<(&Arc<Round>, usize)>,
-        owed: &mut Owed,
-    ) -> Result<(), RpcError> {
-        let (i, shared) = (node.0 as usize, &self.shared);
-        let wire_bytes = req.wire_bytes();
-        let payload_bytes = req.payload_bytes();
-        let mut st = lock(&shared.pool);
-        let (Some(slot), Some(q)) = (self.slot(node), st.queues.get(i)) else {
-            return Err(RpcError::UnknownNode(node));
-        };
-        // Crashed, or closed by a handler's panic.
-        if !slot.up.load(Ordering::SeqCst) || q.closed {
-            return Err(RpcError::NodeDown(node));
-        }
-        // Backpressure: the bounded queue is full and the request is never
-        // enqueued — determinate, so the caller may resend after backing
-        // off (no remap).
-        if shared.depth.is_some_and(|depth| q.jobs.len() >= depth) {
-            return Err(RpcError::Busy(node));
-        }
-        // A job its node can take now needs a searching worker, unless the
-        // waiting client serves the round; one that cannot be started
-        // refuses the request, again before the enqueue.
-        let runnable = q.serving < shared.per_node;
-        if let (Owed::Wakes(wakes), true) = (&mut *owed, runnable) {
-            let woke = shared
-                .ensure_searcher(&mut st)
-                .map_err(|_| RpcError::Busy(node))?;
-            *wakes += usize::from(woke);
-        }
-        // Under the pool lock, so no worker can answer — and decrement the
-        // gauge — before it goes up.
-        shared.stats.inc_inflight(i);
-        let reply = reply_to.map(|(round, slot)| round.arm(slot, node));
-        if let Some(q) = st.queues.get_mut(i) {
-            q.jobs.push_back(Job { req, reply });
-        }
-        drop(st);
-        // Counted only after the queue accepted the message: a send that
-        // never left the client must not inflate `msgs_sent`.
-        shared.stats.record_send(wire_bytes);
-        shared.stats.record_send_payload(payload_bytes);
-        Ok(())
     }
 
     /// Does what `round`'s submits `owed`, once the whole round is
@@ -916,31 +847,24 @@ impl ClientEndpoint {
         self.killed.load(Ordering::SeqCst)
     }
 
-    fn consume_budget(&self) -> Result<(), RpcError> {
-        if self.killed.load(Ordering::SeqCst) {
-            return Err(RpcError::ClientKilled);
+    /// Spends the kill budget of `members` outgoing requests, one each, in
+    /// one step, and returns how many of them, from the first, are
+    /// admitted. The first request it refuses kills the client.
+    fn admit(&self, members: usize) -> usize {
+        if members == 0 || self.killed.load(Ordering::SeqCst) {
+            return 0;
         }
-        let prev = self.calls_before_kill.fetch_update(
-            Ordering::SeqCst,
-            Ordering::SeqCst,
-            |v| Some(v.saturating_sub(1)),
-        );
-        if prev == Ok(0) || prev == Err(0) {
+        let want = members as u64;
+        let left = self
+            .calls_before_kill
+            .fetch_update(Ordering::SeqCst, Ordering::SeqCst, |v| {
+                Some(v.saturating_sub(want))
+            });
+        let left = left.unwrap_or_else(|v| v);
+        if left < want {
             self.killed.store(true, Ordering::SeqCst);
-            return Err(RpcError::ClientKilled);
         }
-        Ok(())
-    }
-
-    /// Admits one outgoing request: spends the kill budget, then books the
-    /// send. Returns the request's wire bytes for [`ClientEndpoint::launch`]
-    /// to reserve on the client NIC.
-    fn admit(&self, req: &Request) -> Result<usize, RpcError> {
-        self.consume_budget()?;
-        let bytes = req.wire_bytes();
-        self.stats.record_send(bytes);
-        self.stats.record_send_payload(req.payload_bytes());
-        Ok(bytes)
+        left.min(want) as usize
     }
 
     /// One synchronous RPC: request out, reply back — a round of one.
@@ -953,11 +877,13 @@ impl ClientEndpoint {
     /// loses the exchange; [`RpcError::NetTornDown`] when the node's
     /// handler panics mid-call.
     pub fn call(&self, node: NodeId, req: Request) -> Result<Reply, RpcError> {
-        let (round, mut owed) = (Round::new(1), self.blocking_round());
-        let admitted = self.admit(&req);
-        let mut call = self.launch(node, req, admitted, (&round, 0), &mut owed);
-        self.net.settle(&round, owed);
-        self.wait(&mut call)
+        let admitted = self.admit(1) == 1;
+        let mut launch = self.launch(1, false, self.blocking_round());
+        let mut call = launch.call(0, node, req, admitted);
+        let mut wait = Wait::new(launch.finish());
+        let result = wait.resolve(self, 0, &mut call);
+        wait.books.close(self);
+        result
     }
 
     /// Parallel fan-out — the paper's `pfor`: every call of the round is
@@ -965,7 +891,7 @@ impl ClientEndpoint {
     /// propagation window (the client NIC still serializes the payloads),
     /// and the replies are returned in order.
     pub fn call_many(&self, calls: Vec<(NodeId, Request)>) -> Vec<Result<Reply, RpcError>> {
-        self.round(calls, |req| self.admit(req))
+        self.round(calls, false)
     }
 
     /// Broadcast (§3.11): sends the *same* payload to many nodes, paying
@@ -976,36 +902,40 @@ impl ClientEndpoint {
     /// `requests` normally differ only in their target; the payload of the
     /// first is charged to the client NIC, modeling link-layer multicast.
     pub fn broadcast(&self, requests: Vec<(NodeId, Request)>) -> Vec<Result<Reply, RpcError>> {
-        let Some((_, first)) = requests.first() else {
-            return Vec::new();
-        };
-        let mut shared_bytes = match self.admit(first) {
-            Ok(bytes) => bytes,
-            Err(e) => return vec![Err(e); requests.len()],
-        };
-        // The first member reserves the shared payload; the rest ride on it.
-        self.round(requests, |_| Ok(std::mem::take(&mut shared_bytes)))
+        self.round(requests, true)
     }
 
-    /// One blocking round of `calls`, each admitted by `admit`: launch
-    /// them all, settle what their submits owed, then wait on each call in
-    /// order.
+    /// One blocking round of `calls`: admit them all (a `multicast`'s
+    /// first call admits the round), launch them, then resolve each call in
+    /// order and book the round once.
     fn round(
         &self,
         calls: Vec<(NodeId, Request)>,
-        mut admit: impl FnMut(&Request) -> Result<usize, RpcError>,
+        multicast: bool,
     ) -> Vec<Result<Reply, RpcError>> {
-        let (round, mut owed) = (Round::new(calls.len()), self.blocking_round());
-        let mut pending: Vec<PendingCall> = calls
+        let members = calls.len();
+        let admitted = self.admit(if multicast { members.min(1) } else { members });
+        let mut launch = self.launch(members, multicast, self.blocking_round());
+        let mut calls: Vec<Call> = calls
             .into_iter()
             .enumerate()
             .map(|(slot, (node, req))| {
-                let admitted = admit(&req);
-                self.launch(node, req, admitted, (&round, slot), &mut owed)
+                let admitted = if multicast {
+                    admitted > 0
+                } else {
+                    slot < admitted
+                };
+                launch.call(slot, node, req, admitted)
             })
             .collect();
-        self.net.settle(&round, owed);
-        pending.iter_mut().map(|call| self.wait(call)).collect()
+        let mut wait = Wait::new(launch.finish());
+        let results = calls
+            .iter_mut()
+            .enumerate()
+            .map(|(slot, call)| wait.resolve(self, slot, call))
+            .collect();
+        wait.books.close(self);
+        results
     }
 
     /// Starts an RPC without blocking: the returned [`PendingCall`] is
@@ -1015,10 +945,10 @@ impl ClientEndpoint {
     /// begins by serving the round: `Owed::Serve`), so one timing model
     /// holds for every caller:
     ///
-    /// * a call's fate is drawn once, here, in `Network::dispatch`, in
+    /// * a call's fate is drawn once, at launch, in `Network::dispatch`, in
     ///   per-link submission order;
-    /// * the request is enqueued at the node here, at submit;
-    /// * nothing about the call is observable before `ready_at` = submit
+    /// * the request is enqueued at the node at launch;
+    /// * nothing about the call is observable before `ready_at` = launch
     ///   time + client-NIC reservation + 2 × one-way latency + injected
     ///   delay;
     /// * an arrived reply is released after its client-NIC drain;
@@ -1029,16 +959,21 @@ impl ClientEndpoint {
     /// At nonzero latency the node may therefore execute a request before
     /// its outbound leg has elapsed: throughput and latency accounting
     /// hold, cross-client arrival order does not. At zero latency with no
-    /// NIC shaping, `ready_at` is the submit instant and nothing is slept.
+    /// NIC shaping, `ready_at` is the launch instant and nothing is slept.
     pub fn submit_call(&self, node: NodeId, req: Request) -> PendingCall {
-        let (admitted, round, mut owed) = (self.admit(&req), Round::new(1), Owed::Wakes(0));
-        let call = self.launch(node, req, admitted, (&round, 0), &mut owed);
-        self.net.settle(&round, owed);
-        call
+        let admitted = self.admit(1) == 1;
+        let mut launch = self.launch(1, false, Owed::Wakes(0));
+        let call = launch.call(0, node, req, admitted);
+        let (round, sent_at) = launch.finish();
+        PendingCall {
+            round,
+            sent_at,
+            call,
+        }
     }
 
     /// How a blocking round's submits leave it. At zero latency with no
-    /// client NIC its `ready_at` is the submit instant, so its client has
+    /// client NIC its `ready_at` is the launch instant, so its client has
     /// nothing to do but wait: it serves the round itself
     /// ([`Owed::Serve`]). Otherwise they wake workers at once and the
     /// client sleeps to `ready_at`.
@@ -1050,62 +985,21 @@ impl ClientEndpoint {
         }
     }
 
-    /// The one way a call leaves the client: reserve client NIC time for
-    /// its admitted bytes, let [`Network::dispatch`] draw its fate and
-    /// enqueue it with its reply armed for `slot` of `round`, and fix
-    /// `ready_at`. A refused admission resolves at once. What the submits
-    /// leave to do adds up in `owed` for the caller to settle.
-    fn launch(
-        &self,
-        node: NodeId,
-        req: Request,
-        admitted: Result<usize, RpcError>,
-        slot: (&Arc<Round>, usize),
-        owed: &mut Owed,
-    ) -> PendingCall {
-        let now = Instant::now();
-        let (ready_at, sent) = match admitted {
-            Err(e) => (now, Dispatched::Failed(e)),
-            Ok(bytes) => {
-                let nic_wait = self
-                    .nic
-                    .as_ref()
-                    .map_or(Duration::ZERO, |nic| nic.consume_nonblocking(bytes));
-                let (sent, delay) = self.net.dispatch(self, node, req, slot, owed);
-                (now + nic_wait + self.net.latency * 2 + delay, sent)
-            }
-        };
-        PendingCall {
-            node,
-            sent_at: now,
-            ready_at,
-            state: PendingState::Sent(sent),
-        }
-    }
-
-    /// Blocks until `call` resolves, exactly as [`ClientEndpoint::poll_call`]
-    /// would resolve it — the only place a client waits. Sleeps to
-    /// `ready_at` (a lost call: to its deadline); a reply not posted by then
-    /// is awaited on its round until the deadline, and only the post that
-    /// completes the round wakes the client.
-    fn wait(&self, call: &mut PendingCall) -> Result<Reply, RpcError> {
-        loop {
-            if let Some(resolved) = self.poll_call(call) {
-                return resolved;
-            }
-            let deadline = self.deadline(call);
-            let now = Instant::now();
-            let wake = match &call.state {
-                PendingState::Sent(Dispatched::InFlight(round, _)) if now >= call.ready_at => {
-                    round.await_posts(deadline);
-                    continue;
-                }
-                PendingState::Sent(Dispatched::Lost) => deadline.unwrap_or(call.ready_at),
-                _ => call.ready_at,
-            };
-            if now < wake {
-                std::thread::sleep(wake - now);
-            }
+    /// Starts a round of `members` calls, which leave the client through
+    /// [`Launch::call`]: one clock read for the round, its slots armed.
+    fn launch(&self, members: usize, multicast: bool, owed: Owed) -> Launch<'_> {
+        Launch {
+            ep: self,
+            round: Round::new(members),
+            now: Instant::now(),
+            multicast,
+            owed,
+            pool: None,
+            run: 0,
+            admitted: NetSnapshot::default(),
+            sent: NetSnapshot::default(),
+            shed: 0,
+            unarmed: members,
         }
     }
 
@@ -1117,32 +1011,51 @@ impl ClientEndpoint {
     ///
     /// Panics if called again after it has returned `Some`.
     pub fn poll_call(&self, call: &mut PendingCall) -> Option<Result<Reply, RpcError>> {
-        let now = Instant::now();
+        let mut books = Books::new(call.sent_at);
+        let round = &call.round;
+        // A round of one is complete once its only call is posted.
+        let posted = || round.complete().then(|| round.take(0)).flatten();
+        let resolved = self.poll(&mut call.call, Instant::now(), posted, &mut books);
+        books.close(self);
+        resolved
+    }
+
+    /// Resolves `call` at `now` if it can, exactly as the timing model on
+    /// [`ClientEndpoint::submit_call`] says: `None` while nothing about it
+    /// is observable. `posted` takes its reply from its round, if one was
+    /// posted; a received reply is booked in `books`.
+    fn poll(
+        &self,
+        call: &mut Call,
+        now: Instant,
+        posted: impl FnOnce() -> Option<Result<Reply, RpcError>>,
+        books: &mut Books,
+    ) -> Option<Result<Reply, RpcError>> {
         // Nothing is observable before `ready_at`.
         if now < call.ready_at {
             return None;
         }
         let deadline = self.deadline(call);
-        match std::mem::replace(&mut call.state, PendingState::Done) {
+        match std::mem::replace(&mut call.state, CallState::Done) {
             // LINT-ALLOW(panic-free: documented `# Panics` contract for
             // local API misuse — not reachable from remote input)
-            PendingState::Done => panic!("poll_call on an already-resolved call"),
-            PendingState::Sent(Dispatched::Failed(e)) => Some(Err(e)),
-            PendingState::Arrived(result) => Some(self.finish_call(call, result, now)),
+            CallState::Done => panic!("poll_call on an already-resolved call"),
+            CallState::Failed(e) => Some(Err(e)),
+            CallState::Arrived(result) => Some(books.receive(self, *result, now)),
             // A lost exchange surfaces only at its deadline (as soon as
             // `ready_at` passes when no deadline is configured).
-            PendingState::Sent(Dispatched::Lost) if deadline.is_some_and(|d| now < d) => {
-                call.state = PendingState::Sent(Dispatched::Lost);
+            CallState::Lost if deadline.is_some_and(|d| now < d) => {
+                call.state = CallState::Lost;
                 None
             }
-            PendingState::Sent(Dispatched::Lost) => Some(Err(RpcError::Timeout(call.node))),
-            PendingState::Sent(Dispatched::InFlight(round, slot)) => match round.take(slot) {
-                Some(result) => self.arrive(call, result, now),
+            CallState::Lost => Some(Err(RpcError::Timeout(call.node))),
+            CallState::InFlight => match posted() {
+                Some(result) => self.arrive(call, result, now, books),
                 None if deadline.is_some_and(|d| now >= d) => {
                     Some(Err(RpcError::Timeout(call.node)))
                 }
                 None => {
-                    call.state = PendingState::Sent(Dispatched::InFlight(round, slot));
+                    call.state = CallState::InFlight;
                     None
                 }
             },
@@ -1150,7 +1063,7 @@ impl ClientEndpoint {
     }
 
     /// When a call still unanswered gives up: `ready_at + call_timeout`.
-    fn deadline(&self, call: &PendingCall) -> Option<Instant> {
+    fn deadline(&self, call: &Call) -> Option<Instant> {
         self.net.call_timeout.map(|t| call.ready_at + t)
     }
 
@@ -1160,88 +1073,392 @@ impl ClientEndpoint {
     /// until `now` plus the drain.
     fn arrive(
         &self,
-        call: &mut PendingCall,
+        call: &mut Call,
         result: Result<Reply, RpcError>,
         now: Instant,
+        books: &mut Books,
     ) -> Option<Result<Reply, RpcError>> {
         let drain = match (&result, &self.nic) {
             (Ok(reply), Some(nic)) => nic.consume_nonblocking(reply.wire_bytes()),
             _ => Duration::ZERO,
         };
         if drain.is_zero() {
-            call.state = PendingState::Done;
-            Some(self.finish_call(call, result, now))
+            call.state = CallState::Done;
+            Some(books.receive(self, result, now))
         } else {
             call.ready_at = now + drain;
-            call.state = PendingState::Arrived(result);
+            call.state = CallState::Arrived(Box::new(result));
             None
         }
     }
+}
 
-    /// Books a call that received a reply: per-client and network-wide
-    /// receive counters, one round trip and one latency sample.
-    fn finish_call(
-        &self,
-        call: &PendingCall,
+/// Enqueues a round takes under one hold of the pool lock: a large round
+/// lets other clients and the workers in between its runs.
+const ENQUEUE_RUN: usize = 32;
+
+/// A round on its way out ([`ClientEndpoint::launch`]): the clock read
+/// once, the pool lock held across runs of up to [`ENQUEUE_RUN`] enqueues,
+/// and the books and the slots no node will post tallied until
+/// [`Launch::finish`] settles them once.
+struct Launch<'a> {
+    ep: &'a ClientEndpoint,
+    round: Arc<Round>,
+    /// The round's launch instant: every call's `sent_at`, and the base of
+    /// its `ready_at`.
+    now: Instant,
+    /// A `broadcast`: one payload, sent and booked by the first call.
+    multicast: bool,
+    owed: Owed,
+    pool: Option<MutexGuard<'a, PoolState>>,
+    /// Enqueues under the current hold of `pool`.
+    run: usize,
+    /// The client's sends: the admitted calls.
+    admitted: NetSnapshot,
+    /// The network's sends: the enqueued messages, duplicates included.
+    sent: NetSnapshot,
+    /// Calls a full queue refused.
+    shed: u64,
+    /// Slots no reply was armed for, to disarm.
+    unarmed: usize,
+}
+
+impl<'a> Launch<'a> {
+    /// The one way a call leaves the client: reserve client NIC time for
+    /// its admitted bytes, draw its fate ([`Network::dispatch`]) and apply
+    /// it — drop the request, enqueue a duplicate, enqueue it with its
+    /// reply armed for `slot` unless the fate drops the reply — and fix
+    /// `ready_at`. A call the kill budget did not admit fails at once.
+    fn call(&mut self, slot: usize, node: NodeId, req: Request, admitted: bool) -> Call {
+        let ep = self.ep;
+        if !admitted {
+            return Call {
+                node,
+                ready_at: self.now,
+                state: CallState::Failed(RpcError::ClientKilled),
+            };
+        }
+        let payload = req.payload_bytes() as u64;
+        let bytes = req.wire_bytes() as u64;
+        // A multicast's first call sends the shared payload; the rest ride
+        // on it.
+        let nic_bytes = if self.multicast && slot > 0 {
+            0
+        } else {
+            self.admitted.msgs_sent += 1;
+            self.admitted.bytes_sent += bytes;
+            self.admitted.payload_sent += payload;
+            bytes
+        };
+        let nic_wait = ep.nic.as_ref().map_or(Duration::ZERO, |nic| {
+            nic.consume_nonblocking(nic_bytes as usize)
+        });
+        let fate = ep.net.dispatch(ep, node);
+        let ready_at = self.now + nic_wait + ep.net.latency * 2 + fate.delay;
+        let state = if !fate.deliver_req {
+            CallState::Lost
+        } else {
+            if fate.duplicate_req {
+                // At-least-once delivery: the node executes the request a
+                // second time; the duplicate's reply goes nowhere.
+                let _ = self.enqueue(node, req.clone(), (bytes, payload), None);
+            }
+            // The node executes the request either way; a lost reply is one
+            // it sends nowhere.
+            let reply_to = (!fate.drop_reply).then_some(slot);
+            match self.enqueue(node, req, (bytes, payload), reply_to) {
+                Ok(()) if fate.drop_reply => CallState::Lost,
+                Ok(()) => CallState::InFlight,
+                Err(e) => {
+                    self.shed += u64::from(matches!(e, RpcError::Busy(_)));
+                    CallState::Failed(e)
+                }
+            }
+        };
+        Call {
+            node,
+            ready_at,
+            state,
+        }
+    }
+
+    /// Enqueues `req` at `node`, its reply armed for `reply_to`'s slot, and
+    /// makes sure a worker will serve it — counting into `owed` a parked
+    /// worker handed the wake-up, for [`Network::settle`] to notify —
+    /// unless the round is [`Owed::Serve`]. Every refusal comes before the
+    /// enqueue, so it is determinate. The pool lock is taken once per run
+    /// of [`ENQUEUE_RUN`] enqueues.
+    fn enqueue(
+        &mut self,
+        node: NodeId,
+        req: Request,
+        (bytes, payload): (u64, u64),
+        reply_to: Option<usize>,
+    ) -> Result<(), RpcError> {
+        let shared = &self.ep.net.shared;
+        if self.run == ENQUEUE_RUN {
+            self.pool = None;
+            self.run = 0;
+        }
+        self.run += 1;
+        let st = &mut **self.pool.get_or_insert_with(|| lock(&shared.pool));
+        let i = node.0 as usize;
+        let (Some(slot), Some(q)) = (shared.nodes.get(i), st.queues.get(i)) else {
+            return Err(RpcError::UnknownNode(node));
+        };
+        // Crashed, or closed by a handler's panic.
+        if !slot.up.load(Ordering::SeqCst) || q.closed {
+            return Err(RpcError::NodeDown(node));
+        }
+        // Backpressure: the bounded queue is full and the request is never
+        // enqueued — determinate, so the caller may resend after backing
+        // off (no remap).
+        if shared.depth.is_some_and(|depth| q.jobs.len() >= depth) {
+            return Err(RpcError::Busy(node));
+        }
+        // A job its node can take now needs a searching worker, unless the
+        // waiting client serves the round; one that cannot be started
+        // refuses the request, again before the enqueue.
+        let runnable = q.serving < shared.per_node;
+        if let (Owed::Wakes(wakes), true) = (&mut self.owed, runnable) {
+            let woke = shared
+                .ensure_searcher(st)
+                .map_err(|_| RpcError::Busy(node))?;
+            *wakes += usize::from(woke);
+        }
+        // Under the pool lock, so no worker can answer — and decrement the
+        // gauge — before it goes up.
+        shared.stats.inc_inflight(i);
+        let reply = reply_to.map(|slot| ReplyTo {
+            round: Some(Arc::clone(&self.round)),
+            slot,
+            node,
+        });
+        self.unarmed -= usize::from(reply.is_some());
+        if let Some(q) = st.queues.get_mut(i) {
+            q.jobs.push_back(Job { req, reply });
+        }
+        // Counted only once the queue accepted the message: a send that
+        // never left the client must not inflate `msgs_sent`.
+        self.sent.msgs_sent += 1;
+        self.sent.bytes_sent += bytes;
+        self.sent.payload_sent += payload;
+        Ok(())
+    }
+
+    /// The round is enqueued: release the pool, disarm the slots no node
+    /// will post, book the sends and sheds once on the client's and the
+    /// network's [`NetStats`], and settle what the submits owed — at zero
+    /// latency, serve the round. Returns the round and its launch instant.
+    fn finish(self) -> (Arc<Round>, Instant) {
+        let Launch {
+            ep,
+            round,
+            now,
+            owed,
+            pool,
+            admitted,
+            sent,
+            shed,
+            unarmed,
+            ..
+        } = self;
+        drop(pool);
+        round.disarm(unarmed);
+        ep.stats.add(&admitted);
+        ep.net.stats().add(&sent);
+        for stats in [&ep.stats, ep.net.stats()] {
+            stats.record_busy_sheds(shed);
+        }
+        ep.net.settle(&round, owed);
+        (round, now)
+    }
+}
+
+/// A blocking round's resolution: its replies, taken in one lock once the
+/// round is complete, the clock as last read, and what its resolved calls
+/// add to the books.
+struct Wait {
+    round: Arc<Round>,
+    replies: Option<Vec<Option<Result<Reply, RpcError>>>>,
+    now: Instant,
+    books: Books,
+}
+
+impl Wait {
+    fn new((round, sent_at): (Arc<Round>, Instant)) -> Self {
+        Wait {
+            round,
+            replies: None,
+            now: Instant::now(),
+            books: Books::new(sent_at),
+        }
+    }
+
+    /// Blocks until `call`, slot `slot` of the round, resolves exactly as
+    /// [`ClientEndpoint::poll_call`] would resolve it — the only place a
+    /// client waits. Sleeps to `ready_at` (a lost call: to its deadline); a
+    /// reply not posted by then is awaited on its round until the
+    /// deadline, and only the post that completes the round wakes the
+    /// client.
+    fn resolve(
+        &mut self,
+        ep: &ClientEndpoint,
+        slot: usize,
+        call: &mut Call,
+    ) -> Result<Reply, RpcError> {
+        loop {
+            let (round, replies) = (&self.round, &mut self.replies);
+            let posted = || {
+                if replies.is_none() && round.complete() {
+                    *replies = Some(round.take_all());
+                }
+                match replies {
+                    Some(replies) => replies.get_mut(slot).and_then(Option::take),
+                    None => round.take(slot),
+                }
+            };
+            if let Some(resolved) = ep.poll(call, self.now, posted, &mut self.books) {
+                return resolved;
+            }
+            let deadline = ep.deadline(call);
+            let wake = match call.state {
+                CallState::InFlight if self.now >= call.ready_at => {
+                    self.round.await_posts(deadline);
+                    self.now = Instant::now();
+                    continue;
+                }
+                CallState::Lost => deadline.unwrap_or(call.ready_at),
+                _ => call.ready_at,
+            };
+            self.now = Instant::now();
+            if self.now < wake {
+                std::thread::sleep(wake - self.now);
+                self.now = Instant::now();
+            }
+        }
+    }
+}
+
+/// What resolved calls add to the books, added once per round
+/// ([`Books::close`]): receives and round trips to the client's
+/// [`NetStats`], receives to the network's, and one latency sample per
+/// call, grouped by the instant it resolved.
+struct Books {
+    /// The round's launch instant, which latency is measured from.
+    sent_at: Instant,
+    received: NetSnapshot,
+    /// When the calls of the latency group not yet recorded resolved.
+    resolved_at: Option<Instant>,
+    samples: u64,
+}
+
+impl Books {
+    fn new(sent_at: Instant) -> Self {
+        Books {
+            sent_at,
+            received: NetSnapshot::default(),
+            resolved_at: None,
+            samples: 0,
+        }
+    }
+
+    /// Books a call that received `result` at `now` — one round trip and
+    /// one latency sample if it is a reply — and hands it back.
+    fn receive(
+        &mut self,
+        ep: &ClientEndpoint,
         result: Result<Reply, RpcError>,
         now: Instant,
     ) -> Result<Reply, RpcError> {
         if let Ok(reply) = &result {
-            let (bytes, payload) = (reply.wire_bytes(), reply.payload_bytes());
-            for stats in [&self.stats, self.net.stats()] {
-                stats.record_receive(bytes);
-                stats.record_receive_payload(payload);
+            self.received.msgs_received += 1;
+            self.received.bytes_received += reply.wire_bytes() as u64;
+            self.received.payload_received += reply.payload_bytes() as u64;
+            self.received.round_trips += 1;
+            if self.resolved_at != Some(now) {
+                self.record_latencies(ep);
+                self.resolved_at = Some(now);
             }
-            self.stats.record_round_trip();
-            self.stats
-                .record_latency(now.saturating_duration_since(call.sent_at));
+            self.samples += 1;
         }
         result
     }
+
+    fn record_latencies(&mut self, ep: &ClientEndpoint) {
+        if let Some(at) = self.resolved_at {
+            let latency = at.saturating_duration_since(self.sent_at);
+            ep.stats.record_latencies(latency, self.samples);
+        }
+        self.samples = 0;
+    }
+
+    /// Adds what was booked to the client's and the network's counters;
+    /// the network counts receives only.
+    fn close(mut self, ep: &ClientEndpoint) {
+        self.record_latencies(ep);
+        ep.stats.add(&self.received);
+        ep.net.stats().add(&NetSnapshot {
+            round_trips: 0,
+            ..self.received
+        });
+    }
 }
 
-/// One outstanding RPC started by [`ClientEndpoint::submit_call`], resolved
-/// by repeated [`ClientEndpoint::poll_call`]s (or waited on by the blocking
-/// calls). Holding many of these on one thread is the scale-out alternative
-/// to one blocked thread per call.
-pub struct PendingCall {
+/// One call of a round as its client sees it, from launch to resolution.
+struct Call {
     node: NodeId,
-    /// When the request left the client (latency histogram anchor).
-    sent_at: Instant,
     /// Earliest instant at which any outcome is observable: send-side NIC
     /// drain + both propagation legs + injected link delay, with the
     /// reply's NIC drain folded in on arrival.
     ready_at: Instant,
-    state: PendingState,
+    state: CallState,
 }
 
-enum PendingState {
-    /// As dispatched: in flight, lost, or failed before the node's queue.
-    Sent(Dispatched),
-    /// Reply received; released once `ready_at` passes.
-    Arrived(Result<Reply, RpcError>),
+enum CallState {
+    /// Enqueued: the node answers into the call's slot of its round.
+    InFlight,
+    /// The request or its reply was lost; resolves to `Timeout` once the
+    /// deadline passes.
+    Lost,
+    /// Failed before reaching the node's queue.
+    Failed(RpcError),
+    /// Reply received; released once `ready_at` passes (boxed: only a
+    /// shaped client NIC parks a reply).
+    Arrived(Box<Result<Reply, RpcError>>),
     /// Resolved — polling again is a caller bug.
     Done,
+}
+
+/// One outstanding RPC started by [`ClientEndpoint::submit_call`], resolved
+/// by repeated [`ClientEndpoint::poll_call`]s: a round of one. Holding many
+/// of these on one thread is the scale-out alternative to one blocked
+/// thread per call.
+pub struct PendingCall {
+    round: Arc<Round>,
+    /// When the request left the client (latency histogram anchor).
+    sent_at: Instant,
+    call: Call,
 }
 
 impl PendingCall {
     /// The node this call targets.
     pub fn node(&self) -> NodeId {
-        self.node
+        self.call.node
     }
 }
 
 impl std::fmt::Debug for PendingCall {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let state = match &self.state {
-            PendingState::Sent(Dispatched::InFlight(..)) => "in-flight",
-            PendingState::Arrived(_) => "arrived",
-            PendingState::Sent(Dispatched::Lost) => "lost",
-            PendingState::Sent(Dispatched::Failed(_)) => "failed",
-            PendingState::Done => "done",
+        let state = match &self.call.state {
+            CallState::InFlight => "in-flight",
+            CallState::Arrived(_) => "arrived",
+            CallState::Lost => "lost",
+            CallState::Failed(_) => "failed",
+            CallState::Done => "done",
         };
         f.debug_struct("PendingCall")
-            .field("node", &self.node)
+            .field("node", &self.node())
             .field("state", &state)
             .finish_non_exhaustive()
     }
@@ -1836,7 +2053,13 @@ mod fault_tests {
                     }
                 }
             }
-            let books = (client.stats().snapshot(), client.stats().latency_samples());
+            let books = (
+                client.stats().snapshot(),
+                client.stats().latency_samples(),
+                client.stats().busy_shed(),
+                net.stats().snapshot(),
+                net.stats().busy_shed(),
+            );
             (results, net.faults().take_trace(), books)
         };
         let (blocking, polled) = (run(true), run(false));
@@ -1848,6 +2071,78 @@ mod fault_tests {
         assert_eq!(blocking.0, polled.0, "same results");
         assert_eq!(blocking.1, polled.1, "same fate draws");
         assert_eq!(blocking.2, polled.2, "same books and latency samples");
+    }
+
+    /// Inside one 16-way round, a link that always duplicates and one that
+    /// always loses the reply: the duplicated add lands once, the member
+    /// whose reply is lost times out though its swap executed, and every
+    /// other member answers.
+    #[test]
+    fn a_round_applies_a_duplicate_once_and_executes_a_lost_reply() {
+        let net = faulty_net(NetworkConfig {
+            n_nodes: 16,
+            ..NetworkConfig::default()
+        });
+        net.faults().set_tracing(true);
+        let (dup, lost) = (NodeId(3), NodeId(5));
+        net.faults().set_link(
+            ClientId(1),
+            dup,
+            LinkFaults { dup_req: 1.0, ..LinkFaults::default() },
+        );
+        net.faults().set_link(
+            ClientId(1),
+            lost,
+            LinkFaults { drop_reply: 1.0, ..LinkFaults::default() },
+        );
+        let client = net.client(ClientId(1));
+        let round: Vec<_> = (0..16)
+            .map(|j| {
+                let req = match NodeId(j) {
+                    node if node == dup => Request::Add {
+                        stripe: StripeId(0),
+                        delta: vec![1; 64],
+                        ntid: Tid::new(1, 0, ClientId(1)),
+                        otid: None,
+                        epoch: ajx_storage::Epoch(0),
+                        scale: None,
+                    },
+                    node if node == lost => Request::Swap {
+                        stripe: StripeId(0),
+                        value: vec![7; 64],
+                        ntid: Tid::new(1, 0, ClientId(1)),
+                    },
+                    _ => Request::Read { stripe: StripeId(0) },
+                };
+                (NodeId(j), req)
+            })
+            .collect();
+        let replies = client.call_many(round);
+        for (j, reply) in replies.iter().enumerate() {
+            if NodeId(j as u32) == lost {
+                assert_eq!(*reply, Err(RpcError::Timeout(lost)));
+            } else {
+                assert!(reply.is_ok(), "member {j}: {reply:?}");
+            }
+        }
+        let block = |node, fill: u8| {
+            net.with_node(node, |n| {
+                n.block_state(StripeId(0))
+                    .is_some_and(|s| s.raw_block() == &[fill; 64][..])
+            })
+        };
+        let (mut served, start) = (false, Instant::now());
+        while !served && start.elapsed() < Duration::from_secs(1) {
+            served = net.with_node(dup, |n| n.ops_handled()) == 2 && block(lost, 7);
+            std::thread::yield_now();
+        }
+        assert!(served, "both copies of the add and the swap reach their nodes");
+        assert!(block(dup, 1), "the increment lands exactly once");
+        let trace = net.faults().take_trace();
+        assert!(
+            trace.iter().any(|l| l.contains("dup-req")),
+            "the duplicate must actually have been delivered: {trace:?}"
+        );
     }
 
     /// A 16-way round whose members are lost at different instants: on both
@@ -2120,6 +2415,12 @@ mod reactor_tests {
         );
     }
 
+    /// A 4-way round pays one round-trip window. The yardstick is four
+    /// serial calls timed just before it, so a slow host slows both sides:
+    /// the round must take under three eighths of their total — one and a
+    /// half windows, which a round of two windows or more does not make.
+    /// Tests running beside this one can stall any single measurement, so
+    /// the round gets three attempts.
     #[test]
     fn blocking_calls_pay_one_shared_round_trip_window() {
         let net = Network::new(NetworkConfig {
@@ -2127,25 +2428,64 @@ mod reactor_tests {
             ..NetworkConfig::default()
         });
         let client = net.client(ClientId(1));
-        let start = Instant::now();
-        client.call(NodeId(0), Request::Read { stripe: StripeId(0) }).unwrap();
-        assert!(
-            start.elapsed() >= Duration::from_millis(4),
-            "a 2 ms one-way latency means a ≥4 ms round trip, got {:?}",
-            start.elapsed()
-        );
-        let start = Instant::now();
+        let read = || Request::Read { stripe: StripeId(0) };
+        let floor = Duration::from_millis(4);
+        let mut attempts = Vec::new();
+        for _ in 0..3 {
+            let start = Instant::now();
+            for i in 0..4 {
+                let call = Instant::now();
+                client.call(NodeId(i), read()).unwrap();
+                assert!(
+                    call.elapsed() >= floor,
+                    "a 2 ms one-way latency means a ≥4 ms round trip, got {:?}",
+                    call.elapsed()
+                );
+            }
+            let serial = start.elapsed();
+            let start = Instant::now();
+            let replies = client.call_many((0..4).map(|i| (NodeId(i), read())).collect());
+            assert!(replies.iter().all(Result::is_ok));
+            let took = start.elapsed();
+            assert!(took >= floor, "a round pays its window: {took:?}");
+            if took < serial * 3 / 8 {
+                return;
+            }
+            attempts.push((took, serial));
+        }
+        panic!("a 4-way round shares one window, not four: (round, serial) {attempts:?}");
+    }
+
+    /// A round that a full queue partly sheds books only what it enqueued.
+    /// At zero latency the waiting client serves its round only after the
+    /// whole round is enqueued, so each of 4 nodes with queues of 2 takes
+    /// its first two calls of 16 and sheds the other two.
+    #[test]
+    fn a_partly_shed_round_books_only_what_it_enqueued() {
+        let net = Network::new(NetworkConfig {
+            n_nodes: 4,
+            node_queue_depth: Some(2),
+            ..NetworkConfig::default()
+        });
+        let client = net.client(ClientId(1));
         let replies = client.call_many(
-            (0..4)
-                .map(|i| (NodeId(i), Request::Read { stripe: StripeId(0) }))
+            (0..16)
+                .map(|j| (NodeId(j % 4), Request::Read { stripe: StripeId(0) }))
                 .collect(),
         );
-        assert!(replies.iter().all(Result::is_ok));
-        let took = start.elapsed();
-        assert!(
-            took >= Duration::from_millis(4) && took < Duration::from_millis(8),
-            "a 4-way round shares one window, not four: {took:?}"
-        );
+        for (j, reply) in replies.iter().enumerate() {
+            if j < 8 {
+                assert!(reply.is_ok(), "member {j}: {reply:?}");
+            } else {
+                assert_eq!(*reply, Err(RpcError::Busy(NodeId(j as u32 % 4))));
+            }
+        }
+        let (mine, all) = (client.stats().snapshot(), net.stats().snapshot());
+        // The client books every admitted send; the network, the enqueued.
+        assert_eq!((mine.msgs_sent, mine.msgs_received, mine.round_trips), (16, 8, 8));
+        assert_eq!((all.msgs_sent, all.msgs_received, all.round_trips), (8, 8, 0));
+        assert_eq!((client.stats().busy_shed(), net.stats().busy_shed()), (8, 8));
+        assert_eq!(client.stats().latency_samples(), 8);
     }
 
     #[test]

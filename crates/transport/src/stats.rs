@@ -106,9 +106,13 @@ impl NetStats {
 
     /// Marks one more request in flight at node `node`.
     pub fn inc_inflight(&self, node: usize) {
-        if let Some(g) = self.inflight.get(node) {
+        if let (Some(g), Some(peak)) = (self.inflight.get(node), self.inflight_peak.get(node)) {
             let now = g.fetch_add(1, Ordering::Relaxed) + 1;
-            self.inflight_peak[node].fetch_max(now, Ordering::Relaxed);
+            // A load first: the peak is rarely raised, and a load is no
+            // read-modify-write.
+            if now > peak.load(Ordering::Relaxed) {
+                peak.fetch_max(now, Ordering::Relaxed);
+            }
         }
     }
 
@@ -135,12 +139,24 @@ impl NetStats {
 
     /// Records one operation latency into the histogram.
     pub fn record_latency(&self, latency: Duration) {
+        self.record_latencies(latency, 1);
+    }
+
+    /// Records `samples` operations that each took `latency` — the calls
+    /// of a round that resolved at one instant, in one step.
+    pub fn record_latencies(&self, latency: Duration, samples: u64) {
+        if samples == 0 {
+            return;
+        }
         let us = latency.as_micros().max(1) as u64;
         // ilog2 of a value in [2^i, 2^(i+1)) is i; clamp into range.
         let bucket = (us.ilog2() as usize).min(LATENCY_BUCKETS - 1);
-        self.latency_buckets[bucket].fetch_add(1, Ordering::Relaxed);
-        self.latency_count.fetch_add(1, Ordering::Relaxed);
-        self.latency_sum_us.fetch_add(us, Ordering::Relaxed);
+        if let Some(b) = self.latency_buckets.get(bucket) {
+            b.fetch_add(samples, Ordering::Relaxed);
+        }
+        self.latency_count.fetch_add(samples, Ordering::Relaxed);
+        self.latency_sum_us
+            .fetch_add(us * samples, Ordering::Relaxed);
     }
 
     /// Number of latency samples recorded.
@@ -175,42 +191,32 @@ impl NetStats {
         Some(Duration::from_micros(1u64 << LATENCY_BUCKETS))
     }
 
-    /// Records an outbound message of `bytes`.
-    pub fn record_send(&self, bytes: usize) {
-        self.msgs_sent.fetch_add(1, Ordering::Relaxed);
-        self.bytes_sent.fetch_add(bytes as u64, Ordering::Relaxed);
+    /// Adds every counter of `delta` at once, one atomic add per nonzero
+    /// counter: how a round books all its members' messages, bytes and
+    /// round trips together.
+    pub fn add(&self, delta: &NetSnapshot) {
+        let counters = [
+            (&self.msgs_sent, delta.msgs_sent),
+            (&self.bytes_sent, delta.bytes_sent),
+            (&self.msgs_received, delta.msgs_received),
+            (&self.bytes_received, delta.bytes_received),
+            (&self.payload_sent, delta.payload_sent),
+            (&self.payload_received, delta.payload_received),
+            (&self.round_trips, delta.round_trips),
+        ];
+        for (counter, n) in counters {
+            if n > 0 {
+                counter.fetch_add(n, Ordering::Relaxed);
+            }
+        }
     }
 
-    /// Records the block-content share of an outbound message. Called
-    /// alongside [`NetStats::record_send`] with `Request::payload_bytes()`,
-    /// so repair bandwidth can be compared net of header overhead.
-    pub fn record_send_payload(&self, bytes: usize) {
-        self.payload_sent.fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records an inbound message of `bytes`.
-    pub fn record_receive(&self, bytes: usize) {
-        self.msgs_received.fetch_add(1, Ordering::Relaxed);
-        self.bytes_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records the block-content share of an inbound message (see
-    /// [`NetStats::record_send_payload`]).
-    pub fn record_receive_payload(&self, bytes: usize) {
-        self.payload_received
-            .fetch_add(bytes as u64, Ordering::Relaxed);
-    }
-
-    /// Records one completed round trip.
-    pub fn record_round_trip(&self) {
-        self.round_trips.fetch_add(1, Ordering::Relaxed);
-    }
-
-    /// Records one request shed with `RpcError::Busy` before it reached
-    /// its node's queue.
-    pub fn record_busy_shed(&self) {
-        self.busy_shed.fetch_add(1, Ordering::Relaxed);
+    /// Records `n` requests shed with `RpcError::Busy` before they
+    /// reached their node's queue.
+    pub fn record_busy_sheds(&self, n: u64) {
+        if n > 0 {
+            self.busy_shed.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Requests shed with `RpcError::Busy` so far.
@@ -259,13 +265,34 @@ impl NetSnapshot {
 mod tests {
     use super::*;
 
+    /// `msgs` messages of `bytes` each, `payload` of them block content.
+    fn sent(msgs: u64, bytes: u64, payload: u64) -> NetSnapshot {
+        NetSnapshot {
+            msgs_sent: msgs,
+            bytes_sent: msgs * bytes,
+            payload_sent: msgs * payload,
+            ..NetSnapshot::default()
+        }
+    }
+
+    fn received(bytes: u64, payload: u64) -> NetSnapshot {
+        NetSnapshot {
+            msgs_received: 1,
+            bytes_received: bytes,
+            payload_received: payload,
+            ..NetSnapshot::default()
+        }
+    }
+
     #[test]
     fn counters_accumulate() {
         let s = NetStats::new();
-        s.record_send(100);
-        s.record_send(50);
-        s.record_receive(10);
-        s.record_round_trip();
+        s.add(&sent(1, 100, 0));
+        s.add(&sent(1, 50, 0));
+        s.add(&NetSnapshot {
+            round_trips: 1,
+            ..received(10, 0)
+        });
         let snap = s.snapshot();
         assert_eq!(snap.msgs_sent, 2);
         assert_eq!(snap.bytes_sent, 150);
@@ -278,16 +305,14 @@ mod tests {
     #[test]
     fn payload_counters_track_block_bytes_separately() {
         let s = NetStats::new();
-        s.record_send(100);
-        s.record_send_payload(64);
-        s.record_receive(40);
+        s.add(&sent(1, 100, 64));
         // A metadata-only reply records no payload at all.
-        s.record_receive(40);
-        s.record_receive_payload(8);
+        s.add(&received(40, 0));
+        s.add(&received(40, 8));
         let before = s.snapshot();
         assert_eq!(before.payload_sent, 64);
         assert_eq!(before.payload_received, 8);
-        s.record_send_payload(1);
+        s.add(&sent(1, 40, 1));
         let diff = s.snapshot().since(&before);
         assert_eq!(diff.payload_sent, 1);
         assert_eq!(diff.payload_received, 0);
@@ -296,14 +321,34 @@ mod tests {
     #[test]
     fn since_diffs_counters() {
         let s = NetStats::new();
-        s.record_send(5);
+        s.add(&sent(1, 5, 0));
         let before = s.snapshot();
-        s.record_send(7);
-        s.record_receive(3);
+        s.add(&sent(1, 7, 0));
+        s.add(&received(3, 0));
         let diff = s.snapshot().since(&before);
         assert_eq!(diff.msgs_sent, 1);
         assert_eq!(diff.bytes_sent, 7);
         assert_eq!(diff.msgs_received, 1);
+    }
+
+    /// A round's books added at once equal its messages added one by one,
+    /// and a batch of latency samples equals the samples one at a time.
+    #[test]
+    fn a_round_books_like_one_message_at_a_time() {
+        let (one, all) = (NetStats::new(), NetStats::new());
+        for _ in 0..3 {
+            one.add(&sent(1, 72, 8));
+            one.record_latency(Duration::from_micros(300));
+            one.record_busy_sheds(1);
+        }
+        all.add(&sent(3, 72, 8));
+        all.record_latencies(Duration::from_micros(300), 3);
+        all.record_busy_sheds(3);
+        assert_eq!(one.snapshot(), all.snapshot());
+        assert_eq!(one.busy_shed(), all.busy_shed());
+        assert_eq!(one.latency_samples(), all.latency_samples());
+        assert_eq!(one.latency_mean(), all.latency_mean());
+        assert_eq!(one.latency_percentile(0.99), all.latency_percentile(0.99));
     }
 
     #[test]
@@ -314,7 +359,7 @@ mod tests {
                 let s = s.clone();
                 std::thread::spawn(move || {
                     for _ in 0..1000 {
-                        s.record_send(1);
+                        s.add(&sent(1, 1, 0));
                     }
                 })
             })

@@ -21,8 +21,10 @@
 # still collecting everything, and the node's media-write and metadata
 # accounts where they were, and its blocking rounds served without a
 # thread hop, a traced seq_large run shows a bulk write
-# putting the same bytes and round trips on the wire, and a traced
-# degraded_rebuild run shows the widest fan-out's protocol counts unmoved).
+# putting the same bytes and round trips on the wire, a traced
+# degraded_rebuild run shows the widest fan-out's protocol counts unmoved,
+# and a traced many_clients run shows the largest rounds shedding nothing
+# and booking every message).
 #
 # Smoke artifacts land in BENCH_<name>.smoke.json — never in the
 # committed full-run BENCH_<name>.json files, which only a full (no
@@ -318,6 +320,20 @@ echo "core.repair_bytes_per_lost_block $repair_bytes, core.rebuild_round_trips_p
 awk -v b="$repair_bytes" -v r="$rebuild_trips" 'BEGIN { exit !(b == 90112 && r == 10) }' \
   || { echo "the rebuild's bytes moved (want 90112 repair bytes and 10 round trips per lost block)"; exit 1; }
 echo "rebuild byte counts hold"
+
+echo "== the largest rounds enqueue whole and book every send (traced many_clients) =="
+# The mux's window steps are the largest rounds any client sends: 1024 to
+# 4096 members, enqueued under the pool lock in bounded runs. Queues of
+# 4096 must shed none of them, and the books must count every message.
+# Exact with --slices; the literals are those of the transport that
+# enqueued and booked each call on its own.
+traced=$(bash benchmark/run.sh --workload many_clients --seed 1 --slices 2 --trace 1 | tail -n 1)
+msgs=$(metric transport.msgs_per_op)
+busy_shed=$(metric transport.busy_shed)
+echo "transport.msgs_per_op $msgs, transport.busy_shed $busy_shed"
+awk -v m="$msgs" -v b="$busy_shed" 'BEGIN { exit !(sprintf("%.4f", m) == "4.8631" && b == 0) }' \
+  || { echo "the mux's rounds moved (want 4.8631 msgs per op and 0 busy sheds)"; exit 1; }
+echo "many_clients round counts hold"
 
 echo "== full-run artifacts are not smoke runs =="
 if [ "${AJX_ALLOW_SMOKE:-0}" != "1" ]; then
