@@ -37,10 +37,9 @@ mod sim;
 
 pub use sim::run_baseline;
 
-use serde::{Deserialize, Serialize};
 
 /// The protocols compared in Fig. 1.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Protocol {
     /// This paper's protocol with parallel adds.
     AjxPar,
@@ -78,7 +77,7 @@ impl Protocol {
 
 /// One message in a trace: a request and its reply, with payload sizes in
 /// units of **blocks** (headers are ignored, as in Fig. 1's `B` columns).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Msg {
     /// Block payloads carried by the request (0 for header-only).
     pub req_blocks: f64,
@@ -104,7 +103,7 @@ impl Msg {
 ///
 /// Latency in round trips is the number of rounds; message and bandwidth
 /// totals are sums over messages.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct OpTrace {
     /// Sequential rounds; messages within a round fly in parallel.
     pub rounds: Vec<Vec<Msg>>,
@@ -211,7 +210,7 @@ pub fn read_trace(proto: Protocol, k: usize, n: usize) -> OpTrace {
 }
 
 /// One row of Fig. 1, fully derived from the message traces.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Fig1Row {
     /// The protocol.
     pub protocol: Protocol,

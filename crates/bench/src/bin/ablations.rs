@@ -8,6 +8,8 @@
 //! 3. **`find_consistent` group-scan** vs the exhaustive subset search it
 //!    replaces: timing on recovery-sized inputs.
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_bench::{banner, measure_us, render_table};
 use ajx_cluster::{drive, Cluster, Workload};
 use ajx_core::{find_consistent, ProtocolConfig, UpdateStrategy};

@@ -29,6 +29,8 @@
 //!
 //! * `--smoke` — only the acceptance point, single repetition.
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_cluster::Cluster;
 use ajx_core::ProtocolConfig;
 use ajx_storage::{NodeId, StripeId};

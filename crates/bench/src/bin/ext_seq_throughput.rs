@@ -17,6 +17,8 @@
 //! * `--smoke` — only the acceptance point (64-block runs, 4-of-8),
 //!   fewer repetitions.
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_cluster::Cluster;
 use ajx_core::ProtocolConfig;
 use ajx_transport::NetworkConfig;

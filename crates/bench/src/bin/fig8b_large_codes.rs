@@ -2,6 +2,8 @@
 //! codes used in simulation (1 KB block): full encode/decode grows with
 //! `k`, while the common-case Delta and Add stay approximately constant.
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_bench::{banner, render_table};
 use ajx_erasure::ReedSolomon;
 use ajx_gf::{kernel, slice};

@@ -6,6 +6,8 @@
 //! Also reports the §6.2 recovery-throughput experiment (the paper:
 //! ~17 MB/s aggregate, ~22 ms per 16-block recovery request).
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_bench::{banner, render_table};
 use ajx_cluster::{drive, Cluster, Workload};
 use ajx_core::ProtocolConfig;

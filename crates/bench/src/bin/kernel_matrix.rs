@@ -23,6 +23,8 @@
 //!   (used by the shell script to drive the `GF_BACKEND` test matrix).
 //! * `--list-crc32c` — the same for the checksum tiers.
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_gf::{kernel, Gf256, Gf65536};
 use std::sync::LazyLock;
 use std::time::Instant;

@@ -2,6 +2,8 @@
 //! write on a 3-of-5 code takes < 3 ms, and computation (field arithmetic)
 //! accounts for < 5% of it; ~95% is communication (network, RPC stack).
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_bench::{banner, measure_us};
 use ajx_cluster::Cluster;
 use ajx_core::ProtocolConfig;

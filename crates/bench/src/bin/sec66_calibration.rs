@@ -10,6 +10,8 @@
 //! The comparison then runs at several client/thread combinations that
 //! were *not* used for fitting and reports the relative error.
 
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
+
 use ajx_bench::{banner, render_table};
 use ajx_cluster::{drive, Cluster, Workload};
 use ajx_core::{ProtocolConfig, UpdateStrategy};

@@ -4,6 +4,7 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
+#![expect(clippy::disallowed_methods, reason = "experiments time real work")]
 
 use std::time::Instant;
 

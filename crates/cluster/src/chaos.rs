@@ -181,7 +181,9 @@ pub struct ChaosReport {
     pub violations: Vec<String>,
 }
 
-fn splitmix64(state: &mut u64) -> u64 {
+/// SplitMix64, the one generator of the seeded harnesses (chaos and power
+/// loss): a seed fixes every draw.
+pub(crate) fn splitmix64(state: &mut u64) -> u64 {
     *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
     let mut x = *state;
     x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
@@ -514,7 +516,7 @@ pub fn run_chaos(cfg: ProtocolConfig, opts: &ChaosOptions) -> ChaosReport {
 }
 
 /// `None` for the all-zeros (initial-value) block, `Some` otherwise.
-fn nonzero(v: Vec<u8>) -> Option<Vec<u8>> {
+pub(crate) fn nonzero(v: Vec<u8>) -> Option<Vec<u8>> {
     if v.iter().all(|&b| b == 0) {
         None
     } else {

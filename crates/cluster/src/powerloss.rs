@@ -23,6 +23,7 @@
 //! produce byte-identical [`PowerLossReport::trace`]s, the same contract
 //! as the chaos harness and fault-injection transport.
 
+use crate::chaos::{nonzero, splitmix64};
 use crate::harness::Cluster;
 use ajx_consistency::{check_regular, Recorder};
 use ajx_core::ProtocolConfig;
@@ -85,14 +86,6 @@ pub struct PowerLossReport {
     pub trace: Vec<String>,
     /// Everything that went wrong; empty = the run passed.
     pub violations: Vec<String>,
-}
-
-fn splitmix64(state: &mut u64) -> u64 {
-    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
-    let mut x = *state;
-    x = (x ^ (x >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
-    x ^ (x >> 31)
 }
 
 /// Runs one seeded power-loss scenario end to end. See the module docs
@@ -314,15 +307,6 @@ pub fn run_power_loss(cfg: ProtocolConfig, opts: &PowerLossOptions) -> PowerLoss
     report.trace = trace;
     std::fs::remove_dir_all(&wal_dir).ok();
     report
-}
-
-/// `None` for the all-zeros (initial-value) block, `Some` otherwise.
-fn nonzero(v: Vec<u8>) -> Option<Vec<u8>> {
-    if v.iter().all(|&b| b == 0) {
-        None
-    } else {
-        Some(v)
-    }
 }
 
 #[cfg(test)]

@@ -6,6 +6,11 @@
 //! `threads` closed-loop workers per client and measures aggregate
 //! throughput over a fixed operation count.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "closed-loop throughput runs measure real elapsed time by design"
+)]
+
 use crate::harness::Cluster;
 use ajx_core::ProtocolError;
 use rand::{Rng, SeedableRng};

@@ -30,7 +30,6 @@
 #![warn(missing_docs)]
 
 use parking_lot::Mutex;
-use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -41,7 +40,7 @@ use std::sync::Arc;
 pub type Location = u64;
 
 /// What an operation did at its location.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum OpKind<V> {
     /// A completed write of `value`.
     Write {
@@ -56,7 +55,7 @@ pub enum OpKind<V> {
 }
 
 /// One completed operation with its invocation/response timestamps.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct OpRecord<V> {
     /// Issuing client (for diagnostics only).
     pub client: u32,

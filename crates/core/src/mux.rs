@@ -18,6 +18,11 @@
 //! and whether operation `o` reads depends on `o` alone, so every logical
 //! client of a step does the same kind of operation.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the mux reports measured throughput and step latencies"
+)]
+
 use crate::client::{Client, WriteItem};
 use crate::config::ProtocolConfig;
 use ajx_storage::{ClientId, StripeId};

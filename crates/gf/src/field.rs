@@ -125,7 +125,7 @@ mod tests {
     use super::*;
     use crate::{Gf256, Gf257};
 
-    #[allow(clippy::eq_op)] // the axioms deliberately test a − a and a / a
+    #[allow(clippy::eq_op, reason = "the axioms deliberately test a − a and a / a")]
     fn axioms_sample<F: Field>(elems: &[F]) {
         for &a in elems {
             assert_eq!(a + F::ZERO, a, "additive identity");

@@ -148,7 +148,7 @@ impl From<Gf256> for u8 {
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)] // GF(2^8): addition IS xor
+#[allow(clippy::suspicious_arithmetic_impl, reason = "addition is xor")]
 impl Add for Gf256 {
     type Output = Self;
     #[inline]
@@ -157,7 +157,7 @@ impl Add for Gf256 {
     }
 }
 
-#[allow(clippy::suspicious_op_assign_impl)]
+#[allow(clippy::suspicious_op_assign_impl, reason = "addition is xor")]
 impl AddAssign for Gf256 {
     #[inline]
     fn add_assign(&mut self, rhs: Self) {
@@ -165,7 +165,7 @@ impl AddAssign for Gf256 {
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)]
+#[allow(clippy::suspicious_arithmetic_impl, reason = "subtraction is xor")]
 impl Sub for Gf256 {
     type Output = Self;
     #[inline]
@@ -175,7 +175,7 @@ impl Sub for Gf256 {
     }
 }
 
-#[allow(clippy::suspicious_op_assign_impl)]
+#[allow(clippy::suspicious_op_assign_impl, reason = "subtraction is xor")]
 impl SubAssign for Gf256 {
     #[inline]
     fn sub_assign(&mut self, rhs: Self) {
@@ -206,7 +206,7 @@ impl MulAssign for Gf256 {
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)] // division via inverse-multiply
+#[allow(clippy::suspicious_arithmetic_impl, reason = "divides by the inverse")]
 impl Div for Gf256 {
     type Output = Self;
     /// # Panics

@@ -104,7 +104,7 @@ impl MulAssign for Gf257 {
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)] // division via inverse-multiply
+#[allow(clippy::suspicious_arithmetic_impl, reason = "divides by the inverse")]
 impl Div for Gf257 {
     type Output = Self;
     /// # Panics

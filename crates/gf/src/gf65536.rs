@@ -91,7 +91,7 @@ impl fmt::Display for Gf65536 {
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)] // GF(2^16): addition IS xor
+#[allow(clippy::suspicious_arithmetic_impl, reason = "addition is xor")]
 impl Add for Gf65536 {
     type Output = Self;
     #[inline]
@@ -100,14 +100,14 @@ impl Add for Gf65536 {
     }
 }
 
-#[allow(clippy::suspicious_op_assign_impl)]
+#[allow(clippy::suspicious_op_assign_impl, reason = "addition is xor")]
 impl AddAssign for Gf65536 {
     fn add_assign(&mut self, rhs: Self) {
         self.0 ^= rhs.0;
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)]
+#[allow(clippy::suspicious_arithmetic_impl, reason = "subtraction is xor")]
 impl Sub for Gf65536 {
     type Output = Self;
     #[inline]
@@ -116,7 +116,7 @@ impl Sub for Gf65536 {
     }
 }
 
-#[allow(clippy::suspicious_op_assign_impl)]
+#[allow(clippy::suspicious_op_assign_impl, reason = "subtraction is xor")]
 impl SubAssign for Gf65536 {
     fn sub_assign(&mut self, rhs: Self) {
         self.0 ^= rhs.0;
@@ -144,7 +144,7 @@ impl MulAssign for Gf65536 {
     }
 }
 
-#[allow(clippy::suspicious_arithmetic_impl)] // division via inverse-multiply
+#[allow(clippy::suspicious_arithmetic_impl, reason = "divides by the inverse")]
 impl Div for Gf65536 {
     type Output = Self;
     /// # Panics

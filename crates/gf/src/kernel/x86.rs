@@ -19,7 +19,7 @@
 //! 2. a `#[target_feature]` kernel is only reached through the dispatcher
 //!    after `is_x86_feature_detected!` confirmed the feature (debug-asserted
 //!    again here).
-#![allow(unsafe_code)]
+#![allow(unsafe_code, reason = "raw SIMD intrinsics and target features")]
 
 use super::{Split16, NIB_TABLES};
 
@@ -46,8 +46,10 @@ pub(crate) fn delta_into_ssse3(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
     unsafe { delta_ssse3_impl(out, c, a, b) }
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst`/`src` bounds.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst`/`src` bounds.
 #[target_feature(enable = "ssse3")]
 unsafe fn mul_add_ssse3_impl(dst: &mut [u8], c: u8, src: &[u8]) {
     let nib = &NIB_TABLES[c as usize];
@@ -77,8 +79,10 @@ unsafe fn mul_add_ssse3_impl(dst: &mut [u8], c: u8, src: &[u8]) {
     super::small_mul_add(&mut dst[n..], c, &src[n..]);
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst` bounds.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst` bounds.
 #[target_feature(enable = "ssse3")]
 unsafe fn mul_ssse3_impl(dst: &mut [u8], c: u8) {
     let nib = &NIB_TABLES[c as usize];
@@ -105,8 +109,10 @@ unsafe fn mul_ssse3_impl(dst: &mut [u8], c: u8) {
     super::small_mul(&mut dst[n..], c);
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrappers above
-// check it); every dereference stays inside the three equal-length slices.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrappers above
+/// check it); every dereference stays inside the three equal-length slices.
 #[target_feature(enable = "ssse3")]
 unsafe fn delta_ssse3_impl(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
     let nib = &NIB_TABLES[c as usize];
@@ -155,8 +161,10 @@ pub(crate) fn delta_into_avx2(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
     unsafe { delta_avx2_impl(out, c, a, b) }
 }
 
-// SAFETY: caller must ensure AVX2 is available; the loads stay inside the
-// 32-byte NIB_TABLES row.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available; the loads stay inside the
+/// 32-byte NIB_TABLES row.
 #[target_feature(enable = "avx2")]
 unsafe fn load_nib_tables_avx2(c: u8) -> (__m256i, __m256i) {
     let nib = &NIB_TABLES[c as usize];
@@ -169,8 +177,10 @@ unsafe fn load_nib_tables_avx2(c: u8) -> (__m256i, __m256i) {
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst`/`src` bounds.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst`/`src` bounds.
 #[target_feature(enable = "avx2")]
 unsafe fn mul_add_avx2_impl(dst: &mut [u8], c: u8, src: &[u8]) {
     // SAFETY: this fn's AVX2 target-feature satisfies the callee's only
@@ -196,8 +206,10 @@ unsafe fn mul_add_avx2_impl(dst: &mut [u8], c: u8, src: &[u8]) {
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst` bounds.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst` bounds.
 #[target_feature(enable = "avx2")]
 unsafe fn mul_avx2_impl(dst: &mut [u8], c: u8) {
     // SAFETY: this fn's AVX2 target-feature satisfies the callee's only
@@ -221,8 +233,10 @@ unsafe fn mul_avx2_impl(dst: &mut [u8], c: u8) {
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrappers above
-// check it); every dereference stays inside the three equal-length slices.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrappers above
+/// check it); every dereference stays inside the three equal-length slices.
 #[target_feature(enable = "avx2")]
 unsafe fn delta_avx2_impl(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
     // SAFETY: this fn's AVX2 target-feature satisfies the callee's only
@@ -281,8 +295,10 @@ pub(crate) fn delta_into16_ssse3(out: &mut [u8], t: &Split16, a: &[u8], b: &[u8]
     unsafe { delta16_ssse3_impl(out, t, a, b) }
 }
 
-// SAFETY: caller must ensure SSSE3 is available; the loads stay inside the
-// 16-byte rows of the Split16 byte planes.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available; the loads stay inside the
+/// 16-byte rows of the Split16 byte planes.
 #[target_feature(enable = "ssse3")]
 unsafe fn load_tables16_sse(t: &Split16) -> ([__m128i; 4], [__m128i; 4]) {
     let mut tl = [_mm_setzero_si128(); 4];
@@ -297,8 +313,10 @@ unsafe fn load_tables16_sse(t: &Split16) -> ([__m128i; 4], [__m128i; 4]) {
     (tl, th)
 }
 
-// SAFETY: caller must ensure SSSE3 is available; no memory is dereferenced
-// (register-only arithmetic on the two loaded word vectors).
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available; no memory is dereferenced
+/// (register-only arithmetic on the two loaded word vectors).
 #[target_feature(enable = "ssse3")]
 unsafe fn split_nibbles16_sse(v0: __m128i, v1: __m128i) -> [__m128i; 4] {
     let mask = _mm_set1_epi8(0x0f);
@@ -315,8 +333,10 @@ unsafe fn split_nibbles16_sse(v0: __m128i, v1: __m128i) -> [__m128i; 4] {
     ]
 }
 
-// SAFETY: caller must ensure SSSE3 is available; no memory is dereferenced
-// (register-only arithmetic on the four nibble vectors).
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available; no memory is dereferenced
+/// (register-only arithmetic on the four nibble vectors).
 #[target_feature(enable = "ssse3")]
 unsafe fn product16_from_nibbles_sse(
     tl: &[__m128i; 4],
@@ -336,8 +356,10 @@ unsafe fn product16_from_nibbles_sse(
     (_mm_unpacklo_epi8(rlo, rhi), _mm_unpackhi_epi8(rlo, rhi))
 }
 
-// SAFETY: caller must ensure SSSE3 is available; no memory is dereferenced
-// (register-only arithmetic on the two loaded word vectors).
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available; no memory is dereferenced
+/// (register-only arithmetic on the two loaded word vectors).
 #[target_feature(enable = "ssse3")]
 unsafe fn product16_sse(
     tl: &[__m128i; 4],
@@ -353,8 +375,10 @@ unsafe fn product16_sse(
     }
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst`/`src` bounds.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst`/`src` bounds.
 #[target_feature(enable = "ssse3")]
 unsafe fn mul_add16_ssse3_impl(dst: &mut [u8], t: &Split16, src: &[u8]) {
     // SAFETY: this fn's SSSE3 target-feature satisfies the callees' only
@@ -390,9 +414,11 @@ pub(crate) fn mul_add_pair16_ssse3(
     unsafe { mul_add_pair16_ssse3_impl(d0, t0, d1, t1, src) }
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrapper above
-// checks it); every dereference below stays inside the equal-length
-// `d0`/`d1`/`src` slices.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrapper above
+/// checks it); every dereference below stays inside the equal-length
+/// `d0`/`d1`/`src` slices.
 #[target_feature(enable = "ssse3")]
 unsafe fn mul_add_pair16_ssse3_impl(
     d0: &mut [u8],
@@ -433,8 +459,10 @@ unsafe fn mul_add_pair16_ssse3_impl(
     super::scalar::mul_add_assign16(&mut d1[n..], t1, &src[n..]);
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst` bounds.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst` bounds.
 #[target_feature(enable = "ssse3")]
 unsafe fn mul16_ssse3_impl(dst: &mut [u8], t: &Split16) {
     // SAFETY: see mul_add16_ssse3_impl.
@@ -455,8 +483,10 @@ unsafe fn mul16_ssse3_impl(dst: &mut [u8], t: &Split16) {
     super::scalar::mul_assign16(&mut dst[n..], t);
 }
 
-// SAFETY: caller must ensure SSSE3 is available (the safe wrappers above
-// check it); every dereference stays inside the three equal-length slices.
+/// # Safety
+///
+/// Caller must ensure SSSE3 is available (the safe wrappers above
+/// check it); every dereference stays inside the three equal-length slices.
 #[target_feature(enable = "ssse3")]
 unsafe fn delta16_ssse3_impl(out: &mut [u8], t: &Split16, a: &[u8], b: &[u8]) {
     // SAFETY: see mul_add16_ssse3_impl.
@@ -500,8 +530,10 @@ pub(crate) fn delta_into16_avx2(out: &mut [u8], t: &Split16, a: &[u8], b: &[u8])
     unsafe { delta16_avx2_impl(out, t, a, b) }
 }
 
-// SAFETY: caller must ensure AVX2 is available; the loads stay inside the
-// 16-byte rows of the Split16 byte planes.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available; the loads stay inside the
+/// 16-byte rows of the Split16 byte planes.
 #[target_feature(enable = "avx2")]
 unsafe fn load_tables16_avx2(t: &Split16) -> ([__m256i; 4], [__m256i; 4]) {
     let mut tl = [_mm256_setzero_si256(); 4];
@@ -518,8 +550,10 @@ unsafe fn load_tables16_avx2(t: &Split16) -> ([__m256i; 4], [__m256i; 4]) {
     (tl, th)
 }
 
-// SAFETY: caller must ensure AVX2 is available; no memory is dereferenced
-// (register-only arithmetic on the two loaded word vectors).
+/// # Safety
+///
+/// Caller must ensure AVX2 is available; no memory is dereferenced
+/// (register-only arithmetic on the two loaded word vectors).
 #[target_feature(enable = "avx2")]
 unsafe fn split_nibbles16_avx2(v0: __m256i, v1: __m256i) -> [__m256i; 4] {
     let mask = _mm256_set1_epi8(0x0f);
@@ -534,10 +568,12 @@ unsafe fn split_nibbles16_avx2(v0: __m256i, v1: __m256i) -> [__m256i; 4] {
     ]
 }
 
-// SAFETY: caller must ensure AVX2 is available; no memory is dereferenced
-// (register-only arithmetic). VPACKUSWB/VPUNPCK{L,H}BW operate per
-// 128-bit lane, so the final unpack exactly inverts the pack lane by lane
-// and word order is preserved end to end.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available; no memory is dereferenced
+/// (register-only arithmetic). VPACKUSWB/VPUNPCK{L,H}BW operate per
+/// 128-bit lane, so the final unpack exactly inverts the pack lane by lane
+/// and word order is preserved end to end.
 #[target_feature(enable = "avx2")]
 unsafe fn product16_from_nibbles_avx2(
     tl: &[__m256i; 4],
@@ -567,8 +603,10 @@ unsafe fn product16_from_nibbles_avx2(
     (_mm256_unpacklo_epi8(rlo, rhi), _mm256_unpackhi_epi8(rlo, rhi))
 }
 
-// SAFETY: caller must ensure AVX2 is available; no memory is dereferenced
-// (register-only arithmetic on the two loaded word vectors).
+/// # Safety
+///
+/// Caller must ensure AVX2 is available; no memory is dereferenced
+/// (register-only arithmetic on the two loaded word vectors).
 #[target_feature(enable = "avx2")]
 unsafe fn product16_avx2(
     tl: &[__m256i; 4],
@@ -584,8 +622,10 @@ unsafe fn product16_avx2(
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst`/`src` bounds.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst`/`src` bounds.
 #[target_feature(enable = "avx2")]
 unsafe fn mul_add16_avx2_impl(dst: &mut [u8], t: &Split16, src: &[u8]) {
     // SAFETY: this fn's AVX2 target-feature satisfies the callees' only
@@ -623,9 +663,11 @@ pub(crate) fn mul_add_pair16_avx2(
     unsafe { mul_add_pair16_avx2_impl(d0, t0, d1, t1, src) }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrapper above
-// checks it); every dereference below stays inside the equal-length
-// `d0`/`d1`/`src` slices.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrapper above
+/// checks it); every dereference below stays inside the equal-length
+/// `d0`/`d1`/`src` slices.
 #[target_feature(enable = "avx2")]
 unsafe fn mul_add_pair16_avx2_impl(
     d0: &mut [u8],
@@ -666,8 +708,10 @@ unsafe fn mul_add_pair16_avx2_impl(
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrappers above
-// check it); every dereference below stays inside `dst` bounds.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrappers above
+/// check it); every dereference below stays inside `dst` bounds.
 #[target_feature(enable = "avx2")]
 unsafe fn mul16_avx2_impl(dst: &mut [u8], t: &Split16) {
     // SAFETY: see mul_add16_avx2_impl.
@@ -690,8 +734,10 @@ unsafe fn mul16_avx2_impl(dst: &mut [u8], t: &Split16) {
     }
 }
 
-// SAFETY: caller must ensure AVX2 is available (the safe wrappers above
-// check it); every dereference stays inside the three equal-length slices.
+/// # Safety
+///
+/// Caller must ensure AVX2 is available (the safe wrappers above
+/// check it); every dereference stays inside the three equal-length slices.
 #[target_feature(enable = "avx2")]
 unsafe fn delta16_avx2_impl(out: &mut [u8], t: &Split16, a: &[u8], b: &[u8]) {
     // SAFETY: see mul_add16_avx2_impl.
@@ -730,9 +776,11 @@ pub(crate) fn crc32c_sse42(data: &[u8]) -> u32 {
     unsafe { crc32c_sse42_impl(data) }
 }
 
-// SAFETY: caller must ensure SSE4.2 is available (the safe wrapper above
-// asserts it); no pointer is dereferenced — the bytes arrive through safe
-// slice iterators and both intrinsics are register-only.
+/// # Safety
+///
+/// Caller must ensure SSE4.2 is available (the safe wrapper above
+/// asserts it); no pointer is dereferenced — the bytes arrive through safe
+/// slice iterators and both intrinsics are register-only.
 #[target_feature(enable = "sse4.2")]
 unsafe fn crc32c_sse42_impl(data: &[u8]) -> u32 {
     let mut steps = data.chunks_exact(8);

@@ -61,7 +61,10 @@ struct JoinGroup {
 struct TimeKey(f64);
 
 impl Eq for TimeKey {}
-#[allow(clippy::derive_ord_xor_partial_ord)]
+#[allow(
+    clippy::derive_ord_xor_partial_ord,
+    reason = "PartialEq agrees with this order on the finite times the engine keys by"
+)]
 impl Ord for TimeKey {
     fn cmp(&self, other: &Self) -> std::cmp::Ordering {
         self.0.partial_cmp(&other.0).expect("finite times only")

@@ -21,10 +21,9 @@ use crate::engine::{Chain, Engine, ResourceId, Step};
 use crate::params::SimParams;
 use ajx_core::UpdateStrategy;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 /// What the simulated clients do.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SimWorkload {
     /// Random single-block writes.
     Write,
@@ -38,7 +37,7 @@ pub enum SimWorkload {
 }
 
 /// A complete simulation configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimConfig {
     /// Timing constants.
     pub params: SimParams,
@@ -81,7 +80,7 @@ impl SimConfig {
 }
 
 /// Results of one simulation run.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SimReport {
     /// Operations completed.
     pub ops: u64,

@@ -10,10 +10,9 @@
 //! 1 KB block); RPC overheads are set so that §6.3's latency split
 //! (computation < 5 %, communication ≈ 95 %) holds.
 
-use serde::{Deserialize, Serialize};
 
 /// Timing and bandwidth constants for the simulator.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimParams {
     /// Block size in bytes (the paper evaluates 1 KB blocks).
     pub block_size: usize,

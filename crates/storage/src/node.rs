@@ -20,10 +20,13 @@
 //! table. [`Reply`] has no codec yet and is matched by hand, exhaustively,
 //! at the bottom of this file.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+
 use crate::persist::{Cursor, Field, MAX_BATCH_DEPTH, MIN_REQUEST_BYTES};
 use crate::state::{AddReply, CheckTidReply, GetStateReply, ReadReply, SwapReply, TryLockReply};
 use crate::types::{ClientId, Epoch, LMode, OpMode, StripeId, Tid, TidEntry};
-use serde::{Deserialize, Serialize};
 
 /// Approximate fixed wire overhead of one RPC message (headers,
 /// stripe/epoch/tid fields). Used only for bandwidth *accounting* (Fig. 1);
@@ -52,7 +55,7 @@ macro_rules! requests {
     )*) => {
         /// A request to a storage node. One variant per remote procedure in
         /// Figs. 4-7.
-        #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+        #[derive(Debug, Clone, PartialEq, Eq)]
         pub enum Request {
             $(
                 $(#[$vmeta])*
@@ -281,7 +284,7 @@ impl Request {
 }
 
 /// A reply from a storage node; variants mirror [`Request`].
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Reply {
     /// Reply to [`Request::Read`].
     Read(ReadReply),

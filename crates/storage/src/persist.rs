@@ -36,6 +36,10 @@
 //! power mid-write. Replay detects the torn tail by CRC and truncates to
 //! the last complete record.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+
 use crate::node::{decode_request, encode_request, Request};
 use crate::types::{ClientId, Epoch, LMode, StripeId, Tid};
 use ajx_gf::kernel::crc32c;
@@ -208,18 +212,20 @@ impl WalBackend {
     pub fn create(path: impl Into<PathBuf>) -> Self {
         let path = path.into();
         if let Some(parent) = path.parent() {
-            // LINT-ALLOW(panic-free: setup path — runs at node construction
-            // before any request is served; a node that cannot create its
-            // journal cannot start)
+            #[expect(
+                clippy::expect_used,
+                reason = "setup path — runs at node construction before any request is served; \
+                          a node that cannot create its journal cannot start"
+            )]
             std::fs::create_dir_all(parent).expect("create WAL directory");
         }
+        #[expect(clippy::expect_used, reason = "setup path, as above")]
         let file = OpenOptions::new()
             .read(true)
             .write(true)
             .create(true)
             .truncate(true)
             .open(&path)
-            // LINT-ALLOW(panic-free: setup path, as above)
             .expect("create WAL file");
         WalBackend {
             path,
@@ -403,8 +409,10 @@ fn scratch_under(base: PathBuf, tag: &str) -> PathBuf {
         std::process::id(),
         COUNTER.fetch_add(1, Ordering::Relaxed)
     ));
-    // LINT-ALLOW(panic-free: test/bench scaffolding setup, never reached
-    // by request handling or replay)
+    #[expect(
+        clippy::expect_used,
+        reason = "test/bench scaffolding setup, never reached by request handling or replay"
+    )]
     std::fs::create_dir_all(&dir).expect("create scratch dir");
     dir
 }
@@ -449,8 +457,8 @@ pub fn backend_for(mode: &PersistMode, node_id: u32) -> Arc<dyn Persistence> {
 }
 
 // ---------------------------------------------------------------------------
-// Record codec: hand-rolled little-endian binary (the workspace's serde is
-// an offline derive shim with no wire format, so the WAL brings its own).
+// Record codec: hand-rolled little-endian binary (the workspace has no
+// serialization dependency, so the WAL brings its own).
 
 /// One field type of the journal format: how a value is written, how it is
 /// read back, and the fewest bytes it can occupy. Both directions of a type

@@ -32,6 +32,10 @@
 //!    fresh lock, a batch's ascending lock set, or every shard for journal
 //!    replay — is its caller's business.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+
 use crate::node::{FlushPolicy, Reply, Request};
 use crate::persist::{InMemoryPersistence, Persistence, WalRecord, WalRecordRef};
 use crate::state::{AddReply, BlockState, Increment};
@@ -79,7 +83,7 @@ impl Shard {
 }
 
 /// RAII guard for one shard's lock, acquired only through
-/// [`ShardedNode::lock_shard`] / [`ShardedNode::lock_all_shards`].
+/// [`Shards::lock_shard`] / [`Shards::lock_all_shards`].
 ///
 /// The guard knows which shard it holds — that is how the router finds a
 /// leaf's shard among the guards it was handed. In debug builds it also
@@ -174,6 +178,85 @@ mod watchdog {
     }
 }
 
+/// The node's shard locks and their books. The lock vector is private to
+/// this module, so the rest of the node takes a shard only through
+/// [`Shards::lock_shard`] or [`Shards::lock_all_shards`], and both feed the
+/// debug-build lock-order watchdog: shards are taken in ascending index
+/// order (DESIGN.md §9, §11) or a debug build panics.
+mod locks {
+    #[cfg(debug_assertions)]
+    use super::watchdog;
+    use super::{Shard, ShardGuard};
+    use parking_lot::Mutex;
+    use std::sync::atomic::{AtomicU64, Ordering};
+
+    #[derive(Debug)]
+    pub(super) struct Shards {
+        shards: Vec<Mutex<Shard>>,
+        /// Shard-lock acquisitions made on behalf of requests.
+        pub(super) acquisitions: AtomicU64,
+        /// Acquisitions that found the shard lock already held and had to
+        /// block. Disjoint-stripe workloads keep this at zero — the
+        /// measurable form of "independent batches don't serialize".
+        pub(super) contended: AtomicU64,
+    }
+
+    impl Shards {
+        pub(super) fn new(n_shards: usize) -> Self {
+            Shards {
+                shards: (0..n_shards).map(|_| Mutex::default()).collect(),
+                acquisitions: AtomicU64::new(0),
+                contended: AtomicU64::new(0),
+            }
+        }
+
+        pub(super) fn len(&self) -> usize {
+            self.shards.len()
+        }
+
+        /// Acquires one shard lock, counting whether the acquisition
+        /// contended.
+        pub(super) fn lock_shard(&self, idx: usize) -> ShardGuard<'_> {
+            // Checked *before* blocking on the mutex, so a would-be
+            // deadlock asserts with both shard indices instead of hanging.
+            #[cfg(debug_assertions)]
+            watchdog::on_acquire(self as *const Self as usize, idx);
+            self.acquisitions.fetch_add(1, Ordering::Relaxed);
+            #[expect(
+                clippy::indexing_slicing,
+                reason = "idx is a shard_of() result or an enumeration below n_shards, \
+                          both strictly below shards.len()"
+            )]
+            let shard = &self.shards[idx];
+            let guard = match shard.try_lock() {
+                Some(g) => g,
+                None => {
+                    self.contended.fetch_add(1, Ordering::Relaxed);
+                    shard.lock()
+                }
+            };
+            ShardGuard::new(guard, self as *const Self as usize, idx)
+        }
+
+        /// Locks every shard in ascending index order — the only
+        /// sanctioned whole-node acquisition pattern (recovery, remap,
+        /// monitoring). These acquisitions are deliberately *not* counted
+        /// in the request contention instrumentation.
+        pub(super) fn lock_all_shards(&self) -> Vec<ShardGuard<'_>> {
+            self.shards
+                .iter()
+                .enumerate()
+                .map(|(idx, shard)| {
+                    #[cfg(debug_assertions)]
+                    watchdog::on_acquire(self as *const Self as usize, idx);
+                    ShardGuard::new(shard.lock(), self as *const Self as usize, idx)
+                })
+                .collect()
+        }
+    }
+}
+use locks::Shards;
+
 /// A thin storage node hosting one block of every stripe it participates
 /// in, its per-stripe state partitioned into independently locked shards
 /// so concurrent requests for different stripes never contend.
@@ -208,16 +291,10 @@ pub struct ShardedNode {
     /// The erasure code, for the broadcast-mode coefficient multiply.
     code: Option<CodeFamily>,
     flush_policy: FlushPolicy,
-    shards: Vec<Mutex<Shard>>,
+    shards: Shards,
     /// §3.11 deferred-flush marker — node-level by rule 2 above.
     dirty: Mutex<Option<StripeId>>,
     media_writes: AtomicU64,
-    /// Shard-lock acquisitions made on behalf of requests.
-    shard_locks: AtomicU64,
-    /// Acquisitions that found the shard lock already held and had to
-    /// block. Disjoint-stripe workloads keep this at zero — the measurable
-    /// form of "independent batches don't serialize".
-    contended_locks: AtomicU64,
     /// Durability backend (DESIGN.md §10). Appends happen under the shard
     /// locks covering the record, so the journal order is a valid
     /// linearization; commits happen after locks drop — one fsync per
@@ -234,11 +311,9 @@ impl ShardedNode {
             block_size,
             code: None,
             flush_policy: FlushPolicy::WriteThrough,
-            shards: (0..n_shards.max(1)).map(|_| Mutex::default()).collect(),
+            shards: Shards::new(n_shards.max(1)),
             dirty: Mutex::new(None),
             media_writes: AtomicU64::new(0),
-            shard_locks: AtomicU64::new(0),
-            contended_locks: AtomicU64::new(0),
             persist: Arc::new(InMemoryPersistence),
         }
     }
@@ -278,56 +353,14 @@ impl ShardedNode {
         (stripe.0 % self.shards.len() as u64) as usize
     }
 
-    /// Acquires one shard lock, counting whether the acquisition contended.
-    ///
-    /// Together with [`ShardedNode::lock_all_shards`], this is the only
-    /// place shard mutexes are touched directly (enforced by the ajx-lint
-    /// `lock-order` rule): routing every acquisition through here keeps
-    /// the ascending-index discipline auditable and, in debug builds,
-    /// feeds the lock-order watchdog.
-    fn lock_shard(&self, idx: usize) -> ShardGuard<'_> {
-        // Checked *before* blocking on the mutex, so a would-be deadlock
-        // asserts with both shard indices instead of hanging.
-        #[cfg(debug_assertions)]
-        watchdog::on_acquire(self as *const Self as usize, idx);
-        self.shard_locks.fetch_add(1, Ordering::Relaxed);
-        // LINT-ALLOW(panic-free: idx is a shard_of() result or an
-        // enumeration below n_shards, both strictly below shards.len())
-        let shard = &self.shards[idx];
-        let guard = match shard.try_lock() {
-            Some(g) => g,
-            None => {
-                self.contended_locks.fetch_add(1, Ordering::Relaxed);
-                shard.lock()
-            }
-        };
-        ShardGuard::new(guard, self as *const Self as usize, idx)
-    }
-
-    /// Locks every shard in ascending index order — the only sanctioned
-    /// whole-node acquisition pattern (recovery, remap, monitoring).
-    /// These acquisitions are deliberately *not* counted in the request
-    /// contention instrumentation.
-    fn lock_all_shards(&self) -> Vec<ShardGuard<'_>> {
-        self.shards
-            .iter()
-            .enumerate()
-            .map(|(idx, shard)| {
-                #[cfg(debug_assertions)]
-                watchdog::on_acquire(self as *const Self as usize, idx);
-                ShardGuard::new(shard.lock(), self as *const Self as usize, idx)
-            })
-            .collect()
-    }
-
     /// Shard-lock acquisitions performed for request handling.
     pub fn shard_lock_acquisitions(&self) -> u64 {
-        self.shard_locks.load(Ordering::Relaxed)
+        self.shards.acquisitions.load(Ordering::Relaxed)
     }
 
     /// How many of those acquisitions had to wait for another holder.
     pub fn contended_shard_locks(&self) -> u64 {
-        self.contended_locks.load(Ordering::Relaxed)
+        self.shards.contended.load(Ordering::Relaxed)
     }
 
     /// Handles a request, advancing the target stripe-block state machine.
@@ -347,11 +380,11 @@ impl ShardedNode {
                 idxs.dedup();
                 set = idxs
                     .into_iter()
-                    .map(|idx| self.lock_shard(idx))
+                    .map(|idx| self.shards.lock_shard(idx))
                     .collect::<Vec<_>>();
                 &mut set
             } else {
-                one = self.lock_shard(self.shard_of(req.stripe()));
+                one = self.shards.lock_shard(self.shard_of(req.stripe()));
                 std::slice::from_mut(&mut one)
             };
             // One journal record per message, appended under the locks it
@@ -522,10 +555,13 @@ impl ShardedNode {
     /// The held shard that serves `stripe`.
     fn shard<'s>(&self, held: &'s mut [ShardGuard<'_>], stripe: StripeId) -> &'s mut Shard {
         let idx = self.shard_of(stripe);
-        // LINT-ALLOW(panic-free: `apply` is private and each caller holds
-        // the shard of every leaf it passes — `handle` locks a single
-        // request's shard or a batch's collected set first, replay holds
-        // them all — so no input reaches this with its shard unheld)
+        #[expect(
+            clippy::expect_used,
+            reason = "`apply` is private and each caller holds the shard of every leaf it \
+                      passes — `handle` locks a single request's shard or a batch's collected \
+                      set first, replay holds them all — so no input reaches this with its \
+                      shard unheld"
+        )]
         held.iter_mut()
             .find(|g| g.idx == idx)
             .expect("the leaf's shard was locked before apply")
@@ -611,7 +647,7 @@ impl ShardedNode {
     /// discarded and restarted with the remap event, so a later
     /// restart-with-disk replays onto garbage.
     pub fn fail_remap(&self, garbage_byte: u8) {
-        let mut held = self.lock_all_shards();
+        let mut held = self.shards.lock_all_shards();
         for shard in &mut held {
             shard.fail_remap(garbage_byte, self.block_size);
         }
@@ -629,7 +665,7 @@ impl ShardedNode {
     /// single journal record sits at a point that is a valid
     /// linearization of the node's execution order.
     pub fn on_client_failure(&self, client: ClientId) -> usize {
-        let mut held = self.lock_all_shards();
+        let mut held = self.shards.lock_all_shards();
         self.persist.append(WalRecordRef::ClientFailure(client));
         let expired = held
             .iter_mut()
@@ -658,12 +694,12 @@ impl ShardedNode {
         let Some(records) = self.persist.replay() else {
             return false;
         };
-        let mut held = self.lock_all_shards();
+        let mut held = self.shards.lock_all_shards();
         for shard in &mut held {
             **shard = Shard::default();
         }
-        self.shard_locks.store(0, Ordering::Relaxed);
-        self.contended_locks.store(0, Ordering::Relaxed);
+        self.shards.acquisitions.store(0, Ordering::Relaxed);
+        self.shards.contended.store(0, Ordering::Relaxed);
         for rec in records {
             match rec {
                 WalRecord::Apply(req) => drop(self.apply(&mut held, req)),
@@ -690,7 +726,7 @@ impl ShardedNode {
     pub fn lock_all(&self) -> NodeView<'_> {
         NodeView {
             node: self,
-            guards: self.lock_all_shards(),
+            guards: self.shards.lock_all_shards(),
         }
     }
 }
@@ -1207,14 +1243,14 @@ mod tests {
     #[test]
     fn watchdog_allows_ascending_and_reacquisition() {
         let node = ShardedNode::new(NodeId(9), 8, 4);
-        let a = node.lock_shard(0);
-        let b = node.lock_shard(2);
-        let c = node.lock_shard(3);
+        let a = node.shards.lock_shard(0);
+        let b = node.shards.lock_shard(2);
+        let c = node.shards.lock_shard(3);
         drop(c);
         drop(b);
         drop(a);
         // After release the order state resets: a lower index is fine again.
-        let d = node.lock_shard(1);
+        let d = node.shards.lock_shard(1);
         drop(d);
         // Whole-node acquisition is ascending by construction.
         let view = node.lock_all();
@@ -1228,18 +1264,27 @@ mod tests {
         }
         let node = ShardedNode::new(NodeId(9), 8, 4);
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            let _hi = node.lock_shard(2);
-            let _lo = node.lock_shard(1); // descending: must assert
+            let _hi = node.shards.lock_shard(2);
+            let _lo = node.shards.lock_shard(1); // descending: must assert
         }));
         assert!(
             result.is_err(),
             "descending shard-lock acquisition must trip the lock-order watchdog"
         );
         // The unwound guards reported their release: ascending works again.
-        let a = node.lock_shard(1);
-        let b = node.lock_shard(2);
+        let a = node.shards.lock_shard(1);
+        let b = node.shards.lock_shard(2);
         drop(b);
         drop(a);
+    }
+
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "shard-lock order violation")]
+    fn descending_shard_locks_trip_the_watchdog() {
+        let node = ShardedNode::new(NodeId(9), 8, 2);
+        let _one = node.shards.lock_shard(1);
+        let _zero = node.shards.lock_shard(0);
     }
 
     #[test]
@@ -1248,8 +1293,8 @@ mod tests {
         // another: the ordering discipline is per node.
         let n1 = ShardedNode::new(NodeId(1), 8, 4);
         let n2 = ShardedNode::new(NodeId(2), 8, 4);
-        let hi = n1.lock_shard(3);
-        let lo = n2.lock_shard(0);
+        let hi = n1.shards.lock_shard(3);
+        let lo = n2.shards.lock_shard(0);
         drop(lo);
         drop(hi);
     }

@@ -8,12 +8,15 @@
 //! ("storage nodes ... implement very simple functionality", §1) made
 //! literal — the entire server logic fits in this file.
 
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+
 use crate::types::{ClientId, Epoch, LMode, OpMode, Tid, TidEntry};
-use serde::{Deserialize, Serialize};
 use std::collections::BTreeMap;
 
 /// Reply to `read` (Fig. 4 lines 12-14).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ReadReply {
     /// The block content, or `None` (the paper's ⊥) if the node is not in
     /// normal mode or is locked.
@@ -24,7 +27,7 @@ pub struct ReadReply {
 }
 
 /// Reply to `swap` (Fig. 5 lines 27-34).
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SwapReply {
     /// The *previous* block content `w`, or `None` on rejection.
     pub block: Option<Vec<u8>>,
@@ -38,7 +41,7 @@ pub struct SwapReply {
 }
 
 /// Status component of an [`AddReply`] (Fig. 5 lines 36-42).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum AddStatus {
     /// The increment was applied.
     Ok,
@@ -51,7 +54,7 @@ pub enum AddStatus {
 }
 
 /// Reply to `add`.
-#[derive(Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Clone, PartialEq, Eq)]
 pub struct AddReply {
     /// Outcome of the add.
     pub status: AddStatus,
@@ -104,7 +107,7 @@ impl Increment {
 }
 
 /// Reply to `checktid` (Fig. 5 lines 43-45).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum CheckTidReply {
     /// `ntid` is gone from the recentlist: the node crashed and remapped.
     Init,
@@ -116,7 +119,7 @@ pub enum CheckTidReply {
 }
 
 /// Reply to `trylock` (Fig. 6 lines 25-26).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TryLockReply {
     /// `true` if the lock was acquired (`status: OK`).
     pub ok: bool,
@@ -126,7 +129,7 @@ pub struct TryLockReply {
 }
 
 /// Reply to `get_state` (Fig. 6 lines 27-28): everything recovery needs.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct GetStateReply {
     /// Operational mode; `RECONS` means a crashed client left phase-3 state.
     pub opmode: OpMode,
@@ -148,7 +151,7 @@ pub struct GetStateReply {
 
 /// The state of one stripe-block at one storage node: the global variables
 /// of Figs. 4-6 plus the node-local clock.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BlockState {
     block: Vec<u8>,
     opmode: OpMode,

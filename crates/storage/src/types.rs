@@ -3,13 +3,10 @@
 //! These mirror the global variables of the paper's storage-node pseudocode
 //! (Fig. 4/5/6) and the write identifiers of Fig. 5 line 2.
 
-use serde::{Deserialize, Serialize};
 use std::fmt;
 
 /// Identifies a client node (`p` in the paper).
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct ClientId(pub u32);
 
 impl fmt::Display for ClientId {
@@ -21,9 +18,7 @@ impl fmt::Display for ClientId {
 /// Identifies a *logical* storage node (`S_1..S_n`, zero-based). Logical
 /// identity survives fail-remap (§3.5): the directory points it at a fresh
 /// physical node.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct NodeId(pub u32);
 
 impl fmt::Display for NodeId {
@@ -35,9 +30,7 @@ impl fmt::Display for NodeId {
 /// Identifies an erasure-code stripe. All protocol state (locks, epochs,
 /// tid lists) is kept **per stripe-block**, so recovery of one stripe never
 /// interferes with others.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct StripeId(pub u64);
 
 impl fmt::Display for StripeId {
@@ -49,9 +42,7 @@ impl fmt::Display for StripeId {
 /// A unique write identifier: the paper's `tid = ⟨seq, i, p⟩` (Fig. 5
 /// line 2) — sequence number, data-block index within the stripe, and the
 /// originating client.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Tid {
     /// Client-local sequence number.
     pub seq: u64,
@@ -77,9 +68,7 @@ impl fmt::Display for Tid {
 /// Recovery epoch number (§3.8 "Epochs"). Incremented by every completed
 /// recovery; storage nodes reject `add`s from earlier epochs so a `WRITE`
 /// whose `swap` ran before a recovery cannot garble the recovered stripe.
-#[derive(
-    Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize, Default,
-)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Default)]
 pub struct Epoch(pub u64);
 
 impl Epoch {
@@ -96,7 +85,7 @@ impl fmt::Display for Epoch {
 }
 
 /// Operational mode of a stripe-block (Fig. 4 line 8).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum OpMode {
     /// Valid data in `block`.
     #[default]
@@ -108,7 +97,7 @@ pub enum OpMode {
 }
 
 /// Lock mode of a stripe-block (Fig. 4 line 10).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum LMode {
     /// Unlocked: `swap` and `add` allowed.
     #[default]
@@ -138,7 +127,7 @@ impl LMode {
 
 /// An entry of `recentlist`/`oldlist`: a write identifier stamped with the
 /// node-local logical time of its arrival (Fig. 5 line 24).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TidEntry {
     /// The write identifier.
     pub tid: Tid,

@@ -7,6 +7,11 @@
 //! imposed. Each endpoint owns a [`TokenBucket`]; sending `b` bytes blocks
 //! the calling thread until the modeled link has drained them.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "token-bucket shaping meters real elapsed time by design"
+)]
+
 use parking_lot::Mutex;
 use std::time::{Duration, Instant};
 

@@ -35,6 +35,14 @@
 //!   Many logical clients share a thread as one client's window, not as
 //!   many pending calls (`ajx_core::run_mux_workload`).
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the clock paces deadlines only; the seeded fault plan fates every call before its timing matters"
+)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
+#![cfg_attr(not(test), deny(clippy::panic, clippy::unreachable, clippy::todo))]
+#![cfg_attr(not(test), deny(clippy::unimplemented, clippy::indexing_slicing))]
+
 use crate::bucket::TokenBucket;
 use crate::error::RpcError;
 use crate::fault::{Fate, FaultPlan};
@@ -734,8 +742,11 @@ impl Network {
     ///
     /// Panics if the node id is out of range.
     pub fn with_node<R>(&self, node: NodeId, f: impl FnOnce(&mut NodeView<'_>) -> R) -> R {
-        // LINT-ALLOW(panic-free: test/monitoring path with a documented
-        // `# Panics` contract, never reached by request handling)
+        #[expect(
+            clippy::indexing_slicing,
+            reason = "test/monitoring path with a documented `# Panics` contract, \
+                      never reached by request handling"
+        )]
         let slot = &self.shared.nodes[node.0 as usize];
         f(&mut slot.node.lock_all())
     }
@@ -1037,8 +1048,11 @@ impl ClientEndpoint {
         }
         let deadline = self.deadline(call);
         match std::mem::replace(&mut call.state, CallState::Done) {
-            // LINT-ALLOW(panic-free: documented `# Panics` contract for
-            // local API misuse — not reachable from remote input)
+            #[expect(
+                clippy::panic,
+                reason = "documented `# Panics` contract for local API misuse — \
+                          not reachable from remote input"
+            )]
             CallState::Done => panic!("poll_call on an already-resolved call"),
             CallState::Failed(e) => Some(Err(e)),
             CallState::Arrived(result) => Some(books.receive(self, *result, now)),
@@ -1478,6 +1492,26 @@ mod tests {
     use super::*;
     use ajx_storage::{StripeId, Tid};
 
+    /// One wait between polls of a test's wait loop: a short sleep, not
+    /// `yield_now`, so the waiting test leaves the CPU to the workers it
+    /// waits on and to the tests running beside it.
+    pub(super) fn pause() {
+        std::thread::sleep(Duration::from_micros(100));
+    }
+
+    /// Polls `call` until it resolves.
+    pub(super) fn await_reply(
+        client: &ClientEndpoint,
+        call: &mut PendingCall,
+    ) -> Result<Reply, RpcError> {
+        loop {
+            match client.poll_call(call) {
+                Some(r) => break r,
+                None => pause(),
+            }
+        }
+    }
+
     fn net4() -> Arc<Network> {
         Network::new(NetworkConfig::default())
     }
@@ -1753,6 +1787,7 @@ mod tests {
 
 #[cfg(test)]
 mod fault_tests {
+    use super::tests::{await_reply, pause};
     use super::*;
     use crate::fault::LinkFaults;
     use ajx_storage::{StripeId, Tid};
@@ -2044,12 +2079,7 @@ mod fault_tests {
                         .map(|(node, r)| client.submit_call(node, r))
                         .collect();
                     for call in &mut pending {
-                        results.push(loop {
-                            match client.poll_call(call) {
-                                Some(r) => break r,
-                                None => std::thread::yield_now(),
-                            }
-                        });
+                        results.push(await_reply(&client, call));
                     }
                 }
             }
@@ -2134,7 +2164,7 @@ mod fault_tests {
         let (mut served, start) = (false, Instant::now());
         while !served && start.elapsed() < Duration::from_secs(1) {
             served = net.with_node(dup, |n| n.ops_handled()) == 2 && block(lost, 7);
-            std::thread::yield_now();
+            pause();
         }
         assert!(served, "both copies of the add and the swap reach their nodes");
         assert!(block(dup, 1), "the increment lands exactly once");
@@ -2221,7 +2251,7 @@ mod fault_tests {
                             *slot = client.poll_call(call).map(|r| (r, start.elapsed()));
                         }
                     }
-                    std::thread::yield_now();
+                    pause();
                 }
                 out.into_iter().flatten().collect()
             };
@@ -2258,6 +2288,7 @@ mod fault_tests {
 
 #[cfg(test)]
 mod reactor_tests {
+    use super::tests::{await_reply, pause};
     use super::*;
     use ajx_storage::{StripeId, Tid};
 
@@ -2280,7 +2311,7 @@ mod reactor_tests {
         let mut held = client.submit_call(NodeId(0), read.clone());
         // The paused worker dequeues the job and parks, emptying the queue.
         while net.node_queue_len(NodeId(0)) > 0 {
-            std::thread::yield_now();
+            pause();
         }
         let mut queued: Vec<_> = (0..2)
             .map(|_| client.submit_call(NodeId(0), read.clone()))
@@ -2301,15 +2332,7 @@ mod reactor_tests {
         // After the shed the node drains normally: nothing was lost.
         net.resume_node(NodeId(0));
         for call in std::iter::once(&mut held).chain(queued.iter_mut()) {
-            loop {
-                match client.poll_call(call) {
-                    Some(r) => {
-                        r.expect("accepted requests complete after resume");
-                        break;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
+            await_reply(&client, call).expect("accepted requests complete after resume");
         }
         assert_eq!(net.stats().inflight(0), 0, "gauge returns to zero");
         // ≥ 3 rather than == 3: the shed request bumps the gauge briefly
@@ -2373,12 +2396,7 @@ mod reactor_tests {
                 ntid: Tid::new(1, 0, ClientId(1)),
             },
         );
-        let reply = loop {
-            match client.poll_call(&mut call) {
-                Some(r) => break r.unwrap(),
-                None => std::thread::yield_now(),
-            }
-        };
+        let reply = await_reply(&client, &mut call).unwrap();
         assert!(matches!(reply, Reply::Swap(s) if s.block == Some(vec![0; 64])));
         let snap = client.stats().snapshot();
         assert_eq!(snap.msgs_sent, 1);
@@ -2399,15 +2417,7 @@ mod reactor_tests {
             client.poll_call(&mut call).is_none(),
             "nothing observable before the round trip elapses"
         );
-        loop {
-            match client.poll_call(&mut call) {
-                Some(r) => {
-                    r.unwrap();
-                    break;
-                }
-                None => std::thread::yield_now(),
-            }
-        }
+        await_reply(&client, &mut call).unwrap();
         assert!(
             start.elapsed() >= Duration::from_millis(4),
             "a 2 ms one-way latency means a ≥4 ms round trip, got {:?}",
@@ -2498,12 +2508,7 @@ mod reactor_tests {
         let client = net.client(ClientId(1));
         let start = Instant::now();
         let mut call = client.submit_call(NodeId(0), Request::Read { stripe: StripeId(0) });
-        let err = loop {
-            match client.poll_call(&mut call) {
-                Some(r) => break r.unwrap_err(),
-                None => std::thread::yield_now(),
-            }
-        };
+        let err = await_reply(&client, &mut call).unwrap_err();
         assert_eq!(err, RpcError::Timeout(NodeId(0)));
         assert!(
             start.elapsed() >= Duration::from_millis(5),
@@ -2543,7 +2548,7 @@ mod reactor_tests {
                 }
             }
             if !progressed {
-                std::thread::yield_now();
+                pause();
             }
         }
         for c in &clients {
@@ -2572,7 +2577,7 @@ mod reactor_tests {
         };
         let mut first = client.submit_call(NodeId(0), swap(1));
         while net.node_queue_len(NodeId(0)) > 0 {
-            std::thread::yield_now();
+            pause();
         }
         let mut filler = client.submit_call(NodeId(0), swap(2));
         let mut shed = client.submit_call(NodeId(0), swap(3));
@@ -2582,41 +2587,17 @@ mod reactor_tests {
         );
         net.resume_node(NodeId(0));
         for call in [&mut first, &mut filler] {
-            loop {
-                match client.poll_call(call) {
-                    Some(r) => {
-                        r.unwrap();
-                        break;
-                    }
-                    None => std::thread::yield_now(),
-                }
-            }
+            await_reply(&client, call).unwrap();
         }
         net.with_node(NodeId(0), |n| {
             assert_eq!(n.ops_handled(), 2, "the shed swap never executed");
         });
         // The resend goes through normally.
         let mut retry = client.submit_call(NodeId(0), swap(3));
-        loop {
-            match client.poll_call(&mut retry) {
-                Some(r) => {
-                    r.unwrap();
-                    break;
-                }
-                None => std::thread::yield_now(),
-            }
-        }
+        await_reply(&client, &mut retry).unwrap();
         net.with_node(NodeId(0), |n| assert_eq!(n.ops_handled(), 3));
     }
 
-    fn await_reply(client: &ClientEndpoint, call: &mut PendingCall) -> Result<Reply, RpcError> {
-        loop {
-            match client.poll_call(call) {
-                Some(r) => break r,
-                None => std::thread::yield_now(),
-            }
-        }
-    }
 
     /// One pool serves every node, so a node paused with a job held stalls
     /// no other node — even at one request per node, and even when the
@@ -2637,7 +2618,7 @@ mod reactor_tests {
         let mut fanned = client.submit_call(NodeId(1), read.clone());
         await_reply(&client, &mut fanned).expect("node 1 answers its fan-out member");
         while net.node_queue_len(NodeId(0)) > 0 {
-            std::thread::yield_now();
+            pause();
         }
         let mut queued = client.submit_call(NodeId(0), read.clone());
         assert!(
@@ -2707,7 +2688,7 @@ mod reactor_tests {
         net.pause_node(NodeId(0));
         let mut held = client.submit_call(NodeId(0), read.clone());
         while net.node_queue_len(NodeId(0)) > 0 {
-            std::thread::yield_now();
+            pause();
         }
         let mut queued = client.submit_call(NodeId(0), read);
         let pool = Arc::downgrade(&net.shared);
@@ -2790,6 +2771,7 @@ mod server_thread_tests {
 
 #[cfg(test)]
 mod caller_serves_tests {
+    use super::tests::pause;
     use super::*;
     use crate::fault::LinkFaults;
     use ajx_storage::{StripeId, Tid};
@@ -2813,7 +2795,7 @@ mod caller_serves_tests {
             if start.elapsed() > Duration::from_secs(1) {
                 return false;
             }
-            std::thread::yield_now();
+            pause();
         }
         true
     }

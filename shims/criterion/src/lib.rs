@@ -9,6 +9,10 @@
 //! `bench-name ... <mean> (<throughput>)` lines. See `shims/README.md`.
 
 #![forbid(unsafe_code)]
+#![expect(
+    clippy::disallowed_methods,
+    reason = "a benchmark harness times its iterations"
+)]
 
 use std::time::{Duration, Instant};
 

@@ -45,7 +45,10 @@ fn subset_is_consistent(states: &[GetStateReply], k: usize, s: &[usize]) -> bool
     true
 }
 
-#[allow(clippy::needless_range_loop)]
+#[allow(
+    clippy::needless_range_loop,
+    reason = "the brute force reads like the definition it checks"
+)]
 fn exhaustive_max(states: &[GetStateReply], k: usize) -> usize {
     let candidates: Vec<usize> = (0..states.len())
         .filter(|&t| states[t].opmode == OpMode::Norm && states[t].block.is_some())
@@ -116,7 +119,7 @@ fn arb_states(k: usize, n: usize) -> impl Strategy<Value = Vec<GetStateReply>> {
                 }
             }
         }
-        #[allow(clippy::needless_range_loop)]
+        #[allow(clippy::needless_range_loop, reason = "`t` also picks the mask bit")]
         for t in 0..n {
             if init_mask & (1 << (t % 8)) != 0 && t % 3 == 2 {
                 states[t] = GetStateReply {

@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
 # Repo check entry point: line-count inventory (tools/loc.sh), release
-# build, lint wall, a grep that keeps core's blocking rounds in core::rpc,
+# build, lint gate (clippy, the crate-root policy grep, the pinned
+# exception count), a grep that keeps core's blocking rounds in core::rpc,
 # full workspace test
 # suite, the §5.2 simulators' tables diffed against experiments_output.txt,
 # a seeded chaos smoke run, the seeded power-loss smoke (three
@@ -52,17 +53,27 @@ sh tools/loc.sh
 echo "== cargo build --workspace --release =="
 cargo build --workspace --release
 
-echo "== cargo clippy --workspace -D warnings =="
+echo "== lint gate: cargo clippy --workspace --all-targets -D warnings =="
+# The repo's static rules (DESIGN.md §11) are lint levels and types:
+# `[workspace.lints]` in Cargo.toml, `clippy.toml`, and the
+# `#![cfg_attr(not(test), deny(...))]` heads of the node's request and
+# replay files. The grep below keeps the two parts clippy cannot see:
+# every crate root pins its unsafe policy and inherits the workspace lints.
 cargo clippy --workspace --all-targets -- -D warnings
-
-echo "== ajx-lint (repo invariant checker) =="
-# Hard gate: zero findings on the committed tree. The allowlist is
-# pinned separately in crates/lint/tests/lint_self.rs; this run prints
-# the per-rule table so drift is visible in CI logs, and the baseline
-# diff fails if the table (rules, findings, allows) is not the committed
-# tools/lint_baseline.txt.
-cargo run -q -p ajx-lint
-tools/lint_baseline.sh
+for c in crates/*/; do
+  grep -qE '^#!\[(forbid|deny)\(unsafe_code\)\]' "${c}src/lib.rs" \
+    || { echo "FAIL: ${c}src/lib.rs pins no unsafe policy (#![forbid(unsafe_code)])" >&2; exit 1; }
+  grep -qx 'workspace = true' "${c}Cargo.toml" \
+    || { echo "FAIL: ${c}Cargo.toml does not inherit the workspace lints ([lints] workspace = true)" >&2; exit 1; }
+done
+# Every lint exception is an `#[expect(lint, reason = ...)]`, which rustc
+# reports once it no longer fires. Their number is pinned, so one that
+# comes or goes is a one-line diff here: 7 on the node's panic-free paths,
+# 14 files that read the clock by design.
+expects=$(grep -rhE '#!?\[expect\(' crates/*/src --include=*.rs | wc -l)
+[ "$expects" -eq 21 ] \
+  || { echo "FAIL: $expects #[expect] lint exceptions under crates/*/src, pinned at 21" >&2; exit 1; }
+echo "lint gate holds (21 lint exceptions)"
 
 echo "== blocking rounds only through core::rpc =="
 # Which members share a message, in what order, and what a failed message
@@ -360,7 +371,8 @@ grep -q '"lrc_repair_ratio_pass":true' BENCH_recovery.json \
 echo "ok"
 
 if [ "$DEEP" = "1" ]; then
-  # Deep gate: dynamic verification of what ajx-lint checks statically.
+  # Deep gate: dynamic checks of what the lint gate cannot see statically
+  # (memory safety inside the documented unsafe kernels, data races).
   # Miri exercises the unsafe GF kernels and the buffer pool for UB;
   # ASan/TSan re-run the shard-lock and WAL layers for memory errors
   # and data races. Each tool probes its own availability first and
