@@ -17,6 +17,14 @@
 //! time table loop the journal used before, with its own floor — the
 //! SSE4.2 tier must run ≥ 3× the portable slicing-by-8 tier at 4 KiB.
 //!
+//! A `combine` section times the weighted sum behind encode and decode on
+//! every tier: µs per 12-of-16 × 64 KiB stripe for the encode (4 dense
+//! rows over 12 sources) and the decode with 4 data blocks lost (8 unit
+//! rows, 4 dense ones), output-major ([`kernel::combine_with`]) against the
+//! source-major loop it replaced (zero-fill, then `mul_add_multi_with` per
+//! source). Its floor: on the `avx2` and `gfni` tiers the output-major
+//! encode must run ≥ 1.25× the source-major one.
+//!
 //! Flags:
 //!
 //! * `--list` — print the supported backend names, one per line, and exit
@@ -62,6 +70,116 @@ const CRC_SIZES: [usize; 2] = [4 * 1024, 64 * 1024];
 
 /// The checksum floor: SSE4.2 vs the portable tier at [`FLOOR_BLOCK`].
 const CRC_FLOOR_RATIO: f64 = 3.0;
+
+/// The `combine` section's shape: RS 12-of-16 at 64 KiB, cycling over
+/// enough stripes (12 MiB of data) to leave the private caches.
+const COMBINE_K: usize = 12;
+const COMBINE_P: usize = 4;
+const COMBINE_BLOCK: usize = 64 * 1024;
+const COMBINE_STRIPES: usize = 16;
+/// Data blocks the decode shape has lost.
+const COMBINE_LOST: [usize; 4] = [0, 3, 5, 9];
+
+/// The combine floor: output-major encode vs source-major on the 256-bit
+/// tiers.
+const COMBINE_FLOOR_RATIO: f64 = 1.25;
+
+/// The loop `combine` replaced: zero-fill every output, then stream each
+/// source through all of them.
+fn source_major(backend: kernel::Backend, out: &mut [&mut [u8]], rows: &[Vec<u8>], srcs: &[Vec<u8>]) {
+    for o in out.iter_mut() {
+        o.fill(0);
+    }
+    let mut col = [0u8; COMBINE_K];
+    for (s, src) in srcs.iter().enumerate() {
+        for (c, row) in col.iter_mut().zip(rows) {
+            *c = row[s];
+        }
+        kernel::mul_add_multi_with(backend, out, &col[..rows.len()], src);
+    }
+}
+
+/// Best µs per stripe of `combine_with` and of [`source_major`] on `rows`,
+/// over seven sweeps of `stripes` each, the two forms taking turns so that
+/// a slow second of the host falls on both.
+fn us_per_stripe(backend: kernel::Backend, stripes: &[Vec<Vec<u8>>], rows: &[Vec<u8>]) -> (f64, f64) {
+    let mut out = vec![vec![0u8; COMBINE_BLOCK]; rows.len()];
+    let mut views: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..7 {
+        let start = Instant::now();
+        for srcs in stripes {
+            kernel::combine_with(backend, &mut views, rows, srcs);
+        }
+        best.0 = best.0.min(start.elapsed().as_secs_f64() * 1e6 / stripes.len() as f64);
+        let start = Instant::now();
+        for srcs in stripes {
+            source_major(backend, &mut views, rows, srcs);
+        }
+        best.1 = best.1.min(start.elapsed().as_secs_f64() * 1e6 / stripes.len() as f64);
+    }
+    best
+}
+
+/// The `"combine"` object of the artifact; asserts the combine floor.
+fn combine_section() -> String {
+    let stripes: Vec<Vec<Vec<u8>>> = (0..COMBINE_STRIPES)
+        .map(|t| (0..COMBINE_K).map(|s| fill(COMBINE_BLOCK, (t * COMBINE_K + s) as u8)).collect())
+        .collect();
+    let weight = |r: usize, s: usize| ((r * 53 + s * 19) % 254 + 2) as u8;
+    let encode: Vec<Vec<u8>> = (0..COMBINE_P)
+        .map(|r| (0..COMBINE_K).map(|s| weight(r, s)).collect())
+        .collect();
+    // Survivors first, as a decode plan orders them: each kept data block
+    // is a unit row, each lost one a dense row over all twelve shares.
+    let kept: Vec<usize> = (0..COMBINE_K).filter(|i| !COMBINE_LOST.contains(i)).collect();
+    let decode: Vec<Vec<u8>> = (0..COMBINE_K)
+        .map(|r| match kept.iter().position(|&i| i == r) {
+            Some(s) => (0..COMBINE_K).map(|t| u8::from(t == s)).collect(),
+            None => (0..COMBINE_K).map(|s| weight(r + COMBINE_P, s)).collect(),
+        })
+        .collect();
+    let mut entries = Vec::new();
+    let mut floors = Vec::new();
+    for backend in kernel::available_backends() {
+        let (enc, enc_old) = us_per_stripe(backend, &stripes, &encode);
+        let (dec, dec_old) = us_per_stripe(backend, &stripes, &decode);
+        if matches!(backend.name(), "avx2" | "gfni") {
+            floors.push((backend.name(), enc_old / enc));
+        }
+        entries.push(format!(
+            "      {{\"name\":\"{}\",\"encode_us\":{enc:.1},\"encode_source_major_us\":{enc_old:.1},\
+             \"decode_us\":{dec:.1},\"decode_source_major_us\":{dec_old:.1}}}",
+            backend.name()
+        ));
+    }
+    let floor_json = if floors.is_empty() {
+        "    \"combine_floor_skipped\": \"no avx2 on this host\",".to_string()
+    } else {
+        let pass = floors.iter().all(|&(_, ratio)| ratio >= COMBINE_FLOOR_RATIO);
+        assert!(
+            pass,
+            "combine floor violated: output-major encode over source-major is {floors:?} \
+             (need >= {COMBINE_FLOOR_RATIO}x on avx2 and gfni)"
+        );
+        let measured: Vec<String> = floors
+            .iter()
+            .map(|(name, ratio)| format!("\"{name}\":{ratio:.2}"))
+            .collect();
+        format!(
+            "    \"combine_floor\": {{\"required_vs_source_major\":{COMBINE_FLOOR_RATIO:.2},\
+             \"measured\":{{{}}},\"combine_floor_pass\":{pass}}},",
+            measured.join(",")
+        )
+    };
+    format!(
+        "  \"combine\": {{\n    \"shape\": \"RS {COMBINE_K}-of-{} x {} KiB, decode with {} data blocks lost, {COMBINE_STRIPES} stripes\",\n{floor_json}\n    \"backends\": [\n{}\n    ]\n  }},",
+        COMBINE_K + COMBINE_P,
+        COMBINE_BLOCK / 1024,
+        COMBINE_LOST.len(),
+        entries.join(",\n")
+    )
+}
 
 /// The journal's checksum loop before the kernel existed: one dependent
 /// table load per byte.
@@ -263,6 +381,7 @@ fn main() {
     println!("{{");
     println!("  \"active_backend\": \"{}\",", kernel::active_backend().name());
     println!("{}", crc32c_section());
+    println!("{}", combine_section());
     println!("  \"kernels\": [");
     println!("    {{");
     println!("    \"kernel\": \"gf256_mul_add_assign\",");

@@ -24,7 +24,6 @@
 use crate::error::CodeError;
 use crate::matrix::Matrix;
 use ajx_gf::{slice, Field, Gf256, Gf65536, KernelField};
-use std::ops::Range;
 
 /// Largest stripe width over GF(2⁸): 256 distinct evaluation points.
 pub const MAX_N: usize = Gf256::ORDER;
@@ -89,14 +88,13 @@ pub struct SystematicCode<F: KernelField = Gf256> {
     n: usize,
     /// `p × k` matrix of redundancy coefficients: `red[(j, i)] = α_{k+j, i}`.
     red: Matrix<F>,
-    /// The same coefficients laid out column-major as raw symbols:
-    /// `red_cols[i][j] = α_{k+j, i}`. Precomputed at construction so the
-    /// fused multi-row encode ([`KernelField::mul_add_multi`]) can stream
-    /// data block `i` through all `p` redundant rows without building
-    /// anything per call. (GF(2⁸) product tables are compile-time constants
-    /// in `ajx_gf::kernel`; GF(2¹⁶) split-nibble tables are built inside the
+    /// The same coefficients as raw symbols: `red_syms[j][i] = α_{k+j, i}`.
+    /// Precomputed at construction so encode hands them straight to the
+    /// weighted sum ([`KernelField::combine`]) without building anything
+    /// per call. (GF(2⁸) multipliers are compile-time constants in
+    /// `ajx_gf::kernel`; GF(2¹⁶) split-nibble tables are built inside the
     /// kernels and amortized over each block.)
-    red_cols: Vec<Vec<F::Symbol>>,
+    red_syms: Vec<Vec<F::Symbol>>,
 }
 
 impl<F: KernelField> SystematicCode<F> {
@@ -141,12 +139,12 @@ impl<F: KernelField> SystematicCode<F> {
         if k == 0 || p == 0 || n > F::ORDER || red.cols() != k {
             return Err(CodeError::InvalidParams { k, n });
         }
-        let red_cols = columns(&red);
+        let red_syms = symbols(&red);
         Ok(SystematicCode {
             k,
             n,
             red,
-            red_cols,
+            red_syms,
         })
     }
 
@@ -206,8 +204,9 @@ impl<F: KernelField> SystematicCode<F> {
 
     /// [`encode`](SystematicCode::encode) into caller-owned scratch: fills
     /// the `p` pre-sized blocks of `out` with the redundancy for `data`,
-    /// performing **no heap allocation**. Each data block is streamed once
-    /// through all `p` output rows via the fused multi-row kernel.
+    /// performing **no heap allocation**. One weighted sum
+    /// ([`KernelField::combine`]) writes each redundant block once, from
+    /// the data blocks of its row.
     ///
     /// # Errors
     ///
@@ -219,7 +218,7 @@ impl<F: KernelField> SystematicCode<F> {
         data: &[B],
         out: &mut [&mut [u8]],
     ) -> Result<(), CodeError> {
-        combine_into::<F, B>(&self.red_cols, 0..self.p(), data, out)
+        combine_into::<F, B>(&self.red_syms, data, out)
     }
 
     /// Computes the full stripe: the `k` data blocks followed by the `p`
@@ -311,11 +310,11 @@ impl<F: KernelField> SystematicCode<F> {
         let inv = Matrix::from_rows(rows)
             .inverted()
             .ok_or(CodeError::NotDecodable)?;
-        // Column s of the inverse holds, for each output row i, the weight
-        // of share s — exactly the coefficient vector mul_add_multi wants.
+        // Row i of the inverse weighs each share in data block i — exactly
+        // the coefficient row the weighted sum wants.
         Ok(DecodePlan {
             indices: indices.to_vec(),
-            inv_cols: columns(&inv),
+            inv_syms: symbols(&inv),
         })
     }
 
@@ -443,7 +442,9 @@ impl<F: KernelField> SystematicCode<F> {
 
 /// A prepared decode for one fixed erasure pattern: the k×k inverse is
 /// computed once by [`SystematicCode::plan_decode`] and reused across
-/// stripes.
+/// stripes. Applying it is one weighted sum ([`KernelField::combine`]): a
+/// data block that survives is a unit row of the inverse, so decoding it is
+/// a copy, and each lost block is written once from its row's shares.
 ///
 /// # Example
 ///
@@ -466,10 +467,10 @@ impl<F: KernelField> SystematicCode<F> {
 #[derive(Clone, Debug)]
 pub struct DecodePlan<F: KernelField = Gf256> {
     indices: Vec<usize>,
-    /// The k×k inverse stored column-major: `inv_cols[s][i]` is the weight
-    /// of share `s` in output data block `i` — one ready-made coefficient
-    /// vector per share for the fused multi-row kernel.
-    inv_cols: Vec<Vec<F::Symbol>>,
+    /// The k×k inverse as raw symbols: `inv_syms[i][s]` is the weight of
+    /// share `s` in output data block `i` — one ready-made coefficient row
+    /// per data block for the weighted sum.
+    inv_syms: Vec<Vec<F::Symbol>>,
 }
 
 impl<F: KernelField> DecodePlan<F> {
@@ -481,8 +482,8 @@ impl<F: KernelField> DecodePlan<F> {
 
     /// Decodes `shares` (blocks in [`indices`](DecodePlan::indices) order)
     /// into the `k` pre-sized blocks of `out`, performing **no heap
-    /// allocation**: each share is streamed once through all `k` output rows
-    /// with the precomputed inverse column as coefficients.
+    /// allocation**: each output is written once, a surviving data block by
+    /// a copy and a lost one from the shares its inverse row weighs.
     ///
     /// # Errors
     ///
@@ -490,13 +491,12 @@ impl<F: KernelField> DecodePlan<F> {
     /// [`CodeError::LengthMismatch`] / [`CodeError::OddBlockLength`] on
     /// malformed blocks.
     pub fn decode_into(&self, shares: &[&[u8]], out: &mut [&mut [u8]]) -> Result<(), CodeError> {
-        combine_into::<F, _>(&self.inv_cols, 0..self.inv_cols.len(), shares, out)
+        combine_into::<F, _>(&self.inv_syms, shares, out)
     }
 
     /// Decodes **one** data block `i` into `out` — the degraded-read form:
-    /// a client that only needs the failed node's block pays `k` fused
-    /// multiply-adds over one output row instead of materializing all `k`
-    /// data blocks.
+    /// a client that only needs the failed node's block pays one output
+    /// row's weighted sum instead of materializing all `k` data blocks.
     ///
     /// `shares` are blocks in [`indices`](DecodePlan::indices) order, as
     /// for [`decode_into`](DecodePlan::decode_into).
@@ -513,42 +513,36 @@ impl<F: KernelField> DecodePlan<F> {
         shares: &[&[u8]],
         out: &mut [u8],
     ) -> Result<(), CodeError> {
-        let k = self.inv_cols.len();
+        let k = self.inv_syms.len();
         if i >= k {
             return Err(CodeError::IndexOutOfRange { index: i, n: k });
         }
-        combine_into::<F, _>(&self.inv_cols, i..i + 1, shares, &mut [out])
+        combine_into::<F, _>(&self.inv_syms[i..=i], shares, &mut [out])
     }
 }
 
-/// `m` column-major as raw symbols: `columns(m)[c][r] = m[(r, c)]`.
-fn columns<F: KernelField>(m: &Matrix<F>) -> Vec<Vec<F::Symbol>> {
-    (0..m.cols())
-        .map(|c| (0..m.rows()).map(|r| m[(r, c)].symbol()).collect())
+/// `m` as raw symbols, row by row: `symbols(m)[r][c] = m[(r, c)]`.
+fn symbols<F: KernelField>(m: &Matrix<F>) -> Vec<Vec<F::Symbol>> {
+    (0..m.rows())
+        .map(|r| m.row(r).iter().map(|x| x.symbol()).collect())
         .collect()
 }
 
-/// The one weighted sum behind encode and decode:
-/// `out[r − rows.start] = Σ_s cols[s][r] · srcs[s]` for `r` in `rows`,
-/// each source streamed once through all output rows, no allocation.
+/// The one weighted sum behind encode and decode, checked:
+/// `out[r] = Σ_s rows[r][s] · srcs[s]`, no allocation. Every row has one
+/// weight per source.
 fn combine_into<F: KernelField, B: AsRef<[u8]>>(
-    cols: &[Vec<F::Symbol>],
-    rows: Range<usize>,
+    rows: &[Vec<F::Symbol>],
     srcs: &[B],
     out: &mut [&mut [u8]],
 ) -> Result<(), CodeError> {
-    check_count(cols.len(), srcs.len())?;
+    check_count(rows.first().map_or(0, Vec::len), srcs.len())?;
     check_count(rows.len(), out.len())?;
     let len = check_equal_lengths::<F, B>(srcs)?;
-    for o in out.iter_mut() {
-        if o.len() != len {
-            return Err(CodeError::LengthMismatch);
-        }
-        o.fill(0);
+    if out.iter().any(|o| o.len() != len) {
+        return Err(CodeError::LengthMismatch);
     }
-    for (col, src) in cols.iter().zip(srcs) {
-        F::mul_add_multi(out, &col[rows.clone()], src.as_ref());
-    }
+    F::combine(out, rows, srcs);
     Ok(())
 }
 

@@ -17,7 +17,7 @@
 
 use crate::code::ReedSolomon;
 use crate::lrc::Lrc;
-use ajx_gf::{slice, Field, Gf256};
+use ajx_gf::{kernel, Field, Gf256};
 use std::ops::Deref;
 use std::sync::Arc;
 
@@ -276,7 +276,12 @@ impl CodeFamily {
                     .filter(|&(_, &w)| w != Gf256::ZERO)
                     .map(|(t, &w)| (order[t], w.as_byte()))
                     .collect();
-                return Some(RepairPlan { lost, shares });
+                let weights = shares.iter().map(|&(_, w)| w).collect();
+                return Some(RepairPlan {
+                    lost,
+                    shares,
+                    weights,
+                });
             }
         }
         None
@@ -291,6 +296,9 @@ impl CodeFamily {
 pub struct RepairPlan {
     lost: usize,
     shares: Vec<(usize, u8)>,
+    /// The weights of `shares` alone: the weighted sum's one coefficient
+    /// row.
+    weights: Vec<u8>,
 }
 
 impl RepairPlan {
@@ -328,13 +336,10 @@ impl RepairPlan {
                 got: shares.len(),
             });
         }
-        out.fill(0);
-        for (share, &(_, w)) in shares.iter().zip(&self.shares) {
-            if share.len() != out.len() {
-                return Err(crate::CodeError::LengthMismatch);
-            }
-            slice::mul_add_multi(&mut [&mut *out], &[w], share);
+        if shares.iter().any(|share| share.len() != out.len()) {
+            return Err(crate::CodeError::LengthMismatch);
         }
+        kernel::combine(&mut [out], &[&self.weights[..]], shares);
         Ok(())
     }
 }

@@ -109,9 +109,13 @@ pub trait KernelField: Field {
     /// This element as the raw symbol the kernels take.
     fn symbol(self) -> Self::Symbol;
 
-    /// `dsts[j] ^= cs[j]·src` for every destination row `j`, streaming
-    /// `src` once — the inner step of encode and decode.
-    fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[Self::Symbol], src: &[u8]);
+    /// `out[r] = Σ_s rows[r][s]·srcs[s]` for every output `r` — the one
+    /// weighted sum behind encode, decode and repair. Allocates nothing.
+    fn combine<R: AsRef<[Self::Symbol]>, B: AsRef<[u8]>>(
+        out: &mut [&mut [u8]],
+        rows: &[R],
+        srcs: &[B],
+    );
 
     /// `out = c·(a ^ b)` — the client's *Delta* step `α·(v − w)`.
     fn delta_into(out: &mut [u8], c: Self::Symbol, a: &[u8], b: &[u8]);

@@ -256,8 +256,8 @@ impl KernelField for Gf256 {
     }
 
     #[inline]
-    fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[u8], src: &[u8]) {
-        kernel::mul_add_multi(dsts, cs, src);
+    fn combine<R: AsRef<[u8]>, B: AsRef<[u8]>>(out: &mut [&mut [u8]], rows: &[R], srcs: &[B]) {
+        kernel::combine(out, rows, srcs);
     }
 
     #[inline]

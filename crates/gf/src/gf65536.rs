@@ -191,9 +191,36 @@ impl KernelField for Gf65536 {
         self.0
     }
 
-    #[inline]
-    fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[u16], src: &[u8]) {
-        kernel::mul_add_multi16(dsts, cs, src);
+    /// The source-major sum: every output zero-filled, then each source
+    /// streamed through a batch of [`ROW_BATCH16`](kernel::ROW_BATCH16)
+    /// outputs by [`kernel::mul_add_multi16`], whose coefficients are
+    /// gathered on the stack.
+    fn combine<R: AsRef<[u16]>, B: AsRef<[u8]>>(out: &mut [&mut [u8]], rows: &[R], srcs: &[B]) {
+        assert_eq!(
+            out.len(),
+            rows.len(),
+            "combine requires one coefficient row per output"
+        );
+        for row in rows {
+            assert_eq!(
+                row.as_ref().len(),
+                srcs.len(),
+                "combine requires one coefficient per source"
+            );
+        }
+        for o in out.iter_mut() {
+            o.fill(0);
+        }
+        let batches = out.chunks_mut(kernel::ROW_BATCH16);
+        for (batch, batch_rows) in batches.zip(rows.chunks(kernel::ROW_BATCH16)) {
+            let mut cs = [0u16; kernel::ROW_BATCH16];
+            for (s, src) in srcs.iter().enumerate() {
+                for (c, row) in cs.iter_mut().zip(batch_rows) {
+                    *c = row.as_ref()[s];
+                }
+                kernel::mul_add_multi16(batch, &cs[..batch_rows.len()], src.as_ref());
+            }
+        }
     }
 
     #[inline]

@@ -1,28 +1,47 @@
 //! Tiered GF(2⁸) **and GF(2¹⁶)** bulk-multiply kernel engine.
 //!
-//! The protocol's hot path is `dst ^= c·src` over whole blocks (encode rows,
-//! delta updates, decode back-substitution). This module provides that kernel
-//! at four implementation tiers, selected **once** per process:
+//! The protocol's hot path is `dst ^= c·src` over whole blocks (delta
+//! updates, a node's multiply) and the weighted sum `out[r] = Σ_s
+//! rows[r][s]·srcs[s]` behind every full encode, decode and repair
+//! ([`combine`]). This module provides both at five implementation tiers,
+//! selected **once** per process:
 //!
-//! | backend  | technique                                   | width      |
-//! |----------|---------------------------------------------|------------|
-//! | `scalar` | per-coefficient 256-entry product table     | 1 B/step   |
-//! | `swar`   | branchless lanewise shift-add on `u64`      | 8 B/step   |
-//! | `ssse3`  | split-nibble tables via `_mm_shuffle_epi8`  | 16 B/step  |
-//! | `avx2`   | same tables via `_mm256_shuffle_epi8`       | 32 B/step  |
+//! | backend  | technique                                     | width      |
+//! |----------|-----------------------------------------------|------------|
+//! | `scalar` | per-coefficient 256-entry product table       | 1 B/step   |
+//! | `swar`   | branchless lanewise shift-add on `u64`        | 8 B/step   |
+//! | `ssse3`  | split-nibble tables via `_mm_shuffle_epi8`    | 16 B/step  |
+//! | `avx2`   | same tables via `_mm256_shuffle_epi8`         | 32 B/step  |
+//! | `gfni`   | one `vgf2p8affineqb` bit-matrix multiply      | 32 B/step  |
 //!
 //! All GF(2⁸) coefficient tables — the full 256-entry product table per
-//! coefficient used by the scalar tier, and the 16+16-entry low/high-nibble
-//! tables used by the SIMD tiers — are **generated at compile time** for all
-//! 255 nontrivial coefficients ([`MUL_TABLES`], [`NIB_TABLES`]). No GF(2⁸)
-//! kernel call ever builds a table at runtime; the old per-call
+//! coefficient used by the scalar tier, the 16+16-entry low/high-nibble
+//! tables used by the shuffle tiers, and the 8×8 bit matrices the GFNI tier
+//! multiplies by — are **generated at compile time** for all 256
+//! coefficients ([`MUL_TABLES`], [`NIB_TABLES`], [`AFFINE_TABLES`]). No
+//! GF(2⁸) kernel call ever builds a table at runtime; the old per-call
 //! [`Gf256::build_mul_table`](crate::Gf256::build_mul_table) cost is gone
 //! entirely.
+//!
+//! # The weighted sum
+//!
+//! [`combine`] is output-major: each output is written once, from register
+//! accumulators on the `avx2` and `gfni` tiers, instead of being
+//! zero-filled and then read and rewritten once per source. A row that is
+//! all zeros is a fill and a unit row a copy; the other rows go in passes
+//! of at most four outputs over at most sixteen sources, and a pass takes
+//! only the sources with a nonzero coefficient in its rows. Every tier but
+//! `gfni` also skips each row's own zero weights, so a pass never
+//! multiplies more than the source-major loop ([`mul_add_multi`] per
+//! source) it replaced; on `gfni` a multiply costs less than the branch
+//! that would skip it. The `scalar`, `swar` and `ssse3` tiers, which their
+//! multiplies rather than memory bound, run a pass as that source-major
+//! loop.
 //!
 //! # The GF(2¹⁶) family
 //!
 //! Wide codes ([`Gf65536`](crate::Gf65536), stripes past 256 blocks) get the
-//! same four tiers through the `*16` kernels ([`mul_add_assign16`],
+//! same tiers through the `*16` kernels ([`mul_add_assign16`],
 //! [`mul_assign16`], [`delta_into16`], [`mul_add_multi16`]). Blocks stay
 //! plain byte slices interpreted as **little-endian `u16` words**, so every
 //! `*16` kernel requires even slice lengths (odd lengths panic here; the
@@ -34,7 +53,8 @@
 //! SIMD tiers consume the same tables split into low/high byte planes via
 //! PSHUFB, the scalar tier reads the `u16` entries directly. Sub-step
 //! ("odd") tails always fall back to the scalar 16-bit path, never to a
-//! byte-field kernel.
+//! byte-field kernel. GFNI multiplies bytes only, so under the `gfni`
+//! backend the `*16` kernels run their AVX2 code.
 //!
 //! # The CRC-32C checksum
 //!
@@ -50,7 +70,7 @@
 //! [`active_backend`] picks the widest backend the CPU supports (via
 //! `is_x86_feature_detected!`) the first time any kernel runs, and caches the
 //! choice in a `OnceLock`. The `GF_BACKEND` environment variable
-//! (`scalar`|`swar`|`ssse3`|`avx2`) overrides detection — requesting a
+//! (`scalar`|`swar`|`ssse3`|`avx2`|`gfni`) overrides detection — requesting a
 //! backend the CPU cannot run panics at startup rather than faulting later.
 //! Per-backend entry points (`*_with`) bypass dispatch for differential
 //! testing and benchmarking. The checksum follows the same choice:
@@ -121,6 +141,29 @@ const fn build_nib_tables() -> [[u8; 32]; 256] {
     t
 }
 
+const fn build_affine_tables() -> [u64; 256] {
+    let mut t = [0u64; 256];
+    let mut c = 1usize;
+    while c < 256 {
+        let log_c = LOG[c] as usize;
+        // Column j of "multiply by c" is c·2ʲ; its bit i is entry (i, j).
+        let mut j = 0;
+        while j < 8 {
+            let p = EXP[log_c + LOG[1 << j] as usize];
+            let mut i = 0;
+            while i < 8 {
+                if (p >> i) & 1 == 1 {
+                    t[c] |= 1 << (8 * (7 - i) + j);
+                }
+                i += 1;
+            }
+            j += 1;
+        }
+        c += 1;
+    }
+    t
+}
+
 /// `MUL_TABLES[c][x] = c·x` — full product tables for every coefficient,
 /// generated at compile time (64 KiB of read-only data).
 pub static MUL_TABLES: [[u8; 256]; 256] = build_full_tables();
@@ -128,6 +171,11 @@ pub static MUL_TABLES: [[u8; 256]; 256] = build_full_tables();
 /// `NIB_TABLES[c][0..16] = c·n`, `NIB_TABLES[c][16..32] = c·(n<<4)` — the
 /// split-nibble tables consumed by PSHUFB-style SIMD kernels (8 KiB).
 pub static NIB_TABLES: [[u8; 32]; 256] = build_nib_tables();
+
+/// `AFFINE_TABLES[c]` is "multiply by c" as the 8×8 GF(2) bit matrix
+/// `vgf2p8affineqb` takes: row `i` (the bits of `x` that XOR into bit `i`
+/// of `c·x`) in byte `7 − i` (2 KiB).
+pub static AFFINE_TABLES: [u64; 256] = build_affine_tables();
 
 /// One implementation tier of the multiply kernels.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -142,6 +190,10 @@ pub enum Backend {
     /// AVX2 `_mm256_shuffle_epi8` nibble tables, 32 bytes per step.
     #[cfg(target_arch = "x86_64")]
     Avx2,
+    /// GFNI `vgf2p8affineqb` bit matrices on 256-bit vectors, 32 bytes per
+    /// step; needs AVX2 too, whose code the GF(2¹⁶) kernels run under it.
+    #[cfg(target_arch = "x86_64")]
+    Gfni,
 }
 
 impl Backend {
@@ -154,6 +206,8 @@ impl Backend {
             Backend::Ssse3 => "ssse3",
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => "avx2",
+            #[cfg(target_arch = "x86_64")]
+            Backend::Gfni => "gfni",
         }
     }
 
@@ -166,6 +220,8 @@ impl Backend {
             "ssse3" => Some(Backend::Ssse3),
             #[cfg(target_arch = "x86_64")]
             "avx2" => Some(Backend::Avx2),
+            #[cfg(target_arch = "x86_64")]
+            "gfni" => Some(Backend::Gfni),
             _ => None,
         }
     }
@@ -178,6 +234,11 @@ impl Backend {
             Backend::Ssse3 => std::arch::is_x86_feature_detected!("ssse3"),
             #[cfg(target_arch = "x86_64")]
             Backend::Avx2 => std::arch::is_x86_feature_detected!("avx2"),
+            #[cfg(target_arch = "x86_64")]
+            Backend::Gfni => {
+                std::arch::is_x86_feature_detected!("avx2")
+                    && std::arch::is_x86_feature_detected!("gfni")
+            }
         }
     }
 }
@@ -193,6 +254,9 @@ pub fn available_backends() -> Vec<Backend> {
         if Backend::Avx2.is_supported() {
             v.push(Backend::Avx2);
         }
+        if Backend::Gfni.is_supported() {
+            v.push(Backend::Gfni);
+        }
     }
     v
 }
@@ -201,7 +265,7 @@ static ACTIVE: OnceLock<Backend> = OnceLock::new();
 
 /// The backend used by the dispatching kernels, chosen once per process.
 ///
-/// Honors `GF_BACKEND` (`scalar`|`swar`|`ssse3`|`avx2`) if set, otherwise
+/// Honors `GF_BACKEND` (`scalar`|`swar`|`ssse3`|`avx2`|`gfni`) if set, otherwise
 /// picks the widest supported tier.
 ///
 /// # Panics
@@ -258,6 +322,8 @@ pub fn mul_add_assign_with(backend: Backend, dst: &mut [u8], c: u8, src: &[u8]) 
                 Backend::Ssse3 => x86::mul_add_assign_ssse3(dst, c, src),
                 #[cfg(target_arch = "x86_64")]
                 Backend::Avx2 => x86::mul_add_assign_avx2(dst, c, src),
+                #[cfg(target_arch = "x86_64")]
+                Backend::Gfni => x86::mul_add_assign_gfni(dst, c, src),
             }
         }
     }
@@ -285,6 +351,8 @@ pub fn mul_assign_with(backend: Backend, dst: &mut [u8], c: u8) {
                 Backend::Ssse3 => x86::mul_assign_ssse3(dst, c),
                 #[cfg(target_arch = "x86_64")]
                 Backend::Avx2 => x86::mul_assign_avx2(dst, c),
+                #[cfg(target_arch = "x86_64")]
+                Backend::Gfni => x86::mul_assign_gfni(dst, c),
             }
         }
     }
@@ -326,15 +394,19 @@ pub fn delta_into_with(backend: Backend, out: &mut [u8], c: u8, a: &[u8], b: &[u
                 Backend::Ssse3 => x86::delta_into_ssse3(out, c, a, b),
                 #[cfg(target_arch = "x86_64")]
                 Backend::Avx2 => x86::delta_into_avx2(out, c, a, b),
+                #[cfg(target_arch = "x86_64")]
+                Backend::Gfni => x86::delta_into_gfni(out, c, a, b),
             }
         }
     }
 }
 
-/// `dsts[j][i] ^= cs[j]·src[i]` for all rows `j` — the fused multi-
-/// destination kernel behind full encode. Streams `src` once, tile by tile,
-/// through all destination rows while the tile is hot in L1, instead of
-/// re-reading `src` from L2/DRAM once per row.
+/// `dsts[j][i] ^= cs[j]·src[i]` for all rows `j` — one source through
+/// several destination rows. Streams `src` once, tile by tile, through all
+/// destination rows while the tile is hot in L1, instead of re-reading
+/// `src` from L2/DRAM once per row. Full encode and decode reach it only
+/// through [`combine`]: on the portable tiers a pass is one call of it per
+/// source; `avx2` and `gfni` have a kernel of their own.
 ///
 /// # Panics
 ///
@@ -381,6 +453,188 @@ pub fn mul_add_multi_with(backend: Backend, dsts: &mut [&mut [u8]], cs: &[u8], s
             mul_add_assign_with(backend, &mut d[start..end], c, &src[start..end]);
         }
         start = end;
+    }
+}
+
+/// Output rows per pass of [`combine`]: four accumulators, each source
+/// vector loaded once for all four.
+pub(crate) const COMBINE_ROWS: usize = 4;
+
+/// Sources per pass of [`combine`]; a pass over more continues in the next,
+/// which adds into the outputs the first one wrote.
+pub(crate) const COMBINE_SRCS: usize = 16;
+
+/// `out[r] = Σ_s rows[r][s]·srcs[s]` for every output `r`, on the active
+/// backend — the one weighted sum behind full encode, decode and repair.
+///
+/// Output-major: each output is written once per pass over its sources,
+/// without a zero-fill first. An all-zero row is a fill and a unit row (one
+/// coefficient 1, the rest 0) a copy; the other rows go in passes of at most
+/// four outputs and sixteen sources, each taking only the sources with a
+/// nonzero coefficient in its rows. Allocates nothing.
+///
+/// # Panics
+///
+/// Panics unless there is one row per output and one coefficient per source
+/// in every row, and every output and source has the same length.
+#[inline]
+pub fn combine<R: AsRef<[u8]>, B: AsRef<[u8]>>(out: &mut [&mut [u8]], rows: &[R], srcs: &[B]) {
+    combine_with(active_backend(), out, rows, srcs);
+}
+
+/// What [`combine`] does with one output row.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum RowShape {
+    Zero,
+    Unit(usize),
+    General,
+}
+
+fn row_shape(row: &[u8]) -> RowShape {
+    let mut nonzero = row.iter().enumerate().filter(|&(_, &c)| c != 0);
+    match (nonzero.next(), nonzero.next()) {
+        (None, _) => RowShape::Zero,
+        (Some((s, 1)), None) => RowShape::Unit(s),
+        _ => RowShape::General,
+    }
+}
+
+/// [`combine`] on an explicit backend.
+///
+/// # Panics
+///
+/// As [`combine`].
+pub fn combine_with<R: AsRef<[u8]>, B: AsRef<[u8]>>(
+    backend: Backend,
+    out: &mut [&mut [u8]],
+    rows: &[R],
+    srcs: &[B],
+) {
+    assert_eq!(
+        out.len(),
+        rows.len(),
+        "combine requires one coefficient row per output"
+    );
+    let len = match (out.first(), srcs.first()) {
+        (Some(o), _) => o.len(),
+        (None, Some(src)) => src.as_ref().len(),
+        (None, None) => 0,
+    };
+    for o in out.iter() {
+        assert_eq!(o.len(), len, "combine requires equal-length blocks");
+    }
+    for src in srcs {
+        assert_eq!(src.as_ref().len(), len, "combine requires equal-length blocks");
+    }
+    for row in rows {
+        assert_eq!(
+            row.as_ref().len(),
+            srcs.len(),
+            "combine requires one coefficient per source"
+        );
+    }
+    for (o, row) in out.iter_mut().zip(rows) {
+        match row_shape(row.as_ref()) {
+            RowShape::Zero => o.fill(0),
+            RowShape::Unit(s) => o.copy_from_slice(srcs[s].as_ref()),
+            RowShape::General => {}
+        }
+    }
+    let mut general = out
+        .iter_mut()
+        .zip(rows)
+        .filter(|(_, row)| row_shape(row.as_ref()) == RowShape::General);
+    loop {
+        let mut outs: [&mut [u8]; COMBINE_ROWS] = Default::default();
+        let mut group: [&[u8]; COMBINE_ROWS] = [&[]; COMBINE_ROWS];
+        let mut g = 0;
+        for (o, row) in general.by_ref().take(COMBINE_ROWS) {
+            outs[g] = &mut **o;
+            group[g] = row.as_ref();
+            g += 1;
+        }
+        if g == 0 {
+            return;
+        }
+        combine_group(backend, &mut outs[..g], &group[..g], srcs);
+    }
+}
+
+/// One row group of [`combine_with`]: its sources in chunks of at most
+/// [`COMBINE_SRCS`], skipping those the group's rows all weigh 0. At least
+/// one row is general, so at least one chunk writes every output.
+fn combine_group<B: AsRef<[u8]>>(
+    backend: Backend,
+    outs: &mut [&mut [u8]],
+    group: &[&[u8]],
+    srcs: &[B],
+) {
+    let mut cs = [[0u8; COMBINE_SRCS]; COMBINE_ROWS];
+    let mut chunk: [&[u8]; COMBINE_SRCS] = [&[]; COMBINE_SRCS];
+    let mut m = 0;
+    let mut accumulate = false;
+    for (s, src) in srcs.iter().enumerate() {
+        if group.iter().all(|row| row[s] == 0) {
+            continue;
+        }
+        for (c, row) in cs.iter_mut().zip(group) {
+            c[m] = row[s];
+        }
+        chunk[m] = src.as_ref();
+        m += 1;
+        if m == COMBINE_SRCS {
+            combine_pass(backend, outs, &cs[..group.len()], &chunk, accumulate);
+            accumulate = true;
+            m = 0;
+        }
+    }
+    if m > 0 {
+        combine_pass(backend, outs, &cs[..group.len()], &chunk[..m], accumulate);
+    }
+}
+
+/// `outs[r] (^)= Σ_s cs[r][s]·srcs[s]`: overwrites the outputs, or adds
+/// into them when `accumulate`.
+fn combine_pass(
+    backend: Backend,
+    outs: &mut [&mut [u8]],
+    cs: &[[u8; COMBINE_SRCS]],
+    srcs: &[&[u8]],
+    accumulate: bool,
+) {
+    match backend {
+        #[cfg(target_arch = "x86_64")]
+        Backend::Avx2 => x86::combine_avx2(outs, cs, srcs, accumulate),
+        #[cfg(target_arch = "x86_64")]
+        Backend::Gfni => x86::combine_gfni(outs, cs, srcs, accumulate),
+        _ => combine_pass_portable(backend, outs, cs, srcs, accumulate),
+    }
+}
+
+/// The portable form of [`combine_pass`]: the source-major loop over the
+/// pass's outputs — zero-filled unless the pass adds to an earlier one,
+/// then each source streamed through all of them by [`mul_add_multi_with`].
+/// These tiers gain nothing from output-major order: one output tile at a
+/// time through every source measured 0-13 % slower on `swar` and no
+/// faster on `scalar` or `ssse3`, whose multiplies, not memory, bound them.
+fn combine_pass_portable(
+    backend: Backend,
+    outs: &mut [&mut [u8]],
+    cs: &[[u8; COMBINE_SRCS]],
+    srcs: &[&[u8]],
+    accumulate: bool,
+) {
+    if !accumulate {
+        for o in outs.iter_mut() {
+            o.fill(0);
+        }
+    }
+    let mut col = [0u8; COMBINE_ROWS];
+    for (s, src) in srcs.iter().enumerate() {
+        for (c, row) in col.iter_mut().zip(cs) {
+            *c = row[s];
+        }
+        mul_add_multi_with(backend, outs, &col[..outs.len()], src);
     }
 }
 
@@ -551,7 +805,7 @@ pub fn mul_assign16_with(backend: Backend, dst: &mut [u8], c: u16) {
                 #[cfg(target_arch = "x86_64")]
                 Backend::Ssse3 => x86::mul_assign16_ssse3(dst, &t),
                 #[cfg(target_arch = "x86_64")]
-                Backend::Avx2 => x86::mul_assign16_avx2(dst, &t),
+                Backend::Avx2 | Backend::Gfni => x86::mul_assign16_avx2(dst, &t),
             }
         }
     }
@@ -599,7 +853,7 @@ pub fn delta_into16_with(backend: Backend, out: &mut [u8], c: u16, a: &[u8], b: 
                 #[cfg(target_arch = "x86_64")]
                 Backend::Ssse3 => x86::delta_into16_ssse3(out, &t, a, b),
                 #[cfg(target_arch = "x86_64")]
-                Backend::Avx2 => x86::delta_into16_avx2(out, &t, a, b),
+                Backend::Avx2 | Backend::Gfni => x86::delta_into16_avx2(out, &t, a, b),
             }
         }
     }
@@ -717,7 +971,7 @@ fn mul_add16_pair_tier(
         #[cfg(target_arch = "x86_64")]
         Backend::Ssse3 => x86::mul_add_pair16_ssse3(d0, t0, d1, t1, src),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => x86::mul_add_pair16_avx2(d0, t0, d1, t1, src),
+        Backend::Avx2 | Backend::Gfni => x86::mul_add_pair16_avx2(d0, t0, d1, t1, src),
     }
 }
 
@@ -730,7 +984,7 @@ fn mul_add16_tier(backend: Backend, dst: &mut [u8], c: u16, t: &Split16, src: &[
         #[cfg(target_arch = "x86_64")]
         Backend::Ssse3 => x86::mul_add_assign16_ssse3(dst, t, src),
         #[cfg(target_arch = "x86_64")]
-        Backend::Avx2 => x86::mul_add_assign16_avx2(dst, t, src),
+        Backend::Avx2 | Backend::Gfni => x86::mul_add_assign16_avx2(dst, t, src),
     }
 }
 
@@ -768,8 +1022,11 @@ fn small_delta16(out: &mut [u8], c: u16, a: &[u8], b: &[u8]) {
 
 // ---- small-slice fast path (satellite: direct log/exp, no table row) ----
 
+/// `c` must be neither 0 nor 1: `LOG[0]` is a sentinel, so `c = 0` would
+/// multiply by 1, and callers take both fast paths before they get here.
 #[inline]
 fn small_mul_add(dst: &mut [u8], c: u8, src: &[u8]) {
+    debug_assert!(c > 1, "small_mul_add takes c > 1, got {c}");
     let log_c = LOG[c as usize] as usize;
     for (d, &s) in dst.iter_mut().zip(src) {
         if s != 0 {
@@ -778,8 +1035,10 @@ fn small_mul_add(dst: &mut [u8], c: u8, src: &[u8]) {
     }
 }
 
+/// `c > 1`, as for [`small_mul_add`].
 #[inline]
 fn small_mul(dst: &mut [u8], c: u8) {
+    debug_assert!(c > 1, "small_mul takes c > 1, got {c}");
     let log_c = LOG[c as usize] as usize;
     for d in dst.iter_mut() {
         if *d != 0 {
@@ -788,8 +1047,10 @@ fn small_mul(dst: &mut [u8], c: u8) {
     }
 }
 
+/// `c > 1`, as for [`small_mul_add`].
 #[inline]
 fn small_delta(out: &mut [u8], c: u8, a: &[u8], b: &[u8]) {
+    debug_assert!(c > 1, "small_delta takes c > 1, got {c}");
     let log_c = LOG[c as usize] as usize;
     for ((o, &x), &y) in out.iter_mut().zip(a).zip(b) {
         let s = x ^ y;
@@ -901,6 +1162,21 @@ mod tests {
     }
 
     #[test]
+    fn affine_tables_apply_as_the_product_tables() {
+        // Bit i of vgf2p8affineqb's result is the parity of x AND the
+        // matrix's byte 7 − i.
+        for (c, (&a, products)) in AFFINE_TABLES.iter().zip(&MUL_TABLES).enumerate() {
+            for (x, &want) in products.iter().enumerate() {
+                let got = (0..8).fold(0u8, |y, i| {
+                    let row = (a >> (8 * (7 - i))) as u8;
+                    y | (((row & x as u8).count_ones() & 1) as u8) << i
+                });
+                assert_eq!(got, want, "c={c} x={x}");
+            }
+        }
+    }
+
+    #[test]
     fn backend_names_round_trip() {
         for b in available_backends() {
             assert_eq!(Backend::from_name(b.name()), Some(b));
@@ -968,6 +1244,118 @@ mod tests {
             let mut views: Vec<&mut [u8]> = rows.iter_mut().map(|r| r.as_mut_slice()).collect();
             mul_add_multi_with(backend, &mut views, &cs, &src);
             assert_eq!(rows, want, "backend={}", backend.name());
+        }
+    }
+
+    /// The reference weighted sum: every product looked up in
+    /// [`MUL_TABLES`], one output at a time.
+    fn oracle_combine(rows: &[Vec<u8>], srcs: &[Vec<u8>], len: usize) -> Vec<Vec<u8>> {
+        rows.iter()
+            .map(|row| {
+                let mut o = vec![0u8; len];
+                for (&c, src) in row.iter().zip(srcs) {
+                    let t = &MUL_TABLES[c as usize];
+                    for (d, &x) in o.iter_mut().zip(src) {
+                        *d ^= t[x as usize];
+                    }
+                }
+                o
+            })
+            .collect()
+    }
+
+    /// Runs [`combine_with`] on every backend over outputs that start as
+    /// garbage, against [`oracle_combine`].
+    fn combine_on_every_backend(rows: &[Vec<u8>], srcs: &[Vec<u8>], len: usize) {
+        let want = oracle_combine(rows, srcs, len);
+        for backend in available_backends() {
+            let mut out = vec![vec![0xA5u8; len]; rows.len()];
+            let mut views: Vec<&mut [u8]> = out.iter_mut().map(Vec::as_mut_slice).collect();
+            combine_with(backend, &mut views, rows, srcs);
+            assert!(
+                out == want,
+                "combine on {} with {} rows x {} sources of {len} bytes",
+                backend.name(),
+                rows.len(),
+                srcs.len()
+            );
+        }
+    }
+
+    #[test]
+    fn combine_crosses_the_row_group_and_the_source_chunk() {
+        // 9 rows: three groups, the last of one row; 17 sources: a full
+        // chunk and one more that adds into it. Dense rows with explicit
+        // 0 and 1 entries, a zero row, a unit row, and a zero column.
+        let (n_rows, n_srcs, len) = (9, 17, 4113);
+        let rows: Vec<Vec<u8>> = (0..n_rows)
+            .map(|r| match r {
+                2 => vec![0; n_srcs],
+                5 => (0..n_srcs).map(|s| u8::from(s == 16)).collect(),
+                _ => (0..n_srcs)
+                    .map(|s| match (s + r) % 7 {
+                        _ if s == 3 => 0,
+                        0 => 0,
+                        1 => 1,
+                        v => (v * 37 + r * 11 + s) as u8 | 2,
+                    })
+                    .collect(),
+            })
+            .collect();
+        let srcs: Vec<Vec<u8>> = (0..n_srcs)
+            .map(|s| (0..len).map(|i| (i * 29 + s * 101 + 3) as u8).collect())
+            .collect();
+        combine_on_every_backend(&rows, &srcs, len);
+    }
+
+    /// Lengths of the [`combine`] property: empty, one byte, around one
+    /// 32-byte vector, around one tile, and a 64 KiB block with a tail.
+    const COMBINE_LENS: [usize; 8] = [0, 1, 31, 32, 33, 4095, 4113, 65541];
+
+    proptest! {
+        /// Every backend's weighted sum equals the table reference, for 0-9
+        /// rows (crossing the 4-row group) over 0-17 sources (crossing the
+        /// 16-source chunk), with zero rows, unit rows, zero columns and
+        /// explicit 0 and 1 entries inside dense rows.
+        #[test]
+        fn prop_combine_matches_the_table_reference_on_every_backend(
+            n_rows in 0usize..10,
+            n_srcs in 0usize..18,
+            len_at in 0usize..COMBINE_LENS.len(),
+            seed in any::<u64>(),
+        ) {
+            let len = COMBINE_LENS[len_at];
+            let mut state = seed | 1;
+            let mut next = move || {
+                state ^= state << 13;
+                state ^= state >> 7;
+                state ^= state << 17;
+                state
+            };
+            let zero_col: Vec<bool> = (0..n_srcs).map(|_| next() % 5 == 0).collect();
+            let rows: Vec<Vec<u8>> = (0..n_rows)
+                .map(|_| match next() % 4 {
+                    0 => vec![0; n_srcs],
+                    1 if n_srcs > 0 => {
+                        let mut row = vec![0; n_srcs];
+                        row[(next() % n_srcs as u64) as usize] = 1;
+                        row
+                    }
+                    _ => zero_col
+                        .iter()
+                        .map(|&zero| match next() % 6 {
+                            _ if zero => 0,
+                            0 => 0,
+                            1 => 1,
+                            _ => next() as u8,
+                        })
+                        .collect(),
+                })
+                .collect();
+            let srcs: Vec<Vec<u8>> = (0..n_srcs)
+                .map(|_| (0..len).map(|_| next() as u8).collect())
+                .collect();
+            combine_on_every_backend(&rows, &srcs, len);
         }
     }
 

@@ -5,9 +5,8 @@
 //! * [`add_assign`] — `dst ^= src`, the storage node's *Add* (Fig. 5 line 40);
 //! * [`mul_assign`] — `dst = c·dst`, used during decode back-substitution;
 //! * [`mul_add_assign`] — `dst ^= c·src`, the client's *Delta* step
-//!   (α_ji·(v−w) in Fig. 5 line 10) and the inner loop of full encode/decode;
-//! * [`mul_add_multi`] — the fused multi-row form of `mul_add_assign` that
-//!   streams one source block through several destination rows per pass;
+//!   (α_ji·(v−w) in Fig. 5 line 10); full encode and decode are one
+//!   weighted sum, [`kernel::combine`];
 //! * [`add_assign_multi`] — the fused multi-source form of `add_assign`: a
 //!   node's batch of adds to one block in one pass.
 //!
@@ -15,7 +14,7 @@
 //! coefficient tables are precomputed at compile time (no per-call table
 //! builds — the "hand optimized code for field arithmetic" of §5.1 taken one
 //! step further), and the byte loop runs on the widest backend the CPU
-//! supports (AVX2 / SSSE3 / SWAR / scalar), selected once at startup and
+//! supports (GFNI / AVX2 / SSSE3 / SWAR / scalar), selected once at startup and
 //! overridable with `GF_BACKEND`. See [`kernel`](crate::kernel) for the tier
 //! table and the Fig. 8(a) speedup measurements in `benches/ec_kernels.rs`.
 //!
@@ -70,19 +69,6 @@ pub fn mul_assign(dst: &mut [u8], c: u8) {
 #[inline]
 pub fn mul_add_assign(dst: &mut [u8], c: u8, src: &[u8]) {
     kernel::mul_add_assign(dst, c, src);
-}
-
-/// `dsts[j][i] ^= cs[j] · src[i]` for every destination row `j` — full
-/// encode's inner step fused across all `p` redundant rows, so each source
-/// tile is read once while hot instead of once per row.
-///
-/// # Panics
-///
-/// Panics if `dsts` and `cs` lengths differ or any row length differs from
-/// `src`.
-#[inline]
-pub fn mul_add_multi(dsts: &mut [&mut [u8]], cs: &[u8], src: &[u8]) {
-    kernel::mul_add_multi(dsts, cs, src);
 }
 
 /// `out[i] = c · (a[i] ^ b[i])` — fused "subtract then scale", the client's
@@ -155,22 +141,6 @@ mod tests {
     fn add_assign_multi_rejects_length_mismatch() {
         let mut a = vec![0u8; 4];
         add_assign_multi(&mut a, [&[0u8; 4][..], &[0u8; 5]].into_iter());
-    }
-
-    #[test]
-    fn mul_add_multi_equals_sequential_mul_adds() {
-        let src: Vec<u8> = (0..500).map(|i| (i * 7 + 3) as u8).collect();
-        let cs = [0x02u8, 0x53, 0x00, 0x01, 0xFF];
-        let mut fused: Vec<Vec<u8>> = (0..cs.len())
-            .map(|j| (0..500).map(|i| (i + j * 11) as u8).collect())
-            .collect();
-        let mut sequential = fused.clone();
-        for (row, &c) in sequential.iter_mut().zip(&cs) {
-            mul_add_assign(row, c, &src);
-        }
-        let mut views: Vec<&mut [u8]> = fused.iter_mut().map(|r| r.as_mut_slice()).collect();
-        mul_add_multi(&mut views, &cs, &src);
-        assert_eq!(fused, sequential);
     }
 
     proptest! {

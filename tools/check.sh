@@ -7,8 +7,8 @@
 # a seeded chaos smoke run, the seeded power-loss smoke (three
 # seeds, both flush policies, byte-identical traces), the GF(2^8) +
 # GF(2^16) kernel backend matrix (per-backend test runs +
-# BENCH_kernels.json, re-asserting the wide-kernel AVX2 floor and the
-# CRC-32C SSE4.2 floor), the
+# BENCH_kernels.json, re-asserting the wide-kernel AVX2 floor, the
+# CRC-32C SSE4.2 floor and the output-major weighted-sum floor), the
 # batched data-path throughput smoke, the degraded-read/rebuild smoke
 # (asserts the >=4x rebuild speedup and zero-lock degraded reads
 # internally; both smokes' width-8 message counts and the degraded reads'
@@ -161,6 +161,20 @@ else
   echo "no SSE4.2 on this host; floor skip recorded in the artifact"
 fi
 
+echo "== output-major weighted sum floor (from BENCH_kernels.json) =="
+# Same shape again: kernel_matrix asserts that combine's output-major
+# encode runs >= 1.25x the source-major loop it replaced on the avx2 and
+# gfni tiers, and records a skip marker on hosts without AVX2.
+if ./target/release/kernel_matrix --list | grep -q '^avx2$'; then
+  grep -q '"combine_floor_pass":true' BENCH_kernels.json \
+    || { echo "combine floor violated (output-major encode < 1.25x source-major on avx2/gfni)"; exit 1; }
+  echo "combine floor holds (output-major encode >= 1.25x source-major on avx2/gfni)"
+else
+  grep -q '"combine_floor_skipped"' BENCH_kernels.json \
+    || { echo "BENCH_kernels.json missing the combine floor verdict"; exit 1; }
+  echo "no AVX2 on this host; combine floor skip recorded in the artifact"
+fi
+
 echo "== batched data path (ext_seq_throughput --smoke) =="
 cargo run --release -p ajx-bench --bin ext_seq_throughput -- --smoke \
   > BENCH_datapath.smoke.json
@@ -228,6 +242,10 @@ grep -q '"recovery_floor_pass": true' BENCH_durability.smoke.json \
 echo "durability floor holds (restart-with-disk beats wipe-and-rebuild)"
 
 echo "== benchmark contract (benchmark/run.sh, all six workloads) =="
+# Building benchmark/ rewrites its tracked Cargo.lock, which still pins
+# shims and edges the workspace dropped and which only a benchmark change
+# may touch: put it back when the script exits, however it exits.
+trap 'git checkout -q -- benchmark/Cargo.lock 2>/dev/null || true' EXIT
 # BENCHMARK.json's driver calls benchmark/run.sh, which builds benchmark/
 # offline into .bench_build and prints the run's JSON result as the last
 # stdout line. A short run of every workload must build, exit 0, produce

@@ -6,9 +6,11 @@
 # criterion benches, and write per-backend throughput numbers for both
 # fields and the checksum to BENCH_kernels.json at the repo root. The
 # kernel_matrix binary asserts the GF(2^16) acceptance floor (AVX2 >= 4x
-# the scalar split-table tier at 4 KiB) and the CRC-32C one (SSE4.2 >= 3x
-# the portable tier at 4 KiB) while producing the artifact; tools/check.sh
-# re-asserts both from the committed JSON.
+# the scalar split-table tier at 4 KiB), the CRC-32C one (SSE4.2 >= 3x
+# the portable tier at 4 KiB) and the weighted sum's (output-major encode
+# >= 1.25x the source-major loop on the avx2 and gfni tiers) while
+# producing the artifact; tools/check.sh re-asserts all three from the
+# committed JSON.
 #
 # Usage: tools/kernel_matrix.sh [--quick]
 #   --quick   cap property-test cases and bench iterations for a fast pass
